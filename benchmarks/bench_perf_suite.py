@@ -171,8 +171,6 @@ def main(argv=None) -> int:
         "ms_per_trial": round(session["seconds_per_trial"] * 1e3, 2),
         "feature_cache_hit_rate":
             round(results["eval_cache"]["features"]["hit_rate"], 4),
-        "lowered_cache_hit_rate":
-            round(results["eval_cache"]["lowered"]["hit_rate"], 4),
         "curve_sha256": session["curve_sha256"][:16],
     })
 

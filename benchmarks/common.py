@@ -108,8 +108,8 @@ def print_series(title: str, rows: List[Tuple[str, Dict[str, float]]],
 
 
 def eval_cache_rates() -> Dict[str, float]:
-    """Per-cache hit rates of the shared evaluation caches, as BENCH_SUMMARY
-    fields (``{lowered,features}_cache_hit_rate`` plus raw hit counters)."""
+    """Hit rates of the shared evaluation cache, as BENCH_SUMMARY fields
+    (``features_cache_hit_rate`` plus raw hit counters)."""
     from repro.autotvm import eval_cache_stats
 
     fields: Dict[str, float] = {}

@@ -2,16 +2,14 @@
 
 The front door is :func:`repro.autotune` (re-exported here as
 :func:`autotune`): extract tasks -> tune with a registered tuner over the
-parallel measurer -> record bests in a :class:`TuningDatabase` -> compile
+measurer -> record bests in a :class:`TuningDatabase` -> compile
 under :class:`ApplyHistoryBest`.
 """
 
 from .apply_history import ApplyHistoryBest
 from .eval_cache import (
     FEATURE_CACHE,
-    LOWERED_CACHE,
     clear_eval_caches,
-    configure_eval_caches,
     eval_cache_stats,
 )
 from .cost_model import (
@@ -21,9 +19,8 @@ from .cost_model import (
     rank_correlation,
 )
 from .database import DatabaseWriteConflictError, TuningDatabase, TuningLogEntry
-from .measure import LocalMeasurer, MeasureInput, MeasureResultRecord, RPCMeasurer
+from .measure import LocalMeasurer, MeasureInput, MeasureResultRecord, Measurer
 from .options import ProgressEvent, TuningOptions
-from .parallel import ParallelMeasurer, ProcessMeasurer, shutdown_measure_pools
 from .registry import TUNER_REGISTRY, get_tuner, list_tuners, register_tuner
 from .session import (
     TaskTuningResult,
@@ -52,9 +49,7 @@ __all__ = [
     "ConfigSpace",
     "DatabaseWriteConflictError",
     "FEATURE_CACHE",
-    "LOWERED_CACHE",
     "clear_eval_caches",
-    "configure_eval_caches",
     "eval_cache_stats",
     "GATuner",
     "GradientBoostedTrees",
@@ -62,13 +57,11 @@ __all__ = [
     "LocalMeasurer",
     "MeasureInput",
     "MeasureResultRecord",
+    "Measurer",
     "ModelBasedTuner",
     "NeuralCostModel",
     "OtherEntity",
-    "ParallelMeasurer",
-    "ProcessMeasurer",
     "ProgressEvent",
-    "RPCMeasurer",
     "RandomTuner",
     "RegressionTree",
     "ServiceClient",
@@ -98,6 +91,5 @@ __all__ = [
     "register_template",
     "register_tuner",
     "schedule_zoo",
-    "shutdown_measure_pools",
     "tune_tasks",
 ]

@@ -4,28 +4,29 @@ The hottest loop in the system — lower a candidate schedule, featurise the
 loop program, score it (paper §5.2–5.3) — is driven from four independent
 places: the model-based tuner, the measurer, the compiler's fallback
 heuristic, and kernel-time estimation.  Lowering and featurisation are
-deterministic per ``(task name, target name, config index)``, so all of them
-share the two bounded LRU caches in this module through
-:meth:`repro.autotvm.Task.lowered` / :meth:`~repro.autotvm.Task.features_of`.
+deterministic per ``(workload, target name, config index)``, so all of them
+share the bounded feature LRU in this module through
+:meth:`repro.autotvm.Task.features_of`.  Lowered programs are not cached:
+every consumer wants the features, and a loop program is far bulkier than its
+feature summary.
 
-Unlike the dict it replaced (whose "eviction" dropped all 50k entries at
-once), the caches evict one least-recently-used entry at a time, so a long
-tuning session keeps its working set hot.  Failures are cached too: a config
-whose schedule cannot be lowered raises the *same* exception object on every
+The cache evicts one least-recently-used entry at a time, so a long tuning
+session keeps its working set hot.  Failures are cached too: a config whose
+schedule cannot be lowered raises an equivalent exception on every
 evaluation instead of re-running the failing lowering.
 
-Thread safety: the parallel measurer featurises configs from worker threads,
-so every cache operation takes the cache's lock.
+Thread safety: the measurer featurises configs from worker threads, so every
+cache operation takes the cache's lock.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable
 
-__all__ = ["LRUCache", "LOWERED_CACHE", "FEATURE_CACHE", "clear_eval_caches",
-           "eval_cache_stats", "configure_eval_caches"]
+__all__ = ["LRUCache", "FEATURE_CACHE", "clear_eval_caches",
+           "eval_cache_stats"]
 
 _MISSING = object()
 
@@ -66,12 +67,6 @@ class LRUCache:
             self.hits = 0
             self.misses = 0
 
-    def resize(self, maxsize: int) -> None:
-        with self._lock:
-            self.maxsize = int(maxsize)
-            while len(self._data) > max(self.maxsize, 0):
-                self._data.popitem(last=False)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
@@ -91,9 +86,6 @@ class LRUCache:
                 f"hits={s['hits']}, misses={s['misses']})")
 
 
-#: lowered functions are bulkier than feature summaries, so their cache is
-#: kept an order of magnitude smaller
-LOWERED_CACHE = LRUCache(2_048)
 #: extracted :class:`~repro.tir.analysis.ProgramFeatures` per config
 FEATURE_CACHE = LRUCache(50_000)
 
@@ -102,7 +94,6 @@ def clear_eval_caches() -> None:
     """Drop all shared lowering/featurisation state (tests, benchmarks)."""
     from ..te.expr import _Simplifier
 
-    LOWERED_CACHE.clear()
     FEATURE_CACHE.clear()
     # The simplifier memo pins expression nodes process-wide; release them
     # together with the evaluation caches they fed.
@@ -110,14 +101,5 @@ def clear_eval_caches() -> None:
 
 
 def eval_cache_stats() -> Dict[str, Dict[str, int]]:
-    """Hit/miss/size counters of the shared caches (observability hook)."""
-    return {"lowered": LOWERED_CACHE.stats(), "features": FEATURE_CACHE.stats()}
-
-
-def configure_eval_caches(features: Optional[int] = None,
-                          lowered: Optional[int] = None) -> None:
-    """Resize the shared caches (``0`` disables caching entirely)."""
-    if features is not None:
-        FEATURE_CACHE.resize(features)
-    if lowered is not None:
-        LOWERED_CACHE.resize(lowered)
+    """Hit/miss/size counters of the shared cache (observability hook)."""
+    return {"features": FEATURE_CACHE.stats()}

@@ -1,17 +1,28 @@
 """Measurement of candidate configurations on (simulated) devices.
 
-The paper measures candidates on physical boards reached through an RPC-based
-device pool (Section 5.4).  Here measurements run against the simulated
-hardware models, optionally routed through the in-process RPC tracker/server
-infrastructure in :mod:`repro.runtime.rpc` so the same code path — compile,
-request a device, run remotely, collect timings — is exercised.
+The paper's measurement pipeline (Section 5.4) is one loop — build a
+candidate, run it on a device from the pool, record the time — and
+:class:`Measurer` is that loop: *verify → build → run → record*.  Two things
+vary between its uses: how many candidates are in flight at once
+(``n_parallel`` threads mapped over the batch) and where the run half
+executes — directly on the target's hardware model, or on a device leased
+exclusively from an :class:`~repro.runtime.rpc.Tracker` (request → run_timed
+→ release), in which case ``n_parallel`` is the number of concurrent leases
+on the pool.
+
+Measurement noise is drawn from an RNG derived from ``(seed, task, config
+index)`` — never from shared mutable state — so a record depends only on
+*what* is measured, not on the order, the concurrency or the runner: every
+combination is bit-identical to the serial local path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -20,7 +31,7 @@ from ..hardware.base import MeasureResult
 from .space import ConfigEntity
 from .task import Task
 
-__all__ = ["MeasureInput", "MeasureResultRecord", "LocalMeasurer", "RPCMeasurer"]
+__all__ = ["MeasureInput", "MeasureResultRecord", "Measurer", "LocalMeasurer"]
 
 
 @dataclass
@@ -51,29 +62,42 @@ class MeasureResultRecord:
         return self.input.task.flop / self.mean_time / 1e9
 
 
-class LocalMeasurer:
-    """Lower and measure configurations directly against the target's model.
+class Measurer:
+    """The measurement pipeline: verify → build → run → record.
 
-    Measurement noise is drawn from an RNG derived from ``(seed, task,
-    config index)`` — never from shared mutable state — so results depend
-    only on *what* is measured, not on the order or concurrency of the
-    measurements.  The parallel batch measurer relies on this to stay
-    bit-identical with this serial path.
+    ``n_parallel`` worker threads are mapped over each batch (1 = a plain
+    loop).  With a ``tracker`` the run half takes an exclusive lease on a
+    device registered under ``device_key``; without one it runs on the
+    task target's own hardware model.
     """
 
-    def __init__(self, number: int = 3, seed: int = 0, verify: bool = False):
+    def __init__(self, number: int = 3, seed: int = 0, verify: bool = False,
+                 n_parallel: int = 1, tracker=None,
+                 device_key: Optional[str] = None):
+        if n_parallel <= 0:
+            raise ValueError(f"n_parallel must be positive, got {n_parallel}")
+        if tracker is not None and device_key is None:
+            raise ValueError("a tracker runner needs the device_key to lease")
         self.number = number
         self.seed = seed
         self.verify = verify
+        self.n_parallel = n_parallel
+        self.tracker = tracker
+        self.device_key = device_key
         self.num_measured = 0
         self.num_rejected = 0
         self._verify_cache: dict = {}
+        self._count_lock = threading.Lock()
 
     def measure(self, inputs: Sequence[MeasureInput]) -> List[MeasureResultRecord]:
-        records: List[MeasureResultRecord] = []
-        for inp in inputs:
-            records.append(self._measure_one(inp))
-            self.num_measured += 1
+        inputs = list(inputs)
+        workers = min(self.n_parallel, len(inputs))
+        if workers <= 1:
+            records = [self._measure_one(inp) for inp in inputs]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(self._measure_one, inputs))
+        self.num_measured += len(inputs)
         return records
 
     def _input_rng(self, inp: MeasureInput) -> np.random.Generator:
@@ -81,23 +105,6 @@ class LocalMeasurer:
         digest = hashlib.sha256(
             f"{inp.task.name}:{inp.config.index}:{self.seed}".encode())
         return np.random.default_rng(int.from_bytes(digest.digest()[:8], "little"))
-
-    def _build_one(self, inp: MeasureInput):
-        """Builder half: lower the config and extract program features.
-
-        Served by the shared evaluation cache — when the tuner's cost model
-        already featurised this candidate while scoring it, the measurer
-        reuses that work instead of re-lowering.  Duck-typed task objects
-        that only provide ``lower`` keep the direct path.
-        """
-        task = inp.task
-        if self.verify:
-            self._verify_one(inp)
-        if hasattr(task, "features_of"):
-            return task.features_of(inp.config.index)
-        from .. import tir
-
-        return tir.extract_features(task.lower(inp.config))
 
     def _verify_one(self, inp: MeasureInput) -> None:
         """Statically verify the candidate's lowered program, raising the
@@ -117,40 +124,42 @@ class LocalMeasurer:
                 self._verify_cache[key] = None
         cached = self._verify_cache[key]
         if cached is not None:
-            self.num_rejected += 1
+            with self._count_lock:      # worker threads share the counter
+                self.num_rejected += 1
             raise cached
 
-    def _measure_one(self, inp: MeasureInput) -> MeasureResultRecord:
-        try:
-            features = self._build_one(inp)
-        except Exception as exc:
-            return MeasureResultRecord(inp, float("inf"), None, error=str(exc))
-        model = inp.task.target.model
-        result: MeasureResult = model.measure(features, number=self.number,
-                                              rng=self._input_rng(inp))
-        return MeasureResultRecord(inp, result.mean_time, features, error=result.error)
-
-
-class RPCMeasurer(LocalMeasurer):
-    """Measure through the RPC device pool (same protocol as the paper's
-    distributed tracker, Section 5.4)."""
-
-    def __init__(self, tracker, device_key: str, number: int = 3, seed: int = 0):
-        super().__init__(number=number, seed=seed)
-        self.tracker = tracker
-        self.device_key = device_key
-
-    def _measure_one(self, inp: MeasureInput) -> MeasureResultRecord:
-        try:
-            features = self._build_one(inp)
-        except Exception as exc:
-            return MeasureResultRecord(inp, float("inf"), None, error=str(exc))
+    def _run(self, inp: MeasureInput, features) -> MeasureResult:
+        """Runner half: time one built candidate on a device."""
+        rng = self._input_rng(inp)
+        if self.tracker is None:
+            return inp.task.target.model.measure(features, number=self.number,
+                                                 rng=rng)
+        # An unknown key or an exhausted pool fails the batch loudly; a
+        # failure on the leased device is that candidate's errored record.
         session = self.tracker.request(self.device_key)
         try:
-            times = session.run_timed(features, number=self.number)
+            times = session.run_timed(features, number=self.number, rng=rng)
         except Exception as exc:
-            return MeasureResultRecord(inp, float("inf"), features, error=str(exc))
+            return MeasureResult(float("inf"), [], error=str(exc))
         finally:
             session.release()
-        mean = float(np.mean(times)) if times else float("inf")
-        return MeasureResultRecord(inp, mean, features)
+        return MeasureResult(float(np.mean(times)), times)
+
+    def _measure_one(self, inp: MeasureInput) -> MeasureResultRecord:
+        try:
+            if self.verify:
+                self._verify_one(inp)
+            # Served by the shared evaluation cache: when the tuner's cost
+            # model already featurised this candidate while scoring it, the
+            # build half is a look-up.
+            features = inp.task.features_of(inp.config.index)
+        except Exception as exc:
+            return MeasureResultRecord(inp, float("inf"), None, error=str(exc))
+        result = self._run(inp, features)
+        return MeasureResultRecord(inp, result.mean_time, features,
+                                   error=result.error)
+
+
+#: the name ``benchmarks/e2e`` imports; the serial local runner is
+#: :class:`Measurer` with its defaults
+LocalMeasurer = Measurer

@@ -64,13 +64,10 @@ class TuningOptions:
     tuner_args: Dict[str, object] = field(default_factory=dict)
     #: repeated timings per measurement on the simulated device
     measure_number: int = 2
-    #: worker threads of the parallel batch measurer (1 = serial path)
+    #: worker threads the measurer maps over each batch (1 = plain loop);
+    #: results are bit-identical at any value (the noise RNG is derived per
+    #: (seed, task, config))
     n_parallel: int = 4
-    #: batch-measurement backend: ``"thread"`` (default) runs builder/runner
-    #: workers on a thread pool; ``"process"`` runs them on a pool of worker
-    #: *processes* (outside the GIL).  Either way results are bit-identical
-    #: to the serial path (the noise RNG is derived per (seed, task, config))
-    measurer: str = "thread"
     #: warm-start the cost model from prior database entries of the same
     #: operator (transfer learning across sessions)
     warm_start: bool = True
@@ -101,9 +98,6 @@ class TuningOptions:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.n_parallel <= 0:
             raise ValueError(f"n_parallel must be positive, got {self.n_parallel}")
-        if self.measurer not in ("thread", "process"):
-            raise ValueError(f"measurer must be 'thread' or 'process', "
-                             f"got {self.measurer!r}")
         if self.early_stopping is not None and self.early_stopping <= 0:
             raise ValueError(
                 f"early_stopping must be positive or None, got {self.early_stopping}")

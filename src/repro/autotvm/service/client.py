@@ -30,7 +30,7 @@ The client is built to survive an unreliable service:
 connection-level error) and degrades to pure-local measurement — logged
 and counted in ``service_failures`` / ``local_fallbacks`` — instead of
 crashing the session.  Because local measurement is deterministic per
-``(seed, task, config)`` (see :class:`~repro.autotvm.measure.LocalMeasurer`),
+``(seed, task, config)`` (see :class:`~repro.autotvm.measure.Measurer`),
 a dedup hit returns exactly the value this session would have measured
 itself, so neither a hit nor a degraded miss can change the tuning
 trajectory of identically-seeded sessions.

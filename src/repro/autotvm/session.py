@@ -5,7 +5,7 @@ the whole offline optimization loop.  ``autotune`` accepts the same model
 forms as ``compile`` (a :class:`~repro.graph.ir.Graph`, a frontend model
 tuple, or a model-zoo name), extracts the heavy-operator tuning tasks,
 explores each task's schedule space with a registered tuner driven by the
-parallel batch measurer, and returns a single :class:`TuningReport` carrying
+batch measurer, and returns a single :class:`TuningReport` carrying
 per-task best configurations, trial curves (Figure 12-ready), timing, and the
 :class:`~repro.autotvm.database.TuningDatabase` that history-based
 compilation consumes::
@@ -32,9 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apply_history import ApplyHistoryBest
 from .database import TuningDatabase
-from .measure import LocalMeasurer
+from .measure import Measurer
 from .options import ProgressEvent, TuningOptions
-from .parallel import ParallelMeasurer
 from .registry import get_tuner
 from .space import ConfigEntity
 from .task import Task
@@ -208,21 +207,6 @@ def _resolve_service(service):
         f"TuningService or a ServiceClient, got {type(service).__name__}")
 
 
-def _make_measurer(options: TuningOptions, seed: int) -> LocalMeasurer:
-    if options.n_parallel > 1:
-        if options.measurer == "process":
-            from .parallel import ProcessMeasurer
-
-            return ProcessMeasurer(n_parallel=options.n_parallel,
-                                   number=options.measure_number, seed=seed,
-                                   verify=options.verify)
-        return ParallelMeasurer(n_parallel=options.n_parallel,
-                                number=options.measure_number, seed=seed,
-                                verify=options.verify)
-    return LocalMeasurer(number=options.measure_number, seed=seed,
-                         verify=options.verify)
-
-
 def _config_stats(task: Task, config: ConfigEntity
                   ) -> Tuple[float, Optional[List[float]]]:
     """Deterministic hardware-model estimate and feature vector of ``config``
@@ -323,7 +307,8 @@ def _tune_one_task(task: Task, node, task_index: int, num_tasks: int,
             tuner.adopt_pretrained(model)
             pretrained = True
 
-    measurer = _make_measurer(options, seed)
+    measurer = Measurer(number=options.measure_number, seed=seed,
+                        verify=options.verify, n_parallel=options.n_parallel)
     if client is not None:
         from .service.client import ServiceDedupMeasurer
 

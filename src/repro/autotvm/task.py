@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import te, tir
 from ..hardware.target import Target
-from .eval_cache import FEATURE_CACHE, LOWERED_CACHE
+from .eval_cache import FEATURE_CACHE
 from .space import ConfigEntity, ConfigSpace
 
 __all__ = ["Task", "create_task", "register_template", "get_template", "TEMPLATE_REGISTRY"]
@@ -131,26 +131,6 @@ class Task:
     def _cache_key(self, index: int) -> Tuple[str, str, str, int]:
         return self._cache_prefix + (index,)
 
-    def lowered(self, index: int) -> tir.LoweredFunc:
-        """Memoized :meth:`lower` of the config at ``index``.
-
-        Lowering is deterministic per ``(workload, target, config)``; results
-        are shared across :class:`Task` instances through a bounded LRU.  A
-        config whose schedule fails to lower raises an equivalent exception
-        on every call without re-running the lowering.
-        """
-        key = self._cache_key(index)
-        cached = LOWERED_CACHE.get(key)
-        if cached is None:
-            try:
-                cached = self.lower(self.config_space.get(index))
-            except Exception as exc:  # cache the failure, too
-                cached = _FailureMarker.of(exc)
-            LOWERED_CACHE.put(key, cached)
-        if isinstance(cached, _FailureMarker):
-            raise cached.replay()
-        return cached
-
     def features_of(self, index: int) -> tir.ProgramFeatures:
         """Memoized program features of the config at ``index``.
 
@@ -163,7 +143,8 @@ class Task:
         cached = FEATURE_CACHE.get(key)
         if cached is None:
             try:
-                cached = tir.extract_features(self.lowered(index))
+                cached = tir.extract_features(
+                    self.lower(self.config_space.get(index)))
             except Exception as exc:
                 cached = _FailureMarker.of(exc)
             FEATURE_CACHE.put(key, cached)

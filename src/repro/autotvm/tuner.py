@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cost_model import GradientBoostedTrees, NeuralCostModel
-from .measure import LocalMeasurer, MeasureInput, MeasureResultRecord
+from .measure import MeasureInput, MeasureResultRecord, Measurer
 from .registry import register_tuner
 from .space import ConfigEntity
 from .task import Task
@@ -68,7 +68,7 @@ class Tuner:
         """Hook for model-based tuners to learn from new measurements."""
 
     # -- main loop ----------------------------------------------------------------
-    def tune(self, n_trial: int, measurer: Optional[LocalMeasurer] = None,
+    def tune(self, n_trial: int, measurer: Optional[Measurer] = None,
              batch_size: int = 8,
              callback: Optional[Callable[["Tuner", List[MeasureResultRecord]], None]] = None,
              early_stopping: Optional[int] = None
@@ -79,7 +79,7 @@ class Tuner:
         without improving on the best measured time.  ``callback`` is invoked
         after every measured batch with ``(tuner, batch_results)``.
         """
-        measurer = measurer or LocalMeasurer()
+        measurer = measurer or Measurer()
         trials_done = 0
         trials_since_best = 0
         space_size = len(self.task.config_space)

@@ -12,7 +12,6 @@ records.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -121,7 +120,7 @@ def _verify_kernel_program(node, target: Target,
     if key in _VERIFIED_PROGRAMS:
         return
     task = make_task_for_node(node, target)
-    verify_func(task.lowered(config_index))
+    verify_func(task.lower(task.config_space.get(config_index)))
     _VERIFIED_PROGRAMS.add(key)
 
 
@@ -153,18 +152,10 @@ def _generate_kernels(state: CompileState,
     return kernels
 
 
-def _resolve_tuning_db(ctx: PassContext,
-                       tuning_db: Optional[TuningDatabase]):
+def _resolve_tuning_db(ctx: PassContext):
     """The tuning history this compilation consults, in precedence order:
-    explicit (deprecated) kwarg, ``PassContext.config["tuning_db"]``, then
-    the innermost active :class:`ApplyHistoryBest` context."""
-    if tuning_db is not None:
-        warnings.warn(
-            "repro.compile(tuning_db=...) is deprecated; compile inside "
-            "`with report.apply_history_best():` (or an "
-            "autotvm.ApplyHistoryBest context) instead",
-            DeprecationWarning, stacklevel=3)
-        return tuning_db
+    ``PassContext.config["tuning_db"]``, then the innermost active
+    :class:`ApplyHistoryBest` context."""
     from_ctx = ctx.config.get("tuning_db")
     if from_ctx is not None:
         return from_ctx
@@ -190,12 +181,15 @@ def compile(model: ModelLike, target: Union[Target, str, None] = None, *,
             params: Optional[Dict[str, np.ndarray]] = None,
             input_shapes: Optional[Dict[str, Tuple[int, ...]]] = None,
             opt_level: Optional[int] = None,
-            tuning_db: Optional[TuningDatabase] = None,
             heterogeneous_targets: Optional[Dict[str, Union[Target, str]]] = None,
             pipeline: Optional[Union[Sequential, Sequence]] = None,
             verify: Optional[bool] = None
             ) -> CompiledModule:
     """Compile a model for a target and return a :class:`CompiledModule`.
+
+    Tuning history is picked up from ``PassContext.config["tuning_db"]`` or
+    an active :class:`~repro.autotvm.apply_history.ApplyHistoryBest` context
+    (``with report.apply_history_best(): repro.compile(...)``).
 
     Parameters
     ----------
@@ -211,11 +205,6 @@ def compile(model: ModelLike, target: Union[Target, str, None] = None, *,
     opt_level:
         Shortcut overriding the active :class:`PassContext`'s level; prefer
         configuring a ``PassContext`` for anything beyond that.
-    tuning_db:
-        Deprecated alias.  The operator-level compiler now picks up tuning
-        history automatically from ``PassContext.config["tuning_db"]`` or an
-        active :class:`~repro.autotvm.apply_history.ApplyHistoryBest` context
-        (``with report.apply_history_best(): repro.compile(...)``).
     heterogeneous_targets:
         Optional operator-name -> target mapping (the CPU+FPGA offloading
         experiment of Figure 21).
@@ -270,7 +259,7 @@ def compile(model: ModelLike, target: Union[Target, str, None] = None, *,
                      dtype_bytes=None if configured_bytes is None
                      else int(configured_bytes),
                      pass_name="codegen")
-    kernels = _generate_kernels(state, _resolve_tuning_db(ctx, tuning_db),
+    kernels = _generate_kernels(state, _resolve_tuning_db(ctx),
                                 het_targets, verify=verify_on)
     for instrument in ctx.instruments:
         for kernel in kernels:

@@ -4,19 +4,16 @@ A :class:`CompiledModule` is the *single* object the new compilation pipeline
 hands back: optimized graph, per-group kernels, bound parameters, the static
 memory plan, and the per-pass instrumentation records gathered while the
 module was built.  It also knows how to persist itself as a versioned
-artifact bundle (``export``, restored by ``repro.load``; ``save``/``load``
-are deprecation shims over the same format) and how to construct its own
-executor (``executor``), so callers no longer juggle the legacy
-``(graph, module, params)`` 3-tuple.
+artifact bundle (``export``, restored by ``repro.load``) and how to construct
+its own executor (``executor``).
 
 This module deliberately has no eager intra-package imports: it sits below
 both :mod:`repro.graph` and :mod:`repro.runtime` in the import graph, which
-is what lets ``graph.build`` re-export these classes without a cycle.
+is what lets ``repro.graph`` re-export these classes without a cycle.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -31,10 +28,6 @@ if TYPE_CHECKING:  # imports for annotations only — see module docstring
     from .instruments import PassRecord
 
 __all__ = ["CompiledKernel", "CompiledModule"]
-
-#: magic header checked by :meth:`CompiledModule.load`
-_SAVE_FORMAT = "repro-compiled-module"
-_SAVE_VERSION = 1
 
 
 @dataclass
@@ -139,43 +132,6 @@ class CompiledModule:
         from ..runtime.artifact import export_module
 
         return export_module(self, path)
-
-    def save(self, path) -> str:
-        """Deprecated alias of :meth:`export` (now writes the versioned
-        artifact bundle instead of a pickle)."""
-        import warnings
-
-        warnings.warn(
-            "CompiledModule.save() is deprecated; use module.export(path) "
-            "and repro.load(path)", DeprecationWarning, stacklevel=2)
-        return self.export(path)
-
-    @classmethod
-    def load(cls, path) -> "CompiledModule":
-        """Deprecated: use ``repro.load(path)``.
-
-        Reads the versioned artifact bundle; files written by the legacy
-        pickle-based ``save()`` of earlier releases still load here.
-        """
-        import warnings
-        import zipfile
-
-        warnings.warn(
-            "CompiledModule.load() is deprecated; use repro.load(path)",
-            DeprecationWarning, stacklevel=2)
-        if zipfile.is_zipfile(path):
-            from ..runtime.artifact import load_module
-
-            return load_module(path)
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        if not isinstance(payload, dict) or payload.get("format") != _SAVE_FORMAT:
-            raise ValueError(f"{path!r} is not a saved CompiledModule")
-        module = payload["module"]
-        if not isinstance(module, cls):
-            raise ValueError(f"{path!r} does not contain a CompiledModule "
-                             f"(got {type(module).__name__})")
-        return module
 
     def __repr__(self) -> str:
         return (f"CompiledModule(target={self.target.name}, kernels={len(self.kernels)}, "

@@ -1,7 +1,6 @@
 """Compilation configuration carried through the pass pipeline.
 
-A :class:`PassContext` replaces the old ``opt_level`` integer knob on
-``graph.build``: it is a context manager holding the optimization level, a
+A :class:`PassContext` is a context manager holding the optimization level, a
 free-form config dict consulted by individual passes, the set of passes to
 disable (ablations: ``PassContext(disabled_passes=["fuse_ops"])`` is the
 paper's "TVM w/o graph opt" row), extra passes to append to the default

@@ -11,9 +11,8 @@ machinery that makes that pipeline explicit and recomposable:
   :func:`list_passes`) so pipelines and ablations refer to passes by name.
 * :class:`Sequential` — the pass manager: runs passes in order under a
   :class:`~repro.compiler.pass_context.PassContext`, automatically re-runs
-  shape inference between passes that invalidate it (replacing the four
-  manual ``infer_shapes`` calls of the legacy ``graph.build``), and drives
-  the context's instruments.
+  shape inference between passes that invalidate it, and drives the
+  context's instruments.
 """
 
 from __future__ import annotations

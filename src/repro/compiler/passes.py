@@ -2,11 +2,10 @@
 
 Each pass wraps one of the rewrites in :mod:`repro.graph.passes` /
 :mod:`repro.graph.simplify` with the :class:`~repro.compiler.pass_manager.Pass`
-interface: a registry name, the opt-level gate that reproduces the legacy
-``graph.build(opt_level=...)`` semantics, and required/invalidated analyses so
-the pass manager re-infers shapes automatically after rewrites.
+interface: a registry name, an opt-level gate, and required/invalidated
+analyses so the pass manager re-infers shapes automatically after rewrites.
 
-Opt-level gates (matching the legacy monolithic ``build``):
+Opt-level gates:
 
 * level >= 1 — ``fold_constants``
 * level >= 2 — ``simplify_inference``, ``alter_layout``, ``fuse_ops``

@@ -18,7 +18,7 @@ Keras ``Sequential`` model or an ONNX graph carries:
 
 Both return ``(graph, params)`` where ``graph`` is a
 :class:`~repro.graph.ir.Graph` and ``params`` maps parameter names to NumPy
-arrays, ready for :func:`repro.graph.build`.
+arrays, ready for :func:`repro.compile`.
 """
 
 from __future__ import annotations

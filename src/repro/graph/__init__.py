@@ -1,6 +1,6 @@
 """Computational graph IR, high-level rewriting passes and the end-to-end compiler."""
 
-from .build import CompiledKernel, CompiledModule, build
+from ..compiler.module import CompiledKernel, CompiledModule
 from .ir import Graph, Node
 from .op_timing import clear_timing_cache, estimate_node_time, make_task_for_node
 from .ops import OP_REGISTRY, OpPattern, OpSpec, register_op
@@ -17,7 +17,6 @@ from .simplify import (
     eliminate_common_subexpr,
     simplify_inference,
 )
-from .tuning import extract_tasks, tune_graph, tune_tasks
 
 __all__ = [
     "CompiledKernel",
@@ -30,7 +29,6 @@ __all__ = [
     "OpPattern",
     "OpSpec",
     "alter_layout",
-    "build",
     "clear_timing_cache",
     "estimate_node_time",
     "fold_constants",
@@ -41,7 +39,4 @@ __all__ = [
     "simplify_inference",
     "eliminate_common_subexpr",
     "dead_code_elimination",
-    "extract_tasks",
-    "tune_graph",
-    "tune_tasks",
 ]

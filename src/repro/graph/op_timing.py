@@ -176,12 +176,8 @@ def make_task_for_node(node: Node, target: Target) -> Optional[Task]:
     # ``workload=kind`` normalizes the shared-cache identity: any task that
     # lowers the same (template kind, args, target) — regardless of the
     # task's display name — shares lowering/featurisation cache entries.
-    task = Task(f"{kind}_{args}", _TEMPLATE_FACTORIES[kind](target), args, target,
+    return Task(f"{kind}_{args}", _TEMPLATE_FACTORIES[kind](target), args, target,
                 workload=kind)
-    # Lets a process-pool measure worker rebuild this task from plain data
-    # (template functions cannot cross a process boundary unpickled).
-    task.template_kind = kind
-    return task
 
 
 # ---------------------------------------------------------------------------

@@ -205,8 +205,7 @@ def load_module(path, *, params=None) -> CompiledModule:
     if not zipfile.is_zipfile(path):
         raise ArtifactError(
             f"{path!s} is not a module artifact (expected a bundle written "
-            f"by CompiledModule.export(); legacy pickle files load through "
-            f"CompiledModule.load())")
+            f"by CompiledModule.export())")
     with zipfile.ZipFile(path) as bundle:
         present = set(bundle.namelist())
         missing = [entry for entry in _REQUIRED_ENTRIES if entry not in present]

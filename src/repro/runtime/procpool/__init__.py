@@ -1,6 +1,6 @@
 """Process-parallel execution: shared-memory worker pools (the GIL escape).
 
-The serving engine and the tuning measurers are wall-clock bound by the GIL:
+The serving engine is wall-clock bound by the GIL:
 thread workers interleave on one core no matter how many devices the pool
 simulates.  This package provides the process-level counterpart —
 
@@ -23,16 +23,15 @@ simulates.  This package provides the process-level counterpart —
   arena, and execute request batches bit-identically to the in-process
   :class:`~repro.runtime.executor.Executor`.
 
-``repro.serve(..., pool="process")`` serves over a :class:`ModuleWorkerPool`;
-:class:`repro.autotvm.ProcessMeasurer` runs tuning builds on a measure-role
-:class:`WorkerPool`.  Workers are started with the ``spawn`` context (safe
+``repro.serve(..., pool="process")`` serves over a :class:`ModuleWorkerPool`.
+Workers are started with the ``spawn`` context (safe
 with threads in the parent; see the README's spawn-vs-fork notes).
 """
 
 from .pool import (ModuleWorkerPool, PoolShutdownError, ProcPoolError,
                    WorkerCrash, WorkerError, WorkerPool)
 from .shm import ShmArena, ShmLeakError, leaked_segments
-from .worker import measure_worker_main, module_worker_main
+from .worker import module_worker_main
 
 __all__ = [
     "ModuleWorkerPool",
@@ -44,6 +43,5 @@ __all__ = [
     "WorkerError",
     "WorkerPool",
     "leaked_segments",
-    "measure_worker_main",
     "module_worker_main",
 ]

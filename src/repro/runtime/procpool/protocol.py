@@ -10,8 +10,7 @@ all live in the shared :mod:`repro.runtime.framing` codec (the tuning
 service's ``RTS1`` protocol rides the same implementation); this module
 contributes only the ``RPP1`` magic and the message vocabulary.  The
 payload is UTF-8 JSON encoded through the artifact codec, so tuple-valued
-fields — e.g. tuning-task workload args, whose ``repr`` seeds deterministic
-fallback configs — survive the trip exactly.  Tensors never appear in a
+fields survive the trip exactly.  Tensors never appear in a
 frame: they travel through :class:`~.shm.ShmArena` segments and frames
 carry only the arena spec (segment name + slot table).
 
@@ -42,15 +41,12 @@ class MSG:
     PONG = 3        #: worker -> pool: heartbeat reply
     EXEC = 4        #: pool -> worker: execute a batch (arena spec + layout)
     RESULT = 5      #: worker -> pool: batch done (per-request status, timings)
-    MEASURE = 6     #: pool -> worker: measure tuning configs (task def inline)
-    MEASURED = 7    #: worker -> pool: measured times (floats, no features)
     SHUTDOWN = 8    #: pool -> worker: exit cleanly
     BYE = 9         #: worker -> pool: acknowledging shutdown
     ERROR = 10      #: worker -> pool: request failed (message + traceback)
 
     _NAMES = {1: "HELLO", 2: "PING", 3: "PONG", 4: "EXEC", 5: "RESULT",
-              6: "MEASURE", 7: "MEASURED", 8: "SHUTDOWN", 9: "BYE",
-              10: "ERROR"}
+              8: "SHUTDOWN", 9: "BYE", 10: "ERROR"}
 
     @classmethod
     def name(cls, kind: int) -> str:

@@ -1,28 +1,20 @@
 """Worker-process entry points (run under the ``spawn`` start method).
 
-Both mains follow the same shape: boot from plain, JSON-able arguments (no
-live objects cross the process boundary), send a ``HELLO`` frame when ready,
-then serve framed requests until ``SHUTDOWN`` or pipe EOF (parent death).
+A worker main boots from plain, JSON-able arguments (no live objects cross
+the process boundary), sends a ``HELLO`` frame when ready, then serves framed
+requests until ``SHUTDOWN`` or pipe EOF (parent death).
 
-* :func:`module_worker_main` — serving role.  Boots by loading an exported
-  module artifact bundle **without its params.npz** — parameters are mapped
-  as zero-copy read-only views over the pool's shared-memory arena, so a
-  4-worker pool holds one physical copy of the weights, not four.  ``EXEC``
-  frames point at a per-batch arena; each request executes through the same
-  :class:`~repro.runtime.executor.Executor` kernels as the in-process path,
-  so outputs are bit-identical to solo execution.
-* :func:`measure_worker_main` — tuning role.  Boots from a target spec;
-  ``MEASURE`` frames carry a self-contained task definition (template kind +
-  workload args through the tuple-preserving codec) plus config indices, and
-  the reply carries only floats.  The measurement noise RNG is derived from
-  ``(seed, task name, config index)`` exactly as
-  :class:`~repro.autotvm.measure.LocalMeasurer` derives it, which is what
-  keeps process-parallel tuning bit-identical to the serial path.
+:func:`module_worker_main` is the serving role.  It boots by loading an
+exported module artifact bundle **without its params.npz** — parameters are
+mapped as zero-copy read-only views over the pool's shared-memory arena, so a
+4-worker pool holds one physical copy of the weights, not four.  ``EXEC``
+frames point at a per-batch arena; each request executes through the same
+:class:`~repro.runtime.executor.Executor` kernels as the in-process path, so
+outputs are bit-identical to solo execution.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 import traceback
@@ -31,7 +23,7 @@ from typing import Dict
 from .protocol import MSG, ProtocolError, recv_msg, send_msg
 from .shm import ShmArena
 
-__all__ = ["module_worker_main", "measure_worker_main"]
+__all__ = ["module_worker_main"]
 
 
 def _send_error(conn, exc: BaseException) -> None:
@@ -135,88 +127,3 @@ def module_worker_main(conn, boot: Dict) -> None:
     finally:
         if params_arena is not None:
             params_arena.close()
-
-
-# ---------------------------------------------------------------------------
-# Tuning (measure) role
-# ---------------------------------------------------------------------------
-
-def _derived_rng(task_name: str, config_index: int, seed: int):
-    """The per-(seed, task, config) noise stream — byte-for-byte the
-    derivation in :meth:`repro.autotvm.measure.LocalMeasurer._input_rng`."""
-    import numpy as np
-
-    digest = hashlib.sha256(f"{task_name}:{config_index}:{seed}".encode())
-    return np.random.default_rng(int.from_bytes(digest.digest()[:8], "little"))
-
-
-def measure_worker_main(conn, boot: Dict) -> None:
-    """Measure tuning configurations for one target.
-
-    ``boot``: ``target_spec`` — the :meth:`Target.spec` dict.  ``MEASURE``
-    payloads are self-contained (task name, template kind, workload args,
-    config indices, number, seed) so a respawned worker needs no replayed
-    state; task objects are cached per name across frames.
-    """
-    started = time.perf_counter()
-    try:
-        from ...hardware.target import target_from_spec
-
-        target = target_from_spec(boot["target_spec"])
-    except BaseException as exc:
-        _send_error(conn, exc)
-        raise SystemExit(1)
-
-    send_msg(conn, MSG.HELLO, {"pid": os.getpid(),
-                               "target": target.name,
-                               "boot_seconds": time.perf_counter() - started})
-    tasks: Dict[str, object] = {}
-
-    def task_for(payload: Dict):
-        from ...autotvm.task import Task
-        from ...graph.op_timing import _TEMPLATE_FACTORIES
-
-        name = payload["task"]
-        if name not in tasks:
-            kind = payload["template_kind"]
-            if kind not in _TEMPLATE_FACTORIES:
-                raise ValueError(f"Unknown template kind {kind!r}; known: "
-                                 f"{sorted(_TEMPLATE_FACTORIES)}")
-            tasks[name] = Task(name, _TEMPLATE_FACTORIES[kind](target),
-                               tuple(payload["args"]), target)
-        return tasks[name]
-
-    def handle(kind: int, payload: Dict) -> None:
-        if kind != MSG.MEASURE:
-            raise ValueError(f"measure worker got unexpected "
-                             f"{MSG.name(kind)} frame")
-        task = task_for(payload)
-        number = int(payload["number"])
-        seed = int(payload["seed"])
-        build_seconds = 0.0
-        results = []
-        for index in payload["indices"]:
-            index = int(index)
-            build_start = time.perf_counter()
-            try:
-                features = task.features_of(index)
-            except Exception as exc:
-                build_seconds += time.perf_counter() - build_start
-                results.append({"index": index, "time": None,
-                                "error": str(exc)})
-                continue
-            build_seconds += time.perf_counter() - build_start
-            outcome = target.model.measure(
-                features, number=number,
-                rng=_derived_rng(task.name, index, seed))
-            results.append({"index": index,
-                            "time": float(outcome.mean_time),
-                            "error": outcome.error})
-        send_msg(conn, MSG.MEASURED, {
-            "pid": os.getpid(),
-            "task": task.name,
-            "results": results,
-            "timings": {"build_s": build_seconds},
-        })
-
-    _serve_loop(conn, handle)

@@ -49,10 +49,15 @@ class RPCServer:
     def upload(self, name: str, module: object) -> None:
         self.uploaded_modules[name] = module
 
-    def run_timed(self, payload, number: int = 3) -> List[float]:
-        """Time a lowered function / feature vector on this device."""
+    def run_timed(self, payload, number: int = 3,
+                  rng: Optional[np.random.Generator] = None) -> List[float]:
+        """Time a lowered function / feature vector on this device.
+
+        ``rng`` is the caller's measurement-noise stream; without one the
+        device model derives its own from the payload.
+        """
         self.request_count += 1
-        result = self.model.measure(payload, number=number)
+        result = self.model.measure(payload, number=number, rng=rng)
         if result.error is not None:
             raise RuntimeError(f"remote execution failed: {result.error}")
         return list(result.times)
@@ -75,8 +80,9 @@ class RPCSession:
     def upload(self, name: str, module: object) -> None:
         self.server.upload(name, module)
 
-    def run_timed(self, payload, number: int = 3) -> List[float]:
-        return self.server.run_timed(payload, number=number)
+    def run_timed(self, payload, number: int = 3,
+                  rng: Optional[np.random.Generator] = None) -> List[float]:
+        return self.server.run_timed(payload, number=number, rng=rng)
 
     def execute(self, fn, *args, **kwargs):
         """Run a procedure under this lease (exclusive use of the device)."""

@@ -1,13 +1,12 @@
 """Tests for the unified tuning session: ``repro.autotune``, the tuner
-registry, ``TuningOptions``, the parallel measurer, ``ApplyHistoryBest``
-history-based compilation, the deprecation shims, and the tuning database
-dedupe/persistence behaviour."""
+registry, ``TuningOptions``, the measurement pipeline, ``ApplyHistoryBest``
+history-based compilation, and the tuning database dedupe/persistence
+behaviour."""
 
 import logging
 import math
 import time
 import types
-import warnings
 
 import numpy as np
 import pytest
@@ -17,12 +16,10 @@ from repro import autotvm
 from repro.autotvm import (
     ApplyHistoryBest,
     GATuner,
-    LocalMeasurer,
+    Measurer,
     ModelBasedTuner,
-    ParallelMeasurer,
     ProgressEvent,
     RandomTuner,
-    RPCMeasurer,
     TuningDatabase,
     TuningOptions,
     TuningReport,
@@ -178,11 +175,10 @@ class TestAutotuneRoundTrip:
             tuned = repro.compile(conv_graph(), target="cuda")
         assert tuned.tuned_kernels == 1
 
-    def test_tuning_db_kwarg_is_deprecated_alias(self, report):
-        with pytest.warns(DeprecationWarning, match="tuning_db"):
-            module = repro.compile(conv_graph(), target="cuda",
-                                   tuning_db=report.database)
-        assert module.tuned_kernels == 1
+    def test_tuning_db_kwarg_is_gone(self, report):
+        with pytest.raises(TypeError, match="tuning_db"):
+            repro.compile(conv_graph(), target="cuda",
+                          tuning_db=report.database)
 
     def test_apply_history_best_nesting_and_current(self, report):
         assert ApplyHistoryBest.current() is None
@@ -239,7 +235,7 @@ class TestProgressAndLogging:
     def test_early_stopping_cuts_the_budget(self, small_task):
         tuner = RandomTuner(small_task, seed=0)
         tuner.tune(n_trial=64, batch_size=4, early_stopping=8,
-                   measurer=LocalMeasurer(number=1, seed=0))
+                   measurer=Measurer(number=1, seed=0))
         assert len(tuner.records) < 64
 
     def test_early_stopping_emits_terminal_event(self):
@@ -254,39 +250,65 @@ class TestProgressAndLogging:
 
 
 # ---------------------------------------------------------------------------
-# Deprecated graph-level shims
+# The measurement pipeline
 # ---------------------------------------------------------------------------
 
-class TestDeprecatedShims:
-    def test_tune_graph_warns_and_still_works(self):
-        from repro.graph import tune_graph
-
-        with pytest.warns(DeprecationWarning, match="tune_graph"):
-            db = tune_graph(conv_graph(), cuda(), {}, n_trial=4, tuner="random")
-        assert len(db) == 1
-
-    def test_tune_tasks_warns_and_still_works(self, small_task):
-        from repro.graph import tune_tasks
-
-        with pytest.warns(DeprecationWarning, match="tune_tasks"):
-            db = tune_tasks([small_task], n_trial=4, tuner="random")
-        assert db.best(small_task.name) is not None
+def _broken_input(task, message):
+    """A measure input whose build half raises ``message``."""
+    broken = autotvm.MeasureInput(task, task.config_space.get(0))
+    broken.task = types.SimpleNamespace(
+        name=task.name, target=task.target,
+        features_of=lambda index: (_ for _ in ()).throw(RuntimeError(message)))
+    return broken
 
 
-# ---------------------------------------------------------------------------
-# Parallel measurement
-# ---------------------------------------------------------------------------
+def _tracker(target, count=2):
+    tracker = Tracker()
+    tracker.register_device("gpu", target.model, count=count)
+    return tracker
 
-class TestParallelMeasurer:
-    def test_bit_identical_to_serial_path(self, small_task):
+
+def _runner(kind, target):
+    """Measurer kwargs selecting the local or the 2-device tracker runner."""
+    if kind == "local":
+        return {}
+    return {"tracker": _tracker(target), "device_key": "gpu"}
+
+
+class TestMeasurer:
+    @pytest.mark.parametrize("dedup", [False, True],
+                             ids=["bare", "service-dedup"])
+    @pytest.mark.parametrize("runner", ["local", "tracker"])
+    @pytest.mark.parametrize("n_parallel", [1, 2, 6])
+    def test_backends_bit_identical(self, small_task, n_parallel, runner,
+                                    dedup):
+        """Thread count, runner and the dedup layer never change a record."""
+        def fingerprint(records):
+            return [(r.input.config.index, r.mean_time, r.error)
+                    for r in records]
+
         inputs = [autotvm.MeasureInput(small_task, cfg)
-                  for cfg in small_task.config_space.sample(16)]
-        serial = LocalMeasurer(number=3, seed=11).measure(inputs)
-        for workers in (1, 2, 8):
-            parallel = ParallelMeasurer(n_parallel=workers, number=3,
-                                        seed=11).measure(inputs)
-            assert [r.mean_time for r in parallel] == \
-                [r.mean_time for r in serial]
+                  for cfg in small_task.config_space.sample(8)]
+        reference = fingerprint(Measurer(number=3, seed=11).measure(inputs))
+        assert any(error is None for _, _, error in reference)
+
+        measurer = Measurer(number=3, seed=11, n_parallel=n_parallel,
+                            **_runner(runner, small_task.target))
+        if not dedup:
+            assert fingerprint(measurer.measure(inputs)) == reference
+        else:
+            from repro.autotvm.service import (ServiceDedupMeasurer,
+                                               TuningService, connect)
+
+            with TuningService() as service, \
+                    connect(service.address) as client:
+                wrapped = ServiceDedupMeasurer(measurer, client)
+                assert fingerprint(wrapped.measure(inputs)) == reference
+                assert wrapped.dedup_hits == 0
+        assert measurer.num_measured == len(inputs)
+        if measurer.tracker is not None:
+            summary = measurer.tracker.summary()["gpu"]
+            assert summary["free"] == summary["total"]
 
     def test_parallel_tuning_matches_serial_tuning(self, small_task):
         def run(measurer):
@@ -294,67 +316,36 @@ class TestParallelMeasurer:
             tuner.tune(n_trial=16, batch_size=8, measurer=measurer)
             return [(r.config_index, r.mean_time) for r in tuner.records]
 
-        assert run(LocalMeasurer(number=2, seed=4)) == \
-            run(ParallelMeasurer(n_parallel=6, number=2, seed=4))
+        assert run(Measurer(number=2, seed=4)) == \
+            run(Measurer(n_parallel=6, number=2, seed=4))
 
-    def test_build_errors_become_invalid_records(self, small_task):
-        broken = autotvm.MeasureInput(small_task,
-                                      small_task.config_space.get(0))
-        broken.task = types.SimpleNamespace(
-            name=small_task.name, target=small_task.target,
-            lower=lambda cfg: (_ for _ in ()).throw(RuntimeError("boom")))
+    @pytest.mark.parametrize("runner", ["local", "tracker"])
+    def test_build_errors_become_invalid_records(self, small_task, runner):
         good = autotvm.MeasureInput(small_task, small_task.config_space.get(1))
-        records = ParallelMeasurer(n_parallel=4, number=1).measure(
-            [broken, good])
+        measurer = Measurer(n_parallel=4, number=1,
+                            **_runner(runner, small_task.target))
+        records = measurer.measure([_broken_input(small_task, "boom"), good])
         assert not records[0].valid and "boom" in records[0].error
         assert records[1].valid
-
-    def test_counts_measurements(self, small_task):
-        measurer = ParallelMeasurer(n_parallel=4, number=1)
-        inputs = [autotvm.MeasureInput(small_task, cfg)
-                  for cfg in small_task.config_space.sample(5)]
-        measurer.measure(inputs)
-        assert measurer.num_measured == 5
+        if measurer.tracker is not None:    # only the built one took a lease
+            assert measurer.tracker.summary()["gpu"]["requests"] == 1
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
-            ParallelMeasurer(n_parallel=0)
+            Measurer(n_parallel=0)
 
-
-# ---------------------------------------------------------------------------
-# RPC measurement (satellite: previously untested)
-# ---------------------------------------------------------------------------
-
-class TestRPCMeasurer:
-    def _tracker(self, target, count=2):
-        tracker = Tracker()
-        tracker.register_device("gpu", target.model, count=count)
-        return tracker
-
-    def test_round_trip_through_tracker(self, small_task):
-        target = small_task.target
-        tracker = self._tracker(target)
-        measurer = RPCMeasurer(tracker, "gpu", number=2)
+    def test_tracker_round_trip_counts_requests(self, small_task):
+        tracker = _tracker(small_task.target)
+        measurer = Measurer(number=2, n_parallel=2, tracker=tracker,
+                            device_key="gpu")
         inputs = [autotvm.MeasureInput(small_task, cfg)
                   for cfg in small_task.config_space.sample(4)]
         records = measurer.measure(inputs)
-        assert len(records) == 4
         assert all(r.valid and r.mean_time > 0 for r in records)
         # Every device was released back to the pool.
         summary = tracker.summary()["gpu"]
         assert summary["free"] == summary["total"]
         assert summary["requests"] == 4
-
-    def test_invalid_schedule_yields_invalid_record(self, small_task):
-        tracker = self._tracker(small_task.target)
-        measurer = RPCMeasurer(tracker, "gpu", number=1)
-        broken = autotvm.MeasureInput(small_task, small_task.config_space.get(0))
-        broken.task = types.SimpleNamespace(
-            name=small_task.name, target=small_task.target,
-            lower=lambda cfg: (_ for _ in ()).throw(RuntimeError("bad lower")))
-        record, = measurer.measure([broken])
-        assert not record.valid
-        assert "bad lower" in record.error
 
     def test_remote_failure_releases_device(self, small_task):
         class FailingModel:
@@ -363,7 +354,7 @@ class TestRPCMeasurer:
 
         tracker = Tracker()
         tracker.register(RPCServer("gpu", FailingModel()))
-        measurer = RPCMeasurer(tracker, "gpu", number=1)
+        measurer = Measurer(number=1, tracker=tracker, device_key="gpu")
         inp = autotvm.MeasureInput(small_task, small_task.config_space.get(0))
         record, = measurer.measure([inp])
         assert not record.valid and "device on fire" in record.error
@@ -371,8 +362,8 @@ class TestRPCMeasurer:
         assert tracker.summary()["gpu"]["free"] == 1
 
     def test_unknown_device_key_fails_loudly(self, small_task):
-        tracker = self._tracker(small_task.target)
-        measurer = RPCMeasurer(tracker, "tpu", number=1)
+        measurer = Measurer(number=1, tracker=_tracker(small_task.target),
+                            device_key="tpu")
         inp = autotvm.MeasureInput(small_task, small_task.config_space.get(0))
         with pytest.raises(KeyError, match="No devices registered"):
             measurer.measure([inp])
@@ -388,7 +379,7 @@ class TestTunerDeterminism:
         def run(seed):
             tuner = tuner_cls(small_task, seed=seed)
             tuner.tune(n_trial=20, batch_size=5,
-                       measurer=LocalMeasurer(number=2, seed=seed))
+                       measurer=Measurer(number=2, seed=seed))
             return [(r.config_index, r.mean_time) for r in tuner.records]
 
         assert run(7) == run(7)
@@ -397,7 +388,7 @@ class TestTunerDeterminism:
         def run(seed):
             tuner = RandomTuner(small_task, seed=seed)
             tuner.tune(n_trial=12, batch_size=4,
-                       measurer=LocalMeasurer(number=1, seed=seed))
+                       measurer=Measurer(number=1, seed=seed))
             return [r.config_index for r in tuner.records]
 
         assert run(1) != run(2)
@@ -517,7 +508,7 @@ class TestTuningDatabase:
 class TestWarmStart:
     def test_warm_start_from_same_workload_history(self, small_task):
         db = TuningDatabase()
-        measurer = LocalMeasurer(number=1, seed=0)
+        measurer = Measurer(number=1, seed=0)
         for cfg in small_task.config_space.sample(10):
             record, = measurer.measure([autotvm.MeasureInput(small_task, cfg)])
             if record.valid:
@@ -534,7 +525,7 @@ class TestWarmStart:
                                             cuda())
         assert other_task.name != small_task.name
         db = TuningDatabase()
-        measurer = LocalMeasurer(number=1, seed=0)
+        measurer = Measurer(number=1, seed=0)
         for cfg in other_task.config_space.sample(10):
             record, = measurer.measure([autotvm.MeasureInput(other_task, cfg)])
             if record.valid:

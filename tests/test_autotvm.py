@@ -60,7 +60,7 @@ def test_task_instantiation_and_flop(matmul_task):
 
 
 def test_local_measurer_handles_valid_and_counts(matmul_task):
-    measurer = autotvm.LocalMeasurer(number=2)
+    measurer = autotvm.Measurer(number=2)
     inputs = [autotvm.MeasureInput(matmul_task, cfg)
               for cfg in matmul_task.config_space.sample(3)]
     results = measurer.measure(inputs)
@@ -99,7 +99,7 @@ def test_neural_cost_model_learns_signal():
 
 
 def test_tuners_find_better_than_median(matmul_task):
-    measurer = autotvm.LocalMeasurer(number=1)
+    measurer = autotvm.Measurer(number=1)
     sample = [autotvm.MeasureInput(matmul_task, cfg)
               for cfg in matmul_task.config_space.sample(24)]
     sample_times = [r.mean_time for r in measurer.measure(sample) if r.valid]
@@ -107,7 +107,7 @@ def test_tuners_find_better_than_median(matmul_task):
     for tuner_cls in (autotvm.RandomTuner, autotvm.GATuner, autotvm.ModelBasedTuner):
         tuner = tuner_cls(matmul_task, seed=0)
         best = tuner.tune(n_trial=24, batch_size=8,
-                          measurer=autotvm.LocalMeasurer(number=1))
+                          measurer=autotvm.Measurer(number=1))
         assert best is not None
         assert tuner.best_time <= median
         history = tuner.best_history()

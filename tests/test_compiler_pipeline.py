@@ -18,7 +18,6 @@ from repro.compiler import (
     register_pass,
 )
 from repro.frontend import MODEL_REGISTRY, ModelBuilder, dqn, get_model
-from repro.graph import build
 from repro.hardware import cuda, vdla
 from repro import runtime
 
@@ -46,7 +45,7 @@ class TestPassRegistry:
         for name in DEFAULT_PIPELINE:
             assert name in list_passes()
 
-    def test_opt_level_gates_match_legacy_build(self):
+    def test_opt_level_gates(self):
         assert get_pass("fold_constants").info.opt_level == 1
         assert get_pass("simplify_inference").info.opt_level == 2
         assert get_pass("alter_layout").info.opt_level == 2
@@ -323,34 +322,38 @@ class TestCompileFrontDoor:
 
 
 # ---------------------------------------------------------------------------
-# Save / load round-trip
+# Export / load round-trip
 # ---------------------------------------------------------------------------
 
-class TestSaveLoad:
+class TestExportLoad:
     def test_round_trip_preserves_behaviour(self, tmp_path):
         graph, params, shapes = _small_cnn()
         module = repro.compile((graph, params, shapes), target=cuda())
         path = tmp_path / "module.repro"
-        module.save(path)
+        module.export(path)
 
-        loaded = CompiledModule.load(path)
-        assert loaded.total_time == pytest.approx(module.total_time)
+        loaded = repro.load(path)
+        assert loaded.total_time == module.total_time
         assert [k.name for k in loaded.kernels] == [k.name for k in module.kernels]
         assert [r.name for r in loaded.pass_records] == \
             [r.name for r in module.pass_records]
         assert loaded.memory_plan.planned_bytes == module.memory_plan.planned_bytes
 
         data = np.random.default_rng(1).random(shapes["data"]).astype("float32")
-        np.testing.assert_allclose(_output(module, data), _output(loaded, data))
+        np.testing.assert_array_equal(_output(module, data),
+                                      _output(loaded, data))
 
-    def test_load_rejects_foreign_pickles(self, tmp_path):
-        import pickle
+    def test_load_rejects_garbage_files(self, tmp_path):
+        from repro.runtime.artifact import ArtifactError
 
-        path = tmp_path / "junk.pkl"
-        with open(path, "wb") as handle:
-            pickle.dump({"not": "a module"}, handle)
-        with pytest.raises(ValueError, match="CompiledModule"):
-            CompiledModule.load(path)
+        path = tmp_path / "junk.bin"
+        path.write_bytes(b"\x80\x04not a module artifact")
+        with pytest.raises(ArtifactError, match="not a module artifact"):
+            repro.load(path)
+
+    def test_save_and_load_methods_are_gone(self):
+        assert not hasattr(CompiledModule, "save")
+        assert not hasattr(CompiledModule, "load")
 
 
 def _output(module, data):
@@ -363,42 +366,13 @@ def _output(module, data):
 class TestFrameworkOverhead:
     def test_dispatch_overhead_comes_from_hardware_profile(self):
         from repro.compiler import framework_overhead
-        from repro.graph.build import _framework_overhead
         from repro.hardware import arm_cpu, mali
 
         for target in (cuda(), arm_cpu(), mali(), vdla()):
             expected = 0.5 * target.model.params.launch_overhead
             assert framework_overhead(target) == pytest.approx(expected)
-            # The legacy graph.build helper delegates to the same profile.
-            assert _framework_overhead(target) == framework_overhead(target)
         # Different back-ends pay different dispatch costs (no more 2e-6).
         assert framework_overhead(mali()) > framework_overhead(arm_cpu())
-
-
-# ---------------------------------------------------------------------------
-# Legacy graph.build() shim
-# ---------------------------------------------------------------------------
-
-class TestLegacyBuildShim:
-    def test_returns_three_tuple_with_deprecation_warning(self):
-        graph, params, _shapes = _small_cnn()
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            result = build(graph, cuda(), params, opt_level=2)
-        assert isinstance(result, tuple) and len(result) == 3
-        out_graph, module, out_params = result
-        assert isinstance(module, CompiledModule)
-        assert out_graph is module.graph
-        assert out_params is module.params
-
-    def test_shim_matches_new_pipeline(self):
-        for opt_level in (0, 1, 2):
-            graph, params, shapes = _small_cnn()
-            with pytest.warns(DeprecationWarning):
-                _g, legacy, _p = build(graph, cuda(), params, opt_level=opt_level)
-            new = repro.compile(_small_cnn(), target=cuda(), opt_level=opt_level)
-            assert legacy.total_time == pytest.approx(new.total_time)
-            assert len(legacy.kernels) == len(new.kernels)
-            assert legacy.opt_level == new.opt_level == opt_level
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +383,13 @@ class TestTopLevelExports:
     def test_lazy_submodules_resolve(self):
         for name in ("graph", "frontend", "hardware", "runtime", "autotvm",
                      "topi", "te", "tir", "compiler", "baselines"):
-            assert getattr(repro, name).__name__ == f"repro.{name}"
+            module = getattr(repro, name)
+            assert module.__name__ == f"repro.{name}"
             assert name in repro.__all__
+            # every advertised name resolves (no export left behind by a
+            # deleted module)
+            assert all(hasattr(module, entry)
+                       for entry in getattr(module, "__all__", ()))
 
     def test_compile_and_pass_context_exported(self):
         from repro.compiler import compile as compiler_compile

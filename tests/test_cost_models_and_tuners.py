@@ -11,7 +11,7 @@ from repro.autotvm import (
     GATuner,
     GradientBoostedTrees,
     GridSearchTuner,
-    LocalMeasurer,
+    Measurer,
     ModelBasedTuner,
     NeuralCostModel,
     RandomTuner,
@@ -244,7 +244,7 @@ class TestTuners:
 
     def test_measurer_counts_measurements(self):
         task = _make_cpu_task(size=16)
-        measurer = LocalMeasurer(number=1)
+        measurer = Measurer(number=1)
         tuner = RandomTuner(task, seed=0)
         tuner.tune(n_trial=8, measurer=measurer, batch_size=4)
         assert measurer.num_measured == len(tuner.records)

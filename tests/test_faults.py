@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.autotvm import LocalMeasurer, extract_tasks
+from repro.autotvm import Measurer, extract_tasks
 from repro.autotvm.measure import MeasureInput
 from repro.autotvm.service import (ServiceDedupMeasurer, TuningService,
                                    connect)
@@ -371,12 +371,12 @@ class TestGracefulDegradation:
         task, = extract_tasks(conv_graph(), cuda())
         inputs = [MeasureInput(task, task.config_space.get(i))
                   for i in range(4)]
-        pure_local = LocalMeasurer(number=2, seed=0).measure(inputs)
+        pure_local = Measurer(number=2, seed=0).measure(inputs)
 
         service = TuningService().start()
         client = connect(service.address, connect_retries=0, rpc_retries=0,
                          backoff_s=0.01, backoff_max_s=0.02, timeout=0.5)
-        measurer = ServiceDedupMeasurer(LocalMeasurer(number=2, seed=0),
+        measurer = ServiceDedupMeasurer(Measurer(number=2, seed=0),
                                         client)
         service.stop()                          # dies mid-run
         results = measurer.measure(inputs)      # must not raise

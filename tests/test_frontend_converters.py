@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.frontend import (
     KerasConversionError,
     ONNXConversionError,
     from_keras,
     from_onnx,
 )
-from repro.graph import build
 from repro.hardware import arm_cpu, cuda
 from repro.runtime import graph_executor
 
@@ -150,9 +150,10 @@ class TestFromKeras:
 
     def test_imported_model_compiles_and_runs(self):
         graph, params = from_keras(_keras_cnn_layers(), input_shape=(3, 16, 16))
-        graph, module, params = build(graph, cuda(), params, opt_level=2)
+        module = repro.compile(graph, target=cuda(), params=params,
+                               opt_level=2)
         executor = graph_executor.create(module)
-        executor.set_input(**params)
+        executor.set_input(**module.params)
         executor.run(data=np.random.rand(1, 3, 16, 16).astype("float32"))
         out = executor.get_output(0).asnumpy()
         assert out.shape == (1, 5)
@@ -277,9 +278,10 @@ class TestFromONNX:
 
     def test_imported_model_compiles_on_cpu(self):
         graph, params = from_onnx(_onnx_mlp())
-        _graph, module, params = build(graph, arm_cpu(), params, opt_level=2)
+        module = repro.compile(graph, target=arm_cpu(), params=params,
+                               opt_level=2)
         executor = graph_executor.create(module)
-        executor.set_input(**params)
+        executor.set_input(**module.params)
         executor.run(data=np.random.rand(1, 16).astype("float32"))
         assert executor.get_output(0).asnumpy().shape == (1, 4)
         assert module.total_time > 0

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
+import repro
 from repro import runtime
+from repro.autotvm import extract_tasks
 from repro.baselines import TFLiteSim, TensorFlowSim, VendorLibrary, CUDNN_PROFILE
 from repro.frontend import ModelBuilder, dqn, get_model, lstm_language_model, mobilenet, resnet18
 from repro.graph import (
     OP_REGISTRY,
     OpPattern,
-    build,
-    extract_tasks,
     fold_constants,
     fuse_ops,
     plan_memory,
@@ -85,7 +85,8 @@ def test_memory_planner_reuses_storage():
 def test_build_and_execute_matches_numpy_reference():
     graph, params, shapes = _small_cnn()
     target = cuda()
-    _g, module, params = build(graph, target, params, opt_level=2)
+    module = repro.compile(graph, target=target, params=params, opt_level=2)
+    params = module.params
     executor = runtime.create(module)
     executor.set_input(**params)
     data = np.random.rand(1, 3, 16, 16).astype("float32")
@@ -112,14 +113,15 @@ def test_opt_levels_monotonically_improve_latency():
     times = {}
     for level in (0, 2):
         g, p, s = dqn(batch=1)
-        _g, module, _p = build(g, target, p, opt_level=level)
+        module = repro.compile(g, target=target, params=p, opt_level=level)
         times[level] = module.total_time
     assert times[2] <= times[0]
 
 
 def test_heterogeneous_build_assigns_devices():
     graph, params, shapes = resnet18(batch=1, image_size=32, num_classes=10)
-    _g, module, _p = build(graph, arm_cpu(), params, opt_level=2,
+    module = repro.compile(graph, target=arm_cpu(), params=params,
+                           opt_level=2,
                            heterogeneous_targets={"conv2d": vdla()})
     devices = {k.device for k in module.kernels if k.group.master.op == "conv2d"}
     assert devices == {"vdla"}
@@ -127,7 +129,7 @@ def test_heterogeneous_build_assigns_devices():
 
 def test_extract_tasks_unique_workloads():
     graph, _params, shapes = mobilenet(batch=1)
-    tasks = extract_tasks(graph, cuda(), shapes)
+    tasks = extract_tasks(graph, cuda(), input_shapes=shapes)
     assert len(tasks) >= 10
     assert len({t.name for t in tasks}) == len(tasks)
 

@@ -1,6 +1,6 @@
 """Tests for the candidate-evaluation fast path (PR 3).
 
-Covers the shared lowering/featurisation LRU service on :class:`Task`, its
+Covers the shared featurisation LRU service on :class:`Task`, its
 transparency (same results with a warm cache as from a cold start), the
 vectorized cost models' bit-equality against their retained reference
 implementations, and the batch scoring APIs.
@@ -15,14 +15,12 @@ import pytest
 from repro import autotvm, tir
 from repro.autotvm import (
     FEATURE_CACHE,
-    LOWERED_CACHE,
     GradientBoostedTrees,
-    LocalMeasurer,
+    Measurer,
     MeasureInput,
     ModelBasedTuner,
     RegressionTree,
     clear_eval_caches,
-    configure_eval_caches,
     eval_cache_stats,
 )
 from repro.autotvm.eval_cache import LRUCache
@@ -85,17 +83,6 @@ class TestLRUCache:
         assert "b" not in cache          # single-entry eviction, not a wipe
         assert all(k in cache for k in "acd")
         assert len(cache) == 3
-
-    def test_resize_and_disable(self):
-        cache = LRUCache(8)
-        for i in range(8):
-            cache.put(i, i)
-        cache.resize(2)
-        assert len(cache) == 2
-        assert cache.get(7) == 7         # newest entries survive
-        cache.resize(0)
-        cache.put("x", 1)
-        assert "x" not in cache          # maxsize 0 disables caching
 
     def test_thread_safety_smoke(self):
         cache = LRUCache(64)
@@ -205,18 +192,12 @@ class TestTaskEvalCache:
         finally:
             small_task.template = original
 
-    def test_lowered_memoized(self, small_task):
-        func_a = small_task.lowered(1)
-        func_b = small_task.lowered(1)
-        assert func_a is func_b
-        assert isinstance(func_a, tir.LoweredFunc)
-
     def test_flop_computed_once_and_stable(self, small_task):
         flop_first = small_task.flop
-        misses = eval_cache_stats()["lowered"]["misses"]
+        misses = eval_cache_stats()["features"]["misses"]
         for _ in range(10):
             assert small_task.flop == flop_first
-        assert eval_cache_stats()["lowered"]["misses"] == misses
+        assert eval_cache_stats()["features"]["misses"] == misses
         assert flop_first > 0
 
     def test_failure_cached_and_replayed(self, small_task):
@@ -238,19 +219,11 @@ class TestTaskEvalCache:
         finally:
             small_task.template = original
 
-    def test_configure_eval_caches(self, fresh_caches):
-        configure_eval_caches(features=10, lowered=5)
-        try:
-            assert FEATURE_CACHE.maxsize == 10
-            assert LOWERED_CACHE.maxsize == 5
-        finally:
-            configure_eval_caches(features=50_000, lowered=2_048)
-
     def test_clear_shared_features_alias(self, small_task):
         small_task.features_of(0)
         assert len(FEATURE_CACHE) > 0
         ModelBasedTuner.clear_shared_features()
-        assert len(FEATURE_CACHE) == 0 and len(LOWERED_CACHE) == 0
+        assert len(FEATURE_CACHE) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +271,7 @@ class TestCacheTransparency:
     def test_measurer_results_identical_cold_vs_warm(self, small_task):
         inputs = [MeasureInput(small_task, cfg)
                   for cfg in small_task.config_space.sample(4)]
-        measurer = LocalMeasurer(number=2, seed=0)
+        measurer = Measurer(number=2, seed=0)
         cold = [(r.mean_time, r.error) for r in measurer.measure(inputs)]
         warm = [(r.mean_time, r.error) for r in measurer.measure(inputs)]
         clear_timing_cache()

@@ -1,6 +1,6 @@
 """Tests for the process-parallel worker pool (``repro.runtime.procpool``):
 shared-memory arenas, the framed dispatch protocol's end-to-end behaviour,
-worker death / respawn, bit-identical serving and measurement, and the
+worker death / respawn, bit-identical serving, and the
 no-leaked-``/dev/shm``-segments contract."""
 
 import os
@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.autotvm import LocalMeasurer, ProcessMeasurer, extract_tasks
-from repro.autotvm.measure import MeasureInput
 from repro.frontend import ModelBuilder
 from repro.hardware import cuda
 from repro.runtime import Executor, ModuleWorkerPool, ShmArena, leaked_segments
@@ -281,30 +279,3 @@ def test_load_module_with_externally_mapped_params(module, bundle):
     np.testing.assert_array_equal(Executor(mapped)(x)[0].asnumpy(),
                                   Executor(plain)(x)[0].asnumpy())
 
-
-# ---------------------------------------------------------------------------
-# ProcessMeasurer
-# ---------------------------------------------------------------------------
-
-def test_process_measurer_bit_identical_to_serial(module):
-    import random
-
-    tasks = extract_tasks(_small_cnn(), target=cuda())
-    task = tasks[0]
-    assert getattr(task, "template_kind", None) is not None
-    configs = task.config_space.sample(8, rng=random.Random(0))
-    inputs = [MeasureInput(task, config) for config in configs]
-
-    serial = LocalMeasurer(number=3, seed=5).measure(inputs)
-    procs = ProcessMeasurer(n_parallel=2, number=3, seed=5).measure(inputs)
-    assert len(procs) == len(serial)
-    for serial_rec, proc_rec in zip(serial, procs):
-        assert proc_rec.input.config.index == serial_rec.input.config.index
-        assert proc_rec.mean_time == serial_rec.mean_time   # bit-identical
-        assert proc_rec.error == serial_rec.error
-
-    from repro.autotvm.parallel import _MEASURE_POOLS, shutdown_measure_pools
-    pool, = _MEASURE_POOLS.values()
-    assert sum(s["requests"] for s in pool.stats()) >= 2
-    shutdown_measure_pools()
-    assert leaked_segments() == []

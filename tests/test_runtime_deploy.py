@@ -329,17 +329,15 @@ class TestArtifactErrors:
 
 
 # ---------------------------------------------------------------------------
-# Legacy shims and target helpers
+# Executor round trip and target helpers
 # ---------------------------------------------------------------------------
 
-class TestLegacyShims:
-    def test_save_load_deprecated_but_working(self, cnn_module, tmp_path,
+class TestTargetHelpers:
+    def test_export_load_executes_identically(self, cnn_module, tmp_path,
                                               cnn_input):
-        path = tmp_path / "legacy.repro"
-        with pytest.warns(DeprecationWarning):
-            cnn_module.save(path)
-        with pytest.warns(DeprecationWarning):
-            loaded = repro.CompiledModule.load(path)
+        path = tmp_path / "module.repro"
+        cnn_module.export(path)
+        loaded = repro.load(path)
         assert loaded.total_time == cnn_module.total_time
         np.testing.assert_array_equal(Executor(loaded)(cnn_input)[0].asnumpy(),
                                       Executor(cnn_module)(cnn_input)[0].asnumpy())

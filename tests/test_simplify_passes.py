@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.frontend import ModelBuilder, resnet18
-from repro.graph import build
 from repro.graph.ir import Graph, Node
 from repro.graph.simplify import (
     dead_code_elimination,
@@ -26,9 +26,9 @@ def _conv_bn_relu_model(channels=4, size=8):
 
 
 def _run(graph, params, data):
-    graph, module, params = build(graph, cuda(), params, opt_level=0)
+    module = repro.compile(graph, target=cuda(), params=params, opt_level=0)
     executor = graph_executor.create(module)
-    executor.set_input(**params)
+    executor.set_input(**module.params)
     executor.run(data=data)
     return executor.get_output(0).asnumpy()
 
@@ -172,8 +172,9 @@ class TestDCE:
 class TestBuildIntegration:
     def test_opt_level2_folds_batch_norms(self):
         graph, params = _conv_bn_relu_model()
-        new_graph, module, _params = build(graph, cuda(), params, opt_level=2)
-        assert not any(n.op == "batch_norm" for n in new_graph.op_nodes)
+        module = repro.compile(graph, target=cuda(), params=params,
+                               opt_level=2)
+        assert not any(n.op == "batch_norm" for n in module.graph.op_nodes)
         assert module.total_time > 0
 
     def test_opt_levels_agree_numerically(self):
@@ -181,9 +182,10 @@ class TestBuildIntegration:
         outputs = []
         for level in (0, 2):
             graph, params = _conv_bn_relu_model()
-            _g, module, params = build(graph, cuda(), params, opt_level=level)
+            module = repro.compile(graph, target=cuda(), params=params,
+                                   opt_level=level)
             executor = graph_executor.create(module)
-            executor.set_input(**params)
+            executor.set_input(**module.params)
             executor.run(data=data)
             outputs.append(executor.get_output(0).asnumpy())
         np.testing.assert_allclose(outputs[0], outputs[1], rtol=1e-3, atol=1e-4)

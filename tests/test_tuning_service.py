@@ -259,7 +259,7 @@ class TestPretrainedModel:
 class TestServiceDedupMeasurer:
     def test_hits_skip_base_measurer(self):
         task, = autotvm.extract_tasks(conv_graph(), cuda())
-        base = autotvm.LocalMeasurer(number=2, seed=0)
+        base = autotvm.Measurer(number=2, seed=0)
         with TuningService() as service, connect(service.address) as client:
             measurer = ServiceDedupMeasurer(base, client)
             inputs = [autotvm.MeasureInput(task, task.config_space.get(i))

@@ -27,7 +27,7 @@ from repro.analysis import (
     verify_func,
     verify_graph,
 )
-from repro.autotvm.measure import LocalMeasurer, MeasureInput
+from repro.autotvm.measure import Measurer, MeasureInput
 from repro.compiler import PassContext
 from repro.compiler.instruments import InstrumentError, PassInstrument
 from repro.graph.ir import Graph, Node
@@ -207,7 +207,7 @@ class TestCompileVerify:
 
 
 # ---------------------------------------------------------------------------
-# Candidate-schedule verification in the measurers
+# Candidate-schedule verification in the measurer
 # ---------------------------------------------------------------------------
 
 class _BrokenTask:
@@ -224,7 +224,7 @@ class _BrokenTask:
 
 class TestMeasurerVerify:
     def test_illegal_schedule_rejected_as_typed_error(self):
-        measurer = LocalMeasurer(verify=True)
+        measurer = Measurer(verify=True)
         inp = MeasureInput(task=_BrokenTask(),
                            config=SimpleNamespace(index=7))
         with pytest.raises(TIRVerifierError):
@@ -232,7 +232,7 @@ class TestMeasurerVerify:
         assert measurer.num_rejected == 1
 
     def test_rejection_memoized_per_config(self):
-        measurer = LocalMeasurer(verify=True)
+        measurer = Measurer(verify=True)
         task = _BrokenTask()
         inp = MeasureInput(task=task, config=SimpleNamespace(index=7))
         for _ in range(3):
@@ -242,15 +242,26 @@ class TestMeasurerVerify:
         assert len(measurer._verify_cache) == 1
 
     def test_rejected_candidate_becomes_errored_measurement(self):
-        measurer = LocalMeasurer(verify=True)
+        measurer = Measurer(verify=True)
         inp = MeasureInput(task=_BrokenTask(),
                            config=SimpleNamespace(index=3))
         record = measurer._measure_one(inp)
         assert record.mean_time == float("inf")
         assert record.error and "buffer_bounds" in record.error
 
+    @pytest.mark.parametrize("n_parallel", [1, 4])
+    def test_rejections_counted_once_per_batch_entry(self, n_parallel):
+        measurer = Measurer(verify=True, n_parallel=n_parallel)
+        task = _BrokenTask()
+        batch = [MeasureInput(task=task, config=SimpleNamespace(index=i))
+                 for i in range(6)]
+        records = measurer.measure(batch)
+        assert all(r.error and "buffer_bounds" in r.error for r in records)
+        assert measurer.num_rejected == 6
+        assert measurer.num_measured == 6
+
     def test_verify_off_skips_the_check(self):
-        measurer = LocalMeasurer()
+        measurer = Measurer()
         assert not measurer.verify
         assert measurer.num_rejected == 0
 
@@ -393,15 +404,18 @@ class TestLintInvariants:
         bad = tmp_path / "runtime" / "bad.py"
         bad.parent.mkdir()
         bad.write_text(
-            "import threading, time\n"
+            "import pickle, threading, time, warnings\n"
             "try:\n    pass\nexcept:\n    pass\n"
+            "warnings.warn('old', DeprecationWarning)\n"
+            "pickle.load(open('module.pkl', 'rb'))\n"
             "t = threading.Thread(target=print)\n"
             "def poll():\n"
             "    while True:\n"
             "        time.sleep(1)\n")
-        rules = {v.rule for v in linter.lint_file(bad)}
-        assert rules == {"bare-except", "implicit-daemon",
-                         "unbounded-sleep-poll"}
+        rules = [v.rule for v in linter.lint_file(bad)]
+        assert set(rules) == {"bare-except", "implicit-daemon",
+                              "unbounded-sleep-poll", "legacy-shim"}
+        assert rules.count("legacy-shim") == 2
 
     def test_exiting_poll_loop_not_flagged(self, tmp_path):
         linter = _load_linter()

@@ -28,6 +28,13 @@ Rules
     ``raise`` is an infinite poll that can never exit — runtime loops must
     poll against a deadline or an event, not sleep forever.
 
+``legacy-shim``
+    No ``DeprecationWarning`` and no ``pickle.load``/``pickle.loads`` in
+    ``src/repro``.  A deprecated alias is a second path to keep tested, and
+    unpickling a caller-supplied file runs arbitrary code; ``repro.compile``
+    / ``repro.autotune`` / ``export`` + ``repro.load`` are the only ways in.
+    Change the API and migrate the callers in the same commit instead.
+
 Exit status is 0 when clean, 1 when any violation is found.
 """
 
@@ -48,6 +55,7 @@ RULES = {
     "implicit-daemon": "threading.Thread(...) must pass daemon= explicitly",
     "unbounded-sleep-poll": ("runtime/: no time.sleep inside a `while True` "
                              "loop with no break/return/raise"),
+    "legacy-shim": "no DeprecationWarning and no pickle.load[s] (no shims)",
 }
 
 
@@ -81,6 +89,13 @@ def _is_sleep(call: ast.Call) -> bool:
     if isinstance(fn, ast.Attribute) and fn.attr == "sleep":
         return True
     return isinstance(fn, ast.Name) and fn.id == "sleep"
+
+
+def _is_unpickle(call: ast.Call) -> bool:
+    """``pickle.load(...)`` / ``pickle.loads(...)``."""
+    fn = call.func
+    return (isinstance(fn, ast.Attribute) and fn.attr in ("load", "loads")
+            and isinstance(fn.value, ast.Name) and fn.value.id == "pickle")
 
 
 def _loop_can_exit(loop: ast.While) -> bool:
@@ -136,6 +151,12 @@ class _Linter(ast.NodeVisitor):
                          "bare `except:` — catch Exception or narrower")
         self.generic_visit(node)
 
+    def visit_Name(self, node: ast.Name) -> None:
+        if node.id == "DeprecationWarning":
+            self._report("legacy-shim", node,
+                         "DeprecationWarning — remove the old path instead "
+                         "of deprecating it")
+
     def visit_While(self, node: ast.While) -> None:
         is_forever = (isinstance(node.test, ast.Constant)
                       and node.test.value is True
@@ -151,6 +172,9 @@ class _Linter(ast.NodeVisitor):
             if not any(kw.arg == "daemon" for kw in node.keywords):
                 self._report("implicit-daemon", node,
                              "Thread(...) without explicit daemon=")
+        if _is_unpickle(node):
+            self._report("legacy-shim", node,
+                         "pickle.load — artifacts load through repro.load")
         if self.check_sleep and self._while_true_stack and _is_sleep(node):
             self._report(
                 "unbounded-sleep-poll", node,
