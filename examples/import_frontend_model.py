@@ -54,13 +54,10 @@ def onnx_style_mlp():
 def compile_and_run(graph, params, input_name, input_shape, target) -> None:
     module = repro.compile(graph, target=target, params=params,
                            input_shapes={input_name: input_shape})
-    executor = module.executor()
-    executor.set_input(**module.params)
-    executor.set_input(**{input_name: np.random.rand(*input_shape).astype("float32")})
-    executor.run()
-    output = executor.get_output(0)
+    data = np.random.rand(*input_shape).astype("float32")
+    output = repro.Executor(module)({input_name: data})[0].asnumpy()
     print(f"  {target.name:<28} est. latency {module.total_time * 1e3:8.3f} ms, "
-          f"{len(module.kernels)} fused kernels, output sum {float(np.sum(output.asnumpy() if hasattr(output, 'asnumpy') else output)):.4f}")
+          f"{len(module.kernels)} fused kernels, output sum {float(np.sum(output)):.4f}")
 
 
 def main() -> None:

@@ -1,7 +1,7 @@
 """Quickstart: the end-user flow from Section 2 of the paper.
 
 Take a model from the frontend, compile it with the one-call
-``repro.compile`` pipeline, deploy it with the executor factory, and inspect
+``repro.compile`` pipeline, run it with ``repro.Executor``, and inspect
 the numerical output, the simulated latency, and the per-pass compilation
 instrumentation.
 
@@ -32,25 +32,22 @@ def main() -> None:
     print("\nCompilation pass instrumentation:")
     print(module.pass_summary())
 
-    # 3. Deploy with the executor factory (runtime.create(module) still works).
-    executor = module.executor(repro.runtime.gpu(0))
-    executor.set_input(**module.params)
+    # 3. Run it: bind the module to a device once, then call the executor
+    #    with the graph inputs (it binds the parameters itself).
+    executor = repro.Executor(module, "gpu:0")
     data = np.random.rand(*input_shapes["data"]).astype("float32")
-    executor.run(data=data)
-    output = repro.runtime.empty((1, 100), ctx=repro.runtime.gpu(0))
-    executor.get_output(0, output)
+    result = executor.run({"data": data})
 
-    probabilities = output.asnumpy()
+    probabilities = result.outputs[0]
     print(f"\nOutput shape: {probabilities.shape}, "
           f"sum of probabilities: {probabilities.sum():.4f}")
     print("Top-5 classes:", np.argsort(probabilities[0])[::-1][:5].tolist())
     print("\nPer-kernel breakdown (top 5 by time):")
-    for name, seconds in sorted(executor.profile(), key=lambda kv: -kv[1])[:5]:
+    for name, seconds in sorted(result.per_kernel, key=lambda kv: -kv[1])[:5]:
         print(f"  {name:<45s} {seconds * 1e6:9.1f} us")
 
     # 4. Ship it: export a self-contained artifact, reload it (as a
-    #    deployment host would — no recompilation) and run the stateless
-    #    executor, which binds the parameters itself.
+    #    deployment host would — no recompilation) and run it the same way.
     import tempfile
     from pathlib import Path
 

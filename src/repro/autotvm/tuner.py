@@ -285,15 +285,6 @@ class ModelBasedTuner(Tuner):
     (this workload or a related shape) transfers into a new session.
     """
 
-    @classmethod
-    def clear_shared_features(cls) -> None:
-        """Backward-compatible alias for clearing the shared evaluation
-        caches (lowering + featurisation) all tuners now read through
-        :meth:`Task.features_of`."""
-        from .eval_cache import clear_eval_caches
-
-        clear_eval_caches()
-
     def __init__(self, task: Task, cost_model: Optional[object] = None,
                  plan_size: int = 16, sa_steps: int = 64, seed: int = 0,
                  model_kind: str = "gbt"):

@@ -12,7 +12,7 @@ observe every rewrite::
         unfused = repro.compile("resnet-18", target="cuda")
 
     module = repro.compile("resnet-18", target="cuda")
-    executor = module.executor()
+    outputs = repro.Executor(module)(data)
 """
 
 from .driver import compile, framework_overhead

@@ -19,7 +19,7 @@ import numpy as np
 from ..autotvm.apply_history import ApplyHistoryBest
 from ..autotvm.database import TuningDatabase
 from ..graph.ir import Graph
-from ..graph.op_timing import kernel_time
+from ..graph.op_timing import TimeEstimate, kernel_time
 from ..graph.passes import MemoryPlan, fuse_ops as _fuse_ops_raw, plan_memory
 from ..hardware.target import Target, create_target
 from . import passes as _standard_passes  # noqa: F401  (registers the passes)
@@ -45,6 +45,21 @@ def framework_overhead(target: Target) -> float:
     params = target.model.params
     return float(getattr(params, "dispatch_overhead",
                          0.5 * params.launch_overhead))
+
+
+def fused_kernel_time(master, members: Sequence, target: Target,
+                      tuning_db: Optional[TuningDatabase] = None
+                      ) -> Tuple[TimeEstimate, float]:
+    """What one fused kernel costs on ``target``: the master operator's
+    estimate (returned too, for its tuned/config provenance), plus each
+    fused ``members`` node at its fused rate, plus the per-kernel
+    :func:`framework_overhead`.  The compiler and the serving engine's batch
+    cost model both price kernels here, so they cannot drift apart."""
+    estimate = kernel_time(master, target, tuning_db=tuning_db, fused=False)
+    fused_time = sum(
+        kernel_time(node, target, tuning_db=tuning_db, fused=True).time
+        for node in members)
+    return estimate, estimate.time + fused_time + framework_overhead(target)
 
 
 def _resolve_target(target: Union[Target, str, None]) -> Target:
@@ -137,15 +152,13 @@ def _generate_kernels(state: CompileState,
         node_target = state.target
         if heterogeneous_targets and group.master.op in heterogeneous_targets:
             node_target = heterogeneous_targets[group.master.op]
-        master = kernel_time(group.master, node_target,
-                             tuning_db=tuning_db, fused=False)
+        master, total = fused_kernel_time(
+            group.master,
+            [node for node in group.nodes if node is not group.master],
+            node_target, tuning_db=tuning_db)
         if verify:
             _verify_kernel_program(group.master, node_target,
                                    master.config_index)
-        fused_time = sum(
-            kernel_time(node, node_target, tuning_db=tuning_db, fused=True).time
-            for node in group.nodes if node is not group.master)
-        total = master.time + fused_time + framework_overhead(node_target)
         kernels.append(CompiledKernel(group, total, node_target.name,
                                       tuned=master.tuned,
                                       config_index=master.config_index))

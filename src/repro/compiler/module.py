@@ -4,8 +4,8 @@ A :class:`CompiledModule` is the *single* object the new compilation pipeline
 hands back: optimized graph, per-group kernels, bound parameters, the static
 memory plan, and the per-pass instrumentation records gathered while the
 module was built.  It also knows how to persist itself as a versioned
-artifact bundle (``export``, restored by ``repro.load``) and how to construct
-its own executor (``executor``).
+artifact bundle (``export``, restored by ``repro.load``); it executes through
+``repro.Executor(module, device)``.
 
 This module deliberately has no eager intra-package imports: it sits below
 both :mod:`repro.graph` and :mod:`repro.runtime` in the import graph, which
@@ -23,8 +23,6 @@ if TYPE_CHECKING:  # imports for annotations only — see module docstring
     from ..graph.ir import Graph
     from ..graph.passes import FusedGroup, MemoryPlan
     from ..hardware.target import Target
-    from ..runtime.graph_executor import GraphExecutor
-    from ..runtime.ndarray import Device
     from .instruments import PassRecord
 
 __all__ = ["CompiledKernel", "CompiledModule"]
@@ -108,18 +106,6 @@ class CompiledModule:
                          f"{r.nodes_before:>5} ->{r.nodes_after:>4} "
                          f"{r.params_before:>5} ->{r.params_after:>4}")
         return "\n".join(lines)
-
-    # ------------------------------------------------------------- deployment
-    def executor(self, ctx: Optional["Device"] = None) -> "GraphExecutor":
-        """Create a (stateful, legacy-style) graph executor in one step.
-
-        Replaces the two-step ``runtime.create(module, ctx)`` dance (which
-        still works).  New code wanting stateless, thread-safe execution
-        should construct :class:`repro.runtime.Executor` directly.
-        """
-        from ..runtime.graph_executor import create
-
-        return create(self, ctx)
 
     # ------------------------------------------------------------- persistence
     def export(self, path) -> str:

@@ -2,14 +2,12 @@
 
 from .artifact import ArtifactError, export_module, graph_from_json, graph_to_json, load_module
 from .executor import ExecutionResult, Executor, InputSpec
-from .graph_executor import GraphExecutor, create
-from .ndarray import (DEVICE_TYPES, Context, Device, NDArray, array, cpu,
+from .ndarray import (DEVICE_TYPES, Device, NDArray, array, cpu,
                       device, empty, gpu, mali, vdla)
 from .procpool import (ModuleWorkerPool, PoolShutdownError, ProcPoolError,
-                       ShmArena, WorkerCrash, WorkerError, WorkerPool,
-                       leaked_segments)
+                       ShmArena, WorkerCrash, WorkerError, leaked_segments)
 from .framing import ProtocolError, TruncatedFrameError
-from .rpc import RPCServer, RPCSession, Tracker, connect_tracker
+from .rpc import RPCServer, RPCSession, Tracker
 from .serving import (DeadlineExceeded, InferenceEngine, InferenceFuture,
                       QueueFull, RequestCancelled, ServingError, serve)
 from .traffic import (ReplayReport, Trace, TraceError, TraceReplayer,
@@ -20,13 +18,11 @@ load = load_module
 
 __all__ = [
     "ArtifactError",
-    "Context",
     "DEVICE_TYPES",
     "DeadlineExceeded",
     "Device",
     "ExecutionResult",
     "Executor",
-    "GraphExecutor",
     "InferenceEngine",
     "InferenceFuture",
     "InputSpec",
@@ -51,11 +47,8 @@ __all__ = [
     "TruncatedFrameError",
     "WorkerCrash",
     "WorkerError",
-    "WorkerPool",
     "array",
-    "connect_tracker",
     "cpu",
-    "create",
     "device",
     "empty",
     "export_module",

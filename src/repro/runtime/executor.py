@@ -43,7 +43,6 @@ class ExecutionResult:
     outputs: List[np.ndarray]
     total_time: float                       #: simulated end-to-end seconds
     per_kernel: List[Tuple[str, float]]     #: (kernel name, seconds)
-    tensors: Dict[str, np.ndarray]          #: full tensor map of the run
 
 
 def _readonly_view(array: np.ndarray) -> np.ndarray:
@@ -118,12 +117,8 @@ class Executor:
         for node in self.module.graph.input_nodes:
             if node.name in inputs:
                 tensors[node.name] = self._as_numpy(inputs[node.name])
-            elif node.name in self._param_views:
+            else:       # callers validate: what is not given is a parameter
                 tensors[node.name] = self._param_views[node.name]
-            else:
-                raise ValueError(
-                    f"Graph input {node.name!r} has not been set; "
-                    f"expected inputs: {self.describe_inputs()}")
         total_time = 0.0
         per_kernel: List[Tuple[str, float]] = []
         for kernel in self.module.kernels:
@@ -131,7 +126,7 @@ class Executor:
             total_time += kernel.time_seconds
             per_kernel.append((kernel.name, kernel.time_seconds))
         outputs = [tensors[node.name] for node in self.module.graph.outputs]
-        return ExecutionResult(outputs, total_time, per_kernel, tensors)
+        return ExecutionResult(outputs, total_time, per_kernel)
 
     def run(self, inputs: Dict[str, np.ndarray]) -> ExecutionResult:
         """Validated execution returning outputs plus timing accounting."""
@@ -163,3 +158,61 @@ class Executor:
             inputs = dict(kwargs)
         result = self.run(inputs)
         return [NDArray(value, self.device) for value in result.outputs]
+
+
+class _ExecutorBackend:
+    """The serving engine's in-process back-end: one :class:`Executor` per
+    device, each optionally under an exclusive tracker lease.  Same surface
+    as :class:`~repro.runtime.procpool.ModuleWorkerPool` (``run_batch`` /
+    ``release`` / ``shutdown`` / ``stats``), so the engine never asks which
+    kind of back-end it holds."""
+
+    def __init__(self, module: CompiledModule, devices: Sequence[DeviceLike],
+                 tracker=None, rpc_key: Optional[str] = None,
+                 lease_timeout: float = 10.0):
+        self._executors = [Executor(module, dev) for dev in devices]
+        self._sessions: list = []
+        if tracker is None:
+            return
+        if rpc_key is None:
+            raise ValueError("serve(tracker=...) also needs rpc_key= (the "
+                             "device key registered with the tracker)")
+        try:
+            for _ in self._executors:
+                self._sessions.append(
+                    tracker.request(rpc_key, timeout=lease_timeout))
+        except Exception:
+            self.shutdown()
+            raise
+
+    def run_batch(self, index: int, requests: Sequence[Dict[str, np.ndarray]]
+                  ) -> List[Union[List[np.ndarray], Exception]]:
+        """Execute ``requests`` on device ``index`` (under its lease, if
+        any); one entry per request — its output arrays or its error."""
+        if self._sessions:
+            return self._sessions[index].execute(self._run, index, requests)
+        return self._run(index, requests)
+
+    def _run(self, index: int, requests: Sequence[Dict[str, np.ndarray]]
+             ) -> List[Union[List[np.ndarray], Exception]]:
+        executor = self._executors[index]
+        outcomes: List[Union[List[np.ndarray], Exception]] = []
+        for inputs in requests:
+            try:
+                outcomes.append(executor._execute(inputs).outputs)
+            except Exception as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    def release(self, index: int) -> None:
+        """Worker ``index`` will run no more batches: free its lease."""
+        if self._sessions:
+            self._sessions[index].release()
+
+    def shutdown(self) -> None:
+        for session in self._sessions:
+            session.release()
+
+    def stats(self) -> List[Dict[str, float]]:
+        """Per-worker-process statistics: none, the workers are threads."""
+        return []

@@ -36,7 +36,7 @@ import time
 from typing import Callable, Dict, Optional, Tuple, Type
 
 __all__ = ["FrameCodec", "ProtocolError", "TruncatedFrameError",
-           "DEFAULT_MAX_PAYLOAD", "set_fault_hook", "get_fault_hook"]
+           "DEFAULT_MAX_PAYLOAD", "set_fault_hook"]
 
 _HEADER = struct.Struct("!4sBI")
 
@@ -77,10 +77,6 @@ def set_fault_hook(hook: Optional[Callable[[str, Dict], Optional[Dict]]]
     """Install (or clear, with ``None``) the process-wide frame fault hook."""
     global _FAULT_HOOK
     _FAULT_HOOK = hook
-
-
-def get_fault_hook():
-    return _FAULT_HOOK
 
 
 def _codec_funcs():

@@ -2,8 +2,7 @@
 
 :class:`Device` names an execution device (type + index) and is the unit of
 placement for :class:`~repro.runtime.executor.Executor` pools and the serving
-engine.  ``Context`` — the seed-era name — remains as an alias so existing
-code and saved scripts keep working.
+engine.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Device", "Context", "NDArray", "array", "device", "empty",
+__all__ = ["Device", "NDArray", "array", "device", "empty",
            "cpu", "gpu", "mali", "vdla", "DEVICE_TYPES"]
 
 #: device types understood by the simulated back-ends
@@ -22,9 +21,8 @@ DEVICE_TYPES = ("cpu", "gpu", "mali", "vdla")
 class Device:
     """An execution device: device type + index (e.g. ``gpu:1``).
 
-    Replaces (and absorbs) the seed-era ``Context``; construct one directly,
-    via the :func:`cpu` / :func:`gpu` / :func:`mali` / :func:`vdla` helpers,
-    or by parsing a string with :func:`device`.
+    Construct one directly, via the :func:`cpu` / :func:`gpu` / :func:`mali`
+    / :func:`vdla` helpers, or by parsing a string with :func:`device`.
     """
 
     def __init__(self, device_type: str, device_id: int = 0):
@@ -51,9 +49,6 @@ class Device:
     def __hash__(self) -> int:
         return hash((self.device_type, self.device_id))
 
-
-#: deprecated alias — the seed-era name for :class:`Device`
-Context = Device
 
 DeviceLike = Union[Device, str]
 
@@ -102,15 +97,9 @@ def vdla(device_id: int = 0) -> Device:
 class NDArray:
     """A device-resident tensor (backed by NumPy in this reproduction)."""
 
-    def __init__(self, data: np.ndarray, device: Optional[Device] = None,
-                 ctx: Optional[Device] = None):
+    def __init__(self, data: np.ndarray, device: Optional[Device] = None):
         self._data = np.asarray(data)
-        self.device = device or ctx or cpu()
-
-    @property
-    def ctx(self) -> Device:
-        """Deprecated alias of :attr:`device` (the seed-era name)."""
-        return self.device
+        self.device = device or cpu()
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -155,14 +144,12 @@ class NDArray:
         return f"NDArray(shape={self.shape}, dtype={self.dtype}, device={self.device})"
 
 
-def array(data: np.ndarray, device: Optional[Device] = None,
-          ctx: Optional[Device] = None) -> NDArray:
-    """Create an NDArray on a device from host data (``ctx`` is the
-    deprecated seed-era keyword for ``device``)."""
-    return NDArray(np.array(data), device or ctx)
+def array(data: np.ndarray, device: Optional[Device] = None) -> NDArray:
+    """Create an NDArray on a device from host data."""
+    return NDArray(np.array(data), device)
 
 
 def empty(shape: Sequence[int], dtype: str = "float32",
-          ctx: Optional[Device] = None, device: Optional[Device] = None) -> NDArray:
+          device: Optional[Device] = None) -> NDArray:
     """Allocate an uninitialised NDArray (``tvm.nd.empty`` in the paper)."""
-    return NDArray(np.zeros(tuple(shape), dtype=dtype), device or ctx)
+    return NDArray(np.zeros(tuple(shape), dtype=dtype), device)

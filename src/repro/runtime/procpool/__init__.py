@@ -12,13 +12,12 @@ simulates.  This package provides the process-level counterpart —
 * :mod:`~repro.runtime.procpool.protocol` — a small framed header +
   JSON-payload message codec over pipe connections (built on the PR 4
   artifact codec for tuple-preserving values); tensors never enter frames.
-* :class:`~repro.runtime.procpool.pool.WorkerPool` — one OS process per
-  device with first-class lifecycle: boot handshake, heartbeat health
+* :class:`~repro.runtime.procpool.pool.ModuleWorkerPool` — one OS process
+  per device with first-class lifecycle: boot handshake, heartbeat health
   checks, detection of worker death mid-request, automatic respawn with
   bounded retry of the in-flight work, graceful shutdown that unlinks
   every shared-memory segment, and structured per-worker statistics.
-* :class:`~repro.runtime.procpool.pool.ModuleWorkerPool` — the serving
-  specialisation: workers boot from an exported artifact bundle
+  Workers boot from an exported artifact bundle
   (``CompiledModule.export``) with parameters mapped from the shared
   arena, and execute request batches bit-identically to the in-process
   :class:`~repro.runtime.executor.Executor`.
@@ -29,8 +28,8 @@ with threads in the parent; see the README's spawn-vs-fork notes).
 """
 
 from .pool import (ModuleWorkerPool, PoolShutdownError, ProcPoolError,
-                   WorkerCrash, WorkerError, WorkerPool)
-from .shm import ShmArena, ShmLeakError, leaked_segments
+                   WorkerCrash, WorkerError)
+from .shm import ShmArena, leaked_segments
 from .worker import module_worker_main
 
 __all__ = [
@@ -38,10 +37,8 @@ __all__ = [
     "PoolShutdownError",
     "ProcPoolError",
     "ShmArena",
-    "ShmLeakError",
     "WorkerCrash",
     "WorkerError",
-    "WorkerPool",
     "leaked_segments",
     "module_worker_main",
 ]

@@ -1,8 +1,10 @@
 """The process worker pool: lifecycle, health, dispatch, statistics.
 
-:class:`WorkerPool` owns N OS processes (``spawn`` start method — safe with
-threads in the parent and identical on every platform; see the README's
-spawn-vs-fork notes).  Worker lifecycle is a first-class concern:
+:class:`ModuleWorkerPool` owns one OS process per device (``spawn`` start
+method — safe with threads in the parent and identical on every platform;
+see the README's spawn-vs-fork notes), each booted from an exported module
+artifact with the parameters mapped from one shared-memory arena.  Worker
+lifecycle is a first-class concern:
 
 * **boot handshake** — every worker must ``HELLO`` within ``boot_timeout``;
 * **heartbeats** — a monitor thread pings idle workers every
@@ -12,8 +14,9 @@ spawn-vs-fork notes).  Worker lifecycle is a first-class concern:
   respawned and the in-flight request is retried up to ``max_retries``
   times before :class:`WorkerCrash` reaches the caller;
 * **graceful shutdown** — ``SHUTDOWN`` frames, bounded joins, hard kill of
-  stragglers, and unlinking of every shared-memory segment the pool created
-  (the parameter arena and any in-flight batch arenas).
+  stragglers, and release of everything the pool created: the parameter
+  arena, any in-flight batch arenas, and the temporary bundle it exported
+  when it was handed a live module instead of a bundle path.
 
 Dispatch is per-worker and thread-safe: each worker has a lock, so one
 caller thread per worker (the serving engine's model) runs without
@@ -27,11 +30,12 @@ import atexit
 import multiprocessing
 import os
 import signal
+import tempfile
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,8 +43,8 @@ from ...faults import inject as faults_inject
 from .protocol import MSG, ProtocolError, recv_msg, send_msg
 from .shm import ShmArena
 
-__all__ = ["WorkerPool", "ModuleWorkerPool", "ProcPoolError", "WorkerCrash",
-           "WorkerError", "PoolShutdownError"]
+__all__ = ["ModuleWorkerPool", "ProcPoolError", "WorkerCrash", "WorkerError",
+           "PoolShutdownError"]
 
 _POLL_SECONDS = 0.05
 
@@ -79,9 +83,6 @@ class _WorkerStats:
     heartbeats: int = 0
     missed_heartbeats: int = 0
 
-    def to_dict(self) -> Dict[str, float]:
-        return dict(self.__dict__)
-
 
 class _Worker:
     """One slot of the pool: process + pipe + lock + stats."""
@@ -99,7 +100,7 @@ class _Worker:
 
 #: pools not yet shut down — drained at interpreter exit so abandoned pools
 #: cannot leak processes or /dev/shm segments
-_LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
+_LIVE_POOLS: "weakref.WeakSet[ModuleWorkerPool]" = weakref.WeakSet()
 
 
 def _shutdown_live_pools() -> None:
@@ -113,40 +114,72 @@ def _shutdown_live_pools() -> None:
 atexit.register(_shutdown_live_pools)
 
 
-class WorkerPool:
-    """N worker processes with heartbeats, respawn-with-retry, and stats.
+class ModuleWorkerPool:
+    """One worker process per device, booted from an exported module artifact,
+    with heartbeats, respawn-with-retry, and per-worker statistics.
 
-    ``worker_main(conn, boot)`` must be an importable top-level function (the
-    ``spawn`` start method re-imports it in the child); ``boot_args(index)``
-    returns the plain-data boot payload of worker ``index`` — live objects
-    never cross the process boundary.
+    ``bundle_path`` is the artifact the workers load; with ``None`` the pool
+    exports ``module`` to a temporary bundle it owns (and deletes on
+    :meth:`shutdown`).  Parameters are packed into a single shared arena at
+    construction and mapped (read-only, zero-copy) by every worker exactly
+    once; each dispatched batch travels through its own arena holding the
+    request inputs plus reserved output slots, so tensors are never pickled
+    and the parent remains the owner (and unlinker) of every segment.  Only
+    plain data crosses the process boundary at boot.
     """
 
-    def __init__(self, n_workers: int, worker_main: Callable,
-                 boot_args: Callable[[int], Dict], *,
-                 name: str = "procpool",
+    #: in error messages, thread/process names and the ``procpool.dispatch``
+    #: fault-site context (fault plans match on it)
+    name = "repro-serve-pool"
+
+    def __init__(self, module, bundle_path: Union[None, str, os.PathLike],
+                 devices: Sequence, *,
                  heartbeat_interval: float = 1.0,
                  max_retries: int = 2,
                  boot_timeout: float = 120.0,
                  reply_timeout: Optional[float] = 600.0):
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+        if not devices:
+            raise ValueError("devices must not be empty")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        self.name = name
         self.max_retries = max_retries
         self.boot_timeout = boot_timeout
         self.reply_timeout = reply_timeout
         self.heartbeat_interval = heartbeat_interval
         self._ctx = multiprocessing.get_context("spawn")
-        self._worker_main = worker_main
-        self._boot_args = boot_args
         self._closed = False
-        self._workers = [_Worker(i) for i in range(n_workers)]
+        self._workers = [_Worker(i) for i in range(len(devices))]
+        self._device_specs = [str(device) for device in devices]
+        self._input_names = [
+            node.name for node in module.graph.input_nodes
+            if node.name not in module.params]
+        self._output_specs = [
+            (node.name, tuple(node.shape), node.dtype or "float32")
+            for node in module.graph.outputs]
+        #: batch arenas currently in flight (unlinked by shutdown if a
+        #: dispatching thread was killed between create and finally)
+        self._batch_arenas: Dict[str, ShmArena] = {}
+        self._batch_lock = threading.Lock()
+        self._params_arena: Optional[ShmArena] = None
+        self._owned_bundle: Optional[str] = None
+        self._monitor: Optional[threading.Thread] = None
+        self._monitor_stop = threading.Event()
 
-        # Spawn everyone first, then collect the HELLOs: boots overlap, so a
+        # Everything below creates a resource shutdown() releases.  Spawn
+        # everyone first, then collect the HELLOs: boots overlap, so a
         # 4-worker pool pays one interpreter start, not four in sequence.
         try:
+            if bundle_path is None:
+                from ..artifact import export_module
+
+                handle, bundle_path = tempfile.mkstemp(prefix="repro-serve-",
+                                                       suffix=".module")
+                os.close(handle)
+                self._owned_bundle = bundle_path
+                export_module(module, bundle_path)
+            self._bundle = str(bundle_path)
+            if module.params:
+                self._params_arena = ShmArena.create(module.params)
             for worker in self._workers:
                 self._spawn(worker)
             for worker in self._workers:
@@ -156,17 +189,22 @@ class WorkerPool:
             raise
 
         _LIVE_POOLS.add(self)
-        self._monitor_stop = threading.Event()
         self._monitor = threading.Thread(target=self._monitor_loop,
                                          daemon=True,
-                                         name=f"{name}-heartbeat")
+                                         name=f"{self.name}-heartbeat")
         self._monitor.start()
 
     # ------------------------------------------------------------------ spawn
     def _spawn(self, worker: _Worker) -> None:
+        from .worker import module_worker_main
+
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        boot = {"bundle": self._bundle,
+                "device": self._device_specs[worker.index],
+                "params": (self._params_arena.spec()
+                           if self._params_arena is not None else None)}
         process = self._ctx.Process(
-            target=self._worker_main, args=(child_conn, self._boot_args(worker.index)),
+            target=module_worker_main, args=(child_conn, boot),
             name=f"{self.name}-worker-{worker.index}", daemon=True)
         process.start()
         child_conn.close()              # the child holds its own copy
@@ -192,10 +230,6 @@ class WorkerPool:
                                 f"got {MSG.name(kind)}")
         worker.pid = int(payload["pid"])
         worker.stats.boot_s += float(payload.get("boot_seconds", 0.0))
-        self._on_worker_ready(worker, payload)
-
-    def _on_worker_ready(self, worker: _Worker, payload: Dict) -> None:
-        """Hook for subclasses (e.g. sanity-check the booted module)."""
 
     # ------------------------------------------------------------------ io
     class _WorkerDied(Exception):
@@ -244,25 +278,21 @@ class WorkerPool:
         if process is not None:
             if process.is_alive():
                 process.terminate()
-                process.join(timeout=5.0)
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=5.0)
-            else:
+            process.join(timeout=5.0)
+            if process.is_alive():
+                process.kill()
                 process.join(timeout=5.0)
             worker.process = None
 
     # ------------------------------------------------------------------ dispatch
     def request(self, index: int, kind: int, payload: Dict,
-                expect: int, timeout: Optional[float] = None) -> Dict:
+                expect: int) -> Dict:
         """Round-trip one frame to worker ``index``; respawn + retry on death.
 
         The payload must be self-contained (re-sendable verbatim): on worker
         death the worker is respawned and the same frame is retried up to
         ``max_retries`` times before :class:`WorkerCrash` is raised.
         """
-        if self._closed:
-            raise PoolShutdownError(f"{self.name} is shut down")
         worker = self._workers[index]
         wait_start = time.perf_counter()
         with worker.lock:
@@ -288,15 +318,10 @@ class WorkerPool:
                         except (ProcessLookupError, PermissionError):
                             pass
                     send_msg(worker.conn, kind, payload)
-                    reply_kind, reply = self._recv(
-                        worker, timeout if timeout is not None
-                        else self.reply_timeout)
-                except self._WorkerDied as died:
-                    last_reason = str(died)
-                    self._respawn(worker, last_reason)
-                    continue
-                except (BrokenPipeError, OSError) as exc:
-                    last_reason = repr(exc)
+                    reply_kind, reply = self._recv(worker,
+                                                   self.reply_timeout)
+                except (self._WorkerDied, OSError) as exc:
+                    last_reason = str(exc) or repr(exc)
                     self._respawn(worker, last_reason)
                     continue
                 if reply_kind == MSG.ERROR:
@@ -314,148 +339,6 @@ class WorkerPool:
                 f"{self.name} worker {index} died {self.max_retries + 1} "
                 f"time(s) handling one {MSG.name(kind)} request "
                 f"(last: {last_reason}); giving up on this batch")
-
-    # ------------------------------------------------------------------ health
-    def _monitor_loop(self) -> None:
-        while not self._monitor_stop.wait(self.heartbeat_interval):
-            for worker in self._workers:
-                if self._closed:
-                    return
-                # Only probe idle workers: a held lock means a dispatch is in
-                # flight, and that path does its own death detection.
-                if not worker.lock.acquire(blocking=False):
-                    continue
-                try:
-                    if self._closed:
-                        return
-                    alive = (worker.process is not None
-                             and worker.process.is_alive())
-                    if alive:
-                        try:
-                            send_msg(worker.conn, MSG.PING, {})
-                            kind, _ = self._recv(worker, timeout=5.0)
-                            if kind == MSG.PONG:
-                                worker.stats.heartbeats += 1
-                                continue
-                        except (self._WorkerDied, OSError,
-                                ProtocolError):
-                            pass
-                    worker.stats.missed_heartbeats += 1
-                    try:
-                        self._respawn(worker, "missed heartbeat")
-                    except (ProcPoolError, ProtocolError):
-                        pass            # next beat (or dispatch) retries
-                finally:
-                    worker.lock.release()
-
-    def alive(self) -> List[bool]:
-        return [w.process is not None and w.process.is_alive()
-                for w in self._workers]
-
-    def pids(self) -> List[Optional[int]]:
-        return [w.process.pid if w.process is not None else None
-                for w in self._workers]
-
-    # ------------------------------------------------------------------ stats
-    def stats(self) -> List[Dict[str, float]]:
-        """Structured per-worker statistics dicts."""
-        return [{**w.stats.to_dict(), "index": w.index, "pid": w.pid,
-                 "alive": w.process is not None and w.process.is_alive()}
-                for w in self._workers]
-
-    # ------------------------------------------------------------------ lifecycle
-    def shutdown(self) -> None:
-        """Stop every worker and release every pool resource (idempotent).
-
-        Workers get a ``SHUTDOWN`` frame and a bounded join; stragglers are
-        killed.  Subclasses unlink their shared-memory segments afterwards.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        monitor = getattr(self, "_monitor", None)
-        if monitor is not None:
-            self._monitor_stop.set()
-            if monitor is not threading.current_thread():
-                monitor.join(timeout=10.0)
-        for worker in self._workers:
-            acquired = worker.lock.acquire(timeout=5.0)
-            try:
-                if worker.conn is not None and worker.process is not None \
-                        and worker.process.is_alive():
-                    try:
-                        send_msg(worker.conn, MSG.SHUTDOWN, {})
-                        self._recv(worker, timeout=5.0)
-                    except (self._WorkerDied, ProtocolError, OSError):
-                        pass
-                self._reap(worker)
-            finally:
-                if acquired:
-                    worker.lock.release()
-        self._unlink_segments()
-        _LIVE_POOLS.discard(self)
-
-    def _unlink_segments(self) -> None:
-        """Hook: subclasses unlink the shm segments they created."""
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-
-# ---------------------------------------------------------------------------
-# Serving specialisation
-# ---------------------------------------------------------------------------
-
-class ModuleWorkerPool(WorkerPool):
-    """One process per device, booted from an exported module artifact.
-
-    Parameters are packed into a single shared arena at construction and
-    mapped (read-only, zero-copy) by every worker exactly once; each
-    dispatched batch travels through its own arena holding the request
-    inputs plus reserved output slots, so tensors are never pickled and the
-    parent remains the owner (and unlinker) of every segment.
-    """
-
-    def __init__(self, module, bundle_path: Union[str, os.PathLike],
-                 devices: Sequence, **pool_kwargs):
-        self._params_arena: Optional[ShmArena] = None
-        if module.params:
-            self._params_arena = ShmArena.create(module.params)
-        params_spec = (self._params_arena.spec()
-                       if self._params_arena is not None else None)
-        bundle = str(bundle_path)
-        device_specs = [str(device) for device in devices]
-
-        self._input_names = [
-            node.name for node in module.graph.input_nodes
-            if node.name not in module.params]
-        self._output_specs = [
-            (node.name, tuple(node.shape), node.dtype or "float32")
-            for node in module.graph.outputs]
-        #: batch arenas currently in flight (unlinked by shutdown if a
-        #: dispatching thread was killed between create and finally)
-        self._batch_arenas: Dict[str, ShmArena] = {}
-        self._batch_lock = threading.Lock()
-
-        def boot(index: int) -> Dict:
-            return {"bundle": bundle, "device": device_specs[index],
-                    "params": params_spec}
-
-        from .worker import module_worker_main
-
-        pool_kwargs.setdefault("name", "repro-serve-pool")
-        try:
-            super().__init__(len(device_specs), module_worker_main, boot,
-                             **pool_kwargs)
-        except BaseException:
-            # Pool construction failed after the arena was created (e.g. a
-            # worker could not boot): super().__init__ only unlinks through
-            # shutdown() when its own spawn loop ran, so be explicit here.
-            self._unlink_segments()
-            raise
 
     # ------------------------------------------------------------------ batches
     def run_batch(self, index: int,
@@ -508,19 +391,108 @@ class ModuleWorkerPool(WorkerPool):
                 self._batch_arenas.pop(arena.name, None)
             arena.unlink()
 
-    # ------------------------------------------------------------------ cleanup
-    def _unlink_segments(self) -> None:
+    def release(self, index: int) -> None:
+        """Worker ``index`` will be sent no more batches.  Nothing to free
+        per worker: processes and segments go together in :meth:`shutdown`."""
+
+    # ------------------------------------------------------------------ health
+    def _monitor_loop(self) -> None:
+        while not self._monitor_stop.wait(self.heartbeat_interval):
+            for worker in self._workers:
+                if self._closed:
+                    return
+                # Only probe idle workers: a held lock means a dispatch is in
+                # flight, and that path does its own death detection.
+                if not worker.lock.acquire(blocking=False):
+                    continue
+                try:
+                    if self._closed:
+                        return
+                    alive = (worker.process is not None
+                             and worker.process.is_alive())
+                    if alive:
+                        try:
+                            send_msg(worker.conn, MSG.PING, {})
+                            kind, _ = self._recv(worker, timeout=5.0)
+                            if kind == MSG.PONG:
+                                worker.stats.heartbeats += 1
+                                continue
+                        except (self._WorkerDied, OSError,
+                                ProtocolError):
+                            pass
+                    worker.stats.missed_heartbeats += 1
+                    try:
+                        self._respawn(worker, "missed heartbeat")
+                    except (ProcPoolError, ProtocolError):
+                        pass            # next beat (or dispatch) retries
+                finally:
+                    worker.lock.release()
+
+    def alive(self) -> List[bool]:
+        return [w.process is not None and w.process.is_alive()
+                for w in self._workers]
+
+    def pids(self) -> List[Optional[int]]:
+        return [w.process.pid if w.process is not None else None
+                for w in self._workers]
+
+    # ------------------------------------------------------------------ stats
+    def stats(self) -> List[Dict[str, float]]:
+        """Structured per-worker statistics dicts."""
+        return [{**vars(w.stats), "index": w.index, "pid": w.pid,
+                 "alive": w.process is not None and w.process.is_alive()}
+                for w in self._workers]
+
+    # ------------------------------------------------------------------ lifecycle
+    def shutdown(self) -> None:
+        """Stop every worker and release every pool resource (idempotent).
+
+        Workers get a ``SHUTDOWN`` frame and a bounded join; stragglers are
+        killed.  Then every shared-memory segment the pool created is
+        unlinked and the temporary bundle (if the pool exported one) deleted.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        if self._monitor is not None:
+            self._monitor_stop.set()
+            if self._monitor is not threading.current_thread():
+                self._monitor.join(timeout=10.0)
+        for worker in self._workers:
+            acquired = worker.lock.acquire(timeout=5.0)
+            try:
+                if worker.conn is not None and worker.process is not None \
+                        and worker.process.is_alive():
+                    try:
+                        send_msg(worker.conn, MSG.SHUTDOWN, {})
+                        self._recv(worker, timeout=5.0)
+                    except (self._WorkerDied, ProtocolError, OSError):
+                        pass
+                self._reap(worker)
+            finally:
+                if acquired:
+                    worker.lock.release()
         with self._batch_lock:
             arenas = list(self._batch_arenas.values())
             self._batch_arenas.clear()
+        if self._params_arena is not None:
+            arenas.append(self._params_arena)
+            self._params_arena = None
         for arena in arenas:
             try:
                 arena.unlink()
             except Exception:
                 pass
-        if self._params_arena is not None:
+        if self._owned_bundle is not None:
             try:
-                self._params_arena.unlink()
-            except Exception:
+                os.unlink(self._owned_bundle)
+            except OSError:
                 pass
-            self._params_arena = None
+            self._owned_bundle = None
+        _LIVE_POOLS.discard(self)
+
+    def __enter__(self) -> "ModuleWorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown()

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..artifact import _decode_attr, _encode_attr
 from ..framing import FrameCodec, ProtocolError, TruncatedFrameError
 
 __all__ = ["MSG", "ProtocolError", "TruncatedFrameError", "send_msg",
-           "recv_msg", "encode_value", "decode_value"]
+           "recv_msg"]
 
 #: refuse absurd frames (tensor data must go through shm, not the pipe)
 _MAX_PAYLOAD = 32 * 1024 * 1024
@@ -56,15 +55,6 @@ class MSG:
 #: the one RPP1 codec instance (and fault-injection point) of this protocol
 CODEC = FrameCodec(b"RPP1", error=ProtocolError, max_payload=_MAX_PAYLOAD,
                    name_of=MSG.name)
-
-
-def encode_value(value):
-    """Artifact-codec encode (tuples survive as ``{"py/tuple": [...]}``)."""
-    return _encode_attr(value)
-
-
-def decode_value(value):
-    return _decode_attr(value)
 
 
 def send_msg(conn, kind: int, payload: Dict) -> None:

@@ -33,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["ShmArena", "ShmLeakError", "leaked_segments", "SEGMENT_PREFIX"]
+__all__ = ["ShmArena", "leaked_segments", "SEGMENT_PREFIX"]
 
 #: every segment this package creates is named ``<prefix><pid>-<token>`` so
 #: leak audits can distinguish ours from unrelated /dev/shm entries
@@ -48,10 +48,6 @@ _LIVE_LOCK = threading.Lock()
 #: serialises SharedMemory construction against the attach-side
 #: resource-tracker registration patch (see :meth:`ShmArena.attach`)
 _TRACKER_PATCH_LOCK = threading.Lock()
-
-
-class ShmLeakError(RuntimeError):
-    """Shared-memory segments outlived the pool that created them."""
 
 
 def _aligned(offset: int) -> int:

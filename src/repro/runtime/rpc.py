@@ -1,8 +1,8 @@
 """RPC tracker and device pool (paper Section 5.4, Figure 11).
 
 The paper's distributed device pool lets many tuning jobs share boards: a
-tracker matches client requests to free devices, the client uploads a
-cross-compiled module, runs it remotely and collects timings.  This module
+tracker matches client requests to free devices, the client runs its
+cross-compiled module remotely and collects timings.  This module
 reproduces that architecture in-process: :class:`Tracker` manages a registry
 of :class:`RPCServer` instances (each owning one simulated device), hands out
 :class:`RPCSession` leases, and enforces exclusive access with locks so
@@ -13,29 +13,23 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..hardware.base import HardwareModel
 from ..tir.analysis import ProgramFeatures
 
-__all__ = ["RPCServer", "RPCSession", "Tracker", "connect_tracker"]
+__all__ = ["RPCServer", "RPCSession", "Tracker"]
 
 
 class RPCServer:
     """One device host registered with the tracker."""
 
-    def __init__(self, key: str, model: HardwareModel, host: str = "127.0.0.1",
-                 port: int = 9090):
+    def __init__(self, key: str, model: HardwareModel):
         self.key = key
         self.model = model
-        self.host = host
-        self.port = port
         self._lock = threading.Lock()
-        self.uploaded_modules: Dict[str, object] = {}
         self.request_count = 0
 
     def acquire(self, timeout: Optional[float] = None) -> bool:
@@ -46,9 +40,6 @@ class RPCServer:
             self._lock.release()
 
     # -- remote procedure surface ------------------------------------------------
-    def upload(self, name: str, module: object) -> None:
-        self.uploaded_modules[name] = module
-
     def run_timed(self, payload, number: int = 3,
                   rng: Optional[np.random.Generator] = None) -> List[float]:
         """Time a lowered function / feature vector on this device.
@@ -76,9 +67,6 @@ class RPCSession:
         self.server = server
         self.tracker = tracker
         self._released = False
-
-    def upload(self, name: str, module: object) -> None:
-        self.server.upload(name, module)
 
     def run_timed(self, payload, number: int = 3,
                   rng: Optional[np.random.Generator] = None) -> List[float]:
@@ -119,8 +107,8 @@ class Tracker:
 
     def register_device(self, key: str, model: HardwareModel, count: int = 1) -> None:
         """Convenience: register ``count`` identical devices under ``key``."""
-        for index in range(count):
-            self.register(RPCServer(key, model, port=9090 + index))
+        for _ in range(count):
+            self.register(RPCServer(key, model))
 
     # -- allocation -------------------------------------------------------------------
     def request(self, key: str, timeout: float = 10.0) -> RPCSession:
@@ -146,16 +134,3 @@ class Tracker:
                           "requests": sum(s.request_count for s in servers)}
                     for key, servers in self._servers.items()}
 
-
-#: process-wide default tracker (mirrors connecting to a well-known host:port)
-_DEFAULT_TRACKER: Optional[Tracker] = None
-
-
-def connect_tracker(create: bool = True) -> Tracker:
-    """Return the process-wide tracker, creating it on first use."""
-    global _DEFAULT_TRACKER
-    if _DEFAULT_TRACKER is None and create:
-        _DEFAULT_TRACKER = Tracker()
-    if _DEFAULT_TRACKER is None:
-        raise RuntimeError("No tracker available")
-    return _DEFAULT_TRACKER

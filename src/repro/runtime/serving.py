@@ -1,33 +1,29 @@
 """Dynamic-batching inference serving (``repro.serve``).
 
 The paper's end-to-end claim is compile-once, serve-anywhere; this module
-adds the serving half: :func:`serve` turns a compiled module (or an exported
-artifact path) into an :class:`InferenceEngine` that
+adds the serving half.  :func:`serve` turns a compiled module (or an exported
+artifact path) into an :class:`InferenceEngine`, which is the wiring between
+three decisions that each live in their own module:
 
-* queues concurrent requests from many client threads through a *bounded*
-  admission queue with per-request deadlines and priorities — when the
-  queue exceeds ``max_queue`` the engine sheds load (most-expired first,
-  then lowest-priority/newest) with typed :class:`QueueFull` /
-  :class:`DeadlineExceeded` rejections instead of admitting unboundedly,
-* coalesces admitted requests along the graph's batch axis with dynamic
-  batching (``max_batch`` requests per batch, waiting at most
-  ``timeout_ms`` for the batch to fill; higher-priority requests pop
-  first) — or, with ``max_batch="adaptive"``, picks each batch's size
-  limit from the :class:`_BatchCostModel` latency estimates, the current
-  queue depth, and the waiting requests' deadline headroom so estimated
-  goodput is maximised under the ``p99_target_ms`` target,
-* round-robins the batches across a pool of per-device
-  :class:`~repro.runtime.executor.Executor` workers (multi-GPU or
-  heterogeneous; workers can hold leases on a
-  :class:`~repro.runtime.rpc.Tracker` device pool), and
-* reports structured throughput / latency / batch-occupancy / SLO
-  statistics (sheds, deadline violations, cancellations).
+* **who waits, who is shed** (:mod:`~repro.runtime.admission`) — a bounded,
+  priority-ordered admission queue with per-request deadlines, typed
+  :class:`QueueFull` / :class:`DeadlineExceeded` shedding, and
+  :meth:`InferenceFuture.cancel` (a cancelled request is never executed and
+  never counted);
+* **how big a batch is** (:mod:`~repro.runtime.batching`) — up to
+  ``max_batch`` requests coalesced along the graph's batch axis within
+  ``timeout_ms``, or, with ``max_batch="adaptive"``, the size that maximises
+  estimated goodput under ``p99_target_ms``;
+* **where it runs** — one worker thread per device hands each batch to the
+  engine's one execution back-end (known here only as ``run_batch`` /
+  ``release`` / ``shutdown`` / ``stats``): per-device
+  :class:`~repro.runtime.executor.Executor` objects in this process,
+  optionally under :class:`~repro.runtime.rpc.Tracker` leases, or one worker
+  process per device (:mod:`~repro.runtime.procpool`).
 
-Clients that give up can :meth:`InferenceFuture.cancel` a request; a
-cancelled request is never executed and never counted in the serving
-statistics.  :meth:`InferenceEngine.shutdown` drains by default
-(already-admitted requests are served) or rejects the backlog with
-``drain=False``.
+:meth:`InferenceEngine.stats` reports throughput / latency /
+batch-occupancy / SLO statistics; :meth:`InferenceEngine.shutdown` drains by
+default or rejects the backlog with ``drain=False``.
 
 Latency accounting is simulated-consistent: a coalesced batch costs the
 per-batch kernel estimates of the batched workload (what compiling the model
@@ -39,343 +35,28 @@ NumPy BLAS kernels are not bitwise batch-invariant).
 
 from __future__ import annotations
 
-import os
+import collections
 import queue
-import tempfile
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..compiler.module import CompiledModule
-from .executor import Executor
+from .admission import (_SHUTDOWN, DeadlineExceeded, InferenceFuture,
+                        QueueFull, RequestCancelled, ServingError,
+                        _AdmissionQueue, _reject_all, _Request)
+from .batching import _BatchCostModel, _choose_batch_size
 from .ndarray import Device, DeviceLike, device as as_device
 
 __all__ = ["serve", "InferenceEngine", "InferenceFuture", "ServingError",
            "QueueFull", "DeadlineExceeded", "RequestCancelled"]
 
-_SHUTDOWN = object()
+#: how many of the most recent resolved requests the latency summaries in
+#: :meth:`InferenceEngine.stats` cover (the counters stay exact)
+_LATENCY_WINDOW = 8192
 
-
-class ServingError(RuntimeError):
-    """Base error of the serving engine's admission/SLO machinery."""
-
-
-class QueueFull(ServingError):
-    """The bounded admission queue is full and this request lost the shed
-    comparison (it is the lowest-priority/newest candidate)."""
-
-
-class DeadlineExceeded(ServingError):
-    """The request's ``deadline_ms`` passed before it executed; it was shed
-    without running."""
-
-
-class RequestCancelled(ServingError):
-    """The caller cancelled the request before it started executing."""
-
-
-# ---------------------------------------------------------------------------
-# Batch cost model
-# ---------------------------------------------------------------------------
-
-class _BatchCostModel:
-    """Simulated per-batch latency of the module at coalesced batch sizes.
-
-    For the module's native batch size the recorded kernel times are used
-    verbatim (including tuned provenance).  Larger coalesced batches are
-    re-estimated by cloning the optimized graph, scaling the batch axis and
-    asking the operator-level cost model for each fused kernel — i.e. exactly
-    the per-batch estimate a compile at that batch size would produce (with
-    the untuned fallback heuristic).  Results are memoised per batch size.
-    """
-
-    def __init__(self, module: CompiledModule, data_inputs: Sequence[str],
-                 native_rows: int):
-        from .artifact import graph_to_json
-
-        self.module = module
-        self._data_inputs = set(data_inputs)
-        self.native_rows = native_rows
-        self._graph_json = graph_to_json(module.graph)
-        self._lock = threading.Lock()
-        self._cache: Dict[int, Tuple[float, List[Tuple[str, float]]]] = {
-            native_rows: (module.total_time,
-                          [(k.name, k.time_seconds) for k in module.kernels]),
-        }
-        self._targets = {module.target.name: module.target}
-
-    def _target_for(self, name: str):
-        from ..hardware.target import create_target
-
-        if name not in self._targets:
-            self._targets[name] = create_target(name,
-                                                seed=self.module.target.seed)
-        return self._targets[name]
-
-    def times_for(self, rows: int) -> Tuple[float, List[Tuple[str, float]]]:
-        """``(total_seconds, [(kernel name, seconds)])`` at ``rows`` total
-        batch rows across the coalesced requests."""
-        with self._lock:
-            if rows in self._cache:
-                return self._cache[rows]
-        total, per_kernel = self._estimate(rows)
-        with self._lock:
-            self._cache[rows] = (total, per_kernel)
-        return total, per_kernel
-
-    def _estimate(self, rows: int) -> Tuple[float, List[Tuple[str, float]]]:
-        from ..compiler.driver import framework_overhead
-        from ..graph.op_timing import kernel_time
-        from .artifact import graph_from_json
-
-        scale = rows // self.native_rows
-        clone = graph_from_json(self._graph_json)
-        for node in clone.input_nodes:
-            if node.name in self._data_inputs:
-                node.shape = (node.shape[0] * scale,) + tuple(node.shape[1:])
-        clone.infer_shapes({})
-        nodes_by_name = {node.name: node for node in clone.nodes}
-
-        per_kernel: List[Tuple[str, float]] = []
-        total = 0.0
-        for kernel in self.module.kernels:
-            target = self._target_for(kernel.device)
-            master = nodes_by_name[kernel.group.master.name]
-            seconds = kernel_time(master, target, fused=False).time
-            for member in kernel.group.nodes:
-                if member.name != master.name:
-                    seconds += kernel_time(nodes_by_name[member.name], target,
-                                           fused=True).time
-            seconds += framework_overhead(target)
-            per_kernel.append((kernel.name, seconds))
-            total += seconds
-        return total, per_kernel
-
-
-# ---------------------------------------------------------------------------
-# Requests and futures
-# ---------------------------------------------------------------------------
-
-class InferenceFuture:
-    """Handle to one submitted request; resolves to the request's outputs.
-
-    A caller that gives up (e.g. after :meth:`result` raised
-    ``TimeoutError``) can :meth:`cancel` the request: if it has not started
-    executing it never will, and it is not counted in the engine's serving
-    statistics.
-    """
-
-    def __init__(self):
-        self._event = threading.Event()
-        self._lock = threading.Lock()
-        self._outputs: Optional[List[np.ndarray]] = None
-        self._error: Optional[BaseException] = None
-        self._cancelled = False
-        self._claimed = False
-        #: engine callback fired once on successful cancellation (stats)
-        self._cancel_hook = None
-        #: filled at completion: simulated seconds of the batch that served
-        #: this request, its size in requests, and observed wall latency
-        #: (split into admission-queue wait and batch execution)
-        self.simulated_latency: Optional[float] = None
-        self.batch_size: Optional[int] = None
-        self.wall_latency: Optional[float] = None
-        self.queue_wait: Optional[float] = None
-        self.execute_latency: Optional[float] = None
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def cancel(self) -> bool:
-        """Cancel the request if it has not started executing.
-
-        Returns ``True`` if the request is (now) cancelled — it will never
-        execute and :meth:`result` raises :class:`RequestCancelled` — and
-        ``False`` if it already started executing or completed.
-        """
-        with self._lock:
-            if self._cancelled:
-                return True
-            if self._claimed or self._event.is_set():
-                return False
-            self._cancelled = True
-        hook = self._cancel_hook
-        if hook is not None:
-            hook()
-        self._reject(RequestCancelled(
-            "request cancelled by the caller before execution"))
-        return True
-
-    def result(self, timeout: Optional[float] = None) -> List[np.ndarray]:
-        if not self._event.wait(timeout):
-            raise TimeoutError("Inference request did not complete in time")
-        if self._error is not None:
-            raise self._error
-        return self._outputs
-
-    # -- engine side -----------------------------------------------------------
-    def _claim(self) -> bool:
-        """Mark execution as started; cancellation loses the race from here."""
-        with self._lock:
-            if self._cancelled or self._event.is_set():
-                return False
-            self._claimed = True
-            return True
-
-    def _resolve(self, outputs: List[np.ndarray]) -> None:
-        self._outputs = outputs
-        self._event.set()
-
-    def _reject(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
-
-
-class _Request:
-    __slots__ = ("inputs", "future", "enqueued_at", "deadline", "priority",
-                 "seq")
-
-    def __init__(self, inputs: Dict[str, np.ndarray],
-                 deadline: Optional[float] = None, priority: int = 0):
-        self.inputs = inputs
-        self.future = InferenceFuture()
-        self.enqueued_at = time.monotonic()
-        self.deadline = deadline        #: absolute monotonic time, or None
-        self.priority = priority        #: higher pops first; ties FIFO
-        self.seq = -1                   #: admission order (set by the queue)
-
-    def expired(self, now: Optional[float] = None) -> bool:
-        return self.deadline is not None \
-            and (time.monotonic() if now is None else now) >= self.deadline
-
-
-class _AdmissionQueue:
-    """Bounded, priority-ordered admission queue with load shedding.
-
-    ``pop`` returns the highest-priority, earliest-admitted live request.
-    When full, ``put`` sheds: expired requests first (most expired first),
-    then the lowest-priority/newest candidate — which may be the incoming
-    request itself, in which case :class:`QueueFull` propagates to the
-    submitting caller.  Cancelled entries are dropped on sight; expired
-    entries are rejected with :class:`DeadlineExceeded`.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._cond = threading.Condition()
-        self._items: List[_Request] = []
-        self._seq = 0
-        self._closed = False
-        self.shed_queue_full = 0
-        self.shed_expired = 0
-
-    # Caller holds the lock for every _-method below.
-    def _purge(self, now: float) -> None:
-        kept = []
-        for request in self._items:
-            if request.future.cancelled():
-                continue
-            if request.expired(now):
-                self.shed_expired += 1
-                request.future._reject(DeadlineExceeded(
-                    f"deadline passed after "
-                    f"{now - request.enqueued_at:.3f}s in the admission "
-                    f"queue; the request was shed, not executed"))
-                continue
-            kept.append(request)
-        self._items = kept
-
-    def put(self, request: _Request) -> None:
-        with self._cond:
-            if self._closed:
-                raise ServingError("InferenceEngine has been shut down")
-            request.seq = self._seq
-            self._seq += 1
-            if len(self._items) >= self.maxsize:
-                self._purge(time.monotonic())
-            if len(self._items) >= self.maxsize:
-                victim = min(self._items + [request],
-                             key=lambda r: (r.priority, -r.seq))
-                self.shed_queue_full += 1
-                if victim is request:
-                    raise QueueFull(
-                        f"admission queue is full ({self.maxsize} queued) "
-                        f"and every queued request has priority >= "
-                        f"{request.priority}")
-                self._items.remove(victim)
-                victim.future._reject(QueueFull(
-                    f"shed from a full admission queue ({self.maxsize} "
-                    f"queued) by a higher-priority request"))
-            self._items.append(request)
-            self._cond.notify()
-
-    def pop(self, timeout: Optional[float] = None):
-        """The best live request, ``None`` on timeout, or the shutdown
-        sentinel once closed and empty."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while True:
-                now = time.monotonic()
-                self._purge(now)
-                if self._items:
-                    best = max(self._items,
-                               key=lambda r: (r.priority, -r.seq))
-                    self._items.remove(best)
-                    return best
-                if self._closed:
-                    return _SHUTDOWN
-                remaining = None if deadline is None else deadline - now
-                if remaining is not None and remaining <= 0:
-                    return None
-                self._cond.wait(remaining)
-
-    def depth(self) -> int:
-        with self._cond:
-            return len(self._items)
-
-    def deadline_headrooms(self, now: float) -> List[Optional[float]]:
-        """Remaining seconds until each live queued request's deadline
-        (``None`` = no deadline), in pop order — the adaptive batcher's
-        view of how much slack the queue has."""
-        with self._cond:
-            live = [request for request in self._items
-                    if not request.future.cancelled()
-                    and not request.expired(now)]
-        live.sort(key=lambda r: (-r.priority, r.seq))
-        return [None if request.deadline is None else request.deadline - now
-                for request in live]
-
-    def note_expired(self, count: int = 1) -> None:
-        """Record requests shed for expiry after they left the queue."""
-        with self._cond:
-            self.shed_expired += count
-
-    def counters(self) -> Dict[str, int]:
-        with self._cond:
-            return {"shed_queue_full": self.shed_queue_full,
-                    "shed_expired": self.shed_expired}
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    def drain_rejecting(self, error: BaseException) -> None:
-        with self._cond:
-            items, self._items = self._items, []
-        for request in items:
-            if not request.future.done():
-                request.future._reject(error)
-
-
-# ---------------------------------------------------------------------------
-# The engine
-# ---------------------------------------------------------------------------
 
 class InferenceEngine:
     """Queueing, dynamically batching, multi-device inference engine.
@@ -418,18 +99,14 @@ class InferenceEngine:
         if pool not in ("thread", "process"):
             raise ValueError(f"pool must be 'thread' or 'process', "
                              f"got {pool!r}")
-        if pool == "process" and tracker is not None:
-            raise ValueError(
-                "pool='process' workers own their devices directly and "
-                "cannot hold tracker leases; serve with pool='thread' to "
-                "combine dynamic batching with an RPC device pool")
         self.pool_kind = pool
         self.module = module
         self.devices = self._resolve_devices(module, devices)
         self.timeout_s = max(timeout_ms, 0.0) / 1000.0
 
-        reference = Executor(module, self.devices[0])
-        self._reference = reference
+        from .executor import Executor, _ExecutorBackend
+
+        self._reference = reference = Executor(module, self.devices[0])
         specs = reference.input_specs
         batchable = (bool(specs)
                      and all(s.shape and len(s.shape) >= 1 for s in specs)
@@ -449,7 +126,7 @@ class InferenceEngine:
         self.max_batch = max_batch
         self.native_batch = specs[0].shape[0] if batchable else 1
         self._cost = _BatchCostModel(module, [s.name for s in specs],
-                                     self.native_batch if batchable else 1)
+                                     self.native_batch)
         if self._adaptive:
             # Adaptive sizing consults the cost model on every dispatch
             # decision; estimating a batch size is a one-off compile that
@@ -459,54 +136,25 @@ class InferenceEngine:
             for size in range(1, self.max_batch + 1):
                 self._cost.times_for(size * self.native_batch)
 
-        # Optional RPC leases: one exclusive device lease per worker.
-        self._sessions = []
-        if tracker is not None:
-            if rpc_key is None:
-                raise ValueError("serve(tracker=...) also needs rpc_key= (the "
-                                 "device key registered with the tracker)")
-            try:
-                for _ in self.devices:
-                    self._sessions.append(
-                        tracker.request(rpc_key, timeout=lease_timeout))
-            except Exception:
-                for session in self._sessions:
-                    session.release()
-                raise
-
-        # Execution back-end: per-device Executors on worker *threads*
-        # (pool="thread"), or one worker *process* per device mapped onto a
-        # shared-memory parameter arena (pool="process" — true parallelism
-        # outside the GIL; see runtime/procpool/).
-        self._procpool = None
-        self._owned_bundle: Optional[str] = None
+        # The one execution back-end, chosen once (nothing outside __init__
+        # names one): per-device Executors on this process's worker threads,
+        # optionally under tracker leases, or one worker *process* per device
+        # over a shared-memory parameter arena (true parallelism outside the
+        # GIL; see runtime/procpool/) booted from ``bundle_path`` — or, given
+        # a live module (None), from a temporary bundle the pool owns.
         if pool == "process":
+            if tracker is not None:
+                raise ValueError(
+                    "pool='process' workers own their devices directly and "
+                    "cannot hold tracker leases; serve with pool='thread' to "
+                    "combine dynamic batching with an RPC device pool")
             from .procpool import ModuleWorkerPool
 
-            if bundle_path is None:
-                # Workers boot from an exported artifact; when handed a live
-                # module the engine exports (and owns) a temporary bundle.
-                handle, bundle_path = tempfile.mkstemp(prefix="repro-serve-",
-                                                       suffix=".module")
-                os.close(handle)
-                self._owned_bundle = bundle_path
-                from .artifact import export_module
-
-                try:
-                    export_module(module, bundle_path)
-                except BaseException:
-                    os.unlink(bundle_path)
-                    raise
-            try:
-                self._procpool = ModuleWorkerPool(module, bundle_path,
-                                                  self.devices)
-            except BaseException:
-                if self._owned_bundle is not None:
-                    os.unlink(self._owned_bundle)
-                raise
-            self._executors: List[Executor] = []
+            self._backend = ModuleWorkerPool(module, bundle_path, self.devices)
         else:
-            self._executors = [Executor(module, dev) for dev in self.devices]
+            self._backend = _ExecutorBackend(module, self.devices,
+                                             tracker=tracker, rpc_key=rpc_key,
+                                             lease_timeout=lease_timeout)
         self.max_queue = max_queue
         self._admission = _AdmissionQueue(max_queue)
         # Bounded worker queues (two batches each): backpressure from a slow
@@ -525,10 +173,9 @@ class InferenceEngine:
         self._n_cancelled = 0
         self._deadline_violations = 0
         self._occupancy: Dict[int, int] = {}
-        self._wall_latencies: List[float] = []
-        self._sim_latencies: List[float] = []
-        self._queue_waits: List[float] = []
-        self._exec_latencies: List[float] = []
+        #: (simulated, wall, queue-wait, execution) seconds of the most
+        #: recent _LATENCY_WINDOW resolved requests (see stats())
+        self._latency_samples = collections.deque(maxlen=_LATENCY_WINDOW)
         #: adaptive batcher decisions: chosen batch-size limit -> count
         self._adaptive_decisions: Dict[int, int] = {}
         self._device_busy = [0.0 for _ in self.devices]
@@ -633,39 +280,18 @@ class InferenceEngine:
 
     # ------------------------------------------------------------------ batching
     def _choose_batch_size(self, first: _Request) -> int:
-        """Adaptive sizing: the batch-size limit that maximises estimated
-        goodput (deadline-meeting requests per simulated second).
-
-        Consults :meth:`_BatchCostModel.times_for` for the per-batch latency
-        estimate at each candidate size, the admission queue's current depth
-        (never waits for requests that have not arrived), and each waiting
-        request's deadline headroom (a request whose slack is smaller than
-        the batch estimate cannot contribute goodput).  Candidates whose
-        estimate exceeds the ``p99_target_ms`` knob are rejected outright —
-        except size one, which is the only way to serve at all.
-        """
+        """Adaptive sizing: ask :func:`~repro.runtime.batching._choose_batch_size`
+        with the popped request's and the queue's deadline headrooms, and
+        record the decision."""
         now = time.monotonic()
         headrooms = [None if first.deadline is None else first.deadline - now]
         headrooms.extend(self._admission.deadline_headrooms(now))
-        cap = max(1, min(self.max_batch, len(headrooms)))
-        best_size, best_goodput = 1, -1.0
-        for size in range(1, cap + 1):
-            try:
-                batch_time, _ = self._cost.times_for(size * self.native_batch)
-            except Exception:
-                break           # un-estimable size: keep the best so far
-            if self.p99_target_s is not None \
-                    and batch_time > self.p99_target_s and size > 1:
-                break           # estimates are monotone in rows; stop here
-            served = sum(1 for headroom in headrooms[:size]
-                         if headroom is None or headroom >= batch_time)
-            goodput = served / batch_time if batch_time > 0 else float(served)
-            if goodput > best_goodput:
-                best_goodput, best_size = goodput, size
+        size = _choose_batch_size(self.estimated_batch_time, headrooms,
+                                  self.max_batch, self.p99_target_s)
         with self._stats_lock:
-            self._adaptive_decisions[best_size] = \
-                self._adaptive_decisions.get(best_size, 0) + 1
-        return best_size
+            self._adaptive_decisions[size] = \
+                self._adaptive_decisions.get(size, 0) + 1
+        return size
 
     def _batcher_loop(self) -> None:
         while True:
@@ -716,13 +342,10 @@ class InferenceEngine:
                 index = alive[(self._n_batches + attempt) % len(alive)] \
                     if alive else -1
             if not alive:
-                error = RuntimeError(
+                _reject_all(batch, RuntimeError(
                     "every serving worker has died; the engine cannot serve "
                     f"(first failure: "
-                    f"{next(iter(self._worker_errors.values()), None)!r})")
-                for request in batch:
-                    if not request.future.done():
-                        request.future._reject(error)
+                    f"{next(iter(self._worker_errors.values()), None)!r})"))
                 return
             try:
                 # Bounded put: a full queue means the device is behind — try
@@ -746,49 +369,38 @@ class InferenceEngine:
     # ------------------------------------------------------------------ workers
     def _worker_loop(self, index: int) -> None:
         worker_queue = self._worker_queues[index]
-        batch: Optional[List[_Request]] = None
+        batch: List[_Request] = []
         try:
             while True:
                 batch = worker_queue.get()
                 if batch is _SHUTDOWN:
-                    batch = None
                     break
                 try:
-                    if self._sessions:
-                        self._sessions[index].execute(self._run_batch, index,
-                                                      batch)
-                    else:
-                        self._run_batch(index, batch)
+                    self._run_batch(index, batch)
                 except Exception as exc:
-                    for request in batch:
-                        if not request.future.done():
-                            request.future._reject(exc)
-                batch = None
+                    _reject_all(batch, exc)
         except BaseException as exc:   # noqa: BLE001 — see _abandon_worker
             # The batch in flight when the thread died was already popped
             # from the queue — reject it here or its callers hang forever.
-            if batch is not None:
-                for request in batch:
-                    if not request.future.done():
-                        request.future._reject(exc)
+            _reject_all(batch, exc)
             self._abandon_worker(index, exc)
             raise
         finally:
-            # The worker owns its device lease: release only once no more
-            # batches can reach it, so a shutdown(wait=False) can never yank
-            # the session out from under a queued batch.
-            if self._sessions:
-                self._sessions[index].release()
+            # The worker owns its slot of the back-end (e.g. a device
+            # lease): release only once no more batches can reach it, so a
+            # shutdown(wait=False) can never yank it out from under a
+            # queued batch.
+            self._backend.release(index)
 
     def _abandon_worker(self, index: int, error: BaseException) -> None:
         """A worker thread is dying: propagate failure, never hang clients.
 
         Every future already queued to the worker is rejected, and
         :meth:`_dispatch` stops routing new batches to it (rejecting
-        immediately once no workers remain).  The process pool honours the
-        same contract one level down — a worker *process* crash surfaces as
-        an exception in :meth:`_run_batch`, resolving every pending future —
-        so no failure mode leaves a caller blocked on ``future.result()``.
+        immediately once no workers remain).  The back-ends honour the same
+        contract one level down — a worker *process* crash surfaces as an
+        exception from ``run_batch``, resolving every pending future — so
+        no failure mode leaves a caller blocked on ``future.result()``.
         """
         with self._stats_lock:
             self._dead_workers.add(index)
@@ -807,11 +419,8 @@ class InferenceEngine:
                 batch = worker_queue.get_nowait()
             except queue.Empty:
                 return
-            if batch is _SHUTDOWN:
-                continue
-            for request in batch:
-                if not request.future.done():
-                    request.future._reject(error)
+            if batch is not _SHUTDOWN:
+                _reject_all(batch, error)
 
     def _run_batch(self, index: int, batch: List[_Request]) -> None:
         # Last line of defence before execution: shed requests whose
@@ -834,33 +443,15 @@ class InferenceEngine:
         if not runnable:
             return
         batch = runnable
-        rows = len(batch) * self.native_batch
-        try:
-            batch_time, _per_kernel = self._cost.times_for(rows)
-        except Exception as exc:
-            for request in batch:
-                request.future._reject(exc)
-            return
+        batch_time = self.estimated_batch_time(len(batch))
         exec_start = time.monotonic()
-        if self._procpool is not None:
-            # One round trip to worker process `index`: inputs and outputs
-            # travel through a per-batch shm arena; each entry is the
-            # request's output arrays or its per-request error.  Worker death
-            # is respawned + retried inside the pool; an exhausted retry
-            # raises and _worker_loop rejects the whole batch.
-            outcomes = self._procpool.run_batch(
-                index, [request.inputs for request in batch])
-        else:
-            executor = self._executors[index]
-            outcomes = []
-            for request in batch:
-                try:
-                    outcomes.append(executor._execute(request.inputs).outputs)
-                except Exception as exc:
-                    outcomes.append(exc)
-        wall_latencies = []
-        queue_waits = []
-        exec_latencies = []
+        # One call into the back-end: each entry is the request's output
+        # arrays or its per-request error.  A failure of the whole batch
+        # (an un-estimable size above, a worker process dead beyond its
+        # retries here) raises, and _worker_loop rejects every request in it.
+        outcomes = self._backend.run_batch(
+            index, [request.inputs for request in batch])
+        samples = []
         violations = 0
         done_at = time.monotonic()
         for request, outcome in zip(batch, outcomes):
@@ -873,9 +464,8 @@ class InferenceEngine:
             future.wall_latency = done_at - request.enqueued_at
             future.queue_wait = exec_start - request.enqueued_at
             future.execute_latency = done_at - exec_start
-            wall_latencies.append(future.wall_latency)
-            queue_waits.append(future.queue_wait)
-            exec_latencies.append(future.execute_latency)
+            samples.append((batch_time, future.wall_latency,
+                            future.queue_wait, future.execute_latency))
             # Finished late: the caller still gets the outputs (the work is
             # done), but the SLO miss is counted.
             if request.expired(done_at):
@@ -884,10 +474,7 @@ class InferenceEngine:
         with self._stats_lock:
             self._n_requests += len(batch)
             self._device_busy[index] += batch_time
-            self._sim_latencies.extend([batch_time] * len(batch))
-            self._wall_latencies.extend(wall_latencies)
-            self._queue_waits.extend(queue_waits)
-            self._exec_latencies.extend(exec_latencies)
+            self._latency_samples.extend(samples)
             self._deadline_violations += violations
 
     # ------------------------------------------------------------------ stats
@@ -896,7 +483,7 @@ class InferenceEngine:
         return self._cost.times_for(n_requests * self.native_batch)[0]
 
     @staticmethod
-    def _percentiles(samples: List[float]) -> Dict[str, float]:
+    def _percentiles(samples: Sequence[float]) -> Dict[str, float]:
         if not samples:
             return {"p50_ms": 0.0, "p99_ms": 0.0, "mean_ms": 0.0}
         data = np.asarray(samples)
@@ -910,22 +497,26 @@ class InferenceEngine:
         ``simulated`` timings come from the per-batch kernel estimates (the
         engine's simulated clock: each device's busy time is the sum of its
         batch times; the makespan is the busiest device); ``wall`` timings
-        are host wall-clock observations of this Python process.
+        are host wall-clock observations of this Python process.  Counters
+        (requests, batches, occupancy, sheds, violations) are exact over the
+        engine's lifetime; the four latency summaries (``simulated.latency``
+        and ``wall.latency`` / ``queue_wait`` / ``execution``) cover the
+        most recent ``_LATENCY_WINDOW`` resolved requests, so a long-lived
+        engine's memory and ``stats()`` cost stay bounded.
         """
         with self._stats_lock:
             requests = self._n_requests
             batches = self._n_batches
             occupancy = dict(sorted(self._occupancy.items()))
             busy = list(self._device_busy)
-            wall = list(self._wall_latencies)
-            sim = list(self._sim_latencies)
-            queue_waits = list(self._queue_waits)
-            exec_latencies = list(self._exec_latencies)
+            samples = list(self._latency_samples)
             decisions = dict(sorted(self._adaptive_decisions.items()))
             cancelled = self._n_cancelled
             violations = self._deadline_violations
             end = self._stopped_at or time.monotonic()
             duration = max(end - self._started_at, 1e-12)
+        sim, wall, queue_waits, exec_latencies = \
+            zip(*samples) if samples else ((), (), (), ())
         shed = self._admission.counters()
         makespan = max(busy) if busy else 0.0
         mean_occupancy = (sum(size * count for size, count in occupancy.items())
@@ -971,8 +562,9 @@ class InferenceEngine:
                 "deadline_violations": violations,
             },
         }
-        if self._procpool is not None:
-            result["process_workers"] = self._procpool.stats()
+        workers = self._backend.stats()
+        if workers:
+            result["process_workers"] = workers
         return result
 
     # ------------------------------------------------------------------ lifecycle
@@ -996,33 +588,20 @@ class InferenceEngine:
                     "was served"))
             self._admission.close()
         if wait:
-            self._batcher.join()
-            for worker in self._workers:
-                worker.join()
-            self._finalize_pool()
-        elif self._procpool is not None or self._owned_bundle is not None:
-            threading.Thread(target=self._deferred_finalize, daemon=True,
+            self._finalize()
+        else:
+            threading.Thread(target=self._finalize, daemon=True,
                              name="repro-serve-finalize").start()
         with self._stats_lock:
             self._stopped_at = time.monotonic()
 
-    def _deferred_finalize(self) -> None:
+    def _finalize(self) -> None:
+        """Wait out the batcher and the workers, then release whatever the
+        back-end still holds (processes, shm segments, bundle, leases)."""
         self._batcher.join()
         for worker in self._workers:
             worker.join()
-        self._finalize_pool()
-
-    def _finalize_pool(self) -> None:
-        """Stop the worker processes (if any), unlink every shm segment the
-        pool created, and delete the engine-owned temporary bundle."""
-        if self._procpool is not None:
-            self._procpool.shutdown()
-        if self._owned_bundle is not None:
-            try:
-                os.unlink(self._owned_bundle)
-            except OSError:
-                pass
-            self._owned_bundle = None
+        self._backend.shutdown()
 
     def __enter__(self) -> "InferenceEngine":
         return self
@@ -1059,8 +638,6 @@ def serve(module_or_path: Union[CompiledModule, str], *,
         waiting requests' deadline headroom (capped at
         ``adaptive_max_batch``), so a lone request under light load
         dispatches immediately instead of idling out the coalescing window.
-        With an integer ``max_batch`` the static path is byte-for-byte the
-        pre-adaptive behaviour.
     p99_target_ms / adaptive_max_batch:
         Adaptive-policy knobs: candidate batch sizes whose estimated
         per-batch latency exceeds ``p99_target_ms`` are never chosen

@@ -291,11 +291,9 @@ class TestCompileFrontDoor:
         module = repro.compile(graph, target=cuda(), params=params,
                                input_shapes={"data": (1, 4, 8, 8)})
 
-        executor = module.executor()
-        executor.set_input(**module.params)
-        executor.run(data=np.random.default_rng(2)
-                     .random((1, 4, 8, 8)).astype("float32"))
-        assert executor.get_output(0).asnumpy().shape == (1, 4, 8, 8)
+        outputs = repro.Executor(module)(
+            np.random.default_rng(2).random((1, 4, 8, 8)).astype("float32"))
+        assert outputs[0].shape == (1, 4, 8, 8)
         # The add fused somewhere downstream, never ahead of its producers.
         computed = set(n.name for n in module.graph.input_nodes)
         for kernel in module.kernels:
@@ -304,21 +302,10 @@ class TestCompileFrontDoor:
                     assert parent.name in computed or parent.name in module.params
                 computed.add(node.name)
 
-    def test_executor_factory_matches_runtime_create(self):
-        graph, params, shapes = _small_cnn()
-        module = repro.compile((graph, params, shapes), target=cuda())
-        data = np.random.default_rng(0).random(shapes["data"]).astype("float32")
-
-        via_factory = module.executor()
-        via_factory.set_input(**module.params)
-        via_factory.run(data=data)
-
-        via_runtime = runtime.create(module)
-        via_runtime.set_input(**module.params)
-        via_runtime.run(data=data)
-
-        np.testing.assert_allclose(via_factory.get_output(0).asnumpy(),
-                                   via_runtime.get_output(0).asnumpy())
+    def test_executor_is_the_only_front_door(self):
+        assert not hasattr(CompiledModule, "executor")
+        assert not hasattr(runtime, "create")
+        assert not hasattr(runtime, "GraphExecutor")
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +344,7 @@ class TestExportLoad:
 
 
 def _output(module, data):
-    executor = module.executor()
-    executor.set_input(**module.params)
-    executor.run(data=data)
-    return executor.get_output(0).asnumpy()
+    return repro.Executor(module)(data=data)[0].asnumpy()
 
 
 class TestFrameworkOverhead:
@@ -390,6 +374,21 @@ class TestTopLevelExports:
             # deleted module)
             assert all(hasattr(module, entry)
                        for entry in getattr(module, "__all__", ()))
+
+    def test_runtime_packages_advertise_only_what_exists(self):
+        # The names this round removed stay removed, and nothing in
+        # __all__ points at a deleted definition.
+        from repro.runtime import procpool
+
+        for package in (repro.runtime, procpool):
+            missing = [entry for entry in package.__all__
+                       if not hasattr(package, entry)]
+            assert missing == [], (package.__name__, missing)
+        for gone in ("GraphExecutor", "create", "Context", "WorkerPool",
+                     "connect_tracker"):
+            assert gone not in repro.runtime.__all__
+            assert not hasattr(repro.runtime, gone)
+        assert "WorkerPool" not in procpool.__all__
 
     def test_compile_and_pass_context_exported(self):
         from repro.compiler import compile as compiler_compile

@@ -11,7 +11,6 @@ from repro.frontend import (
     from_onnx,
 )
 from repro.hardware import arm_cpu, cuda
-from repro.runtime import graph_executor
 
 
 def _keras_cnn_layers():
@@ -152,10 +151,8 @@ class TestFromKeras:
         graph, params = from_keras(_keras_cnn_layers(), input_shape=(3, 16, 16))
         module = repro.compile(graph, target=cuda(), params=params,
                                opt_level=2)
-        executor = graph_executor.create(module)
-        executor.set_input(**module.params)
-        executor.run(data=np.random.rand(1, 3, 16, 16).astype("float32"))
-        out = executor.get_output(0).asnumpy()
+        out = repro.Executor(module)(
+            data=np.random.rand(1, 3, 16, 16).astype("float32"))[0].asnumpy()
         assert out.shape == (1, 5)
         assert np.allclose(out.sum(), 1.0, atol=1e-4)   # softmax output
 
@@ -280,8 +277,7 @@ class TestFromONNX:
         graph, params = from_onnx(_onnx_mlp())
         module = repro.compile(graph, target=arm_cpu(), params=params,
                                opt_level=2)
-        executor = graph_executor.create(module)
-        executor.set_input(**module.params)
-        executor.run(data=np.random.rand(1, 16).astype("float32"))
-        assert executor.get_output(0).asnumpy().shape == (1, 4)
+        outputs = repro.Executor(module)(
+            data=np.random.rand(1, 16).astype("float32"))
+        assert outputs[0].shape == (1, 4)
         assert module.total_time > 0

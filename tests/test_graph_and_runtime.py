@@ -87,11 +87,9 @@ def test_build_and_execute_matches_numpy_reference():
     target = cuda()
     module = repro.compile(graph, target=target, params=params, opt_level=2)
     params = module.params
-    executor = runtime.create(module)
-    executor.set_input(**params)
     data = np.random.rand(1, 3, 16, 16).astype("float32")
-    executor.run(data=data)
-    out = executor.get_output(0).asnumpy()
+    result = runtime.Executor(module).run({"data": data})
+    out = result.outputs[0]
 
     # Independent NumPy composition of the same network.
     conv = ref.conv2d_nchw(data, params["conv0_weight"], 1, 1)
@@ -103,8 +101,8 @@ def test_build_and_execute_matches_numpy_reference():
     logits = ref.dense(flat, params["fc_weight"])
     expected = ref.softmax(logits)
     np.testing.assert_allclose(out, expected, rtol=1e-4, atol=1e-5)
-    assert executor.last_run_time > 0
-    assert abs(sum(t for _n, t in executor.profile()) - executor.last_run_time) < 1e-9
+    assert result.total_time > 0
+    assert abs(sum(t for _n, t in result.per_kernel) - result.total_time) < 1e-9
 
 
 def test_opt_levels_monotonically_improve_latency():

@@ -185,3 +185,59 @@ def test_unrolling_never_increases_counted_traffic(factor):
                    for a in tir.extract_features(func).buffer_access.values())
 
     assert traffic(True) <= traffic(False)
+
+
+# ---------------------------------------------------------------------------
+# Compiled bounds programs (tir.analysis) vs the recursive te.expr_bounds
+# ---------------------------------------------------------------------------
+
+_BOUND_VARS = [te.Var(name) for name in ("i", "j", "k")]
+
+
+def _bounds_exprs():
+    """Random affine/min/max/floordiv/mod/select index expressions (plus a
+    cast and a comparison-as-value, which take the union fallback)."""
+    from repro.te import expr as E
+
+    leaves = st.one_of(
+        # by index: sampled_from would compare the (symbolic) Vars
+        st.integers(min_value=0, max_value=2).map(_BOUND_VARS.__getitem__),
+        st.integers(min_value=-8, max_value=8).map(E.IntImm))
+    binary = st.sampled_from([E.Add, E.Sub, E.Mul, E.FloorDiv, E.Mod, E.Min,
+                              E.Max, E.LT])
+
+    def extend(children):
+        return st.one_of(
+            st.builds(lambda op, a, b: op(a, b), binary, children, children),
+            # the split/fuse index shapes: x // c and x % c, c a positive const
+            st.builds(lambda op, a, c: op(a, E.IntImm(c)),
+                      st.sampled_from([E.FloorDiv, E.Mod]), children,
+                      st.integers(min_value=1, max_value=9)),
+            st.builds(lambda c, t, f: E.Select(E.LT(c, t), t, f),
+                      children, children, children),
+            st.builds(lambda a: E.Cast(a, "int64"), children))
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@given(expr=_bounds_exprs(),
+       ranges=st.lists(st.tuples(st.integers(min_value=-16, max_value=16),
+                                 st.integers(min_value=0, max_value=32)),
+                       min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_compiled_bounds_program_is_bit_identical_to_expr_bounds(expr, ranges):
+    # tir.analysis promises that replaying a compiled postorder program does
+    # the same arithmetic on the same values in the same order as the
+    # recursive te.expr_bounds: equal intervals, equal number types.
+    from repro.te.expr import Interval, collect_vars, expr_bounds
+    from repro.tir.analysis import _compile_bounds, _eval_bounds
+
+    intervals = {var: (low, low + span)
+                 for var, (low, span) in zip(_BOUND_VARS, ranges)}
+    free, program = _compile_bounds(expr)
+    assert [id(v) for v in free] == [id(v) for v in collect_vars(expr)]
+    want = expr_bounds(expr, {var: Interval(*bounds)
+                              for var, bounds in intervals.items()})
+    got = _eval_bounds(program, intervals)
+    assert got == (want.low, want.high)
+    assert [type(x) for x in got] == [type(want.low), type(want.high)]

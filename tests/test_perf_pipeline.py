@@ -219,10 +219,10 @@ class TestTaskEvalCache:
         finally:
             small_task.template = original
 
-    def test_clear_shared_features_alias(self, small_task):
+    def test_clear_eval_caches_empties_the_feature_cache(self, small_task):
         small_task.features_of(0)
         assert len(FEATURE_CACHE) > 0
-        ModelBasedTuner.clear_shared_features()
+        clear_eval_caches()
         assert len(FEATURE_CACHE) == 0
 
 

@@ -3,8 +3,10 @@ shared-memory arenas, the framed dispatch protocol's end-to-end behaviour,
 worker death / respawn, bit-identical serving, and the
 no-leaked-``/dev/shm``-segments contract."""
 
+import glob
 import os
 import signal
+import tempfile
 import time
 
 import numpy as np
@@ -13,7 +15,8 @@ import pytest
 import repro
 from repro.frontend import ModelBuilder
 from repro.hardware import cuda
-from repro.runtime import Executor, ModuleWorkerPool, ShmArena, leaked_segments
+from repro.runtime import (Executor, ModuleWorkerPool, ShmArena, Tracker,
+                           leaked_segments)
 from repro.runtime.artifact import export_module, load_module
 
 
@@ -186,21 +189,43 @@ class TestModuleWorkerPool:
 # ---------------------------------------------------------------------------
 
 class TestProcessServing:
-    def test_thread_and_process_fingerprints_bit_identical(
-            self, module, requests_and_expected):
+    @pytest.mark.parametrize("backend",
+                             ["thread", "thread+tracker", "process"])
+    def test_backends_bit_identical_and_release_everything(
+            self, module, requests_and_expected, backend):
+        # One matrix over the engine's back-ends: the same bytes out, and
+        # after shutdown() nothing is left behind — no hung future, no held
+        # lease, no /dev/shm segment, no temporary bundle.
         inputs, expected = requests_and_expected
-        results = {}
-        for pool in ("thread", "process"):
-            with repro.serve(module, devices=2, max_batch=2, timeout_ms=50,
-                             pool=pool) as engine:
-                results[pool] = engine.infer_many(
-                    [{"data": x} for x in inputs], timeout=60)
-                assert engine.stats()["pool"] == pool
-        for thread_out, process_out, want in zip(results["thread"],
-                                                 results["process"], expected):
-            assert thread_out[0].tobytes() == process_out[0].tobytes()
-            np.testing.assert_array_equal(process_out[0], want)
+        tracker, kwargs = None, {}
+        if backend == "process":
+            kwargs = {"pool": "process"}
+        elif backend == "thread+tracker":
+            tracker = Tracker()
+            tracker.register_device("titan-x", cuda().model, count=2)
+            kwargs = {"tracker": tracker, "rpc_key": "titan-x"}
+
+        def temp_bundles():
+            return set(glob.glob(os.path.join(tempfile.gettempdir(),
+                                              "repro-serve-*.module")))
+
+        before = temp_bundles()
+        engine = repro.serve(module, devices=2, max_batch=2, timeout_ms=50,
+                             **kwargs)
+        owned = temp_bundles() - before
+        assert len(owned) == (1 if backend == "process" else 0)
+        if tracker is not None:
+            assert tracker.summary()["titan-x"]["free"] == 0
+        futures = [engine.submit(data=x) for x in inputs]
+        engine.shutdown()
+        assert all(future.done() for future in futures)
+        for future, want in zip(futures, expected):
+            assert future.result(0)[0].tobytes() == want.tobytes()
+        assert engine.stats()["pool"] == kwargs.get("pool", "thread")
+        if tracker is not None:
+            assert tracker.summary()["titan-x"]["free"] == 2
         assert leaked_segments() == []
+        assert not (temp_bundles() & owned)
 
     def test_engine_survives_worker_process_kill(self, module,
                                                  requests_and_expected):
@@ -208,7 +233,7 @@ class TestProcessServing:
         with repro.serve(module, devices=2, max_batch=1, timeout_ms=5,
                          pool="process") as engine:
             engine.infer(data=inputs[0], timeout=60)
-            os.kill(engine._procpool.pids()[0], signal.SIGKILL)
+            os.kill(engine._backend.pids()[0], signal.SIGKILL)
             results = engine.infer_many([{"data": x} for x in inputs],
                                         timeout=60)
             for got, want in zip(results, expected):
@@ -241,10 +266,14 @@ class TestThreadWorkerDeath:
         inputs, expected = requests_and_expected
         engine = repro.serve(module, devices=2, max_batch=1, timeout_ms=5)
         try:
-            def boom(validated):
-                raise _WorkerThreadDeath("executor melted")
+            original = engine._backend.run_batch
 
-            engine._executors[0]._execute = boom
+            def boom(index, requests):
+                if index == 0:
+                    raise _WorkerThreadDeath("executor melted")
+                return original(index, requests)
+
+            engine._backend.run_batch = boom
             futures = [engine.submit(data=x) for x in inputs]
             outcomes = []
             for future in futures:

@@ -11,7 +11,7 @@ import repro
 from repro import runtime
 from repro.frontend import ModelBuilder, resnet18
 from repro.hardware import arm_cpu, create_target, cuda, vdla
-from repro.runtime import (ArtifactError, Context, Device, Executor, NDArray,
+from repro.runtime import (ArtifactError, Device, Executor, NDArray,
                            device, load_module)
 from repro.runtime.artifact import graph_from_json, graph_to_json
 
@@ -59,24 +59,27 @@ class TestDevice:
         with pytest.raises(ValueError):
             Device("gpu", -1)
 
-    def test_context_is_device_alias(self):
-        # The seed-era name keeps working and compares equal.
-        assert Context is Device
+    def test_device_equality_hash_and_repr(self):
         assert runtime.gpu(1) == Device("gpu", 1)
         assert repr(Device("gpu", 1)) == "gpu:1"
         assert hash(Device("cpu", 0)) == hash(runtime.cpu())
 
-    def test_seed_era_ctx_keyword_still_accepted(self):
+    def test_device_is_the_only_placement_keyword(self):
         data = np.zeros((2, 2), "float32")
-        assert runtime.array(data, ctx=runtime.gpu(0)).device == Device("gpu", 0)
-        assert NDArray(data, ctx=runtime.cpu(1)).device == Device("cpu", 1)
-        assert runtime.empty((2, 2), ctx=runtime.gpu(2)).device == Device("gpu", 2)
+        assert runtime.array(data, device=runtime.gpu(0)).device == Device("gpu", 0)
+        assert runtime.empty((2, 2), device=runtime.gpu(2)).device == Device("gpu", 2)
+        assert not hasattr(runtime, "Context")
+        for make in (lambda: runtime.array(data, ctx=runtime.gpu(0)),
+                     lambda: NDArray(data, ctx=runtime.cpu(1)),
+                     lambda: runtime.empty((2, 2), ctx=runtime.gpu(2))):
+            with pytest.raises(TypeError, match="ctx"):
+                make()
 
     def test_ndarray_device_and_cross_device_copyto(self):
         data = np.random.default_rng(0).random((2, 3)).astype("float32")
         array = runtime.array(data, runtime.gpu(0))
         assert array.device == Device("gpu", 0)
-        assert array.ctx == array.device  # deprecated alias
+        assert not hasattr(array, "ctx")
         moved = array.copyto("cpu:1")
         assert isinstance(moved, NDArray)
         assert moved.device == Device("cpu", 1)
@@ -101,14 +104,6 @@ class TestExecutor:
         assert by_dict[0].device == Device("gpu", 0)
         np.testing.assert_array_equal(by_dict[0].asnumpy(), by_pos[0].asnumpy())
         np.testing.assert_array_equal(by_dict[0].asnumpy(), by_kw[0].asnumpy())
-
-    def test_matches_graph_executor(self, cnn_module, cnn_input):
-        legacy = cnn_module.executor()
-        legacy.set_input(**cnn_module.params)
-        legacy.run(data=cnn_input)
-        stateless = Executor(cnn_module)(cnn_input)
-        np.testing.assert_array_equal(legacy.get_output(0).asnumpy(),
-                                      stateless[0].asnumpy())
 
     def test_missing_input_lists_specs(self, cnn_module):
         executor = Executor(cnn_module)
@@ -164,28 +159,33 @@ class TestParamProtection:
     def test_tensor_map_never_aliases_params(self, cnn_input):
         module = repro.compile(_small_cnn(), target=cuda())
         before = {name: value.copy() for name, value in module.params.items()}
-        legacy = module.executor()
-        legacy.run(data=cnn_input)
-        first = legacy.get_output(0).asnumpy()
+        executor = Executor(module)
+        first = executor(cnn_input)[0].asnumpy()
 
-        # A caller (or an in-place kernel) mutating a tensor-map entry that
-        # names a parameter must raise, not corrupt the module's weights.
+        # An in-place kernel mutating a tensor-map entry that names a
+        # parameter must raise, not corrupt the module's weights.
         param_name = next(node.name for node in module.graph.input_nodes
                           if node.name in module.params)
-        held = legacy.get_node_output(param_name)
-        with pytest.raises(ValueError):
-            held += 1.0
+
+        class _InPlaceKernel:
+            name, time_seconds = "clobber", 0.0
+
+            @staticmethod
+            def run(tensors):
+                tensors[param_name] += 1.0
+
+        module.kernels.insert(0, _InPlaceKernel())
+        with pytest.raises(ValueError, match="read-only"):
+            executor(cnn_input)
+        del module.kernels[0]
         for name, value in module.params.items():
             np.testing.assert_array_equal(value, before[name])
+        np.testing.assert_array_equal(executor(cnn_input)[0].asnumpy(), first)
 
-        legacy.run(data=cnn_input)
-        np.testing.assert_array_equal(legacy.get_output(0).asnumpy(), first)
-
-    def test_graph_executor_missing_input_message(self):
+    def test_run_missing_input_message(self):
         module = repro.compile(_small_cnn(), target=cuda())
-        legacy = module.executor()
         with pytest.raises(ValueError) as exc:
-            legacy.run()
+            Executor(module).run({})
         assert "data" in str(exc.value)
         assert "(1, 3, 16, 16)" in str(exc.value)
 

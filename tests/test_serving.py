@@ -12,7 +12,7 @@ from repro.frontend import ModelBuilder
 from repro.hardware import cuda
 from repro.runtime import (DeadlineExceeded, Executor, QueueFull,
                            RequestCancelled, RPCServer, ServingError, Tracker)
-from repro.runtime.serving import _AdmissionQueue, _Request
+from repro.runtime.admission import _AdmissionQueue, _Request
 
 
 def _small_cnn():
@@ -168,6 +168,23 @@ class TestInferenceEngine:
             time.sleep(0.01)
         assert tracker.summary()["titan-x"]["free"] == 1
 
+    def test_latency_series_are_windowed_counters_stay_exact(
+            self, module, requests_and_expected, monkeypatch):
+        # A long-lived engine must not grow one float per request forever:
+        # the latency samples keep the last _LATENCY_WINDOW requests
+        # while every counter still covers the engine's whole lifetime.
+        from repro.runtime import serving
+
+        monkeypatch.setattr(serving, "_LATENCY_WINDOW", 3)
+        inputs, _ = requests_and_expected
+        with repro.serve(module, max_batch=1) as engine:
+            engine.infer_many([{"data": x} for x in inputs], timeout=30)
+        stats = engine.stats()
+        assert stats["requests"] == stats["batches"] == len(inputs)
+        assert stats["batch_occupancy"] == {1: len(inputs)}
+        assert len(engine._latency_samples) == 3
+        assert stats["wall"]["latency"]["mean_ms"] > 0.0
+
     def test_engine_validates_knobs(self, module):
         with pytest.raises(ValueError, match="max_batch"):
             repro.serve(module, max_batch=0)
@@ -225,10 +242,10 @@ class TestTrackerServing:
                              rpc_key="titan-x")
         assert tracker.summary()["titan-x"]["free"] == 0
 
-        def boom(inputs):
+        def boom(index, requests):
             raise _WorkerThreadDeath("simulated executor death")
 
-        engine._executors[0]._execute = boom
+        engine._backend.run_batch = boom
         future = engine.submit(data=np.zeros((1, 3, 16, 16), "float32"))
         with pytest.raises(_WorkerThreadDeath):
             future.result(30)
@@ -308,19 +325,19 @@ class TestTrackerRequest:
 # ---------------------------------------------------------------------------
 
 def _gated_engine(module, **kwargs):
-    """An engine whose single executor blocks on ``gate``; ``entered`` is
-    set the moment a batch reaches execution (i.e. after it was claimed)."""
+    """An engine whose back-end blocks on ``gate``; ``entered`` is set the
+    moment a batch reaches execution (i.e. after it was claimed)."""
     engine = repro.serve(module, **kwargs)
     gate = threading.Event()
     entered = threading.Event()
-    original = engine._executors[0]._execute
+    original = engine._backend.run_batch
 
-    def gated(inputs):
+    def gated(index, requests):
         entered.set()
         gate.wait(30)
-        return original(inputs)
+        return original(index, requests)
 
-    engine._executors[0]._execute = gated
+    engine._backend.run_batch = gated
     return engine, gate, entered
 
 
@@ -636,15 +653,15 @@ class TestCancelDispatchRace:
         rng = random_mod.Random("cancel-race")
         engine = repro.serve(module, max_batch=4, timeout_ms=2, devices=1)
         executed, record_lock = [], threading.Lock()
-        original = engine._executors[0]._execute
+        original = engine._backend.run_batch
 
-        def recording(inputs):
+        def recording(index, requests):
             with record_lock:
-                executed.extend(
-                    int(m) for m in np.asarray(inputs["data"])[:, 0, 0, 0])
-            return original(inputs)
+                executed.extend(int(inputs["data"][0, 0, 0, 0])
+                                for inputs in requests)
+            return original(index, requests)
 
-        engine._executors[0]._execute = recording
+        engine._backend.run_batch = recording
         futures, threads = [], []
         try:
             for marker in range(40):
@@ -728,7 +745,7 @@ def zoo_modules():
 class TestBatchCostModel:
     @staticmethod
     def _cost_model(module):
-        from repro.runtime.serving import _BatchCostModel
+        from repro.runtime.batching import _BatchCostModel
 
         specs = Executor(module).input_specs
         return _BatchCostModel(module, [s.name for s in specs],

@@ -12,7 +12,6 @@ from repro.graph.simplify import (
     simplify_inference,
 )
 from repro.hardware import cuda
-from repro.runtime import graph_executor
 
 
 def _conv_bn_relu_model(channels=4, size=8):
@@ -27,10 +26,7 @@ def _conv_bn_relu_model(channels=4, size=8):
 
 def _run(graph, params, data):
     module = repro.compile(graph, target=cuda(), params=params, opt_level=0)
-    executor = graph_executor.create(module)
-    executor.set_input(**module.params)
-    executor.run(data=data)
-    return executor.get_output(0).asnumpy()
+    return repro.Executor(module)(data=data)[0].asnumpy()
 
 
 class TestSimplifyInference:
@@ -184,8 +180,5 @@ class TestBuildIntegration:
             graph, params = _conv_bn_relu_model()
             module = repro.compile(graph, target=cuda(), params=params,
                                    opt_level=level)
-            executor = graph_executor.create(module)
-            executor.set_input(**module.params)
-            executor.run(data=data)
-            outputs.append(executor.get_output(0).asnumpy())
+            outputs.append(repro.Executor(module)(data=data)[0].asnumpy())
         np.testing.assert_allclose(outputs[0], outputs[1], rtol=1e-3, atol=1e-4)

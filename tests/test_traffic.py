@@ -283,14 +283,14 @@ class TestReplay:
         engine = repro.serve(module, max_batch=1, timeout_ms=1)
         gate = threading.Event()
         entered = threading.Event()
-        original = engine._executors[0]._execute
+        original = engine._backend.run_batch
 
-        def gated(inputs):
+        def gated(index, requests):
             entered.set()
             gate.wait(30)
-            return original(inputs)
+            return original(index, requests)
 
-        engine._executors[0]._execute = gated
+        engine._backend.run_batch = gated
         try:
             report = TraceReplayer(engine, trace, giveup_ms=50.0,
                                    result_timeout_s=2.0).replay()

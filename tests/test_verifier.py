@@ -417,6 +417,39 @@ class TestLintInvariants:
                               "unbounded-sleep-poll", "legacy-shim"}
         assert rules.count("legacy-shim") == 2
 
+    def test_one_executor_rule(self, tmp_path):
+        linter = _load_linter()
+        runtime = tmp_path / "runtime"
+        (runtime / "procpool").mkdir(parents=True)
+        caller = "def run(executor, x):\n    return executor._execute(x)\n"
+        for allowed in (runtime / "executor.py",
+                        runtime / "procpool" / "worker.py"):
+            allowed.write_text(caller)
+            assert linter.lint_file(allowed) == []
+        elsewhere = runtime / "traffic.py"
+        elsewhere.write_text(caller)
+        assert [v.rule for v in linter.lint_file(elsewhere)] == ["one-executor"]
+
+        engine = runtime / "serving.py"
+        engine.write_text(
+            "class InferenceEngine:\n"
+            "    def __init__(self, module, pool):\n"
+            "        from .executor import Executor\n"
+            "        from .procpool import ModuleWorkerPool\n"
+            "        self._backend = ModuleWorkerPool(module, None, [0])\n"
+            "    def _run_batch(self, index, batch):\n"
+            "        return self._backend.run_batch(index, batch)\n")
+        assert linter.lint_file(engine) == []
+        engine.write_text(
+            "from .executor import Executor\n"
+            "class InferenceEngine:\n"
+            "    def _run_batch(self, index, batch):\n"
+            "        if self._procpool is not None:\n"
+            "            return self._procpool.run_batch(index, batch)\n")
+        violations = linter.lint_file(engine)
+        assert {v.rule for v in violations} == {"one-executor"}
+        assert {v.line for v in violations} == {1, 4, 5}
+
     def test_exiting_poll_loop_not_flagged(self, tmp_path):
         linter = _load_linter()
         ok = tmp_path / "runtime" / "ok.py"

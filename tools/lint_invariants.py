@@ -35,6 +35,16 @@ Rules
     / ``repro.autotune`` / ``export`` + ``repro.load`` are the only ways in.
     Change the API and migrate the callers in the same commit instead.
 
+``one-executor``
+    A compiled module executes through exactly one path.  ``._execute(`` may
+    be called only from ``runtime/executor.py`` (the ``Executor`` front door
+    and the in-process serving back-end) and ``runtime/procpool/worker.py``
+    (the process back-end's worker); and ``runtime/serving.py`` may name
+    ``procpool``, ``rpc`` or ``Executor`` only inside
+    ``InferenceEngine.__init__``, where the one back-end is constructed —
+    an engine that re-interleaves back-end branches with admission and
+    batching fails here, not in review.
+
 Exit status is 0 when clean, 1 when any violation is found.
 """
 
@@ -56,7 +66,25 @@ RULES = {
     "unbounded-sleep-poll": ("runtime/: no time.sleep inside a `while True` "
                              "loop with no break/return/raise"),
     "legacy-shim": "no DeprecationWarning and no pickle.load[s] (no shims)",
+    "one-executor": ("._execute( only in runtime/executor.py and "
+                     "runtime/procpool/worker.py; runtime/serving.py names "
+                     "its back-ends only in InferenceEngine.__init__"),
 }
+
+#: files (by trailing path parts) allowed to call ``._execute(``
+_EXECUTE_CALLERS = (("runtime", "executor.py"),
+                    ("runtime", "procpool", "worker.py"))
+#: the one scope of runtime/serving.py that may name a back-end
+_BACKEND_SITE = ("InferenceEngine", "__init__")
+
+
+def _names_backend(name: str) -> bool:
+    """An identifier (or dotted-import part) that names an execution
+    back-end: ``rpc``, ``ModuleWorkerPool``, or anything spelled with
+    ``procpool`` / ``executor`` (``Executor``, ``_executors``, ...)."""
+    lowered = name.lower()
+    return (lowered == "rpc" or name == "ModuleWorkerPool"
+            or "procpool" in lowered or "executor" in lowered)
 
 
 @dataclass
@@ -138,8 +166,13 @@ class _Linter(ast.NodeVisitor):
     def __init__(self, path: Path, check_sleep: bool):
         self.path = path
         self.check_sleep = check_sleep
+        parts = path.resolve().parts
+        self.may_execute = any(parts[-len(tail):] == tail
+                               for tail in _EXECUTE_CALLERS)
+        self.is_engine = parts[-2:] == ("runtime", "serving.py")
         self.violations: List[Violation] = []
         self._while_true_stack: List[ast.While] = []
+        self._scope: List[str] = []     # enclosing class/function names
 
     def _report(self, rule: str, node: ast.AST, message: str) -> None:
         self.violations.append(
@@ -151,7 +184,37 @@ class _Linter(ast.NodeVisitor):
                          "bare `except:` — catch Exception or narrower")
         self.generic_visit(node)
 
+    def _visit_scope(self, node) -> None:
+        self._scope.append(node.name)
+        self.generic_visit(node)
+        self._scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _visit_scope
+
+    def _check_backend_names(self, node: ast.AST, names: Iterable[str]) -> None:
+        if not self.is_engine or tuple(self._scope[:2]) == _BACKEND_SITE:
+            return
+        for name in sorted(set(filter(_names_backend, names))):
+            self._report("one-executor", node,
+                         f"`{name}` named outside InferenceEngine.__init__ — "
+                         f"the engine reaches execution through its one "
+                         f"_backend")
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            self._check_backend_names(node, alias.name.split("."))
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        self._check_backend_names(
+            node, (node.module or "").split(".")
+            + [alias.name for alias in node.names])
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._check_backend_names(node, [node.attr])
+        self.generic_visit(node)
+
     def visit_Name(self, node: ast.Name) -> None:
+        self._check_backend_names(node, [node.id])
         if node.id == "DeprecationWarning":
             self._report("legacy-shim", node,
                          "DeprecationWarning — remove the old path instead "
@@ -175,6 +238,12 @@ class _Linter(ast.NodeVisitor):
         if _is_unpickle(node):
             self._report("legacy-shim", node,
                          "pickle.load — artifacts load through repro.load")
+        if (not self.may_execute and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_execute"):
+            self._report("one-executor", node,
+                         "._execute( outside runtime/executor.py and "
+                         "runtime/procpool/worker.py — run modules through "
+                         "Executor or the engine's back-end")
         if self.check_sleep and self._while_true_stack and _is_sleep(node):
             self._report(
                 "unbounded-sleep-poll", node,
