@@ -8,8 +8,8 @@ several modes and writes ``BENCH_serving.json`` next to this file:
 * **threaded** — the engine with ``max_batch=1``: concurrent requests spread
   across the device pool but never coalesced.
 * **batched** — the engine with dynamic batching at several ``max_batch``
-  settings: requests coalesce along the batch axis and whole batches
-  round-robin across the pool.
+  settings: requests coalesce along the batch axis and each free device
+  pulls the next whole batch.
 * **process / process-batched** — the engine with ``pool="process"``: one
   worker OS process per device over a shared-memory parameter arena, so
   execution escapes the GIL and *wall-clock* throughput can actually scale
@@ -62,7 +62,7 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_serving.json"
 
 MODEL = "resnet-18"
 TARGET = "cuda"
-DEVICES = 4                    #: simulated GPU pool round-robined by the engine
+DEVICES = 4                    #: simulated GPU pool the engine's workers serve
 BATCH_SIZES = (2, 4, 8)
 PROCESS_BATCH = 8              #: max_batch of the process-batched mode
 COALESCE_TIMEOUT_MS = 250.0    #: generous window so batches fill deterministically

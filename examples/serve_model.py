@@ -2,8 +2,8 @@
 
 Compiles a ResNet-18 variant once, exports it as a self-contained artifact,
 then serves the *reloaded* artifact with ``repro.serve``: concurrent client
-threads fire single requests, the engine coalesces them into batches along
-the batch axis and round-robins the batches across two simulated GPUs.  Each
+threads fire single requests, and each of two simulated GPUs pulls its next
+batch — requests coalesced along the batch axis — the moment it is free.  Each
 client's output is bit-identical to a solo execution, while the simulated
 throughput benefits from batching and the device pool.
 

@@ -3,23 +3,31 @@
 A submitted request becomes a :class:`_Request` holding an
 :class:`InferenceFuture`; the :class:`_AdmissionQueue` is the bounded,
 priority-ordered queue between the submitting callers and the engine's
-batcher, shedding load with the typed errors defined here when it is full.
-Nothing in this module knows how a batch is sized or where it executes.
+per-device workers, and the *only* place a request waits: a worker whose
+device is free pulls its next batch straight out of it
+(:meth:`_AdmissionQueue.pop_batch`), so ``max_queue`` bounds the whole
+backlog, ``depth()`` is the whole backlog, and a late high-priority request
+overtakes (or evicts) everything that has not started executing.  Idle
+workers take turns in arrival order and one batch fills at a time — a burst
+becomes one full batch, not one partial batch per idle device — and the
+coalescing window is anchored at admission: a batch stops filling
+``window`` after its oldest member was admitted, so a request that already
+waited behind a busy device never idles the device again.  Load is shed
+with the typed errors defined here.  Nothing in this module knows how a
+batch is sized or where it executes.
 """
 
 from __future__ import annotations
 
+import collections
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
 __all__ = ["InferenceFuture", "ServingError", "QueueFull", "DeadlineExceeded",
            "RequestCancelled"]
-
-#: returned by :meth:`_AdmissionQueue.pop` once the queue is closed and empty
-_SHUTDOWN = object()
 
 
 class ServingError(RuntimeError):
@@ -145,20 +153,25 @@ def _reject_all(requests: List[_Request], error: BaseException) -> None:
 class _AdmissionQueue:
     """Bounded, priority-ordered admission queue with load shedding.
 
-    ``pop`` returns the highest-priority, earliest-admitted live request.
-    When full, ``put`` sheds: expired requests first (most expired first),
-    then the lowest-priority/newest candidate — which may be the incoming
-    request itself, in which case :class:`QueueFull` propagates to the
-    submitting caller.  Cancelled entries are dropped on sight; expired
-    entries are rejected with :class:`DeadlineExceeded`.
+    ``pop_batch`` hands a worker the highest-priority, earliest-admitted
+    live requests.  When full, ``put`` sheds: expired requests first (most
+    expired first), then the lowest-priority/newest candidate — which may be
+    the incoming request itself, in which case :class:`QueueFull` propagates
+    to the submitting caller.  Cancelled entries are dropped on sight;
+    expired entries are rejected with :class:`DeadlineExceeded`.
     """
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        #: the workers inside :meth:`pop_batch`, in arrival order, each as
+        #: the condition it waits on; only the head of the line pops, and it
+        #: stays the head until its batch is complete
+        self._line: Deque[threading.Condition] = collections.deque()
         self._items: List[_Request] = []
         self._seq = 0
-        self._closed = False
+        #: why puts are refused (set by :meth:`close`); None while open
+        self._closed: Optional[str] = None
         self.shed_queue_full = 0
         self.shed_expired = 0
 
@@ -178,10 +191,19 @@ class _AdmissionQueue:
             kept.append(request)
         self._items = kept
 
+    def _pop_best(self) -> _Request:
+        best = max(self._items, key=lambda r: (r.priority, -r.seq))
+        self._items.remove(best)
+        return best
+
+    def _wake_head(self) -> None:
+        if self._line:
+            self._line[0].notify()
+
     def put(self, request: _Request) -> None:
-        with self._cond:
-            if self._closed:
-                raise ServingError("InferenceEngine has been shut down")
+        with self._lock:
+            if self._closed is not None:
+                raise ServingError(self._closed)
             request.seq = self._seq
             self._seq += 1
             if len(self._items) >= self.maxsize:
@@ -200,60 +222,84 @@ class _AdmissionQueue:
                     f"shed from a full admission queue ({self.maxsize} "
                     f"queued) by a higher-priority request"))
             self._items.append(request)
-            self._cond.notify()
+            self._wake_head()
 
-    def pop(self, timeout: Optional[float] = None):
-        """The best live request, ``None`` on timeout, or the shutdown
-        sentinel once closed and empty."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while True:
-                now = time.monotonic()
-                self._purge(now)
-                if self._items:
-                    best = max(self._items,
-                               key=lambda r: (r.priority, -r.seq))
-                    self._items.remove(best)
-                    return best
-                if self._closed:
-                    return _SHUTDOWN
-                remaining = None if deadline is None else deadline - now
-                if remaining is not None and remaining <= 0:
-                    return None
-                self._cond.wait(remaining)
+    def pop_batch(self, max_batch: int, window_s: float,
+                  choose: Optional[Callable[[Sequence[Optional[float]]],
+                                            int]] = None
+                  ) -> Optional[List[_Request]]:
+        """Block until it is this worker's turn (arrival order, one batch
+        filling at a time) and a live request waits, then return it with the
+        batchmates that join it; ``None`` once closed and empty.
+
+        The batch is limited to ``max_batch`` requests or, given ``choose``,
+        to ``choose(headrooms)`` — the seconds each waiting request has left
+        until its deadline (``None`` = no deadline), in pop order, read
+        under the same lock as the pop.  It fills from the queue until the
+        limit or until ``window_s`` after its oldest member was *admitted*.
+        """
+        turn = threading.Condition(self._lock)
+        with self._lock:
+            self._line.append(turn)
+            try:
+                while True:
+                    now = time.monotonic()
+                    if self._line[0] is turn:
+                        self._purge(now)
+                        if self._items:
+                            break
+                        if self._closed is not None:
+                            return None
+                    turn.wait()
+                if choose is not None:
+                    waiting = sorted(self._items,
+                                     key=lambda r: (-r.priority, r.seq))
+                    max_batch = choose(
+                        [None if request.deadline is None
+                         else request.deadline - now for request in waiting])
+                batch = [self._pop_best()]
+                window_end = batch[0].enqueued_at + window_s
+                while len(batch) < max_batch:
+                    if self._items:     # purged just now: all live
+                        batch.append(self._pop_best())
+                        window_end = min(window_end,
+                                         batch[-1].enqueued_at + window_s)
+                        continue
+                    now = time.monotonic()
+                    if self._closed is not None or now >= window_end:
+                        break
+                    turn.wait(window_end - now)
+                    self._purge(time.monotonic())
+                return batch
+            finally:                    # leaving the line: next worker's turn
+                self._line.remove(turn)
+                if self._items or self._closed is not None:
+                    self._wake_head()
 
     def depth(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._items)
-
-    def deadline_headrooms(self, now: float) -> List[Optional[float]]:
-        """Remaining seconds until each live queued request's deadline
-        (``None`` = no deadline), in pop order — the adaptive batcher's
-        view of how much slack the queue has."""
-        with self._cond:
-            live = [request for request in self._items
-                    if not request.future.cancelled()
-                    and not request.expired(now)]
-        live.sort(key=lambda r: (-r.priority, r.seq))
-        return [None if request.deadline is None else request.deadline - now
-                for request in live]
 
     def note_expired(self) -> None:
         """Record a request shed for expiry after it left the queue."""
-        with self._cond:
+        with self._lock:
             self.shed_expired += 1
 
     def counters(self) -> Dict[str, int]:
-        with self._cond:
+        with self._lock:
             return {"shed_queue_full": self.shed_queue_full,
                     "shed_expired": self.shed_expired}
 
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    def drain_rejecting(self, error: BaseException) -> None:
-        with self._cond:
-            items, self._items = self._items, []
-        _reject_all(items, error)
+    def close(self, reason: str = "InferenceEngine has been shut down",
+              backlog_error: Optional[ServingError] = None) -> None:
+        """Refuse further puts (they raise ``ServingError(reason)``) and
+        wake every waiting worker.  The backlog stays to be drained — or,
+        given ``backlog_error``, is rejected with it."""
+        with self._lock:
+            if self._closed is None:
+                self._closed = reason
+            items = []
+            if backlog_error is not None:
+                items, self._items = self._items, []
+            self._wake_head()       # each worker leaving wakes the next
+        _reject_all(items, backlog_error)

@@ -82,10 +82,6 @@ class Executor:
         """The non-parameter graph inputs a call must provide."""
         return list(self._specs)
 
-    @property
-    def input_names(self) -> List[str]:
-        return [spec.name for spec in self._specs]
-
     def describe_inputs(self) -> str:
         return "; ".join(str(spec) for spec in self._specs) or "(none)"
 
@@ -162,39 +158,18 @@ class Executor:
 
 class _ExecutorBackend:
     """The serving engine's in-process back-end: one :class:`Executor` per
-    device, each optionally under an exclusive tracker lease.  Same surface
-    as :class:`~repro.runtime.procpool.ModuleWorkerPool` (``run_batch`` /
-    ``release`` / ``shutdown`` / ``stats``), so the engine never asks which
-    kind of back-end it holds."""
+    device.  Same surface as
+    :class:`~repro.runtime.procpool.ModuleWorkerPool` (``run_batch`` /
+    ``shutdown`` / ``stats``), so the engine never asks which kind of
+    back-end it holds."""
 
-    def __init__(self, module: CompiledModule, devices: Sequence[DeviceLike],
-                 tracker=None, rpc_key: Optional[str] = None,
-                 lease_timeout: float = 10.0):
+    def __init__(self, module: CompiledModule, devices: Sequence[DeviceLike]):
         self._executors = [Executor(module, dev) for dev in devices]
-        self._sessions: list = []
-        if tracker is None:
-            return
-        if rpc_key is None:
-            raise ValueError("serve(tracker=...) also needs rpc_key= (the "
-                             "device key registered with the tracker)")
-        try:
-            for _ in self._executors:
-                self._sessions.append(
-                    tracker.request(rpc_key, timeout=lease_timeout))
-        except Exception:
-            self.shutdown()
-            raise
 
     def run_batch(self, index: int, requests: Sequence[Dict[str, np.ndarray]]
                   ) -> List[Union[List[np.ndarray], Exception]]:
-        """Execute ``requests`` on device ``index`` (under its lease, if
-        any); one entry per request — its output arrays or its error."""
-        if self._sessions:
-            return self._sessions[index].execute(self._run, index, requests)
-        return self._run(index, requests)
-
-    def _run(self, index: int, requests: Sequence[Dict[str, np.ndarray]]
-             ) -> List[Union[List[np.ndarray], Exception]]:
+        """Execute ``requests`` on device ``index``; one entry per request
+        — its output arrays or its error."""
         executor = self._executors[index]
         outcomes: List[Union[List[np.ndarray], Exception]] = []
         for inputs in requests:
@@ -204,14 +179,8 @@ class _ExecutorBackend:
                 outcomes.append(exc)
         return outcomes
 
-    def release(self, index: int) -> None:
-        """Worker ``index`` will run no more batches: free its lease."""
-        if self._sessions:
-            self._sessions[index].release()
-
     def shutdown(self) -> None:
-        for session in self._sessions:
-            session.release()
+        """Nothing to release: the executors live and die with the engine."""
 
     def stats(self) -> List[Dict[str, float]]:
         """Per-worker-process statistics: none, the workers are threads."""

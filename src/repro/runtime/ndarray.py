@@ -34,11 +34,6 @@ class Device:
         self.device_type = device_type
         self.device_id = int(device_id)
 
-    @property
-    def index(self) -> int:
-        """Alias of ``device_id`` (the ``gpu:1`` notation's ``1``)."""
-        return self.device_id
-
     def __repr__(self) -> str:
         return f"{self.device_type}:{self.device_id}"
 

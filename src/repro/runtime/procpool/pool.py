@@ -391,10 +391,6 @@ class ModuleWorkerPool:
                 self._batch_arenas.pop(arena.name, None)
             arena.unlink()
 
-    def release(self, index: int) -> None:
-        """Worker ``index`` will be sent no more batches.  Nothing to free
-        per worker: processes and segments go together in :meth:`shutdown`."""
-
     # ------------------------------------------------------------------ health
     def _monitor_loop(self) -> None:
         while not self._monitor_stop.wait(self.heartbeat_interval):

@@ -53,12 +53,6 @@ class RPCServer:
             raise RuntimeError(f"remote execution failed: {result.error}")
         return list(result.times)
 
-    def execute(self, fn, *args, **kwargs):
-        """Run an arbitrary procedure on this device host, counting it as one
-        remote request (the serving engine runs its batches through this)."""
-        self.request_count += 1
-        return fn(*args, **kwargs)
-
 
 class RPCSession:
     """A client's lease on one remote device."""
@@ -72,23 +66,11 @@ class RPCSession:
                   rng: Optional[np.random.Generator] = None) -> List[float]:
         return self.server.run_timed(payload, number=number, rng=rng)
 
-    def execute(self, fn, *args, **kwargs):
-        """Run a procedure under this lease (exclusive use of the device)."""
-        if self._released:
-            raise RuntimeError("RPCSession has been released")
-        return self.server.execute(fn, *args, **kwargs)
-
     def release(self) -> None:
         if not self._released:
             self.server.release()
             self.tracker._notify_free(self.server)
             self._released = True
-
-    def __enter__(self) -> "RPCSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
 
 
 class Tracker:

@@ -14,12 +14,23 @@ three decisions that each live in their own module:
   ``max_batch`` requests coalesced along the graph's batch axis within
   ``timeout_ms``, or, with ``max_batch="adaptive"``, the size that maximises
   estimated goodput under ``p99_target_ms``;
-* **where it runs** — one worker thread per device hands each batch to the
-  engine's one execution back-end (known here only as ``run_batch`` /
-  ``release`` / ``shutdown`` / ``stats``): per-device
-  :class:`~repro.runtime.executor.Executor` objects in this process,
-  optionally under :class:`~repro.runtime.rpc.Tracker` leases, or one worker
-  process per device (:mod:`~repro.runtime.procpool`).
+* **where it runs** — one worker thread per device; the moment its device
+  is free it pulls its next batch straight from the admission queue and
+  hands it to the engine's one execution back-end (known here only as
+  ``run_batch`` / ``shutdown`` / ``stats``): per-device
+  :class:`~repro.runtime.executor.Executor` objects in this process, or one
+  worker process per device (:mod:`~repro.runtime.procpool`).
+
+There is no hand-off between those decisions — no batcher thread, no
+per-device queue: a request waits in the admission queue or it is executing,
+so ``max_queue`` bounds the backlog, ``stats()["slo"]["queue_depth"]`` *is*
+the backlog, and priority, shedding and expiry apply to every request that
+has not started.  The ``timeout_ms`` coalescing window is anchored at
+admission (a batch stops filling ``timeout_ms`` after its oldest request was
+submitted), so a request that already waited behind a busy device is
+executed as soon as the device frees up instead of idling it again; and one
+worker fills a batch at a time, so a burst onto an idle pool becomes one
+full batch, not one partial batch per idle device.
 
 :meth:`InferenceEngine.stats` reports throughput / latency /
 batch-occupancy / SLO statistics; :meth:`InferenceEngine.shutdown` drains by
@@ -36,7 +47,6 @@ NumPy BLAS kernels are not bitwise batch-invariant).
 from __future__ import annotations
 
 import collections
-import queue
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Union
@@ -44,9 +54,9 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..compiler.module import CompiledModule
-from .admission import (_SHUTDOWN, DeadlineExceeded, InferenceFuture,
-                        QueueFull, RequestCancelled, ServingError,
-                        _AdmissionQueue, _reject_all, _Request)
+from .admission import (DeadlineExceeded, InferenceFuture, QueueFull,
+                        RequestCancelled, ServingError, _AdmissionQueue,
+                        _reject_all, _Request)
 from .batching import _BatchCostModel, _choose_batch_size
 from .ndarray import Device, DeviceLike, device as as_device
 
@@ -72,9 +82,7 @@ class InferenceEngine:
                  max_batch: Union[int, str] = 8, timeout_ms: float = 2.0,
                  max_queue: int = 1024,
                  p99_target_ms: Optional[float] = None,
-                 adaptive_max_batch: int = 8,
-                 tracker=None, rpc_key: Optional[str] = None,
-                 lease_timeout: float = 10.0, pool: str = "thread",
+                 adaptive_max_batch: int = 8, pool: str = "thread",
                  bundle_path: Optional[str] = None):
         if isinstance(max_batch, str):
             if max_batch != "adaptive":
@@ -128,43 +136,31 @@ class InferenceEngine:
         self._cost = _BatchCostModel(module, [s.name for s in specs],
                                      self.native_batch)
         if self._adaptive:
-            # Adaptive sizing consults the cost model on every dispatch
-            # decision; estimating a batch size is a one-off compile that
-            # would otherwise stall the batcher loop (and expire queued
-            # requests) the first time each size comes up.  Pay the whole
-            # cost up front, while no request is waiting.
+            # Adaptive sizing consults the cost model on every batch, under
+            # the admission queue's lock; estimating a batch size is a
+            # one-off compile that would otherwise stall admission (and
+            # expire queued requests) the first time each size comes up.
+            # Pay the whole cost up front, while no request is waiting.
             for size in range(1, self.max_batch + 1):
                 self._cost.times_for(size * self.native_batch)
 
         # The one execution back-end, chosen once (nothing outside __init__
         # names one): per-device Executors on this process's worker threads,
-        # optionally under tracker leases, or one worker *process* per device
-        # over a shared-memory parameter arena (true parallelism outside the
-        # GIL; see runtime/procpool/) booted from ``bundle_path`` — or, given
-        # a live module (None), from a temporary bundle the pool owns.
+        # or one worker *process* per device over a shared-memory parameter
+        # arena (true parallelism outside the GIL; see runtime/procpool/)
+        # booted from ``bundle_path`` — or, given a live module (None), from
+        # a temporary bundle the pool owns.
         if pool == "process":
-            if tracker is not None:
-                raise ValueError(
-                    "pool='process' workers own their devices directly and "
-                    "cannot hold tracker leases; serve with pool='thread' to "
-                    "combine dynamic batching with an RPC device pool")
             from .procpool import ModuleWorkerPool
 
             self._backend = ModuleWorkerPool(module, bundle_path, self.devices)
         else:
-            self._backend = _ExecutorBackend(module, self.devices,
-                                             tracker=tracker, rpc_key=rpc_key,
-                                             lease_timeout=lease_timeout)
+            self._backend = _ExecutorBackend(module, self.devices)
         self.max_queue = max_queue
         self._admission = _AdmissionQueue(max_queue)
-        # Bounded worker queues (two batches each): backpressure from a slow
-        # device propagates to the batcher and from there to the admission
-        # queue, which is where shedding decisions belong.
-        self._worker_queues = [queue.Queue(maxsize=2) for _ in self.devices]
-        #: indices of worker threads that died (never dispatch to them) and
-        #: the error that killed each — see _abandon_worker
-        self._dead_workers: set = set()
-        self._worker_errors: Dict[int, BaseException] = {}
+        #: worker threads still pulling batches (guarded by _stats_lock);
+        #: the last one to die closes admission — see _worker_died
+        self._live_workers = len(self.devices)
 
         # -- statistics (guarded by _stats_lock) -------------------------------
         self._stats_lock = threading.Lock()
@@ -182,19 +178,16 @@ class InferenceEngine:
         self._started_at = time.monotonic()
         self._stopped_at: Optional[float] = None
 
-        self._closed = False
-        #: orders submit() puts against the shutdown sentinel, so no request
-        #: can land behind the sentinel and silently never resolve
-        self._submit_lock = threading.Lock()
+        #: shutdown() is idempotent; whether requests are still admitted is
+        #: the admission queue's state alone
+        self._shut_down = False
+        self._shutdown_lock = threading.Lock()
         self._workers = [
             threading.Thread(target=self._worker_loop, args=(i,), daemon=True,
                              name=f"repro-serve-worker-{self.devices[i]}")
             for i in range(len(self.devices))]
         for worker in self._workers:
             worker.start()
-        self._batcher = threading.Thread(target=self._batcher_loop,
-                                         daemon=True, name="repro-serve-batcher")
-        self._batcher.start()
 
     # ------------------------------------------------------------------ setup
     @staticmethod
@@ -229,8 +222,6 @@ class InferenceEngine:
         — lowest-priority/newest first, with :class:`QueueFull` raised here
         when the incoming request is itself the best shed candidate.
         """
-        if self._closed:
-            raise RuntimeError("InferenceEngine has been shut down")
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
         merged = dict(inputs or {})
@@ -253,10 +244,9 @@ class InferenceEngine:
             else time.monotonic() + deadline_ms / 1000.0
         request = _Request(validated, deadline=deadline, priority=priority)
         request.future._cancel_hook = self._note_cancelled
-        with self._submit_lock:
-            if self._closed:
-                raise RuntimeError("InferenceEngine has been shut down")
-            self._admission.put(request)
+        # Raises QueueFull when this request is the shed victim, ServingError
+        # once the queue is closed (shutdown, or every worker has died).
+        self._admission.put(request)
         return request.future
 
     def _note_cancelled(self) -> None:
@@ -278,14 +268,11 @@ class InferenceEngine:
         futures = [self.submit(request) for request in requests]
         return [future.result(timeout) for future in futures]
 
-    # ------------------------------------------------------------------ batching
-    def _choose_batch_size(self, first: _Request) -> int:
+    # ------------------------------------------------------------------ workers
+    def _choose_batch_size(self, headrooms: Sequence[Optional[float]]) -> int:
         """Adaptive sizing: ask :func:`~repro.runtime.batching._choose_batch_size`
-        with the popped request's and the queue's deadline headrooms, and
-        record the decision."""
-        now = time.monotonic()
-        headrooms = [None if first.deadline is None else first.deadline - now]
-        headrooms.extend(self._admission.deadline_headrooms(now))
+        with the waiting requests' deadline headrooms, and record the
+        decision."""
         size = _choose_batch_size(self.estimated_batch_time, headrooms,
                                   self.max_batch, self.p99_target_s)
         with self._stats_lock:
@@ -293,139 +280,60 @@ class InferenceEngine:
                 self._adaptive_decisions.get(size, 0) + 1
         return size
 
-    def _batcher_loop(self) -> None:
-        while True:
-            item = self._admission.pop()
-            if item is _SHUTDOWN:
-                break
-            batch = [item]
-            limit = self._choose_batch_size(item) if self._adaptive \
-                else self.max_batch
-            deadline = time.monotonic() + self.timeout_s
-            stop = False
-            while len(batch) < limit:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                nxt = self._admission.pop(timeout=remaining)
-                if nxt is _SHUTDOWN:
-                    stop = True
-                    break
-                if nxt is None:
-                    break
-                batch.append(nxt)
-            # Cancelled while coalescing: never execute, never count.
-            batch = [request for request in batch
-                     if not request.future.cancelled()]
-            if batch:
-                self._dispatch(batch)
-            if stop:
-                break
-        for index, worker_queue in enumerate(self._worker_queues):
-            while True:
-                with self._stats_lock:
-                    dead = index in self._dead_workers
-                if dead:
-                    break       # its thread is gone; nothing to wake
-                try:
-                    worker_queue.put(_SHUTDOWN, timeout=0.2)
-                    break
-                except queue.Full:
-                    continue    # worker still draining (or just died)
-
-    def _dispatch(self, batch: List[_Request]) -> None:
-        attempt = 0
-        while True:
-            with self._stats_lock:
-                alive = [i for i in range(len(self._worker_queues))
-                         if i not in self._dead_workers]
-                index = alive[(self._n_batches + attempt) % len(alive)] \
-                    if alive else -1
-            if not alive:
-                _reject_all(batch, RuntimeError(
-                    "every serving worker has died; the engine cannot serve "
-                    f"(first failure: "
-                    f"{next(iter(self._worker_errors.values()), None)!r})"))
-                return
-            try:
-                # Bounded put: a full queue means the device is behind — try
-                # the next alive worker, re-checking deaths each lap.
-                self._worker_queues[index].put(batch, timeout=0.05)
-            except queue.Full:
-                attempt += 1
-                continue
-            break
-        with self._stats_lock:
-            self._n_batches += 1
-            self._occupancy[len(batch)] = \
-                self._occupancy.get(len(batch), 0) + 1
-            # Close the dispatch/death race: the worker may have died
-            # between the aliveness check and the put, leaving this batch
-            # stranded.
-            died = index in self._dead_workers
-        if died:
-            self._drain_rejecting(index)
-
-    # ------------------------------------------------------------------ workers
     def _worker_loop(self, index: int) -> None:
-        worker_queue = self._worker_queues[index]
+        choose = self._choose_batch_size if self._adaptive else None
         batch: List[_Request] = []
         try:
             while True:
-                batch = worker_queue.get()
-                if batch is _SHUTDOWN:
+                batch = self._admission.pop_batch(self.max_batch,
+                                                  self.timeout_s, choose)
+                if batch is None:       # closed and drained
                     break
+                # Cancelled while coalescing: never execute, never count.
+                batch = [request for request in batch
+                         if not request.future.cancelled()]
+                if not batch:
+                    continue
+                with self._stats_lock:
+                    self._n_batches += 1
+                    self._occupancy[len(batch)] = \
+                        self._occupancy.get(len(batch), 0) + 1
                 try:
                     self._run_batch(index, batch)
                 except Exception as exc:
                     _reject_all(batch, exc)
-        except BaseException as exc:   # noqa: BLE001 — see _abandon_worker
-            # The batch in flight when the thread died was already popped
-            # from the queue — reject it here or its callers hang forever.
-            _reject_all(batch, exc)
-            self._abandon_worker(index, exc)
+        except BaseException as exc:   # noqa: BLE001 — see _worker_died
+            self._worker_died(index, batch, exc)
             raise
-        finally:
-            # The worker owns its slot of the back-end (e.g. a device
-            # lease): release only once no more batches can reach it, so a
-            # shutdown(wait=False) can never yank it out from under a
-            # queued batch.
-            self._backend.release(index)
 
-    def _abandon_worker(self, index: int, error: BaseException) -> None:
+    def _worker_died(self, index: int, batch: List[_Request],
+                     cause: BaseException) -> None:
         """A worker thread is dying: propagate failure, never hang clients.
 
-        Every future already queued to the worker is rejected, and
-        :meth:`_dispatch` stops routing new batches to it (rejecting
-        immediately once no workers remain).  The back-ends honour the same
-        contract one level down — a worker *process* crash surfaces as an
-        exception from ``run_batch``, resolving every pending future — so
-        no failure mode leaves a caller blocked on ``future.result()``.
+        The batch it had pulled is rejected, and it pulls no more — the
+        backlog stays in the admission queue for the surviving workers.  The
+        last worker out closes admission and rejects the backlog: nothing
+        could serve it.  The back-ends honour the same contract one level
+        down — a worker *process* crash surfaces as an exception from
+        ``run_batch``, resolving every pending future — so no failure mode
+        leaves a caller blocked on ``future.result()``.
         """
-        with self._stats_lock:
-            self._dead_workers.add(index)
-            self._worker_errors.setdefault(index, error)
-        self._drain_rejecting(index)
-
-    def _drain_rejecting(self, index: int) -> None:
-        with self._stats_lock:
-            cause = self._worker_errors.get(index)
-        error = RuntimeError(
+        error = ServingError(
             f"serving worker for {self.devices[index]} died: {cause!r}")
         error.__cause__ = cause
-        worker_queue = self._worker_queues[index]
-        while True:
-            try:
-                batch = worker_queue.get_nowait()
-            except queue.Empty:
-                return
-            if batch is not _SHUTDOWN:
-                _reject_all(batch, error)
+        _reject_all(batch, error)
+        with self._stats_lock:
+            self._live_workers -= 1
+            last = self._live_workers == 0
+        if last:
+            reason = (f"every serving worker has died; the engine cannot "
+                      f"serve (last failure: {cause!r})")
+            self._admission.close(reason, ServingError(reason))
 
     def _run_batch(self, index: int, batch: List[_Request]) -> None:
         # Last line of defence before execution: shed requests whose
-        # deadline passed while batched/queued, skip requests cancelled
-        # since dispatch, and claim the rest so cancel() can no longer win.
+        # deadline passed while coalescing, skip requests cancelled since
+        # the pull, and claim the rest so cancel() can no longer win.
         now = time.monotonic()
         runnable = []
         for request in batch:
@@ -574,19 +482,15 @@ class InferenceEngine:
         With ``drain=True`` (default) already-admitted requests are still
         served before the workers exit; with ``drain=False`` the backlog is
         rejected with :class:`ServingError` and only in-flight batches
-        finish.  Each worker releases its tracker lease (if any) as it
-        exits; with ``wait=False`` that happens asynchronously once the
-        queues drain.
+        finish.  With ``wait=False`` the workers are joined and the back-end
+        released asynchronously, once the queue drains.
         """
-        with self._submit_lock:
-            if self._closed:
+        with self._shutdown_lock:
+            if self._shut_down:
                 return
-            self._closed = True
-            if not drain:
-                self._admission.drain_rejecting(ServingError(
-                    "engine shut down (drain=False) before this request "
-                    "was served"))
-            self._admission.close()
+            self._shut_down = True
+        self._admission.close(backlog_error=None if drain else ServingError(
+            "engine shut down (drain=False) before this request was served"))
         if wait:
             self._finalize()
         else:
@@ -596,9 +500,8 @@ class InferenceEngine:
             self._stopped_at = time.monotonic()
 
     def _finalize(self) -> None:
-        """Wait out the batcher and the workers, then release whatever the
-        back-end still holds (processes, shm segments, bundle, leases)."""
-        self._batcher.join()
+        """Wait out the workers, then release whatever the back-end still
+        holds (processes, shm segments, bundle)."""
         for worker in self._workers:
             worker.join()
         self._backend.shutdown()
@@ -616,7 +519,6 @@ def serve(module_or_path: Union[CompiledModule, str], *,
           max_queue: int = 1024,
           p99_target_ms: Optional[float] = None,
           adaptive_max_batch: int = 8,
-          tracker=None, rpc_key: Optional[str] = None,
           pool: str = "thread") -> InferenceEngine:
     """Start an inference engine over a compiled module or artifact path.
 
@@ -626,16 +528,17 @@ def serve(module_or_path: Union[CompiledModule, str], *,
         A :class:`CompiledModule`, or the path of an artifact bundle written
         by ``module.export(path)`` (loaded with no recompilation).
     devices:
-        Device pool to round-robin batches across: a count (``2`` means
-        ``gpu:0`` and ``gpu:1`` for a GPU module), an explicit list of
-        devices / specs (``["gpu:0", "gpu:1"]``), or ``None`` for one device.
+        Device pool, each device pulling its next batch the moment it is
+        free: a count (``2`` means ``gpu:0`` and ``gpu:1`` for a GPU
+        module), an explicit list of devices / specs (``["gpu:0",
+        "gpu:1"]``), or ``None`` for one device.
     max_batch / timeout_ms:
         Dynamic batching knobs: coalesce up to ``max_batch`` requests,
-        waiting at most ``timeout_ms`` after the first request for the batch
-        to fill.  ``max_batch="adaptive"`` replaces the fixed limit with a
-        cost-model-driven policy: each batch's size limit is chosen to
-        maximise estimated goodput given the current queue depth and the
-        waiting requests' deadline headroom (capped at
+        waiting at most ``timeout_ms`` after the batch's oldest request was
+        submitted for it to fill.  ``max_batch="adaptive"`` replaces the
+        fixed limit with a cost-model-driven policy: each batch's size
+        limit is chosen to maximise estimated goodput given the current
+        queue depth and the waiting requests' deadline headroom (capped at
         ``adaptive_max_batch``), so a lone request under light load
         dispatches immediately instead of idling out the coalescing window.
     p99_target_ms / adaptive_max_batch:
@@ -646,15 +549,11 @@ def serve(module_or_path: Union[CompiledModule, str], *,
         Admission-queue bound: beyond this many queued requests the engine
         sheds load (expired first, then lowest-priority/newest) instead of
         queueing unboundedly; see :meth:`InferenceEngine.submit`.
-    tracker / rpc_key:
-        Lease each worker's device exclusively from an
-        :class:`~repro.runtime.rpc.Tracker` pool (the paper's remote device
-        pool), releasing the leases on shutdown.
     pool:
         ``"thread"`` (default) runs one worker thread + Executor per device;
         ``"process"`` runs one worker *process* per device over a
         shared-memory parameter arena (true parallelism outside the GIL;
-        outputs stay bit-identical).  Incompatible with ``tracker=``.
+        outputs stay bit-identical).
     """
     bundle_path: Optional[str] = None
     if isinstance(module_or_path, CompiledModule):
@@ -669,6 +568,5 @@ def serve(module_or_path: Union[CompiledModule, str], *,
     return InferenceEngine(module, devices=devices, max_batch=max_batch,
                            timeout_ms=timeout_ms, max_queue=max_queue,
                            p99_target_ms=p99_target_ms,
-                           adaptive_max_batch=adaptive_max_batch,
-                           tracker=tracker, rpc_key=rpc_key, pool=pool,
+                           adaptive_max_batch=adaptive_max_batch, pool=pool,
                            bundle_path=bundle_path)

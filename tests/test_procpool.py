@@ -15,7 +15,7 @@ import pytest
 import repro
 from repro.frontend import ModelBuilder
 from repro.hardware import cuda
-from repro.runtime import (Executor, ModuleWorkerPool, ShmArena, Tracker,
+from repro.runtime import (Executor, ModuleWorkerPool, ShmArena,
                            leaked_segments)
 from repro.runtime.artifact import export_module, load_module
 
@@ -189,21 +189,14 @@ class TestModuleWorkerPool:
 # ---------------------------------------------------------------------------
 
 class TestProcessServing:
-    @pytest.mark.parametrize("backend",
-                             ["thread", "thread+tracker", "process"])
+    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_backends_bit_identical_and_release_everything(
             self, module, requests_and_expected, backend):
         # One matrix over the engine's back-ends: the same bytes out, and
-        # after shutdown() nothing is left behind — no hung future, no held
-        # lease, no /dev/shm segment, no temporary bundle.
+        # after shutdown() nothing is left behind — no hung future, no
+        # /dev/shm segment, no temporary bundle.
         inputs, expected = requests_and_expected
-        tracker, kwargs = None, {}
-        if backend == "process":
-            kwargs = {"pool": "process"}
-        elif backend == "thread+tracker":
-            tracker = Tracker()
-            tracker.register_device("titan-x", cuda().model, count=2)
-            kwargs = {"tracker": tracker, "rpc_key": "titan-x"}
+        kwargs = {"pool": "process"} if backend == "process" else {}
 
         def temp_bundles():
             return set(glob.glob(os.path.join(tempfile.gettempdir(),
@@ -214,16 +207,12 @@ class TestProcessServing:
                              **kwargs)
         owned = temp_bundles() - before
         assert len(owned) == (1 if backend == "process" else 0)
-        if tracker is not None:
-            assert tracker.summary()["titan-x"]["free"] == 0
         futures = [engine.submit(data=x) for x in inputs]
         engine.shutdown()
         assert all(future.done() for future in futures)
         for future, want in zip(futures, expected):
             assert future.result(0)[0].tobytes() == want.tobytes()
         assert engine.stats()["pool"] == kwargs.get("pool", "thread")
-        if tracker is not None:
-            assert tracker.summary()["titan-x"]["free"] == 2
         assert leaked_segments() == []
         assert not (temp_bundles() & owned)
 
@@ -241,11 +230,6 @@ class TestProcessServing:
             workers = engine.stats()["process_workers"]
             assert sum(w["respawns"] for w in workers) >= 1
         assert leaked_segments() == []
-
-    def test_process_pool_rejects_tracker(self, module):
-        with pytest.raises(ValueError, match="tracker"):
-            repro.serve(module, pool="process", tracker=object(),
-                        rpc_key="dev")
 
     def test_unknown_pool_kind_rejected(self, module):
         with pytest.raises(ValueError, match="pool"):
@@ -285,9 +269,9 @@ class TestThreadWorkerDeath:
                     outcomes.append(None)
             rejected = sum(1 for outcome in outcomes if outcome is None)
             assert rejected >= 1
-            # Worker 0 is dead; dispatch must route around it from now on.
-            _wait_for(lambda: 0 in engine._dead_workers,
-                      message="worker 0 marked dead")
+            # Worker 0 is dead and pulls no more; worker 1 serves on.
+            _wait_for(lambda: not engine._workers[0].is_alive(),
+                      message="worker 0 thread exited")
             after = engine.infer_many([{"data": x} for x in inputs],
                                       timeout=30)
             for got, want in zip(after, expected):

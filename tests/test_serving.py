@@ -1,6 +1,9 @@
 """Tests for repro.serve(): dynamic batching, the device pool, simulated
-latency accounting, and the RPC tracker paths it leans on (satellite #3)."""
+latency accounting, the admission queue the workers pull from, and the
+rpc.Tracker request/release paths."""
 
+import queue
+import random
 import threading
 import time
 
@@ -11,7 +14,7 @@ import repro
 from repro.frontend import ModelBuilder
 from repro.hardware import cuda
 from repro.runtime import (DeadlineExceeded, Executor, QueueFull,
-                           RequestCancelled, RPCServer, ServingError, Tracker)
+                           RequestCancelled, ServingError, Tracker)
 from repro.runtime.admission import _AdmissionQueue, _Request
 
 
@@ -38,6 +41,18 @@ def requests_and_expected(module):
     solo = Executor(module)
     expected = [solo(x)[0].asnumpy() for x in inputs]
     return inputs, expected
+
+
+def _serve_threads():
+    return [thread.name for thread in threading.enumerate()
+            if thread.name.startswith("repro-serve-")]
+
+
+def _wait_no_serve_threads(timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while _serve_threads() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _serve_threads() == []
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +113,7 @@ class TestInferenceEngine:
             assert future.batch_size == 1
             assert future.simulated_latency == pytest.approx(module.total_time)
 
-    def test_round_robin_across_devices(self, module, requests_and_expected):
+    def test_batches_spread_across_devices(self, module, requests_and_expected):
         inputs, _ = requests_and_expected
         engine = repro.serve(module, devices=["gpu:0", "gpu:1"],
                              max_batch=4, timeout_ms=500)
@@ -150,23 +165,15 @@ class TestInferenceEngine:
         np.testing.assert_array_equal(got[0], expected)
 
     def test_async_shutdown_still_serves_queued_requests(self, module):
-        tracker = Tracker()
-        tracker.register_device("titan-x", cuda().model, count=1)
-        engine = repro.serve(module, max_batch=2, timeout_ms=50,
-                             tracker=tracker, rpc_key="titan-x")
+        engine = repro.serve(module, max_batch=2, timeout_ms=50)
         futures = [engine.submit(data=np.zeros((1, 3, 16, 16), "float32"))
                    for _ in range(4)]
         engine.shutdown(wait=False)
-        # Queued requests still resolve, and the worker releases its lease
-        # only after it has drained them.
+        # Queued requests still resolve, and the worker exits only after it
+        # has drained them.
         for future in futures:
             assert len(future.result(30)) == 1
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            if tracker.summary()["titan-x"]["free"] == 1:
-                break
-            time.sleep(0.01)
-        assert tracker.summary()["titan-x"]["free"] == 1
+        _wait_no_serve_threads()
 
     def test_latency_series_are_windowed_counters_stay_exact(
             self, module, requests_and_expected, monkeypatch):
@@ -190,73 +197,6 @@ class TestInferenceEngine:
             repro.serve(module, max_batch=0)
         with pytest.raises(ValueError, match="devices"):
             repro.serve(module, devices=0)
-
-
-# ---------------------------------------------------------------------------
-# Tracker-backed serving
-# ---------------------------------------------------------------------------
-
-class TestTrackerServing:
-    def test_leases_counted_and_released_on_shutdown(self, module,
-                                                     requests_and_expected):
-        inputs, expected = requests_and_expected
-        tracker = Tracker()
-        tracker.register_device("titan-x", cuda().model, count=2)
-        engine = repro.serve(module, devices=2, max_batch=4, timeout_ms=500,
-                             tracker=tracker, rpc_key="titan-x")
-        during = tracker.summary()["titan-x"]
-        assert during["free"] == 0  # both devices exclusively leased
-        results = engine.infer_many([{"data": x} for x in inputs], timeout=30)
-        engine.shutdown()
-        for got, want in zip(results, expected):
-            np.testing.assert_array_equal(got[0], want)
-        summary = tracker.summary()["titan-x"]
-        assert summary["total"] == 2
-        assert summary["free"] == 2  # released back to the pool
-        assert summary["requests"] == engine.stats()["batches"]
-
-    def test_pool_exhaustion_fails_and_releases_partial_leases(self, module):
-        tracker = Tracker()
-        tracker.register_device("titan-x", cuda().model, count=1)
-        with pytest.raises(TimeoutError):
-            repro.serve(module, devices=2, tracker=tracker, rpc_key="titan-x")
-        # the one successful lease must have been released again
-        assert tracker.summary()["titan-x"]["free"] == 1
-
-    def test_tracker_requires_key(self, module):
-        with pytest.raises(ValueError, match="rpc_key"):
-            repro.serve(module, tracker=Tracker())
-
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
-    def test_lease_released_when_worker_dies_mid_request(self, module):
-        # The worker thread owns its lease; even a BaseException that kills
-        # the thread mid-request must release it back to the pool (and
-        # reject the in-flight future rather than hang the caller).
-        class _WorkerThreadDeath(BaseException):
-            pass
-
-        tracker = Tracker()
-        tracker.register_device("titan-x", cuda().model, count=1)
-        engine = repro.serve(module, max_batch=1, tracker=tracker,
-                             rpc_key="titan-x")
-        assert tracker.summary()["titan-x"]["free"] == 0
-
-        def boom(index, requests):
-            raise _WorkerThreadDeath("simulated executor death")
-
-        engine._backend.run_batch = boom
-        future = engine.submit(data=np.zeros((1, 3, 16, 16), "float32"))
-        with pytest.raises(_WorkerThreadDeath):
-            future.result(30)
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            if tracker.summary()["titan-x"]["free"] == 1:
-                break
-            time.sleep(0.01)
-        assert tracker.summary()["titan-x"]["free"] == 1
-        assert 0 in engine._dead_workers
-        engine.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +248,6 @@ class TestTrackerRequest:
         session.release()
         session.release()
         assert tracker.summary()["board"]["free"] == 1
-
-    def test_execute_counts_and_refuses_after_release(self):
-        tracker = Tracker()
-        tracker.register_device("board", cuda().model, count=1)
-        session = tracker.request("board")
-        assert session.execute(lambda a, b: a + b, 2, 3) == 5
-        session.release()
-        with pytest.raises(RuntimeError, match="released"):
-            session.execute(lambda: None)
-        assert tracker.summary()["board"]["requests"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +323,7 @@ class TestSLO:
     def test_cancel_in_window_never_dispatches(self, module):
         engine = repro.serve(module, max_batch=8, timeout_ms=500)
         future = engine.submit(data=self.X)
-        time.sleep(0.05)          # let the batcher pop it into the window
+        time.sleep(0.05)          # let the worker pull it into the window
         assert future.cancel() is True
         with pytest.raises(RequestCancelled):
             future.result(5)
@@ -410,10 +340,9 @@ class TestSLO:
         try:
             futures.append(engine.submit(data=self.X))
             assert entered.wait(10)
-            # Saturate the pipeline (1 executing + bounded worker queue +
-            # the batcher's blocked dispatch) and then the admission queue.
-            # Among equal priorities the *incoming* request is always the
-            # shed victim, so queued futures are never evicted here.
+            # One request executes; everything else waits in the admission
+            # queue.  Among equal priorities the *incoming* request is
+            # always the shed victim, so queued futures are never evicted.
             for _ in range(100):
                 try:
                     futures.append(engine.submit(data=self.X))
@@ -475,8 +404,7 @@ class TestSLO:
                 rejected += 1
         assert served >= 1                # in-flight batches still finish
         assert rejected >= 1              # the backlog is rejected, not hung
-        engine._batcher.join(10)
-        assert not engine._batcher.is_alive()
+        _wait_no_serve_threads()
 
     def test_admission_queue_orders_and_sheds(self):
         q = _AdmissionQueue(3)
@@ -494,9 +422,105 @@ class TestSLO:
         assert low_new.future.done()
         with pytest.raises(QueueFull):
             low_new.future.result(0)
-        assert [q.pop(0.5) for _ in range(3)] == [high, mid, low_old]
-        assert q.pop(0.01) is None
+        assert q.pop_batch(2, 0.0) == [high, mid]
+        assert q.pop_batch(2, 0.0) == [low_old]     # window already over
+        q.close()
+        assert q.pop_batch(2, 0.0) is None
+        with pytest.raises(ServingError, match="shut down"):
+            q.put(_Request({}))
         assert q.counters() == {"shed_queue_full": 2, "shed_expired": 0}
+
+    def test_pop_batch_window_is_anchored_at_admission(self):
+        # A request that already waited out its coalescing window (behind a
+        # busy device) is handed over at once; a fresh one waits for mates.
+        q = _AdmissionQueue(8)
+        waited = _Request({})
+        waited.enqueued_at -= 10.0
+        q.put(waited)
+        start = time.monotonic()
+        assert q.pop_batch(4, 5.0) == [waited]
+        assert time.monotonic() - start < 1.0
+        fresh, mate = _Request({}), _Request({})
+        q.put(fresh)
+        threading.Timer(0.05, q.put, args=(mate,)).start()
+        assert q.pop_batch(2, 5.0) == [fresh, mate]
+
+    def test_pop_batch_window_ends_after_the_oldest_member(self):
+        # The first request popped is the highest-priority one, not the
+        # oldest: a fresh VIP joined by a request whose window is long over
+        # must not idle the device for a new window.
+        q = _AdmissionQueue(8)
+        waited = _Request({})
+        waited.enqueued_at -= 10.0
+        vip = _Request({}, priority=5)
+        q.put(waited)
+        q.put(vip)
+        start = time.monotonic()
+        assert q.pop_batch(4, 5.0) == [vip, waited]
+        assert time.monotonic() - start < 1.0
+
+    def test_one_worker_fills_a_batch_at_a_time(self):
+        # Four idle workers, a burst of eight: one full batch, handed over
+        # as soon as it is full — not one partial batch per woken worker,
+        # each sitting out the window.
+        q = _AdmissionQueue(64)
+        batches = []
+
+        def worker():
+            while True:
+                batch = q.pop_batch(8, 30.0)
+                if batch is None:
+                    return
+                batches.append((time.monotonic(), batch))
+
+        workers = [threading.Thread(target=worker, daemon=True)
+                   for _ in range(4)]
+        for thread in workers:
+            thread.start()
+        time.sleep(0.05)                       # all four idle in pop_batch
+        for burst in range(3):
+            requests = [_Request({}) for _ in range(8)]
+            start = time.monotonic()
+            for request in requests:
+                q.put(request)
+                time.sleep(0.002)              # lets each woken worker run
+            deadline = start + 10.0
+            while len(batches) <= burst and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert [batch for _, batch in batches[burst:]] == [requests]
+            assert batches[burst][0] - start < 5.0
+        q.close()
+        for thread in workers:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in workers)
+
+    def test_put_after_close_names_the_reason_not_the_backlog_error(self):
+        q = _AdmissionQueue(4)
+        queued = _Request({})
+        q.put(queued)
+        q.close(backlog_error=ServingError("backlog rejected"))
+        with pytest.raises(ServingError, match="backlog rejected"):
+            queued.future.result(0)
+        with pytest.raises(ServingError, match="has been shut down"):
+            q.put(_Request({}))
+
+    def test_pop_batch_sizes_from_headrooms_under_the_same_lock(self):
+        q = _AdmissionQueue(8)
+        now = time.monotonic()
+        urgent = _Request({}, deadline=now + 100.0, priority=1)
+        relaxed = _Request({})
+        for request in (relaxed, urgent):
+            q.put(request)
+        seen = []
+
+        def choose(headrooms):
+            seen.append(list(headrooms))
+            return 1
+
+        assert q.pop_batch(8, 0.0, choose) == [urgent]
+        assert q.depth() == 1
+        (headrooms,) = seen                   # pop order: urgent, relaxed
+        assert headrooms[1] is None and 99.0 < headrooms[0] <= 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -505,65 +529,25 @@ class TestSLO:
 
 class TestAdmissionQueueProperties:
     """Seeded-random interleavings of put/pop/expiry/cancel checked against
-    an inline reference model of the documented shedding semantics."""
+    the shared reference model (``conftest.ReferenceQueue``) of the
+    documented shedding semantics."""
 
-    @staticmethod
-    def _shadow_purge(items, expected):
-        kept = []
-        for entry in items:
-            request, expired = entry
-            if request.future.cancelled():
-                continue                      # dropped on sight, no counter
-            if expired:
-                expected["expired"].add(request)
-                expected["shed_expired"] += 1
-                continue
-            kept.append(entry)
-        items[:] = kept
-
-    def test_random_interleavings_match_reference_model(self):
-        import random as random_mod
-
+    def test_random_interleavings_match_reference_model(self,
+                                                        reference_queue):
         for trial in range(25):
-            rng = random_mod.Random(f"admission-props-{trial}")
+            rng = random.Random(f"admission-props-{trial}")
             maxsize = rng.randint(1, 4)
             q = _AdmissionQueue(maxsize)
+            model = reference_queue(maxsize)
             now = time.monotonic()
-            items = []                        # shadow queue: [(req, expired)]
-            expected = {"expired": set(), "evicted": set(),
-                        "rejected": set(), "cancelled": set(),
-                        "shed_expired": 0, "shed_queue_full": 0}
             puts, pops = [], []
-            shadow_seq = [0]
 
-            def shadow_put(request, expired):
-                # Mirror the queue's seq assignment (it numbers every put,
-                # even one it then rejects) so victim selection can compare
-                # (priority, -seq) before the real put runs.
-                request.seq = shadow_seq[0]
-                shadow_seq[0] += 1
-                entry = (request, expired)
-                if len(items) >= maxsize:
-                    self._shadow_purge(items, expected)
-                if len(items) >= maxsize:
-                    expected["shed_queue_full"] += 1
-                    candidates = items + [entry]
-                    victim = min(candidates,
-                                 key=lambda e: (e[0].priority, -e[0].seq))
-                    if victim is entry:
-                        expected["rejected"].add(request)
-                        return
-                    items.remove(victim)
-                    expected["evicted"].add(victim[0])
-                items.append(entry)
-
-            def shadow_pop():
-                self._shadow_purge(items, expected)
-                if not items:
-                    return None
-                best = max(items, key=lambda e: (e[0].priority, -e[0].seq))
-                items.remove(best)
-                return best[0]
+            def pop():
+                # pop_batch blocks on a queue with nothing live, so only
+                # pop when the model says a live request is waiting.
+                want = model.pop_batch(1)
+                assert q.pop_batch(1, 0.0) == want
+                pops.extend(want)
 
             ops = ["put_fresh"] * 5 + ["put_expired"] * 2 + ["pop"] * 3 \
                 + ["cancel"] * 2
@@ -575,68 +559,341 @@ class TestAdmissionQueueProperties:
                     request = _Request({}, deadline=deadline,
                                        priority=rng.randint(0, 3))
                     puts.append(request)
-                    shadow_put(request, expired)
-                    expect_raise = request in expected["rejected"]
+                    admitted = model.put(request, request.priority, expired)
                     try:
                         q.put(request)
                         raised = False
                     except QueueFull:
                         raised = True
-                    assert raised == expect_raise
-                    assert request.seq == shadow_seq[0] - 1
-                elif op == "pop":
-                    got = q.pop(0)
-                    want = shadow_pop()
-                    assert got is want
-                    if got is not None:
-                        pops.append(got)
-                elif op == "cancel":
-                    live = [e for e in items
-                            if not e[0].future.cancelled()]
-                    if live:
-                        victim = rng.choice(live)[0]
-                        assert victim.future.cancel() is True
-                        expected["cancelled"].add(victim)
+                    assert raised == (not admitted)
+                elif op == "pop" and model.has_live():
+                    pop()
+                elif op == "cancel" and model.cancellable():
+                    victim = rng.choice(model.cancellable())
+                    assert victim.future.cancel() is True
+                    model.cancel(victim)
 
-            while True:                        # drain what's left
-                got = q.pop(0)
-                want = shadow_pop()
-                assert got is want
-                if got is None:
-                    break
-                pops.append(got)
+            while model.has_live():            # drain what's left
+                pop()
+            q.close()
+            assert q.pop_batch(1, 0.0) is None  # purges the stragglers
+            assert model.pop_batch(1) == []
 
             # -- invariants ------------------------------------------------
             # Counters match the model and sum to the observed rejections.
             assert q.counters() == {
-                "shed_queue_full": expected["shed_queue_full"],
-                "shed_expired": expected["shed_expired"]}
-            # Shedding order: every expired put rejects with
-            # DeadlineExceeded (never QueueFull) once purged ...
-            for request in expected["expired"]:
-                with pytest.raises(DeadlineExceeded):
-                    request.future.result(0)
-            # ... and queue-full victims are lowest-priority/newest: evicted
-            # queued requests resolve to QueueFull, while an incoming victim
-            # sees the raise directly and its future stays untouched.
-            for request in expected["evicted"]:
-                with pytest.raises(QueueFull):
-                    request.future.result(0)
-            for request in expected["rejected"]:
-                assert not request.future.done()
-            # No request is both shed and resolved (popped), and every put
-            # has exactly one disposition.
-            popped = set(pops)
-            shed = expected["expired"] | expected["evicted"] \
-                | expected["rejected"]
-            assert not (popped & shed)
-            assert not (popped & expected["cancelled"])
-            accounted = (len(popped) + len(shed)
-                         + len(expected["cancelled"] - shed))
-            assert accounted == len(puts)
-            # Popped requests are live: never expired, never cancelled.
-            for request in pops:
-                assert not request.future.done()
+                "shed_queue_full": model.shed_queue_full,
+                "shed_expired": model.shed_expired}
+            # Every put has exactly one disposition.
+            assert set(model.fate) == set(puts)
+            errors = {"expired": DeadlineExceeded, "evicted": QueueFull,
+                      "cancelled": RequestCancelled}
+            for request, fate in model.fate.items():
+                if fate in errors:
+                    # Shedding order: every expired put rejects with
+                    # DeadlineExceeded (never QueueFull) once purged, and
+                    # queue-full victims are lowest-priority/newest: evicted
+                    # queued requests resolve to QueueFull ...
+                    with pytest.raises(errors[fate]):
+                        request.future.result(0)
+                else:
+                    # ... while an incoming victim ("rejected") sees the
+                    # raise directly and its future stays untouched, and
+                    # popped requests are live: never expired or cancelled.
+                    assert not request.future.done()
+            # No request is both shed and popped.
+            assert {r for r, fate in model.fate.items()
+                    if fate == "popped"} == set(pops)
+            assert len(pops) == len(set(pops))
+
+
+# ---------------------------------------------------------------------------
+# One queue, workers pull: the whole engine, stepped through run_batch
+# ---------------------------------------------------------------------------
+
+class _WorkerThreadDeath(BaseException):
+    """Deliberately not an Exception: escapes the per-batch error handling."""
+
+
+class _Parked:
+    """One batch held at the ``run_batch`` seam until the test releases it."""
+
+    def __init__(self, markers):
+        self.markers = markers
+        self.die = False
+        self.release = threading.Event()
+
+
+class _SteppedBackend:
+    """Replaces ``engine._backend.run_batch``: every batch parks until the
+    test releases it (``die=True`` kills its worker thread instead), so the
+    test decides exactly when each device frees up.  Requests are told
+    apart by the marker in ``data[0, 0, 0, 0]``."""
+
+    def __init__(self, engine):
+        self.entered = queue.Queue()      # _Parked, in arrival order
+        self.free_run = threading.Event()  # set: stop parking new batches
+        self.executed = []                # markers that reached execution
+        self._lock = threading.Lock()
+        self._original = engine._backend.run_batch
+        engine._backend.run_batch = self
+
+    def __call__(self, index, requests):
+        parked = _Parked([int(inputs["data"][0, 0, 0, 0])
+                          for inputs in requests])
+        if not self.free_run.is_set():
+            self.entered.put(parked)
+            assert parked.release.wait(60)
+            if parked.die:
+                raise _WorkerThreadDeath("simulated executor death")
+        with self._lock:
+            self.executed.extend(parked.markers)
+        return self._original(index, requests)
+
+    def next_batch(self):
+        return self.entered.get(timeout=10)
+
+    def release_all(self, parked):
+        self.free_run.set()
+        for batch in parked:
+            batch.release.set()
+
+
+def _marked(marker):
+    x = np.zeros((1, 3, 16, 16), "float32")
+    x[0, 0, 0, 0] = marker
+    return x
+
+
+def _wait_depth(engine, depth, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while engine.stats()["slo"]["queue_depth"] != depth \
+            and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert engine.stats()["slo"]["queue_depth"] == depth
+
+
+class TestOneQueue:
+    def test_admission_queue_is_the_only_place_a_request_waits(self, module):
+        # Pinned at the redesign: with a batcher thread and per-device
+        # worker queues, up to devices * 2 + 1 formed batches sat outside
+        # the admission queue — out of reach of max_queue, queue_depth and
+        # priorities.  Now a request waits in the queue or it is executing.
+        engine = repro.serve(module, devices=2, max_batch=1, timeout_ms=0,
+                             max_queue=9)
+        backend = _SteppedBackend(engine)
+        assert sorted(_serve_threads()) == ["repro-serve-worker-gpu:0",
+                                            "repro-serve-worker-gpu:1"]
+        futures, parked = [], []
+
+        def check_accounting():
+            in_flight = sum(len(batch.markers) for batch in parked)
+            resolved = sum(future.done() for future in futures)
+            assert engine.stats()["slo"]["queue_depth"] + in_flight \
+                == len(futures) - resolved
+
+        try:
+            for marker in (0, 1):         # hold both devices busy
+                futures.append(engine.submit(data=_marked(marker)))
+                parked.append(backend.next_batch())
+                check_accounting()
+            for marker in range(2, 10):
+                futures.append(engine.submit(data=_marked(marker)))
+                check_accounting()
+            vip = engine.submit(data=_marked(10), priority=5)
+            futures.append(vip)
+            check_accounting()
+            # (b) max_queue is the bound: nine wait, the tenth is refused.
+            assert engine.stats()["slo"]["queue_depth"] == 9
+            with pytest.raises(QueueFull):
+                engine.submit(data=_marked(11))
+            # (a) the late high-priority request is the next one executed.
+            first = parked.pop(0)
+            first.release.set()
+            assert len(futures[first.markers[0]].result(30)) == 1
+            parked.append(backend.next_batch())
+            assert parked[-1].markers == [10]
+            check_accounting()            # (c) holds at every sample
+        finally:
+            backend.release_all(parked)
+        for future in futures:
+            assert len(future.result(30)) == 1
+        engine.shutdown()
+        assert _serve_threads() == []
+        assert engine.stats()["slo"]["shed_queue_full"] == 1
+
+    def test_burst_onto_an_idle_pool_is_one_full_batch(
+            self, module, requests_and_expected):
+        # Four idle devices, a window far longer than the test: every burst
+        # of eight must leave as one batch of eight the moment it is full
+        # (as with the one batcher thread this design replaced) — not as a
+        # partial batch per woken worker, each idling out the window — and
+        # the bursts must rotate over the devices.
+        inputs, expected = requests_and_expected
+        engine = repro.serve(module, devices=4, max_batch=8,
+                             timeout_ms=20_000)
+        try:
+            for _ in range(4):
+                start = time.monotonic()
+                futures = []
+                for x in inputs:
+                    futures.append(engine.submit(data=x))
+                    time.sleep(0.001)     # lets each woken worker run
+                for future, want in zip(futures, expected):
+                    np.testing.assert_array_equal(future.result(10)[0], want)
+                assert time.monotonic() - start < 5.0
+            stats = engine.stats()
+            assert stats["batch_occupancy"] == {8: 4}
+            busy = stats["simulated"]["busy_seconds_per_device"]
+            assert len(set(busy.values())) == 1 and min(busy.values()) > 0
+        finally:
+            engine.shutdown(drain=False)
+
+
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+class TestEngineAgainstReferenceModel:
+    """Seeded interleavings of submit / cancel / expire / kill-worker /
+    shutdown(drain=, wait=) drive the whole engine lock-step against the
+    shared reference queue model.  The test holds every device busy at the
+    ``run_batch`` seam and releases one batch at a time, so which requests
+    the freed worker pulls next — and every request's final outcome — is a
+    pure function of the operation sequence."""
+
+    DEVICES, MAX_BATCH, MAX_QUEUE = 2, 2, 3
+    ERRORS = {"expired": DeadlineExceeded, "evicted": QueueFull,
+              "cancelled": RequestCancelled, "killed": ServingError,
+              "closed": ServingError}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_interleavings_match_reference_model(self, module,
+                                                 reference_queue, seed):
+        rng = random.Random(f"engine-model-{seed}")
+        engine = repro.serve(module, devices=self.DEVICES,
+                             max_batch=self.MAX_BATCH, timeout_ms=0,
+                             max_queue=self.MAX_QUEUE)
+        backend = _SteppedBackend(engine)
+        model = reference_queue(self.MAX_QUEUE)
+        futures = {}                      # marker -> InferenceFuture
+        fate = {}                         # marker -> "served" | "killed"
+        parked = []                       # batches held at the seam
+        idle = live_workers = self.DEVICES
+
+        def submit(marker):
+            priority = rng.randint(0, 3)
+            if live_workers == 0:
+                with pytest.raises(ServingError, match="has died"):
+                    engine.submit(data=_marked(marker), priority=priority)
+                return
+            # Only a request that will wait (no idle worker to grab it) may
+            # carry a deadline short enough to expire in the queue.
+            expiring = idle == 0 and rng.random() < 0.3
+            admitted = model.put(marker, priority)
+            try:
+                futures[marker] = engine.submit(
+                    data=_marked(marker), priority=priority,
+                    deadline_ms=1 if expiring else 60_000)
+                assert admitted
+            except QueueFull:
+                assert not admitted
+                return
+            if admitted and expiring:
+                time.sleep(0.005)         # its deadline has passed now
+                model.expire(marker)
+
+        def pull():
+            """A live worker just became free: it pulls what the model
+            says, or — nothing live waiting — purges and goes idle."""
+            nonlocal idle
+            want = model.pop_batch(self.MAX_BATCH)
+            if want:
+                parked.append(backend.next_batch())
+                assert parked[-1].markers == want
+            else:
+                _wait_depth(engine, 0)
+                idle += 1
+
+        def step():
+            nonlocal live_workers
+            batch = parked.pop(rng.randrange(len(parked)))
+            batch.die = rng.random() < 0.1
+            batch.release.set()
+            for marker in batch.markers:
+                fate[marker] = "killed" if batch.die else "served"
+                try:
+                    futures[marker].result(30)
+                except ServingError:
+                    pass
+            if not batch.die:
+                pull()
+                return
+            live_workers -= 1
+            if live_workers == 0:         # last one out rejects the backlog
+                model.close(reject=True)
+
+        marker = 0
+        try:
+            for _ in range(40):
+                op = rng.choice(["submit"] * 5 + ["step"] * 3 + ["cancel"] * 2)
+                if op == "submit":
+                    submit(marker)
+                    if idle and marker in futures:
+                        idle -= 1         # grabbed at once, alone
+                        pull()
+                    marker += 1
+                elif op == "step" and parked:
+                    step()
+                elif op == "cancel" and model.cancellable():
+                    victim = rng.choice(model.cancellable())
+                    assert futures[victim].cancel() is True
+                    model.cancel(victim)
+
+            drain, wait = bool(seed & 1), bool(seed & 2)
+            closer = threading.Thread(
+                target=engine.shutdown, kwargs={"drain": drain, "wait": wait})
+            closer.start()
+            if drain:
+                while True:               # the survivors serve the backlog
+                    served = model.pop_batch(self.MAX_BATCH)
+                    if not served:
+                        break
+                    fate.update(dict.fromkeys(served, "served"))
+            else:
+                model.close(reject=True)
+                _wait_depth(engine, 0)    # backlog rejected before release
+        finally:
+            backend.release_all(parked)
+        fate.update(dict.fromkeys(
+            (m for batch in parked for m in batch.markers), "served"))
+        closer.join(30)
+        assert not closer.is_alive()
+        _wait_no_serve_threads()
+
+        # Every admitted request has exactly one outcome, of the right type.
+        fate.update({key: value for key, value in model.fate.items()
+                     if value not in ("popped", "rejected")})
+        assert set(fate) == set(futures)
+        for marker, future in futures.items():
+            assert future.done(), f"request {marker} hangs"
+            expected = self.ERRORS.get(fate[marker])
+            if expected is None:
+                assert len(future.result(0)) == 1
+            else:
+                with pytest.raises(expected) as raised:
+                    future.result(0)
+                assert type(raised.value) is expected
+        served = {m for m, outcome in fate.items() if outcome == "served"}
+        cancelled = {m for m, outcome in fate.items()
+                     if outcome == "cancelled"}
+        # Cancelled requests never reach execution and are never counted.
+        assert set(backend.executed) == served
+        assert len(backend.executed) == len(served)
+        stats = engine.stats()
+        assert stats["requests"] == len(served)
+        assert stats["slo"]["cancelled"] == len(cancelled)
+        assert stats["slo"]["queue_depth"] == 0
+        assert stats["slo"]["shed_queue_full"] == model.shed_queue_full
+        assert stats["slo"]["shed_expired"] == model.shed_expired
 
 
 # ---------------------------------------------------------------------------

@@ -449,6 +449,54 @@ class TestLintInvariants:
         violations = linter.lint_file(engine)
         assert {v.rule for v in violations} == {"one-executor"}
         assert {v.line for v in violations} == {1, 4, 5}
+        # The back-end contract is three methods: nothing else is asked.
+        engine.write_text(
+            "class InferenceEngine:\n"
+            "    def _worker_loop(self, index):\n"
+            "        self._backend.run_batch(index, [])\n"
+            "        self._backend.release(index)\n"
+            "    def stats(self):\n"
+            "        return self._backend.stats()\n"
+            "    def _finalize(self):\n"
+            "        self._backend.shutdown()\n")
+        violations = linter.lint_file(engine)
+        assert [(v.rule, v.line) for v in violations] == [("one-executor", 4)]
+
+    def test_one_serving_queue_rule(self, tmp_path):
+        linter = _load_linter()
+        runtime = tmp_path / "runtime"
+        runtime.mkdir()
+        engine = runtime / "serving.py"
+        engine.write_text(
+            "import queue, threading\n"
+            "class InferenceEngine:\n"
+            "    def __init__(self, devices):\n"
+            "        self._workers = [threading.Thread(\n"
+            "            target=print, daemon=True,\n"
+            "            name=f'repro-serve-worker-{dev}') for dev in devices]\n"
+            "    def shutdown(self):\n"
+            "        threading.Thread(target=print, daemon=True,\n"
+            "                         name='repro-serve-finalize').start()\n")
+        assert linter.lint_file(engine) == []
+        engine.write_text(
+            "import queue, threading\n"
+            "class InferenceEngine:\n"
+            "    def __init__(self, devices):\n"
+            "        self._worker_queues = [queue.Queue(maxsize=2)]\n"
+            "        threading.Thread(target=print, daemon=True,\n"
+            "                         name='repro-serve-batcher').start()\n"
+            "    def _dispatch(self, batch):\n"
+            "        self._worker_queues[0].put(batch, timeout=0.05)\n")
+        violations = linter.lint_file(engine)
+        assert [(v.rule, v.line) for v in violations] \
+            == [("one-serving-queue", line) for line in (4, 5, 8)]
+        admission = runtime / "admission.py"
+        admission.write_text(
+            "def pop(q, remaining):\n"
+            "    q.get(timeout=remaining)\n"       # computed: a deadline
+            "    return q.get(timeout=0.2)\n")     # literal: a poll
+        assert [(v.rule, v.line) for v in linter.lint_file(admission)] \
+            == [("one-serving-queue", 3)]
 
     def test_exiting_poll_loop_not_flagged(self, tmp_path):
         linter = _load_linter()

@@ -43,7 +43,17 @@ Rules
     ``procpool``, ``rpc`` or ``Executor`` only inside
     ``InferenceEngine.__init__``, where the one back-end is constructed —
     an engine that re-interleaves back-end branches with admission and
-    batching fails here, not in review.
+    batching fails here, not in review.  What it may ask of ``_backend`` is
+    the three-method contract: ``run_batch`` / ``shutdown`` / ``stats``.
+
+``one-serving-queue``
+    A request waits in exactly one place, the admission queue, and each
+    per-device worker pulls from it.  ``runtime/serving.py`` constructs no
+    ``queue.Queue`` and starts no thread other than the per-device workers
+    (``repro-serve-worker-*``) and ``repro-serve-finalize``; and no
+    ``.put(`` / ``.get(`` in ``runtime/serving.py`` or
+    ``runtime/admission.py`` carries a literal ``timeout=`` — a polling
+    hand-off between threads is a second queue in disguise.
 
 Exit status is 0 when clean, 1 when any violation is found.
 """
@@ -68,7 +78,12 @@ RULES = {
     "legacy-shim": "no DeprecationWarning and no pickle.load[s] (no shims)",
     "one-executor": ("._execute( only in runtime/executor.py and "
                      "runtime/procpool/worker.py; runtime/serving.py names "
-                     "its back-ends only in InferenceEngine.__init__"),
+                     "its back-ends only in InferenceEngine.__init__ and "
+                     "calls only _backend.run_batch/shutdown/stats"),
+    "one-serving-queue": ("runtime/serving.py builds no queue.Queue and "
+                          "starts only worker/finalize threads; no polling "
+                          ".put/.get(timeout=<literal>) there or in "
+                          "runtime/admission.py"),
 }
 
 #: files (by trailing path parts) allowed to call ``._execute(``
@@ -76,6 +91,10 @@ _EXECUTE_CALLERS = (("runtime", "executor.py"),
                     ("runtime", "procpool", "worker.py"))
 #: the one scope of runtime/serving.py that may name a back-end
 _BACKEND_SITE = ("InferenceEngine", "__init__")
+#: everything the engine may ask of its back-end
+_BACKEND_CONTRACT = ("run_batch", "shutdown", "stats")
+#: stdlib queue classes (``queue.X(...)`` or imported bare)
+_QUEUE_CLASSES = ("Queue", "SimpleQueue", "LifoQueue", "PriorityQueue")
 
 
 def _names_backend(name: str) -> bool:
@@ -109,6 +128,24 @@ def _is_thread_ctor(call: ast.Call) -> bool:
     if isinstance(fn, ast.Attribute) and fn.attr == "Thread":
         return True
     return isinstance(fn, ast.Name) and fn.id == "Thread"
+
+
+def _is_queue_ctor(call: ast.Call) -> bool:
+    """``queue.Queue(...)`` (any stdlib queue class) or bare ``Queue(...)``."""
+    fn = call.func
+    if isinstance(fn, ast.Attribute):
+        return (fn.attr in _QUEUE_CLASSES and isinstance(fn.value, ast.Name)
+                and fn.value.id == "queue")
+    return isinstance(fn, ast.Name) and fn.id in _QUEUE_CLASSES
+
+
+def _is_serving_thread_name(node: ast.AST) -> bool:
+    """``"repro-serve-finalize"`` or an f-string ``"repro-serve-worker-..."``."""
+    if isinstance(node, ast.Constant):
+        return node.value == "repro-serve-finalize"
+    return (isinstance(node, ast.JoinedStr) and bool(node.values)
+            and isinstance(node.values[0], ast.Constant)
+            and str(node.values[0].value).startswith("repro-serve-worker-"))
 
 
 def _is_sleep(call: ast.Call) -> bool:
@@ -170,6 +207,8 @@ class _Linter(ast.NodeVisitor):
         self.may_execute = any(parts[-len(tail):] == tail
                                for tail in _EXECUTE_CALLERS)
         self.is_engine = parts[-2:] == ("runtime", "serving.py")
+        self.is_serving = self.is_engine \
+            or parts[-2:] == ("runtime", "admission.py")
         self.violations: List[Violation] = []
         self._while_true_stack: List[ast.While] = []
         self._scope: List[str] = []     # enclosing class/function names
@@ -211,6 +250,12 @@ class _Linter(ast.NodeVisitor):
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         self._check_backend_names(node, [node.attr])
+        if (self.is_engine and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "_backend"
+                and node.attr not in _BACKEND_CONTRACT):
+            self._report("one-executor", node,
+                         f"`_backend.{node.attr}` — the back-end contract is "
+                         f"{' / '.join(_BACKEND_CONTRACT)}")
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
@@ -235,6 +280,24 @@ class _Linter(ast.NodeVisitor):
             if not any(kw.arg == "daemon" for kw in node.keywords):
                 self._report("implicit-daemon", node,
                              "Thread(...) without explicit daemon=")
+            if self.is_engine and not any(
+                    kw.arg == "name" and _is_serving_thread_name(kw.value)
+                    for kw in node.keywords):
+                self._report("one-serving-queue", node,
+                             "the engine starts only its per-device workers "
+                             "(repro-serve-worker-*) and repro-serve-finalize")
+        if self.is_engine and _is_queue_ctor(node):
+            self._report("one-serving-queue", node,
+                         "queue.Queue in the engine — requests wait only in "
+                         "the admission queue; workers pull from it")
+        if (self.is_serving and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("put", "get")
+                and any(kw.arg == "timeout"
+                        and isinstance(kw.value, ast.Constant)
+                        for kw in node.keywords)):
+            self._report("one-serving-queue", node,
+                         f".{node.func.attr}(timeout=<literal>) — a polling "
+                         f"hand-off; block on the admission queue's condition")
         if _is_unpickle(node):
             self._report("legacy-shim", node,
                          "pickle.load — artifacts load through repro.load")
