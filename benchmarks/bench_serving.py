@@ -24,11 +24,10 @@ kernel estimates and an output digest) is recorded so behaviour changes are
 visible per commit, and after all runs ``/dev/shm`` is audited for leaked
 pool segments.
 
-The process-pool wall-scaling acceptance bound is host-aware: the full
-"wall throughput >= 2x threaded and >= sequential" criterion is enforced
-only when the host grants >= 4 CPU cores (the CI runners do); on smaller
-hosts the bound degrades gracefully and the core count is recorded in the
-output so results are interpretable.
+Wall-clock columns are observations, not gates — wall clock is judged by
+``benchmarks/e2e`` on paired runs; the host's core count is recorded so the
+rows stay interpretable.  The process-pool acceptance is correctness only:
+bit-identical outputs and no leaked segment.
 
 Usage::
 
@@ -73,22 +72,6 @@ def _host_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:      # non-Linux
         return os.cpu_count() or 1
-
-
-def _wall_scaling_bound(cores: int) -> float:
-    """Host-aware wall-throughput bound of process vs threaded serving.
-
-    With >= 4 usable cores (one per pool worker — what the CI runners have)
-    the worker processes genuinely run in parallel and we demand the full
-    2x.  With 2-3 cores partial overlap is possible; on a single core the
-    pool cannot beat the GIL-free baseline at all (everything time-slices
-    one CPU plus pays IPC), so only correctness is enforced.
-    """
-    if cores >= 4:
-        return 2.0
-    if cores >= 2:
-        return 1.0
-    return 0.0
 
 
 def _requests(n: int, shape) -> list:
@@ -254,23 +237,11 @@ def main(argv=None) -> int:
         }
     cores = _host_cores()
     if process_row is not None:
-        bound = _wall_scaling_bound(cores)
-        wall_vs_threaded = (process_row["wall_throughput_rps"]
-                            / max(threaded["wall_throughput_rps"], 1e-12))
-        wall_vs_sequential = process_row["wall_speedup_vs_sequential"]
-        scaled = (wall_vs_threaded >= bound
-                  and (wall_vs_sequential >= 1.0 if cores >= 4 else True))
         acceptance["process_pool"] = {
-            "criterion": f"pool='process' over {DEVICES} workers: wall "
-                         f"throughput >= {bound:.1f}x threaded "
-                         f"(host-aware; full 2x + >= sequential needs >= 4 "
-                         f"cores), bit-identical outputs",
-            "host_cores": cores,
-            "wall_bound": bound,
-            "wall_vs_threaded": wall_vs_threaded,
-            "wall_vs_sequential": wall_vs_sequential,
+            "criterion": f"pool='process' over {DEVICES} workers: "
+                         f"bit-identical outputs",
             "bit_identical_outputs": process_row["bit_identical_outputs"],
-            "passed": bool(scaled and process_row["bit_identical_outputs"]),
+            "passed": bool(process_row["bit_identical_outputs"]),
         }
     leaked = leaked_segments()
     acceptance["shm_leaks"] = {

@@ -152,7 +152,7 @@ def run_cell(module, reference, pool, family: str, rate_rps: float,
         "goodput_rps": report.goodput_rps,
         "violation_rate": report.violation_rate,
         "latency_split_ms": report.latency_split_ms(),
-        "goodput_curve": report.windowed_goodput(0.5),
+        "goodput_curve": report.windowed_goodput(),
         "adaptive_decisions": stats["adaptive"]["decisions"],
         "hung": counts["hung"],
         "bit_identical_outputs": bit_identical,

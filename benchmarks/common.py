@@ -178,7 +178,7 @@ def _conv_node(batch, in_channels, height, width, out_channels, kernel, stride,
 def tvm_conv_time(workload, target_name: str, depthwise: bool = False,
                   dtype: str = "float32") -> float:
     """TVM's single-kernel time for a Table 2 workload (fallback search)."""
-    from repro.graph.op_timing import estimate_node_time
+    from repro.graph.op_timing import kernel_time
 
     target = get_target(target_name)
     if depthwise:
@@ -189,4 +189,4 @@ def tvm_conv_time(workload, target_name: str, depthwise: bool = False,
         node = _conv_node(1, workload.in_channels, workload.height, workload.width,
                           workload.out_channels, workload.kernel, workload.stride,
                           workload.padding, dtype=dtype)
-    return estimate_node_time(node, target)
+    return kernel_time(node, target).time

@@ -234,20 +234,12 @@ def verify_layout(graph: Graph, *, pass_name: Optional[str] = None) -> None:
                 pass_name=pass_name)
 
 
-def _node_size_bytes(node: Node, dtype_bytes: Optional[int]) -> int:
-    elem = dtype_bytes if dtype_bytes is not None else _dtype_bytes(node.dtype)
-    return int(np.prod(node.shape)) * int(elem)
-
-
 def verify_memory_plan(graph: Graph, memory_plan, *,
-                       dtype_bytes: Optional[int] = None,
                        pass_name: Optional[str] = None) -> None:
     """Alias audit of a memory plan against an independent liveness analysis.
 
-    ``dtype_bytes`` mirrors :func:`repro.graph.passes.plan_memory`: ``None``
-    sizes each tensor from its dtype, an integer forces a uniform element
-    size (the legacy behaviour, still reachable through
-    ``PassContext(config={"plan_memory.dtype_bytes": 4})``).
+    Like :func:`repro.graph.passes.plan_memory`, each tensor is sized from
+    its node's dtype.
     """
     storage_of = memory_plan.storage_of
     token_bytes = memory_plan.token_bytes
@@ -275,7 +267,7 @@ def verify_memory_plan(graph: Graph, memory_plan, *,
             last = max([order[id(u)] for u in consumers[id(node)]],
                        default=definition)
         live[node.name] = (definition, last)
-        size = _node_size_bytes(node, dtype_bytes)
+        size = int(np.prod(node.shape)) * _dtype_bytes(node.dtype)
         if token_bytes[token] < size:
             raise StorageSizeError(
                 f"token {token} holds {token_bytes[token]} bytes but node "
@@ -300,8 +292,7 @@ def verify_memory_plan(graph: Graph, memory_plan, *,
 
 
 def verify_graph(graph: Graph, *, groups: Optional[Sequence] = None,
-                 memory_plan=None, dtype_bytes: Optional[int] = None,
-                 pass_name: Optional[str] = None) -> None:
+                 memory_plan=None, pass_name: Optional[str] = None) -> None:
     """Run every applicable graph-level check.
 
     ``groups`` and ``memory_plan`` are checked only when supplied, so the
@@ -314,5 +305,4 @@ def verify_graph(graph: Graph, *, groups: Optional[Sequence] = None,
     if groups is not None:
         verify_fusion(graph, groups, pass_name=pass_name)
     if memory_plan is not None:
-        verify_memory_plan(graph, memory_plan, dtype_bytes=dtype_bytes,
-                           pass_name=pass_name)
+        verify_memory_plan(graph, memory_plan, pass_name=pass_name)

@@ -9,8 +9,7 @@ and the pass that produced the broken state, instead of the corruption
 surfacing as a confusing failure many passes later (or as silently wrong
 simulated latencies).
 
-Enable it per compilation with ``repro.compile(..., verify=True)`` or for a
-whole scope with ``PassContext(config={"verify": True})``.
+Enable it per compilation with ``repro.compile(..., verify=True)``.
 """
 
 from __future__ import annotations
@@ -29,18 +28,11 @@ __all__ = ["VerifyInstrument"]
 class VerifyInstrument(PassInstrument):
     """Runs :func:`~repro.analysis.graph_verify.verify_graph` after every
     pass (and once on the initial graph, via ``run_before_pass`` of the first
-    pass) so the offending pass is named in the error.
-
-    ``dtype_bytes`` mirrors the ``plan_memory.dtype_bytes`` config knob: the
-    memory-plan alias audit must size tensors with the same element width
-    the planner used, or reuse that is legal under uniform sizing would be
-    reported as an overlap.
-    """
+    pass) so the offending pass is named in the error."""
 
     name = "verify"
 
-    def __init__(self, dtype_bytes: Optional[int] = None) -> None:
-        self.dtype_bytes = dtype_bytes
+    def __init__(self) -> None:
         self.passes_verified = 0
         self._checked_initial = False
 
@@ -51,8 +43,7 @@ class VerifyInstrument(PassInstrument):
     def _verify(self, state: "CompileState",
                 pass_name: Optional[str]) -> None:
         verify_graph(state.graph, groups=state.groups,
-                     memory_plan=state.memory_plan,
-                     dtype_bytes=self.dtype_bytes, pass_name=pass_name)
+                     memory_plan=state.memory_plan, pass_name=pass_name)
 
     def run_before_pass(self, pass_info: "PassInfo",
                         state: "CompileState") -> None:

@@ -4,8 +4,8 @@ The upstream TVM flow is *extract tasks -> tune -> ApplyHistoryBest ->
 compile*: entering the context makes every compilation inside it consult the
 tuning history for each operator workload.  Here the context keeps its own
 per-thread stack (like :class:`~repro.compiler.PassContext`) and the compile
-driver queries the innermost active context automatically, so the old
-``repro.compile(..., tuning_db=...)`` kwarg is no longer needed::
+driver queries the innermost active context automatically — it is the only
+way tuning history reaches ``repro.compile``::
 
     report = repro.autotune("resnet-18", target="cuda", trials=64)
     with report.apply_history_best():

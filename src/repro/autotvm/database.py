@@ -239,9 +239,6 @@ class TuningDatabase:
             return None
         return min(candidates, key=lambda e: e.mean_time)
 
-    def entries_for(self, task_name: str) -> List[TuningLogEntry]:
-        return [e for e in self._by_key.values() if e.task_name == task_name]
-
     def entries_for_operator(self, operator: str) -> List[TuningLogEntry]:
         """All entries whose workload belongs to an operator family."""
         return [e for e in self._by_key.values() if e.operator == operator]

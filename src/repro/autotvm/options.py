@@ -9,8 +9,8 @@ the old ``verbose=`` prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence, Tuple
 
 __all__ = ["TuningOptions", "ProgressEvent"]
 
@@ -60,10 +60,6 @@ class TuningOptions:
     seed: int = 0
     #: registered tuner name (see :func:`repro.autotvm.list_tuners`)
     tuner: str = "model"
-    #: extra keyword arguments forwarded to the tuner constructor
-    tuner_args: Dict[str, object] = field(default_factory=dict)
-    #: repeated timings per measurement on the simulated device
-    measure_number: int = 2
     #: worker threads the measurer maps over each batch (1 = plain loop);
     #: results are bit-identical at any value (the noise RNG is derived per
     #: (seed, task, config))

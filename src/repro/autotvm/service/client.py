@@ -21,10 +21,10 @@ The client is built to survive an unreliable service:
   retried.  Every RPC in the protocol is idempotent (lookups are pure,
   ``PUSH``/``RECORD`` are first-wins upserts), so a retry after an
   ambiguous failure is always safe;
-* **circuit breaker** — after ``breaker_threshold`` consecutive RPC
-  failures the breaker opens and calls fail fast with
-  :class:`ServiceUnavailable` (no socket work) until ``breaker_reset_s``
-  passes, when one half-open probe is allowed through.
+* **circuit breaker** — after three consecutive RPC failures the breaker
+  opens and calls fail fast with :class:`ServiceUnavailable` (no socket
+  work) for five seconds, then one half-open probe is allowed through
+  (:class:`_CircuitBreaker`'s defaults).
 
 :class:`ServiceDedupMeasurer` catches :class:`ServiceUnavailable` (and any
 connection-level error) and degrades to pure-local measurement — logged
@@ -137,9 +137,7 @@ class ServiceClient:
                  connect_retries: int = 3,
                  rpc_retries: int = 2,
                  backoff_s: float = 0.05,
-                 backoff_max_s: float = 2.0,
-                 breaker_threshold: int = 3,
-                 breaker_reset_s: float = 5.0):
+                 backoff_max_s: float = 2.0):
         self.address = address
         self._hostport = _parse_address(address)
         self.connect_timeout = timeout
@@ -148,7 +146,7 @@ class ServiceClient:
         self.rpc_retries = rpc_retries
         self.backoff_s = backoff_s
         self.backoff_max_s = backoff_max_s
-        self._breaker = _CircuitBreaker(breaker_threshold, breaker_reset_s)
+        self._breaker = _CircuitBreaker()
         # Jittered backoff from the client's own RNG: deterministic per
         # address, never touching the global random state tuning depends on.
         digest = hashlib.sha256(f"service-client:{address}".encode())

@@ -90,7 +90,7 @@ class TuningService:
 
     def __init__(self, database: Optional[TuningDatabase] = None,
                  db_path: Optional[str] = None, host: str = "127.0.0.1",
-                 port: int = 0, pretrain: bool = True):
+                 port: int = 0):
         if database is not None and db_path is not None:
             raise ValueError("Pass either a database or a db_path, not both")
         self.database = database if database is not None \
@@ -98,7 +98,6 @@ class TuningService:
         self.host = host
         self._requested_port = port
         self.port: Optional[int] = None
-        self.pretrain = pretrain
         #: raw trial results: (task, target, config index) ->
         #: ``{"time", "error", "features"}``; dedup memory + pretraining food
         self._trials: Dict[Tuple[str, str, int], Dict] = {}
@@ -128,8 +127,7 @@ class TuningService:
             # per JSONL log, and the conflict is loud at startup, not at the
             # first recorded best.
             self.database._acquire_write_lock()
-        if self.pretrain:
-            self._pretrain_models()
+        self._pretrain_models()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self._requested_port))

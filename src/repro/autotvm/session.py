@@ -44,6 +44,9 @@ __all__ = ["TaskTuningResult", "TuningReport", "autotune", "extract_tasks",
 
 logger = logging.getLogger("repro.autotvm")
 
+#: repeated timings per measurement on the simulated device
+_MEASURE_NUMBER = 2
+
 
 # ---------------------------------------------------------------------------
 # Report objects
@@ -150,20 +153,14 @@ def _normalise_model(model, target, params, input_shapes):
 
 def _extract_task_nodes(graph, target) -> List[Tuple[Task, object]]:
     """Unique (task, representative node) pairs for the heavy operators."""
-    from ..graph.op_timing import make_task_for_node
+    from ..graph.op_timing import is_templated, make_task_for_node
 
     pairs: Dict[str, Tuple[Task, object]] = {}
     for node in graph.op_nodes:
-        if node.op not in ("conv2d", "depthwise_conv2d", "dense",
-                           "conv2d_transpose"):
-            continue
-        if target.device_type == "vdla" and node.op == "conv2d":
-            # The compiler maps vdla convolutions through the accelerator's
-            # fixed GEMM schedule and never consults the tuning history for
-            # them (see graph.op_timing.kernel_time) — tuning would be wasted.
-            continue
+        if not is_templated(node, target):
+            continue    # the compiler would never look its history up
         task = make_task_for_node(node, target)
-        if task is not None and task.name not in pairs:
+        if task.name not in pairs:
             pairs[task.name] = (task, node)
     return list(pairs.values())
 
@@ -270,7 +267,7 @@ def _tune_one_task(task: Task, node, task_index: int, num_tasks: int,
     start = time.perf_counter()
     seed = options.seed + task_index
     tuner_cls = get_tuner(options.tuner)
-    tuner = tuner_cls(task, seed=seed, **dict(options.tuner_args))
+    tuner = tuner_cls(task, seed=seed)
 
     # With a tuning service, history flows in from the whole fleet: shared
     # entries merge with local history for the warm start, and the service's
@@ -307,7 +304,7 @@ def _tune_one_task(task: Task, node, task_index: int, num_tasks: int,
             tuner.adopt_pretrained(model)
             pretrained = True
 
-    measurer = Measurer(number=options.measure_number, seed=seed,
+    measurer = Measurer(number=_MEASURE_NUMBER, seed=seed,
                         verify=options.verify, n_parallel=options.n_parallel)
     if client is not None:
         from .service.client import ServiceDedupMeasurer

@@ -17,7 +17,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 __all__ = ["SplitEntity", "OtherEntity", "ConfigSpace", "ConfigEntity"]
 
 
-def _factorizations(extent: int, parts: int, max_candidates: int = 64) -> List[Tuple[int, ...]]:
+#: most candidates one split knob keeps (longer lists are thinned evenly)
+_MAX_SPLIT_CANDIDATES = 64
+
+
+def _factorizations(extent: int, parts: int) -> List[Tuple[int, ...]]:
     """All ways to write ``extent`` as an ordered product of ``parts`` factors."""
     def divisors(n: int) -> List[int]:
         return [d for d in range(1, n + 1) if n % d == 0]
@@ -32,10 +36,11 @@ def _factorizations(extent: int, parts: int, max_candidates: int = 64) -> List[T
             recurse(remaining // d, chosen + (d,))
 
     recurse(extent, ())
-    if len(results) > max_candidates:
+    if len(results) > _MAX_SPLIT_CANDIDATES:
         # Deterministically thin the list while keeping the extremes.
-        step = len(results) / max_candidates
-        results = [results[int(i * step)] for i in range(max_candidates)]
+        step = len(results) / _MAX_SPLIT_CANDIDATES
+        results = [results[int(i * step)]
+                   for i in range(_MAX_SPLIT_CANDIDATES)]
     return results
 
 
@@ -88,15 +93,13 @@ class ConfigSpace:
 
     # -- definition API ---------------------------------------------------------
     def define_split(self, name: str, extent: int, num_outputs: int = 2,
-                     max_candidates: int = 64,
                      candidate_sizes: Optional[Sequence[Sequence[int]]] = None) -> SplitEntity:
         if name not in self._candidates:
             if candidate_sizes is not None:
                 entities = [SplitEntity(s) for s in candidate_sizes]
             else:
                 entities = [SplitEntity(s)
-                            for s in _factorizations(int(extent), num_outputs,
-                                                     max_candidates)]
+                            for s in _factorizations(int(extent), num_outputs)]
             if not entities:
                 entities = [SplitEntity([int(extent)] + [1] * (num_outputs - 1))]
             self._candidates[name] = entities
@@ -214,7 +217,6 @@ class ConfigEntity(ConfigSpace):
         self._choices = choices
 
     def define_split(self, name: str, extent: int, num_outputs: int = 2,
-                     max_candidates: int = 64,
                      candidate_sizes: Optional[Sequence[Sequence[int]]] = None):
         return self[name]
 

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cost_model import GradientBoostedTrees, NeuralCostModel
+from .cost_model import GradientBoostedTrees
 from .measure import MeasureInput, MeasureResultRecord, Measurer
 from .registry import register_tuner
 from .space import ConfigEntity
@@ -33,6 +33,15 @@ __all__ = ["TuningRecord", "Tuner", "RandomTuner", "GridSearchTuner", "GATuner",
 
 logger = logging.getLogger("repro.autotvm")
 
+# Explorer hyper-parameters: the determinism fingerprints (curve sha256,
+# best-config indices) are recorded at these values.
+_GA_POPULATION = 16     #: measured configs kept between generations
+_GA_ELITE = 4           #: best of the population that breed
+_GA_MUTATION_PROB = 0.1  #: per-knob chance a child's value is re-drawn
+_SA_CHAINS = 16         #: independent annealing walks
+_SA_STEPS = 64          #: proposals per chain per ``find_maximums``
+_SA_TEMPERATURE = 1.0   #: initial temperature (decays 0.95x per step)
+_WARM_START_MAX = 128   #: most history samples ``warm_start`` trains on
 
 @dataclass
 class TuningRecord:
@@ -171,12 +180,8 @@ class GridSearchTuner(Tuner):
 class GATuner(Tuner):
     """Blackbox genetic algorithm over knob indices (no cost model)."""
 
-    def __init__(self, task: Task, population_size: int = 16, elite: int = 4,
-                 mutation_prob: float = 0.1, seed: int = 0):
+    def __init__(self, task: Task, seed: int = 0):
         super().__init__(task, seed)
-        self.population_size = population_size
-        self.elite = elite
-        self.mutation_prob = mutation_prob
         self._population: List[Tuple[int, float]] = []   # (config index, time)
         self._pending: List[int] = []
 
@@ -188,7 +193,7 @@ class GATuner(Tuner):
             return self._random_unvisited(batch_size)
         # Breed new candidates from the measured population.
         ranked = sorted(self._population, key=lambda item: item[1])
-        parents = [idx for idx, _ in ranked[:max(self.elite, 2)]]
+        parents = [idx for idx, _ in ranked[:_GA_ELITE]]
         children: List[ConfigEntity] = []
         pending: set = set()
         dims = space.dims
@@ -199,7 +204,7 @@ class GATuner(Tuner):
             father = space.knob_indices(self.rng.choice(parents))
             cross = [m if self.rng.random() < 0.5 else f
                      for m, f in zip(mother, father)]
-            child = [self.rng.randrange(dims[i]) if self.rng.random() < self.mutation_prob
+            child = [self.rng.randrange(dims[i]) if self.rng.random() < _GA_MUTATION_PROB
                      else v for i, v in enumerate(cross)]
             index = space.flat_index(child)
             if index in self._visited or index in pending:
@@ -216,19 +221,15 @@ class GATuner(Tuner):
             if math.isfinite(time):
                 self._population.append((inp.config.index, time))
         self._population = sorted(self._population, key=lambda item: item[1])[
-            :self.population_size]
+            :_GA_POPULATION]
 
 
 class SimulatedAnnealingOptimizer:
     """Parallel simulated annealing over the configuration space, guided by a
     cost-model scoring function (higher score = predicted faster)."""
 
-    def __init__(self, task: Task, parallel_chains: int = 16, steps: int = 64,
-                 temperature: float = 1.0, seed: int = 0):
+    def __init__(self, task: Task, seed: int = 0):
         self.task = task
-        self.parallel_chains = parallel_chains
-        self.steps = steps
-        self.temperature = temperature
         self.rng = random.Random(seed)
         self._states: List[int] = []
 
@@ -248,7 +249,7 @@ class SimulatedAnnealingOptimizer:
         space = self.task.config_space
         total = len(space)
         if not self._states:
-            self._states = [self.rng.randrange(total) for _ in range(self.parallel_chains)]
+            self._states = [self.rng.randrange(total) for _ in range(_SA_CHAINS)]
         if seeds:
             # Restart part of the chains from the most promising known
             # configurations so the walk explores their neighbourhoods
@@ -257,8 +258,8 @@ class SimulatedAnnealingOptimizer:
                 self._states[i] = seed
         scores = score_fn(self._states)
         heap: Dict[int, float] = {}
-        temperature = self.temperature
-        for _ in range(self.steps):
+        temperature = _SA_TEMPERATURE
+        for _ in range(_SA_STEPS):
             proposals = [self._neighbor(state) for state in self._states]
             new_scores = score_fn(proposals)
             for i in range(len(self._states)):
@@ -286,15 +287,12 @@ class ModelBasedTuner(Tuner):
     """
 
     def __init__(self, task: Task, cost_model: Optional[object] = None,
-                 plan_size: int = 16, sa_steps: int = 64, seed: int = 0,
-                 model_kind: str = "gbt"):
+                 seed: int = 0):
         super().__init__(task, seed)
         if cost_model is None:
-            cost_model = (GradientBoostedTrees(seed=seed) if model_kind == "gbt"
-                          else NeuralCostModel(seed=seed))
+            cost_model = GradientBoostedTrees(seed=seed)
         self.cost_model = cost_model
-        self.plan_size = plan_size
-        self.optimizer = SimulatedAnnealingOptimizer(task, steps=sa_steps, seed=seed)
+        self.optimizer = SimulatedAnnealingOptimizer(task, seed=seed)
         self._train_features: List[np.ndarray] = []
         self._train_throughput: List[float] = []
         self._feature_cache: Dict[int, np.ndarray] = {}
@@ -370,7 +368,7 @@ class ModelBasedTuner(Tuner):
         self.cost_model = cost_model
         self._trained = True
 
-    def warm_start(self, database, max_entries: int = 128) -> int:
+    def warm_start(self, database) -> int:
         """Seed the cost model from prior measurements of the same operator.
 
         Entries for this exact workload are featurised through this task's
@@ -392,7 +390,7 @@ class ModelBasedTuner(Tuner):
         entries = sorted(database,
                          key=lambda e: e.task_name != self.task.name)
         for entry in entries:
-            if added >= max_entries:
+            if added >= _WARM_START_MAX:
                 break
             if entry.operator != self.task.operator or entry.mean_time <= 0 \
                     or not math.isfinite(entry.mean_time):

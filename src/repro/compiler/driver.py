@@ -19,8 +19,9 @@ import numpy as np
 from ..autotvm.apply_history import ApplyHistoryBest
 from ..autotvm.database import TuningDatabase
 from ..graph.ir import Graph
-from ..graph.op_timing import TimeEstimate, kernel_time
-from ..graph.passes import MemoryPlan, fuse_ops as _fuse_ops_raw, plan_memory
+from ..graph.op_timing import (_VERIFIED_PROGRAMS, TimeEstimate, is_templated,
+                               kernel_time, make_task_for_node)
+from ..graph.passes import MemoryPlan, fuse_ops as _fuse_ops_raw
 from ..hardware.target import Target, create_target
 from . import passes as _standard_passes  # noqa: F401  (registers the passes)
 from .instruments import TimingInstrument
@@ -106,12 +107,6 @@ def _resolve_model(model: ModelLike,
     return graph, dict(params or {}), shapes
 
 
-#: lowered programs already certified by ``compile(verify=True)``, keyed by
-#: (workload, args, target, config index) — kernels recur across models and
-#: opt levels, so each distinct program is verified exactly once per process
-_VERIFIED_PROGRAMS: set = set()
-
-
 def _verify_kernel_program(node, target: Target,
                            config_index: Optional[int]) -> None:
     """Statically verify the lowered loop program of one templated kernel.
@@ -122,9 +117,7 @@ def _verify_kernel_program(node, target: Target,
     row boundary) instead of simulating its latency as if it were sound.
     """
     from ..analysis.tir_verify import verify_func
-    from ..graph.op_timing import _TEMPLATED_OPS, make_task_for_node
-
-    if config_index is None or node.op not in _TEMPLATED_OPS:
+    if config_index is None or not is_templated(node, target):
         return
     # Key on the node's workload signature rather than the Task's args:
     # building a Task materialises its whole config space, which would cost
@@ -165,28 +158,15 @@ def _generate_kernels(state: CompileState,
     return kernels
 
 
-def _resolve_tuning_db(ctx: PassContext):
-    """The tuning history this compilation consults, in precedence order:
-    ``PassContext.config["tuning_db"]``, then the innermost active
-    :class:`ApplyHistoryBest` context."""
-    from_ctx = ctx.config.get("tuning_db")
-    if from_ctx is not None:
-        return from_ctx
-    return ApplyHistoryBest.current()
-
-
-def _unplanned_memory(graph: Graph,
-                      dtype_bytes: Optional[int] = None) -> MemoryPlan:
+def _unplanned_memory(graph: Graph) -> MemoryPlan:
     """Fallback plan when ``plan_memory`` is disabled: no storage reuse."""
-    from ..tir.stmt import dtype_bytes as _elem_bytes
+    from ..tir.stmt import dtype_bytes
 
     storage_of: Dict[str, int] = {}
     token_bytes: Dict[int, int] = {}
     for token, node in enumerate(graph.op_nodes):
-        elem = dtype_bytes if dtype_bytes is not None else _elem_bytes(node.dtype)
-        size = int(np.prod(node.shape)) * elem
         storage_of[node.name] = token
-        token_bytes[token] = size
+        token_bytes[token] = int(np.prod(node.shape)) * dtype_bytes(node.dtype)
     return MemoryPlan(storage_of, token_bytes, sum(token_bytes.values()))
 
 
@@ -196,12 +176,12 @@ def compile(model: ModelLike, target: Union[Target, str, None] = None, *,
             opt_level: Optional[int] = None,
             heterogeneous_targets: Optional[Dict[str, Union[Target, str]]] = None,
             pipeline: Optional[Union[Sequential, Sequence]] = None,
-            verify: Optional[bool] = None
+            verify: bool = False
             ) -> CompiledModule:
     """Compile a model for a target and return a :class:`CompiledModule`.
 
-    Tuning history is picked up from ``PassContext.config["tuning_db"]`` or
-    an active :class:`~repro.autotvm.apply_history.ApplyHistoryBest` context
+    Tuning history is picked up from the innermost active
+    :class:`~repro.autotvm.apply_history.ApplyHistoryBest` context
     (``with report.apply_history_best(): repro.compile(...)``).
 
     Parameters
@@ -228,8 +208,7 @@ def compile(model: ModelLike, target: Union[Target, str, None] = None, *,
         Run the static IR verifier (:mod:`repro.analysis`) after every pass
         and over every generated kernel's lowered program; broken IR raises
         a typed :class:`~repro.analysis.errors.VerifierError` naming the
-        offending pass and node.  Defaults to
-        ``PassContext.config["verify"]`` (off when unset).
+        offending pass and node.
     """
     graph, params, shapes = _resolve_model(model, params, input_shapes)
     resolved_target = _resolve_target(target)
@@ -241,39 +220,30 @@ def compile(model: ModelLike, target: Union[Target, str, None] = None, *,
     ctx = PassContext.current()
     if opt_level is not None:
         ctx = ctx.cloned(opt_level=opt_level)
-    verify_on = bool(ctx.config.get("verify", False)) if verify is None else verify
 
     timing = TimingInstrument()
     instruments = list(ctx.instruments) + [timing]
-    configured_bytes = ctx.config.get("plan_memory.dtype_bytes")
-    if verify_on:
+    if verify:
         from ..analysis.instrument import VerifyInstrument
 
-        instruments.append(VerifyInstrument(
-            dtype_bytes=None if configured_bytes is None
-            else int(configured_bytes)))
+        instruments.append(VerifyInstrument())
     state = CompileState(graph=graph, params=params, target=resolved_target,
                          input_shapes=shapes)
     sequential = pipeline if isinstance(pipeline, Sequential) else Sequential(pipeline)
     state = sequential(state, ctx, instruments=instruments)
 
     if state.memory_plan is None:
-        state.memory_plan = _unplanned_memory(
-            state.graph, None if configured_bytes is None
-            else int(configured_bytes))
-    if verify_on:
+        state.memory_plan = _unplanned_memory(state.graph)
+    if verify:
         # Final check: the post-pipeline graph together with the artifacts
         # codegen consumes (fusion groups, possibly the fallback memory plan
         # built above, which no pass instrument ever saw).
         from ..analysis.graph_verify import verify_graph
 
         verify_graph(state.graph, groups=state.groups,
-                     memory_plan=state.memory_plan,
-                     dtype_bytes=None if configured_bytes is None
-                     else int(configured_bytes),
-                     pass_name="codegen")
-    kernels = _generate_kernels(state, _resolve_tuning_db(ctx),
-                                het_targets, verify=verify_on)
+                     memory_plan=state.memory_plan, pass_name="codegen")
+    kernels = _generate_kernels(state, ApplyHistoryBest.current(),
+                                het_targets, verify=verify)
     for instrument in ctx.instruments:
         for kernel in kernels:
             instrument.observe_kernel(kernel)

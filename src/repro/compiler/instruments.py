@@ -60,10 +60,6 @@ class PassRecord:
     params_before: int
     params_after: int
 
-    @property
-    def nodes_removed(self) -> int:
-        return self.nodes_before - self.nodes_after
-
 
 class PassInstrument:
     """Base class for pipeline observers; all hooks default to no-ops."""

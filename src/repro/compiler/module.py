@@ -82,14 +82,6 @@ class CompiledModule:
         """How many kernels used a configuration from the tuning history."""
         return sum(1 for k in self.kernels if getattr(k, "tuned", False))
 
-    def time_by_operator(self) -> Dict[str, float]:
-        """Aggregate estimated time per operator type (for breakdowns)."""
-        breakdown: Dict[str, float] = {}
-        for kernel in self.kernels:
-            op = kernel.group.master.op
-            breakdown[op] = breakdown.get(op, 0.0) + kernel.time_seconds
-        return breakdown
-
     def pass_timings(self) -> Dict[str, float]:
         """Wall-clock seconds spent in each executed compilation pass."""
         from .instruments import aggregate_timings

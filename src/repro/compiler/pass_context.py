@@ -1,10 +1,10 @@
 """Compilation configuration carried through the pass pipeline.
 
-A :class:`PassContext` is a context manager holding the optimization level, a
-free-form config dict consulted by individual passes, the set of passes to
-disable (ablations: ``PassContext(disabled_passes=["fuse_ops"])`` is the
-paper's "TVM w/o graph opt" row), extra passes to append to the default
-pipeline, and the instruments observing the run::
+A :class:`PassContext` is a context manager holding the optimization level,
+the set of passes to disable (ablations:
+``PassContext(disabled_passes=["fuse_ops"])`` is the paper's "TVM w/o graph
+opt" row), extra passes to append to the default pipeline, and the
+instruments observing the run::
 
     with repro.PassContext(opt_level=2, disabled_passes=["alter_layout"]):
         module = repro.compile(model, target="cuda")
@@ -16,7 +16,7 @@ Contexts nest; :meth:`PassContext.current` returns the innermost active one
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Sequence
 
 if TYPE_CHECKING:
     from .instruments import PassInstrument
@@ -40,14 +40,12 @@ class PassContext:
         return stack
 
     def __init__(self, opt_level: int = 2,
-                 config: Optional[Dict[str, object]] = None,
                  disabled_passes: Iterable[str] = (),
                  extra_passes: Sequence = (),
                  instruments: Sequence["PassInstrument"] = ()):
         if opt_level < 0:
             raise ValueError(f"opt_level must be >= 0, got {opt_level}")
         self.opt_level = int(opt_level)
-        self.config: Dict[str, object] = dict(config or {})
         self.disabled_passes = frozenset(disabled_passes)
         self.extra_passes: List = list(extra_passes)
         self.instruments: List["PassInstrument"] = list(instruments)
@@ -96,11 +94,10 @@ class PassContext:
             stack.pop()
 
     # ------------------------------------------------------------- helpers
-    def cloned(self, opt_level: Optional[int] = None) -> "PassContext":
-        """A copy of this context, optionally overriding ``opt_level``."""
+    def cloned(self, opt_level: int) -> "PassContext":
+        """A copy of this context at another ``opt_level``."""
         return PassContext(
-            opt_level=self.opt_level if opt_level is None else opt_level,
-            config=self.config,
+            opt_level=opt_level,
             disabled_passes=self.disabled_passes,
             extra_passes=self.extra_passes,
             instruments=self.instruments,

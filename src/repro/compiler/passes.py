@@ -42,9 +42,8 @@ def fold_constants(state: CompileState, ctx: PassContext) -> None:
 @register_pass("simplify_inference", opt_level=2, invalidates=("shapes",))
 def simplify_inference(state: CompileState, ctx: PassContext) -> None:
     """Fold batch norms into producers and drop inference no-ops."""
-    epsilon = float(ctx.config.get("simplify_inference.epsilon", 1e-5))
-    state.graph, state.params, folded = _simplify_inference(
-        state.graph, state.params, epsilon=epsilon)
+    state.graph, state.params, folded = _simplify_inference(state.graph,
+                                                            state.params)
     state.stats["bn_folds"] = folded
 
 
@@ -70,9 +69,7 @@ def fuse_ops(state: CompileState, ctx: PassContext) -> None:
 @register_pass("plan_memory", opt_level=0)
 def plan_memory(state: CompileState, ctx: PassContext) -> None:
     """Static memory planning: liveness analysis + greedy storage reuse."""
-    configured = ctx.config.get("plan_memory.dtype_bytes")
-    dtype_bytes = None if configured is None else int(configured)
-    state.memory_plan = _plan_memory(state.graph, dtype_bytes=dtype_bytes)
+    state.memory_plan = _plan_memory(state.graph)
 
 
 @register_pass("eliminate_common_subexpr", opt_level=2, invalidates=("shapes",))

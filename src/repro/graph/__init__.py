@@ -2,7 +2,7 @@
 
 from ..compiler.module import CompiledKernel, CompiledModule
 from .ir import Graph, Node
-from .op_timing import clear_timing_cache, estimate_node_time, make_task_for_node
+from .op_timing import clear_timing_cache, make_task_for_node
 from .ops import OP_REGISTRY, OpPattern, OpSpec, register_op
 from .passes import (
     FusedGroup,
@@ -30,7 +30,6 @@ __all__ = [
     "OpSpec",
     "alter_layout",
     "clear_timing_cache",
-    "estimate_node_time",
     "fold_constants",
     "fuse_ops",
     "make_task_for_node",

@@ -25,13 +25,14 @@ from ..autotvm.task import Task
 from ..hardware.target import Target
 from ..hardware.vdla import VDLAAccelerator
 from ..topi import nn as topi_nn
+from ..topi.reference import _pair
 from ..topi.schedules import cpu as cpu_sched
 from ..topi.schedules import gpu as gpu_sched
 from ..topi.schedules import vdla as vdla_sched
 from .ir import Node
 from .ops import OP_REGISTRY
 
-__all__ = ["workload_key", "estimate_node_time", "kernel_time", "TimeEstimate",
+__all__ = ["workload_key", "is_templated", "kernel_time", "TimeEstimate",
            "make_task_for_node", "task_name_for_node", "fallback_search",
            "fallback_config_for_node", "clear_timing_cache", "KERNEL_TIME_CACHE"]
 
@@ -40,12 +41,18 @@ KERNEL_TIME_CACHE: Dict[Tuple, "TimeEstimate"] = {}
 #: memoised (best_time, best_config_index) of the fallback heuristic
 _FALLBACK_CACHE: Dict[Tuple, Tuple[float, int]] = {}
 
+#: lowered programs already certified by ``compile(verify=True)``, keyed by
+#: (workload, args, target, config index) — kernels recur across models and
+#: opt levels, so each distinct program is verified exactly once per process
+_VERIFIED_PROGRAMS: set = set()
+
 
 def clear_timing_cache() -> None:
     from ..autotvm.eval_cache import clear_eval_caches
 
     KERNEL_TIME_CACHE.clear()
     _FALLBACK_CACHE.clear()
+    _VERIFIED_PROGRAMS.clear()
     clear_eval_caches()
 
 
@@ -56,12 +63,6 @@ class TimeEstimate:
     time: float
     tuned: bool = False                 #: came from a tuning-history entry
     config_index: Optional[int] = None  #: config used (tuned path only)
-
-
-def _pair(value) -> Tuple[int, int]:
-    if isinstance(value, (tuple, list)):
-        return int(value[0]), int(value[1])
-    return int(value), int(value)
 
 
 def workload_key(node: Node, target: Target) -> Tuple:
@@ -202,21 +203,20 @@ def _memory_bound_time(node: Node, target: Target, fused: bool = False) -> float
     return time
 
 
-def _vdla_conv_time(node: Node, target: Target, latency_hiding: bool = True) -> float:
+def _vdla_conv_time(node: Node, target: Target) -> float:
     """Estimate a convolution offloaded to the VDLA via its GEMM mapping."""
     (n, ci, h, w) = node.inputs[0].shape
     (co, _ci, kh, kw) = node.inputs[1].shape
     sh, _sw = _pair(node.attrs.get("strides", 1))
     ph, _pw = _pair(node.attrs.get("padding", 0))
     m, n_dim, k = vdla_sched.conv2d_as_gemm_workload(n, ci, h, w, co, kh, sh, ph)
-    schedule, tensors = vdla_sched.schedule_gemm_vdla(
-        m, n_dim, k, vthreads=2 if latency_hiding else 1)
+    schedule, tensors = vdla_sched.schedule_gemm_vdla(m, n_dim, k, vthreads=2)
     func = tir.lower(schedule, tensors, name=f"vdla_conv_{m}x{n_dim}x{k}")
     from ..tir.transforms import inject_virtual_threads
 
     func = inject_virtual_threads(func)
     model: VDLAAccelerator = target.model  # type: ignore[assignment]
-    return model.estimate_func(func, latency_hiding=latency_hiding)
+    return model.estimate_func(func, latency_hiding=True)
 
 
 #: operators tuned through schedule templates (everything else is estimated
@@ -224,23 +224,18 @@ def _vdla_conv_time(node: Node, target: Target, latency_hiding: bool = True) -> 
 _TEMPLATED_OPS = ("conv2d", "depthwise_conv2d", "dense", "conv2d_transpose")
 
 
-def estimate_node_time(node: Node, target: Target,
-                       tuning_db: Optional[TuningDatabase] = None,
-                       fused: bool = False,
-                       n_fallback_configs: int = 48) -> float:
-    """Estimated kernel latency of one operator node on ``target``.
-
-    Thin wrapper over :func:`kernel_time` for callers that only need the
-    number.
-    """
-    return kernel_time(node, target, tuning_db=tuning_db, fused=fused,
-                       n_fallback_configs=n_fallback_configs).time
+def is_templated(node: Node, target: Target) -> bool:
+    """Whether ``node`` compiles through a tunable schedule template on
+    ``target``.  VDLA convolutions do not: they map onto the accelerator's
+    fixed GEMM schedule and never consult tuning history."""
+    if target.device_type == "vdla" and node.op == "conv2d":
+        return False
+    return node.op in _TEMPLATED_OPS
 
 
 def kernel_time(node: Node, target: Target,
                 tuning_db: Optional[TuningDatabase] = None,
-                fused: bool = False,
-                n_fallback_configs: int = 48) -> TimeEstimate:
+                fused: bool = False) -> TimeEstimate:
     """Kernel latency of one operator node, with provenance.
 
     ``fused=True`` means the node executes inside a fused kernel anchored by
@@ -256,12 +251,10 @@ def kernel_time(node: Node, target: Target,
     """
     base_key = workload_key(node, target) + (fused,)
 
+    templated = is_templated(node, target)
     entry = None
-    if tuning_db is not None and node.op in _TEMPLATED_OPS \
-            and not (target.device_type == "vdla" and node.op == "conv2d"):
-        task_name = task_name_for_node(node)
-        if task_name is not None:
-            entry = tuning_db.best(task_name, target.name)
+    if tuning_db is not None and templated:
+        entry = tuning_db.best(task_name_for_node(node), target.name)
     key = base_key if entry is None else base_key + ("tuned", entry.config_index)
     if key in KERNEL_TIME_CACHE:
         return KERNEL_TIME_CACHE[key]
@@ -274,13 +267,11 @@ def kernel_time(node: Node, target: Target,
         KERNEL_TIME_CACHE[key] = estimate
         return estimate
 
-    if target.device_type == "vdla" and node.op in ("conv2d",):
-        estimate = TimeEstimate(_vdla_conv_time(node, target))
-        KERNEL_TIME_CACHE[key] = estimate
-        return estimate
-
-    if node.op not in _TEMPLATED_OPS:
-        estimate = TimeEstimate(_memory_bound_time(node, target, fused=fused))
+    if not templated:
+        if node.op == "conv2d":     # vdla: offloaded through the GEMM mapping
+            estimate = TimeEstimate(_vdla_conv_time(node, target))
+        else:
+            estimate = TimeEstimate(_memory_bound_time(node, target, fused=fused))
         KERNEL_TIME_CACHE[key] = estimate
         return estimate
 
@@ -296,7 +287,7 @@ def kernel_time(node: Node, target: Target,
         tuned, config_index = True, entry.config_index
     else:
         best_time, config_index = fallback_config_for_node(
-            node, target, fused=fused, n_fallback_configs=n_fallback_configs)
+            node, target, fused=fused)
         tuned = False
     if not math.isfinite(best_time):
         best_time = _memory_bound_time(node, target, fused=fused)
@@ -306,8 +297,8 @@ def kernel_time(node: Node, target: Target,
     return estimate
 
 
-def fallback_config_for_node(node: Node, target: Target, fused: bool = False,
-                             n_fallback_configs: int = 48) -> Tuple[float, int]:
+def fallback_config_for_node(node: Node, target: Target,
+                             fused: bool = False) -> Tuple[float, int]:
     """``(best_time, best_config_index)`` of the compiler's untuned fallback
     heuristic for a heavy operator node (memoised, deterministic).
 
@@ -324,20 +315,21 @@ def fallback_config_for_node(node: Node, target: Target, fused: bool = False,
     if task is None:
         raise ValueError(f"Node {node.name!r} ({node.op}) has no schedule template")
     seed = zlib.crc32(repr(key).encode())
-    result = fallback_search(task, target,
-                             n_random=max(n_fallback_configs // 2, 8),
-                             climb_rounds=2, seed=seed)
+    result = fallback_search(task, target, seed=seed)
     _FALLBACK_CACHE[key] = result
     return result
 
 
+#: hill-climb seeds kept per round of :func:`fallback_search`
+_FALLBACK_TOP_K = 3
+
+
 def fallback_search(task: Task, target: Target, n_random: int = 24,
-                    climb_rounds: int = 2, top_k: int = 3,
-                    seed: int = 0) -> Tuple[float, int]:
+                    climb_rounds: int = 2, seed: int = 0) -> Tuple[float, int]:
     """Model-guided fallback configuration search (no tuning log available).
 
     Samples ``n_random`` configurations, then hill-climbs from the best
-    ``top_k`` by toggling one knob at a time, scoring every candidate with the
+    ``_FALLBACK_TOP_K`` by toggling one knob at a time, scoring every candidate with the
     target's hardware model.  Returns ``(best_time, best_config_index)``.
     This is the deterministic heuristic the compiler uses when the user has
     not run the autotuner; the autotuner (Section 5) explores the same space
@@ -377,7 +369,7 @@ def fallback_search(task: Task, target: Target, n_random: int = 24,
     # knob-dict construction or lowering happens.
     dims = space.dims
     for _ in range(max(climb_rounds, 0)):
-        seeds = sorted(scored, key=scored.get)[:top_k]
+        seeds = sorted(scored, key=scored.get)[:_FALLBACK_TOP_K]
         round_batch = []
         for index in seeds:
             knobs = space.knob_indices(index)

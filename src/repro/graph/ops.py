@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..topi import reference as ref
+from ..topi.reference import _pair
 
 __all__ = ["OpPattern", "OpSpec", "OP_REGISTRY", "register_op"]
 
@@ -50,12 +51,6 @@ def register_op(name: str, pattern: str, infer_shape, compute, flops=None) -> Op
                   flops or (lambda ins, out, attrs: float(np.prod(out))))
     OP_REGISTRY[name] = spec
     return spec
-
-
-def _pair(value) -> Tuple[int, int]:
-    if isinstance(value, (tuple, list)):
-        return int(value[0]), int(value[1])
-    return int(value), int(value)
 
 
 # ---------------------------------------------------------------------------

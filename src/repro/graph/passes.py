@@ -184,15 +184,13 @@ class MemoryPlan:
         return self.naive_bytes / self.planned_bytes
 
 
-def plan_memory(graph: Graph, dtype_bytes: Optional[int] = None) -> MemoryPlan:
+def plan_memory(graph: Graph) -> MemoryPlan:
     """Greedy storage reuse for intermediate tensors (liveness based).
 
-    ``dtype_bytes=None`` (the default) sizes every tensor from its node's
-    inferred dtype, so fp16/int8 graphs get correctly-sized storage tokens;
-    passing an integer forces a uniform element size (the legacy behaviour,
-    ``dtype_bytes=4``).
+    Every tensor is sized from its node's inferred dtype, so fp16/int8
+    graphs get correctly-sized storage tokens.
     """
-    from ..tir.stmt import dtype_bytes as _elem_bytes
+    from ..tir.stmt import dtype_bytes
 
     consumers = graph.consumers()
     order = {id(n): i for i, n in enumerate(graph.nodes)}
@@ -216,8 +214,7 @@ def plan_memory(graph: Graph, dtype_bytes: Optional[int] = None) -> MemoryPlan:
             free_tokens.append((token_bytes[token], token))
         if node.is_variable:
             continue
-        elem = dtype_bytes if dtype_bytes is not None else _elem_bytes(node.dtype)
-        size = int(np.prod(node.shape)) * elem
+        size = int(np.prod(node.shape)) * dtype_bytes(node.dtype)
         naive += size
         # Best-fit reuse of a free token.
         free_tokens.sort()

@@ -49,10 +49,11 @@ def _clone_nodes(graph: Graph) -> Dict[int, Node]:
     return clones
 
 
-def _bn_scale_shift(params: Dict[str, np.ndarray], bn: Node,
-                    epsilon: float = 1e-5
+def _bn_scale_shift(params: Dict[str, np.ndarray], bn: Node
                     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Per-channel (scale, shift) implementing the batch norm at inference."""
+    """Per-channel (scale, shift) implementing the batch norm at inference,
+    with the node's own ``epsilon`` — the one its ``batch_norm`` compute
+    (:mod:`repro.graph.ops`) reads, so folded and unfolded graphs agree."""
     if len(bn.inputs) < 5:
         return None
     gamma, beta, mean, var = (bn.inputs[1], bn.inputs[2], bn.inputs[3], bn.inputs[4])
@@ -60,7 +61,7 @@ def _bn_scale_shift(params: Dict[str, np.ndarray], bn: Node,
     if not all(name in params for name in names):
         return None
     gamma_v, beta_v, mean_v, var_v = (params[name] for name in names)
-    scale = gamma_v / np.sqrt(var_v + epsilon)
+    scale = gamma_v / np.sqrt(var_v + bn.attrs.get("epsilon", 1e-5))
     shift = beta_v - mean_v * scale
     return scale.astype(gamma_v.dtype), shift.astype(beta_v.dtype)
 
@@ -73,8 +74,7 @@ def _scale_weight(weight: np.ndarray, scale: np.ndarray, op: str) -> np.ndarray:
     return weight * scale[:, None, None, None]
 
 
-def simplify_inference(graph: Graph, params: Dict[str, np.ndarray],
-                       epsilon: float = 1e-5
+def simplify_inference(graph: Graph, params: Dict[str, np.ndarray]
                        ) -> Tuple[Graph, Dict[str, np.ndarray], int]:
     """Fold batch norms into producers and drop inference no-ops.
 
@@ -114,7 +114,7 @@ def simplify_inference(graph: Graph, params: Dict[str, np.ndarray],
         weight_node = producer.inputs[1] if len(producer.inputs) > 1 else None
         if weight_node is None or weight_node.name not in params:
             continue
-        scale_shift = _bn_scale_shift(params, node, epsilon)
+        scale_shift = _bn_scale_shift(params, node)
         if scale_shift is None:
             continue
         scale, shift = scale_shift

@@ -6,12 +6,13 @@ see the README's spawn-vs-fork notes), each booted from an exported module
 artifact with the parameters mapped from one shared-memory arena.  Worker
 lifecycle is a first-class concern:
 
-* **boot handshake** — every worker must ``HELLO`` within ``boot_timeout``;
+* **boot handshake** — every worker must ``HELLO`` within
+  ``_BOOT_TIMEOUT_S``;
 * **heartbeats** — a monitor thread pings idle workers every
   ``heartbeat_interval`` seconds and respawns silent ones;
 * **death mid-request** — a dispatch waiting on a reply polls the pipe *and*
-  the process; a worker that dies (or stalls past ``reply_timeout``) is
-  respawned and the in-flight request is retried up to ``max_retries``
+  the process; a worker that dies (or stalls past ``_REPLY_TIMEOUT_S``) is
+  respawned and the in-flight request is retried up to ``_MAX_RETRIES``
   times before :class:`WorkerCrash` reaches the caller;
 * **graceful shutdown** — ``SHUTDOWN`` frames, bounded joins, hard kill of
   stragglers, and release of everything the pool created: the parameter
@@ -47,6 +48,9 @@ __all__ = ["ModuleWorkerPool", "ProcPoolError", "WorkerCrash", "WorkerError",
            "PoolShutdownError"]
 
 _POLL_SECONDS = 0.05
+_BOOT_TIMEOUT_S = 120.0     #: a booting worker must HELLO within this
+_REPLY_TIMEOUT_S = 600.0    #: a reply slower than this counts as a death
+_MAX_RETRIES = 2            #: respawn-and-resend attempts per request
 
 
 class ProcPoolError(RuntimeError):
@@ -134,17 +138,9 @@ class ModuleWorkerPool:
 
     def __init__(self, module, bundle_path: Union[None, str, os.PathLike],
                  devices: Sequence, *,
-                 heartbeat_interval: float = 1.0,
-                 max_retries: int = 2,
-                 boot_timeout: float = 120.0,
-                 reply_timeout: Optional[float] = 600.0):
+                 heartbeat_interval: float = 1.0):
         if not devices:
             raise ValueError("devices must not be empty")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        self.max_retries = max_retries
-        self.boot_timeout = boot_timeout
-        self.reply_timeout = reply_timeout
         self.heartbeat_interval = heartbeat_interval
         self._ctx = multiprocessing.get_context("spawn")
         self._closed = False
@@ -213,7 +209,7 @@ class ModuleWorkerPool:
 
     def _await_hello(self, worker: _Worker) -> None:
         try:
-            kind, payload = self._recv(worker, timeout=self.boot_timeout)
+            kind, payload = self._recv(worker, timeout=_BOOT_TIMEOUT_S)
         except self._WorkerDied as died:
             raise ProcPoolError(
                 f"{self.name} worker {worker.index} died while booting "
@@ -235,12 +231,11 @@ class ModuleWorkerPool:
     class _WorkerDied(Exception):
         """Internal: the worker died (or stalled) before replying."""
 
-    def _recv(self, worker: _Worker, timeout: Optional[float]):
+    def _recv(self, worker: _Worker, timeout: float):
         """Receive one frame, polling the process for death while waiting."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = time.monotonic() + timeout
         while True:
-            remaining = _POLL_SECONDS if deadline is None else \
-                min(_POLL_SECONDS, deadline - time.monotonic())
+            remaining = min(_POLL_SECONDS, deadline - time.monotonic())
             if remaining > 0 and worker.conn.poll(remaining):
                 try:
                     return recv_msg(worker.conn)
@@ -253,7 +248,7 @@ class ModuleWorkerPool:
             if worker.process is not None and not worker.process.is_alive():
                 raise self._WorkerDied(
                     f"process exited with code {worker.process.exitcode}")
-            if deadline is not None and time.monotonic() >= deadline:
+            if time.monotonic() >= deadline:
                 raise self._WorkerDied(f"no reply within {timeout:.1f}s "
                                        f"(treating the worker as hung)")
 
@@ -291,14 +286,14 @@ class ModuleWorkerPool:
 
         The payload must be self-contained (re-sendable verbatim): on worker
         death the worker is respawned and the same frame is retried up to
-        ``max_retries`` times before :class:`WorkerCrash` is raised.
+        ``_MAX_RETRIES`` times before :class:`WorkerCrash` is raised.
         """
         worker = self._workers[index]
         wait_start = time.perf_counter()
         with worker.lock:
             worker.stats.dispatch_wait_s += time.perf_counter() - wait_start
             last_reason = "?"
-            for attempt in range(self.max_retries + 1):
+            for attempt in range(_MAX_RETRIES + 1):
                 if self._closed:
                     raise PoolShutdownError(f"{self.name} is shut down")
                 if attempt:
@@ -318,8 +313,7 @@ class ModuleWorkerPool:
                         except (ProcessLookupError, PermissionError):
                             pass
                     send_msg(worker.conn, kind, payload)
-                    reply_kind, reply = self._recv(worker,
-                                                   self.reply_timeout)
+                    reply_kind, reply = self._recv(worker, _REPLY_TIMEOUT_S)
                 except (self._WorkerDied, OSError) as exc:
                     last_reason = str(exc) or repr(exc)
                     self._respawn(worker, last_reason)
@@ -336,7 +330,7 @@ class ModuleWorkerPool:
                 worker.stats.requests += 1
                 return reply
             raise WorkerCrash(
-                f"{self.name} worker {index} died {self.max_retries + 1} "
+                f"{self.name} worker {index} died {_MAX_RETRIES + 1} "
                 f"time(s) handling one {MSG.name(kind)} request "
                 f"(last: {last_reason}); giving up on this batch")
 

@@ -59,6 +59,8 @@ TRACE_FAMILIES = ("poisson", "diurnal", "burst")
 
 #: replay outcome classes, in reporting order
 OUTCOMES = ("served", "shed", "expired", "cancelled", "failed", "hung")
+#: arrival-window width of :meth:`ReplayReport.windowed_goodput`, seconds
+_GOODPUT_WINDOW_S = 0.5
 
 
 class TraceError(ValueError):
@@ -379,10 +381,9 @@ class ReplayReport:
                        if not (r["outcome"] == "served" and r["deadline_met"]))
         return violated / len(considered)
 
-    def windowed_goodput(self, window_s: float = 1.0) -> List[Dict[str, float]]:
+    def windowed_goodput(self) -> List[Dict[str, float]]:
         """Goodput per arrival window of trace time (the goodput *curve*)."""
-        if window_s <= 0:
-            raise TraceError(f"window_s must be > 0, got {window_s}")
+        window_s = _GOODPUT_WINDOW_S
         n_windows = max(1, math.ceil(self.trace.duration_s / window_s))
         offered = [0] * n_windows
         ok = [0] * n_windows
@@ -443,8 +444,7 @@ class TraceReplayer:
         same trace submit byte-identical payloads.
     time_scale:
         Multiplier on trace time (0.5 replays twice as fast).  Deadlines are
-        scaled by the same factor when ``scale_deadlines`` (default) so the
-        load/SLO ratio is preserved.
+        scaled by the same factor so the load/SLO ratio is preserved.
     giveup_ms:
         Client patience: when set, the collector cancels any request still
         unresolved this long (scaled) after submission — the ``cancelled``
@@ -461,7 +461,7 @@ class TraceReplayer:
                                       Mapping[str, InferenceEngine]],
                  trace: Trace, *,
                  inputs_for: Optional[Callable[[TraceRequest], Dict]] = None,
-                 time_scale: float = 1.0, scale_deadlines: bool = True,
+                 time_scale: float = 1.0,
                  giveup_ms: Optional[float] = None,
                  result_timeout_s: float = 120.0,
                  store_outputs: bool = False, input_pool: int = 8):
@@ -473,7 +473,6 @@ class TraceReplayer:
             raise TraceError(f"input_pool must be >= 1, got {input_pool}")
         self.trace = trace
         self.time_scale = time_scale
-        self.scale_deadlines = scale_deadlines
         self.giveup_ms = giveup_ms
         self.result_timeout_s = result_timeout_s
         self.store_outputs = store_outputs
@@ -536,7 +535,7 @@ class TraceReplayer:
                 time.sleep(delay)
             engine = self.engine_for(request.model)
             deadline_ms = request.deadline_ms
-            if deadline_ms is not None and self.scale_deadlines:
+            if deadline_ms is not None:
                 deadline_ms = deadline_ms * scale
             try:
                 future = engine.submit(self._inputs(request),
@@ -589,9 +588,7 @@ class TraceReplayer:
             record = self._record(request, "served", future=future)
             deadline_s = None
             if request.deadline_ms is not None:
-                scaled_ms = request.deadline_ms * scale \
-                    if self.scale_deadlines else request.deadline_ms
-                deadline_s = scaled_ms / 1000.0
+                deadline_s = request.deadline_ms * scale / 1000.0
             record["deadline_met"] = (deadline_s is None
                                       or (future.wall_latency is not None
                                           and future.wall_latency <= deadline_s))

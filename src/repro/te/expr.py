@@ -49,7 +49,6 @@ __all__ = [
     "Range",
     "const",
     "as_expr",
-    "ExprVisitor",
     "ExprMutator",
     "simplify",
     "substitute",
@@ -471,21 +470,6 @@ def _dispatch(visitor: object, node: object):
         method = getattr(cls, f"visit_{node_cls.__name__.lower()}", None)
         cache[node_cls] = method
         return method
-
-
-class ExprVisitor:
-    """Generic read-only traversal of an expression tree."""
-
-    def visit(self, expr: Expr) -> None:
-        method = _dispatch(self, expr)
-        if method is not None:
-            method(self, expr)
-        else:
-            self.generic_visit(expr)
-
-    def generic_visit(self, expr: Expr) -> None:
-        for child in expr_children(expr):
-            self.visit(child)
 
 
 class ExprMutator:

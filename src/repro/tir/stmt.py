@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..te.expr import Call, Expr, ExprLike, IntImm, Var, _dispatch, as_expr
+from ..te.expr import Call, Expr, ExprLike, IntImm, Var, as_expr
 
 __all__ = [
     "Buffer",
@@ -33,7 +33,6 @@ __all__ = [
     "DepPop",
     "IntrinsicStmt",
     "LoweredFunc",
-    "StmtVisitor",
     "seq",
     "format_stmt",
 ]
@@ -319,21 +318,6 @@ def stmt_children(stmt: Stmt) -> List[Stmt]:
     if isinstance(stmt, (Allocate, AttrStmt)):
         return [stmt.body]
     return []
-
-
-class StmtVisitor:
-    """Read-only traversal over a statement tree."""
-
-    def visit(self, stmt: Stmt) -> None:
-        method = _dispatch(self, stmt)
-        if method is not None:
-            method(self, stmt)
-        else:
-            self.generic_visit(stmt)
-
-    def generic_visit(self, stmt: Stmt) -> None:
-        for child in stmt_children(stmt):
-            self.visit(child)
 
 
 def format_stmt(stmt: Stmt, indent: int = 0) -> str:

@@ -37,6 +37,7 @@ from .stmt import (
     SeqStmt,
     Stmt,
     seq,
+    stmt_children,
 )
 
 __all__ = [
@@ -248,26 +249,11 @@ def _collect_local_buffers(stmt: Stmt) -> List[Buffer]:
             found[node.buffer.name] = node.buffer
         if isinstance(node, IntrinsicStmt) and node.output.scope != "global":
             found[node.output.name] = node.output
-        for child in _children(node):
+        for child in stmt_children(node):
             rec(child)
 
     rec(stmt)
     return list(found.values())
-
-
-def _children(stmt: Stmt) -> List[Stmt]:
-    if isinstance(stmt, SeqStmt):
-        return list(stmt.stmts)
-    if isinstance(stmt, For):
-        return [stmt.body]
-    if isinstance(stmt, IfThenElse):
-        out = [stmt.then_body]
-        if stmt.else_body is not None:
-            out.append(stmt.else_body)
-        return out
-    if isinstance(stmt, (Allocate, AttrStmt)):
-        return [stmt.body]
-    return []
 
 
 def _interleave_vthreads(copies: Sequence[Stmt]) -> Stmt:
@@ -375,7 +361,7 @@ def count_statements(stmt: Stmt) -> Dict[str, int]:
 
     def rec(node: Stmt) -> None:
         counts[type(node).__name__] = counts.get(type(node).__name__, 0) + 1
-        for child in _children(node):
+        for child in stmt_children(node):
             rec(child)
         if isinstance(node, IfThenElse) and node.else_body is not None:
             pass

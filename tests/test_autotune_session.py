@@ -170,11 +170,6 @@ class TestAutotuneRoundTrip:
         assert tuned.tuned_kernels == 1
         assert tuned.total_time <= untuned.total_time
 
-    def test_pass_context_config_integration(self, report):
-        with PassContext(config={"tuning_db": report.database}):
-            tuned = repro.compile(conv_graph(), target="cuda")
-        assert tuned.tuned_kernels == 1
-
     def test_tuning_db_kwarg_is_gone(self, report):
         with pytest.raises(TypeError, match="tuning_db"):
             repro.compile(conv_graph(), target="cuda",

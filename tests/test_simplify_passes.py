@@ -182,3 +182,17 @@ class TestBuildIntegration:
                                    opt_level=level)
             outputs.append(repro.Executor(module)(data=data)[0].asnumpy())
         np.testing.assert_allclose(outputs[0], outputs[1], rtol=1e-3, atol=1e-4)
+
+    def test_folding_uses_the_nodes_own_epsilon(self):
+        # Regression: the fold used a pass-level epsilon (1e-5) whatever the
+        # batch_norm node carried, so opt levels disagreed by 3.3e-2 here.
+        data = np.random.default_rng(1).random((1, 3, 8, 8)).astype("float32")
+        outputs = []
+        for level in (0, 2):
+            graph, params = _conv_bn_relu_model()
+            bn = next(n for n in graph.op_nodes if n.op == "batch_norm")
+            bn.attrs["epsilon"] = 0.1
+            module = repro.compile(graph, target=cuda(), params=params,
+                                   opt_level=level)
+            outputs.append(repro.Executor(module)(data=data)[0].asnumpy())
+        np.testing.assert_allclose(outputs[0], outputs[1], rtol=0, atol=1e-5)

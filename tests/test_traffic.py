@@ -265,7 +265,8 @@ class TestReplay:
         assert report.served_late == 0
         assert report.violation_rate == 0.0
         assert report.goodput_rps == pytest.approx(len(trace) / 1.0)
-        windows = report.windowed_goodput(0.25)
+        windows = report.windowed_goodput()
+        assert len(windows) == 2        # half-second windows over 1 s
         assert sum(w["served_ok"] for w in windows) == len(trace)
         assert sum(w["offered"] for w in windows) == len(trace)
         split = report.latency_split_ms()

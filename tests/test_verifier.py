@@ -173,10 +173,6 @@ class TestCompileVerify:
                                opt_level=opt_level, verify=True)
         assert module.kernels
 
-    def test_config_key_enables_verification(self):
-        with PassContext(opt_level=2, config={"verify": True}):
-            repro.compile("dqn", target="arm_cpu")
-
     def test_corrupting_pass_caught_and_named(self):
         def clobber_names(state, ctx):
             ops = state.graph.op_nodes
@@ -204,6 +200,33 @@ class TestCompileVerify:
         with PassContext(opt_level=2, instruments=[instrument]):
             repro.compile("dqn", target="arm_cpu")
         assert instrument.passes_verified > 0
+
+    def test_clear_timing_cache_forgets_verified_programs(self, monkeypatch):
+        from repro.analysis import tir_verify
+        from repro.graph import clear_timing_cache
+
+        calls = []
+        real = tir_verify.verify_func
+
+        def counting(func):
+            calls.append(func.name)
+            return real(func)
+
+        monkeypatch.setattr(tir_verify, "verify_func", counting)
+
+        def verified_compile() -> int:
+            before = len(calls)
+            repro.compile("dqn", target="arm_cpu", verify=True)
+            return len(calls) - before
+
+        clear_timing_cache()
+        cold = verified_compile()
+        assert cold > 0
+        assert verified_compile() == 0      # each program certified once
+        clear_timing_cache()
+        # Regression: the clear left the verified set populated, so a "cold"
+        # verified compile skipped every program seen earlier in the process.
+        assert verified_compile() == cold
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +385,14 @@ class TestLowPrecisionPlanning:
         fp32 = plan_memory(_small_graph())
         assert int8.planned_bytes * 4 == fp32.planned_bytes
 
-    def test_legacy_uniform_element_size_override(self):
-        half_dtypes = {"data": "float16", "weight": "float16",
-                       "bias": "float16"}
-        forced = plan_memory(_small_graph(dtypes=half_dtypes), dtype_bytes=4)
-        fp32 = plan_memory(_small_graph())
-        assert forced.planned_bytes == fp32.planned_bytes
-
     def test_verifier_audits_plan_with_matching_sizes(self):
         half_dtypes = {"data": "float16", "weight": "float16",
                        "bias": "float16"}
         graph = _small_graph(dtypes=half_dtypes)
         verify_graph(graph, memory_plan=plan_memory(graph))
-        # auditing the fp16 plan as if elements were 4 bytes must fail
+        # auditing the fp16 plan against the same graph in fp32 must fail
         with pytest.raises(StorageSizeError):
-            verify_graph(graph, memory_plan=plan_memory(graph),
-                         dtype_bytes=4)
+            verify_graph(_small_graph(), memory_plan=plan_memory(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +512,23 @@ class TestLintInvariants:
             "    return q.get(timeout=0.2)\n")     # literal: a poll
         assert [(v.rule, v.line) for v in linter.lint_file(admission)] \
             == [("one-serving-queue", 3)]
+
+    def test_no_free_form_config_rule(self, tmp_path):
+        linter = _load_linter()
+        source = (
+            "def run(state, ctx, inp):\n"
+            "    eps = ctx.config.get('simplify_inference.epsilon', 1e-5)\n"
+            "    db = ctx.config['tuning_db']\n"
+            "    return inp.config.index, ctx.config.get(eps)\n")  # not keys
+        compiler = tmp_path / "compiler" / "passes.py"
+        compiler.parent.mkdir()
+        compiler.write_text(source)
+        assert [(v.rule, v.line) for v in linter.lint_file(compiler)] \
+            == [("no-free-form-config", 2), ("no-free-form-config", 3)]
+        elsewhere = tmp_path / "autotvm" / "measure.py"
+        elsewhere.parent.mkdir()
+        elsewhere.write_text(source)
+        assert linter.lint_file(elsewhere) == []
 
     def test_exiting_poll_loop_not_flagged(self, tmp_path):
         linter = _load_linter()

@@ -55,6 +55,15 @@ Rules
     ``runtime/admission.py`` carries a literal ``timeout=`` — a polling
     hand-off between threads is a second queue in disguise.
 
+``no-free-form-config``
+    Restricted to ``src/repro/compiler``, ``graph`` and ``analysis``: no
+    string-keyed ``<x>.config["..."]`` subscript and no
+    ``<x>.config.get("...")`` call.  A free-form dict of string keys is an
+    unvalidated, unlisted option surface (a typo'd key is silently the
+    default); an option the compile path needs is a named, defaulted
+    parameter of ``compile`` / ``PassContext`` that
+    ``tests/test_option_surface.py`` pins.
+
 Exit status is 0 when clean, 1 when any violation is found.
 """
 
@@ -84,6 +93,8 @@ RULES = {
                           "starts only worker/finalize threads; no polling "
                           ".put/.get(timeout=<literal>) there or in "
                           "runtime/admission.py"),
+    "no-free-form-config": ("compiler/, graph/, analysis/: no string-keyed "
+                            "<x>.config[...] / <x>.config.get(...) lookup"),
 }
 
 #: files (by trailing path parts) allowed to call ``._execute(``
@@ -93,6 +104,8 @@ _EXECUTE_CALLERS = (("runtime", "executor.py"),
 _BACKEND_SITE = ("InferenceEngine", "__init__")
 #: everything the engine may ask of its back-end
 _BACKEND_CONTRACT = ("run_batch", "shutdown", "stats")
+#: packages of the compile path, where ``no-free-form-config`` applies
+_COMPILE_PACKAGES = ("compiler", "graph", "analysis")
 #: stdlib queue classes (``queue.X(...)`` or imported bare)
 _QUEUE_CLASSES = ("Queue", "SimpleQueue", "LifoQueue", "PriorityQueue")
 
@@ -163,6 +176,14 @@ def _is_unpickle(call: ast.Call) -> bool:
             and isinstance(fn.value, ast.Name) and fn.value.id == "pickle")
 
 
+def _is_config_attr(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "config"
+
+
+def _is_str_constant(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
 def _loop_can_exit(loop: ast.While) -> bool:
     """Whether the loop body contains a break/return/raise of its own
     (not one belonging to a nested loop or function)."""
@@ -209,6 +230,7 @@ class _Linter(ast.NodeVisitor):
         self.is_engine = parts[-2:] == ("runtime", "serving.py")
         self.is_serving = self.is_engine \
             or parts[-2:] == ("runtime", "admission.py")
+        self.is_compile_path = any(part in _COMPILE_PACKAGES for part in parts)
         self.violations: List[Violation] = []
         self._while_true_stack: List[ast.While] = []
         self._scope: List[str] = []     # enclosing class/function names
@@ -258,6 +280,14 @@ class _Linter(ast.NodeVisitor):
                          f"{' / '.join(_BACKEND_CONTRACT)}")
         self.generic_visit(node)
 
+    def visit_Subscript(self, node: ast.Subscript) -> None:
+        if (self.is_compile_path and _is_config_attr(node.value)
+                and _is_str_constant(node.slice)):
+            self._report("no-free-form-config", node,
+                         "string-keyed .config[...] — make it a named "
+                         "parameter (or a constant)")
+        self.generic_visit(node)
+
     def visit_Name(self, node: ast.Name) -> None:
         self._check_backend_names(node, [node.id])
         if node.id == "DeprecationWarning":
@@ -298,6 +328,12 @@ class _Linter(ast.NodeVisitor):
             self._report("one-serving-queue", node,
                          f".{node.func.attr}(timeout=<literal>) — a polling "
                          f"hand-off; block on the admission queue's condition")
+        if (self.is_compile_path and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and _is_config_attr(node.func.value)
+                and node.args and _is_str_constant(node.args[0])):
+            self._report("no-free-form-config", node,
+                         "string-keyed .config.get(...) — make it a named "
+                         "parameter (or a constant)")
         if _is_unpickle(node):
             self._report("legacy-shim", node,
                          "pickle.load — artifacts load through repro.load")
