@@ -184,6 +184,19 @@ class MemoryPlan:
         return self.naive_bytes / self.planned_bytes
 
 
+def last_use(graph: Graph, step_of: Dict[str, int]) -> Dict[str, int]:
+    """Node name -> the last step that reads its tensor, given the step each
+    node executes at (its own step when nothing reads it).  The one liveness
+    rule: :func:`plan_memory` steps by node, the executor by kernel."""
+    last = dict(step_of)
+    for node in graph.nodes:
+        step = step_of.get(node.name)
+        if step is not None:
+            for parent in node.inputs:
+                last[parent.name] = max(last.get(parent.name, step), step)
+    return last
+
+
 def plan_memory(graph: Graph) -> MemoryPlan:
     """Greedy storage reuse for intermediate tensors (liveness based).
 
@@ -192,12 +205,7 @@ def plan_memory(graph: Graph) -> MemoryPlan:
     """
     from ..tir.stmt import dtype_bytes
 
-    consumers = graph.consumers()
-    order = {id(n): i for i, n in enumerate(graph.nodes)}
-    last_use: Dict[int, int] = {}
-    for node in graph.nodes:
-        uses = consumers[id(node)]
-        last_use[id(node)] = max([order[id(u)] for u in uses], default=order[id(node)])
+    release_step = last_use(graph, {n.name: i for i, n in enumerate(graph.nodes)})
 
     free_tokens: List[Tuple[int, int]] = []   # (bytes, token)
     token_bytes: Dict[int, int] = {}
@@ -229,7 +237,7 @@ def plan_memory(graph: Graph) -> MemoryPlan:
             next_token += 1
             token_bytes[chosen] = size
         storage_of[node.name] = chosen
-        active[id(node)] = (chosen, last_use[id(node)])
+        active[id(node)] = (chosen, release_step[node.name])
     return MemoryPlan(storage_of, token_bytes, naive)
 
 

@@ -4,10 +4,11 @@
 :class:`~repro.compiler.module.CompiledModule` and a :class:`Device`, then
 call it with the graph inputs — positionally in graph input order, as one
 dict, or as keyword arguments — and get the outputs back.  Every call builds
-its own tensor map, so one executor can serve many threads concurrently, and
-module parameters are mapped in as read-only views: an in-place kernel or a
-caller mutating a returned tensor raises instead of silently corrupting the
-module's weights across runs.
+its own tensor map, so one executor can serve many threads concurrently; an
+intermediate leaves that map after the last kernel that reads it (the
+liveness ``plan_memory`` plans with); and module parameters are mapped in as
+read-only views: an in-place kernel or a caller mutating a returned tensor
+raises instead of silently corrupting the module's weights across runs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..compiler.module import CompiledModule
+from ..graph.passes import last_use
 from .ndarray import Device, DeviceLike, NDArray, device as as_device
 
 __all__ = ["Executor", "ExecutionResult", "InputSpec"]
@@ -75,6 +77,15 @@ class Executor:
                                  n.dtype)
                        for n in module.graph.input_nodes
                        if n.name not in module.params]
+        # Names to drop after each kernel: every tensor but the parameters
+        # and the graph outputs, at the last kernel that reads it.
+        step_of = {node.name: step for step, kernel in enumerate(module.kernels)
+                   for node in kernel.group.nodes}
+        keep = set(module.params).union(n.name for n in module.graph.outputs)
+        self._dead_after: List[List[str]] = [[] for _ in module.kernels]
+        for name, step in last_use(module.graph, step_of).items():
+            if name not in keep:
+                self._dead_after[step].append(name)
 
     # ------------------------------------------------------------------ inputs
     @property
@@ -117,8 +128,10 @@ class Executor:
                 tensors[node.name] = self._param_views[node.name]
         total_time = 0.0
         per_kernel: List[Tuple[str, float]] = []
-        for kernel in self.module.kernels:
+        for kernel, dead in zip(self.module.kernels, self._dead_after):
             kernel.run(tensors)
+            for name in dead:
+                del tensors[name]
             total_time += kernel.time_seconds
             per_kernel.append((kernel.name, kernel.time_seconds))
         outputs = [tensors[node.name] for node in self.module.graph.outputs]

@@ -47,50 +47,64 @@ def _pair(value: IntPair) -> Tuple[int, int]:
 def pad_nchw(data: np.ndarray, pad_h: int, pad_w: int, value: float = 0.0) -> np.ndarray:
     if pad_h == 0 and pad_w == 0:
         return data
-    return np.pad(data, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)),
-                  mode="constant", constant_values=value)
+    batch, channels, height, width = data.shape
+    padded = np.full((batch, channels, height + 2 * pad_h, width + 2 * pad_w),
+                     value, dtype=data.dtype)
+    padded[:, :, pad_h:pad_h + height, pad_w:pad_w + width] = data
+    return padded
+
+
+def _windows(what: str, data: np.ndarray, window: Tuple[int, int],
+             stride: Tuple[int, int]) -> np.ndarray:
+    """Every window position of the (already padded) ``data`` as a strided
+    view ``(batch, channels, out_h, out_w, k_h, k_w)`` — no copy.  ``what``
+    names the operator and its window for the error message."""
+    if window[0] > data.shape[2] or window[1] > data.shape[3]:
+        raise ValueError(f"{what} is larger than the padded input {data.shape}")
+    view = np.lib.stride_tricks.sliding_window_view(data, window, axis=(2, 3))
+    return view[:, :, ::stride[0], ::stride[1]]
 
 
 def conv2d_nchw(data: np.ndarray, kernel: np.ndarray, stride: IntPair = 1,
                 padding: IntPair = 0) -> np.ndarray:
-    """Direct 2-D convolution, NCHW/OIHW layouts."""
-    stride_h, stride_w = _pair(stride)
-    pad_h, pad_w = _pair(padding)
-    data = pad_nchw(data, pad_h, pad_w)
-    batch, in_c, in_h, in_w = data.shape
-    out_c, _, k_h, k_w = kernel.shape
-    out_h = (in_h - k_h) // stride_h + 1
-    out_w = (in_w - k_w) // stride_w + 1
-    # im2col formulation keeps the reference fast enough for whole networks.
-    cols = np.empty((batch, in_c * k_h * k_w, out_h * out_w), dtype=data.dtype)
-    idx = 0
-    for c in range(in_c):
-        for dy in range(k_h):
-            for dx in range(k_w):
-                patch = data[:, c, dy:dy + stride_h * out_h:stride_h,
-                             dx:dx + stride_w * out_w:stride_w]
-                cols[:, idx, :] = patch.reshape(batch, -1)
-                idx += 1
+    """2-D convolution, NCHW/OIHW layouts: im2col, then one GEMM per image
+    (so a batch of N is bit-identical to N single-image runs)."""
+    out_c, k_in, k_h, k_w = kernel.shape
+    if data.shape[1] != k_in:
+        raise ValueError(f"conv2d_nchw: data {data.shape} has {data.shape[1]} "
+                         f"channels, kernel {kernel.shape} expects {k_in}")
+    windows = _windows(f"conv2d_nchw: kernel {kernel.shape}",
+                       pad_nchw(data, *_pair(padding)), (k_h, k_w), _pair(stride))
+    batch, in_c, out_h, out_w = windows.shape[:4]
+    if k_h == k_w == 1:     # the windows are the (strided) pixels themselves
+        cols = np.ascontiguousarray(windows[..., 0, 0])
+    else:
+        cols = np.empty((batch, in_c, k_h, k_w, out_h, out_w), dtype=data.dtype)
+        np.copyto(cols, windows.transpose(0, 1, 4, 5, 2, 3))
+    cols = cols.reshape(batch, in_c * k_h * k_w, out_h * out_w)
     weight = kernel.reshape(out_c, -1)
-    out = np.einsum("ok,bkp->bop", weight, cols, optimize=True)
-    return out.reshape(batch, out_c, out_h, out_w).astype(data.dtype)
+    out = np.empty((batch, out_c, out_h * out_w), dtype=data.dtype)
+    for image in range(batch):
+        np.matmul(weight, cols[image], out=out[image])
+    return out.reshape(batch, out_c, out_h, out_w)
 
 
 def depthwise_conv2d_nchw(data: np.ndarray, kernel: np.ndarray, stride: IntPair = 1,
                           padding: IntPair = 0) -> np.ndarray:
-    stride_h, stride_w = _pair(stride)
-    pad_h, pad_w = _pair(padding)
-    data = pad_nchw(data, pad_h, pad_w)
-    batch, channels, in_h, in_w = data.shape
-    _, _, k_h, k_w = kernel.shape
-    out_h = (in_h - k_h) // stride_h + 1
-    out_w = (in_w - k_w) // stride_w + 1
-    out = np.zeros((batch, channels, out_h, out_w), dtype=data.dtype)
+    channels, _, k_h, k_w = kernel.shape
+    if data.shape[1] != channels:
+        raise ValueError(f"depthwise_conv2d_nchw: data {data.shape} has "
+                         f"{data.shape[1]} channels, kernel {kernel.shape} "
+                         f"expects {channels}")
+    windows = _windows(f"depthwise_conv2d_nchw: kernel {kernel.shape}",
+                       pad_nchw(data, *_pair(padding)), (k_h, k_w), _pair(stride))
+    out = np.zeros(windows.shape[:4], dtype=data.dtype)
+    scaled = np.empty_like(out)
     for dy in range(k_h):
         for dx in range(k_w):
-            patch = data[:, :, dy:dy + stride_h * out_h:stride_h,
-                         dx:dx + stride_w * out_w:stride_w]
-            out += patch * kernel[np.newaxis, :, 0, dy, dx][..., np.newaxis, np.newaxis]
+            np.multiply(windows[..., dy, dx],
+                        kernel[:, 0, dy, dx, np.newaxis, np.newaxis], out=scaled)
+            out += scaled
     return out
 
 
@@ -175,34 +189,27 @@ def flatten(data: np.ndarray) -> np.ndarray:
 def max_pool2d(data: np.ndarray, pool_size: IntPair = 2, stride: IntPair = 2,
                padding: IntPair = 0) -> np.ndarray:
     k_h, k_w = _pair(pool_size)
-    s_h, s_w = _pair(stride)
-    p_h, p_w = _pair(padding)
-    data = pad_nchw(data, p_h, p_w, value=-np.inf) if (p_h or p_w) else data
-    batch, channels, height, width = data.shape
-    out_h = (height - k_h) // s_h + 1
-    out_w = (width - k_w) // s_w + 1
-    out = np.full((batch, channels, out_h, out_w), -np.inf, dtype=data.dtype)
+    windows = _windows(f"max_pool2d: window {(k_h, k_w)}",
+                       pad_nchw(data, *_pair(padding), value=-np.inf),
+                       (k_h, k_w), _pair(stride))
+    out = windows[..., 0, 0].copy()
     for dy in range(k_h):
         for dx in range(k_w):
-            patch = data[:, :, dy:dy + s_h * out_h:s_h, dx:dx + s_w * out_w:s_w]
-            out = np.maximum(out, patch)
+            np.maximum(out, windows[..., dy, dx], out=out)
     return out
 
 
 def avg_pool2d(data: np.ndarray, pool_size: IntPair = 2, stride: IntPair = 2,
                padding: IntPair = 0) -> np.ndarray:
     k_h, k_w = _pair(pool_size)
-    s_h, s_w = _pair(stride)
-    p_h, p_w = _pair(padding)
-    data = pad_nchw(data, p_h, p_w) if (p_h or p_w) else data
-    batch, channels, height, width = data.shape
-    out_h = (height - k_h) // s_h + 1
-    out_w = (width - k_w) // s_w + 1
-    out = np.zeros((batch, channels, out_h, out_w), dtype=data.dtype)
+    windows = _windows(f"avg_pool2d: window {(k_h, k_w)}",
+                       pad_nchw(data, *_pair(padding)), (k_h, k_w), _pair(stride))
+    out = np.zeros(windows.shape[:4], dtype=data.dtype)
     for dy in range(k_h):
         for dx in range(k_w):
-            out += data[:, :, dy:dy + s_h * out_h:s_h, dx:dx + s_w * out_w:s_w]
-    return out / float(k_h * k_w)
+            out += windows[..., dy, dx]
+    out /= k_h * k_w
+    return out
 
 
 def global_avg_pool2d(data: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the deployable runtime API: devices, the stateless Executor,
 module artifacts (export / repro.load) and the legacy-shim behaviour."""
 
+import dataclasses
 import threading
 import zipfile
 
@@ -9,7 +10,7 @@ import pytest
 
 import repro
 from repro import runtime
-from repro.frontend import ModelBuilder, resnet18
+from repro.frontend import MODEL_REGISTRY, ModelBuilder, get_model, resnet18
 from repro.hardware import arm_cpu, create_target, cuda, vdla
 from repro.runtime import (ArtifactError, Device, Executor, NDArray,
                            device, load_module)
@@ -149,6 +150,118 @@ class TestExecutor:
             t.join()
         for got, want in zip(results, expected):
             np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# The live set follows the memory plan
+# ---------------------------------------------------------------------------
+
+#: the zoo at the sizes tests/test_compiler_pipeline.py compiles (warm cache)
+_ZOO_SMALL = {
+    "resnet-18": dict(image_size=32, num_classes=10),
+    "mobilenet": dict(image_size=32, num_classes=10),
+    "lstm-lm": dict(hidden_size=64, seq_len=2),
+}
+
+
+class _SpyKernel:
+    """A compiled kernel that records the tensor map it is handed — the map
+    as the previous kernel (and the executor's release after it) left it."""
+
+    def __init__(self, kernel, log):
+        self.group, self.name = kernel.group, kernel.name
+        self.time_seconds = kernel.time_seconds
+        self._kernel, self._log = kernel, log
+
+    def run(self, tensors):
+        self._log.append(dict(tensors))
+        self._kernel.run(tensors)
+
+
+def _spied(module):
+    log = []
+    kernels = [_SpyKernel(kernel, log) for kernel in module.kernels]
+    return dataclasses.replace(module, kernels=kernels), log
+
+
+def _inputs_for(executor, seed=5):
+    rng = np.random.default_rng(seed)
+    return {spec.name: rng.random(spec.shape).astype(spec.dtype)
+            for spec in executor.input_specs}
+
+
+class TestLiveSet:
+    @pytest.fixture(scope="class", params=sorted(MODEL_REGISTRY))
+    def zoo_module(self, request):
+        model = get_model(request.param, batch=1,
+                          **_ZOO_SMALL.get(request.param, {}))
+        return repro.compile(model, target="cuda")
+
+    def test_tensor_map_follows_the_plan(self, zoo_module):
+        module, log = _spied(zoo_module)
+        executor = Executor(module)
+        inputs = _inputs_for(executor)
+        outputs = executor.run(inputs).outputs
+        assert len(log) == len(module.kernels)
+
+        graph = module.graph
+        kernel_of = {node.name: step
+                     for step, kernel in enumerate(module.kernels)
+                     for node in kernel.group.nodes}
+        pinned = set(module.params) | {out.name for out in graph.outputs}
+        consumers = graph.consumers()
+        readers = {node.name: [kernel_of[user.name]
+                               for user in consumers[id(node)]
+                               if user.name in kernel_of]
+                   for node in graph.nodes}
+        for step, held in enumerate(log):       # the map as kernel `step` starts
+            for name in set(held) - pinned:
+                assert max(readers[name]) >= step, \
+                    f"{name} still held at kernel {step}, last read at " \
+                    f"kernel {max(readers[name])}"
+            live = sum(held[name].nbytes for name in held if name in kernel_of)
+            assert live <= module.memory_plan.planned_bytes, step
+            for node in graph.input_nodes:      # never dropped, never writable
+                if node.name in module.params:
+                    assert not held[node.name].flags.writeable
+        # Releasing changes no bits: same outputs as the plain module's run.
+        for got, want in zip(outputs, Executor(zoo_module).run(inputs).outputs):
+            np.testing.assert_array_equal(got, want)
+
+    def test_repeat_and_concurrent_runs_identical(self, zoo_module):
+        executor = Executor(zoo_module)
+        inputs = _inputs_for(executor)
+        want = executor.run(inputs).outputs
+        results = [None, None]
+
+        def work(slot):
+            results[slot] = executor.run(inputs).outputs
+
+        threads = [threading.Thread(target=work, args=(slot,))
+                   for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        for outputs in results + [executor.run(inputs).outputs]:
+            for got, expected in zip(outputs, want):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_output_consumed_mid_graph_survives(self):
+        b = ModelBuilder("tap", seed=0)
+        data = b.input("data", (1, 3, 8, 8))
+        tap = b.relu(b.conv2d(data, 4, 3, 1, 1, name="conv0"))
+        head = b.softmax(b.dense(b.flatten(b.max_pool2d(tap, 2, 2)), 5, "fc"))
+        graph, params = b.finalize([tap, head])
+        module, log = _spied(repro.compile(
+            graph, target=cuda(), params=params,
+            input_shapes={"data": (1, 3, 8, 8)}))
+        assert len(module.kernels) > 1          # the tap is read by a later kernel
+        x = np.random.default_rng(1).random((1, 3, 8, 8)).astype("float32")
+        tapped, _ = Executor(module).run({"data": x}).outputs
+        assert tapped.shape == (1, 4, 8, 8) and tapped.min() >= 0.0
+        assert tap.name in log[-1] and "data" not in log[-1]
 
 
 # ---------------------------------------------------------------------------

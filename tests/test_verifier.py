@@ -530,6 +530,27 @@ class TestLintInvariants:
         elsewhere.write_text(source)
         assert linter.lint_file(elsewhere) == []
 
+    def test_no_deep_kernel_loops_rule(self, tmp_path):
+        linter = _load_linter()
+        source = (
+            "def conv(cols, data, in_c, k_h, k_w):\n"
+            "    for c in range(in_c):\n"
+            "        for dy in range(k_h):\n"
+            "            for dx in range(k_w):\n"      # the old im2col fill
+            "                cols[c, dy, dx] = data[c, dy, dx]\n"
+            "def pool(out, windows, k_h, k_w):\n"
+            "    for dy in range(k_h):\n"
+            "        for dx in range(k_w):\n"          # window offsets: fine
+            "            out += windows[..., dy, dx]\n")
+        kernels = tmp_path / "topi" / "reference.py"
+        kernels.parent.mkdir()
+        kernels.write_text(source)
+        assert [(v.rule, v.line) for v in linter.lint_file(kernels)] \
+            == [("no-deep-kernel-loops", 4)]
+        elsewhere = tmp_path / "topi" / "nn.py"
+        elsewhere.write_text(source)
+        assert linter.lint_file(elsewhere) == []
+
     def test_exiting_poll_loop_not_flagged(self, tmp_path):
         linter = _load_linter()
         ok = tmp_path / "runtime" / "ok.py"

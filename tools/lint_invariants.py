@@ -64,6 +64,15 @@ Rules
     parameter of ``compile`` / ``PassContext`` that
     ``tests/test_option_surface.py`` pins.
 
+``no-deep-kernel-loops``
+    Restricted to ``src/repro/topi/reference.py``: no ``for`` nest deeper
+    than 2.  The reference kernels are the runtime's kernels; a Python loop
+    over a channel *and* a window extent (the old 3-deep im2col fill: 4,608
+    GIL-holding iterations for a 512-channel 3x3 layer) is what made one
+    inference 2x slower than its GEMMs.  Two levels cover a loop over the
+    window offsets or the Winograd tile grid; anything deeper belongs in one
+    strided NumPy call.
+
 Exit status is 0 when clean, 1 when any violation is found.
 """
 
@@ -95,6 +104,8 @@ RULES = {
                           "runtime/admission.py"),
     "no-free-form-config": ("compiler/, graph/, analysis/: no string-keyed "
                             "<x>.config[...] / <x>.config.get(...) lookup"),
+    "no-deep-kernel-loops": ("topi/reference.py: no `for` nest deeper than "
+                             "2 (no Python loop over channel x window)"),
 }
 
 #: files (by trailing path parts) allowed to call ``._execute(``
@@ -106,6 +117,8 @@ _BACKEND_SITE = ("InferenceEngine", "__init__")
 _BACKEND_CONTRACT = ("run_batch", "shutdown", "stats")
 #: packages of the compile path, where ``no-free-form-config`` applies
 _COMPILE_PACKAGES = ("compiler", "graph", "analysis")
+#: deepest ``for`` nest allowed in topi/reference.py
+_MAX_KERNEL_LOOP_DEPTH = 2
 #: stdlib queue classes (``queue.X(...)`` or imported bare)
 _QUEUE_CLASSES = ("Queue", "SimpleQueue", "LifoQueue", "PriorityQueue")
 
@@ -231,6 +244,8 @@ class _Linter(ast.NodeVisitor):
         self.is_serving = self.is_engine \
             or parts[-2:] == ("runtime", "admission.py")
         self.is_compile_path = any(part in _COMPILE_PACKAGES for part in parts)
+        self.is_kernels = parts[-2:] == ("topi", "reference.py")
+        self._for_depth = 0
         self.violations: List[Violation] = []
         self._while_true_stack: List[ast.While] = []
         self._scope: List[str] = []     # enclosing class/function names
@@ -294,6 +309,16 @@ class _Linter(ast.NodeVisitor):
             self._report("legacy-shim", node,
                          "DeprecationWarning — remove the old path instead "
                          "of deprecating it")
+
+    def visit_For(self, node: ast.For) -> None:
+        self._for_depth += 1
+        if self.is_kernels and self._for_depth == _MAX_KERNEL_LOOP_DEPTH + 1:
+            self._report("no-deep-kernel-loops", node,
+                         f"`for` nest deeper than {_MAX_KERNEL_LOOP_DEPTH} — "
+                         f"gather with one strided NumPy call instead of "
+                         f"looping over channel x window in Python")
+        self.generic_visit(node)
+        self._for_depth -= 1
 
     def visit_While(self, node: ast.While) -> None:
         is_forever = (isinstance(node.test, ast.Constant)
