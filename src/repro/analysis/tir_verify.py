@@ -1,8 +1,10 @@
 """TIR (loop-program) verifier — the static-analysis layer's low-level half.
 
 :func:`verify_func` certifies a lowered :class:`~repro.tir.stmt.LoweredFunc`
-using the same interval machinery that powers feature extraction
-(:func:`repro.tir.analysis._compile_bounds` and its ``_bounds_*`` arithmetic):
+on the interval arithmetic of :mod:`repro.te.expr` (``BOUNDS_OF`` — the
+same transfer functions lowering sizes buffers with and feature extraction
+measures touched bytes with), refined here by linearisation and div/mod
+congruences:
 
 * **def-before-use** — every loop variable appearing in an index, extent or
   condition is bound by an enclosing loop, and every buffer accessed is a
@@ -33,10 +35,10 @@ import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..te.expr import (
+    BOUNDS_OF,
     Add,
     And,
     Cast,
-    Div,
     EQ,
     Expr,
     FloatImm,
@@ -46,25 +48,14 @@ from ..te.expr import (
     IntImm,
     LE,
     LT,
-    Max,
-    Min,
     Mod,
     Select,
     Sub,
     Mul,
     Var,
+    collect_vars,
     expr_children,
-)
-from ..tir.analysis import (
-    _bounds_add,
-    _bounds_div,
-    _bounds_floordiv,
-    _bounds_max,
-    _bounds_min,
-    _bounds_mod,
-    _bounds_mul,
-    _bounds_sub,
-    _compile_bounds,
+    scale_bounds,
 )
 from ..tir.stmt import (
     Allocate,
@@ -88,12 +79,6 @@ __all__ = ["verify_func"]
 #: interval for values the analysis cannot bound (e.g. loaded data)
 _UNBOUNDED = (-math.inf, math.inf)
 
-_BINOP_BOUNDS = {
-    Add: _bounds_add, Sub: _bounds_sub, Mul: _bounds_mul, Div: _bounds_div,
-    FloorDiv: _bounds_floordiv, Mod: _bounds_mod, Min: _bounds_min,
-    Max: _bounds_max,
-}
-
 #: loop kinds whose iterations run concurrently without synchronisation
 _HAZARD_KINDS = (ForKind.PARALLEL, ForKind.VECTORIZED)
 
@@ -103,18 +88,6 @@ Interval = Tuple[float, float]
 def _safe_floor(value: float) -> float:
     """``math.floor`` that passes infinities through."""
     return value if math.isinf(value) else math.floor(value)
-
-
-def _iv_scale(interval: Interval, coeff: float) -> Interval:
-    """Scale an interval by a constant (0 * inf == 0 here)."""
-    if coeff == 0:
-        return (0.0, 0.0)
-    lo, hi = interval[0] * coeff, interval[1] * coeff
-    return (lo, hi) if coeff > 0 else (hi, lo)
-
-
-def _iv_add(left: Interval, right: Interval) -> Interval:
-    return (left[0] + right[0], left[1] + right[1])
 
 
 class _Access:
@@ -150,8 +123,7 @@ class _TIRVerifier:
     def free_vars(self, expr: Expr) -> Tuple[Var, ...]:
         cached = self._free_cache.get(id(expr))
         if cached is None or cached[0] is not expr:
-            free, _program = _compile_bounds(expr)
-            cached = (expr, tuple(free))
+            cached = (expr, tuple(collect_vars(expr)))
             self._free_cache[id(expr)] = cached
         return cached[1]
 
@@ -326,6 +298,7 @@ class _TIRVerifier:
                     pos[0] -= transfer
                     neg[0] += transfer
         low = high = 0.0
+        add = BOUNDS_OF[Add]
         for (_ra, _rb, modulus), rec in pairs.items():
             delta = Sub(rec["a"], rec["b"])
             delta_low, delta_high = self.bounds(delta, env, constraints)
@@ -366,9 +339,9 @@ class _TIRVerifier:
             # tq*Q + tm*M, and the substituted form tm*D + (tq - tm*K)*Q,
             # which is *exact* when tq == tm*K (flattened row/col indices
             # of a compacted tile recombine to the plain fused offset).
-            direct = _iv_add(_iv_scale(quot, tq), _iv_scale(moddiff, tm))
-            subst = _iv_add(_iv_scale((delta_low, delta_high), tm),
-                            _iv_scale(quot, tq - tm * modulus))
+            direct = add(scale_bounds(quot, tq), scale_bounds(moddiff, tm))
+            subst = add(scale_bounds((delta_low, delta_high), tm),
+                        scale_bounds(quot, tq - tm * modulus))
             low += max(direct[0], subst[0])
             high += min(direct[1], subst[1])
         return (low, high)
@@ -407,11 +380,11 @@ class _TIRVerifier:
             interval = (r, modulus - g + r) if g else (0, modulus - 1)
             numerator = self.bounds(expr.a, env, constraints)
             if not (math.isinf(numerator[0]) or math.isinf(numerator[1])):
-                structural = _bounds_mod(numerator, (modulus, modulus))
+                structural = BOUNDS_OF[Mod](numerator, (modulus, modulus))
                 interval = (max(interval[0], structural[0]),
                             min(interval[1], structural[1]))
         else:
-            handler = _BINOP_BOUNDS.get(type(expr))
+            handler = BOUNDS_OF.get(type(expr))
             if handler is not None:
                 interval = handler(self.bounds(expr.a, env, constraints),
                                    self.bounds(expr.b, env, constraints))

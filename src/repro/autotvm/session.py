@@ -95,9 +95,6 @@ class TuningReport:
         """Context manager under which ``repro.compile`` uses these configs."""
         return ApplyHistoryBest(self.database)
 
-    def best_configs(self) -> Dict[str, ConfigEntity]:
-        return {r.task_name: r.best_config for r in self.results}
-
     def curves(self) -> Dict[str, List[float]]:
         """Per-task best-so-far trial curves (Figure 12-ready)."""
         return {r.task_name: list(r.curve) for r in self.results}

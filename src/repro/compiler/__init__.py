@@ -26,7 +26,6 @@ from .pass_manager import (
     Pass,
     PassInfo,
     Sequential,
-    default_pipeline,
     get_pass,
     list_passes,
     register_pass,
@@ -47,7 +46,6 @@ __all__ = [
     "Sequential",
     "TimingInstrument",
     "compile",
-    "default_pipeline",
     "framework_overhead",
     "get_pass",
     "list_passes",

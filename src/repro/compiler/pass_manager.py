@@ -32,7 +32,7 @@ if TYPE_CHECKING:
     from ..hardware.target import Target
 
 __all__ = ["CompileState", "Pass", "PassInfo", "Sequential", "register_pass",
-           "get_pass", "list_passes", "DEFAULT_PIPELINE", "default_pipeline"]
+           "get_pass", "list_passes", "DEFAULT_PIPELINE"]
 
 #: the analysis name tracked by the automatic re-inference machinery
 SHAPE_ANALYSIS = "shapes"
@@ -152,11 +152,6 @@ def get_pass(name: str) -> Pass:
 def list_passes() -> List[str]:
     """Names of all registered passes."""
     return sorted(PASS_REGISTRY)
-
-
-def default_pipeline() -> List[Pass]:
-    """The standard graph-optimization pipeline, as :class:`Pass` objects."""
-    return [get_pass(name) for name in DEFAULT_PIPELINE]
 
 
 def _as_pass(entry: Union[str, Pass, Callable]) -> Pass:

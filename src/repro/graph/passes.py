@@ -186,14 +186,19 @@ class MemoryPlan:
 
 def last_use(graph: Graph, step_of: Dict[str, int]) -> Dict[str, int]:
     """Node name -> the last step that reads its tensor, given the step each
-    node executes at (its own step when nothing reads it).  The one liveness
-    rule: :func:`plan_memory` steps by node, the executor by kernel."""
+    node executes at (its own step when nothing reads it).  Graph outputs
+    are read by the caller: they live to the horizon, one past the last
+    step.  The one liveness rule: :func:`plan_memory` steps by node, the
+    executor by kernel."""
     last = dict(step_of)
     for node in graph.nodes:
         step = step_of.get(node.name)
         if step is not None:
             for parent in node.inputs:
                 last[parent.name] = max(last.get(parent.name, step), step)
+    horizon = max(step_of.values(), default=-1) + 1
+    for node in graph.outputs:
+        last[node.name] = horizon
     return last
 
 

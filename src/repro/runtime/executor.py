@@ -77,14 +77,15 @@ class Executor:
                                  n.dtype)
                        for n in module.graph.input_nodes
                        if n.name not in module.params]
-        # Names to drop after each kernel: every tensor but the parameters
-        # and the graph outputs, at the last kernel that reads it.
+        # Names to drop after each kernel: every tensor but the parameters,
+        # at the last kernel that reads it.  Graph outputs' last use is the
+        # horizon — the extra bucket, which no kernel reaches.
         step_of = {node.name: step for step, kernel in enumerate(module.kernels)
                    for node in kernel.group.nodes}
-        keep = set(module.params).union(n.name for n in module.graph.outputs)
-        self._dead_after: List[List[str]] = [[] for _ in module.kernels]
+        self._dead_after: List[List[str]] = [
+            [] for _ in range(len(module.kernels) + 1)]
         for name, step in last_use(module.graph, step_of).items():
-            if name not in keep:
+            if name not in module.params:
                 self._dead_after[step].append(name)
 
     # ------------------------------------------------------------------ inputs

@@ -53,8 +53,11 @@ __all__ = [
     "simplify",
     "substitute",
     "collect_vars",
+    "BOUNDS_OF",
+    "scale_bounds",
+    "compile_bounds",
+    "eval_bounds",
     "expr_bounds",
-    "Interval",
 ]
 
 ExprLike = Union["Expr", int, float, bool]
@@ -106,7 +109,7 @@ class Expr:
         return Sub(const(0, self.dtype), self)
 
     # Comparison operators intentionally return expression nodes; equality of
-    # nodes as Python objects should use ``same_as``.
+    # nodes as Python objects is ``is`` (or ``structural_equal``).
     def __eq__(self, other: object) -> "Expr":  # type: ignore[override]
         return EQ(self, as_expr(other))
 
@@ -127,10 +130,6 @@ class Expr:
 
     def __hash__(self) -> int:
         return id(self)
-
-    def same_as(self, other: "Expr") -> bool:
-        """Reference equality (the IR uses structural sharing)."""
-        return self is other
 
     def __bool__(self) -> bool:
         raise TypeError(
@@ -553,28 +552,24 @@ def expr_children(expr: Expr) -> List[Expr]:
     return []
 
 
+def _walk_vars(expr: Expr, seen: Dict[int, "Var"]) -> None:
+    """Add the vars of ``expr`` to ``seen`` (id -> var: identity dedup that
+    keeps first-seen order)."""
+    if isinstance(expr, Var):
+        seen.setdefault(id(expr), expr)
+        return
+    for child in expr_children(expr):
+        _walk_vars(child, seen)
+    if isinstance(expr, Reduce):
+        for iv in expr.axis:
+            seen.setdefault(id(iv.var), iv.var)
+
+
 def collect_vars(expr: Expr) -> List[Var]:
     """Collect all distinct :class:`Var` nodes appearing in ``expr``."""
-    seen: List[Var] = []
-    seen_ids: set = set()    # identity dedup without an O(n) rescan per add
-
-    def _add(v: Var) -> None:
-        if id(v) not in seen_ids:
-            seen_ids.add(id(v))
-            seen.append(v)
-
-    def _walk(e: Expr) -> None:
-        if isinstance(e, Var):
-            _add(e)
-            return
-        for child in expr_children(e):
-            _walk(child)
-        if isinstance(e, Reduce):
-            for iv in e.axis:
-                _add(iv.var)
-
-    _walk(expr)
-    return seen
+    seen: Dict[int, Var] = {}
+    _walk_vars(expr, seen)
+    return list(seen.values())
 
 
 class _Substituter(ExprMutator):
@@ -735,88 +730,164 @@ def simplify(expr: ExprLike) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Interval arithmetic (used for bound inference of affine index expressions)
+# Interval arithmetic — the one definition lowering (buffer sizing), feature
+# extraction (bytes touched per loop level) and the TIR verifier stand on.
+# An interval is a plain closed ``(low, high)`` tuple.
 # ---------------------------------------------------------------------------
 
-class Interval:
-    """Closed integer interval ``[low, high]`` used for bound analysis."""
-
-    def __init__(self, low: float, high: float):
-        self.low = low
-        self.high = high
-
-    @property
-    def extent(self) -> float:
-        return self.high - self.low + 1
-
-    def __repr__(self) -> str:
-        return f"[{self.low}, {self.high}]"
-
-    def union(self, other: "Interval") -> "Interval":
-        return Interval(min(self.low, other.low), max(self.high, other.high))
+def _bounds_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
 
 
-def expr_bounds(expr: Expr, var_ranges: Dict[Var, Interval]) -> Interval:
-    """Compute a conservative interval for ``expr``.
+def _bounds_sub(a, b):
+    return (a[0] - b[1], a[1] - b[0])
 
-    ``var_ranges`` maps each free variable to its interval.  Only the affine
-    subset (plus min/max/floordiv/mod/select) is handled precisely; anything
-    unknown falls back to the widest interval seen among operands.
+
+def _bounds_mul(a, b):
+    candidates = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(candidates), max(candidates))
+
+
+def _magnitude(a):
+    """``a / b`` never exceeds ``max|a|`` in magnitude for an integer
+    ``|b| >= 1`` — the bound left when the divisor interval contains 0."""
+    m = max(abs(a[0]), abs(a[1]))
+    return (-m, m)
+
+
+def _bounds_div(a, b):
+    if b[0] <= 0 <= b[1]:
+        return _magnitude(a)
+    # sign-definite divisor: the quotient is monotone in each operand
+    candidates = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+    return (min(candidates), max(candidates))
+
+
+def _bounds_floordiv(a, b):
+    if b[0] <= 0 <= b[1]:
+        return _magnitude(a)
+    floor = math.floor
+    candidates = (floor(a[0] / b[0]), floor(a[0] / b[1]),
+                  floor(a[1] / b[0]), floor(a[1] / b[1]))
+    return (min(candidates), max(candidates))
+
+
+def _bounds_mod(a, b):
+    if b[0] == b[1] and b[0] > 0:
+        divisor = b[0]
+        # When the numerator stays within one quotient block, the result
+        # is simply the shifted interval (important for the fuse-then-
+        # split index patterns produced by schedules).
+        if math.floor(a[0] / divisor) == math.floor(a[1] / divisor):
+            return (a[0] % divisor, a[1] % divisor)
+        return (0, divisor - 1)
+    # floor-mod takes the divisor's sign and stays below it in magnitude
+    return (min(b[0] + 1, 0), max(b[1] - 1, 0))
+
+
+def _bounds_min(a, b):
+    return (min(a[0], b[0]), min(a[1], b[1]))
+
+
+def _bounds_max(a, b):
+    return (max(a[0], b[0]), max(a[1], b[1]))
+
+
+#: transfer function of every binary node the analysis bounds precisely
+BOUNDS_OF: Dict[type, Callable] = {
+    Add: _bounds_add, Sub: _bounds_sub, Mul: _bounds_mul, Div: _bounds_div,
+    FloorDiv: _bounds_floordiv, Mod: _bounds_mod, Min: _bounds_min,
+    Max: _bounds_max,
+}
+
+
+def scale_bounds(interval, coeff):
+    """Scale an interval by a constant (0 * inf == 0 here)."""
+    if coeff == 0:
+        return (0.0, 0.0)
+    lo, hi = interval[0] * coeff, interval[1] * coeff
+    return (lo, hi) if coeff > 0 else (hi, lo)
+
+
+_B_VAR, _B_CONST, _B_BINOP, _B_UNION = range(4)
+
+
+def compile_bounds(expr: Expr) -> Tuple[List[Var], List[Tuple[int, object]]]:
+    """Compile ``expr`` into ``(free vars, postorder bounds program)``.
+
+    The free variables are exactly ``collect_vars(expr)`` (select conditions
+    and reduce axes included, though the program never evaluates them), so
+    one traversal serves callers that need both.  Only the affine subset
+    (plus min/max/floordiv/mod/select) is bounded precisely; any other node
+    takes the union of its operands' intervals.
     """
-    if isinstance(expr, Var):
-        if expr in var_ranges:
-            return var_ranges[expr]
-        raise KeyError(f"No range known for variable {expr}")
-    if isinstance(expr, (IntImm, FloatImm)):
-        return Interval(expr.value, expr.value)
-    if isinstance(expr, Add):
-        a, b = expr_bounds(expr.a, var_ranges), expr_bounds(expr.b, var_ranges)
-        return Interval(a.low + b.low, a.high + b.high)
-    if isinstance(expr, Sub):
-        a, b = expr_bounds(expr.a, var_ranges), expr_bounds(expr.b, var_ranges)
-        return Interval(a.low - b.high, a.high - b.low)
-    if isinstance(expr, Mul):
-        a, b = expr_bounds(expr.a, var_ranges), expr_bounds(expr.b, var_ranges)
-        candidates = [a.low * b.low, a.low * b.high, a.high * b.low, a.high * b.high]
-        return Interval(min(candidates), max(candidates))
-    if isinstance(expr, (Div, FloorDiv)):
-        a, b = expr_bounds(expr.a, var_ranges), expr_bounds(expr.b, var_ranges)
-        divisors = [d for d in (b.low, b.high) if d != 0]
-        if not divisors:
-            return a
-        candidates = [a.low / d for d in divisors] + [a.high / d for d in divisors]
-        if isinstance(expr, FloorDiv):
-            candidates = [math.floor(c) for c in candidates]
-        return Interval(min(candidates), max(candidates))
-    if isinstance(expr, Mod):
-        a = expr_bounds(expr.a, var_ranges)
-        b = expr_bounds(expr.b, var_ranges)
-        if b.low == b.high and b.low > 0:
-            divisor = b.low
-            # When the numerator stays within one quotient block, the result
-            # is simply the shifted interval (important for the fuse-then-
-            # split index patterns produced by schedules).
-            if math.floor(a.low / divisor) == math.floor(a.high / divisor):
-                return Interval(a.low % divisor, a.high % divisor)
-            return Interval(0, divisor - 1)
-        return Interval(0, max(abs(b.low), abs(b.high)) - 1)
-    if isinstance(expr, Min):
-        a, b = expr_bounds(expr.a, var_ranges), expr_bounds(expr.b, var_ranges)
-        return Interval(min(a.low, b.low), min(a.high, b.high))
-    if isinstance(expr, Max):
-        a, b = expr_bounds(expr.a, var_ranges), expr_bounds(expr.b, var_ranges)
-        return Interval(max(a.low, b.low), max(a.high, b.high))
-    if isinstance(expr, Select):
-        t = expr_bounds(expr.true_value, var_ranges)
-        f = expr_bounds(expr.false_value, var_ranges)
-        return t.union(f)
-    if isinstance(expr, Cast):
-        return expr_bounds(expr.value, var_ranges)
-    # Conservative fallback: union of operand intervals.
-    children = expr_children(expr)
-    if not children:
-        return Interval(0, 0)
-    result = expr_bounds(children[0], var_ranges)
-    for child in children[1:]:
-        result = result.union(expr_bounds(child, var_ranges))
-    return result
+    program: List[Tuple[int, object]] = []
+    seen: Dict[int, Var] = {}
+
+    def emit(node: Expr) -> None:
+        if isinstance(node, Var):
+            seen.setdefault(id(node), node)
+            program.append((_B_VAR, node))
+            return
+        if isinstance(node, (IntImm, FloatImm)):
+            program.append((_B_CONST, (node.value, node.value)))
+            return
+        handler = BOUNDS_OF.get(type(node))
+        if handler is not None:
+            emit(node.a)
+            emit(node.b)
+            program.append((_B_BINOP, handler))
+            return
+        if isinstance(node, Cast):
+            emit(node.value)
+            return
+        if isinstance(node, Select):
+            # either arm may be taken; the condition only contributes vars
+            _walk_vars(node.condition, seen)
+            children = [node.true_value, node.false_value]
+        else:
+            children = expr_children(node)
+            if not children:
+                program.append((_B_CONST, (0, 0)))
+                return
+        for child in children:
+            emit(child)
+        if isinstance(node, Reduce):
+            for iv in node.axis:
+                seen.setdefault(id(iv.var), iv.var)
+        program.append((_B_UNION, len(children)))
+
+    emit(expr)
+    return list(seen.values()), program
+
+
+def eval_bounds(program: List[Tuple[int, object]],
+                var_ranges: Dict[Var, Tuple]) -> Tuple:
+    """Replay a compiled bounds program against per-variable intervals;
+    a free variable without a range is a ``KeyError`` naming it."""
+    stack: List[Tuple] = []
+    push = stack.append
+    for code, payload in program:
+        if code == _B_VAR:
+            push(var_ranges[payload])
+        elif code == _B_CONST:
+            push(payload)
+        elif code == _B_BINOP:
+            b = stack.pop()
+            a = stack.pop()
+            push(payload(a, b))
+        else:  # _B_UNION
+            parts = stack[-payload:]
+            del stack[-payload:]
+            low, high = parts[0]
+            for part in parts[1:]:
+                low = min(low, part[0])
+                high = max(high, part[1])
+            push((low, high))
+    return stack[-1]
+
+
+def expr_bounds(expr: Expr, var_ranges: Dict[Var, Tuple]) -> Tuple:
+    """Conservative ``(low, high)`` interval of ``expr``, given the interval
+    of each of its free variables."""
+    return eval_bounds(compile_bounds(expr)[1], var_ranges)

@@ -4,7 +4,7 @@ A :class:`Schedule` owns one :class:`Stage` per operation in the dataflow
 graph rooted at the output tensors.  Stages are transformed incrementally by
 schedule primitives — ``split``, ``tile``, ``reorder``, ``fuse``, ``bind``,
 ``compute_at``, ``cache_read``, ``cache_write``, ``set_scope``,
-``vectorize``, ``unroll``, ``parallel``, ``pragma``, ``tensorize`` and
+``vectorize``, ``unroll``, ``parallel``, ``tensorize`` and
 virtual threading — each of which preserves the program's logical semantics
 while changing the loop structure that lowering will generate.
 """
@@ -90,10 +90,7 @@ class Stage:
         self.attach_stage: Optional["Stage"] = None
         self.attach_ivar: Optional[IterVar] = None
         self.scope = "global"
-        self.double_buffer = False
-        self.store_predicate: Optional[Expr] = None
         self.tensorize_map: Dict[IterVar, TensorIntrin] = {}
-        self.pragmas: Dict[IterVar, List[Tuple[str, object]]] = {}
         self.is_output = False
         if isinstance(op, ComputeOp):
             self.leaf_iter_vars: List[IterVar] = list(op.axis) + list(op.reduce_axis)
@@ -197,20 +194,10 @@ class Stage:
         else:
             attrs["annotation"] = "thread_binding"
 
-    def pragma(self, ivar: IterVar, key: str, value: object = True) -> None:
-        self._check_leaf(ivar)
-        self.pragmas.setdefault(ivar, []).append((key, value))
-
-    def set_store_predicate(self, predicate: Expr) -> None:
-        self.store_predicate = predicate
-
     def set_scope(self, scope: str) -> None:
         if scope not in MEMORY_SCOPES:
             raise ValueError(f"Unknown memory scope {scope!r}; expected one of {MEMORY_SCOPES}")
         self.scope = scope
-
-    def double_buffer_on(self) -> None:
-        self.double_buffer = True
 
     def tensorize(self, ivar: IterVar, intrin: TensorIntrin) -> None:
         """Replace the loop nest rooted at ``ivar`` with a hardware intrinsic."""
@@ -241,9 +228,6 @@ class Stage:
 
     def bound_thread(self, ivar: IterVar) -> Optional[IterVar]:
         return self.iter_var_attrs.get(ivar, {}).get("bind_thread")
-
-    def leaf_extent(self, ivar: IterVar) -> int:
-        return ivar.extent_value()
 
 
 class _ReaderRewriter(ExprMutator):
@@ -348,12 +332,6 @@ class Schedule:
         index = self.stage_order.index(original_stage)
         self.stage_order.insert(index, cache_stage)
         return cache_tensor
-
-    # -- convenience --------------------------------------------------------------
-    def normalize(self) -> "Schedule":
-        """Present for API parity with the paper's stack; schedules here are
-        always kept in a normalised form."""
-        return self
 
     def __repr__(self) -> str:
         lines = [f"Schedule({len(self.stage_order)} stages)"]

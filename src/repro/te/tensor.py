@@ -14,8 +14,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .expr import (
     Expr,
     ExprLike,
@@ -36,7 +34,6 @@ __all__ = [
     "Operation",
     "PlaceholderOp",
     "ComputeOp",
-    "ExternOp",
     "placeholder",
     "compute",
     "reduce_axis",
@@ -250,30 +247,6 @@ class ComputeOp(Operation):
 
         _walk(self.body)
         return tensors
-
-
-class ExternOp(Operation):
-    """An opaque operation implemented by an external callable on NumPy arrays.
-
-    Used for operators whose lowering is outside the scope of the expression
-    language (e.g. ``sort``) and for fused-group kernels in the graph runtime.
-    """
-
-    def __init__(self, name: str, inputs: Sequence[Tensor],
-                 shape: Sequence[ExprLike], dtype: str,
-                 func: Callable[..., np.ndarray]):
-        super().__init__(name)
-        self.inputs = list(inputs)
-        self.shape = tuple(as_expr(s) for s in shape)
-        self.dtype = dtype
-        self.func = func
-        self._output = Tensor(self.shape, dtype, self)
-
-    def output(self, index: int = 0) -> Tensor:
-        return self._output
-
-    def input_tensors(self) -> List[Tensor]:
-        return list(self.inputs)
 
 
 # ---------------------------------------------------------------------------

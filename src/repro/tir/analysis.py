@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..te.expr import BinaryOp, Call, Expr, Mul, Add, Sub, Div, expr_children
+from ..te.expr import (BinaryOp, Call, Expr, compile_bounds, eval_bounds,
+                       expr_children)
 from .stmt import (
     Allocate,
     AttrStmt,
@@ -264,168 +265,6 @@ def _count_ops(expr: Expr) -> Tuple[int, int]:
 #: shared "fixed at zero" interval for bound queries
 _ZERO_BOUNDS = (0, 0)
 
-# ---------------------------------------------------------------------------
-# Compiled interval evaluation
-#
-# ``te.expr.expr_bounds`` re-dispatches on node types recursively for every
-# (access, loop level) query.  The extractor instead compiles each index
-# expression once into a postorder program of (opcode, payload) steps and
-# replays it with a value stack — performing the *same* arithmetic on the
-# same values in the same order, so the resulting intervals are bit-identical.
-# ---------------------------------------------------------------------------
-
-_B_VAR, _B_CONST, _B_BINOP, _B_SELECT, _B_UNION = range(5)
-
-
-def _bounds_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _bounds_sub(a, b):
-    return (a[0] - b[1], a[1] - b[0])
-
-
-def _bounds_mul(a, b):
-    candidates = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(candidates), max(candidates))
-
-
-def _bounds_div(a, b):
-    divisors = [d for d in (b[0], b[1]) if d != 0]
-    if not divisors:
-        return a
-    candidates = [a[0] / d for d in divisors] + [a[1] / d for d in divisors]
-    return (min(candidates), max(candidates))
-
-
-def _bounds_floordiv(a, b):
-    divisors = [d for d in (b[0], b[1]) if d != 0]
-    if not divisors:
-        return a
-    candidates = [math.floor(a[0] / d) for d in divisors] \
-        + [math.floor(a[1] / d) for d in divisors]
-    return (min(candidates), max(candidates))
-
-
-def _bounds_mod(a, b):
-    if b[0] == b[1] and b[0] > 0:
-        divisor = b[0]
-        if math.floor(a[0] / divisor) == math.floor(a[1] / divisor):
-            return (a[0] % divisor, a[1] % divisor)
-        return (0, divisor - 1)
-    return (0, max(abs(b[0]), abs(b[1])) - 1)
-
-
-def _bounds_min(a, b):
-    return (min(a[0], b[0]), min(a[1], b[1]))
-
-
-def _bounds_max(a, b):
-    return (max(a[0], b[0]), max(a[1], b[1]))
-
-
-def _compile_bounds(expr: Expr) -> Tuple[List, List[Tuple[int, object]]]:
-    """Compile ``expr`` into ``(free vars, postorder program)``.
-
-    The variable collection follows ``collect_vars`` exactly (identity-
-    deduplicated, first-seen order, including select conditions and reduce
-    axes) while the program mirrors ``expr_bounds``'s evaluation structure,
-    so one traversal replaces the extractor's two per-index walks.
-    """
-    from ..te.expr import (Cast, Div, FloorDiv, FloatImm, IntImm, Max, Min,
-                          Mod, Reduce, Select, Var)
-
-    binops = {Add: _bounds_add, Sub: _bounds_sub, Mul: _bounds_mul,
-              Div: _bounds_div, FloorDiv: _bounds_floordiv, Mod: _bounds_mod,
-              Min: _bounds_min, Max: _bounds_max}
-    program: List[Tuple[int, object]] = []
-    seen_vars: List = []
-    seen_ids: set = set()
-
-    def add_var(var) -> None:
-        if id(var) not in seen_ids:
-            seen_ids.add(id(var))
-            seen_vars.append(var)
-
-    def walk_vars(node: Expr) -> None:
-        """Var-only walk for subtrees the interval program never evaluates
-        (select conditions) — mirrors ``collect_vars``."""
-        if isinstance(node, Var):
-            add_var(node)
-            return
-        for child in expr_children(node):
-            walk_vars(child)
-        if isinstance(node, Reduce):
-            for iv in node.axis:
-                add_var(iv.var)
-
-    def emit(node: Expr) -> None:
-        if isinstance(node, Var):
-            add_var(node)
-            program.append((_B_VAR, node))
-            return
-        if isinstance(node, (IntImm, FloatImm)):
-            program.append((_B_CONST, (node.value, node.value)))
-            return
-        handler = binops.get(type(node))
-        if handler is not None:
-            emit(node.a)
-            emit(node.b)
-            program.append((_B_BINOP, handler))
-            return
-        if isinstance(node, Select):
-            # expr_bounds unions the two value arms; the condition is never
-            # evaluated (but its vars still count as free).
-            walk_vars(node.condition)
-            emit(node.true_value)
-            emit(node.false_value)
-            program.append((_B_SELECT, None))
-            return
-        if isinstance(node, Cast):
-            emit(node.value)
-            return
-        children = expr_children(node)
-        if not children:
-            program.append((_B_CONST, (0, 0)))
-            return
-        for child in children:
-            emit(child)
-        if isinstance(node, Reduce):
-            for iv in node.axis:
-                add_var(iv.var)
-        program.append((_B_UNION, len(children)))
-
-    emit(expr)
-    return seen_vars, program
-
-
-def _eval_bounds(program: List[Tuple[int, object]], env: Dict) -> Tuple:
-    """Replay a compiled bounds program against per-var intervals."""
-    stack: List[Tuple] = []
-    push = stack.append
-    for code, payload in program:
-        if code == _B_VAR:
-            push(env[payload])
-        elif code == _B_CONST:
-            push(payload)
-        elif code == _B_BINOP:
-            b = stack.pop()
-            a = stack.pop()
-            push(payload(a, b))
-        elif code == _B_SELECT:
-            f = stack.pop()
-            t = stack.pop()
-            push((min(t[0], f[0]), max(t[1], f[1])))
-        else:  # _B_UNION
-            parts = stack[-payload:]
-            del stack[-payload:]
-            low, high = parts[0]
-            for part in parts[1:]:
-                low = min(low, part[0])
-                high = max(high, part[1])
-            push((low, high))
-    return stack[-1]
-
 
 class _FeatureExtractor:
     """Single-pass statement walker.
@@ -433,7 +272,8 @@ class _FeatureExtractor:
     The walker maintains the *effective* loop stack incrementally — the
     enclosing loops with re-bound thread tags deduplicated (outermost binding
     wins) and their extents pre-evaluated — instead of re-deriving it for
-    every buffer access, and memoizes ``collect_vars`` per index expression.
+    every buffer access, and compiles each index expression's bounds program
+    once.
     The features produced are bit-identical to a naive per-access recompute.
     """
 
@@ -456,7 +296,7 @@ class _FeatureExtractor:
         expression (the expr is pinned in the value to keep ids stable)."""
         cached = self._index_cache.get(id(expr))
         if cached is None:
-            free, program = _compile_bounds(expr)
+            free, program = compile_bounds(expr)
             cached = (expr, free, program)
             self._index_cache[id(expr)] = cached
         return cached[1], cached[2]
@@ -541,7 +381,7 @@ class _FeatureExtractor:
                                 env[v] = _ZERO_BOUNDS
                             else:
                                 env[v] = eff_full[pos]
-                        low, high = _eval_bounds(program, env)
+                        low, high = eval_bounds(program, env)
                         current = max(1.0, float(high - low + 1))
                     except Exception:
                         current = 1.0

@@ -18,12 +18,12 @@ from ..te.expr import (
     Expr,
     ExprMutator,
     IntImm,
-    Interval,
     Reduce,
     TensorRead,
     Var,
     as_expr,
-    expr_bounds,
+    compile_bounds,
+    eval_bounds,
     simplify,
     substitute,
 )
@@ -99,7 +99,7 @@ class _Lowerer:
         self._planned_regions: Dict[int, Tuple[Dict[int, int], Dict[int, Expr]]] = {}
         # Extents of loop vars bound to hardware thread indices; used to relax
         # thread dimensions when sizing cooperatively-filled shared buffers.
-        self._thread_ranges: Dict[Var, Interval] = {}
+        self._thread_ranges: Dict[Var, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------ setup
     def run(self) -> LoweredFunc:
@@ -120,7 +120,7 @@ class _Lowerer:
         # any consumer body is converted to buffer loads.
         for stage in root_stages:
             self._plan_stage(stage, None, None)
-        body_parts = [self._build_stage(stage, outer_ranges={}) for stage in root_stages]
+        body_parts = [self._build_stage(stage) for stage in root_stages]
         body = seq(*body_parts)
         return LoweredFunc(self.name, self.arg_buffers, body, self.allocations)
 
@@ -138,12 +138,12 @@ class _Lowerer:
                 offset = root_offsets.get(axis.uid)
                 if offset is not None:
                     value_map[axis.var] = simplify(offset + value_map[axis.var])
-        leaf_ranges = {iv.var: Interval(0, dom_map[iv.uid] - 1)
+        leaf_ranges = {iv.var: (0, dom_map[iv.uid] - 1)
                        for iv in stage.leaf_iter_vars}
         for ivar in stage.leaf_iter_vars:
             bound = stage.bound_thread(ivar)
             if bound is not None and bound.thread_tag.startswith("threadIdx"):
-                self._thread_ranges[ivar.var] = Interval(0, dom_map[ivar.uid] - 1)
+                self._thread_ranges[ivar.var] = (0, dom_map[ivar.uid] - 1)
         for ivar in stage.leaf_iter_vars:
             for producer_stage in self.attachments.get((id(op), ivar.uid), []):
                 inner_vars = self._vars_inside(stage, ivar)
@@ -247,16 +247,14 @@ class _Lowerer:
         return _ReadConverter(self).visit(expr)
 
     # ----------------------------------------------------------- stage building
-    def _build_stage(self, stage: Stage, outer_ranges: Dict[Var, Interval],
+    def _build_stage(self, stage: Stage,
                      root_extents: Optional[Dict[int, int]] = None,
                      root_offsets: Optional[Dict[int, Expr]] = None) -> Stmt:
         """Generate the loop nest for one stage.
 
-        ``outer_ranges`` gives interval information for loop variables of
-        enclosing stages (all treated as fixed points); ``root_extents`` and
-        ``root_offsets`` restrict/rebase root axis domains when the stage is
-        attached inside a consumer and only a sub-region is required.  The
-        stage then computes global coordinates ``offset + local`` while its
+        ``root_extents`` and ``root_offsets`` restrict/rebase root axis
+        domains when the stage is attached inside a consumer and only a
+        sub-region is required.  The stage then computes global coordinates ``offset + local`` while its
         compact buffer is indexed by the local coordinate.
         """
         op = stage.op
@@ -269,9 +267,9 @@ class _Lowerer:
 
         # Ranges for this stage's leaf vars (used when computing regions of
         # stages attached inside this one).
-        leaf_ranges: Dict[Var, Interval] = {}
+        leaf_ranges: Dict[Var, Tuple[int, int]] = {}
         for ivar in stage.leaf_iter_vars:
-            leaf_ranges[ivar.var] = Interval(0, dom_map[ivar.uid] - 1)
+            leaf_ranges[ivar.var] = (0, dom_map[ivar.uid] - 1)
 
         # Guard conditions produced by imperfect splits (computed on local
         # coordinates, before region offsets are applied).
@@ -320,8 +318,6 @@ class _Lowerer:
             else:
                 value = self._convert_expr(body_expr, value_map)
             store: Stmt = BufferStore(binding.buffer, axis_indices(), value)
-            if stage.store_predicate is not None:
-                store = IfThenElse(self._convert_expr(stage.store_predicate, value_map), store)
             for guard in guards:
                 store = IfThenElse(self._convert_expr(guard, value_map), store)
             return store
@@ -359,13 +355,9 @@ class _Lowerer:
             thread = stage.bound_thread(ivar)
             thread_tag = thread.thread_tag if thread is not None else ""
             loop: Stmt = For(ivar.var, 0, dom_map[ivar.uid], inner, kind, thread_tag)
-            for key, value in stage.pragmas.get(ivar, []):
-                loop = AttrStmt("pragma_" + key, ivar, value, loop)
             return seq(prefix, loop) if prefix is not None else loop
 
         nest = build(0, False)
-        if stage.double_buffer:
-            nest = AttrStmt("double_buffer_scope", binding.buffer, 1, nest)
         if stage.scope != "global":
             nest = AttrStmt("storage_scope", binding.buffer, stage.scope, nest)
         return nest
@@ -387,7 +379,7 @@ class _Lowerer:
 
     # ----------------------------------------------------------- attachments
     def _attach_producers(self, consumer: Stage, ivar: IterVar, inner: Stmt,
-                          leaf_ranges: Dict[Var, Interval],
+                          leaf_ranges: Dict[Var, Tuple[int, int]],
                           value_map: Dict[Var, Expr]) -> Stmt:
         attached = self.attachments.get((id(consumer.op), ivar.uid), [])
         if not attached:
@@ -396,9 +388,8 @@ class _Lowerer:
         inner_vars = self._vars_inside(consumer, ivar)
         for producer_stage in attached:
             root_extents, root_offsets = self._planned_regions[id(producer_stage.op)]
-            outer_ranges = {var: Interval(0, 0) for var in leaf_ranges}
-            producer_nest = self._build_stage(producer_stage, outer_ranges,
-                                              root_extents, root_offsets)
+            producer_nest = self._build_stage(producer_stage, root_extents,
+                                              root_offsets)
             parts.append(producer_nest)
             if producer_stage.scope == "shared":
                 parts.append(Barrier("shared"))
@@ -412,7 +403,7 @@ class _Lowerer:
 
     def _required_region(self, producer: Stage, consumer: Stage,
                          inner_vars: List[Var],
-                         leaf_ranges: Dict[Var, Interval],
+                         leaf_ranges: Dict[Var, Tuple[int, int]],
                          value_map: Dict[Var, Expr]) -> List[Tuple[Expr, int]]:
         """Compute, per output dimension of ``producer``, the (offset, extent)
         region required by ``consumer`` iterations below the attachment point."""
@@ -429,7 +420,7 @@ class _Lowerer:
         # A shared-scope producer is cooperatively filled by the whole thread
         # block: the region must cover every thread's slice, so thread-bound
         # consumer loops count as "inner" even above the attachment point.
-        relax_ranges: Dict[Var, Interval] = {}
+        relax_ranges: Dict[Var, Tuple[int, int]] = {}
         if producer.scope == "shared":
             for leaf in consumer.leaf_iter_vars:
                 bound = consumer.bound_thread(leaf)
@@ -438,8 +429,6 @@ class _Lowerer:
             # Thread-bound loops of enclosing stages (reached through region
             # offsets) also span the block for cooperatively-filled buffers.
             relax_ranges = dict(self._thread_ranges)
-        from ..te.expr import collect_vars
-
         # Offset substitution: inner (and relaxed thread) vars pinned to
         # zero, outer vars stay symbolic.  Fixed across dims and reads.
         zero_map = {v: 0 for v in inner_set}
@@ -450,16 +439,17 @@ class _Lowerer:
             for read in reads:
                 index_expr = substitute(read.indices[dim], value_map)
                 # Extent: inner vars span their ranges, everything else fixed.
-                ranges: Dict[Var, Interval] = {}
-                for var in collect_vars(index_expr):
+                free, program = compile_bounds(index_expr)
+                ranges: Dict[Var, Tuple[int, int]] = {}
+                for var in free:
                     if var in inner_set and var in leaf_ranges:
                         ranges[var] = leaf_ranges[var]
                     elif var in relax_ranges:
                         ranges[var] = relax_ranges[var]
                     else:
-                        ranges[var] = Interval(0, 0)
-                bounds = expr_bounds(index_expr, ranges)
-                extent = int(bounds.extent)
+                        ranges[var] = (0, 0)
+                low, high = eval_bounds(program, ranges)
+                extent = int(high - low + 1)
                 offset = simplify(substitute(index_expr, zero_map))
                 if dim_offset is None:
                     dim_offset = offset

@@ -2,7 +2,6 @@
 
 Implements the post-lowering transformations the paper relies on:
 
-* ``unroll_loops`` — explicit unrolling of loops marked ``unroll``.
 * ``inject_virtual_threads`` — Figure 8's virtual thread lowering: a loop
   bound to a ``vthread`` axis is expanded into per-thread copies whose
   load / execute / store operations are interleaved into a single stream and
@@ -10,7 +9,6 @@ Implements the post-lowering transformations the paper relies on:
   access-execute (DAE) accelerator can recover pipeline parallelism.
 * ``inject_dae_synchronization`` — inserts RAW/WAR dependence tokens between
   pipeline stages of an already-flattened instruction sequence (Figure 9).
-* ``simplify_pass`` — constant folding over all expressions in a program.
 """
 
 from __future__ import annotations
@@ -41,10 +39,8 @@ from .stmt import (
 )
 
 __all__ = [
-    "unroll_loops",
     "inject_virtual_threads",
     "inject_dae_synchronization",
-    "simplify_pass",
     "substitute_stmt",
     "map_buffers",
     "count_statements",
@@ -153,31 +149,6 @@ def map_buffers(stmt: Stmt, mapping: Dict[str, Buffer]) -> Stmt:
             return Allocate(buf, rec(node.body))
         if isinstance(node, Evaluate):
             return Evaluate(remap_expr(node.expr))
-        return _rebuild(node, rec)
-
-    return rec(stmt)
-
-
-# ---------------------------------------------------------------------------
-# Unrolling
-# ---------------------------------------------------------------------------
-
-def unroll_loops(stmt: Stmt, max_extent: int = 16) -> Stmt:
-    """Fully unroll loops annotated ``unroll`` whose extent is small enough."""
-
-    def rec(node: Stmt) -> Stmt:
-        if isinstance(node, For) and node.kind == ForKind.UNROLLED:
-            try:
-                extent = node.extent_value()
-            except ValueError:
-                extent = max_extent + 1
-            body = rec(node.body)
-            if extent <= max_extent:
-                copies = [substitute_stmt(body, {node.loop_var: as_expr(i)})
-                          for i in range(extent)]
-                return seq(*copies)
-            return For(node.loop_var, node.min, node.extent, body,
-                       ForKind.SERIAL, node.thread_tag)
         return _rebuild(node, rec)
 
     return rec(stmt)
@@ -348,12 +319,6 @@ def inject_dae_synchronization(stmt: Stmt) -> Stmt:
 # ---------------------------------------------------------------------------
 # Misc passes
 # ---------------------------------------------------------------------------
-
-def simplify_pass(func: LoweredFunc) -> LoweredFunc:
-    """Constant-fold every expression in the program."""
-    body = substitute_stmt(func.body, {})
-    return LoweredFunc(func.name, func.args, body, func.allocations)
-
 
 def count_statements(stmt: Stmt) -> Dict[str, int]:
     """Count statement node types (useful for tests and ablations)."""

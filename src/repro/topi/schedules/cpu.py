@@ -16,29 +16,11 @@ from ... import te
 from ...autotvm.space import ConfigSpace
 
 __all__ = [
-    "schedule_conv2d_cpu",
-    "schedule_depthwise_conv2d_cpu",
-    "schedule_dense_cpu",
-    "schedule_injective_cpu",
     "conv2d_cpu_template",
     "depthwise_conv2d_cpu_template",
     "dense_cpu_template",
     "bitserial_conv2d_cpu_template",
 ]
-
-
-def schedule_injective_cpu(out: te.Tensor, vector_width: int = 4) -> te.Schedule:
-    """Parallelise the outer loop and vectorize the innermost loop."""
-    s = te.create_schedule(out.op)
-    stage = s[out]
-    axes = list(stage.op.axis)
-    if len(axes) >= 2:
-        stage.parallel(axes[0])
-    last = axes[-1]
-    if last.extent_value() % vector_width == 0 and last.extent_value() >= vector_width:
-        outer, inner = stage.split(last, factor=vector_width)
-        stage.vectorize(inner)
-    return s
 
 
 def conv2d_cpu_template(cfg: ConfigSpace, data: te.Tensor, kernel: te.Tensor,
@@ -75,12 +57,6 @@ def conv2d_cpu_template(cfg: ConfigSpace, data: te.Tensor, kernel: te.Tensor,
     return s, [data, kernel, conv]
 
 
-def schedule_conv2d_cpu(data: te.Tensor, kernel: te.Tensor, conv: te.Tensor) -> te.Schedule:
-    cfg = ConfigSpace()
-    s, _ = conv2d_cpu_template(cfg, data, kernel, conv)
-    return s
-
-
 def depthwise_conv2d_cpu_template(cfg: ConfigSpace, data: te.Tensor, kernel: te.Tensor,
                                   conv: te.Tensor) -> Tuple[te.Schedule, List[te.Tensor]]:
     s = te.create_schedule(conv.op)
@@ -105,13 +81,6 @@ def depthwise_conv2d_cpu_template(cfg: ConfigSpace, data: te.Tensor, kernel: te.
     return s, [data, kernel, conv]
 
 
-def schedule_depthwise_conv2d_cpu(data: te.Tensor, kernel: te.Tensor,
-                                  conv: te.Tensor) -> te.Schedule:
-    cfg = ConfigSpace()
-    s, _ = depthwise_conv2d_cpu_template(cfg, data, kernel, conv)
-    return s
-
-
 def dense_cpu_template(cfg: ConfigSpace, data: te.Tensor, weight: te.Tensor,
                        out: te.Tensor) -> Tuple[te.Schedule, List[te.Tensor]]:
     s = te.create_schedule(out.op)
@@ -131,12 +100,6 @@ def dense_cpu_template(cfg: ConfigSpace, data: te.Tensor, weight: te.Tensor,
     if vectorize.val and ji.extent_value() >= 2:
         s[out].vectorize(ji)
     return s, [data, weight, out]
-
-
-def schedule_dense_cpu(data: te.Tensor, weight: te.Tensor, out: te.Tensor) -> te.Schedule:
-    cfg = ConfigSpace()
-    s, _ = dense_cpu_template(cfg, data, weight, out)
-    return s
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,6 @@ from ...autotvm.space import ConfigSpace
 
 __all__ = [
     "schedule_matmul_gpu",
-    "schedule_conv2d_gpu",
-    "schedule_depthwise_conv2d_gpu",
-    "schedule_dense_gpu",
     "schedule_injective_gpu",
     "matmul_gpu_template",
     "conv2d_gpu_template",
@@ -188,13 +185,6 @@ def conv2d_gpu_template(cfg: ConfigSpace, data: te.Tensor, kernel: te.Tensor,
     return s, [data, kernel, conv]
 
 
-def schedule_conv2d_gpu(data: te.Tensor, kernel: te.Tensor, conv: te.Tensor) -> te.Schedule:
-    """Reasonable fixed conv2d GPU schedule (fallback when no tuning log exists)."""
-    cfg = ConfigSpace()
-    s, _ = conv2d_gpu_template(cfg, data, kernel, conv)
-    return s
-
-
 # ---------------------------------------------------------------------------
 # depthwise conv2d
 # ---------------------------------------------------------------------------
@@ -233,13 +223,6 @@ def depthwise_conv2d_gpu_template(cfg: ConfigSpace, data: te.Tensor, kernel: te.
     return s, [data, kernel, conv]
 
 
-def schedule_depthwise_conv2d_gpu(data: te.Tensor, kernel: te.Tensor,
-                                  conv: te.Tensor) -> te.Schedule:
-    cfg = ConfigSpace()
-    s, _ = depthwise_conv2d_gpu_template(cfg, data, kernel, conv)
-    return s
-
-
 # ---------------------------------------------------------------------------
 # dense
 # ---------------------------------------------------------------------------
@@ -268,9 +251,3 @@ def dense_gpu_template(cfg: ConfigSpace, data: te.Tensor, weight: te.Tensor,
     WS = s.cache_read(weight, "shared", [OL])
     s[WS].compute_at(s[OL], ko)
     return s, [data, weight, out]
-
-
-def schedule_dense_gpu(data: te.Tensor, weight: te.Tensor, out: te.Tensor) -> te.Schedule:
-    cfg = ConfigSpace()
-    s, _ = dense_gpu_template(cfg, data, weight, out)
-    return s

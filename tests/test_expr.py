@@ -7,7 +7,6 @@ from repro.te.expr import (
     Add,
     FloatImm,
     IntImm,
-    Interval,
     Mul,
     Select,
     Sub,
@@ -116,30 +115,23 @@ def test_math_intrinsic_evaluation():
 
 def test_expr_bounds_affine():
     x, y = Var("x"), Var("y")
-    bounds = expr_bounds(x * 8 + y, {x: Interval(0, 3), y: Interval(0, 7)})
-    assert bounds.low == 0
-    assert bounds.high == 31
-    assert bounds.extent == 32
+    assert expr_bounds(x * 8 + y, {x: (0, 3), y: (0, 7)}) == (0, 31)
 
 
 def test_expr_bounds_subtraction_and_mul():
     x = Var("x")
-    bounds = expr_bounds(10 - x * 2, {x: Interval(0, 3)})
-    assert bounds.low == 4
-    assert bounds.high == 10
+    assert expr_bounds(10 - x * 2, {x: (0, 3)}) == (4, 10)
 
 
 def test_expr_bounds_floordiv_mod():
     x = Var("x")
-    div = expr_bounds(x // 4, {x: Interval(0, 15)})
-    assert div.low == 0 and div.high == 3
-    mod = expr_bounds(x % 4, {x: Interval(0, 15)})
-    assert mod.low == 0 and mod.high == 3
+    assert expr_bounds(x // 4, {x: (0, 15)}) == (0, 3)
+    assert expr_bounds(x % 4, {x: (0, 15)}) == (0, 3)
 
 
 def test_expr_bounds_missing_var_raises():
     x = Var("x")
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="x"):
         expr_bounds(x + 1, {})
 
 

@@ -188,31 +188,59 @@ def test_unrolling_never_increases_counted_traffic(factor):
 
 
 # ---------------------------------------------------------------------------
-# Compiled bounds programs (tir.analysis) vs the recursive te.expr_bounds
+# Interval arithmetic (te.expr) and the verifier's refinement vs ground truth:
+# every index is enumerated over its (small) variable grid with the TIR
+# interpreter, which shares no code with either.
 # ---------------------------------------------------------------------------
 
 _BOUND_VARS = [te.Var(name) for name in ("i", "j", "k")]
 
+# by index: sampled_from would compare the (symbolic) Vars
+_bound_var = st.integers(min_value=0, max_value=2).map(_BOUND_VARS.__getitem__)
+_grid_ranges = st.lists(st.tuples(st.integers(min_value=-6, max_value=6),
+                                  st.integers(min_value=0, max_value=3)),
+                        min_size=3, max_size=3)
+
+
+def _enumerate(expr, ranges):
+    """``(per-var intervals, every value expr takes without faulting)``."""
+    import itertools
+
+    from repro.tir.interpreter import evaluate_expr
+
+    intervals = {var: (low, low + span)
+                 for var, (low, span) in zip(_BOUND_VARS, ranges)}
+    values = []
+    for point in itertools.product(*(range(low, high + 1)
+                                     for low, high in intervals.values())):
+        try:
+            values.append(evaluate_expr(expr, dict(zip(_BOUND_VARS, point))))
+        except ZeroDivisionError:
+            pass
+    return intervals, values
+
 
 def _bounds_exprs():
-    """Random affine/min/max/floordiv/mod/select index expressions (plus a
-    cast and a comparison-as-value, which take the union fallback)."""
+    """Random affine/min/max/floordiv/mod/select/cast index expressions:
+    divisors are positive constants (what split/fuse lowering emits),
+    negative constants, bare variables and arbitrary sub-expressions.
+    Comparisons appear as select conditions only — a node the analysis does
+    not model takes the union of its operands, a heuristic and not a bound."""
     from repro.te import expr as E
 
     leaves = st.one_of(
-        # by index: sampled_from would compare the (symbolic) Vars
-        st.integers(min_value=0, max_value=2).map(_BOUND_VARS.__getitem__),
-        st.integers(min_value=-8, max_value=8).map(E.IntImm))
+        _bound_var, st.integers(min_value=-8, max_value=8).map(E.IntImm))
     binary = st.sampled_from([E.Add, E.Sub, E.Mul, E.FloorDiv, E.Mod, E.Min,
-                              E.Max, E.LT])
+                              E.Max])
+    divisors = st.one_of(
+        st.integers(min_value=1, max_value=9).map(E.IntImm),
+        st.integers(min_value=-9, max_value=-1).map(E.IntImm), _bound_var)
 
     def extend(children):
         return st.one_of(
             st.builds(lambda op, a, b: op(a, b), binary, children, children),
-            # the split/fuse index shapes: x // c and x % c, c a positive const
-            st.builds(lambda op, a, c: op(a, E.IntImm(c)),
-                      st.sampled_from([E.FloorDiv, E.Mod]), children,
-                      st.integers(min_value=1, max_value=9)),
+            st.builds(lambda op, a, b: op(a, b),
+                      st.sampled_from([E.FloorDiv, E.Mod]), children, divisors),
             st.builds(lambda c, t, f: E.Select(E.LT(c, t), t, f),
                       children, children, children),
             st.builds(lambda a: E.Cast(a, "int64"), children))
@@ -220,24 +248,80 @@ def _bounds_exprs():
     return st.recursive(leaves, extend, max_leaves=12)
 
 
-@given(expr=_bounds_exprs(),
-       ranges=st.lists(st.tuples(st.integers(min_value=-16, max_value=16),
-                                 st.integers(min_value=0, max_value=32)),
-                       min_size=3, max_size=3))
-@settings(max_examples=300, deadline=None)
-def test_compiled_bounds_program_is_bit_identical_to_expr_bounds(expr, ranges):
-    # tir.analysis promises that replaying a compiled postorder program does
-    # the same arithmetic on the same values in the same order as the
-    # recursive te.expr_bounds: equal intervals, equal number types.
-    from repro.te.expr import Interval, collect_vars, expr_bounds
-    from repro.tir.analysis import _compile_bounds, _eval_bounds
+@st.composite
+def _single_use_affine(draw, variables=None):
+    """``+`` / ``-`` / ``* const`` over distinct variables, each used once,
+    plus a constant: interval arithmetic must be *exact* on these."""
+    from repro.te.expr import IntImm
 
-    intervals = {var: (low, low + span)
-                 for var, (low, span) in zip(_BOUND_VARS, ranges)}
-    free, program = _compile_bounds(expr)
+    if variables is None:
+        variables = draw(st.lists(_bound_var, min_size=1, max_size=3,
+                                  unique_by=id))
+    expr = IntImm(draw(st.integers(min_value=-8, max_value=8)))
+    for var in variables:
+        term = var * draw(st.integers(min_value=-4, max_value=4))
+        expr = expr + term if draw(st.booleans()) else expr - term
+    return expr
+
+
+@given(expr=_bounds_exprs(), ranges=_grid_ranges)
+@settings(max_examples=250, deadline=None)
+def test_expr_bounds_contain_every_enumerated_value(expr, ranges):
+    from repro.te.expr import collect_vars, compile_bounds, eval_bounds
+
+    intervals, values = _enumerate(expr, ranges)
+    free, program = compile_bounds(expr)
     assert [id(v) for v in free] == [id(v) for v in collect_vars(expr)]
-    want = expr_bounds(expr, {var: Interval(*bounds)
-                              for var, bounds in intervals.items()})
-    got = _eval_bounds(program, intervals)
-    assert got == (want.low, want.high)
-    assert [type(x) for x in got] == [type(want.low), type(want.high)]
+    low, high = eval_bounds(program, intervals)
+    for value in values:
+        assert low <= value <= high, (expr, intervals, value, (low, high))
+
+
+@given(expr=_single_use_affine(), ranges=_grid_ranges,
+       divisor=st.integers(min_value=1, max_value=9))
+@settings(max_examples=150, deadline=None)
+def test_expr_bounds_are_exact_on_single_use_affine_indices(expr, ranges,
+                                                            divisor):
+    # exactness keeps soundness honest: (-inf, inf) is sound too.  Floor
+    # division by a positive constant is monotone, so it stays exact.
+    from repro.te.expr import expr_bounds
+
+    for index in (expr, expr // divisor):
+        intervals, values = _enumerate(index, ranges)
+        assert expr_bounds(index, intervals) == (min(values), max(values))
+
+
+@st.composite
+def _lowered_index_shapes(draw):
+    """``(index, refines plain bounds)`` over the shapes lowering emits
+    around fused axes and compacted buffers: ``f // W``, ``f % W + i``,
+    ``idx - offset`` and ``(base + inner) // K - base // K``."""
+    i, j, k = _BOUND_VARS
+    base = draw(_single_use_affine(variables=[i]))
+    inner = draw(_single_use_affine(variables=[j, k]))
+    width = draw(st.integers(min_value=1, max_value=9))
+    return draw(st.sampled_from([
+        ((base + inner) // width, True),
+        ((base + inner) % width + i, True),
+        ((base + inner) - base, True),
+        # bounded through the numerator difference alone, which forgets each
+        # quotient's own range: sound, but on ~1 in 6 sampled grids wider
+        # than the plain interval difference (mostly when ``i`` is pinned)
+        ((base + inner) // width - base // width, False),
+    ]))
+
+
+@given(shape=_lowered_index_shapes(), ranges=_grid_ranges)
+@settings(max_examples=200, deadline=None)
+def test_verifier_bounds_sit_between_ground_truth_and_plain_bounds(shape, ranges):
+    from repro.analysis.tir_verify import _TIRVerifier
+    from repro.te.expr import expr_bounds
+
+    expr, refines_plain = shape
+    intervals, values = _enumerate(expr, ranges)
+    verifier = _TIRVerifier(tir.LoweredFunc("oracle", [], tir.SeqStmt([])))
+    low, high = verifier.bounds(expr, intervals, {})
+    assert low <= min(values) and max(values) <= high, (expr, intervals)
+    if refines_plain:
+        plain_low, plain_high = expr_bounds(expr, intervals)
+        assert plain_low <= low and high <= plain_high, (expr, intervals)

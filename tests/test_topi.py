@@ -250,22 +250,26 @@ def test_te_depthwise_lowered_matches_reference():
 
 
 @pytest.mark.parametrize("target", ["cuda", "mali", "arm_cpu", "pynq_cpu", "vdla"])
-@pytest.mark.parametrize("op", ["conv2d", "depthwise_conv2d"])
+@pytest.mark.parametrize("op", ["conv2d", "depthwise_conv2d", "dense"])
 def test_lowered_templates_match_reference(op, target):
-    """ROADMAP item 3, interpreter == reference: the TIR the tuner scores
+    """ROADMAP item 2(c), interpreter == reference: the TIR the tuner scores
     (each target's schedule template under sampled configs) computes what
     the NumPy kernel the executor runs computes."""
     b = ModelBuilder("leg", seed=0)
-    data = b.input("data", (1, 4, 6, 6))
-    out = (b.conv2d(data, 6, 3, 2, 1, name="op") if op == "conv2d"
-           else b.depthwise_conv2d(data, 3, 1, 1, name="op"))
+    if op == "dense":
+        out = b.dense(b.input("data", (2, 12)), 6, name="op")
+    else:
+        data = b.input("data", (1, 4, 6, 6))
+        out = (b.conv2d(data, 6, 3, 2, 1, name="op") if op == "conv2d"
+               else b.depthwise_conv2d(data, 3, 1, 1, name="op"))
     node = b.finalize(out)[0].find("op")
     task = make_task_for_node(node, create_target(target))
     rng = np.random.default_rng(11)
     arrays = [rng.standard_normal(parent.shape).astype("float32")
               for parent in node.inputs]
-    want = getattr(ref, f"{op}_nchw")(*arrays, node.attrs["strides"],
-                                      node.attrs["padding"])
+    want = (ref.dense(*arrays) if op == "dense" else
+            getattr(ref, f"{op}_nchw")(*arrays, node.attrs["strides"],
+                                       node.attrs["padding"]))
     for config in task.config_space.sample(3, random.Random(11)):
         got = np.zeros(node.shape, dtype="float32")
         tir.run_lowered(task.lower(config), *arrays, got)

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import repro
@@ -172,6 +173,35 @@ class TestCompileVerify:
         module = repro.compile("dqn", target="arm_cpu",
                                opt_level=opt_level, verify=True)
         assert module.kernels
+
+    def test_early_graph_output_keeps_its_storage(self):
+        # a graph output nothing consumes used to release its token right
+        # after the step producing it, so 'tanh0' was planned onto live
+        # output memory and verify=True rejected the compiler's own plan
+        from repro.frontend.builder import ModelBuilder
+
+        def two_outputs():
+            builder = ModelBuilder("two_outputs", seed=0)
+            hidden = builder.relu(builder.dense(builder.input("data", (1, 16)), 32))
+            early = builder.sigmoid(hidden)
+            late = builder.tanh(builder.relu(
+                builder.dense(builder.tanh(hidden), 32)))
+            return builder.finalize([early, late])
+
+        data = np.random.default_rng(0).standard_normal((1, 16)).astype("float32")
+        results = []
+        for opt_level in (0, 2):
+            module = repro.compile(two_outputs(), target="cuda",
+                                   opt_level=opt_level, verify=True)
+            early = module.graph.outputs[0]
+            names = [node.name for node in module.graph.nodes]
+            storage_of = module.memory_plan.storage_of
+            later = names[names.index(early.name) + 1:]
+            assert storage_of[early.name] not in {
+                storage_of[name] for name in later if name in storage_of}
+            results.append([out.asnumpy() for out in repro.Executor(module)(data)])
+        for reference, fused in zip(*results):
+            np.testing.assert_array_equal(fused, reference)
 
     def test_corrupting_pass_caught_and_named(self):
         def clobber_names(state, ctx):
@@ -550,6 +580,28 @@ class TestLintInvariants:
         elsewhere = tmp_path / "topi" / "nn.py"
         elsewhere.write_text(source)
         assert linter.lint_file(elsewhere) == []
+
+    def test_one_interval_arithmetic_rule(self, tmp_path):
+        linter = _load_linter()
+        source = (
+            "from ..te.expr import BOUNDS_OF, _bounds_add\n"
+            "from repro.tir.analysis import _ZERO_BOUNDS\n"
+            "from .errors import _private_is_fine_at_home\n"
+            "def _bounds_shift(a, k):\n"
+            "    return (a[0] + k, a[1] + k)\n"
+            "def _iv_add(a, b): return a\n"
+            "def _compile_bounds(expr): return [], []\n"
+            "def eval_bounds(program, env): return (0, 0)\n"
+            "def _atom_bounds(expr): return (0, 0)\n")   # not a twin
+        verifier = tmp_path / "analysis" / "tir_verify.py"
+        verifier.parent.mkdir()
+        verifier.write_text(source)
+        assert [(v.rule, v.line) for v in linter.lint_file(verifier)] \
+            == [("one-interval-arithmetic", line) for line in (1, 2, 4, 6, 7, 8)]
+        owner = tmp_path / "te" / "expr.py"
+        owner.parent.mkdir()
+        owner.write_text(source)
+        assert linter.lint_file(owner) == []
 
     def test_exiting_poll_loop_not_flagged(self, tmp_path):
         linter = _load_linter()

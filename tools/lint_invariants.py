@@ -73,6 +73,15 @@ Rules
     window offsets or the Winograd tile grid; anything deeper belongs in one
     strided NumPy call.
 
+``one-interval-arithmetic``
+    ``te/expr.py`` is the single owner of interval arithmetic (``BOUNDS_OF``,
+    ``compile_bounds``, ``eval_bounds``): no function named ``_bounds_*``,
+    ``_iv_*``, ``*compile_bounds`` or ``*eval_bounds`` is defined anywhere
+    else, and no module directly under ``tir/`` or ``analysis/`` imports an
+    underscore name from another package.  A hand-replicated transfer
+    function can only be tested against its twin, and lowering, feature
+    extraction and the verifier must agree on what an index's bounds are.
+
 Exit status is 0 when clean, 1 when any violation is found.
 """
 
@@ -106,6 +115,10 @@ RULES = {
                             "<x>.config[...] / <x>.config.get(...) lookup"),
     "no-deep-kernel-loops": ("topi/reference.py: no `for` nest deeper than "
                              "2 (no Python loop over channel x window)"),
+    "one-interval-arithmetic": ("no _bounds_* / _iv_* / *compile_bounds / "
+                                "*eval_bounds function outside te/expr.py; "
+                                "tir/ and analysis/ import no underscore "
+                                "name from another package"),
 }
 
 #: files (by trailing path parts) allowed to call ``._execute(``
@@ -119,8 +132,16 @@ _BACKEND_CONTRACT = ("run_batch", "shutdown", "stats")
 _COMPILE_PACKAGES = ("compiler", "graph", "analysis")
 #: deepest ``for`` nest allowed in topi/reference.py
 _MAX_KERNEL_LOOP_DEPTH = 2
+#: packages whose modules may not import another package's private names
+_BOUNDS_CLIENTS = ("tir", "analysis")
 #: stdlib queue classes (``queue.X(...)`` or imported bare)
 _QUEUE_CLASSES = ("Queue", "SimpleQueue", "LifoQueue", "PriorityQueue")
+
+
+def _names_interval_arithmetic(name: str) -> bool:
+    """A function name that spells a bounds transfer function or evaluator."""
+    return (name.startswith(("_bounds_", "_iv_"))
+            or name.endswith(("compile_bounds", "eval_bounds")))
 
 
 def _names_backend(name: str) -> bool:
@@ -245,6 +266,8 @@ class _Linter(ast.NodeVisitor):
             or parts[-2:] == ("runtime", "admission.py")
         self.is_compile_path = any(part in _COMPILE_PACKAGES for part in parts)
         self.is_kernels = parts[-2:] == ("topi", "reference.py")
+        self.owns_bounds = parts[-2:] == ("te", "expr.py")
+        self.package = parts[-2] if len(parts) > 1 else ""
         self._for_depth = 0
         self.violations: List[Violation] = []
         self._while_true_stack: List[ast.While] = []
@@ -265,7 +288,17 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
         self._scope.pop()
 
-    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _visit_scope
+    visit_ClassDef = _visit_scope
+
+    def _visit_function(self, node) -> None:
+        if not self.owns_bounds and _names_interval_arithmetic(node.name):
+            self._report("one-interval-arithmetic", node,
+                         f"`{node.name}` — interval arithmetic lives in "
+                         f"te/expr.py (BOUNDS_OF / compile_bounds / "
+                         f"eval_bounds); call it, do not replicate it")
+        self._visit_scope(node)
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_function
 
     def _check_backend_names(self, node: ast.AST, names: Iterable[str]) -> None:
         if not self.is_engine or tuple(self._scope[:2]) == _BACKEND_SITE:
@@ -281,9 +314,26 @@ class _Linter(ast.NodeVisitor):
             self._check_backend_names(node, alias.name.split("."))
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        module = (node.module or "").split(".")
         self._check_backend_names(
-            node, (node.module or "").split(".")
-            + [alias.name for alias in node.names])
+            node, module + [alias.name for alias in node.names])
+        if self.package not in _BOUNDS_CLIENTS:
+            return
+        # the repro package the import reaches: ``from ..te.expr`` and
+        # ``from repro.te.expr`` both reach ``te``; one dot stays at home
+        if node.level >= 2:
+            source = module[0]
+        elif node.level == 0 and module[0] == "repro":
+            source = ".".join(module[1:2])
+        else:
+            return
+        if source != self.package:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    self._report("one-interval-arithmetic", node,
+                                 f"`{alias.name}` imported from {source or 'repro'}"
+                                 f" — {self.package}/ uses other packages' "
+                                 f"public names only")
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         self._check_backend_names(node, [node.attr])
