@@ -92,12 +92,7 @@ FEATURE_CACHE = LRUCache(50_000)
 
 def clear_eval_caches() -> None:
     """Drop all shared lowering/featurisation state (tests, benchmarks)."""
-    from ..te.expr import _Simplifier
-
     FEATURE_CACHE.clear()
-    # The simplifier memo pins expression nodes process-wide; release them
-    # together with the evaluation caches they fed.
-    _Simplifier._MEMO.clear()
 
 
 def eval_cache_stats() -> Dict[str, Dict[str, int]]:

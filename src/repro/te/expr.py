@@ -14,6 +14,8 @@ operator bodies can be written naturally inside ``te.compute`` lambdas::
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -619,22 +621,20 @@ class _Simplifier(ExprMutator):
         GE: lambda a, b: int(a >= b),
     }
 
-    #: global memo of simplified results, keyed by node identity.  Expression
-    #: nodes are immutable and substitution splices shared subtrees into many
-    #: parents, so the same object is re-simplified constantly on the
-    #: lowering fast path.  The original is pinned in the value to keep its
-    #: id stable.  Unlike the lowering/feature caches, entries cost microseconds
-    #: to recompute, so overflow is handled by a wholesale wipe instead of
-    #: paying LRU bookkeeping on every fold; clear_eval_caches() also empties
-    #: it to release the pinned nodes.
-    _MEMO: dict = {}
-    _MEMO_LIMIT = 200_000
+    def __init__(self) -> None:
+        #: results by node identity.  Expression nodes are immutable and
+        #: substitution splices shared subtrees into many parents, so one
+        #: lowering simplifies the same object again and again — and hands
+        #: the feature extractor, which compiles an index's bounds once per
+        #: node, the same result object each time.  An entry pins its node,
+        #: so the id stays that node's for as long as the memo lives.
+        self.memo: Dict[int, Tuple[Expr, Expr]] = {}
 
     def visit(self, expr: Expr) -> Expr:
-        memo = self._MEMO
+        memo = self.memo
         key = id(expr)
         hit = memo.get(key)
-        if hit is not None and hit[0] is expr:
+        if hit is not None:
             return hit[1]
         # Specialized hot path: loop-index expressions are almost entirely
         # binary arithmetic over variables and immediates, so handle those
@@ -650,8 +650,6 @@ class _Simplifier(ExprMutator):
             return expr
         else:
             result = super().visit(expr)
-        if len(memo) >= self._MEMO_LIMIT:
-            memo.clear()
         memo[key] = (expr, result)
         return result
 
@@ -708,8 +706,23 @@ def structural_equal(a: Expr, b: Expr) -> bool:
     return all(structural_equal(x, y) for x, y in zip(children_a, children_b))
 
 
-#: stateless, so one shared instance serves every ``simplify`` call
-_SIMPLIFIER = _Simplifier()
+#: per thread: the simplifier of the ``simplify_scope`` it is inside, if any
+_SCOPE = threading.local()
+
+
+@contextmanager
+def simplify_scope():
+    """Let this thread's ``simplify`` calls inside the block share one memo.
+
+    Node ids are fresh in every lowering, so a memo never hits across two of
+    them: it lives for one and is dropped, with every node it pins, on the
+    way out.  Outside a scope each ``simplify`` call has its own.
+    """
+    _SCOPE.simplifier = _Simplifier()
+    try:
+        yield
+    finally:
+        _SCOPE.simplifier = None
 
 
 def simplify(expr: ExprLike) -> Expr:
@@ -717,7 +730,8 @@ def simplify(expr: ExprLike) -> Expr:
     expr = as_expr(expr)
     if isinstance(expr, (Var, IntImm, FloatImm, StringImm)):
         return expr    # leaves are already in simplest form
-    result = _SIMPLIFIER.visit(expr)
+    simplifier = getattr(_SCOPE, "simplifier", None) or _Simplifier()
+    result = simplifier.visit(expr)
     # Cancel exact self-subtraction produced by buffer rebasing: (x + e) - e.
     if isinstance(result, Sub):
         if structural_equal(result.a, result.b):
@@ -812,6 +826,43 @@ def scale_bounds(interval, coeff):
 _B_VAR, _B_CONST, _B_BINOP, _B_UNION = range(4)
 
 
+def _emit_bounds(node: Expr, program: List[Tuple[int, object]],
+                 seen: Dict[int, Var]) -> None:
+    """Append the postorder bounds program of ``node`` to ``program`` and
+    its vars to ``seen``."""
+    if isinstance(node, Var):
+        seen.setdefault(id(node), node)
+        program.append((_B_VAR, node))
+        return
+    if isinstance(node, (IntImm, FloatImm)):
+        program.append((_B_CONST, (node.value, node.value)))
+        return
+    handler = BOUNDS_OF.get(type(node))
+    if handler is not None:
+        _emit_bounds(node.a, program, seen)
+        _emit_bounds(node.b, program, seen)
+        program.append((_B_BINOP, handler))
+        return
+    if isinstance(node, Cast):
+        _emit_bounds(node.value, program, seen)
+        return
+    if isinstance(node, Select):
+        # either arm may be taken; the condition only contributes vars
+        _walk_vars(node.condition, seen)
+        children = [node.true_value, node.false_value]
+    else:
+        children = expr_children(node)
+        if not children:
+            program.append((_B_CONST, (0, 0)))
+            return
+    for child in children:
+        _emit_bounds(child, program, seen)
+    if isinstance(node, Reduce):
+        for iv in node.axis:
+            seen.setdefault(id(iv.var), iv.var)
+    program.append((_B_UNION, len(children)))
+
+
 def compile_bounds(expr: Expr) -> Tuple[List[Var], List[Tuple[int, object]]]:
     """Compile ``expr`` into ``(free vars, postorder bounds program)``.
 
@@ -823,41 +874,7 @@ def compile_bounds(expr: Expr) -> Tuple[List[Var], List[Tuple[int, object]]]:
     """
     program: List[Tuple[int, object]] = []
     seen: Dict[int, Var] = {}
-
-    def emit(node: Expr) -> None:
-        if isinstance(node, Var):
-            seen.setdefault(id(node), node)
-            program.append((_B_VAR, node))
-            return
-        if isinstance(node, (IntImm, FloatImm)):
-            program.append((_B_CONST, (node.value, node.value)))
-            return
-        handler = BOUNDS_OF.get(type(node))
-        if handler is not None:
-            emit(node.a)
-            emit(node.b)
-            program.append((_B_BINOP, handler))
-            return
-        if isinstance(node, Cast):
-            emit(node.value)
-            return
-        if isinstance(node, Select):
-            # either arm may be taken; the condition only contributes vars
-            _walk_vars(node.condition, seen)
-            children = [node.true_value, node.false_value]
-        else:
-            children = expr_children(node)
-            if not children:
-                program.append((_B_CONST, (0, 0)))
-                return
-        for child in children:
-            emit(child)
-        if isinstance(node, Reduce):
-            for iv in node.axis:
-                seen.setdefault(id(iv.var), iv.var)
-        program.append((_B_UNION, len(children)))
-
-    emit(expr)
+    _emit_bounds(expr, program, seen)
     return list(seen.values()), program
 
 

@@ -81,9 +81,8 @@ class FuseRelation:
 class Stage:
     """Schedule state for one operation."""
 
-    def __init__(self, op: Operation, schedule: "Schedule"):
+    def __init__(self, op: Operation):
         self.op = op
-        self.schedule = schedule
         self.relations: List[object] = []
         self.iter_var_attrs: Dict[IterVar, Dict[str, object]] = {}
         self.attach_type = "root"  # root | inline | scope
@@ -254,7 +253,7 @@ class Schedule:
         self.stage_map: Dict[Operation, Stage] = {}
         self.stage_order: List[Stage] = []
         for op in _topo_order(self.outputs):
-            stage = Stage(op, self)
+            stage = Stage(op)
             if op in self.outputs:
                 stage.is_output = True
             self.stage_map[op] = stage
@@ -295,7 +294,7 @@ class Schedule:
             reader_op.body = rewriter.visit(reader_op.body)
             insert_at = min(insert_at, self.stage_order.index(self.stage_map[reader_op]))
 
-        stage = Stage(cache_op, self)
+        stage = Stage(cache_op)
         stage.scope = scope
         self.stage_map[cache_op] = stage
         self.stage_order.insert(insert_at, stage)
@@ -326,7 +325,7 @@ class Schedule:
         original_stage.relations = []
         original_stage.iter_var_attrs = {}
 
-        cache_stage = Stage(cache_op, self)
+        cache_stage = Stage(cache_op)
         cache_stage.scope = scope
         self.stage_map[cache_op] = cache_stage
         index = self.stage_order.index(original_stage)
@@ -340,21 +339,22 @@ class Schedule:
         return "\n".join(lines)
 
 
+def _visit_producers_first(op: Operation, visited: Dict[int, bool],
+                           order: List[Operation]) -> None:
+    if id(op) in visited:
+        return
+    visited[id(op)] = True
+    for tensor in op.input_tensors():
+        _visit_producers_first(tensor.op, visited, order)
+    order.append(op)
+
+
 def _topo_order(outputs: Sequence[Operation]) -> List[Operation]:
     """Topological order (producers first) of the ops feeding ``outputs``."""
     order: List[Operation] = []
     visited: Dict[int, bool] = {}
-
-    def visit(op: Operation) -> None:
-        if id(op) in visited:
-            return
-        visited[id(op)] = True
-        for tensor in op.input_tensors():
-            visit(tensor.op)
-        order.append(op)
-
     for op in outputs:
-        visit(op)
+        _visit_producers_first(op, visited, order)
     return order
 
 

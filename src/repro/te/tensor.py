@@ -24,6 +24,7 @@ from .expr import (
     Var,
     as_expr,
     collect_vars,
+    expr_children,
     simplify,
 )
 
@@ -201,12 +202,11 @@ class PlaceholderOp(Operation):
         super().__init__(name)
         self.shape = tuple(as_expr(s) for s in shape)
         self.dtype = dtype
-        self._output = Tensor(self.shape, dtype, self)
 
     def output(self, index: int = 0) -> Tensor:
         if index != 0:
             raise IndexError("PlaceholderOp has a single output")
-        return self._output
+        return Tensor(self.shape, self.dtype, self)
 
 
 class ComputeOp(Operation):
@@ -219,7 +219,7 @@ class ComputeOp(Operation):
         self.body = body
         self.shape = tuple(as_expr(s) for s in shape)
         self.dtype = dtype
-        self._output = Tensor(self.shape, dtype, self)
+        self._inputs: Tuple[Optional[Expr], List[Tensor]] = (None, [])
 
     @property
     def reduce_axis(self) -> List[IterVar]:
@@ -230,23 +230,24 @@ class ComputeOp(Operation):
     def output(self, index: int = 0) -> Tensor:
         if index != 0:
             raise IndexError("ComputeOp has a single output")
-        return self._output
+        return Tensor(self.shape, self.dtype, self)
 
     def input_tensors(self) -> List[Tensor]:
-        tensors: List[Tensor] = []
-
-        def _walk(expr: Expr) -> None:
-            if isinstance(expr, TensorRead):
-                tensor = expr.tensor
-                if isinstance(tensor, Tensor) and tensor not in tensors:
-                    tensors.append(tensor)
-            from .expr import expr_children
-
-            for child in expr_children(expr):
-                _walk(child)
-
-        _walk(self.body)
-        return tensors
+        # Memoised on the identity of the body: ``cache_read`` and
+        # ``cache_write`` assign ``op.body``, which is what invalidates it.
+        body, tensors = self._inputs
+        if body is not self.body:
+            body, tensors = self.body, []
+            stack = [body]
+            while stack:
+                expr = stack.pop()
+                if isinstance(expr, TensorRead):
+                    tensor = expr.tensor
+                    if isinstance(tensor, Tensor) and tensor not in tensors:
+                        tensors.append(tensor)
+                stack.extend(reversed(expr_children(expr)))
+            self._inputs = (body, tensors)
+        return list(tensors)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ analytically); correctness on small shapes is what matters.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, List, Optional, Sequence
 
@@ -159,19 +160,11 @@ def evaluate_expr(expr: Expr, env: Dict[Var, object],
         # Direct reduction evaluation (used when interpreting un-lowered
         # compute bodies, e.g. tensor intrinsic behaviours).
         acc = expr.identity
-        axes = expr.axis
-
-        def recurse(level: int) -> None:
-            nonlocal acc
-            if level == len(axes):
-                acc = expr.combine(acc, evaluate_expr(expr.source, env, buffers))
-                return
-            ivar = axes[level]
-            for value in range(ivar.extent_value()):
-                env[ivar.var] = value
-                recurse(level + 1)
-
-        recurse(0)
+        axis_vars = [iv.var for iv in expr.axis]
+        for point in itertools.product(
+                *(range(iv.extent_value()) for iv in expr.axis)):
+            env.update(zip(axis_vars, point))
+            acc = expr.combine(acc, evaluate_expr(expr.source, env, buffers))
         return acc
     raise EvalError(f"Cannot evaluate expression of type {type(expr).__name__}")
 
@@ -266,18 +259,10 @@ class Interpreter:
             local_buffers[decl_input.name] = buffers[buffer.name][slices]
 
         result = np.zeros(out_shape, dtype=out_array.dtype)
-        local_env: Dict[Var, object] = {}
-
-        def fill(level: int, idx: List[int]) -> None:
-            if level == len(op.axis):
-                value = evaluate_expr(op.body, dict(local_env), local_buffers)
-                result[tuple(idx)] = value
-                return
-            for value in range(out_shape[level]):
-                local_env[op.axis[level].var] = value
-                fill(level + 1, idx + [value])
-
-        fill(0, [])
+        axis_vars = [iv.var for iv in op.axis]
+        for idx in itertools.product(*map(range, out_shape)):
+            result[idx] = evaluate_expr(op.body, dict(zip(axis_vars, idx)),
+                                        local_buffers)
         target = tuple(slice(o, o + d) for o, d in zip(out_offset, out_shape))
         if stmt.reduction_update:
             out_array[target] += result

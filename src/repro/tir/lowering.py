@@ -18,13 +18,17 @@ from ..te.expr import (
     Expr,
     ExprMutator,
     IntImm,
+    Max,
+    Min,
     Reduce,
     TensorRead,
     Var,
     as_expr,
     compile_bounds,
     eval_bounds,
+    expr_children,
     simplify,
+    simplify_scope,
     substitute,
 )
 from ..te.schedule import FuseRelation, Schedule, SplitRelation, Stage
@@ -290,34 +294,32 @@ class _Lowerer:
         is_reduction = isinstance(body_expr, Reduce)
         reduce_uids = {iv.uid for iv in op.reduce_axis}
 
-        def axis_indices() -> List[Expr]:
-            raw = [value_map[iv.var] for iv in op.axis]
-            return binding.rebase([simplify(i) for i in raw])
+        # One list for the init store, the accumulator load and the update
+        # store: the feature extractor compiles an index's bounds once per
+        # node identity.
+        axis_indices = binding.rebase([simplify(value_map[iv.var])
+                                       for iv in op.axis])
 
         def make_init() -> Stmt:
             assert isinstance(body_expr, Reduce)
             init_value = (self._convert_expr(body_expr.init, value_map)
                           if body_expr.init is not None
                           else as_expr(float(body_expr.identity)))
-            return BufferStore(binding.buffer, axis_indices(), init_value)
+            return BufferStore(binding.buffer, axis_indices, init_value)
 
         def make_update() -> Stmt:
             if is_reduction:
                 source = self._convert_expr(body_expr.source, value_map)
-                current = BufferLoad(binding.buffer, axis_indices())
+                current = BufferLoad(binding.buffer, axis_indices)
                 if body_expr.combiner == "sum":
                     value: Expr = current + source
                 elif body_expr.combiner == "max":
-                    from ..te.expr import Max
-
                     value = Max(current, source)
                 else:
-                    from ..te.expr import Min
-
                     value = Min(current, source)
             else:
                 value = self._convert_expr(body_expr, value_map)
-            store: Stmt = BufferStore(binding.buffer, axis_indices(), value)
+            store: Stmt = BufferStore(binding.buffer, axis_indices, value)
             for guard in guards:
                 store = IfThenElse(self._convert_expr(guard, value_map), store)
             return store
@@ -325,39 +327,40 @@ class _Lowerer:
         def is_reduce_leaf(ivar: IterVar) -> bool:
             return self._derives_from_reduce(stage, ivar, reduce_uids)
 
-        def build(idx: int, init_done: bool) -> Stmt:
-            if idx == len(stage.leaf_iter_vars):
-                return make_update()
-            ivar = stage.leaf_iter_vars[idx]
+        leaves = stage.leaf_iter_vars
+        # The loops stop at the first tensorized leaf: an intrinsic replaces
+        # the nest from there down.
+        depth = next((idx for idx, iv in enumerate(leaves)
+                      if iv in stage.tensorize_map), len(leaves))
 
-            # Tensorized loop: replace the remaining nest with an intrinsic.
-            if ivar in stage.tensorize_map:
-                return self._make_intrinsic(stage, idx, value_map, dom_map, binding)
+        # Before entering the first reduction loop, initialise the output
+        # over the remaining data-parallel axes (Figure 5's fill-zero).
+        init_at = None
+        if is_reduction:
+            init_at = next((idx for idx in range(depth)
+                            if is_reduce_leaf(leaves[idx])), None)
+        if init_at is not None:
+            init_stmt: Stmt = make_init()
+            for guard in guards:
+                init_stmt = IfThenElse(self._convert_expr(guard, value_map), init_stmt)
+            for iv in reversed([iv for iv in leaves[init_at:]
+                                if not is_reduce_leaf(iv)]):
+                init_stmt = For(iv.var, 0, dom_map[iv.uid], init_stmt)
 
-            # Before entering the first reduction loop, initialise the output
-            # over the remaining data-parallel axes (Figure 5's fill-zero).
-            prefix: Optional[Stmt] = None
-            if is_reduction and not init_done and is_reduce_leaf(ivar):
-                init_done = True
-                remaining_spatial = [iv for iv in stage.leaf_iter_vars[idx:]
-                                     if not is_reduce_leaf(iv)]
-                init_stmt: Stmt = make_init()
-                for guard in guards:
-                    init_stmt = IfThenElse(self._convert_expr(guard, value_map), init_stmt)
-                for iv in reversed(remaining_spatial):
-                    init_stmt = For(iv.var, 0, dom_map[iv.uid], init_stmt)
-                prefix = init_stmt
-
-            inner = build(idx + 1, init_done)
-            inner = self._attach_producers(stage, ivar, inner, leaf_ranges, value_map)
+        if depth == len(leaves):
+            nest = make_update()
+        else:
+            nest = self._make_intrinsic(stage, depth, value_map, dom_map, binding)
+        for idx in range(depth - 1, -1, -1):
+            ivar = leaves[idx]
+            nest = self._attach_producers(stage, ivar, nest, leaf_ranges, value_map)
             annotation = stage.annotation_of(ivar)
             kind = _ANNOTATION_TO_KIND.get(annotation, ForKind.SERIAL)
             thread = stage.bound_thread(ivar)
             thread_tag = thread.thread_tag if thread is not None else ""
-            loop: Stmt = For(ivar.var, 0, dom_map[ivar.uid], inner, kind, thread_tag)
-            return seq(prefix, loop) if prefix is not None else loop
-
-        nest = build(0, False)
+            nest = For(ivar.var, 0, dom_map[ivar.uid], nest, kind, thread_tag)
+            if idx == init_at:
+                nest = seq(init_stmt, nest)
         if stage.scope != "global":
             nest = AttrStmt("storage_scope", binding.buffer, stage.scope, nest)
         return nest
@@ -485,7 +488,7 @@ class _Lowerer:
         body = op.body.source if isinstance(op.body, Reduce) else op.body
         input_buffers: List[Buffer] = []
         input_offsets: List[List[Expr]] = []
-        for read in _collect_all_reads(body):
+        for read in _collect_reads(body):
             tensor = read.tensor
             if not isinstance(tensor, Tensor) or tensor not in self.bindings:
                 continue
@@ -538,34 +541,17 @@ class _ReadConverter(ExprMutator):
         return TensorRead(tensor, indices)
 
 
-def _collect_reads(expr: Expr, tensor: Tensor) -> List[TensorRead]:
+def _collect_reads(expr: Expr, tensor: Optional[Tensor] = None) -> List[TensorRead]:
+    """Tensor reads in ``expr`` in preorder — those of ``tensor``, if given."""
     reads: List[TensorRead] = []
-
-    def _walk(node: Expr) -> None:
-        if isinstance(node, TensorRead) and isinstance(node.tensor, Tensor) \
-                and node.tensor == tensor:
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, TensorRead) and (
+                tensor is None
+                or isinstance(node.tensor, Tensor) and node.tensor == tensor):
             reads.append(node)
-        from ..te.expr import expr_children
-
-        for child in expr_children(node):
-            _walk(child)
-
-    _walk(expr)
-    return reads
-
-
-def _collect_all_reads(expr: Expr) -> List[TensorRead]:
-    reads: List[TensorRead] = []
-
-    def _walk(node: Expr) -> None:
-        if isinstance(node, TensorRead):
-            reads.append(node)
-        from ..te.expr import expr_children
-
-        for child in expr_children(node):
-            _walk(child)
-
-    _walk(expr)
+        stack.extend(reversed(expr_children(node)))
     return reads
 
 
@@ -581,4 +567,5 @@ def lower(schedule: Schedule, args: Sequence[Tensor], name: str = "main") -> Low
     name:
         Name of the generated function.
     """
-    return _Lowerer(schedule, args, name).run()
+    with simplify_scope():
+        return _Lowerer(schedule, args, name).run()

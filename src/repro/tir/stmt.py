@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..te.expr import Call, Expr, ExprLike, IntImm, Var, as_expr
+from ..te.expr import Call, Expr, ExprLike, IntImm, Var, as_expr, simplify
 
 __all__ = [
     "Buffer",
@@ -148,8 +148,6 @@ class For(Stmt):
         # so repeated raises don't pin or race on a shared traceback.
         cached = self._extent_value
         if cached is None:
-            from ..te.expr import simplify
-
             extent = simplify(self.extent)
             if isinstance(extent, IntImm):
                 cached = extent.value

@@ -16,7 +16,8 @@ from __future__ import annotations
 import copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..te.expr import Expr, IntImm, Var, as_expr, simplify, substitute
+from ..te.expr import (Expr, ExprMutator, IntImm, Var, as_expr, simplify,
+                       substitute)
 from .stmt import (
     Allocate,
     AttrStmt,
@@ -51,52 +52,69 @@ __all__ = [
 # Generic statement rewriting helpers
 # ---------------------------------------------------------------------------
 
-def _rebuild(stmt: Stmt, transform) -> Stmt:
-    """Rebuild a statement, applying ``transform`` to each child statement."""
+def _rebuild(stmt: Stmt, transform, *state) -> Stmt:
+    """Rebuild a statement, applying ``transform(child, *state)`` to each
+    child statement."""
     if isinstance(stmt, SeqStmt):
-        return SeqStmt([transform(s) for s in stmt.stmts])
+        return SeqStmt([transform(s, *state) for s in stmt.stmts])
     if isinstance(stmt, For):
-        return For(stmt.loop_var, stmt.min, stmt.extent, transform(stmt.body),
-                   stmt.kind, stmt.thread_tag)
+        return For(stmt.loop_var, stmt.min, stmt.extent,
+                   transform(stmt.body, *state), stmt.kind, stmt.thread_tag)
     if isinstance(stmt, IfThenElse):
-        else_body = transform(stmt.else_body) if stmt.else_body is not None else None
-        return IfThenElse(stmt.condition, transform(stmt.then_body), else_body)
+        else_body = (transform(stmt.else_body, *state)
+                     if stmt.else_body is not None else None)
+        return IfThenElse(stmt.condition, transform(stmt.then_body, *state),
+                          else_body)
     if isinstance(stmt, Allocate):
-        return Allocate(stmt.buffer, transform(stmt.body))
+        return Allocate(stmt.buffer, transform(stmt.body, *state))
     if isinstance(stmt, AttrStmt):
-        return AttrStmt(stmt.key, stmt.node, stmt.value, transform(stmt.body))
+        return AttrStmt(stmt.key, stmt.node, stmt.value,
+                        transform(stmt.body, *state))
     return stmt
 
 
 def substitute_stmt(stmt: Stmt, mapping: Dict[Var, Expr]) -> Stmt:
     """Substitute variables in every expression of a statement tree."""
 
-    def sub_expr(expr: Expr) -> Expr:
-        return simplify(substitute(expr, mapping))
+    if isinstance(stmt, BufferStore):
+        return BufferStore(stmt.buffer,
+                           [_sub_expr(i, mapping) for i in stmt.indices],
+                           _sub_loads(stmt.value, mapping))
+    if isinstance(stmt, IfThenElse):
+        else_body = (substitute_stmt(stmt.else_body, mapping)
+                     if stmt.else_body is not None else None)
+        return IfThenElse(_sub_loads(stmt.condition, mapping),
+                          substitute_stmt(stmt.then_body, mapping), else_body)
+    if isinstance(stmt, For):
+        return For(stmt.loop_var, _sub_expr(stmt.min, mapping),
+                   _sub_expr(stmt.extent, mapping),
+                   substitute_stmt(stmt.body, mapping), stmt.kind,
+                   stmt.thread_tag)
+    if isinstance(stmt, Evaluate):
+        return Evaluate(_sub_loads(stmt.expr, mapping))
+    if isinstance(stmt, IntrinsicStmt):
+        return IntrinsicStmt(
+            stmt.name, stmt.intrin, stmt.inputs, stmt.output,
+            [[_sub_expr(i, mapping) for i in offs]
+             for offs in stmt.input_offsets],
+            [_sub_expr(i, mapping) for i in stmt.output_offset],
+            stmt.reduction_update, stmt.pipeline_stage)
+    return _rebuild(stmt, substitute_stmt, mapping)
 
-    def rec(node: Stmt) -> Stmt:
-        if isinstance(node, BufferStore):
-            return BufferStore(node.buffer,
-                               [sub_expr(i) for i in node.indices],
-                               _sub_loads(node.value, mapping))
-        if isinstance(node, IfThenElse):
-            else_body = rec(node.else_body) if node.else_body is not None else None
-            return IfThenElse(_sub_loads(node.condition, mapping),
-                              rec(node.then_body), else_body)
-        if isinstance(node, For):
-            return For(node.loop_var, sub_expr(node.min), sub_expr(node.extent),
-                       rec(node.body), node.kind, node.thread_tag)
-        if isinstance(node, Evaluate):
-            return Evaluate(_sub_loads(node.expr, mapping))
-        if isinstance(node, IntrinsicStmt):
-            return IntrinsicStmt(
-                node.name, node.intrin, node.inputs, node.output,
-                [[sub_expr(i) for i in offs] for offs in node.input_offsets],
-                [sub_expr(i) for i in node.output_offset],
-                node.reduction_update, node.pipeline_stage)
-        return _rebuild(node, rec)
 
-    return rec(stmt)
+def _sub_expr(expr: Expr, mapping: Dict[Var, Expr]) -> Expr:
+    return simplify(substitute(expr, mapping))
+
+
+class _LoadPreservingSubstituter(ExprMutator):
+    def __init__(self, mapping: Dict[Var, Expr]):
+        self.mapping = mapping
+
+    def visit_var(self, node: Var) -> Expr:
+        return self.mapping.get(node, node)
+
+    def visit_bufferload(self, node: BufferLoad) -> Expr:  # type: ignore[override]
+        return BufferLoad(node.buffer, [self.visit(i) for i in node.indices])
 
 
 def _sub_loads(expr: Expr, mapping: Dict[Var, Expr]) -> Expr:
@@ -105,53 +123,40 @@ def _sub_loads(expr: Expr, mapping: Dict[Var, Expr]) -> Expr:
         return BufferLoad(expr.buffer,
                           [simplify(substitute(_sub_loads(i, mapping), {}))
                            if isinstance(i, BufferLoad)
-                           else simplify(substitute(i, mapping))
+                           else _sub_expr(i, mapping)
                            for i in expr.indices])
-    from ..te.expr import ExprMutator
+    return simplify(_LoadPreservingSubstituter(mapping).visit(expr))
 
-    class _M(ExprMutator):
-        def visit_var(self, node: Var) -> Expr:
-            return mapping.get(node, node)
 
-        def visit_bufferload(self, node: BufferLoad) -> Expr:  # type: ignore[override]
-            return BufferLoad(node.buffer, [self.visit(i) for i in node.indices])
+class _BufferRemapper(ExprMutator):
+    def __init__(self, mapping: Dict[str, Buffer]):
+        self.mapping = mapping
 
-    return simplify(_M().visit(expr))
+    def visit_bufferload(self, node: BufferLoad) -> Expr:  # type: ignore[override]
+        buf = self.mapping.get(node.buffer.name, node.buffer)
+        return BufferLoad(buf, [self.visit(i) for i in node.indices])
 
 
 def map_buffers(stmt: Stmt, mapping: Dict[str, Buffer]) -> Stmt:
     """Replace buffer references by name (used by virtual-thread expansion)."""
-
-    def remap_expr(expr: Expr) -> Expr:
-        from ..te.expr import ExprMutator
-
-        class _M(ExprMutator):
-            def visit_bufferload(self, node: BufferLoad) -> Expr:  # type: ignore[override]
-                buf = mapping.get(node.buffer.name, node.buffer)
-                return BufferLoad(buf, [self.visit(i) for i in node.indices])
-
-        return _M().visit(expr)
-
-    def rec(node: Stmt) -> Stmt:
-        if isinstance(node, BufferStore):
-            buf = mapping.get(node.buffer.name, node.buffer)
-            return BufferStore(buf, [remap_expr(i) for i in node.indices],
-                               remap_expr(node.value))
-        if isinstance(node, IntrinsicStmt):
-            return IntrinsicStmt(
-                node.name, node.intrin,
-                [mapping.get(b.name, b) for b in node.inputs],
-                mapping.get(node.output.name, node.output),
-                node.input_offsets, node.output_offset,
-                node.reduction_update, node.pipeline_stage)
-        if isinstance(node, Allocate):
-            buf = mapping.get(node.buffer.name, node.buffer)
-            return Allocate(buf, rec(node.body))
-        if isinstance(node, Evaluate):
-            return Evaluate(remap_expr(node.expr))
-        return _rebuild(node, rec)
-
-    return rec(stmt)
+    remap_expr = _BufferRemapper(mapping).visit
+    if isinstance(stmt, BufferStore):
+        buf = mapping.get(stmt.buffer.name, stmt.buffer)
+        return BufferStore(buf, [remap_expr(i) for i in stmt.indices],
+                           remap_expr(stmt.value))
+    if isinstance(stmt, IntrinsicStmt):
+        return IntrinsicStmt(
+            stmt.name, stmt.intrin,
+            [mapping.get(b.name, b) for b in stmt.inputs],
+            mapping.get(stmt.output.name, stmt.output),
+            stmt.input_offsets, stmt.output_offset,
+            stmt.reduction_update, stmt.pipeline_stage)
+    if isinstance(stmt, Allocate):
+        buf = mapping.get(stmt.buffer.name, stmt.buffer)
+        return Allocate(buf, map_buffers(stmt.body, mapping))
+    if isinstance(stmt, Evaluate):
+        return Evaluate(remap_expr(stmt.expr))
+    return _rebuild(stmt, map_buffers, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -168,62 +173,61 @@ def inject_virtual_threads(func: LoweredFunc) -> LoweredFunc:
     execute (``ex``) pipeline stages so the accelerator can overlap them.
     """
     new_allocations = list(func.allocations)
-
-    def rec(node: Stmt) -> Stmt:
-        if isinstance(node, For) and node.kind == ForKind.VTHREAD:
-            try:
-                extent = node.extent_value()
-            except ValueError:
-                extent = 1
-            body = rec(node.body)
-            copies: List[Stmt] = []
-            for thread_id in range(extent):
-                # Give this virtual thread its own copies of locally scoped
-                # buffers so loads for thread i+1 can overlap execution of i.
-                local_buffers = _collect_local_buffers(body)
-                remap: Dict[str, Buffer] = {}
-                for buf in local_buffers:
-                    clone = Buffer(f"{buf.name}.vt{thread_id}", buf.shape,
-                                   buf.dtype, buf.scope)
-                    remap[buf.name] = clone
-                    new_allocations.append(clone)
-                thread_body = map_buffers(body, remap)
-                thread_body = substitute_stmt(thread_body,
-                                              {node.loop_var: as_expr(thread_id)})
-                copies.append(AttrStmt("vthread_instance", node.loop_var,
-                                       thread_id, thread_body))
-            interleaved = _interleave_vthreads(copies)
-            return interleaved
-        return _rebuild(node, rec)
-
-    body = rec(func.body)
-
+    body = _expand_vthreads(func.body, new_allocations)
     # Insert dependence tokens into every statement sequence so the DAE
     # pipeline can recover parallelism at whatever loop level the load /
     # execute / store operations ended up after interleaving.
-    def apply_dae(node: Stmt) -> Stmt:
-        node = _rebuild(node, apply_dae)
-        if isinstance(node, SeqStmt):
-            return inject_dae_synchronization(node)
-        return node
-
-    body = apply_dae(body)
+    body = _apply_dae(body)
     return LoweredFunc(func.name, func.args, body, new_allocations)
+
+
+def _expand_vthreads(node: Stmt, new_allocations: List[Buffer]) -> Stmt:
+    """Expand every ``vthread`` loop under ``node``; the per-thread buffer
+    clones are appended to ``new_allocations``."""
+    if isinstance(node, For) and node.kind == ForKind.VTHREAD:
+        try:
+            extent = node.extent_value()
+        except ValueError:
+            extent = 1
+        body = _expand_vthreads(node.body, new_allocations)
+        copies: List[Stmt] = []
+        for thread_id in range(extent):
+            # Give this virtual thread its own copies of locally scoped
+            # buffers so loads for thread i+1 can overlap execution of i.
+            local_buffers = _collect_local_buffers(body)
+            remap: Dict[str, Buffer] = {}
+            for buf in local_buffers:
+                clone = Buffer(f"{buf.name}.vt{thread_id}", buf.shape,
+                               buf.dtype, buf.scope)
+                remap[buf.name] = clone
+                new_allocations.append(clone)
+            thread_body = map_buffers(body, remap)
+            thread_body = substitute_stmt(thread_body,
+                                          {node.loop_var: as_expr(thread_id)})
+            copies.append(AttrStmt("vthread_instance", node.loop_var,
+                                   thread_id, thread_body))
+        return _interleave_vthreads(copies)
+    return _rebuild(node, _expand_vthreads, new_allocations)
+
+
+def _apply_dae(node: Stmt) -> Stmt:
+    node = _rebuild(node, _apply_dae)
+    if isinstance(node, SeqStmt):
+        return inject_dae_synchronization(node)
+    return node
 
 
 def _collect_local_buffers(stmt: Stmt) -> List[Buffer]:
     """Buffers written inside ``stmt`` that live in on-chip scopes."""
     found: Dict[str, Buffer] = {}
-
-    def rec(node: Stmt) -> None:
+    stack = [stmt]
+    while stack:
+        node = stack.pop()
         if isinstance(node, BufferStore) and node.buffer.scope != "global":
             found[node.buffer.name] = node.buffer
         if isinstance(node, IntrinsicStmt) and node.output.scope != "global":
             found[node.output.name] = node.output
-        for child in stmt_children(node):
-            rec(child)
-
-    rec(stmt)
+        stack.extend(reversed(stmt_children(node)))
     return list(found.values())
 
 
@@ -262,6 +266,32 @@ def _flatten_ops(stmt: Stmt) -> List[Stmt]:
     return [stmt]
 
 
+def _dae_stage(op: Stmt) -> Optional[str]:
+    """Pipeline stage (``ld`` / ``ex`` / ``st``) of one operation, if any."""
+    node = op
+    while isinstance(node, AttrStmt):
+        node = node.body
+    if isinstance(node, IntrinsicStmt):
+        return "ex"
+    if isinstance(node, For):
+        return _dae_stage(node.body)
+    if isinstance(node, SeqStmt):
+        for sub in node.stmts:
+            result = _dae_stage(sub)
+            if result is not None:
+                return result
+        return None
+    if isinstance(node, BufferStore):
+        scope = node.buffer.scope
+        if scope in ("inp_buffer", "wgt_buffer", "shared"):
+            return "ld"
+        if scope in ("acc_buffer", "local"):
+            return "ex"
+        if scope == "global":
+            return "st"
+    return None
+
+
 def inject_dae_synchronization(stmt: Stmt) -> Stmt:
     """Insert dependence push/pop tokens between DAE pipeline stages.
 
@@ -275,34 +305,10 @@ def inject_dae_synchronization(stmt: Stmt) -> Stmt:
     if not isinstance(stmt, SeqStmt):
         return stmt
 
-    def classify(op: Stmt) -> Optional[str]:
-        node = op
-        while isinstance(node, AttrStmt):
-            node = node.body
-        if isinstance(node, IntrinsicStmt):
-            return "ex"
-        if isinstance(node, For):
-            return classify(node.body)
-        if isinstance(node, SeqStmt):
-            for sub in node.stmts:
-                result = classify(sub)
-                if result is not None:
-                    return result
-            return None
-        if isinstance(node, BufferStore):
-            scope = node.buffer.scope
-            if scope in ("inp_buffer", "wgt_buffer", "shared"):
-                return "ld"
-            if scope in ("acc_buffer", "local"):
-                return "ex"
-            if scope == "global":
-                return "st"
-        return None
-
     result: List[Stmt] = []
     previous_stage: Optional[str] = None
     for op in stmt.stmts:
-        stage = classify(op)
+        stage = _dae_stage(op)
         if stage is not None and previous_stage is not None and stage != previous_stage:
             # RAW dependence from the previous stage to this one.
             result.append(DepPush(previous_stage, stage))
@@ -323,13 +329,9 @@ def inject_dae_synchronization(stmt: Stmt) -> Stmt:
 def count_statements(stmt: Stmt) -> Dict[str, int]:
     """Count statement node types (useful for tests and ablations)."""
     counts: Dict[str, int] = {}
-
-    def rec(node: Stmt) -> None:
+    stack = [stmt]
+    while stack:
+        node = stack.pop()
         counts[type(node).__name__] = counts.get(type(node).__name__, 0) + 1
-        for child in stmt_children(node):
-            rec(child)
-        if isinstance(node, IfThenElse) and node.else_body is not None:
-            pass
-
-    rec(stmt)
+        stack.extend(reversed(stmt_children(node)))
     return counts

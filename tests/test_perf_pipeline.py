@@ -6,13 +6,16 @@ vectorized cost models' bit-equality against their retained reference
 implementations, and the batch scoring APIs.
 """
 
+import gc
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro import autotvm, tir
+import repro
+from repro import autotvm, te, tir
 from repro.autotvm import (
     FEATURE_CACHE,
     GradientBoostedTrees,
@@ -24,11 +27,14 @@ from repro.autotvm import (
     eval_cache_stats,
 )
 from repro.autotvm.eval_cache import LRUCache
+from repro.frontend import get_model
 from repro.graph import clear_timing_cache
 from repro.graph.ir import Graph, Node
 from repro.graph.op_timing import fallback_search, kernel_time, make_task_for_node
 from repro.graph.ops import OP_REGISTRY
 from repro.hardware import arm_cpu, cuda
+from repro.te import expr as te_expr
+from repro.te.expr import Expr, IntImm
 from repro.tir.analysis import FEATURE_NAMES
 
 
@@ -389,3 +395,116 @@ class TestBatchScoring:
         assert vec_a is vec_b
         assert not vec_a.flags.writeable
         assert vec_a.tolist() == features.to_vector()
+
+
+# ---------------------------------------------------------------------------
+# Candidate evaluation frees what it builds
+# ---------------------------------------------------------------------------
+
+def _zoo_conv_task(model, target):
+    """The second conv2d task of a zoo model (the first is the stem)."""
+    tasks = [t for t in autotvm.extract_tasks(get_model(model), target)
+             if t.operator == "conv2d"]
+    return tasks[1]
+
+
+def _live_exprs():
+    """Live expression nodes other than the interned small immediates."""
+    gc.collect()
+    return sum(1 for obj in gc.get_objects()
+               if isinstance(obj, Expr) and not isinstance(obj, IntImm))
+
+
+def _unread_attachment_template(cfg, n):
+    """Lowers part of the way, then fails: ``B`` is attached inside ``D``,
+    which never reads it (the split puts non-leaf index math in flight)."""
+    A = te.placeholder((n,), name="A")
+    B = te.compute((n,), lambda i: A[i] + 1.0, name="B")
+    D = te.compute((n,), lambda i: A[i] * 3.0, name="D")
+    s = te.create_schedule([B.op, D.op])
+    outer, _ = s[D].split(D.op.axis[0], factor=4)
+    s[B].compute_at(s[D], outer)
+    return s, [A, B, D]
+
+
+class TestCandidateEvaluationFreesWhatItBuilds:
+    #: cyclic garbage per candidate at the parent of the change that made
+    #: the te / tir object graphs acyclic (same tasks, same configs)
+    PARENT_CYCLIC_PER_CANDIDATE = {"cuda": 1048, "arm_cpu": 254}
+
+    @pytest.mark.parametrize("model,target", [("resnet-18", "cuda"),
+                                              ("dqn", "arm_cpu")])
+    def test_candidates_die_by_reference_count(self, fresh_caches, model,
+                                               target):
+        task = _zoo_conv_task(model, target)
+        size = len(task.config_space)
+        indices = [size * k // 5 + 1 for k in range(1, 5)]
+        task.features_of(0)              # lazy imports, interned immediates
+        gc.collect()
+        gc.disable()
+        try:
+            for index in indices:
+                task.features_of(index)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        bound = 0.10 * self.PARENT_CYCLIC_PER_CANDIDATE[target] * len(indices)
+        assert unreachable <= bound
+
+    def test_nothing_is_retained_after_an_evaluation(self, small_task):
+        small_task.features_of(0)
+        before = _live_exprs()
+        for index in (1, 2, 3):
+            small_task.features_of(index)
+        assert _live_exprs() == before
+        assert te_expr._SCOPE.simplifier is None
+
+    def test_nothing_is_retained_after_a_failing_config(self, fresh_caches):
+        task = autotvm.create_task("unread", _unread_attachment_template,
+                                   (16,), cuda())
+        before = _live_exprs()
+        with pytest.raises(tir.lowering.LoweringError, match="never read"):
+            task.features_of(0)
+        assert _live_exprs() == before
+        assert te_expr._SCOPE.simplifier is None
+
+    def test_nothing_is_retained_after_compile(self, fresh_caches):
+        repro.compile(conv_graph(), target="cuda")      # warm: lazy imports
+        clear_timing_cache()
+        before = _live_exprs()
+        repro.compile(conv_graph(), target="cuda")
+        assert _live_exprs() == before
+        assert te_expr._SCOPE.simplifier is None
+
+    def test_two_threads_featurise_what_one_does(self, small_task):
+        indices = list(range(0, 32 * 7, 7))
+
+        def vector(index):
+            try:
+                return small_task.features_of(index).vector().tobytes()
+            except Exception as exc:     # an invalid config, the same twice
+                return repr(exc)
+
+        serial = [vector(i) for i in indices]
+        clear_eval_caches()
+        before = _live_exprs()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(vector, indices))
+        assert threaded == serial
+        assert _live_exprs() == before
+
+    def test_input_tensors_follow_a_rewritten_body(self):
+        A = te.placeholder((8, 8), name="A")
+        B = te.placeholder((8, 8), name="B")
+        k = te.reduce_axis((0, 8), name="k")
+        C = te.compute((8, 8), lambda i, j: te.sum(A[i, k] * B[k, j], axis=k),
+                       name="C")
+        s = te.create_schedule(C.op)
+        assert C.op.input_tensors() == [A, B]
+        AA = s.cache_read(A, "shared", [C])
+        assert C.op.input_tensors() == [AA, B]
+        CC = s.cache_write(C, "local")
+        assert C.op.input_tensors() == [CC]
+        assert CC.op.input_tensors() == [AA, B]
+        C.op.input_tensors().clear()      # a copy: the memo is not the caller's
+        assert C.op.input_tensors() == [CC]

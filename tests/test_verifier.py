@@ -603,6 +603,40 @@ class TestLintInvariants:
         owner.write_text(source)
         assert linter.lint_file(owner) == []
 
+    def test_no_recursive_closure_rule(self, tmp_path):
+        linter = _load_linter()
+        source = (
+            "import gc\n"
+            "from gc import freeze\n"
+            "def collect(expr, children):\n"
+            "    found = []\n"
+            "    def walk(node):\n"                 # closes over itself
+            "        found.append(node)\n"
+            "        for child in children(node):\n"
+            "            walk(child)\n"
+            "    def leaf(node):\n"                 # nested, not recursive
+            "        return not children(node)\n"
+            "    walk(expr)\n"
+            "    gc.disable()\n"
+            "    return found\n"
+            "def depth(node, children):\n"         # module level: no cell
+            "    return 1 + max(map(depth, children(node)), default=0)\n"
+            "class Walker:\n"
+            "    def visit(self, node):\n"         # a method: no cell
+            "        return [self.visit(c) for c in node.children]\n")
+        lowering = tmp_path / "tir" / "lowering.py"
+        lowering.parent.mkdir()
+        lowering.write_text(source)
+        assert [(v.rule, v.line) for v in linter.lint_file(lowering)] \
+            == [("no-recursive-closure", line) for line in (2, 5, 12)]
+        # the collector switches are rejected everywhere, the closure only
+        # where the per-candidate object graphs are built
+        elsewhere = tmp_path / "autotvm" / "tuner.py"
+        elsewhere.parent.mkdir()
+        elsewhere.write_text(source)
+        assert [(v.rule, v.line) for v in linter.lint_file(elsewhere)] \
+            == [("no-recursive-closure", line) for line in (2, 12)]
+
     def test_exiting_poll_loop_not_flagged(self, tmp_path):
         linter = _load_linter()
         ok = tmp_path / "runtime" / "ok.py"
