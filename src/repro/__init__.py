@@ -3,7 +3,7 @@
 The package mirrors the paper's architecture (Figure 2):
 
 * :mod:`repro.compiler` — the unified compilation pipeline behind
-  :func:`repro.compile`: pass registry, pass manager and ``PassContext``.
+  :func:`repro.compile`: the pass pipeline and ``PassContext``.
 * :mod:`repro.te` — declarative tensor expressions and schedules.
 * :mod:`repro.tir` — the low-level loop program IR, lowering and transforms.
 * :mod:`repro.topi` — the operator library built on tensor expressions.
@@ -22,7 +22,6 @@ first access.  The lazily resolved top-level attributes:
 ``compile``          the unified compilation pipeline (``repro.compiler``)
 ``CompiledModule``   its deployable result object
 ``PassContext``      compilation configuration scope
-``Sequential``       the pass manager
 ``TimingInstrument`` per-pass instrumentation
 ``VerifierError``    base of the static-analysis error hierarchy
 ``VerifyInstrument`` per-pass IR verification (``repro.analysis``)
@@ -71,7 +70,6 @@ _LAZY_ATTRS = {
     "compile": ("repro.compiler", "compile"),
     "CompiledModule": ("repro.compiler", "CompiledModule"),
     "PassContext": ("repro.compiler", "PassContext"),
-    "Sequential": ("repro.compiler", "Sequential"),
     "TimingInstrument": ("repro.compiler", "TimingInstrument"),
     "VerifierError": ("repro.analysis", "VerifierError"),
     "VerifyInstrument": ("repro.analysis", "VerifyInstrument"),
@@ -94,8 +92,8 @@ if TYPE_CHECKING:  # static importers see the real modules
     from .analysis import VerifierError, VerifyInstrument
     from .autotvm import (ApplyHistoryBest, TuningOptions, TuningReport,
                           autotune)
-    from .compiler import (CompiledModule, PassContext, Sequential,
-                           TimingInstrument, compile)
+    from .compiler import (CompiledModule, PassContext, TimingInstrument,
+                           compile)
     from .runtime.executor import Executor
     from .runtime.ndarray import Device
     from .runtime.serving import InferenceEngine, serve

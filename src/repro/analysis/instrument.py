@@ -20,7 +20,7 @@ from ..compiler.instruments import PassInstrument
 from .graph_verify import verify_graph
 
 if TYPE_CHECKING:
-    from ..compiler.pass_manager import CompileState, PassInfo
+    from ..compiler.pass_manager import CompileState, Pass
 
 __all__ = ["VerifyInstrument"]
 
@@ -36,23 +36,18 @@ class VerifyInstrument(PassInstrument):
         self.passes_verified = 0
         self._checked_initial = False
 
-    def reset(self) -> None:
-        self.passes_verified = 0
-        self._checked_initial = False
-
     def _verify(self, state: "CompileState",
                 pass_name: Optional[str]) -> None:
         verify_graph(state.graph, groups=state.groups,
                      memory_plan=state.memory_plan, pass_name=pass_name)
 
-    def run_before_pass(self, pass_info: "PassInfo",
-                        state: "CompileState") -> None:
+    def run_before_pass(self, pass_: "Pass", state: "CompileState") -> None:
         if not self._checked_initial:
             # Catch a malformed *input* graph before blaming the first pass.
             self._checked_initial = True
             self._verify(state, None)
 
-    def run_after_pass(self, pass_info: "PassInfo", state: "CompileState",
+    def run_after_pass(self, pass_: "Pass", state: "CompileState",
                        seconds: float) -> None:
-        self._verify(state, pass_info.name)
+        self._verify(state, pass_.name)
         self.passes_verified += 1

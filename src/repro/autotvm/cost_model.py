@@ -14,8 +14,8 @@ The explorer scores thousands of candidates per tuning round, so the hot
 paths are vectorized: fitted trees are flattened into numpy node arrays for
 batch prediction, the CART split search runs on sorted cumulative sums, and
 the pairwise rank gradient samples its comparison pairs in bulk.  Each fast
-path has a retained per-row reference implementation (``reference=True`` /
-the ``*_reference`` methods) and produces **bit-identical** results — the
+path is **bit-identical** to a per-row reference implementation kept in the
+test suite as its oracle (``tests/test_perf_pipeline.py``) — the
 vectorization must never change which configuration the tuner picks.
 """
 
@@ -36,16 +36,14 @@ class RegressionTree:
     ``fit`` builds the usual nested-dict tree (kept as ``tree_`` for
     introspection) and flattens it into parallel node arrays; ``predict``
     advances all query rows level-by-level through those arrays instead of
-    walking the dict per row.  With ``reference=True`` both fitting and
-    prediction use the retained scalar implementations.
+    walking the dict per row.
     """
 
     def __init__(self, max_depth: int = 4, min_samples_leaf: int = 2,
-                 max_thresholds: int = 8, reference: bool = False):
+                 max_thresholds: int = 8):
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.max_thresholds = max_thresholds
-        self.reference = reference
         self.tree_: Optional[dict] = None
         self._flat: Optional[Tuple[np.ndarray, ...]] = None
         self._quantile_fractions = np.linspace(0.1, 0.9, max_thresholds)
@@ -68,9 +66,7 @@ class RegressionTree:
         sq_deviation = deviation * deviation
         if float(sq_deviation.sum() / n) < 1e-12:
             return node
-        split = (self._best_split_reference if self.reference
-                 else self._best_split)
-        best = split(x, y)
+        best = self._best_split(x, y)
         if best is None:
             return node
         feature, threshold, mask = best
@@ -83,50 +79,16 @@ class RegressionTree:
         return node
 
     # -- split search -------------------------------------------------------------
-    def _threshold_candidates(self, column: np.ndarray) -> Optional[np.ndarray]:
-        """Candidate thresholds for one feature column (reference form)."""
-        unique = np.unique(column)
-        if len(unique) < 2:
-            return None
-        if len(unique) > self.max_thresholds:
-            return np.quantile(unique,
-                               np.linspace(0.1, 0.9, self.max_thresholds))
-        return (unique[:-1] + unique[1:]) / 2.0
-
-    def _best_split_reference(self, x: np.ndarray, y: np.ndarray):
-        """Retained reference: re-scan the sample set per threshold."""
-        n_samples, n_features = x.shape
-        base_error = float(np.sum((y - y.mean()) ** 2))
-        best_gain = 1e-9
-        best = None
-        for feature in range(n_features):
-            column = x[:, feature]
-            candidates = self._threshold_candidates(column)
-            if candidates is None:
-                continue
-            for threshold in candidates:
-                mask = column <= threshold
-                left, right = y[mask], y[~mask]
-                if len(left) < self.min_samples_leaf or len(right) < self.min_samples_leaf:
-                    continue
-                error = float(np.sum((left - left.mean()) ** 2)
-                              + np.sum((right - right.mean()) ** 2))
-                gain = base_error - error
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (feature, float(threshold), mask)
-        return best
-
     def _best_split(self, x: np.ndarray, y: np.ndarray):
         """Sorted cumulative-sum split finder.
 
         For each feature the per-threshold left/right sums of ``y`` and
         ``y**2`` come from one sort + cumsum instead of a boolean-mask rescan
         per threshold.  Because the cumulative sums round differently than
-        the reference's per-side ``np.sum``, the handful of candidates whose
-        approximate gain is within a tolerance of the best are re-evaluated
-        with the exact reference arithmetic — so the selected split (and the
-        fitted tree) is bit-identical to ``_best_split_reference``, at the
+        a per-side ``np.sum`` over a boolean mask, the handful of candidates
+        whose approximate gain is within a tolerance of the best are
+        re-evaluated with that exact arithmetic — so the selected split (and
+        the fitted tree) is bit-identical to the per-threshold rescan, at the
         cumsum scan's speed.
         """
         n_samples, n_features = x.shape
@@ -227,10 +189,9 @@ class RegressionTree:
             return None
 
         # Decide the winner exactly.  The cumulative-sum errors round
-        # differently than the reference's per-side sums, so every candidate
-        # whose approximate gain is within tolerance of the best is
-        # re-evaluated with the exact reference arithmetic, in the
-        # reference's (feature, candidate) iteration order.
+        # differently than per-side sums, so every candidate whose
+        # approximate gain is within tolerance of the best is re-evaluated
+        # with the exact per-side arithmetic, in (feature, candidate) order.
         tol = float(np.max(np.abs(total_sq))) * 1e-8 + base_error * 1e-8 + 1e-8
         approx_best = max(float(gain[valid].max()) if valid.any() else -np.inf
                           for _ids, _cand, valid, gain in shortlists)
@@ -290,10 +251,8 @@ class RegressionTree:
                 np.asarray(value, dtype=np.float64))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if self.tree_ is None:
+        if self._flat is None:
             return np.zeros(len(x))
-        if self.reference or self._flat is None:
-            return self.predict_reference(x)
         feature, threshold, left, right, value = self._flat
         x = np.asarray(x)
         node = np.zeros(len(x), dtype=np.int64)
@@ -307,19 +266,6 @@ class RegressionTree:
             go_left = x[rows, feats] <= threshold[node[rows]]
             node[rows] = np.where(go_left, left[node[rows]], right[node[rows]])
         return value[node]
-
-    def predict_reference(self, x: np.ndarray) -> np.ndarray:
-        """Retained reference: walk the dict tree per row."""
-        if self.tree_ is None:
-            return np.zeros(len(x))
-        out = np.empty(len(x))
-        for i, row in enumerate(x):
-            node = self.tree_
-            while "feature" in node:
-                node = node["left"] if row[node["feature"]] <= node["threshold"] \
-                    else node["right"]
-            out[i] = node["value"]
-        return out
 
     # -- serialization ------------------------------------------------------------
     def to_spec(self) -> dict:
@@ -345,7 +291,7 @@ class GradientBoostedTrees:
 
     def __init__(self, num_rounds: int = 40, learning_rate: float = 0.15,
                  max_depth: int = 4, loss: str = "rank", num_pairs: int = 4,
-                 seed: int = 0, reference: bool = False):
+                 seed: int = 0):
         if loss not in ("reg", "rank"):
             raise ValueError("loss must be 'reg' or 'rank'")
         self.num_rounds = num_rounds
@@ -355,7 +301,6 @@ class GradientBoostedTrees:
         self.num_pairs = num_pairs
         self.seed = seed
         self.rng = np.random.default_rng(seed)
-        self.reference = reference
         self.trees: List[RegressionTree] = []
         self.base_score = 0.0
         self._stacked: Optional[Tuple] = None
@@ -371,13 +316,10 @@ class GradientBoostedTrees:
         self.base_score = float(np.mean(y)) if len(y) else 0.0
         if len(y) < 4:
             return self
-        gradient_fn = (self._negative_gradient_reference if self.reference
-                       else self._negative_gradient)
         pred = np.full(len(y), self.base_score)
         for _ in range(self.num_rounds):
-            gradient = gradient_fn(y, pred)
-            tree = RegressionTree(max_depth=self.max_depth,
-                                  reference=self.reference)
+            gradient = self._negative_gradient(y, pred)
+            tree = RegressionTree(max_depth=self.max_depth)
             tree.fit(x, gradient)
             update = tree.predict(x)
             pred += self.learning_rate * update
@@ -389,8 +331,7 @@ class GradientBoostedTrees:
         """Concatenate every fitted tree's node arrays so one ``predict``
         descends all trees in lock-step instead of looping per tree."""
         self._stacked = None
-        if self.reference or not self.trees \
-                or any(t._flat is None for t in self.trees):
+        if not self.trees or any(t._flat is None for t in self.trees):
             return
         roots: List[int] = []
         feats: List[np.ndarray] = []
@@ -414,37 +355,16 @@ class GradientBoostedTrees:
                          np.concatenate(values),
                          max(t.max_depth for t in self.trees))
 
-    def _negative_gradient_reference(self, y: np.ndarray, pred: np.ndarray) -> np.ndarray:
-        """Retained reference: per-pair Python loop."""
-        if self.loss == "reg":
-            return y - pred
-        # Pairwise logistic rank loss (LambdaRank-style, unweighted): for a
-        # pair (i, j) with y_i > y_j the loss is log(1 + exp(pred_j - pred_i)).
-        grad = np.zeros_like(pred)
-        n = len(y)
-        for i in range(n):
-            for _ in range(self.num_pairs):
-                j = int(self.rng.integers(0, n))
-                if i == j or y[i] == y[j]:
-                    continue
-                if y[i] > y[j]:
-                    better, worse = i, j
-                else:
-                    better, worse = j, i
-                margin = pred[better] - pred[worse]
-                weight = 1.0 / (1.0 + math.exp(margin))
-                grad[better] += weight
-                grad[worse] -= weight
-        return grad
-
     def _negative_gradient(self, y: np.ndarray, pred: np.ndarray) -> np.ndarray:
-        """Vectorized pairwise rank gradient.
+        """Vectorized pairwise rank gradient (squared error: ``y - pred``).
 
+        The rank loss is pairwise logistic (LambdaRank-style, unweighted):
+        for a pair (i, j) with y_i > y_j it is log(1 + exp(pred_j - pred_i)).
         The comparison partners are sampled in one bulk ``integers`` draw
-        (which consumes the generator stream exactly like the reference's
-        per-pair draws), pair orientation and margins are computed with
-        array ops, and the ±weight updates are applied with a single ordered
-        ``np.add.at`` so repeated indices accumulate in the reference's
+        (which consumes the generator stream exactly like one draw per pair,
+        row by row), pair orientation and margins are computed with array
+        ops, and the ±weight updates are applied with a single ordered
+        ``np.add.at`` so repeated indices accumulate in a per-pair loop's
         chronological order.  ``math.exp`` is kept for the per-pair weight —
         ``np.exp`` rounds the last bit differently on some platforms, and the
         tuner's choices must not depend on which implementation ran.
@@ -465,7 +385,7 @@ class GradientBoostedTrees:
         margins = pred[better] - pred[worse]
         weights = np.array([1.0 / (1.0 + math.exp(m)) for m in margins])
         # Interleave (+better, -worse) per pair so duplicate indices add up
-        # in the same order as the reference loop (float addition is not
+        # in the same order as a per-pair loop (float addition is not
         # associative).
         indices = np.empty(2 * len(better), dtype=np.int64)
         indices[0::2] = better
@@ -526,8 +446,8 @@ class GradientBoostedTrees:
             go_left = vals <= threshold[node]
             node = np.where(internal,
                             np.where(go_left, left[node], right[node]), node)
-        # Accumulate per tree in the reference order (float addition is not
-        # associative, and the explorer compares the resulting scores).
+        # Accumulate tree by tree, as the per-tree loop above does (float
+        # addition is not associative, and the explorer compares scores).
         leaf = value[node]
         pred = np.full(n, self.base_score)
         for t in range(leaf.shape[1]):

@@ -79,7 +79,9 @@ class _CircuitBreaker:
     """Consecutive-failure circuit breaker (closed → open → half-open).
 
     ``allow()`` is cheap and lock-scoped; an open breaker lets one probe
-    through every ``reset_s`` seconds, and a failed probe re-opens it.
+    through every ``reset_s`` seconds — the caller that is allowed through
+    claims the probe by restarting the window, so callers already waiting
+    behind it fail fast — and a failed probe re-opens it.
     """
 
     def __init__(self, threshold: int = 3, reset_s: float = 5.0):
@@ -94,7 +96,11 @@ class _CircuitBreaker:
         with self._lock:
             if self._opened_at is None:
                 return True
-            return time.monotonic() - self._opened_at >= self.reset_s
+            now = time.monotonic()
+            if now - self._opened_at < self.reset_s:
+                return False
+            self._opened_at = now       # this caller is the half-open probe
+            return True
 
     def record_success(self) -> None:
         with self._lock:

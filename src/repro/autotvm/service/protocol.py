@@ -24,15 +24,12 @@ from __future__ import annotations
 import socket
 from typing import Dict, Tuple
 
-from ...runtime.framing import FrameCodec, ProtocolError
+from ...runtime.framing import FrameCodec, MessageKinds, ProtocolError
 
 __all__ = ["MSG", "ServiceProtocolError", "send_frame", "recv_frame"]
 
-#: a frame carries log entries / model specs, never tensors — cap it
-_MAX_PAYLOAD = 32 * 1024 * 1024
 
-
-class MSG:
+class MSG(MessageKinds):
     """Message types (u8 on the wire)."""
 
     HELLO = 1      #: client -> server: introduce (pid)
@@ -53,23 +50,13 @@ class MSG:
     BYE = 16       #: server -> client: acknowledging shutdown
     ERROR = 17     #: server -> client: request failed (message)
 
-    _NAMES = {1: "HELLO", 2: "WELCOME", 3: "LOOKUP", 4: "FOUND", 5: "PUSH",
-              6: "RECORD", 7: "ACK", 8: "BEST", 9: "WARM", 10: "ENTRIES",
-              11: "MODEL", 12: "MODEL_SPEC", 13: "STATS", 14: "STATS_REPLY",
-              15: "SHUTDOWN", 16: "BYE", 17: "ERROR"}
-
-    @classmethod
-    def name(cls, kind: int) -> str:
-        return cls._NAMES.get(kind, f"?{kind}")
-
 
 class ServiceProtocolError(ProtocolError):
     """A malformed, truncated or oversized frame arrived on a connection."""
 
 
 #: the one RTS1 codec instance (and fault-injection point) of this protocol
-CODEC = FrameCodec(b"RTS1", error=ServiceProtocolError,
-                   max_payload=_MAX_PAYLOAD, name_of=MSG.name)
+CODEC = FrameCodec(b"RTS1", MSG, error=ServiceProtocolError)
 
 
 def send_frame(sock: socket.socket, kind: int, payload: Dict) -> None:

@@ -1,10 +1,10 @@
 """The unified compilation pipeline (the paper's Figure 2 flow, as an API).
 
 ``repro.compile`` is the single front door: graph in, deployable
-:class:`CompiledModule` out.  The pipeline is built from named, opt-level
-gated :class:`Pass` objects run by a :class:`Sequential` pass manager under a
-:class:`PassContext`, so benchmarks ablate passes by name and instruments
-observe every rewrite::
+:class:`CompiledModule` out.  The graph level is one fixed pass pipeline —
+:data:`DEFAULT_PIPELINE`, a tuple of opt-level gated :class:`Pass` records —
+configured by a :class:`PassContext`, so benchmarks ablate passes by name and
+instruments observe every rewrite::
 
     import repro
 
@@ -19,17 +19,8 @@ from .driver import compile, framework_overhead
 from .instruments import PassInstrument, PassRecord, TimingInstrument
 from .module import CompiledKernel, CompiledModule
 from .pass_context import PassContext
-from .pass_manager import (
-    DEFAULT_PIPELINE,
-    PASS_REGISTRY,
-    CompileState,
-    Pass,
-    PassInfo,
-    Sequential,
-    get_pass,
-    list_passes,
-    register_pass,
-)
+from .pass_manager import CompileState, Pass
+from .passes import DEFAULT_PIPELINE, PASS_REGISTRY
 from . import passes
 
 __all__ = [
@@ -40,15 +31,10 @@ __all__ = [
     "PASS_REGISTRY",
     "Pass",
     "PassContext",
-    "PassInfo",
     "PassInstrument",
     "PassRecord",
-    "Sequential",
     "TimingInstrument",
     "compile",
     "framework_overhead",
-    "get_pass",
-    "list_passes",
     "passes",
-    "register_pass",
 ]

@@ -2,7 +2,7 @@
 
 Accepts a graph (or a frontend model — a ``(graph, params, input_shapes)``
 tuple from :mod:`repro.frontend.models`, or a model-zoo name), runs the
-registered graph-optimization pipeline under the active
+graph-optimization pass pipeline under the active
 :class:`~repro.compiler.pass_context.PassContext`, generates one kernel per
 fused group with the operator-level compiler, and returns a single
 :class:`~repro.compiler.module.CompiledModule` carrying everything the
@@ -23,11 +23,10 @@ from ..graph.op_timing import (_VERIFIED_PROGRAMS, TimeEstimate, is_templated,
                                kernel_time, make_task_for_node)
 from ..graph.passes import MemoryPlan, fuse_ops as _fuse_ops_raw
 from ..hardware.target import Target, create_target
-from . import passes as _standard_passes  # noqa: F401  (registers the passes)
 from .instruments import TimingInstrument
 from .module import CompiledKernel, CompiledModule
 from .pass_context import PassContext
-from .pass_manager import CompileState, Sequential
+from .pass_manager import CompileState, run_pipeline
 
 __all__ = ["compile", "framework_overhead"]
 
@@ -175,7 +174,6 @@ def compile(model: ModelLike, target: Union[Target, str, None] = None, *,
             input_shapes: Optional[Dict[str, Tuple[int, ...]]] = None,
             opt_level: Optional[int] = None,
             heterogeneous_targets: Optional[Dict[str, Union[Target, str]]] = None,
-            pipeline: Optional[Union[Sequential, Sequence]] = None,
             verify: bool = False
             ) -> CompiledModule:
     """Compile a model for a target and return a :class:`CompiledModule`.
@@ -201,9 +199,6 @@ def compile(model: ModelLike, target: Union[Target, str, None] = None, *,
     heterogeneous_targets:
         Optional operator-name -> target mapping (the CPU+FPGA offloading
         experiment of Figure 21).
-    pipeline:
-        Replace the default pass pipeline with a :class:`Sequential` or a
-        list of pass names / :class:`Pass` objects.
     verify:
         Run the static IR verifier (:mod:`repro.analysis`) after every pass
         and over every generated kernel's lowered program; broken IR raises
@@ -229,8 +224,7 @@ def compile(model: ModelLike, target: Union[Target, str, None] = None, *,
         instruments.append(VerifyInstrument())
     state = CompileState(graph=graph, params=params, target=resolved_target,
                          input_shapes=shapes)
-    sequential = pipeline if isinstance(pipeline, Sequential) else Sequential(pipeline)
-    state = sequential(state, ctx, instruments=instruments)
+    run_pipeline(state, ctx, instruments)
 
     if state.memory_plan is None:
         state.memory_plan = _unplanned_memory(state.graph)
@@ -242,19 +236,14 @@ def compile(model: ModelLike, target: Union[Target, str, None] = None, *,
 
         verify_graph(state.graph, groups=state.groups,
                      memory_plan=state.memory_plan, pass_name="codegen")
-    kernels = _generate_kernels(state, ApplyHistoryBest.current(),
-                                het_targets, verify=verify)
-    for instrument in ctx.instruments:
-        for kernel in kernels:
-            instrument.observe_kernel(kernel)
-
     return CompiledModule(
         graph=state.graph,
-        kernels=kernels,
+        kernels=_generate_kernels(state, ApplyHistoryBest.current(),
+                                  het_targets, verify=verify),
         params=state.params,
         target=resolved_target,
         memory_plan=state.memory_plan,
         opt_level=ctx.opt_level,
-        layout_transforms=int(state.stats.get("layout_transforms", 0)),
+        layout_transforms=state.layout_transforms,
         pass_records=list(timing.records),
     )

@@ -1,9 +1,9 @@
 """Pass instrumentation hooks (mirrors TVM's ``PassInstrument``).
 
-Instruments observe the pass pipeline without changing it: the pass manager
+Instruments observe the pass pipeline without changing it: the pipeline
 calls :meth:`PassInstrument.run_before_pass` / ``run_after_pass`` around every
-executed pass, and :class:`~repro.compiler.pass_context.PassContext` calls
-``enter_pass_ctx`` / ``exit_pass_ctx`` when the context is (de)activated.
+executed pass, and nothing else.  A crashing hook surfaces as an
+:class:`InstrumentError` naming the pass.
 
 :class:`TimingInstrument` is the built-in instrument the driver always
 attaches: it records wall time plus node/parameter counts per pass and its
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List
 
 if TYPE_CHECKING:
-    from .pass_manager import CompileState, PassInfo
+    from .pass_manager import CompileState, Pass
 
 __all__ = ["InstrumentError", "PassInstrument", "PassRecord",
            "TimingInstrument", "aggregate_timings"]
@@ -62,26 +62,16 @@ class PassRecord:
 
 
 class PassInstrument:
-    """Base class for pipeline observers; all hooks default to no-ops."""
+    """Base class for pipeline observers; both hooks default to no-ops."""
 
     name = "instrument"
 
-    def enter_pass_ctx(self) -> None:
-        """Called when the owning :class:`PassContext` becomes current."""
-
-    def exit_pass_ctx(self) -> None:
-        """Called when the owning :class:`PassContext` is deactivated."""
-
-    def run_before_pass(self, pass_info: "PassInfo", state: "CompileState") -> None:
+    def run_before_pass(self, pass_: "Pass", state: "CompileState") -> None:
         """Called immediately before an enabled pass executes."""
 
-    def run_after_pass(self, pass_info: "PassInfo", state: "CompileState",
+    def run_after_pass(self, pass_: "Pass", state: "CompileState",
                        seconds: float) -> None:
         """Called after a pass executed; ``seconds`` is its wall time."""
-
-    def observe_kernel(self, kernel) -> None:
-        """Called for every generated :class:`CompiledKernel` — including
-        whether its schedule came from the tuning history (``kernel.tuned``)."""
 
 
 class TimingInstrument(PassInstrument):
@@ -94,17 +84,14 @@ class TimingInstrument(PassInstrument):
         self._nodes_before = 0
         self._params_before = 0
 
-    def reset(self) -> None:
-        self.records = []
-
-    def run_before_pass(self, pass_info: "PassInfo", state: "CompileState") -> None:
+    def run_before_pass(self, pass_: "Pass", state: "CompileState") -> None:
         self._nodes_before = len(state.graph.nodes)
         self._params_before = len(state.params)
 
-    def run_after_pass(self, pass_info: "PassInfo", state: "CompileState",
+    def run_after_pass(self, pass_: "Pass", state: "CompileState",
                        seconds: float) -> None:
         self.records.append(PassRecord(
-            name=pass_info.name,
+            name=pass_.name,
             seconds=seconds,
             nodes_before=self._nodes_before,
             nodes_after=len(state.graph.nodes),

@@ -3,8 +3,8 @@
 A :class:`PassContext` is a context manager holding the optimization level,
 the set of passes to disable (ablations:
 ``PassContext(disabled_passes=["fuse_ops"])`` is the paper's "TVM w/o graph
-opt" row), extra passes to append to the default pipeline, and the
-instruments observing the run::
+opt" row), extra passes to splice into the default pipeline, and the
+instruments observing each executed pass::
 
     with repro.PassContext(opt_level=2, disabled_passes=["alter_layout"]):
         module = repro.compile(model, target="cuda")
@@ -20,13 +20,12 @@ from typing import TYPE_CHECKING, Iterable, List, Sequence
 
 if TYPE_CHECKING:
     from .instruments import PassInstrument
-    from .pass_manager import Pass
 
 __all__ = ["PassContext"]
 
 
 class PassContext:
-    """Configuration scope for :func:`repro.compile` and :class:`Sequential`."""
+    """Configuration scope for :func:`repro.compile`."""
 
     # Per-thread stack: concurrent compilations (e.g. a parallel benchmark
     # sweep) must not observe each other's contexts.
@@ -61,37 +60,14 @@ class PassContext:
 
     def __enter__(self) -> "PassContext":
         self._stack().append(self)
-        entered = []
-        try:
-            for instrument in self.instruments:
-                instrument.enter_pass_ctx()
-                entered.append(instrument)
-        except BaseException:
-            # A crashing instrument must not leave this context active (the
-            # ``with`` body never runs, so ``__exit__`` is never called):
-            # unwind the instruments that did enter, then pop the stack.
-            for instrument in reversed(entered):
-                try:
-                    instrument.exit_pass_ctx()
-                except Exception:
-                    pass  # already propagating the original failure
-            self._stack().pop()
-            raise
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
-        try:
-            for instrument in self.instruments:
-                instrument.exit_pass_ctx()
-        finally:
-            # The thread-local stack must stay consistent even when an
-            # instrument's exit hook raises, or every later compilation on
-            # this thread would run under a stale context.
-            stack = self._stack()
-            if not stack or stack[-1] is not self:
-                raise RuntimeError(
-                    "PassContext stack corrupted: __exit__ out of order")
-            stack.pop()
+        stack = self._stack()
+        if not stack or stack[-1] is not self:
+            raise RuntimeError(
+                "PassContext stack corrupted: __exit__ out of order")
+        stack.pop()
 
     # ------------------------------------------------------------- helpers
     def cloned(self, opt_level: int) -> "PassContext":
@@ -102,12 +78,6 @@ class PassContext:
             extra_passes=self.extra_passes,
             instruments=self.instruments,
         )
-
-    def pass_enabled(self, pass_: "Pass") -> bool:
-        """Whether ``pass_`` runs under this context (gate + disable list)."""
-        if pass_.info.name in self.disabled_passes:
-            return False
-        return self.opt_level >= pass_.info.opt_level
 
     def __repr__(self) -> str:
         disabled = sorted(self.disabled_passes)

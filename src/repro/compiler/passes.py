@@ -1,9 +1,8 @@
-"""The standard graph-optimization passes, registered by name.
+"""The standard graph-optimization passes, as :class:`Pass` records.
 
 Each pass wraps one of the rewrites in :mod:`repro.graph.passes` /
-:mod:`repro.graph.simplify` with the :class:`~repro.compiler.pass_manager.Pass`
-interface: a registry name, an opt-level gate, and required/invalidated
-analyses so the pass manager re-infers shapes automatically after rewrites.
+:mod:`repro.graph.simplify` with a name, an opt-level gate, and whether it
+rewrites the graph (so the pipeline re-infers shapes after it).
 
 Opt-level gates:
 
@@ -11,51 +10,46 @@ Opt-level gates:
 * level >= 2 — ``simplify_inference``, ``alter_layout``, ``fuse_ops``
 * always     — ``plan_memory`` (disable by name to ablate storage reuse)
 
-``eliminate_common_subexpr`` and ``dead_code_elimination`` are registered but
-not part of the default pipeline; enable them per-compilation via
-``PassContext(extra_passes=["eliminate_common_subexpr"])``.
+``eliminate_common_subexpr`` is not part of :data:`DEFAULT_PIPELINE`; enable
+it per compilation via ``PassContext(extra_passes=["eliminate_common_subexpr"])``.
 """
 
 from __future__ import annotations
+
+from typing import Dict, Tuple
 
 from ..graph.passes import alter_layout as _alter_layout
 from ..graph.passes import fold_constants as _fold_constants
 from ..graph.passes import fuse_ops as _fuse_ops
 from ..graph.passes import plan_memory as _plan_memory
-from ..graph.simplify import dead_code_elimination as _dead_code_elimination
 from ..graph.simplify import eliminate_common_subexpr as _eliminate_common_subexpr
 from ..graph.simplify import simplify_inference as _simplify_inference
 from .pass_context import PassContext
-from .pass_manager import CompileState, register_pass
+from .pass_manager import CompileState, Pass
 
 __all__ = ["fold_constants", "simplify_inference", "alter_layout", "fuse_ops",
-           "plan_memory", "eliminate_common_subexpr", "dead_code_elimination"]
+           "plan_memory", "eliminate_common_subexpr", "DEFAULT_PIPELINE",
+           "PASS_REGISTRY"]
 
 
-@register_pass("fold_constants", opt_level=1, invalidates=("shapes",))
-def fold_constants(state: CompileState, ctx: PassContext) -> None:
+def _fold(state: CompileState, ctx: PassContext) -> None:
     """Pre-compute sub-graphs that depend only on parameters."""
     state.graph, state.params = _fold_constants(state.graph, state.params)
-    state.stats["fold_count"] = getattr(state.graph, "fold_count", 0)
 
 
-@register_pass("simplify_inference", opt_level=2, invalidates=("shapes",))
-def simplify_inference(state: CompileState, ctx: PassContext) -> None:
+def _simplify(state: CompileState, ctx: PassContext) -> None:
     """Fold batch norms into producers and drop inference no-ops."""
-    state.graph, state.params, folded = _simplify_inference(state.graph,
-                                                            state.params)
-    state.stats["bn_folds"] = folded
+    state.graph, state.params, _folded = _simplify_inference(state.graph,
+                                                             state.params)
 
 
-@register_pass("alter_layout", opt_level=2, invalidates=("shapes",))
-def alter_layout(state: CompileState, ctx: PassContext) -> None:
+def _layout(state: CompileState, ctx: PassContext) -> None:
     """Annotate back-end preferred layouts, inserting transform nodes."""
-    state.graph, inserted = _alter_layout(state.graph, state.target.device_type)
-    state.stats["layout_transforms"] = inserted
+    state.graph, state.layout_transforms = _alter_layout(
+        state.graph, state.target.device_type)
 
 
-@register_pass("fuse_ops", opt_level=2)
-def fuse_ops(state: CompileState, ctx: PassContext) -> None:
+def _fuse(state: CompileState, ctx: PassContext) -> None:
     """Partition operators into fused kernels (Section 3's four rules).
 
     When this pass is disabled — low opt level or
@@ -63,24 +57,31 @@ def fuse_ops(state: CompileState, ctx: PassContext) -> None:
     opt" ablation — the code generator falls back to one kernel per operator.
     """
     state.groups = _fuse_ops(state.graph, enabled=True)
-    state.stats["fused_groups"] = len(state.groups)
 
 
-@register_pass("plan_memory", opt_level=0)
-def plan_memory(state: CompileState, ctx: PassContext) -> None:
+def _plan(state: CompileState, ctx: PassContext) -> None:
     """Static memory planning: liveness analysis + greedy storage reuse."""
     state.memory_plan = _plan_memory(state.graph)
 
 
-@register_pass("eliminate_common_subexpr", opt_level=2, invalidates=("shapes",))
-def eliminate_common_subexpr(state: CompileState, ctx: PassContext) -> None:
+def _cse(state: CompileState, ctx: PassContext) -> None:
     """Merge structurally identical operator nodes."""
-    state.graph, merged = _eliminate_common_subexpr(state.graph)
-    state.stats["cse_merged"] = merged
+    state.graph, _merged = _eliminate_common_subexpr(state.graph)
 
 
-@register_pass("dead_code_elimination", opt_level=2, invalidates=("shapes",))
-def dead_code_elimination(state: CompileState, ctx: PassContext) -> None:
-    """Drop operator nodes that cannot reach a graph output."""
-    state.graph, removed = _dead_code_elimination(state.graph)
-    state.stats["dce_removed"] = removed
+fold_constants = Pass("fold_constants", _fold, opt_level=1, rewrites=True)
+simplify_inference = Pass("simplify_inference", _simplify, opt_level=2,
+                          rewrites=True)
+alter_layout = Pass("alter_layout", _layout, opt_level=2, rewrites=True)
+fuse_ops = Pass("fuse_ops", _fuse, opt_level=2)
+plan_memory = Pass("plan_memory", _plan)
+eliminate_common_subexpr = Pass("eliminate_common_subexpr", _cse,
+                                opt_level=2, rewrites=True)
+
+#: the passes ``repro.compile`` runs, in order
+DEFAULT_PIPELINE: Tuple[Pass, ...] = (fold_constants, simplify_inference,
+                                      alter_layout, fuse_ops, plan_memory)
+
+#: every standard pass by name — what ``extra_passes`` names resolve against
+PASS_REGISTRY: Dict[str, Pass] = {
+    pass_.name: pass_ for pass_ in DEFAULT_PIPELINE + (eliminate_common_subexpr,)}

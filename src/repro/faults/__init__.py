@@ -165,21 +165,18 @@ def active_plan() -> Optional["FaultPlan"]:
     return _ACTIVE
 
 
-def inject(site: str, context: Optional[Mapping] = None,
-           **extra) -> Optional[Dict]:
+def inject(site: str, **context) -> Optional[Dict]:
     """Consult the active plan at an injection site.
 
-    Context arrives as a mapping (the framing hook's calling convention),
-    keyword arguments, or both.  Returns the action dict of the first firing
-    spec, or ``None``.  Sites interpret actions themselves (sleep, drop,
-    ``os.kill``, ...), so this module stays mechanism-free.
+    The site reports its context as keyword arguments.  Returns the action
+    dict of the first firing spec, or ``None``.  Sites interpret actions
+    themselves (sleep, drop, ``os.kill``, ...), so this module stays
+    mechanism-free.
     """
     plan = _ACTIVE
     if plan is None:
         return None
-    merged = dict(context) if context else {}
-    merged.update(extra)
-    return plan._consult(site, merged)
+    return plan._consult(site, context)
 
 
 class FaultPlan:
@@ -252,8 +249,6 @@ class FaultPlan:
     def install(self) -> "FaultPlan":
         """Make this the process-wide active plan (exactly one at a time)."""
         global _ACTIVE
-        from ..runtime import framing
-
         with _ACTIVE_LOCK:
             if _ACTIVE is not None:
                 raise RuntimeError(
@@ -262,20 +257,16 @@ class FaultPlan:
                     "process keeps runs reproducible)")
             _ACTIVE = self
             self._installed = True
-            framing.set_fault_hook(inject)
         return self
 
     def uninstall(self) -> None:
         """Remove this plan (idempotent; only the installed plan may)."""
         global _ACTIVE
-        from ..runtime import framing
-
         with _ACTIVE_LOCK:
             if not self._installed:
                 return
             if _ACTIVE is self:
                 _ACTIVE = None
-                framing.set_fault_hook(None)
             self._installed = False
 
     def __enter__(self) -> "FaultPlan":

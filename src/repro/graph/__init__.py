@@ -12,11 +12,7 @@ from .passes import (
     fuse_ops,
     plan_memory,
 )
-from .simplify import (
-    dead_code_elimination,
-    eliminate_common_subexpr,
-    simplify_inference,
-)
+from .simplify import eliminate_common_subexpr, simplify_inference
 
 __all__ = [
     "CompiledKernel",
@@ -37,5 +33,4 @@ __all__ = [
     "register_op",
     "simplify_inference",
     "eliminate_common_subexpr",
-    "dead_code_elimination",
 ]

@@ -11,8 +11,10 @@ that canonicalisation:
   inference no-ops such as ``dropout``.
 * :func:`eliminate_common_subexpr` — merges operator nodes that apply the
   same operator with the same attributes to the same inputs.
-* :func:`dead_code_elimination` — removes operator nodes whose results can
-  never reach a graph output.
+
+There is no dead-code pass: a :class:`~repro.graph.ir.Graph`'s node list is
+built from what its outputs reach (only the verifier's mutation harness,
+:mod:`repro.analysis.mutate`, edits it by hand, to plant broken IR).
 
 Each pass returns a rewritten :class:`~repro.graph.ir.Graph` (and, where
 parameters change, an updated parameter dictionary) plus a small count of the
@@ -21,14 +23,13 @@ rewrites applied so callers and tests can verify the pass fired.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .ir import Graph, Node
 
-__all__ = ["simplify_inference", "eliminate_common_subexpr",
-           "dead_code_elimination"]
+__all__ = ["simplify_inference", "eliminate_common_subexpr"]
 
 #: operators whose weights batch norm can be folded into
 _FOLDABLE_PRODUCERS = ("conv2d", "depthwise_conv2d", "dense")
@@ -181,16 +182,3 @@ def eliminate_common_subexpr(graph: Graph) -> Tuple[Graph, int]:
         node.inputs = [replacement.get(id(p), p) for p in node.inputs]
     new_graph.refresh()
     return new_graph, merged
-
-
-def dead_code_elimination(graph: Graph) -> Tuple[Graph, int]:
-    """Drop operator nodes that do not contribute to any output.
-
-    The graph's node list is rebuilt from its outputs, so any node that was
-    only reachable from dropped consumers disappears.  Returns the rewritten
-    graph and the number of removed operator nodes.
-    """
-    before = len(graph.op_nodes)
-    new_graph = Graph(list(graph.outputs))
-    removed = before - len(new_graph.op_nodes)
-    return new_graph, removed

@@ -15,11 +15,11 @@ naming exactly how many bytes were expected and how many arrived, on every
 transport (socket reads and pipe frames alike), so partial-read handling is
 one fix, not one per protocol.
 
-It is also the system's single fault-injection point: :mod:`repro.faults`
-installs a hook here (:func:`set_fault_hook`) and every frame sent by
-either protocol consults it, which is how a seeded
-:class:`~repro.faults.FaultPlan` drops, delays, truncates or resets frames
-on any connection in the process without either protocol knowing.
+It is also the system's single frame fault-injection site: every frame
+sent by either protocol consults :func:`repro.faults.inject` at
+``"framing.send"``, which is how a seeded :class:`~repro.faults.FaultPlan`
+drops, delays, truncates or resets frames on any connection in the process
+without either protocol knowing.
 
 Transports:
 
@@ -33,16 +33,18 @@ from __future__ import annotations
 import json
 import struct
 import time
-from typing import Callable, Dict, Optional, Tuple, Type
+from typing import Callable, Dict, Tuple, Type
 
-__all__ = ["FrameCodec", "ProtocolError", "TruncatedFrameError",
-           "DEFAULT_MAX_PAYLOAD", "set_fault_hook"]
+from ..faults import inject
+
+__all__ = ["FrameCodec", "MessageKinds", "ProtocolError",
+           "TruncatedFrameError"]
 
 _HEADER = struct.Struct("!4sBI")
 
 #: frames carry specs, statuses and log entries — never tensor data — so
 #: anything bigger than this is a bug, not a workload
-DEFAULT_MAX_PAYLOAD = 32 * 1024 * 1024
+_MAX_PAYLOAD = 32 * 1024 * 1024
 
 
 class ProtocolError(RuntimeError):
@@ -64,19 +66,21 @@ class TruncatedFrameError(ProtocolError, ConnectionError):
         self.bytes_got = got
 
 
-# ---------------------------------------------------------------------------
-# Fault-injection hook (installed by repro.faults)
-# ---------------------------------------------------------------------------
+class MessageKinds:
+    """A protocol's message vocabulary: one ``int`` class attribute per u8
+    kind; :meth:`name` maps a kind back to its attribute name for error
+    messages and logs."""
 
-#: ``hook(site, context) -> action-dict or None``; see repro.faults
-_FAULT_HOOK: Optional[Callable[[str, Dict], Optional[Dict]]] = None
+    _NAMES: Dict[int, str] = {}
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._NAMES = {value: key for key, value in vars(cls).items()
+                      if isinstance(value, int) and not key.startswith("_")}
 
-def set_fault_hook(hook: Optional[Callable[[str, Dict], Optional[Dict]]]
-                   ) -> None:
-    """Install (or clear, with ``None``) the process-wide frame fault hook."""
-    global _FAULT_HOOK
-    _FAULT_HOOK = hook
+    @classmethod
+    def name(cls, kind: int) -> str:
+        return cls._NAMES.get(kind, f"?{kind}")
 
 
 def _codec_funcs():
@@ -89,26 +93,22 @@ def _codec_funcs():
 
 
 class FrameCodec:
-    """One protocol's frame codec: magic + error type + payload cap.
+    """One protocol's frame codec: magic + message vocabulary + error type.
 
     ``error`` is the protocol's own :class:`ProtocolError` subclass; the
     codec raises it for malformed frames and a dynamically derived
     ``(error, TruncatedFrameError)`` type for truncation, so callers can
     catch either the protocol's error or the shared framing errors.
-    ``name_of`` maps a message-kind byte to a human-readable name for error
-    messages.
+    ``kinds`` names the message-kind bytes in error messages.
     """
 
-    def __init__(self, magic: bytes, *,
-                 error: Type[ProtocolError] = ProtocolError,
-                 max_payload: int = DEFAULT_MAX_PAYLOAD,
-                 name_of: Optional[Callable[[int], str]] = None):
+    def __init__(self, magic: bytes, kinds: Type[MessageKinds], *,
+                 error: Type[ProtocolError] = ProtocolError):
         if len(magic) != 4:
             raise ValueError(f"Frame magic must be 4 bytes, got {magic!r}")
         self.magic = magic
-        self.max_payload = max_payload
         self.error = error
-        self.name_of = name_of or (lambda kind: f"kind={kind}")
+        self.name_of = kinds.name
         if issubclass(TruncatedFrameError, error):
             self.truncated_error: Type[TruncatedFrameError] = \
                 TruncatedFrameError
@@ -122,10 +122,10 @@ class FrameCodec:
         _encode_attr, _ = _codec_funcs()
         body = json.dumps({key: _encode_attr(value)
                            for key, value in payload.items()}).encode("utf-8")
-        if len(body) > self.max_payload:
+        if len(body) > _MAX_PAYLOAD:
             raise self.error(
                 f"Refusing to send a {len(body)}-byte "
-                f"{self.name_of(kind)} frame (max {self.max_payload}); bulk "
+                f"{self.name_of(kind)} frame (max {_MAX_PAYLOAD}); bulk "
                 f"data must travel out of band (shm arenas), not in a frame")
         return _HEADER.pack(self.magic, kind, len(body)) + body
 
@@ -135,7 +135,7 @@ class FrameCodec:
         if magic != self.magic:
             raise self.error(
                 f"Bad frame magic {magic!r} (expected {self.magic!r})")
-        if length > self.max_payload:
+        if length > _MAX_PAYLOAD:
             raise self.error(
                 f"Oversized {self.name_of(kind)} frame: {length} bytes")
         return kind, length
@@ -167,38 +167,50 @@ class FrameCodec:
                 length, len(body))
         return kind, self.unpack_body(kind, body)
 
-    # ------------------------------------------------------------- faults
-    def _consult(self, kind: int, transport: str, size: int
-                 ) -> Optional[Dict]:
-        hook = _FAULT_HOOK
-        if hook is None:
-            return None
-        return hook("framing.send", {
-            "protocol": self.magic.decode("ascii", "replace"),
-            "kind": kind, "transport": transport, "size": size})
+    # ------------------------------------------------------------- sending
+    def _send(self, kind: int, payload: Dict, transport: str,
+              write: Callable[[bytes], None], close: Callable[[], None]
+              ) -> None:
+        """Pack one frame and ``write`` it, acting out any injected fault.
+
+        A pipe is message-oriented, so a truncated pipe frame is delivered
+        short and the pipe lives on.  A stream cannot resync after a partial
+        frame, so on a socket a truncate sends the torn prefix and then,
+        like a reset on either transport, hard-closes the connection and
+        fails the local send: the peer observes a death mid-frame.
+        """
+        frame = self.pack(kind, payload)
+        fault = inject("framing.send",
+                       protocol=self.magic.decode("ascii", "replace"),
+                       kind=kind, transport=transport, size=len(frame)) or {}
+        action = fault.get("action")
+        if action == "drop":
+            return
+        if action == "delay":
+            time.sleep(float(fault.get("seconds", 0.05)))
+        elif action == "truncate":
+            keep = max(_HEADER.size, len(frame) - int(fault.get("bytes", 1)))
+            if transport == "pipe":
+                write(frame[:keep])
+                return
+            try:
+                write(frame[:keep])
+            except OSError:
+                pass
+        if action in ("truncate", "reset"):
+            try:
+                close()
+            except OSError:
+                pass
+            raise ConnectionResetError(
+                f"fault injection: {transport} {action} while sending "
+                f"{self.name_of(kind)}")
+        write(frame)
 
     # ------------------------------------------------------------- pipe
     def send_pipe(self, conn, kind: int, payload: Dict) -> None:
         """Send one frame on a ``multiprocessing`` connection."""
-        frame = self.pack(kind, payload)
-        fault = self._consult(kind, "pipe", len(frame))
-        if fault is not None:
-            action = fault.get("action")
-            if action == "drop":
-                return
-            if action == "delay":
-                time.sleep(float(fault.get("seconds", 0.05)))
-            elif action == "truncate":
-                keep = max(_HEADER.size,
-                           len(frame) - int(fault.get("bytes", 1)))
-                conn.send_bytes(frame[:keep])
-                return
-            elif action == "reset":
-                conn.close()
-                raise ConnectionResetError(
-                    "fault injection: pipe reset while sending "
-                    f"{self.name_of(kind)}")
-        conn.send_bytes(frame)
+        self._send(kind, payload, "pipe", conn.send_bytes, conn.close)
 
     def recv_pipe(self, conn) -> Tuple[int, Dict]:
         """Receive one frame on a ``multiprocessing`` connection."""
@@ -207,34 +219,7 @@ class FrameCodec:
     # ------------------------------------------------------------- socket
     def send_sock(self, sock, kind: int, payload: Dict) -> None:
         """Send one frame on a stream socket."""
-        frame = self.pack(kind, payload)
-        fault = self._consult(kind, "socket", len(frame))
-        if fault is not None:
-            action = fault.get("action")
-            if action == "drop":
-                return
-            if action == "delay":
-                time.sleep(float(fault.get("seconds", 0.05)))
-            elif action in ("truncate", "reset"):
-                # A stream cannot resync after a partial frame, so both
-                # faults end the connection: send a torn prefix (truncate)
-                # or nothing (reset), then hard-close so the peer observes
-                # a death mid-frame / reset, and fail the local send.
-                if action == "truncate":
-                    keep = max(_HEADER.size,
-                               len(frame) - int(fault.get("bytes", 1)))
-                    try:
-                        sock.sendall(frame[:keep])
-                    except OSError:
-                        pass
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-                raise ConnectionResetError(
-                    f"fault injection: connection {action} while sending "
-                    f"{self.name_of(kind)}")
-        sock.sendall(frame)
+        self._send(kind, payload, "socket", sock.sendall, sock.close)
 
     def _recv_exact(self, sock, count: int, what: str) -> bytes:
         chunks = []
@@ -259,4 +244,4 @@ class FrameCodec:
         return kind, self.unpack_body(kind, body)
 
     def __repr__(self) -> str:
-        return f"FrameCodec({self.magic!r}, max_payload={self.max_payload})"
+        return f"FrameCodec({self.magic!r})"

@@ -23,16 +23,14 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..framing import FrameCodec, ProtocolError, TruncatedFrameError
+from ..framing import (FrameCodec, MessageKinds, ProtocolError,
+                       TruncatedFrameError)
 
 __all__ = ["MSG", "ProtocolError", "TruncatedFrameError", "send_msg",
            "recv_msg"]
 
-#: refuse absurd frames (tensor data must go through shm, not the pipe)
-_MAX_PAYLOAD = 32 * 1024 * 1024
 
-
-class MSG:
+class MSG(MessageKinds):
     """Message types (u8 on the wire)."""
 
     HELLO = 1       #: worker -> pool: boot complete (pid, boot timing)
@@ -44,17 +42,9 @@ class MSG:
     BYE = 9         #: worker -> pool: acknowledging shutdown
     ERROR = 10      #: worker -> pool: request failed (message + traceback)
 
-    _NAMES = {1: "HELLO", 2: "PING", 3: "PONG", 4: "EXEC", 5: "RESULT",
-              8: "SHUTDOWN", 9: "BYE", 10: "ERROR"}
-
-    @classmethod
-    def name(cls, kind: int) -> str:
-        return cls._NAMES.get(kind, f"?{kind}")
-
 
 #: the one RPP1 codec instance (and fault-injection point) of this protocol
-CODEC = FrameCodec(b"RPP1", error=ProtocolError, max_payload=_MAX_PAYLOAD,
-                   name_of=MSG.name)
+CODEC = FrameCodec(b"RPP1", MSG)
 
 
 def send_msg(conn, kind: int, payload: Dict) -> None:

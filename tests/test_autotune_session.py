@@ -28,7 +28,6 @@ from repro.autotvm import (
     register_tuner,
 )
 from repro.autotvm.registry import TUNER_REGISTRY
-from repro.compiler import PassContext, PassInstrument
 from repro.graph.ir import Graph, Node
 from repro.graph.ops import OP_REGISTRY
 from repro.hardware import arm_cpu, cuda
@@ -120,16 +119,11 @@ class TestTuningOptions:
 # The round trip: autotune -> ApplyHistoryBest -> compile
 # ---------------------------------------------------------------------------
 
-class KernelObserver(PassInstrument):
-    """Instrument recording which generated kernels used tuned configs."""
+class KernelObserver:
+    """Records which of a module's generated kernels used tuned configs."""
 
-    name = "kernel-observer"
-
-    def __init__(self):
-        self.kernels = []
-
-    def observe_kernel(self, kernel):
-        self.kernels.append(kernel)
+    def __init__(self, module):
+        self.kernels = list(module.kernels)
 
     @property
     def tuned(self):
@@ -161,10 +155,9 @@ class TestAutotuneRoundTrip:
         untuned = repro.compile(graph, target="cuda")
         assert untuned.tuned_kernels == 0
 
-        observer = KernelObserver()
         with report.apply_history_best() as history:
-            with PassContext(instruments=[observer]):
-                tuned = repro.compile(conv_graph(), target="cuda")
+            tuned = repro.compile(conv_graph(), target="cuda")
+        observer = KernelObserver(tuned)
         assert history.hits >= 1
         assert len(observer.tuned) == 1             # the conv kernel
         assert tuned.tuned_kernels == 1
@@ -570,11 +563,9 @@ class TestAcceptanceRoundTripResnet18:
     def session(self):
         report = repro.autotune("resnet18", target="gpu", trials=16)
         untuned = repro.compile("resnet18", target="gpu")
-        observer = KernelObserver()
         with report.apply_history_best() as history:
-            with PassContext(instruments=[observer]):
-                tuned = repro.compile("resnet18", target="gpu")
-        return report, untuned, tuned, history, observer
+            tuned = repro.compile("resnet18", target="gpu")
+        return report, untuned, tuned, history, KernelObserver(tuned)
 
     def test_tasks_extracted_and_tuned(self, session):
         report, _untuned, _tuned, _history, _observer = session

@@ -1,4 +1,4 @@
-"""Tests for the unified compilation pipeline (repro.compile + pass infra)."""
+"""Tests for the unified compilation pipeline (repro.compile + the passes)."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,12 @@ import pytest
 import repro
 from repro.compiler import (
     DEFAULT_PIPELINE,
+    PASS_REGISTRY,
     CompiledModule,
     Pass,
     PassContext,
-    PassInfo,
     PassInstrument,
-    Sequential,
     TimingInstrument,
-    get_pass,
-    list_passes,
-    register_pass,
 )
 from repro.frontend import MODEL_REGISTRY, ModelBuilder, dqn, get_model
 from repro.hardware import cuda, vdla
@@ -34,32 +30,37 @@ def _small_cnn():
     return graph, params, {"data": (1, 3, 16, 16)}
 
 
+#: the names of the default pipeline's passes, in order
+DEFAULT_NAMES = [pass_.name for pass_ in DEFAULT_PIPELINE]
+
+
 # ---------------------------------------------------------------------------
-# Registry and pipeline structure
+# Pipeline structure
 # ---------------------------------------------------------------------------
 
 class TestPassRegistry:
     def test_default_pipeline_is_registered_in_order(self):
-        assert DEFAULT_PIPELINE == ("fold_constants", "simplify_inference",
-                                    "alter_layout", "fuse_ops", "plan_memory")
-        for name in DEFAULT_PIPELINE:
-            assert name in list_passes()
+        assert DEFAULT_NAMES == ["fold_constants", "simplify_inference",
+                                 "alter_layout", "fuse_ops", "plan_memory"]
+        for pass_ in DEFAULT_PIPELINE:
+            assert PASS_REGISTRY[pass_.name] is pass_
 
     def test_opt_level_gates(self):
-        assert get_pass("fold_constants").info.opt_level == 1
-        assert get_pass("simplify_inference").info.opt_level == 2
-        assert get_pass("alter_layout").info.opt_level == 2
-        assert get_pass("fuse_ops").info.opt_level == 2
-        assert get_pass("plan_memory").info.opt_level == 0
+        assert PASS_REGISTRY["fold_constants"].opt_level == 1
+        assert PASS_REGISTRY["simplify_inference"].opt_level == 2
+        assert PASS_REGISTRY["alter_layout"].opt_level == 2
+        assert PASS_REGISTRY["fuse_ops"].opt_level == 2
+        assert PASS_REGISTRY["plan_memory"].opt_level == 0
 
     def test_unknown_pass_raises_with_available_names(self):
-        with pytest.raises(KeyError, match="fuse_ops"):
-            get_pass("no_such_pass")
+        with PassContext(extra_passes=["no_such_pass"]):
+            with pytest.raises(KeyError, match="fuse_ops"):
+                repro.compile(_small_cnn(), target=cuda())
 
     def test_extra_simplify_passes_registered_but_not_default(self):
-        for name in ("eliminate_common_subexpr", "dead_code_elimination"):
-            assert name in list_passes()
-            assert name not in DEFAULT_PIPELINE
+        assert "eliminate_common_subexpr" in PASS_REGISTRY
+        assert "eliminate_common_subexpr" not in DEFAULT_NAMES
+        assert "dead_code_elimination" not in PASS_REGISTRY
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +102,8 @@ class TestPassContext:
         """Disabling every gated pass by name == legacy opt_level=0."""
         model = _small_cnn()
         legacy = repro.compile(model, target=cuda(), opt_level=0)
-        gated = [name for name in DEFAULT_PIPELINE
-                 if get_pass(name).info.opt_level >= 1]
+        gated = [pass_.name for pass_ in DEFAULT_PIPELINE
+                 if pass_.opt_level >= 1]
         with PassContext(opt_level=2, disabled_passes=gated):
             ablated = repro.compile(model, target=cuda())
         assert [k.name for k in ablated.kernels] == [k.name for k in legacy.kernels]
@@ -147,8 +148,7 @@ class TestPassContext:
             recorded["shapes_valid"] = all(n.shape is not None
                                            for n in state.graph.nodes)
 
-        audit_pass = Pass(audit, PassInfo(name="audit"))
-        with PassContext(extra_passes=[audit_pass]):
+        with PassContext(extra_passes=[Pass("audit", audit)]):
             module = repro.compile(_small_cnn(), target=cuda())
         # The extra pass ran instrumented, saw a shape-valid graph, and was
         # spliced in before fusion/memory planning so rewrites reach codegen.
@@ -188,9 +188,9 @@ class TestInstruments:
     def test_timings_present_for_every_executed_pass(self):
         module = repro.compile(_small_cnn(), target=cuda())
         executed = [r.name for r in module.pass_records]
-        assert executed == list(DEFAULT_PIPELINE)
+        assert executed == DEFAULT_NAMES
         assert all(r.seconds >= 0.0 for r in module.pass_records)
-        assert set(module.pass_timings()) == set(DEFAULT_PIPELINE)
+        assert set(module.pass_timings()) == set(DEFAULT_NAMES)
         assert "fold_constants" in module.pass_summary()
 
     def test_disabled_passes_produce_no_records(self):
@@ -201,28 +201,20 @@ class TestInstruments:
     def test_custom_instrument_receives_callbacks(self):
         class Recorder(PassInstrument):
             def __init__(self):
-                self.entered = self.exited = 0
                 self.before = []
                 self.after = []
 
-            def enter_pass_ctx(self):
-                self.entered += 1
+            def run_before_pass(self, pass_, state):
+                self.before.append(pass_.name)
 
-            def exit_pass_ctx(self):
-                self.exited += 1
-
-            def run_before_pass(self, info, state):
-                self.before.append(info.name)
-
-            def run_after_pass(self, info, state, seconds):
-                self.after.append((info.name, seconds))
+            def run_after_pass(self, pass_, state, seconds):
+                self.after.append((pass_.name, seconds))
 
         recorder = Recorder()
         with PassContext(instruments=[recorder]):
             repro.compile(_small_cnn(), target=cuda())
-        assert recorder.entered == 1 and recorder.exited == 1
-        assert recorder.before == list(DEFAULT_PIPELINE)
-        assert [name for name, _s in recorder.after] == list(DEFAULT_PIPELINE)
+        assert recorder.before == DEFAULT_NAMES
+        assert [name for name, _s in recorder.after] == DEFAULT_NAMES
 
     def test_timing_instrument_records_node_counts(self):
         timing = TimingInstrument()
@@ -404,14 +396,14 @@ class TestTopLevelExports:
 
 
 # ---------------------------------------------------------------------------
-# Sequential pass manager details
+# Pipeline runner details
 # ---------------------------------------------------------------------------
 
 class TestSequential:
     def test_custom_pipeline_by_name(self):
-        module = repro.compile(_small_cnn(), target=cuda(),
-                               pipeline=["fold_constants", "fuse_ops",
-                                         "plan_memory"])
+        with PassContext(disabled_passes=["simplify_inference",
+                                          "alter_layout"]):
+            module = repro.compile(_small_cnn(), target=cuda())
         assert [r.name for r in module.pass_records] == \
             ["fold_constants", "fuse_ops", "plan_memory"]
         # batch_norm survives because simplify_inference did not run.
@@ -423,19 +415,9 @@ class TestSequential:
         def check_shapes(state, ctx):
             seen.append(all(n.shape is not None for n in state.graph.nodes))
 
-        probe = Pass(check_shapes, PassInfo(name="probe"))
-        with PassContext(extra_passes=[probe]):
+        # a bare fn(state, ctx) runs as an always-on pass of its own name
+        with PassContext(extra_passes=[check_shapes]):
             module = repro.compile(_small_cnn(), target=cuda())
         assert seen == [True]
+        assert "check_shapes" in [r.name for r in module.pass_records]
         assert all(n.shape is not None for n in module.graph.nodes)
-
-    def test_register_pass_decorator_and_custom_run(self):
-        name = "test_noop_pass_unique"
-        if name not in list_passes():
-            @register_pass(name, opt_level=0)
-            def _noop(state, ctx):
-                state.stats["noop_ran"] = True
-
-        module = repro.compile(_small_cnn(), target=cuda(),
-                               pipeline=list(DEFAULT_PIPELINE) + [name])
-        assert [r.name for r in module.pass_records][-1] == name

@@ -364,6 +364,45 @@ class TestClientResilience:
         assert time.monotonic() - start < 0.1   # fast-fail: no socket work
         client.close()
 
+    def test_half_open_breaker_admits_one_probe(self, monkeypatch):
+        service = TuningService().start()
+        client = connect(service.address, connect_retries=0, rpc_retries=0,
+                         **self.FAST)
+        client._breaker = _CircuitBreaker(threshold=1, reset_s=0.2)
+        service.stop()
+        with pytest.raises(ServiceUnavailable):
+            client.stats()                      # trips the breaker open
+        time.sleep(0.25)                        # ... and lets it go half-open
+        attempts = []
+
+        def refuse_slowly(address, timeout=None):
+            attempts.append(address)
+            time.sleep(0.1)                     # the others arrive meanwhile
+            raise ConnectionRefusedError("service is down")
+
+        monkeypatch.setattr(socket, "create_connection", refuse_slowly)
+        start = threading.Barrier(3)
+        errors = []
+
+        def call():
+            start.wait(timeout=10)
+            try:
+                client.stats()
+            except ServiceUnavailable as exc:
+                errors.append(str(exc))
+
+        threads = [threading.Thread(target=call, daemon=True)
+                   for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(attempts) == 1               # one half-open probe
+        assert len(errors) == 3
+        assert sum("breaker" in message for message in errors) == 2
+        client.close()
+
 
 class TestGracefulDegradation:
     def test_dedup_measurer_degrades_to_local_measurement(self):

@@ -11,6 +11,7 @@ A value only one caller ever sets is a constant; a value the code can work
 out from its inputs is worked out.
 """
 
+import dataclasses
 import inspect
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 import repro
 from repro.autotvm import GATuner, Measurer, ModelBasedTuner, TuningOptions
 from repro.autotvm.service import ServiceClient, TuningService
+from repro.compiler import Pass, PassInstrument
 from repro.graph.ir import Graph, Node
 from repro.graph.op_timing import is_templated
 from repro.hardware.target import create_target
@@ -32,7 +34,7 @@ OPTION_SURFACE = {
     repro.compile: {
         "model": REQUIRED, "target": None, "params": None,
         "input_shapes": None, "opt_level": None,
-        "heterogeneous_targets": None, "pipeline": None, "verify": False},
+        "heterogeneous_targets": None, "verify": False},
     repro.PassContext: {
         "opt_level": 2, "disabled_passes": (), "extra_passes": (),
         "instruments": ()},
@@ -97,6 +99,21 @@ def test_pass_context_has_no_free_form_config():
     with pytest.raises(TypeError, match="config"):
         repro.PassContext(config={"verify": True})
     assert not hasattr(repro.PassContext(), "config")
+
+
+def test_pass_is_a_four_field_record():
+    fields = [(f.name, f.default) for f in dataclasses.fields(Pass)]
+    assert fields == [("name", dataclasses.MISSING),
+                      ("fn", dataclasses.MISSING),
+                      ("opt_level", 0), ("rewrites", False)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Pass("audit", print).opt_level = 3
+
+
+def test_instrument_protocol_is_two_hooks():
+    hooks = [name for name, value in vars(PassInstrument).items()
+             if callable(value) and not name.startswith("_")]
+    assert hooks == ["run_before_pass", "run_after_pass"]
 
 
 def test_is_templated_is_the_one_heavy_operator_predicate():

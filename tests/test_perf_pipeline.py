@@ -2,8 +2,8 @@
 
 Covers the shared featurisation LRU service on :class:`Task`, its
 transparency (same results with a warm cache as from a cold start), the
-vectorized cost models' bit-equality against their retained reference
-implementations, and the batch scoring APIs.
+vectorized cost models' bit-equality against per-row reference oracles
+(kept here, not in the library), and the batch scoring APIs.
 """
 
 import gc
@@ -286,12 +286,93 @@ class TestCacheTransparency:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized cost models vs retained references
+# Vectorized cost models vs per-row reference oracles
 # ---------------------------------------------------------------------------
+
+def _threshold_candidates(tree, column):
+    """Candidate split thresholds of one feature column."""
+    unique = np.unique(column)
+    if len(unique) < 2:
+        return None
+    if len(unique) > tree.max_thresholds:
+        return np.quantile(unique, np.linspace(0.1, 0.9, tree.max_thresholds))
+    return (unique[:-1] + unique[1:]) / 2.0
+
+
+def _best_split_reference(tree, x, y):
+    """Oracle of ``RegressionTree._best_split``: re-scan the sample set per
+    threshold."""
+    n_samples, n_features = x.shape
+    base_error = float(np.sum((y - y.mean()) ** 2))
+    best_gain = 1e-9
+    best = None
+    for feature in range(n_features):
+        column = x[:, feature]
+        candidates = _threshold_candidates(tree, column)
+        if candidates is None:
+            continue
+        for threshold in candidates:
+            mask = column <= threshold
+            left, right = y[mask], y[~mask]
+            if len(left) < tree.min_samples_leaf \
+                    or len(right) < tree.min_samples_leaf:
+                continue
+            error = float(np.sum((left - left.mean()) ** 2)
+                          + np.sum((right - right.mean()) ** 2))
+            gain = base_error - error
+            if gain > best_gain:
+                best_gain = gain
+                best = (feature, float(threshold), mask)
+    return best
+
+
+def predict_reference(tree, x):
+    """Oracle of ``RegressionTree.predict``: walk the dict tree per row."""
+    if tree.tree_ is None:
+        return np.zeros(len(x))
+    out = np.empty(len(x))
+    for i, row in enumerate(x):
+        node = tree.tree_
+        while "feature" in node:
+            node = node["left"] if row[node["feature"]] <= node["threshold"] \
+                else node["right"]
+        out[i] = node["value"]
+    return out
+
+
+def _negative_gradient_reference(model, y, pred):
+    """Oracle of ``GradientBoostedTrees._negative_gradient``: one partner
+    draw and one weight update per pair, in a Python loop."""
+    if model.loss == "reg":
+        return y - pred
+    grad = np.zeros_like(pred)
+    n = len(y)
+    for i in range(n):
+        for _ in range(model.num_pairs):
+            j = int(model.rng.integers(0, n))
+            if i == j or y[i] == y[j]:
+                continue
+            better, worse = (i, j) if y[i] > y[j] else (j, i)
+            weight = 1.0 / (1.0 + math.exp(pred[better] - pred[worse]))
+            grad[better] += weight
+            grad[worse] -= weight
+    return grad
+
+
+def _swap_in_oracles(patch):
+    """Fit and predict through the oracles: per-threshold splits, per-row
+    tree walks, per-pair gradients, and no stacked ensemble (so
+    ``GradientBoostedTrees.predict`` walks tree by tree)."""
+    patch.setattr(RegressionTree, "_best_split", _best_split_reference)
+    patch.setattr(RegressionTree, "predict", predict_reference)
+    patch.setattr(GradientBoostedTrees, "_negative_gradient",
+                  _negative_gradient_reference)
+    patch.setattr(GradientBoostedTrees, "_stack_trees", lambda model: None)
+
 
 class TestVectorizedCostModels:
     @pytest.mark.parametrize("loss", ["rank", "reg"])
-    def test_gbt_bit_identical_to_reference(self, loss):
+    def test_gbt_bit_identical_to_reference(self, loss, monkeypatch):
         rng = np.random.default_rng(11)
         for trial in range(6):
             n = int(rng.integers(8, 120))
@@ -300,14 +381,17 @@ class TestVectorizedCostModels:
             if trial % 2:
                 x = np.round(x * 2) / 2          # heavy ties
             y = rng.normal(size=n) ** 2
-            fast = GradientBoostedTrees(num_rounds=10, loss=loss, seed=trial)
-            slow = GradientBoostedTrees(num_rounds=10, loss=loss, seed=trial,
-                                        reference=True)
-            fast.fit(x, y)
-            slow.fit(x, y)
             queries = rng.normal(size=(64, d))
-            assert np.array_equal(fast.predict(queries), slow.predict(queries))
-            assert np.array_equal(fast.predict(x[0]), slow.predict(x[0]))
+            fast = GradientBoostedTrees(num_rounds=10, loss=loss, seed=trial)
+            fast.fit(x, y)
+            expected = (fast.predict(queries), fast.predict(x[0]))
+            with monkeypatch.context() as patch:
+                _swap_in_oracles(patch)
+                slow = GradientBoostedTrees(num_rounds=10, loss=loss,
+                                            seed=trial).fit(x, y)
+                actual = (slow.predict(queries), slow.predict(x[0]))
+            assert np.array_equal(expected[0], actual[0])
+            assert np.array_equal(expected[1], actual[1])
 
     def test_tree_predict_matches_reference_walk(self):
         rng = np.random.default_rng(5)
@@ -316,14 +400,16 @@ class TestVectorizedCostModels:
         tree = RegressionTree(max_depth=5).fit(x, y)
         queries = rng.normal(size=(256, 12))
         assert np.array_equal(tree.predict(queries),
-                              tree.predict_reference(queries))
+                              predict_reference(tree, queries))
 
-    def test_tree_structure_identical_to_reference_build(self):
+    def test_tree_structure_identical_to_reference_build(self, monkeypatch):
         rng = np.random.default_rng(9)
         x = np.round(rng.normal(size=(60, 8)) * 2) / 2
         y = rng.normal(size=60)
         fast = RegressionTree(max_depth=4).fit(x, y)
-        slow = RegressionTree(max_depth=4, reference=True).fit(x, y)
+        monkeypatch.setattr(RegressionTree, "_best_split",
+                            _best_split_reference)
+        slow = RegressionTree(max_depth=4).fit(x, y)
         assert fast.tree_ == slow.tree_
 
     def test_rank_gradient_identical_to_reference(self):
@@ -331,9 +417,9 @@ class TestVectorizedCostModels:
         y = rng.normal(size=50) ** 2
         pred = rng.normal(size=50)
         fast = GradientBoostedTrees(seed=123)
-        slow = GradientBoostedTrees(seed=123, reference=True)
+        slow = GradientBoostedTrees(seed=123)
         assert np.array_equal(fast._negative_gradient(y, pred),
-                              slow._negative_gradient_reference(y, pred))
+                              _negative_gradient_reference(slow, y, pred))
 
     def test_stacked_predict_matches_per_tree_loop(self):
         rng = np.random.default_rng(4)

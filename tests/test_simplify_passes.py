@@ -6,11 +6,7 @@ import pytest
 import repro
 from repro.frontend import ModelBuilder, resnet18
 from repro.graph.ir import Graph, Node
-from repro.graph.simplify import (
-    dead_code_elimination,
-    eliminate_common_subexpr,
-    simplify_inference,
-)
+from repro.graph.simplify import eliminate_common_subexpr, simplify_inference
 from repro.hardware import cuda
 
 
@@ -140,29 +136,6 @@ class TestCSE:
         graph = Graph([out])
         new_graph, merged = eliminate_common_subexpr(graph)
         assert merged == 0 and new_graph is graph
-
-
-class TestDCE:
-    def test_unreachable_ops_removed(self):
-        data = Node("null", "data")
-        data.shape = (1, 4)
-        used = Node("relu", "used", [data], {})
-        graph = Graph([used])
-        # Manually append a dangling node to the node list.
-        dangling = Node("tanh", "dangling", [data], {})
-        graph.nodes.append(dangling)
-        new_graph, removed = dead_code_elimination(graph)
-        assert removed == 1
-        assert all(n.name != "dangling" for n in new_graph.nodes)
-
-    def test_fully_live_graph_unchanged(self):
-        data = Node("null", "data")
-        data.shape = (1, 4)
-        out = Node("relu", "r", [data], {})
-        graph = Graph([out])
-        new_graph, removed = dead_code_elimination(graph)
-        assert removed == 0
-        assert len(new_graph.op_nodes) == 1
 
 
 class TestBuildIntegration:

@@ -95,6 +95,17 @@ Rules
     ``gc.freeze`` / ``gc.set_threshold`` in every linted file: the collector
     is the process's, not the library's.
 
+``one-instrument-seam``
+    Restricted to ``src/repro/compiler``: an instrument hook —
+    ``run_before_pass`` / ``run_after_pass``, or a context / kernel hook
+    (``enter_pass_ctx``, ``exit_pass_ctx``, ``should_run``,
+    ``observe_kernel``) — may be called only inside
+    ``pass_manager._run_hook``.  That is the one place a crashing hook is
+    wrapped in an ``InstrumentError`` naming the instrument, the hook and the
+    pass; a hook called anywhere else fails as an anonymous compiler error
+    (the context hooks and the per-kernel observer once were called that
+    way, and only tests ever implemented them).
+
 Exit status is 0 when clean, 1 when any violation is found.
 """
 
@@ -136,6 +147,9 @@ RULES = {
                              "own name (each call is a reference cycle); no "
                              "gc.disable / gc.freeze / gc.set_threshold "
                              "anywhere"),
+    "one-instrument-seam": ("compiler/: instrument hooks are called only "
+                            "inside pass_manager._run_hook (crashes become "
+                            "InstrumentError naming the pass)"),
 }
 
 #: files (by trailing path parts) allowed to call ``._execute(``
@@ -155,6 +169,11 @@ _BOUNDS_CLIENTS = ("tir", "analysis")
 _EXPR_IR_PACKAGES = ("te", "tir")
 #: process-wide collector switches a library must not flip
 _GC_SWITCHES = ("disable", "freeze", "set_threshold")
+#: instrument hook names, current and former (TVM's ``should_run`` too)
+_INSTRUMENT_HOOKS = ("run_before_pass", "run_after_pass", "enter_pass_ctx",
+                     "exit_pass_ctx", "should_run", "observe_kernel")
+#: the one scope that may call an instrument hook
+_HOOK_SITE = ("compiler", "pass_manager.py", "_run_hook")
 #: stdlib queue classes (``queue.X(...)`` or imported bare)
 _QUEUE_CLASSES = ("Queue", "SimpleQueue", "LifoQueue", "PriorityQueue")
 
@@ -286,6 +305,8 @@ class _Linter(ast.NodeVisitor):
         self.is_serving = self.is_engine \
             or parts[-2:] == ("runtime", "admission.py")
         self.is_compile_path = any(part in _COMPILE_PACKAGES for part in parts)
+        self.is_compiler = "compiler" in parts
+        self.is_hook_site_file = parts[-2:] == _HOOK_SITE[:2]
         self.is_kernels = parts[-2:] == ("topi", "reference.py")
         self.owns_bounds = parts[-2:] == ("te", "expr.py")
         self.package = parts[-2] if len(parts) > 1 else ""
@@ -453,6 +474,14 @@ class _Linter(ast.NodeVisitor):
             self._report("no-free-form-config", node,
                          "string-keyed .config.get(...) — make it a named "
                          "parameter (or a constant)")
+        if (self.is_compiler and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _INSTRUMENT_HOOKS
+                and not (self.is_hook_site_file
+                         and _HOOK_SITE[2] in self._scope)):
+            self._report("one-instrument-seam", node,
+                         f".{node.func.attr}( outside pass_manager._run_hook "
+                         f"— a crashing hook must surface as an "
+                         f"InstrumentError naming the pass")
         if _is_unpickle(node):
             self._report("legacy-shim", node,
                          "pickle.load — artifacts load through repro.load")
