@@ -34,8 +34,8 @@ import time
 from pathlib import Path
 
 import repro
-from repro.autotvm import TuningOptions, TuningService, clear_eval_caches
-from repro.autotvm.service import schedule_zoo, trials_to_target
+from repro.autotvm import TuningOptions, clear_eval_caches
+from repro.autotvm.service import TuningService, schedule_zoo, trials_to_target
 
 from common import conv_graph, emit_summary
 

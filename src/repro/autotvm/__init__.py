@@ -1,9 +1,11 @@
 """ML-based automated schedule optimizer (paper Section 5).
 
 The front door is :func:`repro.autotune` (re-exported here as
-:func:`autotune`): extract tasks -> tune with a registered tuner over the
-measurer -> record bests in a :class:`TuningDatabase` -> compile
-under :class:`ApplyHistoryBest`.
+:func:`autotune`): extract tasks -> tune each with the ``"random"``,
+``"ga"`` or ``"model"`` tuner over the measurer -> record bests in a
+:class:`TuningDatabase` -> compile under :class:`ApplyHistoryBest`.  The
+shared tuning service lives in :mod:`repro.autotvm.service`, which only a
+session given ``TuningOptions(service=...)`` imports.
 """
 
 from .apply_history import ApplyHistoryBest
@@ -21,21 +23,12 @@ from .cost_model import (
 from .database import DatabaseWriteConflictError, TuningDatabase, TuningLogEntry
 from .measure import LocalMeasurer, MeasureInput, MeasureResultRecord, Measurer
 from .options import ProgressEvent, TuningOptions
-from .registry import TUNER_REGISTRY, get_tuner, list_tuners, register_tuner
-from .session import (
-    TaskTuningResult,
-    TuningReport,
-    autotune,
-    extract_tasks,
-    tune_tasks,
-)
-from .service import ServiceClient, TuningService, schedule_zoo
+from .session import TaskTuningResult, TuningReport, autotune, extract_tasks
 from .space import ConfigEntity, ConfigSpace, OtherEntity, SplitEntity
-from .task import TEMPLATE_REGISTRY, Task, create_task, get_template, register_template
+from .task import Task
 from .treernn import ASTNode, TreeRNNCostModel, build_ast
 from .tuner import (
     GATuner,
-    GridSearchTuner,
     ModelBasedTuner,
     RandomTuner,
     SimulatedAnnealingOptimizer,
@@ -53,7 +46,6 @@ __all__ = [
     "eval_cache_stats",
     "GATuner",
     "GradientBoostedTrees",
-    "GridSearchTuner",
     "LocalMeasurer",
     "MeasureInput",
     "MeasureResultRecord",
@@ -64,11 +56,8 @@ __all__ = [
     "ProgressEvent",
     "RandomTuner",
     "RegressionTree",
-    "ServiceClient",
     "SimulatedAnnealingOptimizer",
     "SplitEntity",
-    "TEMPLATE_REGISTRY",
-    "TUNER_REGISTRY",
     "Task",
     "TaskTuningResult",
     "TreeRNNCostModel",
@@ -80,16 +69,7 @@ __all__ = [
     "TuningOptions",
     "TuningRecord",
     "TuningReport",
-    "TuningService",
     "autotune",
-    "create_task",
     "extract_tasks",
-    "get_template",
-    "get_tuner",
-    "list_tuners",
     "rank_correlation",
-    "register_template",
-    "register_tuner",
-    "schedule_zoo",
-    "tune_tasks",
 ]

@@ -6,9 +6,13 @@ places: the model-based tuner, the measurer, the compiler's fallback
 heuristic, and kernel-time estimation.  Lowering and featurisation are
 deterministic per ``(workload, target name, config index)``, so all of them
 share the bounded feature LRU in this module through
-:meth:`repro.autotvm.Task.features_of`.  Lowered programs are not cached:
-every consumer wants the features, and a loop program is far bulkier than its
-feature summary.
+:meth:`repro.autotvm.Task.features_of`.  The same cache is the one memo of
+whether a candidate's program is legal: :meth:`repro.autotvm.Task.verify`
+(the measurer with ``verify=True``) and ``compile(verify=True)`` store the
+static verifier's verdict beside the features, under the same identity, so a
+program is verified once whichever path asks first.  Lowered programs are not
+cached: every consumer wants the features or the verdict, and a loop program
+is far bulkier than either.
 
 The cache evicts one least-recently-used entry at a time, so a long tuning
 session keeps its working set hot.  Failures are cached too: a config whose
@@ -86,7 +90,8 @@ class LRUCache:
                 f"hits={s['hits']}, misses={s['misses']})")
 
 
-#: extracted :class:`~repro.tir.analysis.ProgramFeatures` per config
+#: extracted :class:`~repro.tir.analysis.ProgramFeatures` per config, and
+#: the verifier's verdict per config that was verified
 FEATURE_CACHE = LRUCache(50_000)
 
 

@@ -86,7 +86,6 @@ class Measurer:
         self.device_key = device_key
         self.num_measured = 0
         self.num_rejected = 0
-        self._verify_cache: dict = {}
         self._count_lock = threading.Lock()
 
     def measure(self, inputs: Sequence[MeasureInput]) -> List[MeasureResultRecord]:
@@ -107,26 +106,17 @@ class Measurer:
         return np.random.default_rng(int.from_bytes(digest.digest()[:8], "little"))
 
     def _verify_one(self, inp: MeasureInput) -> None:
-        """Statically verify the candidate's lowered program, raising the
-        typed :class:`~repro.analysis.errors.TIRVerifierError` for illegal
-        schedules so they are *rejected* (recorded as errored measurements)
-        instead of measured as garbage.  Results are memoized per
-        (task, config)."""
-        from ..analysis.tir_verify import verify_func
-
-        key = (inp.task.name, inp.config.index)
-        if key not in self._verify_cache:
-            try:
-                verify_func(inp.task.lower(inp.config))
-            except Exception as exc:  # cache the failure, re-raise each time
-                self._verify_cache[key] = exc
-            else:
-                self._verify_cache[key] = None
-        cached = self._verify_cache[key]
-        if cached is not None:
+        """Statically verify the candidate's lowered program
+        (:meth:`Task.verify`, memoised in the shared evaluation cache),
+        raising the typed :class:`~repro.analysis.errors.TIRVerifierError`
+        for illegal schedules so they are *rejected* (recorded as errored
+        measurements) instead of measured as garbage."""
+        try:
+            inp.task.verify(inp.config.index)
+        except Exception:
             with self._count_lock:      # worker threads share the counter
                 self.num_rejected += 1
-            raise cached
+            raise
 
     def _run(self, inp: MeasureInput, features) -> MeasureResult:
         """Runner half: time one built candidate on a device."""

@@ -1,10 +1,10 @@
 """Tuning-session configuration and the structured progress-event stream.
 
-:class:`TuningOptions` is the one bag of knobs :func:`repro.autotune`
-accepts (mirroring how :class:`~repro.compiler.PassContext` configures
-``repro.compile``), and :class:`ProgressEvent` is the structured record the
-session hands to progress callbacks after every measured batch — replacing
-the old ``verbose=`` prints.
+:class:`TuningOptions` is the one bag of knobs of a tuning session, and
+:func:`repro.autotune` — the only way into one — accepts it (mirroring how
+:class:`~repro.compiler.PassContext` configures ``repro.compile``).
+:class:`ProgressEvent` is the structured record the session hands to
+progress callbacks after every measured batch.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ class TuningOptions:
     early_stopping: Optional[int] = None
     #: base RNG seed; task ``i`` tunes with ``seed + i``
     seed: int = 0
-    #: registered tuner name (see :func:`repro.autotvm.list_tuners`)
+    #: the explorer: ``"model"`` (the paper's cost-model-guided search),
+    #: ``"ga"`` or ``"random"``; any other name fails before any work
     tuner: str = "model"
     #: worker threads the measurer maps over each batch (1 = plain loop);
     #: results are bit-identical at any value (the noise RNG is derived per
@@ -78,7 +79,9 @@ class TuningOptions:
     service: Optional[object] = None
     #: statically verify every candidate's lowered program before measuring
     #: it; illegal schedules (out-of-bounds accesses, parallel hazards) are
-    #: rejected as typed errors instead of entering the tuning history
+    #: rejected as typed errors instead of entering the tuning history.  The
+    #: verdict is memoised in the shared evaluation cache, so a later
+    #: ``compile(verify=True)`` under this history does not verify it again
     verify: bool = False
     #: guarantee the recorded best never loses to the compiler's untuned
     #: fallback heuristic: if it does, the fallback configuration is recorded

@@ -4,9 +4,10 @@ Mirrors what :func:`repro.compile` did for compilation — one front door for
 the whole offline optimization loop.  ``autotune`` accepts the same model
 forms as ``compile`` (a :class:`~repro.graph.ir.Graph`, a frontend model
 tuple, or a model-zoo name), extracts the heavy-operator tuning tasks,
-explores each task's schedule space with a registered tuner driven by the
-batch measurer, and returns a single :class:`TuningReport` carrying
-per-task best configurations, trial curves (Figure 12-ready), timing, and the
+explores each task's schedule space with one of the three tuners
+(``"random"``, ``"ga"``, ``"model"``) driven by the batch measurer, and
+returns a single :class:`TuningReport` carrying per-task best
+configurations, trial curves (Figure 12-ready), timing, and the
 :class:`~repro.autotvm.database.TuningDatabase` that history-based
 compilation consumes::
 
@@ -28,19 +29,17 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .apply_history import ApplyHistoryBest
 from .database import TuningDatabase
 from .measure import Measurer
 from .options import ProgressEvent, TuningOptions
-from .registry import get_tuner
 from .space import ConfigEntity
 from .task import Task
-from .tuner import Tuner
+from .tuner import _TUNERS, Tuner
 
-__all__ = ["TaskTuningResult", "TuningReport", "autotune", "extract_tasks",
-           "tune_tasks"]
+__all__ = ["TaskTuningResult", "TuningReport", "autotune", "extract_tasks"]
 
 logger = logging.getLogger("repro.autotvm")
 
@@ -263,8 +262,7 @@ def _tune_one_task(task: Task, node, task_index: int, num_tasks: int,
                    client=None) -> TaskTuningResult:
     start = time.perf_counter()
     seed = options.seed + task_index
-    tuner_cls = get_tuner(options.tuner)
-    tuner = tuner_cls(task, seed=seed)
+    tuner = _TUNERS[options.tuner](task, seed=seed)
 
     # With a tuning service, history flows in from the whole fleet: shared
     # entries merge with local history for the warm start, and the service's
@@ -330,7 +328,7 @@ def _tune_one_task(task: Task, node, task_index: int, num_tasks: int,
     # fallback configuration instead.
     estimate, features = _config_stats(task, best)
     config, floored = best, False
-    if options.ensure_no_regression and node is not None:
+    if options.ensure_no_regression:
         from ..graph.op_timing import fallback_config_for_node
 
         fb_time, fb_index = fallback_config_for_node(node, task.target)
@@ -360,34 +358,6 @@ def _tune_one_task(task: Task, node, task_index: int, num_tasks: int,
                             trials=len(tuner.records), elapsed=elapsed,
                             warm_samples=warm_samples, floored=floored,
                             dedup_hits=dedup_hits, pretrained=pretrained)
-
-
-def _run_session(pairs: Sequence[Tuple[Task, object]], options: TuningOptions,
-                 database: Optional[TuningDatabase], target_name: str
-                 ) -> TuningReport:
-    get_tuner(options.tuner)          # fail loudly before any work
-    client, owned_client = _resolve_service(options.service)
-    database = database if database is not None else TuningDatabase()
-    start = time.perf_counter()
-    logger.info("tuning session: %d tasks x %d trials (tuner=%s, target=%s%s)",
-                len(pairs), options.trials, options.tuner, target_name,
-                ", shared service" if client is not None else "")
-    try:
-        results = [_tune_one_task(task, node, i, len(pairs), options,
-                                  database, client=client)
-                   for i, (task, node) in enumerate(pairs)]
-        stats = _service_call("stats", client.stats, None) \
-            if client is not None else None
-    finally:
-        if owned_client and client is not None:
-            client.close()
-    report = TuningReport(results=results, database=database,
-                          target_name=target_name, options=options,
-                          elapsed=time.perf_counter() - start,
-                          service_stats=stats)
-    logger.info("tuning session done: %d tasks, %d trials, %.1fs",
-                len(report.results), report.total_trials, report.elapsed)
-    return report
 
 
 def autotune(model, target=None, *, trials: Optional[int] = None,
@@ -420,23 +390,32 @@ def autotune(model, target=None, *, trials: Optional[int] = None,
     Returns the :class:`TuningReport`; compile under
     ``report.apply_history_best()`` to use the tuned configurations.
     """
-    opts = (options or TuningOptions()).overridden(trials=trials, tuner=tuner)
+    options = (options or TuningOptions()).overridden(trials=trials,
+                                                      tuner=tuner)
+    if options.tuner not in _TUNERS:    # fail loudly before any work
+        raise ValueError(f"Unknown tuner {options.tuner!r}; valid tuners: "
+                         f"{sorted(_TUNERS)}")
     graph, resolved = _normalise_model(model, target, params, input_shapes)
     pairs = _extract_task_nodes(graph, resolved)
-    return _run_session(pairs, opts, database, resolved.name)
-
-
-def tune_tasks(tasks: Sequence[Task], options: Optional[TuningOptions] = None,
-               database: Optional[TuningDatabase] = None, *,
-               trials: Optional[int] = None, tuner: Optional[str] = None,
-               seed: Optional[int] = None) -> TuningReport:
-    """Tune an explicit list of tasks (no graph extraction).
-
-    The fallback-floor validation of :func:`autotune` is skipped here — with
-    no originating graph node there is no untuned build to compare against.
-    """
-    opts = (options or TuningOptions()).overridden(trials=trials, tuner=tuner,
-                                                   seed=seed)
-    target_name = tasks[0].target.name if tasks else "?"
-    pairs = [(task, None) for task in tasks]
-    return _run_session(pairs, opts, database, target_name)
+    client, owned_client = _resolve_service(options.service)
+    database = database if database is not None else TuningDatabase()
+    start = time.perf_counter()
+    logger.info("tuning session: %d tasks x %d trials (tuner=%s, target=%s%s)",
+                len(pairs), options.trials, options.tuner, resolved.name,
+                ", shared service" if client is not None else "")
+    try:
+        results = [_tune_one_task(task, node, i, len(pairs), options,
+                                  database, client=client)
+                   for i, (task, node) in enumerate(pairs)]
+        stats = _service_call("stats", client.stats, None) \
+            if client is not None else None
+    finally:
+        if owned_client and client is not None:
+            client.close()
+    report = TuningReport(results=results, database=database,
+                          target_name=resolved.name, options=options,
+                          elapsed=time.perf_counter() - start,
+                          service_stats=stats)
+    logger.info("tuning session done: %d tasks, %d trials, %.1fs",
+                len(report.results), report.total_trials, report.elapsed)
+    return report

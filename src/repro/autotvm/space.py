@@ -50,7 +50,7 @@ class SplitEntity:
     def __init__(self, sizes: Sequence[int]):
         self.size = [int(s) for s in sizes]
 
-    def apply(self, stage, ivar, prefix: str = "") -> List[object]:
+    def apply(self, stage, ivar) -> List[object]:
         """Apply this split to a stage's iter var, returning the new loops
         from outermost to innermost."""
         loops = []
@@ -88,7 +88,6 @@ class ConfigSpace:
 
     def __init__(self) -> None:
         self._candidates: Dict[str, List[object]] = {}
-        self.is_fallback = False
         self._radix: Optional[Tuple[List[str], List[int], List[int], int]] = None
 
     # -- definition API ---------------------------------------------------------

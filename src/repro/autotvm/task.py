@@ -8,7 +8,7 @@ measure candidate configurations.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -17,60 +17,68 @@ from ..hardware.target import Target
 from .eval_cache import FEATURE_CACHE
 from .space import ConfigEntity, ConfigSpace
 
-__all__ = ["Task", "create_task", "register_template", "get_template", "TEMPLATE_REGISTRY"]
-
-#: Global registry of named schedule templates.
-TEMPLATE_REGISTRY: Dict[str, Callable] = {}
-
-
-def register_template(name: str, func: Optional[Callable] = None):
-    """Register a schedule template under ``name`` (usable as a decorator)."""
-    def _register(f: Callable) -> Callable:
-        TEMPLATE_REGISTRY[name] = f
-        return f
-
-    if func is not None:
-        return _register(func)
-    return _register
-
-
-def get_template(name: str) -> Callable:
-    if name not in TEMPLATE_REGISTRY:
-        raise KeyError(f"No schedule template registered under {name!r}")
-    return TEMPLATE_REGISTRY[name]
+__all__ = ["Task"]
 
 
 class _FailureMarker:
-    """Cached record of a lowering/featurisation failure.
+    """Cached record of a lowering/featurisation/verification failure.
 
     The shared caches must not hold live exception instances — every raise
     would pin its call stack in the cache, and concurrent raises from
     measurer worker threads would race on ``__traceback__``.  Instead the
-    type and args are kept and an equivalent fresh exception is raised per
-    replay.
+    type, args and attributes are kept and an equal fresh exception is
+    raised per replay.
     """
 
-    __slots__ = ("exc_type", "args", "message")
+    __slots__ = ("exc_type", "args", "attrs")
 
-    def __init__(self, exc_type: type, args: Tuple, message: str):
+    def __init__(self, exc_type: type, args: Tuple, attrs: dict):
         self.exc_type = exc_type
         self.args = args
-        self.message = message
+        self.attrs = attrs
 
     @classmethod
     def of(cls, exc: Exception) -> "_FailureMarker":
-        return cls(type(exc), tuple(exc.args), str(exc))
+        return cls(type(exc), tuple(exc.args), dict(vars(exc)))
 
     def replay(self) -> Exception:
+        """A fresh exception of the recorded class with the recorded args and
+        attributes (so equal ``str``, and a verifier error's ``check`` and
+        ``node``).  The constructor is not re-run: one that formats its
+        message would format it twice."""
+        exc = self.exc_type.__new__(self.exc_type, *self.args)
+        exc.__dict__.update(self.attrs)
+        return exc
+
+
+def _verify_once(key: Tuple[str, str, str, int],
+                 make_task: Callable[[], "Task"]) -> None:
+    """Statically verify the lowered program of config ``key[-1]``, once.
+
+    The one memo of "is this candidate's program legal?".  ``key`` is the
+    task's cache identity (template workload, args, target, config index);
+    the verdict — verified, or the failure to replay — lives in the shared
+    evaluation cache beside the candidate's features.  ``make_task`` is
+    called on a miss only, so a caller holding just the identity builds no
+    :class:`Task` on a hit.  Raises the typed
+    :class:`~repro.analysis.errors.TIRVerifierError` of an illegal program.
+    """
+    # Imported per call: repro.analysis imports the compiler, which imports
+    # this package.
+    from ..analysis.tir_verify import verify_func
+
+    memo_key = key + ("verified",)
+    verdict = FEATURE_CACHE.get(memo_key)
+    if verdict is None:
+        task = make_task()
         try:
-            exc = self.exc_type(*self.args)
-            if str(exc) == self.message:
-                return exc
-        except Exception:
-            pass
-        # Exotic constructor or stateful __str__: fall back to a plain error
-        # carrying the original message.
-        return RuntimeError(self.message)
+            verify_func(task.lower(task.config_space.get(key[-1])))
+            verdict = True
+        except Exception as exc:
+            verdict = _FailureMarker.of(exc)
+        FEATURE_CACHE.put(memo_key, verdict)
+    if isinstance(verdict, _FailureMarker):
+        raise verdict.replay()
 
 
 class Task:
@@ -152,6 +160,13 @@ class Task:
             raise cached.replay()
         return cached
 
+    def verify(self, index: int) -> None:
+        """Statically verify the lowered program of the config at ``index``
+        (memoised with the features); raises the typed
+        :class:`~repro.analysis.errors.TIRVerifierError` of an illegal
+        schedule."""
+        _verify_once(self._cache_key(index), lambda: self)
+
     def feature_vector(self, index: int) -> np.ndarray:
         """Cost-model feature vector of the config at ``index`` (read-only)."""
         return self.features_of(index).vector()
@@ -159,18 +174,3 @@ class Task:
     def __repr__(self) -> str:
         return (f"Task({self.name}, target={self.target.name}, "
                 f"space={len(self.config_space)})")
-
-
-def create_task(name: str, template: Callable, args: Sequence, target: Target,
-                workload: Optional[str] = None) -> Task:
-    """Create a tuning task from a template callable or registered name.
-
-    ``workload`` optionally names the template for the shared evaluation
-    caches; a registered template's name is used automatically, so identical
-    workloads reached from differently-named tasks share cache entries.
-    """
-    if isinstance(template, str):
-        if workload is None:
-            workload = template
-        template = get_template(template)
-    return Task(name, template, tuple(args), target, workload=workload)

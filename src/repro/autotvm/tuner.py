@@ -24,11 +24,10 @@ import numpy as np
 
 from .cost_model import GradientBoostedTrees
 from .measure import MeasureInput, MeasureResultRecord, Measurer
-from .registry import register_tuner
 from .space import ConfigEntity
 from .task import Task
 
-__all__ = ["TuningRecord", "Tuner", "RandomTuner", "GridSearchTuner", "GATuner",
+__all__ = ["TuningRecord", "Tuner", "RandomTuner", "GATuner",
            "ModelBasedTuner", "SimulatedAnnealingOptimizer"]
 
 logger = logging.getLogger("repro.autotvm")
@@ -151,7 +150,6 @@ class Tuner:
         return history
 
 
-@register_tuner("random")
 class RandomTuner(Tuner):
     """Uniform random exploration of the configuration space."""
 
@@ -159,24 +157,6 @@ class RandomTuner(Tuner):
         return self._random_unvisited(batch_size)
 
 
-@register_tuner("grid")
-class GridSearchTuner(Tuner):
-    """Enumerate the space in index order."""
-
-    def __init__(self, task: Task, seed: int = 0):
-        super().__init__(task, seed)
-        self._cursor = 0
-
-    def next_batch(self, batch_size: int) -> List[ConfigEntity]:
-        space = self.task.config_space
-        out = []
-        while self._cursor < len(space) and len(out) < batch_size:
-            out.append(space.get(self._cursor))
-            self._cursor += 1
-        return out
-
-
-@register_tuner("ga")
 class GATuner(Tuner):
     """Blackbox genetic algorithm over knob indices (no cost model)."""
 
@@ -274,7 +254,6 @@ class SimulatedAnnealingOptimizer:
         return candidates[:num_best]
 
 
-@register_tuner("model")
 class ModelBasedTuner(Tuner):
     """The paper's ML-guided explorer (Figure 11).
 
@@ -415,3 +394,7 @@ class ModelBasedTuner(Tuner):
                         self.task.name, added)
             self._maybe_fit()
         return added
+
+
+#: the tuners a session selects by name (``TuningOptions.tuner``)
+_TUNERS = {"random": RandomTuner, "ga": GATuner, "model": ModelBasedTuner}

@@ -18,8 +18,9 @@ import numpy as np
 
 from ..autotvm.apply_history import ApplyHistoryBest
 from ..autotvm.database import TuningDatabase
+from ..autotvm.task import _verify_once
 from ..graph.ir import Graph
-from ..graph.op_timing import (_VERIFIED_PROGRAMS, TimeEstimate, is_templated,
+from ..graph.op_timing import (TimeEstimate, _task_signature, is_templated,
                                kernel_time, make_task_for_node)
 from ..graph.passes import MemoryPlan, fuse_ops as _fuse_ops_raw
 from ..hardware.target import Target, create_target
@@ -114,21 +115,17 @@ def _verify_kernel_program(node, target: Target,
     the chosen schedule configuration produces an illegal program (e.g. a
     compacted-buffer writeback that misindexes when a fused tile crosses a
     row boundary) instead of simulating its latency as if it were sound.
+    The verdict is the one :meth:`~repro.autotvm.Task.verify` memoises, so a
+    program verified while tuning is not verified again here.
     """
-    from ..analysis.tir_verify import verify_func
     if config_index is None or not is_templated(node, target):
         return
-    # Key on the node's workload signature rather than the Task's args:
-    # building a Task materialises its whole config space, which would cost
-    # more than the verification it is meant to dedup.
-    key = (node.op, tuple(node.shape),
-           tuple(tuple(parent.shape) for parent in node.inputs),
-           repr(sorted(node.attrs.items())), target.name, config_index)
-    if key in _VERIFIED_PROGRAMS:
-        return
-    task = make_task_for_node(node, target)
-    verify_func(task.lower(task.config_space.get(config_index)))
-    _VERIFIED_PROGRAMS.add(key)
+    # The key of the node's Task (template kind, args, target, index), built
+    # from the node's signature: building the Task materialises its whole
+    # config space, which would cost more than the memo hit it looks up.
+    kind, args = _task_signature(node)
+    _verify_once((kind, repr(args), target.name, config_index),
+                 lambda: make_task_for_node(node, target))
 
 
 def _generate_kernels(state: CompileState,

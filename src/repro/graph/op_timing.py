@@ -41,18 +41,14 @@ KERNEL_TIME_CACHE: Dict[Tuple, "TimeEstimate"] = {}
 #: memoised (best_time, best_config_index) of the fallback heuristic
 _FALLBACK_CACHE: Dict[Tuple, Tuple[float, int]] = {}
 
-#: lowered programs already certified by ``compile(verify=True)``, keyed by
-#: (workload, args, target, config index) — kernels recur across models and
-#: opt levels, so each distinct program is verified exactly once per process
-_VERIFIED_PROGRAMS: set = set()
-
 
 def clear_timing_cache() -> None:
+    """Forget every estimate, fallback search and shared evaluation-cache
+    entry (features and verification verdicts) — the next compile is cold."""
     from ..autotvm.eval_cache import clear_eval_caches
 
     KERNEL_TIME_CACHE.clear()
     _FALLBACK_CACHE.clear()
-    _VERIFIED_PROGRAMS.clear()
     clear_eval_caches()
 
 
@@ -286,8 +282,7 @@ def kernel_time(node: Node, target: Target,
             best_time = float("inf")
         tuned, config_index = True, entry.config_index
     else:
-        best_time, config_index = fallback_config_for_node(
-            node, target, fused=fused)
+        best_time, config_index = fallback_config_for_node(node, target)
         tuned = False
     if not math.isfinite(best_time):
         best_time = _memory_bound_time(node, target, fused=fused)
@@ -297,8 +292,7 @@ def kernel_time(node: Node, target: Target,
     return estimate
 
 
-def fallback_config_for_node(node: Node, target: Target,
-                             fused: bool = False) -> Tuple[float, int]:
+def fallback_config_for_node(node: Node, target: Target) -> Tuple[float, int]:
     """``(best_time, best_config_index)`` of the compiler's untuned fallback
     heuristic for a heavy operator node (memoised, deterministic).
 
@@ -308,13 +302,14 @@ def fallback_config_for_node(node: Node, target: Target,
     """
     import zlib
 
-    key = workload_key(node, target) + (fused,)
+    key = workload_key(node, target)
     if key in _FALLBACK_CACHE:
         return _FALLBACK_CACHE[key]
     task = make_task_for_node(node, target)
     if task is None:
         raise ValueError(f"Node {node.name!r} ({node.op}) has no schedule template")
-    seed = zlib.crc32(repr(key).encode())
+    # ``(False,)``: the seed every recorded search was drawn with
+    seed = zlib.crc32(repr(key + (False,)).encode())
     result = fallback_search(task, target, seed=seed)
     _FALLBACK_CACHE[key] = result
     return result

@@ -122,7 +122,6 @@ class ProgramFeatures:
     barrier_count: float = 0.0
     dep_token_count: float = 0.0
     serial_trip_count: float = 1.0
-    outer_loop_count: int = 0
     max_loop_depth: int = 0
     allocation_bytes: Dict[str, float] = field(default_factory=dict)
     store_count: float = 0.0
@@ -501,7 +500,6 @@ class _FeatureExtractor:
             extent = loop.extent_value()
         except ValueError:
             extent = 1
-        depth_before = len(self._loop_stack)
         if loop.kind == ForKind.VECTORIZED:
             self.features.vector_lanes = max(self.features.vector_lanes, float(extent))
         elif loop.kind == ForKind.UNROLLED:
@@ -515,8 +513,6 @@ class _FeatureExtractor:
         elif loop.kind == ForKind.VTHREAD:
             self.features.vthread_extent *= float(extent)
         else:
-            if depth_before == 0:
-                self.features.outer_loop_count += 1
             self.features.serial_trip_count *= float(max(extent, 1))
 
         # Push onto the effective (tag-deduplicated) stack unless an

@@ -1,12 +1,16 @@
-"""Tests for the unified tuning session: ``repro.autotune``, the tuner
-registry, ``TuningOptions``, the measurement pipeline, ``ApplyHistoryBest``
+"""Tests for the unified tuning session: ``repro.autotune``, its tuner
+names, ``TuningOptions``, the measurement pipeline, ``ApplyHistoryBest``
 history-based compilation, and the tuning database dedupe/persistence
 behaviour."""
 
 import logging
 import math
+import os
+import subprocess
+import sys
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +27,7 @@ from repro.autotvm import (
     TuningDatabase,
     TuningOptions,
     TuningReport,
-    get_tuner,
-    list_tuners,
-    register_tuner,
 )
-from repro.autotvm.registry import TUNER_REGISTRY
 from repro.graph.ir import Graph, Node
 from repro.graph.ops import OP_REGISTRY
 from repro.hardware import arm_cpu, cuda
@@ -57,38 +57,40 @@ def small_task():
 
 
 # ---------------------------------------------------------------------------
-# Tuner registry
+# Tuner names: the session's one name -> tuner table
 # ---------------------------------------------------------------------------
 
 class TestTunerRegistry:
     def test_builtin_tuners_registered(self):
-        assert {"random", "grid", "ga", "model"} <= set(list_tuners())
-        assert get_tuner("model") is ModelBasedTuner
-        assert get_tuner("random") is RandomTuner
+        from repro.autotvm.tuner import _TUNERS
+
+        assert _TUNERS == {"random": RandomTuner, "ga": GATuner,
+                           "model": ModelBasedTuner}
 
     def test_unknown_tuner_fails_loudly(self):
-        with pytest.raises(ValueError, match="registered tuners"):
-            get_tuner("modle")          # typo
+        with pytest.raises(ValueError, match=r"'modle'; valid tuners: "
+                                             r"\['ga', 'model', 'random'\]"):
+            repro.autotune(conv_graph(), cuda(), tuner="modle")     # typo
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_tuner("random", RandomTuner)
+    def test_autotune_validates_tuner_before_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("tasks extracted before the tuner check")
 
-    def test_register_and_override(self):
-        class MyTuner(RandomTuner):
-            pass
+        monkeypatch.setattr(autotvm.session, "_extract_task_nodes", no_work)
+        with pytest.raises(ValueError, match="valid tuners"):
+            repro.autotune(conv_graph(), cuda(), tuner="nope",
+                           options=TuningOptions(trials=2))
 
-        register_tuner("_test_tuner", MyTuner)
-        try:
-            assert get_tuner("_test_tuner") is MyTuner
-            register_tuner("_test_tuner", RandomTuner, override=True)
-            assert get_tuner("_test_tuner") is RandomTuner
-        finally:
-            TUNER_REGISTRY.pop("_test_tuner", None)
-
-    def test_autotune_validates_tuner_before_work(self, small_task):
-        with pytest.raises(ValueError, match="registered tuners"):
-            autotvm.tune_tasks([small_task], tuner="nope")
+    def test_import_does_not_load_the_tuning_service(self):
+        # Sessions without a service never touch the package; importing the
+        # tuning library must not load its client, server, protocol or zoo.
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = ("import sys, repro.autotvm; print(sorted(m for m in "
+                 "sys.modules if m.startswith('repro.autotvm.service')))")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +532,12 @@ class TestWarmStart:
         assert tuner.warm_start(db) == 0
 
     def test_session_warm_start_reported(self, small_task):
-        first = autotvm.tune_tasks([small_task], trials=16, tuner="model",
-                                   options=TuningOptions(seed=0))
-        second = autotvm.tune_tasks([small_task], trials=8, tuner="model",
-                                    options=TuningOptions(seed=1),
-                                    database=first.database)
+        first = repro.autotune(conv_graph(), cuda(), trials=16, tuner="model",
+                               options=TuningOptions(seed=0))
+        second = repro.autotune(conv_graph(), cuda(), trials=8, tuner="model",
+                                options=TuningOptions(seed=1),
+                                database=first.database)
+        assert second.results[0].task_name == small_task.name
         assert second.results[0].warm_samples > 0
 
     def test_cross_shape_transfer_through_public_api(self):

@@ -20,7 +20,7 @@ def matmul_template(cfg, m, n, k):
 
 @pytest.fixture(scope="module")
 def matmul_task():
-    return autotvm.create_task("matmul_64", matmul_template, (64, 64, 64), cuda())
+    return autotvm.Task("matmul_64", matmul_template, (64, 64, 64), cuda())
 
 
 def test_config_space_enumeration():
@@ -115,12 +115,6 @@ def test_tuners_find_better_than_median(matmul_task):
         assert all(b >= a for a, b in zip(history[1:], history[:-1]))  # non-increasing
 
 
-def test_grid_search_tuner_enumerates_in_order(matmul_task):
-    tuner = autotvm.GridSearchTuner(matmul_task)
-    batch = tuner.next_batch(4)
-    assert [cfg.index for cfg in batch] == [0, 1, 2, 3]
-
-
 def test_tuning_database_roundtrip(tmp_path, matmul_task):
     path = tmp_path / "log.jsonl"
     database = autotvm.TuningDatabase(str(path))
@@ -132,18 +126,3 @@ def test_tuning_database_roundtrip(tmp_path, matmul_task):
     best = reloaded.best(matmul_task.name)
     assert best.config_index == 5
     assert reloaded.best("unknown-task") is None
-
-
-def test_template_registry():
-    @autotvm.register_template("unit_test_template")
-    def _template(cfg, n):
-        A = te.placeholder((n,), name="A")
-        B = te.compute((n,), lambda i: A[i] + 1.0, name="B")
-        s = te.create_schedule(B.op)
-        return s, [A, B]
-
-    assert autotvm.get_template("unit_test_template") is _template
-    task = autotvm.create_task("unit", "unit_test_template", (16,), cuda())
-    assert isinstance(task.lower(task.config_space.get(0)), tir.LoweredFunc)
-    with pytest.raises(KeyError):
-        autotvm.get_template("missing_template")

@@ -10,7 +10,6 @@ from repro import te, tir
 from repro.autotvm import (
     GATuner,
     GradientBoostedTrees,
-    GridSearchTuner,
     Measurer,
     ModelBasedTuner,
     NeuralCostModel,
@@ -227,12 +226,6 @@ class TestTuners:
         tuner = RandomTuner(task, seed=0)
         tuner.tune(n_trial=10, batch_size=4)
         assert len(tuner.records) <= 10
-
-    def test_grid_search_enumerates_in_order(self):
-        task = _make_cpu_task(size=16)
-        tuner = GridSearchTuner(task, seed=0)
-        tuner.tune(n_trial=6, batch_size=3)
-        assert [r.config_index for r in tuner.records] == list(range(6))
 
     def test_model_based_outperforms_or_matches_random(self):
         task = _make_task(size=64)

@@ -133,7 +133,6 @@ class TestTaskEvalCache:
         assert eval_cache_stats()["features"]["misses"] == misses
 
     def test_same_name_different_args_do_not_collide(self, fresh_caches):
-        from repro.autotvm import create_task
         from repro.topi import nn as topi_nn
         from repro.topi.schedules import gpu as gpu_sched
         from repro import te
@@ -144,8 +143,8 @@ class TestTaskEvalCache:
             c = topi_nn.matmul(a, b)
             return gpu_sched.matmul_gpu_template(cfg, a, b, c)
 
-        small = create_task("clash", matmul_template, (8, 8, 8), cuda())
-        large = create_task("clash", matmul_template, (64, 64, 64), cuda())
+        small = autotvm.Task("clash", matmul_template, (8, 8, 8), cuda())
+        large = autotvm.Task("clash", matmul_template, (64, 64, 64), cuda())
         assert small.flop != large.flop
         assert small.features_of(0).total_flops \
             != large.features_of(0).total_flops
@@ -154,7 +153,6 @@ class TestTaskEvalCache:
         # Cache keys are normalised on the *workload* (template identity +
         # args + target), not the task name, so identically-shaped tasks
         # registered under different names share one lowering/featurisation.
-        from repro.autotvm import create_task
         from repro.topi import nn as topi_nn
         from repro.topi.schedules import gpu as gpu_sched
         from repro import te
@@ -165,8 +163,8 @@ class TestTaskEvalCache:
             c = topi_nn.matmul(a, b)
             return gpu_sched.matmul_gpu_template(cfg, a, b, c)
 
-        alpha = create_task("alpha_mm", matmul_template, (8, 8, 8), cuda())
-        beta = create_task("beta_mm", matmul_template, (8, 8, 8), cuda())
+        alpha = autotvm.Task("alpha_mm", matmul_template, (8, 8, 8), cuda())
+        beta = autotvm.Task("beta_mm", matmul_template, (8, 8, 8), cuda())
         assert alpha.name != beta.name
         assert alpha.workload == beta.workload
         alpha.features_of(1)
@@ -546,8 +544,8 @@ class TestCandidateEvaluationFreesWhatItBuilds:
         assert te_expr._SCOPE.simplifier is None
 
     def test_nothing_is_retained_after_a_failing_config(self, fresh_caches):
-        task = autotvm.create_task("unread", _unread_attachment_template,
-                                   (16,), cuda())
+        task = autotvm.Task("unread", _unread_attachment_template, (16,),
+                            cuda())
         before = _live_exprs()
         with pytest.raises(tir.lowering.LoweringError, match="never read"):
             task.features_of(0)

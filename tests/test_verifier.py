@@ -4,6 +4,7 @@ measurers, instrument failure paths and the invariant linter."""
 
 import importlib.util
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import te
 from repro.analysis import (
     MUTATIONS,
     DtypeMismatchError,
@@ -28,11 +30,14 @@ from repro.analysis import (
     verify_func,
     verify_graph,
 )
+from repro.autotvm import Task, TuningOptions, clear_eval_caches
 from repro.autotvm.measure import Measurer, MeasureInput
+from repro.autotvm.task import _FailureMarker
 from repro.compiler import PassContext
 from repro.compiler.instruments import InstrumentError, PassInstrument
 from repro.graph.ir import Graph, Node
 from repro.graph.passes import fuse_ops, plan_memory
+from repro.hardware import cuda
 from repro.te.expr import Add, FloatImm, IntImm, Var
 from repro.tir.stmt import (Buffer, BufferLoad, BufferStore, For, ForKind,
                             LoweredFunc)
@@ -258,18 +263,61 @@ class TestCompileVerify:
         # verified compile skipped every program seen earlier in the process.
         assert verified_compile() == cold
 
+    def test_program_verified_while_tuning_is_not_verified_again(
+            self, monkeypatch):
+        calls = _count_verify_calls(monkeypatch)
+        clear_eval_caches()
+        # ensure_no_regression=False: the recorded best is a measured config
+        report = repro.autotune(_small_graph(), target="cuda", trials=8,
+                                options=TuningOptions(
+                                    verify=True, ensure_no_regression=False))
+        tuning = len(calls)
+        assert tuning > 0
+        with report.apply_history_best():
+            module = repro.compile(_small_graph(), target="cuda", verify=True)
+        assert module.tuned_kernels == 1
+        assert len(calls) == tuning     # one memo: the verdict is reused
+
 
 # ---------------------------------------------------------------------------
 # Candidate-schedule verification in the measurer
 # ---------------------------------------------------------------------------
 
-class _BrokenTask:
-    """Duck-typed task whose every schedule lowers to an OOB program."""
+def _count_verify_calls(monkeypatch):
+    """Count the lowered programs the TIR verifier is called on."""
+    from repro.analysis import tir_verify
 
-    name = "broken_task"
+    calls = []
+    real = tir_verify.verify_func
+
+    def counting(func):
+        calls.append(func.name)
+        return real(func)
+
+    monkeypatch.setattr(tir_verify, "verify_func", counting)
+    return calls
+
+
+def _traceback_depth(exc):
+    depth, tb = 0, exc.__traceback__
+    while tb is not None:
+        depth, tb = depth + 1, tb.tb_next
+    return depth
+
+
+def _eight_knob_template(cfg):
+    cfg.define_knob("k", list(range(8)))
+    a = te.placeholder((16,), name="a")
+    b = te.compute((16,), lambda i: a[i] + 1.0, name="b")
+    return te.create_schedule(b.op), [a, b]
+
+
+class _BrokenTask(Task):
+    """A task whose every schedule lowers to an OOB program."""
 
     def __init__(self):
-        self.target = SimpleNamespace(model=None)
+        super().__init__("broken_task", _eight_knob_template, (), cuda(),
+                         workload="broken")
 
     def lower(self, config):
         return _elemwise_func(extent=32, size=16)
@@ -284,15 +332,46 @@ class TestMeasurerVerify:
             measurer._verify_one(inp)
         assert measurer.num_rejected == 1
 
-    def test_rejection_memoized_per_config(self):
+    def test_rejection_memoized_per_config(self, monkeypatch):
+        calls = _count_verify_calls(monkeypatch)
+        clear_eval_caches()
         measurer = Measurer(verify=True)
-        task = _BrokenTask()
-        inp = MeasureInput(task=task, config=SimpleNamespace(index=7))
+        inp = MeasureInput(task=_BrokenTask(),
+                           config=SimpleNamespace(index=7))
         for _ in range(3):
             with pytest.raises(TIRVerifierError):
                 measurer._verify_one(inp)
         assert measurer.num_rejected == 3
-        assert len(measurer._verify_cache) == 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n_parallel", [1, 4])
+    def test_replayed_rejections_are_fresh_exceptions(self, n_parallel):
+        # A cached rejection used to be one live exception re-raised from
+        # every worker thread, its traceback two frames longer per raise.
+        measurer = Measurer(verify=True, n_parallel=n_parallel)
+        inp = MeasureInput(task=_BrokenTask(),
+                           config=SimpleNamespace(index=5))
+
+        def reject(_):
+            try:
+                measurer._verify_one(inp)
+            except TIRVerifierError as exc:
+                return exc
+            raise AssertionError("an illegal schedule was accepted")
+
+        with ThreadPoolExecutor(max_workers=n_parallel) as pool:
+            errors = list(pool.map(reject, range(8)))
+        assert len({id(exc) for exc in errors}) == len(errors)
+        assert len({_traceback_depth(exc) for exc in errors}) == 1
+        assert len({str(exc) for exc in errors}) == 1
+
+    def test_replayed_verifier_error_keeps_its_class(self):
+        original = OutOfBoundsError("index 32 past extent 16", node="x")
+        replayed = _FailureMarker.of(original).replay()
+        assert type(replayed) is OutOfBoundsError
+        assert replayed is not original
+        assert (str(replayed), replayed.check, replayed.node) \
+            == (str(original), "buffer_bounds", "x")
 
     def test_rejected_candidate_becomes_errored_measurement(self):
         measurer = Measurer(verify=True)
@@ -631,6 +710,33 @@ class TestLintInvariants:
         elsewhere.parent.mkdir()
         elsewhere.write_text(source)
         assert linter.lint_file(elsewhere) == []
+
+    def test_one_verification_memo_rule(self, tmp_path):
+        linter = _load_linter()
+        source = (
+            "from ..analysis import tir_verify\n"
+            "from ..analysis.tir_verify import verify_func\n"
+            "def _verify_once(key, make_task):\n"
+            "    verify_func(make_task().lower(key))\n"    # the memo itself
+            "def _verify_one(self, inp):\n"
+            "    tir_verify.verify_func(inp.task.lower(inp.config))\n"
+            "    verify_func(inp.task.lower(inp.config))\n"
+            "    inp.task.verify(inp.config.index)\n")     # through the memo
+        memo = tmp_path / "autotvm" / "task.py"
+        memo.parent.mkdir()
+        memo.write_text(source)
+        assert [(v.rule, v.line) for v in linter.lint_file(memo)] \
+            == [("one-verification-memo", line) for line in (6, 7)]
+        # only task.py's _verify_once is the memo; analysis/ defines the
+        # verifier and its mutation harness calls it
+        driver = tmp_path / "compiler" / "driver.py"
+        driver.parent.mkdir()
+        driver.write_text(source)
+        assert [v.line for v in linter.lint_file(driver)] == [4, 6, 7]
+        harness = tmp_path / "analysis" / "mutate.py"
+        harness.parent.mkdir()
+        harness.write_text(source)
+        assert linter.lint_file(harness) == []
 
     def test_exiting_poll_loop_not_flagged(self, tmp_path):
         linter = _load_linter()

@@ -106,6 +106,16 @@ Rules
     (the context hooks and the per-kernel observer once were called that
     way, and only tests ever implemented them).
 
+``one-verification-memo``
+    ``verify_func(`` is called only by the memo ``_verify_once`` in
+    ``autotvm/task.py`` (and inside ``analysis/``, which defines it and whose
+    mutation harness exercises it).  "Is this candidate's program legal?" has
+    one answer, memoised once in the shared evaluation cache under the
+    task's cache identity: the measurer and ``compile(verify=True)`` once
+    each kept their own copy under their own keys, so a program verified
+    while tuning was verified again at compile, and the measurer re-raised
+    one live exception object whose traceback grew with every replay.
+
 Exit status is 0 when clean, 1 when any violation is found.
 """
 
@@ -150,6 +160,8 @@ RULES = {
     "one-instrument-seam": ("compiler/: instrument hooks are called only "
                             "inside pass_manager._run_hook (crashes become "
                             "InstrumentError naming the pass)"),
+    "one-verification-memo": ("verify_func( only inside analysis/ and the "
+                              "memo autotvm/task.py::_verify_once"),
 }
 
 #: files (by trailing path parts) allowed to call ``._execute(``
@@ -174,6 +186,8 @@ _INSTRUMENT_HOOKS = ("run_before_pass", "run_after_pass", "enter_pass_ctx",
                      "exit_pass_ctx", "should_run", "observe_kernel")
 #: the one scope that may call an instrument hook
 _HOOK_SITE = ("compiler", "pass_manager.py", "_run_hook")
+#: the one scope outside analysis/ that may call ``verify_func``
+_VERIFY_MEMO_SITE = ("autotvm", "task.py", "_verify_once")
 #: stdlib queue classes (``queue.X(...)`` or imported bare)
 _QUEUE_CLASSES = ("Queue", "SimpleQueue", "LifoQueue", "PriorityQueue")
 
@@ -243,6 +257,14 @@ def _is_sleep(call: ast.Call) -> bool:
     return isinstance(fn, ast.Name) and fn.id == "sleep"
 
 
+def _calls(call: ast.Call, name: str) -> bool:
+    """``name(...)`` or ``<x>.name(...)``."""
+    fn = call.func
+    if isinstance(fn, ast.Attribute):
+        return fn.attr == name
+    return isinstance(fn, ast.Name) and fn.id == name
+
+
 def _is_unpickle(call: ast.Call) -> bool:
     """``pickle.load(...)`` / ``pickle.loads(...)``."""
     fn = call.func
@@ -307,6 +329,7 @@ class _Linter(ast.NodeVisitor):
         self.is_compile_path = any(part in _COMPILE_PACKAGES for part in parts)
         self.is_compiler = "compiler" in parts
         self.is_hook_site_file = parts[-2:] == _HOOK_SITE[:2]
+        self.is_verify_memo_file = parts[-2:] == _VERIFY_MEMO_SITE[:2]
         self.is_kernels = parts[-2:] == ("topi", "reference.py")
         self.owns_bounds = parts[-2:] == ("te", "expr.py")
         self.package = parts[-2] if len(parts) > 1 else ""
@@ -482,6 +505,12 @@ class _Linter(ast.NodeVisitor):
                          f".{node.func.attr}( outside pass_manager._run_hook "
                          f"— a crashing hook must surface as an "
                          f"InstrumentError naming the pass")
+        if (self.package != "analysis" and _calls(node, "verify_func")
+                and not (self.is_verify_memo_file
+                         and _VERIFY_MEMO_SITE[2] in self._scope)):
+            self._report("one-verification-memo", node,
+                         "verify_func( outside autotvm/task.py::_verify_once "
+                         "— verify through Task.verify, the one memo")
         if _is_unpickle(node):
             self._report("legacy-shim", node,
                          "pickle.load — artifacts load through repro.load")
