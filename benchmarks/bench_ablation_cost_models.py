@@ -20,7 +20,6 @@ from common import conv_graph, emit_summary, get_target
 from repro import tir
 from repro.autotvm import (
     GradientBoostedTrees,
-    NeuralCostModel,
     TreeRNNCostModel,
     extract_tasks,
     rank_correlation,
@@ -70,16 +69,6 @@ def _evaluate():
     results["GBT (default)"] = {
         "rank_corr": rank_correlation(pred, throughput[split:]),
         "predict_ms": gbt_time * 1e3,
-    }
-
-    mlp = NeuralCostModel(seed=0)
-    mlp.fit(features[:split], throughput[:split])
-    start = time.perf_counter()
-    pred = mlp.predict(features[split:])
-    mlp_time = (time.perf_counter() - start) / max(len(pred), 1)
-    results["MLP"] = {
-        "rank_corr": rank_correlation(pred, throughput[split:]),
-        "predict_ms": mlp_time * 1e3,
     }
 
     treernn = TreeRNNCostModel(seed=0, epochs=30)

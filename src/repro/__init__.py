@@ -22,9 +22,7 @@ first access.  The lazily resolved top-level attributes:
 ``compile``          the unified compilation pipeline (``repro.compiler``)
 ``CompiledModule``   its deployable result object
 ``PassContext``      compilation configuration scope
-``TimingInstrument`` per-pass instrumentation
 ``VerifierError``    base of the static-analysis error hierarchy
-``VerifyInstrument`` per-pass IR verification (``repro.analysis``)
 ``autotune``         the unified tuning session (``repro.autotvm``)
 ``TuningReport``     its result object (configs, curves, database)
 ``TuningOptions``    tuning-session configuration
@@ -70,9 +68,7 @@ _LAZY_ATTRS = {
     "compile": ("repro.compiler", "compile"),
     "CompiledModule": ("repro.compiler", "CompiledModule"),
     "PassContext": ("repro.compiler", "PassContext"),
-    "TimingInstrument": ("repro.compiler", "TimingInstrument"),
     "VerifierError": ("repro.analysis", "VerifierError"),
-    "VerifyInstrument": ("repro.analysis", "VerifyInstrument"),
     "autotune": ("repro.autotvm", "autotune"),
     "ApplyHistoryBest": ("repro.autotvm", "ApplyHistoryBest"),
     "TuningOptions": ("repro.autotvm", "TuningOptions"),
@@ -89,11 +85,10 @@ __all__ = sorted(_SUBMODULES | set(_LAZY_ATTRS) | {"__version__"})
 if TYPE_CHECKING:  # static importers see the real modules
     from . import (analysis, autotvm, baselines, compiler, faults, frontend,
                    graph, hardware, runtime, te, tir, topi, workloads)
-    from .analysis import VerifierError, VerifyInstrument
+    from .analysis import VerifierError
     from .autotvm import (ApplyHistoryBest, TuningOptions, TuningReport,
                           autotune)
-    from .compiler import (CompiledModule, PassContext, TimingInstrument,
-                           compile)
+    from .compiler import CompiledModule, PassContext, compile
     from .runtime.executor import Executor
     from .runtime.ndarray import Device
     from .runtime.serving import InferenceEngine, serve

@@ -9,9 +9,6 @@ The analysis layer certifies compiler output instead of trusting it:
   lowered loop nests (interval analysis with linear-form cancellation),
   def-before-use of loop variables and buffers, and the parallel-hazard
   detector for ``parallel``/``vectorize`` annotations;
-* :mod:`~repro.analysis.instrument` — :class:`VerifyInstrument`, which hooks
-  the pass manager so ``repro.compile(..., verify=True)`` re-verifies the
-  graph after every pass;
 * :mod:`~repro.analysis.mutate` — the seeded IR-mutation harness proving
   each check actually fires.
 
@@ -45,7 +42,6 @@ from .graph_verify import (
     verify_shapes,
     verify_well_formed,
 )
-from .instrument import VerifyInstrument
 from .mutate import MUTATIONS, run_all, run_mutation
 from .tir_verify import verify_func
 
@@ -73,7 +69,6 @@ __all__ = [
     "verify_layout",
     "verify_memory_plan",
     "verify_func",
-    "VerifyInstrument",
     "MUTATIONS",
     "run_mutation",
     "run_all",

@@ -16,7 +16,6 @@ from .eval_cache import (
 )
 from .cost_model import (
     GradientBoostedTrees,
-    NeuralCostModel,
     RegressionTree,
     rank_correlation,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "MeasureResultRecord",
     "Measurer",
     "ModelBasedTuner",
-    "NeuralCostModel",
     "OtherEntity",
     "ProgressEvent",
     "RandomTuner",

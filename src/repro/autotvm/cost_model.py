@@ -1,14 +1,12 @@
 """ML-based cost models (paper Section 5.2, Figure 13, Table 1).
 
-Two models are provided, mirroring the paper's design space:
-
-* :class:`GradientBoostedTrees` — the default: gradient-boosted regression
-  trees over loop-program features, trained with either a squared-error or a
-  pairwise **rank** objective (the paper's choice, since the explorer only
-  needs the relative order of candidates).  XGBoost itself is unavailable
-  offline, so the trees and the boosting loop are implemented here.
-* :class:`NeuralCostModel` — a small multi-layer perceptron standing in for
-  the TreeRNN alternative the paper evaluates (similar quality, slower).
+:class:`GradientBoostedTrees` is the default model: gradient-boosted
+regression trees over loop-program features, trained with either a
+squared-error or a pairwise **rank** objective (the paper's choice, since the
+explorer only needs the relative order of candidates).  XGBoost itself is
+unavailable offline, so the trees and the boosting loop are implemented
+here.  The TreeRNN alternative the paper evaluates is
+:class:`~repro.autotvm.treernn.TreeRNNCostModel`.
 
 The explorer scores thousands of candidates per tuning round, so the hot
 paths are vectorized: fitted trees are flattened into numpy node arrays for
@@ -27,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["RegressionTree", "GradientBoostedTrees", "NeuralCostModel", "rank_correlation"]
+__all__ = ["RegressionTree", "GradientBoostedTrees", "rank_correlation"]
 
 
 class RegressionTree:
@@ -453,64 +451,6 @@ class GradientBoostedTrees:
         for t in range(leaf.shape[1]):
             pred += self.learning_rate * leaf[:, t]
         return pred
-
-
-class NeuralCostModel:
-    """A small MLP trained on loop-program features (TreeRNN stand-in)."""
-
-    def __init__(self, hidden: int = 32, epochs: int = 150, learning_rate: float = 1e-2,
-                 seed: int = 0):
-        self.hidden = hidden
-        self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.rng = np.random.default_rng(seed)
-        self._weights: Optional[Tuple[np.ndarray, ...]] = None
-        self._norm: Tuple[np.ndarray, np.ndarray] = (np.zeros(1), np.ones(1))
-
-    def fit(self, features: np.ndarray, throughputs: np.ndarray) -> "NeuralCostModel":
-        x = np.asarray(features, dtype=np.float64)
-        y = np.asarray(throughputs, dtype=np.float64)
-        if len(y) < 4:
-            self._weights = None
-            return self
-        mean, std = x.mean(axis=0), x.std(axis=0) + 1e-8
-        self._norm = (mean, std)
-        xn = (x - mean) / std
-        n_features = x.shape[1]
-        w1 = self.rng.normal(0, 0.3, size=(n_features, self.hidden))
-        b1 = np.zeros(self.hidden)
-        w2 = self.rng.normal(0, 0.3, size=(self.hidden, 1))
-        b2 = np.zeros(1)
-        lr = self.learning_rate
-        target = (y - y.mean()) / (y.std() + 1e-8)
-        for _ in range(self.epochs):
-            hidden = np.tanh(xn @ w1 + b1)
-            out = (hidden @ w2 + b2).ravel()
-            err = out - target
-            grad_out = 2 * err[:, None] / len(y)
-            grad_w2 = hidden.T @ grad_out
-            grad_b2 = grad_out.sum(axis=0)
-            grad_hidden = grad_out @ w2.T * (1 - hidden ** 2)
-            grad_w1 = xn.T @ grad_hidden
-            grad_b1 = grad_hidden.sum(axis=0)
-            w1 -= lr * grad_w1
-            b1 -= lr * grad_b1
-            w2 -= lr * grad_w2
-            b2 -= lr * grad_b2
-        self._weights = (w1, b1, w2, b2)
-        return self
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        x = np.asarray(features, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
-        if self._weights is None:
-            return np.zeros(len(x))
-        mean, std = self._norm
-        xn = (x - mean) / std
-        w1, b1, w2, b2 = self._weights
-        hidden = np.tanh(xn @ w1 + b1)
-        return (hidden @ w2 + b2).ravel()
 
 
 def rank_correlation(predicted: Sequence[float], actual: Sequence[float]) -> float:

@@ -3,8 +3,9 @@
 ``repro.compile`` is the single front door: graph in, deployable
 :class:`CompiledModule` out.  The graph level is one fixed pass pipeline —
 :data:`DEFAULT_PIPELINE`, a tuple of opt-level gated :class:`Pass` records —
-configured by a :class:`PassContext`, so benchmarks ablate passes by name and
-instruments observe every rewrite::
+configured by a :class:`PassContext`, so benchmarks ablate passes by name;
+every executed pass leaves a :class:`PassRecord` on
+``module.pass_records``::
 
     import repro
 
@@ -16,11 +17,10 @@ instruments observe every rewrite::
 """
 
 from .driver import compile, framework_overhead
-from .instruments import PassInstrument, PassRecord, TimingInstrument
-from .module import CompiledKernel, CompiledModule
+from .module import CompiledKernel, CompiledModule, PassRecord
 from .pass_context import PassContext
 from .pass_manager import CompileState, Pass
-from .passes import DEFAULT_PIPELINE, PASS_REGISTRY
+from .passes import DEFAULT_PIPELINE
 from . import passes
 
 __all__ = [
@@ -28,12 +28,9 @@ __all__ = [
     "CompiledKernel",
     "CompiledModule",
     "DEFAULT_PIPELINE",
-    "PASS_REGISTRY",
     "Pass",
     "PassContext",
-    "PassInstrument",
     "PassRecord",
-    "TimingInstrument",
     "compile",
     "framework_overhead",
     "passes",

@@ -6,8 +6,8 @@ graph-optimization pass pipeline under the active
 :class:`~repro.compiler.pass_context.PassContext`, generates one kernel per
 fused group with the operator-level compiler, and returns a single
 :class:`~repro.compiler.module.CompiledModule` carrying everything the
-runtime and the benchmarks need — including the per-pass instrumentation
-records.
+runtime and the benchmarks need — including a record of each executed
+pass's wall time and node counts.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from ..graph.op_timing import (TimeEstimate, _task_signature, is_templated,
                                kernel_time, make_task_for_node)
 from ..graph.passes import MemoryPlan, fuse_ops as _fuse_ops_raw
 from ..hardware.target import Target, create_target
-from .instruments import TimingInstrument
 from .module import CompiledKernel, CompiledModule
 from .pass_context import PassContext
 from .pass_manager import CompileState, run_pipeline
@@ -213,22 +212,16 @@ def compile(model: ModelLike, target: Union[Target, str, None] = None, *,
     if opt_level is not None:
         ctx = ctx.cloned(opt_level=opt_level)
 
-    timing = TimingInstrument()
-    instruments = list(ctx.instruments) + [timing]
-    if verify:
-        from ..analysis.instrument import VerifyInstrument
-
-        instruments.append(VerifyInstrument())
     state = CompileState(graph=graph, params=params, target=resolved_target,
                          input_shapes=shapes)
-    run_pipeline(state, ctx, instruments)
+    pass_records = run_pipeline(state, ctx, verify)
 
     if state.memory_plan is None:
         state.memory_plan = _unplanned_memory(state.graph)
     if verify:
         # Final check: the post-pipeline graph together with the artifacts
         # codegen consumes (fusion groups, possibly the fallback memory plan
-        # built above, which no pass instrument ever saw).
+        # built above, which no pass ever saw).
         from ..analysis.graph_verify import verify_graph
 
         verify_graph(state.graph, groups=state.groups,
@@ -242,5 +235,5 @@ def compile(model: ModelLike, target: Union[Target, str, None] = None, *,
         memory_plan=state.memory_plan,
         opt_level=ctx.opt_level,
         layout_transforms=state.layout_transforms,
-        pass_records=list(timing.records),
+        pass_records=pass_records,
     )

@@ -2,10 +2,10 @@
 
 A :class:`CompiledModule` is the *single* object the new compilation pipeline
 hands back: optimized graph, per-group kernels, bound parameters, the static
-memory plan, and the per-pass instrumentation records gathered while the
-module was built.  It also knows how to persist itself as a versioned
-artifact bundle (``export``, restored by ``repro.load``); it executes through
-``repro.Executor(module, device)``.
+memory plan, and the per-pass records (wall time, node and parameter
+counts) gathered while the module was built.  It also knows how to persist
+itself as a versioned artifact bundle (``export``, restored by
+``repro.load``); it executes through ``repro.Executor(module, device)``.
 
 This module deliberately has no eager intra-package imports: it sits below
 both :mod:`repro.graph` and :mod:`repro.runtime` in the import graph, which
@@ -23,9 +23,21 @@ if TYPE_CHECKING:  # imports for annotations only — see module docstring
     from ..graph.ir import Graph
     from ..graph.passes import FusedGroup, MemoryPlan
     from ..hardware.target import Target
-    from .instruments import PassRecord
 
-__all__ = ["CompiledKernel", "CompiledModule"]
+__all__ = ["CompiledKernel", "CompiledModule", "PassRecord"]
+
+
+@dataclass
+class PassRecord:
+    """One executed graph pass: its wall time and the node and parameter
+    counts of the graph before and after it."""
+
+    name: str
+    seconds: float
+    nodes_before: int
+    nodes_after: int
+    params_before: int
+    params_after: int
 
 
 @dataclass
@@ -70,7 +82,7 @@ class CompiledModule:
     memory_plan: "MemoryPlan"
     opt_level: int
     layout_transforms: int = 0
-    pass_records: List["PassRecord"] = field(default_factory=list)
+    pass_records: List[PassRecord] = field(default_factory=list)
 
     # ------------------------------------------------------------- reporting
     @property
@@ -84,12 +96,13 @@ class CompiledModule:
 
     def pass_timings(self) -> Dict[str, float]:
         """Wall-clock seconds spent in each executed compilation pass."""
-        from .instruments import aggregate_timings
-
-        return aggregate_timings(self.pass_records)
+        timings: Dict[str, float] = {}
+        for record in self.pass_records:
+            timings[record.name] = timings.get(record.name, 0.0) + record.seconds
+        return timings
 
     def pass_summary(self) -> str:
-        """Human-readable table of the per-pass instrumentation records."""
+        """Human-readable table of the per-pass records."""
         if not self.pass_records:
             return "(no pass records)"
         lines = [f"{'pass':<26} {'wall (us)':>10} {'nodes':>12} {'params':>12}"]

@@ -1,10 +1,9 @@
 """Compilation configuration carried through the pass pipeline.
 
-A :class:`PassContext` is a context manager holding the optimization level,
-the set of passes to disable (ablations:
+A :class:`PassContext` is a context manager holding the optimization level
+and the set of passes to disable (ablations:
 ``PassContext(disabled_passes=["fuse_ops"])`` is the paper's "TVM w/o graph
-opt" row), extra passes to splice into the default pipeline, and the
-instruments observing each executed pass::
+opt" row)::
 
     with repro.PassContext(opt_level=2, disabled_passes=["alter_layout"]):
         module = repro.compile(model, target="cuda")
@@ -16,10 +15,7 @@ Contexts nest; :meth:`PassContext.current` returns the innermost active one
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterable, List, Sequence
-
-if TYPE_CHECKING:
-    from .instruments import PassInstrument
+from typing import Iterable, List
 
 __all__ = ["PassContext"]
 
@@ -39,15 +35,11 @@ class PassContext:
         return stack
 
     def __init__(self, opt_level: int = 2,
-                 disabled_passes: Iterable[str] = (),
-                 extra_passes: Sequence = (),
-                 instruments: Sequence["PassInstrument"] = ()):
+                 disabled_passes: Iterable[str] = ()):
         if opt_level < 0:
             raise ValueError(f"opt_level must be >= 0, got {opt_level}")
         self.opt_level = int(opt_level)
         self.disabled_passes = frozenset(disabled_passes)
-        self.extra_passes: List = list(extra_passes)
-        self.instruments: List["PassInstrument"] = list(instruments)
 
     # ------------------------------------------------------------- scoping
     @classmethod
@@ -72,16 +64,9 @@ class PassContext:
     # ------------------------------------------------------------- helpers
     def cloned(self, opt_level: int) -> "PassContext":
         """A copy of this context at another ``opt_level``."""
-        return PassContext(
-            opt_level=opt_level,
-            disabled_passes=self.disabled_passes,
-            extra_passes=self.extra_passes,
-            instruments=self.instruments,
-        )
+        return PassContext(opt_level=opt_level,
+                           disabled_passes=self.disabled_passes)
 
     def __repr__(self) -> str:
-        disabled = sorted(self.disabled_passes)
         return (f"PassContext(opt_level={self.opt_level}, "
-                f"disabled_passes={disabled}, "
-                f"extra_passes={len(self.extra_passes)}, "
-                f"instruments={len(self.instruments)})")
+                f"disabled_passes={sorted(self.disabled_passes)})")

@@ -6,18 +6,20 @@ plain data: a :class:`Pass` is a frozen ``(name, fn, opt_level, rewrites)``
 record, the standard passes and :data:`~repro.compiler.passes.DEFAULT_PIPELINE`
 live in :mod:`repro.compiler.passes`, and :func:`run_pipeline` runs them in
 order under a :class:`~repro.compiler.pass_context.PassContext` — gating on
-opt level, honouring ``disabled_passes``, splicing in ``extra_passes``,
-re-inferring shapes after a rewrite and driving the context's instruments.
+opt level, honouring ``disabled_passes``, re-inferring shapes after a
+rewrite, timing every executed pass and, on request, verifying the graph
+after each one.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .module import PassRecord
 from .pass_context import PassContext
 
 if TYPE_CHECKING:
@@ -56,7 +58,7 @@ class CompileState:
 
 @dataclass(frozen=True)
 class Pass:
-    """A named graph-level rewrite ``fn(state, ctx) -> None``.
+    """A named graph-level rewrite ``fn(state) -> None``.
 
     It runs when the active :class:`PassContext` has at least ``opt_level``
     and does not disable it by name; ``rewrites`` says it may change the
@@ -64,86 +66,52 @@ class Pass:
     """
 
     name: str
-    fn: Callable[[CompileState, PassContext], None]
+    fn: Callable[[CompileState], None]
     opt_level: int = 0
     rewrites: bool = False
 
 
-def _as_pass(entry) -> Pass:
-    """An ``extra_passes`` entry: a :class:`Pass`, a standard pass's name, or
-    a bare ``fn(state, ctx)`` run as an always-on pass of that name."""
-    from .passes import PASS_REGISTRY
-
-    if isinstance(entry, Pass):
-        return entry
-    if isinstance(entry, str):
-        try:
-            return PASS_REGISTRY[entry]
-        except KeyError:
-            raise KeyError(f"Unknown pass {entry!r}; standard passes: "
-                           f"{sorted(PASS_REGISTRY)}") from None
-    if callable(entry):
-        return Pass(getattr(entry, "__name__", "anonymous"), entry)
-    raise TypeError(f"Cannot interpret {entry!r} as a pass")
-
-
-def _run_hook(instrument, hook: str, pass_name: str, *args) -> None:
-    """Run one instrument hook, distinguishing *reports* from *crashes*.
-
-    A :class:`~repro.analysis.errors.VerifierError` is the instrument doing
-    its job (the IR is broken — the error already names the pass) and
-    propagates untouched.  Anything else is the instrument itself failing,
-    which would otherwise masquerade as a compiler bug of the surrounding
-    pass — it is wrapped in :class:`InstrumentError` naming the instrument,
-    the hook and the pass, with the original as ``__cause__``.
-    """
-    from ..analysis.errors import VerifierError
-    from .instruments import InstrumentError
-
-    try:
-        getattr(instrument, hook)(*args)
-    except VerifierError:
-        raise
-    except Exception as exc:
-        name = getattr(instrument, "name", type(instrument).__name__)
-        raise InstrumentError(name, pass_name, hook, exc) from exc
-
-
 def run_pipeline(state: CompileState, ctx: PassContext,
-                 instruments: Sequence) -> None:
-    """Run the default pipeline plus ``ctx.extra_passes`` over ``state``.
+                 verify: bool) -> List[PassRecord]:
+    """Run :data:`~repro.compiler.passes.DEFAULT_PIPELINE` over ``state``
+    and return a :class:`PassRecord` (wall time, node and parameter counts)
+    per executed pass.
 
-    Extra passes run after the graph rewrites and before ``fuse_ops``, so
-    their rewrites reach the generated kernels.  Every executed pass sees
-    shape-valid state and is bracketed by each instrument's
-    ``run_before_pass`` / ``run_after_pass``.
+    Every executed pass sees shape-valid state.  With ``verify`` the graph
+    is checked by :func:`~repro.analysis.graph_verify.verify_graph` before
+    the first executed pass, so a malformed *input* graph is not blamed on
+    a pass, and after every pass, naming it in the error.
     """
-    from .passes import DEFAULT_PIPELINE, PASS_REGISTRY
+    from .passes import DEFAULT_PIPELINE
 
-    cut = DEFAULT_PIPELINE.index(PASS_REGISTRY["fuse_ops"])
-    pipeline = (DEFAULT_PIPELINE[:cut]
-                + tuple(_as_pass(extra) for extra in ctx.extra_passes)
-                + DEFAULT_PIPELINE[cut:])
     # A typo'd name in disabled_passes would otherwise silently run the
     # pass it meant to ablate — fail loudly instead.
-    known = set(PASS_REGISTRY) | {pass_.name for pass_ in pipeline}
+    known = {pass_.name for pass_ in DEFAULT_PIPELINE}
     unknown = ctx.disabled_passes - known
     if unknown:
-        raise KeyError(f"disabled_passes {sorted(unknown)} match no "
-                       f"standard or pipeline pass; known passes: "
-                       f"{sorted(known)}")
-    for pass_ in pipeline:
+        raise KeyError(f"disabled_passes {sorted(unknown)} match no pipeline "
+                       f"pass; known passes: {sorted(known)}")
+    if verify:
+        from ..analysis.graph_verify import verify_graph
+    records: List[PassRecord] = []
+    for pass_ in DEFAULT_PIPELINE:
         if pass_.name in ctx.disabled_passes or ctx.opt_level < pass_.opt_level:
             continue
         state.ensure_shapes()
-        for instrument in instruments:
-            _run_hook(instrument, "run_before_pass", pass_.name, pass_, state)
+        if verify and not records:
+            verify_graph(state.graph, groups=state.groups,
+                         memory_plan=state.memory_plan)
+        nodes_before, params_before = len(state.graph.nodes), len(state.params)
         started = time.perf_counter()
-        pass_.fn(state, ctx)
+        pass_.fn(state)
         elapsed = time.perf_counter() - started
         if pass_.rewrites:
             state.shapes_valid = False
-        for instrument in instruments:
-            _run_hook(instrument, "run_after_pass", pass_.name, pass_, state,
-                      elapsed)
+        records.append(PassRecord(pass_.name, elapsed, nodes_before,
+                                  len(state.graph.nodes), params_before,
+                                  len(state.params)))
+        if verify:
+            verify_graph(state.graph, groups=state.groups,
+                         memory_plan=state.memory_plan, pass_name=pass_.name)
     state.ensure_shapes()
+    return records

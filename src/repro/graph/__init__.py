@@ -12,7 +12,7 @@ from .passes import (
     fuse_ops,
     plan_memory,
 )
-from .simplify import eliminate_common_subexpr, simplify_inference
+from .simplify import simplify_inference
 
 __all__ = [
     "CompiledKernel",
@@ -32,5 +32,4 @@ __all__ = [
     "plan_memory",
     "register_op",
     "simplify_inference",
-    "eliminate_common_subexpr",
 ]

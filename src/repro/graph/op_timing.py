@@ -184,7 +184,7 @@ def make_task_for_node(node: Node, target: Target) -> Optional[Task]:
 def _memory_bound_time(node: Node, target: Target, fused: bool = False) -> float:
     """Traffic-based estimate for light operators."""
     params = target.model.params
-    elem_bytes = 2 if node.dtype == "float16" else 4
+    elem_bytes = tir.dtype_bytes(node.dtype)
     out_elems = float(np.prod(node.shape))
     in_elems = sum(float(np.prod(p.shape)) for p in node.inputs)
     traffic = (out_elems + in_elems) * elem_bytes

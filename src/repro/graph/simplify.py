@@ -1,24 +1,20 @@
-"""Inference-time graph simplification passes (paper Section 3).
+"""Inference-time graph simplification (paper Section 3).
 
 The paper's high-level graph rewriting covers more than fusion and constant
 folding: frameworks also canonicalise the graph for inference before
-operator-level code generation.  This module implements the passes that do
-that canonicalisation:
-
-* :func:`simplify_inference` — folds ``batch_norm`` layers into the weights
-  and bias of the convolution / dense producer feeding them (inference-time
-  batch norm is an affine transform per output channel), and removes
-  inference no-ops such as ``dropout``.
-* :func:`eliminate_common_subexpr` — merges operator nodes that apply the
-  same operator with the same attributes to the same inputs.
+operator-level code generation.  :func:`simplify_inference` does that here:
+it folds ``batch_norm`` layers into the weights and bias of the convolution /
+dense producer feeding them (inference-time batch norm is an affine
+transform per output channel), and removes inference no-ops such as
+``dropout``.
 
 There is no dead-code pass: a :class:`~repro.graph.ir.Graph`'s node list is
 built from what its outputs reach (only the verifier's mutation harness,
 :mod:`repro.analysis.mutate`, edits it by hand, to plant broken IR).
 
-Each pass returns a rewritten :class:`~repro.graph.ir.Graph` (and, where
-parameters change, an updated parameter dictionary) plus a small count of the
-rewrites applied so callers and tests can verify the pass fired.
+The pass returns a rewritten :class:`~repro.graph.ir.Graph`, an updated
+parameter dictionary and a count of the rewrites applied, so callers and
+tests can verify the pass fired.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ import numpy as np
 
 from .ir import Graph, Node
 
-__all__ = ["simplify_inference", "eliminate_common_subexpr"]
+__all__ = ["simplify_inference"]
 
 #: operators whose weights batch norm can be folded into
 _FOLDABLE_PRODUCERS = ("conv2d", "depthwise_conv2d", "dense")
@@ -151,34 +147,3 @@ def simplify_inference(graph: Graph, params: Dict[str, np.ndarray]
     new_graph.refresh()
     return new_graph, params, rewrites
 
-
-def eliminate_common_subexpr(graph: Graph) -> Tuple[Graph, int]:
-    """Merge operator nodes that are structurally identical.
-
-    Two nodes are merged when they apply the same operator with equal
-    attributes to the same input nodes.  The input graph is never mutated.
-    Returns ``(graph, merged_count)``.
-    """
-    clones = _clone_nodes(graph)
-    seen: Dict[Tuple, Node] = {}
-    replacement: Dict[int, Node] = {}
-    merged = 0
-    for original in graph.op_nodes:
-        node = clones[id(original)]
-        node.inputs = [replacement.get(id(p), p) for p in node.inputs]
-        key = (node.op, tuple(id(p) for p in node.inputs),
-               tuple(sorted((k, repr(v)) for k, v in node.attrs.items())))
-        if key in seen:
-            replacement[id(node)] = seen[key]
-            merged += 1
-        else:
-            seen[key] = node
-    if not merged:
-        return graph, 0
-    outputs = [replacement.get(id(clones[id(o)]), clones[id(o)])
-               for o in graph.outputs]
-    new_graph = Graph(outputs)
-    for node in new_graph.op_nodes:
-        node.inputs = [replacement.get(id(p), p) for p in node.inputs]
-    new_graph.refresh()
-    return new_graph, merged

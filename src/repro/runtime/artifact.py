@@ -24,7 +24,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..compiler.module import CompiledKernel, CompiledModule
+from ..compiler.module import CompiledKernel, CompiledModule, PassRecord
 from ..graph.ir import Graph, Node
 from ..graph.passes import (FusedGroup, MemoryPlan,
                             ensure_layout_transform_registered)
@@ -200,8 +200,6 @@ def load_module(path, *, params=None) -> CompiledModule:
     parameter arrays — the process-pool workers pass zero-copy shared-memory
     views here so N workers share one physical copy of the weights.
     """
-    from ..compiler.instruments import PassRecord
-
     if not zipfile.is_zipfile(path):
         raise ArtifactError(
             f"{path!s} is not a module artifact (expected a bundle written "

@@ -14,6 +14,7 @@ operator bodies can be written naturally inside ``te.compute`` lambdas::
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -56,6 +57,7 @@ __all__ = [
     "substitute",
     "collect_vars",
     "BOUNDS_OF",
+    "VALUE_OF",
     "scale_bounds",
     "compile_bounds",
     "eval_bounds",
@@ -604,23 +606,6 @@ def _imm_value(expr: Expr) -> Optional[Union[int, float]]:
 
 
 class _Simplifier(ExprMutator):
-    _FOLD = {
-        Add: lambda a, b: a + b,
-        Sub: lambda a, b: a - b,
-        Mul: lambda a, b: a * b,
-        Div: lambda a, b: a / b if b != 0 else float("nan"),
-        FloorDiv: lambda a, b: a // b if b != 0 else 0,
-        Mod: lambda a, b: a % b if b != 0 else 0,
-        Min: min,
-        Max: max,
-        EQ: lambda a, b: int(a == b),
-        NE: lambda a, b: int(a != b),
-        LT: lambda a, b: int(a < b),
-        LE: lambda a, b: int(a <= b),
-        GT: lambda a, b: int(a > b),
-        GE: lambda a, b: int(a >= b),
-    }
-
     def __init__(self) -> None:
         #: results by node identity.  Expression nodes are immutable and
         #: substitution splices shared subtrees into many parents, so one
@@ -664,10 +649,13 @@ class _Simplifier(ExprMutator):
         if a is None and b is None:
             return expr        # every rule below needs an immediate operand
         if a is not None and b is not None:
-            value = self._FOLD[type(expr)](a, b)
-            if isinstance(expr.a, IntImm) and isinstance(expr.b, IntImm):
-                return IntImm(int(value))
-            return FloatImm(float(value))
+            try:
+                value = VALUE_OF[type(expr)](a, b)
+            except ArithmeticError:
+                return expr    # e.g. a zero divisor: what it means is a fault
+            if isinstance(value, float):
+                return FloatImm(value)
+            return IntImm(value)
         # algebraic identities
         if isinstance(expr, Add):
             if a == 0:
@@ -812,6 +800,19 @@ BOUNDS_OF: Dict[type, Callable] = {
     Add: _bounds_add, Sub: _bounds_sub, Mul: _bounds_mul, Div: _bounds_div,
     FloorDiv: _bounds_floordiv, Mod: _bounds_mod, Min: _bounds_min,
     Max: _bounds_max,
+}
+
+
+#: what every binary node computes on concrete values — the one meaning the
+#: simplifier folds immediates with and the interpreter evaluates with
+VALUE_OF: Dict[type, Callable] = {
+    Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+    Div: operator.truediv, FloorDiv: operator.floordiv, Mod: operator.mod,
+    Min: min, Max: max,
+    EQ: operator.eq, NE: operator.ne, LT: operator.lt, LE: operator.le,
+    GT: operator.gt, GE: operator.ge,
+    And: lambda a, b: bool(a) and bool(b),
+    Or: lambda a, b: bool(a) or bool(b),
 }
 
 

@@ -20,32 +20,17 @@ import numpy as np
 
 from ..te.expr import (
     MATH_INTRINSICS,
-    Add,
-    And,
+    VALUE_OF,
     BinaryOp,
     Call,
     Cast,
-    Div,
-    EQ,
     Expr,
     FloatImm,
-    FloorDiv,
-    GE,
-    GT,
     IntImm,
-    LE,
-    LT,
-    Max,
-    Min,
-    Mod,
-    Mul,
-    NE,
     Not,
-    Or,
     Reduce,
     Select,
     StringImm,
-    Sub,
     TensorRead,
     Var,
 )
@@ -87,26 +72,6 @@ class EvalError(RuntimeError):
     """Raised when an expression or statement cannot be evaluated."""
 
 
-_BINOP_EVAL = {
-    Add: lambda a, b: a + b,
-    Sub: lambda a, b: a - b,
-    Mul: lambda a, b: a * b,
-    Div: lambda a, b: a / b,
-    FloorDiv: lambda a, b: a // b,
-    Mod: lambda a, b: a % b,
-    Min: min,
-    Max: max,
-    EQ: lambda a, b: a == b,
-    NE: lambda a, b: a != b,
-    LT: lambda a, b: a < b,
-    LE: lambda a, b: a <= b,
-    GT: lambda a, b: a > b,
-    GE: lambda a, b: a >= b,
-    And: lambda a, b: bool(a) and bool(b),
-    Or: lambda a, b: bool(a) or bool(b),
-}
-
-
 def evaluate_expr(expr: Expr, env: Dict[Var, object],
                   buffers: Optional[Dict[str, np.ndarray]] = None) -> object:
     """Evaluate a scalar expression under a variable environment."""
@@ -120,12 +85,8 @@ def evaluate_expr(expr: Expr, env: Dict[Var, object],
     if isinstance(expr, StringImm):
         return expr.value
     if isinstance(expr, BinaryOp):
-        a = evaluate_expr(expr.a, env, buffers)
-        b = evaluate_expr(expr.b, env, buffers)
-        result = _BINOP_EVAL[type(expr)](a, b)
-        if isinstance(expr, (FloorDiv, Mod)) and isinstance(result, float):
-            return int(result)
-        return result
+        return VALUE_OF[type(expr)](evaluate_expr(expr.a, env, buffers),
+                                    evaluate_expr(expr.b, env, buffers))
     if isinstance(expr, Not):
         return not bool(evaluate_expr(expr.a, env, buffers))
     if isinstance(expr, Select):

@@ -1,4 +1,5 @@
-"""Shared fixtures: the reference model of the serving admission queue."""
+"""Shared fixtures: the reference model of the serving admission queue, and
+a pass spliced into the compile pipeline."""
 
 import pytest
 
@@ -107,3 +108,17 @@ class ReferenceQueue:
 def reference_queue():
     """The :class:`ReferenceQueue` model class (construct with ``maxsize``)."""
     return ReferenceQueue
+
+
+@pytest.fixture
+def splice_pass(monkeypatch):
+    """``splice_pass(fn)`` runs ``fn(state)`` as an always-on pass of its own
+    name just before ``fuse_ops`` in the default pipeline, for one test."""
+    from repro.compiler import DEFAULT_PIPELINE, Pass, passes
+
+    def splice(fn):
+        cut = DEFAULT_PIPELINE.index(passes.fuse_ops)
+        monkeypatch.setattr(passes, "DEFAULT_PIPELINE", DEFAULT_PIPELINE[:cut]
+                            + (Pass(fn.__name__, fn),) + DEFAULT_PIPELINE[cut:])
+
+    return splice

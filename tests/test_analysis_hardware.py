@@ -1,6 +1,8 @@
 """Tests for loop-program feature extraction and the hardware models."""
 
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -67,6 +69,49 @@ def test_feature_vector_fixed_length():
     a = _tiled_matmul_features(size=64)
     b = _tiled_matmul_features(size=256, vectorize=True)
     assert len(a.to_vector()) == len(b.to_vector()) == len(tir.FEATURE_NAMES)
+
+
+#: sha256 prefix of :func:`_features_fingerprint` — the ``ProgramFeatures``
+#: the hardware models and the GBT are told a program has, over every
+#: template's sampled configs on small shapes
+FEATURES_FINGERPRINT = "1b3efa576b03aa0a"
+
+
+def _features_fingerprint() -> str:
+    from repro.frontend import ModelBuilder
+    from repro.graph.op_timing import is_templated, make_task_for_node
+
+    digest = hashlib.sha256()
+    for op in ("conv2d", "depthwise_conv2d", "dense"):
+        b = ModelBuilder("fingerprint", seed=0)
+        if op == "dense":
+            out = b.dense(b.input("data", (2, 12)), 6, name="op")
+        else:
+            data = b.input("data", (1, 4, 6, 6))
+            out = (b.conv2d(data, 6, 3, 2, 1, name="op") if op == "conv2d"
+                   else b.depthwise_conv2d(data, 3, 1, 1, name="op"))
+        node = b.finalize(out)[0].find("op")
+        for name in ("cuda", "mali", "arm_cpu", "pynq_cpu", "vdla"):
+            target = create_target(name)
+            if not is_templated(node, target):
+                continue
+            task = make_task_for_node(node, target)
+            for config in task.config_space.sample(8, random.Random(3)):
+                f = tir.extract_features(task.lower(config))
+                digest.update(repr((
+                    op, name, config.index, f.to_vector(), f.flops, f.int_ops,
+                    f.intrinsic_flops, f.store_count,
+                    sorted(f.scope_bytes.items()),
+                    sorted(f.scope_unique_bytes.items()),
+                    sorted(f.allocation_bytes.items()))).encode())
+    return digest.hexdigest()[:16]
+
+
+def test_program_features_fingerprint():
+    """The features of a fixed config set per (template, target) are pinned:
+    a rewrite of lowering, simplification or feature extraction that is
+    meant to compute the same features must keep this hash."""
+    assert _features_fingerprint() == FEATURES_FINGERPRINT
 
 
 def test_gpu_model_rewards_parallelism():

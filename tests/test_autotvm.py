@@ -89,15 +89,6 @@ def test_gbt_regression_loss_and_small_data():
         autotvm.GradientBoostedTrees(loss="huber")
 
 
-def test_neural_cost_model_learns_signal():
-    rng = np.random.default_rng(1)
-    x = rng.random((80, 6))
-    y = 2 * x[:, 1] - x[:, 4]
-    model = autotvm.NeuralCostModel(epochs=200, seed=1)
-    model.fit(x, y)
-    assert rank_correlation(model.predict(x), y) > 0.6
-
-
 def test_tuners_find_better_than_median(matmul_task):
     measurer = autotvm.Measurer(number=1)
     sample = [autotvm.MeasureInput(matmul_task, cfg)

@@ -12,7 +12,6 @@ from repro.autotvm import (
     GradientBoostedTrees,
     Measurer,
     ModelBasedTuner,
-    NeuralCostModel,
     RandomTuner,
     RegressionTree,
     Task,
@@ -110,19 +109,6 @@ class TestGradientBoostedTrees:
         x, y = self._data()
         model = GradientBoostedTrees(seed=0).fit(x, y)
         assert model.predict(x[0]).shape == (1,)
-
-
-class TestNeuralCostModel:
-    def test_learns_ordering(self):
-        rng = np.random.default_rng(1)
-        x = rng.random((64, 4))
-        y = x @ np.array([1.0, -2.0, 0.5, 0.0])
-        model = NeuralCostModel(seed=0, epochs=200).fit(x, y)
-        assert rank_correlation(model.predict(x), y) > 0.7
-
-    def test_unfitted_predicts_zeros(self):
-        model = NeuralCostModel()
-        assert np.allclose(model.predict(np.ones((4, 3))), 0.0)
 
 
 class TestRankCorrelation:

@@ -1,13 +1,28 @@
 """Unit tests for the scalar expression IR."""
 
+import itertools
+
 import pytest
 
 from repro import te
 from repro.te.expr import (
+    EQ,
+    GE,
+    GT,
+    LE,
+    LT,
+    NE,
     Add,
+    And,
+    Div,
     FloatImm,
+    FloorDiv,
     IntImm,
+    Max,
+    Min,
+    Mod,
     Mul,
+    Or,
     Select,
     Sub,
     Var,
@@ -49,6 +64,28 @@ def test_simplify_constant_folding():
     expr = simplify(te.const(2) * 3 + 4)
     assert isinstance(expr, IntImm)
     assert expr.value == 10
+
+
+#: immediates folded pairwise: zero and negative divisors, ints and floats
+_IMMEDIATES = ([IntImm(v) for v in (-7, -2, 0, 1, 3)]
+               + [FloatImm(v) for v in (-2.5, 0.0, 1.5)])
+
+
+@pytest.mark.parametrize(
+    "op", [Add, Sub, Mul, Div, FloorDiv, Mod, Min, Max, EQ, NE, LT, LE, GT,
+           GE, And, Or], ids=lambda op: op.__name__)
+def test_simplify_folds_to_what_the_interpreter_evaluates(op):
+    for a, b in itertools.product(_IMMEDIATES, repeat=2):
+        node = op(a, b)
+        folded = simplify(node)
+        try:
+            want = evaluate_expr(node, {})
+        except ArithmeticError:
+            assert folded is node, f"{node!r} faults but folds to {folded!r}"
+            continue
+        assert type(folded) is (FloatImm if isinstance(want, float)
+                                else IntImm), f"{node!r} -> {folded!r}"
+        assert folded.value == want, f"{node!r} -> {folded!r}, not {want!r}"
 
 
 def test_simplify_identities():

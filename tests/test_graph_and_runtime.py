@@ -82,6 +82,23 @@ def test_memory_planner_reuses_storage():
     assert plan.reuse_ratio > 1.5
 
 
+def test_light_operator_traffic_is_sized_by_dtype():
+    """A light operator's memory-bound estimate moves as many bytes per
+    element as the memory planner and the verifier size it with."""
+    from repro.graph.ir import Graph, Node
+    from repro.graph.op_timing import kernel_time
+
+    target = cuda()
+    traffic = {}
+    for dtype in ("float32", "int8"):
+        relu = Node("relu", "act", [Node("null", "data")])
+        Graph([relu]).infer_shapes({"data": (1, 64, 56, 56)},
+                                   dtypes={"data": dtype})
+        traffic[dtype] = (kernel_time(relu, target).time
+                          - target.model.params.launch_overhead)
+    assert traffic["int8"] == pytest.approx(traffic["float32"] / 4)
+
+
 def test_build_and_execute_matches_numpy_reference():
     graph, params, shapes = _small_cnn()
     target = cuda()

@@ -19,7 +19,7 @@ import pytest
 import repro
 from repro.autotvm import GATuner, Measurer, ModelBasedTuner, TuningOptions
 from repro.autotvm.service import ServiceClient, TuningService
-from repro.compiler import Pass, PassInstrument
+from repro.compiler import Pass
 from repro.graph.ir import Graph, Node
 from repro.graph.op_timing import is_templated
 from repro.hardware.target import create_target
@@ -36,8 +36,7 @@ OPTION_SURFACE = {
         "input_shapes": None, "opt_level": None,
         "heterogeneous_targets": None, "verify": False},
     repro.PassContext: {
-        "opt_level": 2, "disabled_passes": (), "extra_passes": (),
-        "instruments": ()},
+        "opt_level": 2, "disabled_passes": ()},
     repro.autotune: {
         "model": REQUIRED, "target": None, "trials": None, "tuner": None,
         "options": None, "database": None, "params": None,
@@ -108,12 +107,6 @@ def test_pass_is_a_four_field_record():
                       ("opt_level", 0), ("rewrites", False)]
     with pytest.raises(dataclasses.FrozenInstanceError):
         Pass("audit", print).opt_level = 3
-
-
-def test_instrument_protocol_is_two_hooks():
-    hooks = [name for name, value in vars(PassInstrument).items()
-             if callable(value) and not name.startswith("_")]
-    assert hooks == ["run_before_pass", "run_after_pass"]
 
 
 def test_is_templated_is_the_one_heavy_operator_predicate():

@@ -6,7 +6,7 @@ import pytest
 import repro
 from repro.frontend import ModelBuilder, resnet18
 from repro.graph.ir import Graph, Node
-from repro.graph.simplify import eliminate_common_subexpr, simplify_inference
+from repro.graph.simplify import simplify_inference
 from repro.hardware import cuda
 
 
@@ -93,49 +93,6 @@ class TestSimplifyInference:
         graph2, _params2, second = simplify_inference(graph1, params1)
         assert first == 1 and second == 0
         assert len(graph2.op_nodes) == len(graph1.op_nodes)
-
-
-class TestCSE:
-    def _duplicate_relu_graph(self):
-        data = Node("null", "data")
-        data.shape = (1, 4)
-        r1 = Node("relu", "r1", [data], {})
-        r2 = Node("relu", "r2", [data], {})
-        out = Node("add", "sum", [r1, r2], {})
-        graph = Graph([out])
-        graph.infer_shapes({"data": (1, 4)})
-        return graph
-
-    def test_identical_nodes_are_merged(self):
-        graph = self._duplicate_relu_graph()
-        new_graph, merged = eliminate_common_subexpr(graph)
-        assert merged == 1
-        assert sum(1 for n in new_graph.op_nodes if n.op == "relu") == 1
-
-    def test_add_inputs_are_rewired_to_survivor(self):
-        graph = self._duplicate_relu_graph()
-        new_graph, _merged = eliminate_common_subexpr(graph)
-        add_node = [n for n in new_graph.op_nodes if n.op == "add"][0]
-        assert add_node.inputs[0] is add_node.inputs[1]
-
-    def test_different_attrs_are_not_merged(self):
-        data = Node("null", "data")
-        data.shape = (1, 4)
-        a = Node("leaky_relu", "a", [data], {"alpha": 0.1})
-        b = Node("leaky_relu", "b", [data], {"alpha": 0.2})
-        out = Node("add", "sum", [a, b], {})
-        graph = Graph([out])
-        graph.infer_shapes({"data": (1, 4)})
-        _new_graph, merged = eliminate_common_subexpr(graph)
-        assert merged == 0
-
-    def test_no_rewrites_returns_same_graph(self):
-        data = Node("null", "data")
-        data.shape = (1, 4)
-        out = Node("relu", "r", [data], {})
-        graph = Graph([out])
-        new_graph, merged = eliminate_common_subexpr(graph)
-        assert merged == 0 and new_graph is graph
 
 
 class TestBuildIntegration:

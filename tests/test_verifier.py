@@ -1,6 +1,6 @@
 """Tests for the static-analysis layer: graph/TIR verifiers, the mutation
 harness, ``compile(verify=True)`` wiring, candidate-schedule rejection in the
-measurers, instrument failure paths and the invariant linter."""
+measurers and the invariant linter."""
 
 import importlib.util
 import sys
@@ -24,7 +24,6 @@ from repro.analysis import (
     TIRVerifierError,
     UseBeforeDefError,
     VerifierError,
-    VerifyInstrument,
     run_all,
     run_mutation,
     verify_func,
@@ -33,8 +32,6 @@ from repro.analysis import (
 from repro.autotvm import Task, TuningOptions, clear_eval_caches
 from repro.autotvm.measure import Measurer, MeasureInput
 from repro.autotvm.task import _FailureMarker
-from repro.compiler import PassContext
-from repro.compiler.instruments import InstrumentError, PassInstrument
 from repro.graph.ir import Graph, Node
 from repro.graph.passes import fuse_ops, plan_memory
 from repro.hardware import cuda
@@ -208,33 +205,44 @@ class TestCompileVerify:
         for reference, fused in zip(*results):
             np.testing.assert_array_equal(fused, reference)
 
-    def test_corrupting_pass_caught_and_named(self):
-        def clobber_names(state, ctx):
+    def test_corrupting_pass_caught_and_named(self, splice_pass):
+        def clobber_names(state):
             ops = state.graph.op_nodes
             ops[1].name = ops[0].name
 
+        splice_pass(clobber_names)
         with pytest.raises(DuplicateNodeNameError) as err:
-            with PassContext(opt_level=2, extra_passes=[clobber_names]):
-                repro.compile("dqn", target="arm_cpu", verify=True)
+            repro.compile("dqn", target="arm_cpu", opt_level=2, verify=True)
         assert err.value.pass_name == "clobber_names"
 
-    def test_verify_off_by_default(self):
-        def clobber_dtype(state, ctx):
+    def test_verify_off_by_default(self, splice_pass):
+        def clobber_dtype(state):
             state.graph.op_nodes[0].dtype = "float16"
 
         # Without verify the corruption flows through silently; with verify
         # the re-inference disagreement is caught right after the pass.
-        with PassContext(opt_level=2, extra_passes=[clobber_dtype]):
-            repro.compile("dqn", target="arm_cpu")
-        with pytest.raises(DtypeMismatchError):
-            with PassContext(opt_level=2, extra_passes=[clobber_dtype]):
-                repro.compile("dqn", target="arm_cpu", verify=True)
+        splice_pass(clobber_dtype)
+        repro.compile("dqn", target="arm_cpu", opt_level=2)
+        with pytest.raises(DtypeMismatchError) as err:
+            repro.compile("dqn", target="arm_cpu", opt_level=2, verify=True)
+        assert err.value.pass_name == "clobber_dtype"
 
-    def test_instrument_counts_passes(self):
-        instrument = VerifyInstrument()
-        with PassContext(opt_level=2, instruments=[instrument]):
-            repro.compile("dqn", target="arm_cpu")
-        assert instrument.passes_verified > 0
+    def test_verify_checks_input_every_pass_and_codegen(self, monkeypatch):
+        from repro.analysis import graph_verify
+
+        checked = []
+        real = graph_verify.verify_graph
+
+        def spy(graph, **kwargs):
+            checked.append(kwargs.get("pass_name"))
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(graph_verify, "verify_graph", spy)
+        repro.compile("dqn", target="arm_cpu")
+        assert checked == []
+        module = repro.compile("dqn", target="arm_cpu", verify=True)
+        executed = [r.name for r in module.pass_records]
+        assert checked == [None] + executed + ["codegen"]
 
     def test_clear_timing_cache_forgets_verified_programs(self, monkeypatch):
         from repro.analysis import tir_verify
@@ -396,49 +404,6 @@ class TestMeasurerVerify:
         measurer = Measurer()
         assert not measurer.verify
         assert measurer.num_rejected == 0
-
-
-# ---------------------------------------------------------------------------
-# Instrument failure paths (the pipeline's one instrument seam)
-# ---------------------------------------------------------------------------
-
-class _CrashingInstrument(PassInstrument):
-    name = "crasher"
-
-    def __init__(self, hook):
-        self._hook = hook
-
-    def run_before_pass(self, pass_, state):
-        if self._hook == "run_before_pass":
-            raise ValueError("instrument bug")
-
-    def run_after_pass(self, pass_, state, seconds):
-        if self._hook == "run_after_pass":
-            raise ValueError("instrument bug")
-
-
-class TestInstrumentFailurePaths:
-    @pytest.mark.parametrize("hook", ["run_before_pass", "run_after_pass"])
-    def test_crash_wrapped_as_instrument_error(self, hook):
-        with pytest.raises(InstrumentError) as err:
-            with PassContext(opt_level=2,
-                             instruments=[_CrashingInstrument(hook)]):
-                repro.compile("dqn", target="arm_cpu")
-        assert err.value.instrument_name == "crasher"
-        assert err.value.hook == hook
-        assert err.value.pass_name  # names the surrounding pass
-        assert isinstance(err.value.__cause__, ValueError)
-
-    def test_verifier_report_not_wrapped(self):
-        class Reporter(PassInstrument):
-            name = "reporter"
-
-            def run_after_pass(self, pass_, state, seconds):
-                raise DuplicateNodeNameError("x", pass_name=pass_.name)
-
-        with pytest.raises(DuplicateNodeNameError):
-            with PassContext(opt_level=2, instruments=[Reporter()]):
-                repro.compile("dqn", target="arm_cpu")
 
 
 # ---------------------------------------------------------------------------
@@ -684,29 +649,29 @@ class TestLintInvariants:
         assert [(v.rule, v.line) for v in linter.lint_file(elsewhere)] \
             == [("no-recursive-closure", line) for line in (2, 12)]
 
-    def test_one_instrument_seam_rule(self, tmp_path):
+    def test_no_pass_plugins_rule(self, tmp_path):
         linter = _load_linter()
-        source = (
-            "def _run_hook(instrument, hook, pass_name, *args):\n"
-            "    instrument.run_before_pass(*args)\n"     # the seam itself
-            "def run(instruments, state, kernels):\n"
-            "    for instrument in instruments:\n"
-            "        instrument.enter_pass_ctx()\n"
-            "        _run_hook(instrument, 'run_after_pass', 'p', state)\n"
-            "        instrument.run_after_pass(None, state, 0.0)\n"
-            "        for kernel in kernels:\n"
-            "            instrument.observe_kernel(kernel)\n")
+        source = (     # the plug-in points the pipeline once had
+            "class PassContext:\n"
+            "    def __init__(self, opt_level=2, extra_passes=(),\n"
+            "                 instruments=()):\n"
+            "        self.opt_level = opt_level\n"
+            "def run_pipeline(state, ctx, passes):\n"
+            "    for pass_ in passes + list(ctx.extra_passes):\n"
+            "        for instrument in ctx.instruments:\n"
+            "            instrument.run_before_pass(pass_, state)\n"
+            "        pass_.fn(state)\n"
+            "    return PassContext(opt_level=1, instruments=[])\n")
         manager = tmp_path / "compiler" / "pass_manager.py"
         manager.parent.mkdir()
         manager.write_text(source)
         assert [(v.rule, v.line) for v in linter.lint_file(manager)] \
-            == [("one-instrument-seam", line) for line in (5, 7, 9)]
-        # only pass_manager's _run_hook is the seam; outside compiler/ the
-        # rule does not apply (the verifier's instrument defines hooks)
-        driver = tmp_path / "compiler" / "driver.py"
-        driver.write_text(source)
-        assert [v.line for v in linter.lint_file(driver)] == [2, 5, 7, 9]
-        elsewhere = tmp_path / "analysis" / "instrument.py"
+            == [("no-pass-plugins", line) for line in (2, 3, 6, 7, 8, 10)]
+        verifier = tmp_path / "analysis" / "graph_verify.py"
+        verifier.parent.mkdir()
+        verifier.write_text(source)
+        assert len(linter.lint_file(verifier)) == 6
+        elsewhere = tmp_path / "autotvm" / "tuner.py"
         elsewhere.parent.mkdir()
         elsewhere.write_text(source)
         assert linter.lint_file(elsewhere) == []

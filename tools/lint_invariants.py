@@ -95,16 +95,16 @@ Rules
     ``gc.freeze`` / ``gc.set_threshold`` in every linted file: the collector
     is the process's, not the library's.
 
-``one-instrument-seam``
-    Restricted to ``src/repro/compiler``: an instrument hook —
-    ``run_before_pass`` / ``run_after_pass``, or a context / kernel hook
-    (``enter_pass_ctx``, ``exit_pass_ctx``, ``should_run``,
-    ``observe_kernel``) — may be called only inside
-    ``pass_manager._run_hook``.  That is the one place a crashing hook is
-    wrapped in an ``InstrumentError`` naming the instrument, the hook and the
-    pass; a hook called anywhere else fails as an anonymous compiler error
-    (the context hooks and the per-kernel observer once were called that
-    way, and only tests ever implemented them).
+``no-pass-plugins``
+    Restricted to ``src/repro/compiler`` and ``src/repro/analysis``: no call
+    to an instrument hook (``run_before_pass`` / ``run_after_pass``, or the
+    context / kernel hooks ``enter_pass_ctx``, ``exit_pass_ctx``,
+    ``should_run``, ``observe_kernel``), and no ``instruments`` or
+    ``extra_passes`` attribute, keyword or parameter.  The graph pipeline is
+    ``DEFAULT_PIPELINE`` and nothing else, and ``run_pipeline`` times and
+    verifies each pass itself.  Extra passes spliced in before fusion and an
+    instrument protocol (with its own error type for a crashing hook) once
+    sat around it; no caller outside the tests used either.
 
 ``one-verification-memo``
     ``verify_func(`` is called only by the memo ``_verify_once`` in
@@ -157,9 +157,9 @@ RULES = {
                              "own name (each call is a reference cycle); no "
                              "gc.disable / gc.freeze / gc.set_threshold "
                              "anywhere"),
-    "one-instrument-seam": ("compiler/: instrument hooks are called only "
-                            "inside pass_manager._run_hook (crashes become "
-                            "InstrumentError naming the pass)"),
+    "no-pass-plugins": ("compiler/, analysis/: no instrument-hook call and "
+                        "no `instruments` / `extra_passes` attribute, "
+                        "keyword or parameter"),
     "one-verification-memo": ("verify_func( only inside analysis/ and the "
                               "memo autotvm/task.py::_verify_once"),
 }
@@ -181,11 +181,13 @@ _BOUNDS_CLIENTS = ("tir", "analysis")
 _EXPR_IR_PACKAGES = ("te", "tir")
 #: process-wide collector switches a library must not flip
 _GC_SWITCHES = ("disable", "freeze", "set_threshold")
-#: instrument hook names, current and former (TVM's ``should_run`` too)
+#: packages of the pass pipeline, where ``no-pass-plugins`` applies
+_PIPELINE_PACKAGES = ("compiler", "analysis")
+#: former instrument hook names (TVM's ``should_run`` too)
 _INSTRUMENT_HOOKS = ("run_before_pass", "run_after_pass", "enter_pass_ctx",
                      "exit_pass_ctx", "should_run", "observe_kernel")
-#: the one scope that may call an instrument hook
-_HOOK_SITE = ("compiler", "pass_manager.py", "_run_hook")
+#: former plug-in points of the pipeline
+_PLUGIN_NAMES = ("instruments", "extra_passes")
 #: the one scope outside analysis/ that may call ``verify_func``
 _VERIFY_MEMO_SITE = ("autotvm", "task.py", "_verify_once")
 #: stdlib queue classes (``queue.X(...)`` or imported bare)
@@ -327,8 +329,7 @@ class _Linter(ast.NodeVisitor):
         self.is_serving = self.is_engine \
             or parts[-2:] == ("runtime", "admission.py")
         self.is_compile_path = any(part in _COMPILE_PACKAGES for part in parts)
-        self.is_compiler = "compiler" in parts
-        self.is_hook_site_file = parts[-2:] == _HOOK_SITE[:2]
+        self.is_pipeline = any(part in _PIPELINE_PACKAGES for part in parts)
         self.is_verify_memo_file = parts[-2:] == _VERIFY_MEMO_SITE[:2]
         self.is_kernels = parts[-2:] == ("topi", "reference.py")
         self.owns_bounds = parts[-2:] == ("te", "expr.py")
@@ -421,8 +422,19 @@ class _Linter(ast.NodeVisitor):
                          f"by reference count instead of switching the "
                          f"collector")
 
+    def _check_plugin_name(self, node: ast.AST, name: str) -> None:
+        if self.is_pipeline and name in _PLUGIN_NAMES:
+            self._report("no-pass-plugins", node,
+                         f"`{name}` — the pipeline is DEFAULT_PIPELINE, "
+                         f"timed and verified by run_pipeline itself")
+
+    def visit_arg(self, node: ast.arg) -> None:
+        self._check_plugin_name(node, node.arg)
+        self.generic_visit(node)
+
     def visit_Attribute(self, node: ast.Attribute) -> None:
         self._check_backend_names(node, [node.attr])
+        self._check_plugin_name(node, node.attr)
         if isinstance(node.value, ast.Name) and node.value.id == "gc":
             self._check_gc_switch(node, node.attr)
         if (self.is_engine and isinstance(node.value, ast.Attribute)
@@ -497,14 +509,14 @@ class _Linter(ast.NodeVisitor):
             self._report("no-free-form-config", node,
                          "string-keyed .config.get(...) — make it a named "
                          "parameter (or a constant)")
-        if (self.is_compiler and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _INSTRUMENT_HOOKS
-                and not (self.is_hook_site_file
-                         and _HOOK_SITE[2] in self._scope)):
-            self._report("one-instrument-seam", node,
-                         f".{node.func.attr}( outside pass_manager._run_hook "
-                         f"— a crashing hook must surface as an "
-                         f"InstrumentError naming the pass")
+        if self.is_pipeline and any(_calls(node, hook)
+                                    for hook in _INSTRUMENT_HOOKS):
+            self._report("no-pass-plugins", node,
+                         "instrument hook call — run_pipeline times and "
+                         "verifies each pass itself")
+        for keyword in node.keywords:
+            if keyword.arg is not None:
+                self._check_plugin_name(keyword, keyword.arg)
         if (self.package != "analysis" and _calls(node, "verify_func")
                 and not (self.is_verify_memo_file
                          and _VERIFY_MEMO_SITE[2] in self._scope)):
