@@ -18,12 +18,8 @@ import pytest
 
 from common import conv_graph, emit_summary, get_target
 from repro import tir
-from repro.autotvm import (
-    GradientBoostedTrees,
-    TreeRNNCostModel,
-    extract_tasks,
-    rank_correlation,
-)
+from repro.autotvm import GradientBoostedTrees, extract_tasks, rank_correlation
+from repro.autotvm.treernn import TreeRNNCostModel
 from repro.workloads import RESNET_CONV_WORKLOADS
 
 N_TRAIN = 48

@@ -12,7 +12,7 @@ and records the numbers the service exists to improve, writing
 * **Transfer** — a service restarted on an accumulated database pretrains
   its cost model and warm-starts a session on an *unseen* shape; trials to
   reach the cold run's best time are compared cold vs warm.
-* **Zoo drive** — :func:`repro.autotvm.service.schedule_zoo` tunes the
+* **Zoo drive** — :func:`repro.autotvm.service.zoo.schedule_zoo` tunes the
   model zoo against one service, reporting seconds-per-trial and
   trials-to-target per workload.
 
@@ -35,7 +35,8 @@ from pathlib import Path
 
 import repro
 from repro.autotvm import TuningOptions, clear_eval_caches
-from repro.autotvm.service import TuningService, schedule_zoo, trials_to_target
+from repro.autotvm.service import TuningService
+from repro.autotvm.service.zoo import schedule_zoo, trials_to_target
 
 from common import conv_graph, emit_summary
 

@@ -32,7 +32,8 @@ import time
 from pathlib import Path
 
 import repro
-from repro.analysis import VerifierError, run_all
+from repro.analysis import VerifierError
+from repro.analysis.mutate import run_all
 
 from common import emit_summary
 

@@ -10,7 +10,7 @@ The package mirrors the paper's architecture (Figure 2):
 * :mod:`repro.autotvm` — the ML-based automated schedule optimizer.
 * :mod:`repro.graph` — the computational graph IR and high-level rewriting.
 * :mod:`repro.hardware` — simulated CPU / GPU / accelerator back-ends.
-* :mod:`repro.runtime` — NDArray, deployable modules, graph executor, RPC.
+* :mod:`repro.runtime` — NDArray, deployable modules, the executor, serving.
 * :mod:`repro.frontend` — model builder and the model zoo used in evaluation.
 * :mod:`repro.baselines` — simulated vendor libraries and framework baselines.
 

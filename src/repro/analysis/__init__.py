@@ -10,7 +10,8 @@ The analysis layer certifies compiler output instead of trusting it:
   def-before-use of loop variables and buffers, and the parallel-hazard
   detector for ``parallel``/``vectorize`` annotations;
 * :mod:`~repro.analysis.mutate` — the seeded IR-mutation harness proving
-  each check actually fires.
+  each check actually fires (``bench_verify.py`` and the tests import it
+  from there; the package does not load it).
 
 All violations raise a typed :class:`VerifierError` subclass from
 :mod:`~repro.analysis.errors` naming the check, the IR object and the pass.
@@ -42,7 +43,6 @@ from .graph_verify import (
     verify_shapes,
     verify_well_formed,
 )
-from .mutate import MUTATIONS, run_all, run_mutation
 from .tir_verify import verify_func
 
 __all__ = [
@@ -69,7 +69,4 @@ __all__ = [
     "verify_layout",
     "verify_memory_plan",
     "verify_func",
-    "MUTATIONS",
-    "run_mutation",
-    "run_all",
 ]

@@ -25,7 +25,6 @@ from .options import ProgressEvent, TuningOptions
 from .session import TaskTuningResult, TuningReport, autotune, extract_tasks
 from .space import ConfigEntity, ConfigSpace, OtherEntity, SplitEntity
 from .task import Task
-from .treernn import ASTNode, TreeRNNCostModel, build_ast
 from .tuner import (
     GATuner,
     ModelBasedTuner,
@@ -58,9 +57,6 @@ __all__ = [
     "SplitEntity",
     "Task",
     "TaskTuningResult",
-    "TreeRNNCostModel",
-    "ASTNode",
-    "build_ast",
     "Tuner",
     "TuningDatabase",
     "TuningLogEntry",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 try:
@@ -238,10 +238,6 @@ class TuningDatabase:
         if not candidates:
             return None
         return min(candidates, key=lambda e: e.mean_time)
-
-    def entries_for_operator(self, operator: str) -> List[TuningLogEntry]:
-        """All entries whose workload belongs to an operator family."""
-        return [e for e in self._by_key.values() if e.operator == operator]
 
     def __len__(self) -> int:
         return len(self._by_key)

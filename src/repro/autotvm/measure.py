@@ -2,18 +2,18 @@
 
 The paper's measurement pipeline (Section 5.4) is one loop — build a
 candidate, run it on a device from the pool, record the time — and
-:class:`Measurer` is that loop: *verify → build → run → record*.  Two things
-vary between its uses: how many candidates are in flight at once
-(``n_parallel`` threads mapped over the batch) and where the run half
-executes — directly on the target's hardware model, or on a device leased
-exclusively from an :class:`~repro.runtime.rpc.Tracker` (request → run_timed
-→ release), in which case ``n_parallel`` is the number of concurrent leases
-on the pool.
+:class:`Measurer` is that loop: *verify → build (``Task.features_of``) → run
+on the target's hardware model → record*.  One thing varies between its
+uses: how many candidates are in flight at once (``n_parallel`` threads
+mapped over the batch).  The tuning service's
+:class:`~repro.autotvm.service.ServiceDedupMeasurer` may wrap it to skip
+candidates another session already measured.
 
 Measurement noise is drawn from an RNG derived from ``(seed, task, config
 index)`` — never from shared mutable state — so a record depends only on
-*what* is measured, not on the order, the concurrency or the runner: every
-combination is bit-identical to the serial local path.
+*what* is measured, not on the order or the concurrency: every thread count
+is bit-identical to the serial path.  A device pool that leased simulated
+boards would reproduce the same numbers, which is why there is none.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..hardware.base import MeasureResult
 from .space import ConfigEntity
 from .task import Task
 
@@ -55,35 +54,23 @@ class MeasureResultRecord:
     def valid(self) -> bool:
         return self.error is None and math.isfinite(self.mean_time)
 
-    @property
-    def gflops(self) -> float:
-        if not self.valid or self.mean_time <= 0:
-            return 0.0
-        return self.input.task.flop / self.mean_time / 1e9
-
 
 class Measurer:
     """The measurement pipeline: verify → build → run → record.
 
     ``n_parallel`` worker threads are mapped over each batch (1 = a plain
-    loop).  With a ``tracker`` the run half takes an exclusive lease on a
-    device registered under ``device_key``; without one it runs on the
+    loop); the run half times each built candidate ``number`` times on the
     task target's own hardware model.
     """
 
     def __init__(self, number: int = 3, seed: int = 0, verify: bool = False,
-                 n_parallel: int = 1, tracker=None,
-                 device_key: Optional[str] = None):
+                 n_parallel: int = 1):
         if n_parallel <= 0:
             raise ValueError(f"n_parallel must be positive, got {n_parallel}")
-        if tracker is not None and device_key is None:
-            raise ValueError("a tracker runner needs the device_key to lease")
         self.number = number
         self.seed = seed
         self.verify = verify
         self.n_parallel = n_parallel
-        self.tracker = tracker
-        self.device_key = device_key
         self.num_measured = 0
         self.num_rejected = 0
         self._count_lock = threading.Lock()
@@ -118,23 +105,6 @@ class Measurer:
                 self.num_rejected += 1
             raise
 
-    def _run(self, inp: MeasureInput, features) -> MeasureResult:
-        """Runner half: time one built candidate on a device."""
-        rng = self._input_rng(inp)
-        if self.tracker is None:
-            return inp.task.target.model.measure(features, number=self.number,
-                                                 rng=rng)
-        # An unknown key or an exhausted pool fails the batch loudly; a
-        # failure on the leased device is that candidate's errored record.
-        session = self.tracker.request(self.device_key)
-        try:
-            times = session.run_timed(features, number=self.number, rng=rng)
-        except Exception as exc:
-            return MeasureResult(float("inf"), [], error=str(exc))
-        finally:
-            session.release()
-        return MeasureResult(float(np.mean(times)), times)
-
     def _measure_one(self, inp: MeasureInput) -> MeasureResultRecord:
         try:
             if self.verify:
@@ -145,7 +115,8 @@ class Measurer:
             features = inp.task.features_of(inp.config.index)
         except Exception as exc:
             return MeasureResultRecord(inp, float("inf"), None, error=str(exc))
-        result = self._run(inp, features)
+        result = inp.task.target.model.measure(
+            features, number=self.number, rng=self._input_rng(inp))
         return MeasureResultRecord(inp, result.mean_time, features,
                                    error=result.error)
 

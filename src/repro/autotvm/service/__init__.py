@@ -1,7 +1,9 @@
 """Distributed tuning service: one shared database, many tuning sessions.
 
 The paper scales tuning by pooling devices behind an RPC tracker (Section
-5.4); this package pools the *knowledge* the fleet produces.  A
+5.4).  Here a measurement is a deterministic function of ``(seed, task,
+config)``, so a device pool would reproduce nothing observable; what this
+package pools is the *knowledge* the fleet produces.  A
 :class:`TuningService` owns the single authoritative
 :class:`~repro.autotvm.database.TuningDatabase`; sessions join it with
 ``TuningOptions(service="host:port")`` and get, for free:
@@ -14,15 +16,15 @@ The paper scales tuning by pooling devices behind an RPC tracker (Section
   database, so cold sessions explore model-guided from the first batch.
 
 A single session against a fresh service behaves bit-identically to tuning
-locally.  :func:`schedule_zoo` drives the whole model zoo through one
-service.
+locally.  :func:`repro.autotvm.service.zoo.schedule_zoo` drives the whole
+model zoo through one service (``bench_tuning.py`` imports it from there;
+this package does not load it).
 """
 
 from .client import (ServiceClient, ServiceDedupMeasurer,
                      ServiceUnavailable, connect)
 from .protocol import MSG, ServiceProtocolError
 from .server import TuningService
-from .zoo import DEFAULT_ZOO, schedule_zoo, trials_to_target
 
 __all__ = [
     "MSG",
@@ -31,8 +33,5 @@ __all__ = [
     "ServiceProtocolError",
     "ServiceUnavailable",
     "TuningService",
-    "DEFAULT_ZOO",
     "connect",
-    "schedule_zoo",
-    "trials_to_target",
 ]

@@ -333,17 +333,6 @@ class ServiceClient:
                               expect=MSG.ACK)
         return bool(reply.get("new", 0))
 
-    def best_for(self, task_name: str, target_name: Optional[str] = None
-                 ) -> Optional[TuningLogEntry]:
-        """Best known entry for a workload across every session so far."""
-        from .server import entry_from_payload
-
-        reply = self._request(MSG.BEST, {"task": task_name,
-                                         "target": target_name},
-                              expect=MSG.ENTRIES)
-        entries = reply.get("entries", [])
-        return entry_from_payload(entries[0]) if entries else None
-
     def warm_entries(self, operator: str, target_name: Optional[str] = None
                      ) -> List[TuningLogEntry]:
         """All shared entries of an operator family, in recording order —
@@ -366,15 +355,10 @@ class ServiceClient:
         spec = reply.get("model")
         return GradientBoostedTrees.from_spec(spec) if spec else None
 
-    # ------------------------------------------------------------ control
+    # ------------------------------------------------------------ introspection
     def stats(self) -> Dict[str, int]:
         """Service-side counters (dedup hits, trials stored, clients...)."""
         return self._request(MSG.STATS, {}, expect=MSG.STATS_REPLY)
-
-    def shutdown_service(self) -> None:
-        """Ask the service to stop (its owner still joins threads via
-        :meth:`~repro.autotvm.service.server.TuningService.stop`)."""
-        self._request(MSG.SHUTDOWN, {}, expect=MSG.BYE)
 
 
 def connect(address: str, timeout: float = 30.0, **kwargs) -> ServiceClient:
@@ -412,18 +396,6 @@ class ServiceDedupMeasurer:
         self.service_failures = 0   #: lookup/push calls that failed
         self.local_fallbacks = 0    #: candidates measured without the service
         self._was_degraded = False
-
-    @property
-    def number(self) -> int:
-        return self.base.number
-
-    @property
-    def seed(self) -> int:
-        return self.base.seed
-
-    @property
-    def num_measured(self) -> int:
-        return self.base.num_measured
 
     def _note_failure(self, what: str, exc: BaseException) -> None:
         self.service_failures += 1

@@ -30,7 +30,12 @@ __all__ = ["MSG", "ServiceProtocolError", "send_frame", "recv_frame"]
 
 
 class MSG(MessageKinds):
-    """Message types (u8 on the wire)."""
+    """Message types (u8 on the wire).
+
+    Kinds 8, 15 and 16 (a best-entry query and a remote shutdown with its
+    acknowledgement) are retired and never reused, so every surviving frame
+    keeps its bytes; a peer that sends one gets an ``ERROR`` reply.
+    """
 
     HELLO = 1      #: client -> server: introduce (pid)
     WELCOME = 2    #: server -> client: accepted (server pid, entry count)
@@ -39,15 +44,12 @@ class MSG(MessageKinds):
     PUSH = 5       #: client -> server: raw trial measurements just made
     RECORD = 6     #: client -> server: a session's floored best entry
     ACK = 7        #: server -> client: push/record accepted (new-entry count)
-    BEST = 8       #: client -> server: best entry for (task, target)?
     WARM = 9       #: client -> server: transfer entries for an operator
-    ENTRIES = 10   #: server -> client: log entries (BEST/WARM reply)
+    ENTRIES = 10   #: server -> client: log entries (WARM reply)
     MODEL = 11     #: client -> server: pretrained cost model for an operator?
     MODEL_SPEC = 12  #: server -> client: serialized model or null
     STATS = 13     #: client -> server: service counters?
     STATS_REPLY = 14  #: server -> client: the counters
-    SHUTDOWN = 15  #: client -> server: stop the service
-    BYE = 16       #: server -> client: acknowledging shutdown
     ERROR = 17     #: server -> client: request failed (message)
 
 

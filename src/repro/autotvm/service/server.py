@@ -1,10 +1,10 @@
 """The tuning service server: one authoritative database, many sessions.
 
-:class:`TuningService` is a long-lived socket server (the accept-loop
-analogue of the in-process :class:`repro.runtime.rpc.Tracker` device pool,
-listening on a real TCP port) that owns the single authoritative
+:class:`TuningService` is a long-lived socket server, listening on a real
+TCP port, that owns the single authoritative
 :class:`~repro.autotvm.database.TuningDatabase` a fleet of tuning sessions
-shares.  It provides three things a lone session cannot:
+shares.  Its owner starts and stops it; clients cannot.  It provides three
+things a lone session cannot:
 
 * **Global measurement dedup** — every raw trial measurement any client
   makes is pushed to the service; before measuring a ``(task, target,
@@ -88,13 +88,9 @@ class TuningService:
     for many sessions to share one JSONL log.
     """
 
-    def __init__(self, database: Optional[TuningDatabase] = None,
-                 db_path: Optional[str] = None, host: str = "127.0.0.1",
-                 port: int = 0):
-        if database is not None and db_path is not None:
-            raise ValueError("Pass either a database or a db_path, not both")
-        self.database = database if database is not None \
-            else TuningDatabase(db_path)
+    def __init__(self, db_path: Optional[str] = None,
+                 host: str = "127.0.0.1", port: int = 0):
+        self.database = TuningDatabase(db_path)
         self.host = host
         self._requested_port = port
         self.port: Optional[int] = None
@@ -302,11 +298,6 @@ class TuningService:
                     send_frame(conn, reply_kind, reply)
                 except (ConnectionError, OSError):
                     break
-                if kind == MSG.SHUTDOWN:
-                    # Trip the stop flag after acknowledging; the accept loop
-                    # and sibling handlers drain on their next timeout tick.
-                    self._stop.set()
-                    break
         finally:
             try:
                 conn.close()
@@ -325,16 +316,12 @@ class TuningService:
             return self._handle_push(payload)
         if kind == MSG.RECORD:
             return self._handle_record(payload)
-        if kind == MSG.BEST:
-            return self._handle_best(payload)
         if kind == MSG.WARM:
             return self._handle_warm(payload)
         if kind == MSG.MODEL:
             return self._handle_model(payload)
         if kind == MSG.STATS:
             return MSG.STATS_REPLY, self.stats()
-        if kind == MSG.SHUTDOWN:
-            return MSG.BYE, {}
         raise ServiceProtocolError(f"Unexpected message {MSG.name(kind)}")
 
     def _handle_lookup(self, payload: Dict) -> Tuple[int, Dict]:
@@ -377,12 +364,6 @@ class TuningService:
             added = self.database.add(entry)
             self._counters["bests_recorded"] += 1
         return MSG.ACK, {"new": int(added)}
-
-    def _handle_best(self, payload: Dict) -> Tuple[int, Dict]:
-        with self._lock:
-            entry = self.database.best(payload["task"], payload.get("target"))
-        entries = [] if entry is None else [_entry_payload(entry)]
-        return MSG.ENTRIES, {"entries": entries}
 
     def _handle_warm(self, payload: Dict) -> Tuple[int, Dict]:
         operator = payload["operator"]

@@ -119,8 +119,8 @@ class Task:
         """Total floating point work of the default-schedule program.
 
         Computed once per task instance (and served from the shared feature
-        cache across instances of the same workload) — callers such as
-        ``MeasureResultRecord.gflops`` read it per record.
+        cache across instances of the same workload) — the session report's
+        ``TaskTuningResult.gflops`` reads it per task.
         """
         if self._flop is None:
             self._flop = float(self.features_of(0).total_flops)

@@ -11,13 +11,14 @@ shapes they were engineered for, and far from optimal for everything else.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..graph.ir import Node
 from ..graph.ops import OP_REGISTRY
 from ..hardware.target import Target
+from ..topi.reference import _pair
 from .profiles import LibraryProfile
 
 __all__ = ["VendorLibrary", "conv_class_of"]
@@ -32,12 +33,6 @@ def conv_class_of(kernel: Tuple[int, int], stride: Tuple[int, int]) -> str:
     if (kh, kw) in ((3, 3), (5, 5), (7, 7), (11, 11)) and sh in (1, 2):
         return "conv2d"
     return "conv2d_unusual"
-
-
-def _pair(value) -> Tuple[int, int]:
-    if isinstance(value, (tuple, list)):
-        return int(value[0]), int(value[1])
-    return int(value), int(value)
 
 
 class VendorLibrary:

@@ -23,12 +23,13 @@ arrays, ready for :func:`repro.compile`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..graph.ir import Graph, Node
 from ..graph.ops import OP_REGISTRY
+from ..topi.reference import _pair
 from .builder import ModelBuilder
 
 __all__ = ["from_keras", "from_onnx", "KerasConversionError", "ONNXConversionError"]
@@ -47,12 +48,6 @@ class ONNXConversionError(ValueError):
 # ---------------------------------------------------------------------------
 # Keras-style sequential importer
 # ---------------------------------------------------------------------------
-
-def _pair(value: Union[int, Sequence[int]]) -> Tuple[int, int]:
-    if isinstance(value, (tuple, list)):
-        return int(value[0]), int(value[1])
-    return int(value), int(value)
-
 
 def _keras_padding(layer: LayerSpec, kernel: Tuple[int, int]) -> int:
     """Translate Keras ``padding`` ("same"/"valid"/int) to explicit padding."""

@@ -7,8 +7,10 @@ lowered loop program (see DESIGN.md §1).  Each model exposes:
 * :meth:`HardwareModel.estimate` — deterministic latency estimate in seconds
   from :class:`~repro.tir.analysis.ProgramFeatures`.
 * :meth:`HardwareModel.measure` — a "hardware measurement": the estimate plus
-  multiplicative measurement noise, as would be observed by the RPC device
-  pool when timing a kernel on a real board.
+  multiplicative measurement noise, as timing a kernel on a real board would
+  observe.  The noise comes from the caller's RNG
+  (:class:`~repro.autotvm.measure.Measurer` derives one per ``(seed, task,
+  config)``), so a measurement is a pure function of what is measured.
 
 The models are intentionally mechanistic: schedule decisions change the
 lowered program, which changes the features (memory traffic per scope,
@@ -17,10 +19,9 @@ parallelism, barriers, intrinsic usage), which changes the simulated time.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -101,31 +102,21 @@ class HardwareModel:
                 out[i] = np.inf
         return out
 
-    def measure(self, func_or_features, number: int = 3,
-                rng: Optional[np.random.Generator] = None) -> MeasureResult:
-        """Simulate timing a kernel ``number`` times on the device."""
-        if isinstance(func_or_features, LoweredFunc):
-            features = extract_features(func_or_features)
-            key = func_or_features.name
-        else:
-            features = func_or_features
-            key = "features"
+    def measure(self, features: ProgramFeatures, number: int,
+                rng: np.random.Generator) -> MeasureResult:
+        """Simulate timing a kernel ``number`` times on the device, drawing
+        the multiplicative noise from ``rng``."""
         try:
             base = self.estimate(features)
         except Exception as exc:  # invalid schedule (e.g. resource overflow)
             return MeasureResult(float("inf"), [], error=str(exc))
         if not math.isfinite(base):
             return MeasureResult(float("inf"), [], error="resource limit exceeded")
-        rng = rng or self._rng_for(key)
         times = [max(base * float(rng.normal(1.0, self.params.noise_std)), base * 0.5)
                  for _ in range(number)]
         return MeasureResult(float(np.mean(times)), times)
 
     # -- helpers ---------------------------------------------------------------
-    def _rng_for(self, key: str) -> np.random.Generator:
-        digest = hashlib.sha256(f"{self.params.name}:{key}:{self._seed}".encode())
-        return np.random.default_rng(int.from_bytes(digest.digest()[:8], "little"))
-
     def _parallel_efficiency(self, requested: float, available: int) -> float:
         """Diminishing-returns scaling of a parallel resource."""
         if requested <= 1:

@@ -77,7 +77,9 @@ class Target:
 
     @property
     def seed(self) -> int:
-        """Measurement-noise seed of the simulated device model."""
+        """Seed the simulated device model was built with, kept in the
+        artifact spec.  Measurement noise does not read it: the measurer
+        seeds each candidate's noise from ``(seed, task, config)``."""
         return int(getattr(self.model, "_seed", 0))
 
     def spec(self) -> Dict[str, object]:

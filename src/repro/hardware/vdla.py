@@ -21,7 +21,6 @@ This module provides two layers:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,7 +34,6 @@ from ..tir.stmt import (
     DepPush,
     Evaluate,
     For,
-    ForKind,
     IfThenElse,
     IntrinsicStmt,
     LoweredFunc,
@@ -43,7 +41,7 @@ from ..tir.stmt import (
     Stmt,
     dtype_bytes,
 )
-from .base import HardwareModel, HardwareParams, MeasureResult
+from .base import HardwareModel, HardwareParams
 
 __all__ = [
     "VDLAParams",
@@ -397,18 +395,6 @@ class VDLAAccelerator(HardwareModel):
         scale = max(total_compute_cycles / simulated_ops, 1.0)
         cycles = result.total_cycles * scale
         return cycles / self.vdla.frequency + self.vdla.launch_overhead
-
-    def roofline_point(self, func: LoweredFunc,
-                       latency_hiding: bool = True) -> Tuple[float, float]:
-        """Return (operational intensity [ops/byte], achieved GOPS) for a
-        lowered program — the coordinates of one dot in Figure 10."""
-        features = extract_features(func)
-        time = self.estimate_func(func, latency_hiding=latency_hiding)
-        ops = features.intrinsic_flops + features.flops
-        dram_bytes = max(features.bytes_in_scope("global"), 1.0)
-        intensity = ops / dram_bytes
-        gops = ops / time / 1e9
-        return intensity, gops
 
     def compute_utilization(self, func: LoweredFunc, latency_hiding: bool = True) -> float:
         """Fraction of peak compute achieved (Figure 10's utilisation numbers)."""

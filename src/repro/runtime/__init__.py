@@ -1,4 +1,9 @@
-"""Deployable runtime: NDArray/devices, executors, artifacts, serving, RPC."""
+"""Deployable runtime: NDArray/devices, executors, artifacts, serving and
+its process worker pool.
+
+Trace generation and replay (:mod:`repro.runtime.traffic`) drive the serving
+benchmarks; import them from that module.
+"""
 
 from .artifact import ArtifactError, export_module, graph_from_json, graph_to_json, load_module
 from .executor import ExecutionResult, Executor, InputSpec
@@ -7,11 +12,8 @@ from .ndarray import (DEVICE_TYPES, Device, NDArray, array, cpu,
 from .procpool import (ModuleWorkerPool, PoolShutdownError, ProcPoolError,
                        ShmArena, WorkerCrash, WorkerError, leaked_segments)
 from .framing import ProtocolError, TruncatedFrameError
-from .rpc import RPCServer, RPCSession, Tracker
 from .serving import (DeadlineExceeded, InferenceEngine, InferenceFuture,
                       QueueFull, RequestCancelled, ServingError, serve)
-from .traffic import (ReplayReport, Trace, TraceError, TraceReplayer,
-                      TraceRequest, TraceSpec, load_trace)
 
 #: ``repro.load`` — restore an exported module artifact without recompiling
 load = load_module
@@ -32,18 +34,9 @@ __all__ = [
     "ProcPoolError",
     "ProtocolError",
     "QueueFull",
-    "RPCServer",
-    "RPCSession",
-    "ReplayReport",
     "RequestCancelled",
     "ServingError",
     "ShmArena",
-    "Trace",
-    "TraceError",
-    "TraceReplayer",
-    "TraceRequest",
-    "TraceSpec",
-    "Tracker",
     "TruncatedFrameError",
     "WorkerCrash",
     "WorkerError",

@@ -146,26 +146,23 @@ class Executor:
         """Execute the graph; returns one :class:`NDArray` per graph output.
 
         Accepts a single dict of inputs, positional arrays in graph input
-        order (the order of :attr:`input_specs`), keyword arrays, or a mix of
-        positional and keyword.
+        order (the order of :attr:`input_specs`), keyword arrays, or a mix:
+        keywords merge into the dict or the positional inputs.
         """
-        inputs: Dict[str, np.ndarray] = {}
-        if len(args) == 1 and isinstance(args[0], dict) and not kwargs:
+        if len(args) == 1 and isinstance(args[0], dict):
             inputs = dict(args[0])
-        elif args:
+        else:
             if len(args) > len(self._specs):
                 raise ValueError(
                     f"Too many positional inputs: got {len(args)}, the graph "
                     f"takes {len(self._specs)}: {self.describe_inputs()}")
             inputs = {spec.name: value
                       for spec, value in zip(self._specs, args)}
-            overlap = sorted(set(inputs) & set(kwargs))
-            if overlap:
-                raise ValueError(f"Input(s) {overlap} given both positionally "
-                                 f"and by name")
-            inputs.update(kwargs)
-        else:
-            inputs = dict(kwargs)
+        overlap = sorted(set(inputs) & set(kwargs))
+        if overlap:
+            raise ValueError(f"Input(s) {overlap} given both positionally "
+                             f"and by name")
+        inputs.update(kwargs)
         result = self.run(inputs)
         return [NDArray(value, self.device) for value in result.outputs]
 

@@ -9,7 +9,7 @@ lifecycle is a first-class concern:
 * **boot handshake** — every worker must ``HELLO`` within
   ``_BOOT_TIMEOUT_S``;
 * **heartbeats** — a monitor thread pings idle workers every
-  ``heartbeat_interval`` seconds and respawns silent ones;
+  ``_HEARTBEAT_S`` seconds and respawns silent ones;
 * **death mid-request** — a dispatch waiting on a reply polls the pipe *and*
   the process; a worker that dies (or stalls past ``_REPLY_TIMEOUT_S``) is
   respawned and the in-flight request is retried up to ``_MAX_RETRIES``
@@ -51,6 +51,7 @@ _POLL_SECONDS = 0.05
 _BOOT_TIMEOUT_S = 120.0     #: a booting worker must HELLO within this
 _REPLY_TIMEOUT_S = 600.0    #: a reply slower than this counts as a death
 _MAX_RETRIES = 2            #: respawn-and-resend attempts per request
+_HEARTBEAT_S = 1.0          #: idle workers are pinged this often
 
 
 class ProcPoolError(RuntimeError):
@@ -137,11 +138,9 @@ class ModuleWorkerPool:
     name = "repro-serve-pool"
 
     def __init__(self, module, bundle_path: Union[None, str, os.PathLike],
-                 devices: Sequence, *,
-                 heartbeat_interval: float = 1.0):
+                 devices: Sequence):
         if not devices:
             raise ValueError("devices must not be empty")
-        self.heartbeat_interval = heartbeat_interval
         self._ctx = multiprocessing.get_context("spawn")
         self._closed = False
         self._workers = [_Worker(i) for i in range(len(devices))]
@@ -387,7 +386,7 @@ class ModuleWorkerPool:
 
     # ------------------------------------------------------------------ health
     def _monitor_loop(self) -> None:
-        while not self._monitor_stop.wait(self.heartbeat_interval):
+        while not self._monitor_stop.wait(_HEARTBEAT_S):
             for worker in self._workers:
                 if self._closed:
                     return

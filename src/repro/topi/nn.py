@@ -8,10 +8,11 @@ NCHW layout used throughout the paper's evaluation.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence
 
 from .. import te
 from ..te.expr import Select, as_expr
+from .reference import IntPair, _pair
 
 __all__ = [
     "pad",
@@ -34,15 +35,6 @@ __all__ = [
     "avg_pool2d",
     "global_avg_pool2d",
 ]
-
-IntPair = Union[int, Tuple[int, int]]
-
-
-def _pair(value: IntPair) -> Tuple[int, int]:
-    if isinstance(value, (tuple, list)):
-        return int(value[0]), int(value[1])
-    return int(value), int(value)
-
 
 def pad(data: te.Tensor, pad_before: Sequence[int], pad_after: Sequence[int],
         pad_value: float = 0.0, name: str = "pad") -> te.Tensor:

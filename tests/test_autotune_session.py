@@ -31,7 +31,6 @@ from repro.autotvm import (
 from repro.graph.ir import Graph, Node
 from repro.graph.ops import OP_REGISTRY
 from repro.hardware import arm_cpu, cuda
-from repro.runtime.rpc import RPCServer, Tracker
 
 
 def conv_graph(ci=16, hw=16, co=16, kernel=3, stride=1, padding=1):
@@ -252,27 +251,14 @@ def _broken_input(task, message):
     return broken
 
 
-def _tracker(target, count=2):
-    tracker = Tracker()
-    tracker.register_device("gpu", target.model, count=count)
-    return tracker
-
-
-def _runner(kind, target):
-    """Measurer kwargs selecting the local or the 2-device tracker runner."""
-    if kind == "local":
-        return {}
-    return {"tracker": _tracker(target), "device_key": "gpu"}
-
-
 class TestMeasurer:
+    # Every candidate is measured locally, on the task target's model; with
+    # the dedup layer the service only answers lookups of earlier trials.
     @pytest.mark.parametrize("dedup", [False, True],
-                             ids=["bare", "service-dedup"])
-    @pytest.mark.parametrize("runner", ["local", "tracker"])
+                             ids=["local-bare", "local-service-dedup"])
     @pytest.mark.parametrize("n_parallel", [1, 2, 6])
-    def test_backends_bit_identical(self, small_task, n_parallel, runner,
-                                    dedup):
-        """Thread count, runner and the dedup layer never change a record."""
+    def test_backends_bit_identical(self, small_task, n_parallel, dedup):
+        """Thread count and the dedup layer never change a record."""
         def fingerprint(records):
             return [(r.input.config.index, r.mean_time, r.error)
                     for r in records]
@@ -282,8 +268,7 @@ class TestMeasurer:
         reference = fingerprint(Measurer(number=3, seed=11).measure(inputs))
         assert any(error is None for _, _, error in reference)
 
-        measurer = Measurer(number=3, seed=11, n_parallel=n_parallel,
-                            **_runner(runner, small_task.target))
+        measurer = Measurer(number=3, seed=11, n_parallel=n_parallel)
         if not dedup:
             assert fingerprint(measurer.measure(inputs)) == reference
         else:
@@ -296,9 +281,6 @@ class TestMeasurer:
                 assert fingerprint(wrapped.measure(inputs)) == reference
                 assert wrapped.dedup_hits == 0
         assert measurer.num_measured == len(inputs)
-        if measurer.tracker is not None:
-            summary = measurer.tracker.summary()["gpu"]
-            assert summary["free"] == summary["total"]
 
     def test_parallel_tuning_matches_serial_tuning(self, small_task):
         def run(measurer):
@@ -309,54 +291,16 @@ class TestMeasurer:
         assert run(Measurer(number=2, seed=4)) == \
             run(Measurer(n_parallel=6, number=2, seed=4))
 
-    @pytest.mark.parametrize("runner", ["local", "tracker"])
-    def test_build_errors_become_invalid_records(self, small_task, runner):
+    def test_build_errors_become_invalid_records(self, small_task):
         good = autotvm.MeasureInput(small_task, small_task.config_space.get(1))
-        measurer = Measurer(n_parallel=4, number=1,
-                            **_runner(runner, small_task.target))
+        measurer = Measurer(n_parallel=4, number=1)
         records = measurer.measure([_broken_input(small_task, "boom"), good])
         assert not records[0].valid and "boom" in records[0].error
         assert records[1].valid
-        if measurer.tracker is not None:    # only the built one took a lease
-            assert measurer.tracker.summary()["gpu"]["requests"] == 1
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             Measurer(n_parallel=0)
-
-    def test_tracker_round_trip_counts_requests(self, small_task):
-        tracker = _tracker(small_task.target)
-        measurer = Measurer(number=2, n_parallel=2, tracker=tracker,
-                            device_key="gpu")
-        inputs = [autotvm.MeasureInput(small_task, cfg)
-                  for cfg in small_task.config_space.sample(4)]
-        records = measurer.measure(inputs)
-        assert all(r.valid and r.mean_time > 0 for r in records)
-        # Every device was released back to the pool.
-        summary = tracker.summary()["gpu"]
-        assert summary["free"] == summary["total"]
-        assert summary["requests"] == 4
-
-    def test_remote_failure_releases_device(self, small_task):
-        class FailingModel:
-            def measure(self, payload, number=3, rng=None):
-                raise RuntimeError("device on fire")
-
-        tracker = Tracker()
-        tracker.register(RPCServer("gpu", FailingModel()))
-        measurer = Measurer(number=1, tracker=tracker, device_key="gpu")
-        inp = autotvm.MeasureInput(small_task, small_task.config_space.get(0))
-        record, = measurer.measure([inp])
-        assert not record.valid and "device on fire" in record.error
-        # the lease must be returned even on failure
-        assert tracker.summary()["gpu"]["free"] == 1
-
-    def test_unknown_device_key_fails_loudly(self, small_task):
-        measurer = Measurer(number=1, tracker=_tracker(small_task.target),
-                            device_key="tpu")
-        inp = autotvm.MeasureInput(small_task, small_task.config_space.get(0))
-        with pytest.raises(KeyError, match="No devices registered"):
-            measurer.measure([inp])
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +427,6 @@ class TestTuningDatabase:
         entry = TuningDatabase(path).best(small_task.name)
         assert entry.features == [1.0, 2.0, 3.0]
         assert entry.operator == "conv2d"
-
-    def test_entries_for_operator(self, small_task):
-        db = TuningDatabase()
-        db.record(small_task, small_task.config_space.get(0), 1e-3)
-        assert len(db.entries_for_operator("conv2d")) == 1
-        assert db.entries_for_operator("dense") == []
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_local_measurer_handles_valid_and_counts(matmul_task):
     assert len(results) == 3
     assert measurer.num_measured == 3
     assert all(r.mean_time > 0 for r in results)
-    assert any(r.gflops > 0 for r in results if r.valid)
+    assert any(r.valid for r in results)
 
 
 def test_gbt_cost_model_learns_ranking():

@@ -1,5 +1,9 @@
 """Tests for the unified compilation pipeline (repro.compile + the passes)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -328,10 +332,26 @@ class TestTopLevelExports:
                        if not hasattr(package, entry)]
             assert missing == [], (package.__name__, missing)
         for gone in ("GraphExecutor", "create", "Context", "WorkerPool",
-                     "connect_tracker"):
+                     "connect_tracker", "Tracker", "RPCServer", "RPCSession"):
             assert gone not in repro.runtime.__all__
             assert not hasattr(repro.runtime, gone)
         assert "WorkerPool" not in procpool.__all__
+
+    def test_packages_do_not_load_benchmark_only_modules(self):
+        # A fresh interpreter, since this one has imported them all by now.
+        # Each is one benchmark's library, imported by its full name there.
+        script = (
+            "import sys\n"
+            "import repro.runtime, repro.analysis, repro.autotvm\n"
+            "import repro.autotvm.service, repro.topi\n"
+            "print(sorted(name for name in sys.modules if name in {\n"
+            "    'repro.runtime.traffic', 'repro.runtime.rpc',\n"
+            "    'repro.analysis.mutate', 'repro.autotvm.treernn',\n"
+            "    'repro.autotvm.service.zoo', 'repro.topi.winograd'}))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        loaded = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert loaded.stdout.strip() == "[]"
 
     def test_compile_and_pass_context_exported(self):
         from repro.compiler import compile as compiler_compile

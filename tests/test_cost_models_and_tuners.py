@@ -15,12 +15,10 @@ from repro.autotvm import (
     RandomTuner,
     RegressionTree,
     Task,
-    TreeRNNCostModel,
     TuningDatabase,
-    build_ast,
     rank_correlation,
 )
-from repro.autotvm.treernn import ASTNode
+from repro.autotvm.treernn import ASTNode, TreeRNNCostModel, build_ast
 from repro.graph.op_timing import fallback_search
 from repro.hardware import arm_cpu, cuda
 from repro.topi import nn as topi_nn

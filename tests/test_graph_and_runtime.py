@@ -189,24 +189,6 @@ def test_framework_baselines_and_unsupported_ops():
         tflite.run_estimate(dcgan_graph, dcgan_shapes)
 
 
-def test_rpc_tracker_pool():
-    from repro.runtime import Tracker, RPCServer
-
-    tracker = Tracker()
-    tracker.register_device("titan-x", cuda().model, count=2)
-    session = tracker.request("titan-x")
-    features = None
-    graph_ok = True
-    times = session.run_timed(__import__("repro.tir", fromlist=["ProgramFeatures"]).ProgramFeatures(), number=2)
-    assert len(times) == 2
-    session.release()
-    summary = tracker.summary()
-    assert summary["titan-x"]["total"] == 2
-    assert summary["titan-x"]["free"] == 2
-    with pytest.raises(KeyError):
-        tracker.request("nonexistent")
-
-
 def test_ndarray_roundtrip():
     data = np.random.rand(2, 3).astype("float32")
     array = runtime.array(data, runtime.gpu(0))

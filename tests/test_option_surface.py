@@ -53,20 +53,16 @@ OPTION_SURFACE = {
     InferenceEngine.shutdown: {"wait": True, "drain": True},
     Executor: {"module": REQUIRED, "device": None},
     repro.load: {"path": REQUIRED, "params": None},
-    Measurer: {
-        "number": 3, "seed": 0, "verify": False, "n_parallel": 1,
-        "tracker": None, "device_key": None},
+    Measurer: {"number": 3, "seed": 0, "verify": False, "n_parallel": 1},
     ModelBasedTuner: {"task": REQUIRED, "cost_model": None, "seed": 0},
     GATuner: {"task": REQUIRED, "seed": 0},
     ModuleWorkerPool: {
-        "module": REQUIRED, "bundle_path": REQUIRED, "devices": REQUIRED,
-        "heartbeat_interval": 1.0},
+        "module": REQUIRED, "bundle_path": REQUIRED, "devices": REQUIRED},
     ServiceClient: {
         "address": REQUIRED, "timeout": 30.0, "rpc_timeout": 30.0,
         "connect_retries": 3, "rpc_retries": 2, "backoff_s": 0.05,
         "backoff_max_s": 2.0},
-    TuningService: {
-        "database": None, "db_path": None, "host": "127.0.0.1", "port": 0},
+    TuningService: {"db_path": None, "host": "127.0.0.1", "port": 0},
     TraceReplayer: {
         "engines": REQUIRED, "trace": REQUIRED, "inputs_for": None,
         "time_scale": 1.0, "giveup_ms": None, "result_timeout_s": 120.0,

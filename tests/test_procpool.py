@@ -18,6 +18,7 @@ from repro.hardware import cuda
 from repro.runtime import (Executor, ModuleWorkerPool, ShmArena,
                            leaked_segments)
 from repro.runtime.artifact import export_module, load_module
+from repro.runtime.procpool import pool as procpool_pool
 
 
 def _small_cnn():
@@ -160,10 +161,11 @@ class TestModuleWorkerPool:
             pool.shutdown()
         assert leaked_segments() == []
 
-    def test_heartbeat_respawns_idle_dead_worker(self, module, bundle):
+    def test_heartbeat_respawns_idle_dead_worker(self, module, bundle,
+                                                 monkeypatch):
+        monkeypatch.setattr(procpool_pool, "_HEARTBEAT_S", 0.2)
         kind = module.target.device_type
-        pool = ModuleWorkerPool(module, bundle, [f"{kind}:0"],
-                                heartbeat_interval=0.2)
+        pool = ModuleWorkerPool(module, bundle, [f"{kind}:0"])
         try:
             victim = pool.pids()[0]
             os.kill(victim, signal.SIGKILL)

@@ -122,6 +122,21 @@ class TestExecutor:
         assert "imag" in str(exc.value)
         assert "data" in str(exc.value)
 
+    def test_dict_and_keywords_merge(self):
+        b = ModelBuilder("pair", seed=0)
+        out = b.add(b.input("a", (2, 3)), b.input("b", (2, 3)))
+        graph, params = b.finalize(out)
+        executor = Executor(repro.compile(
+            graph, target=cuda(), params=params,
+            input_shapes={"a": (2, 3), "b": (2, 3)}))
+        x = np.full((2, 3), 1.5, dtype="float32")
+        y = np.full((2, 3), 2.0, dtype="float32")
+        merged = executor({"a": x}, b=y)[0].asnumpy()
+        np.testing.assert_array_equal(merged, x + y)
+        np.testing.assert_array_equal(executor(x, b=y)[0].asnumpy(), merged)
+        with pytest.raises(ValueError, match="both positionally and by name"):
+            executor({"a": x, "b": y}, b=y)
+
     def test_too_many_positional(self, cnn_module, cnn_input):
         with pytest.raises(ValueError, match="positional"):
             Executor(cnn_module)(cnn_input, cnn_input)

@@ -1,6 +1,5 @@
 """Tests for repro.serve(): dynamic batching, the device pool, simulated
-latency accounting, the admission queue the workers pull from, and the
-rpc.Tracker request/release paths."""
+latency accounting, and the admission queue the workers pull from."""
 
 import queue
 import random
@@ -14,7 +13,7 @@ import repro
 from repro.frontend import ModelBuilder
 from repro.hardware import cuda
 from repro.runtime import (DeadlineExceeded, Executor, QueueFull,
-                           RequestCancelled, ServingError, Tracker)
+                           RequestCancelled, ServingError)
 from repro.runtime.admission import _AdmissionQueue, _Request
 
 
@@ -197,57 +196,6 @@ class TestInferenceEngine:
             repro.serve(module, max_batch=0)
         with pytest.raises(ValueError, match="devices"):
             repro.serve(module, devices=0)
-
-
-# ---------------------------------------------------------------------------
-# rpc.Tracker.request paths (satellite #3)
-# ---------------------------------------------------------------------------
-
-class TestTrackerRequest:
-    def test_timeout_on_exhausted_pool(self):
-        tracker = Tracker()
-        tracker.register_device("board", cuda().model, count=1)
-        session = tracker.request("board")
-        start = time.monotonic()
-        with pytest.raises(TimeoutError, match="board"):
-            tracker.request("board", timeout=0.05)
-        assert time.monotonic() - start < 5.0
-        session.release()
-
-    def test_unknown_key_lists_known(self):
-        tracker = Tracker()
-        tracker.register_device("board", cuda().model)
-        with pytest.raises(KeyError, match="board"):
-            tracker.request("nonexistent")
-
-    def test_release_notifies_blocked_request(self):
-        tracker = Tracker()
-        tracker.register_device("board", cuda().model, count=1)
-        first = tracker.request("board")
-        acquired = []
-
-        def blocked():
-            session = tracker.request("board", timeout=10.0)
-            acquired.append(session)
-            session.release()
-
-        thread = threading.Thread(target=blocked)
-        thread.start()
-        time.sleep(0.05)
-        assert not acquired  # still blocked while the lease is held
-        first.release()
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
-        assert len(acquired) == 1
-        assert tracker.summary()["board"]["free"] == 1
-
-    def test_double_release_is_idempotent(self):
-        tracker = Tracker()
-        tracker.register_device("board", cuda().model, count=1)
-        session = tracker.request("board")
-        session.release()
-        session.release()
-        assert tracker.summary()["board"]["free"] == 1
 
 
 # ---------------------------------------------------------------------------

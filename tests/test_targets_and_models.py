@@ -104,7 +104,7 @@ class TestServerGPUModel:
         model = ServerGPU()
         features = _matmul_features()
         base = model.estimate(features)
-        result = model.measure(features, number=5)
+        result = model.measure(features, 5, np.random.default_rng(0))
         assert result.valid
         assert 0.5 * base <= result.mean_time <= 1.5 * base
 

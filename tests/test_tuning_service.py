@@ -28,10 +28,9 @@ from repro.autotvm.service import (
     ServiceProtocolError,
     TuningService,
     connect,
-    schedule_zoo,
-    trials_to_target,
 )
 from repro.autotvm.service.protocol import recv_frame, send_frame
+from repro.autotvm.service.zoo import schedule_zoo, trials_to_target
 from repro.graph.ir import Graph, Node
 from repro.graph.ops import OP_REGISTRY
 from repro.hardware import cuda
@@ -132,16 +131,18 @@ class TestServerLifecycle:
         service.stop()
         service.stop()
 
-    def test_client_shutdown_request_stops_accepting(self):
-        service = TuningService().start()
-        try:
-            with connect(service.address) as client:
-                client.shutdown_service()
-            # the accept loop notices the stop flag within its timeout tick
-            service._accept_thread.join(timeout=5.0)
-            assert not service._accept_thread.is_alive()
-        finally:
-            service.stop()
+    def test_retired_kinds_get_an_error_reply(self):
+        # Kinds 8 and 15 are retired (see MSG): the peer is told so, and
+        # the service keeps running and serving that connection.
+        with TuningService() as service, \
+                socket.create_connection(("127.0.0.1", service.port)) as sock:
+            for kind in (8, 15):
+                send_frame(sock, kind, {})
+                reply_kind, reply = recv_frame(sock)
+                assert reply_kind == MSG.ERROR
+                assert f"?{kind}" in reply["message"]
+            send_frame(sock, MSG.STATS, {})
+            assert recv_frame(sock)[0] == MSG.STATS_REPLY
 
     def test_context_manager(self):
         with TuningService() as service:
@@ -196,10 +197,10 @@ class TestBestStore:
 
     def test_record_and_best_for(self):
         with TuningService() as service, connect(service.address) as client:
-            assert client.best_for("conv2d_(a)", "cuda") is None
             assert client.record_best(self._entry(time=2e-5))
             assert client.record_best(self._entry(time=1e-5, index=9))
-            best = client.best_for("conv2d_(a)", "cuda")
+            assert not client.record_best(self._entry(time=2e-5))
+            best = service.database.best("conv2d_(a)", "cuda")
             assert best.config_index == 9 and best.mean_time == 1e-5
 
     def test_warm_entries_filter_operator_and_keep_features(self):
@@ -228,14 +229,15 @@ class TestPretrainedModel:
             json.loads(json.dumps(model.to_spec())))
         np.testing.assert_array_equal(model.predict(x), clone.predict(x))
 
-    def test_service_pretrains_from_database(self):
-        db = TuningDatabase()
+    def test_service_pretrains_from_database(self, tmp_path):
+        db_path = str(tmp_path / "tuning.jsonl")
         rng = np.random.default_rng(1)
-        for i in range(10):
-            db.add(TuningLogEntry(f"conv2d_({i})", "cuda", i, {},
-                                  1e-5 * (1 + i),
-                                  features=list(rng.random(6))))
-        with TuningService(database=db) as service:
+        with TuningDatabase(db_path) as db:
+            for i in range(10):
+                db.add(TuningLogEntry(f"conv2d_({i})", "cuda", i, {},
+                                      1e-5 * (1 + i),
+                                      features=list(rng.random(6))))
+        with TuningService(db_path=db_path) as service:
             assert service.stats()["pretrained_models"] == 1
             with connect(service.address) as client:
                 model = client.pretrained_model("conv2d", "cuda")
@@ -243,12 +245,13 @@ class TestPretrainedModel:
                 assert model.predict(rng.random((3, 6))).shape == (3,)
                 assert client.pretrained_model("dense", "cuda") is None
 
-    def test_too_few_entries_skip_pretraining(self):
-        db = TuningDatabase()
-        for i in range(3):
-            db.add(TuningLogEntry(f"conv2d_({i})", "cuda", i, {}, 1e-5,
-                                  features=[1.0, 2.0]))
-        with TuningService(database=db) as service:
+    def test_too_few_entries_skip_pretraining(self, tmp_path):
+        db_path = str(tmp_path / "tuning.jsonl")
+        with TuningDatabase(db_path) as db:
+            for i in range(3):
+                db.add(TuningLogEntry(f"conv2d_({i})", "cuda", i, {}, 1e-5,
+                                      features=[1.0, 2.0]))
+        with TuningService(db_path=db_path) as service:
             assert service.stats()["pretrained_models"] == 0
 
 

@@ -14,7 +14,6 @@ import pytest
 import repro
 from repro import te
 from repro.analysis import (
-    MUTATIONS,
     DtypeMismatchError,
     DuplicateNodeNameError,
     OutOfBoundsError,
@@ -24,11 +23,10 @@ from repro.analysis import (
     TIRVerifierError,
     UseBeforeDefError,
     VerifierError,
-    run_all,
-    run_mutation,
     verify_func,
     verify_graph,
 )
+from repro.analysis.mutate import MUTATIONS, run_all, run_mutation
 from repro.autotvm import Task, TuningOptions, clear_eval_caches
 from repro.autotvm.measure import Measurer, MeasureInput
 from repro.autotvm.task import _FailureMarker
@@ -702,6 +700,41 @@ class TestLintInvariants:
         harness.parent.mkdir()
         harness.write_text(source)
         assert linter.lint_file(harness) == []
+
+    def test_library_has_a_caller_rule(self, tmp_path):
+        linter = _load_linter()
+        assert len(linter.RULES) == 13
+        assert "library-has-a-caller" in linter.RULES
+        root = tmp_path / "pkg"
+        files = {
+            "__init__.py": ("from typing import TYPE_CHECKING\n"
+                            "if TYPE_CHECKING:\n"
+                            "    from . import unused\n"),     # never runs
+            "front.py": ("from .core import helper\n"
+                         "def lazy():\n"
+                         "    from pkg.lazy import thing\n"),  # function level
+            "core/__init__.py": "from .impl import helper\n",  # a re-export
+            "core/impl.py": "from .. import util\n",
+            "util.py": "", "lazy.py": "", "unused.py": "", "bench.py": "",
+            "extras/__init__.py": "", "extras/plot.py": "",
+        }
+        for name, source in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(source)
+        allowed = {"bench.py": "a benchmark's library",
+                   "extras/": "a whole package",
+                   "gone.py": "deleted since", "util.py": "now reached"}
+        violations = linter.lint_callers(root, front_doors=("front.py",),
+                                         allowed=allowed)
+        assert [(v.rule, v.path.relative_to(root).as_posix())
+                for v in violations] == [
+            ("library-has-a-caller", "unused.py"),
+            ("library-has-a-caller", "gone.py"),     # stale: no such module
+            ("library-has-a-caller", "util.py")]     # stale: reached
+        # a renamed front door fails loudly instead of reaching nothing
+        missing = linter.lint_callers(root, front_doors=("door.py",),
+                                      allowed={})
+        assert missing[0].path == root / "door.py"
 
     def test_exiting_poll_loop_not_flagged(self, tmp_path):
         linter = _load_linter()

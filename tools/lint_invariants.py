@@ -40,11 +40,11 @@ Rules
     be called only from ``runtime/executor.py`` (the ``Executor`` front door
     and the in-process serving back-end) and ``runtime/procpool/worker.py``
     (the process back-end's worker); and ``runtime/serving.py`` may name
-    ``procpool``, ``rpc`` or ``Executor`` only inside
-    ``InferenceEngine.__init__``, where the one back-end is constructed —
-    an engine that re-interleaves back-end branches with admission and
-    batching fails here, not in review.  What it may ask of ``_backend`` is
-    the three-method contract: ``run_batch`` / ``shutdown`` / ``stats``.
+    ``procpool`` or ``Executor`` only inside ``InferenceEngine.__init__``,
+    where the one back-end is constructed — an engine that re-interleaves
+    back-end branches with admission and batching fails here, not in
+    review.  What it may ask of ``_backend`` is the three-method contract:
+    ``run_batch`` / ``shutdown`` / ``stats``.
 
 ``one-serving-queue``
     A request waits in exactly one place, the admission queue, and each
@@ -116,6 +116,19 @@ Rules
     while tuning was verified again at compile, and the measurer re-raised
     one live exception object whose traceback grew with every replay.
 
+``library-has-a-caller``
+    Applied to the package as a whole: every module under ``src/repro`` is
+    imported, directly or transitively, from a module that defines one of
+    the five front doors (``repro.compile``, ``autotune``, ``load``,
+    ``serve``, ``Executor``), or is listed in ``_NO_FRONT_DOOR`` with the
+    benchmark or figure that needs it.  Imports count at module and at
+    function level, relative imports are resolved, and importing a submodule
+    runs its packages' ``__init__`` (so a package re-export reaches what it
+    re-exports); an import under ``if TYPE_CHECKING:`` never runs and does
+    not count.  An entry for a module that no longer exists, or that a front
+    door now reaches, fails too.  A module nothing reaches is dead code or
+    one benchmark's library, and the list says which.
+
 Exit status is 0 when clean, 1 when any violation is found.
 """
 
@@ -126,7 +139,7 @@ import ast
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List
+from typing import Iterable, List, Sequence, Set
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_TREE = REPO_ROOT / "src" / "repro"
@@ -162,6 +175,9 @@ RULES = {
                         "keyword or parameter"),
     "one-verification-memo": ("verify_func( only inside analysis/ and the "
                               "memo autotvm/task.py::_verify_once"),
+    "library-has-a-caller": ("every module is imported from a front-door "
+                             "module or listed, with its reason, in "
+                             "_NO_FRONT_DOOR; no stale entry"),
 }
 
 #: files (by trailing path parts) allowed to call ``._execute(``
@@ -192,6 +208,24 @@ _PLUGIN_NAMES = ("instruments", "extra_passes")
 _VERIFY_MEMO_SITE = ("autotvm", "task.py", "_verify_once")
 #: stdlib queue classes (``queue.X(...)`` or imported bare)
 _QUEUE_CLASSES = ("Queue", "SimpleQueue", "LifoQueue", "PriorityQueue")
+#: the modules defining repro.compile / autotune / load / serve / Executor
+_FRONT_DOORS = ("compiler/driver.py", "autotvm/session.py",
+                "runtime/artifact.py", "runtime/serving.py",
+                "runtime/executor.py")
+#: modules no front door imports -> who needs them ("x/" covers a package)
+_NO_FRONT_DOOR = {
+    "baselines/": "vendor-library and framework comparison points "
+                  "(Figs. 14-19)",
+    "runtime/traffic.py": "trace generation and replay (bench_traffic.py)",
+    "analysis/mutate.py": "the verifier's mutation harness (bench_verify.py)",
+    "autotvm/treernn.py": "the TreeRNN row of the cost-model ablation "
+                          "(bench_ablation_cost_models.py)",
+    "autotvm/service/zoo.py": "the zoo drive of bench_tuning.py",
+    "topi/winograd.py": "pre-transformed Winograd conv (Fig. 15, "
+                        "bench_fig15_gpu_ops.py)",
+    "workloads.py": "Table 2's operator workloads (the per-operator "
+                    "figures, bench_table2_workloads.py, the examples)",
+}
 
 
 def _names_interval_arithmetic(name: str) -> bool:
@@ -202,11 +236,11 @@ def _names_interval_arithmetic(name: str) -> bool:
 
 def _names_backend(name: str) -> bool:
     """An identifier (or dotted-import part) that names an execution
-    back-end: ``rpc``, ``ModuleWorkerPool``, or anything spelled with
-    ``procpool`` / ``executor`` (``Executor``, ``_executors``, ...)."""
+    back-end: ``ModuleWorkerPool``, or anything spelled with ``procpool`` /
+    ``executor`` (``Executor``, ``_executors``, ...)."""
     lowered = name.lower()
-    return (lowered == "rpc" or name == "ModuleWorkerPool"
-            or "procpool" in lowered or "executor" in lowered)
+    return (name == "ModuleWorkerPool" or "procpool" in lowered
+            or "executor" in lowered)
 
 
 @dataclass
@@ -552,12 +586,119 @@ def lint_file(path: Path) -> List[Violation]:
     return linter.violations
 
 
+def _is_type_checking(test: ast.AST) -> bool:
+    """``TYPE_CHECKING`` or ``typing.TYPE_CHECKING``."""
+    return ((isinstance(test, ast.Name) and test.id == "TYPE_CHECKING")
+            or (isinstance(test, ast.Attribute)
+                and test.attr == "TYPE_CHECKING"))
+
+
+def _executed_imports(tree: ast.AST) -> Iterable[ast.AST]:
+    """Every import statement that can run: module or function level, but
+    not the body of an ``if TYPE_CHECKING:``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _files_for(root: Path, parts: Sequence[str]) -> Set[Path]:
+    """The files importing ``root.<parts>`` runs: each enclosing package's
+    ``__init__.py`` and the module itself (nothing for a missing name)."""
+    files: Set[Path] = set()
+    for depth in range(len(parts) + 1):
+        here = root.joinpath(*parts[:depth])
+        if (here / "__init__.py").is_file():
+            files.add(here / "__init__.py")
+        elif depth and here.with_suffix(".py").is_file():
+            files.add(here.with_suffix(".py"))
+            break
+        else:
+            break
+    return files
+
+
+def _imported_files(path: Path, root: Path) -> Set[Path]:
+    """Files under ``root`` (the top-level package) that ``path`` imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    package = list(path.relative_to(root).parent.parts)
+    files: Set[Path] = set()
+    for node in _executed_imports(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == root.name:
+                    files |= _files_for(root, parts[1:])
+            continue
+        module = node.module.split(".") if node.module else []
+        if node.level:
+            base = package[:len(package) - node.level + 1] + module
+        elif module[:1] == [root.name]:
+            base = module[1:]
+        else:
+            continue
+        files |= _files_for(root, base)
+        for alias in node.names:        # ``from pkg import submodule``
+            files |= _files_for(root, base + [alias.name])
+    return files
+
+
+def lint_callers(root: Path, front_doors=_FRONT_DOORS,
+                 allowed=_NO_FRONT_DOOR) -> List[Violation]:
+    """Rule ``library-has-a-caller`` over the package rooted at ``root``."""
+    violations: List[Violation] = []
+    reached: Set[Path] = set()
+    frontier: List[Path] = []
+    for door in front_doors:
+        if not (root / door).is_file():
+            violations.append(Violation(
+                "library-has-a-caller", root / door, 0,
+                "front-door module is missing — update _FRONT_DOORS"))
+            continue
+        frontier.extend(_files_for(root, Path(door).with_suffix("").parts))
+    while frontier:
+        path = frontier.pop()
+        if path not in reached:
+            reached.add(path)
+            frontier.extend(_imported_files(path, root) - reached)
+
+    def covers(entry: str, path: Path) -> bool:
+        rel = path.relative_to(root).as_posix()
+        return rel.startswith(entry) if entry.endswith("/") else rel == entry
+
+    modules = sorted(root.rglob("*.py"))
+    for path in modules:
+        if path not in reached and not any(covers(e, path) for e in allowed):
+            violations.append(Violation(
+                "library-has-a-caller", path, 1,
+                "no front door imports this module — delete it, or list it "
+                "in _NO_FRONT_DOOR with the benchmark that needs it"))
+    for entry in allowed:
+        covered = [path for path in modules if covers(entry, path)]
+        if not covered or all(path in reached for path in covered):
+            why = ("names no module" if not covered
+                   else "is reached from a front door")
+            violations.append(Violation(
+                "library-has-a-caller", root / entry, 0,
+                f"stale _NO_FRONT_DOOR entry {entry!r}: it {why}"))
+    return violations
+
+
 def lint_tree(roots: Iterable[Path]) -> List[Violation]:
     violations: List[Violation] = []
     for root in roots:
         paths = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for path in paths:
             violations.extend(lint_file(path))
+        # the whole-package rule runs on a top-level package only
+        if (root / "__init__.py").is_file() \
+                and not (root.parent / "__init__.py").is_file():
+            violations.extend(lint_callers(root))
     return violations
 
 
