@@ -226,11 +226,14 @@ def compile(model: ModelLike, target: Union[Target, str, None] = None, *,
 
         verify_graph(state.graph, groups=state.groups,
                      memory_plan=state.memory_plan, pass_name="codegen")
+    # Bind only what the graph reads (simplify_inference keeps folded weights)
+    bound = {node.name for node in state.graph.input_nodes}
     return CompiledModule(
         graph=state.graph,
         kernels=_generate_kernels(state, ApplyHistoryBest.current(),
                                   het_targets, verify=verify),
-        params=state.params,
+        params={name: value for name, value in state.params.items()
+                if name in bound},
         target=resolved_target,
         memory_plan=state.memory_plan,
         opt_level=ctx.opt_level,

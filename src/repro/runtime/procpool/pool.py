@@ -165,6 +165,8 @@ class ModuleWorkerPool:
         # 4-worker pool pays one interpreter start, not four in sequence.
         try:
             if bundle_path is None:
+                # Workers map params from the arena below, not this bundle;
+                # its params entry is stored, so writing it costs a copy.
                 from ..artifact import export_module
 
                 handle, bundle_path = tempfile.mkstemp(prefix="repro-serve-",

@@ -103,12 +103,12 @@ def test_build_and_execute_matches_numpy_reference():
     graph, params, shapes = _small_cnn()
     target = cuda()
     module = repro.compile(graph, target=target, params=params, opt_level=2)
-    params = module.params
     data = np.random.rand(1, 3, 16, 16).astype("float32")
     result = runtime.Executor(module).run({"data": data})
     out = result.outputs[0]
 
-    # Independent NumPy composition of the same network.
+    # Independent NumPy composition of the same network, from the frontend's
+    # weights (the module binds the batch-norm-folded ones instead).
     conv = ref.conv2d_nchw(data, params["conv0_weight"], 1, 1)
     bn = ref.batch_norm_inference(conv, params["bn0_gamma"], params["bn0_beta"],
                                   params["bn0_mean"], params["bn0_var"])

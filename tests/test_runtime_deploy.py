@@ -2,7 +2,10 @@
 module artifacts (export / repro.load) and the legacy-shim behaviour."""
 
 import dataclasses
+import io
+import json
 import threading
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -343,8 +346,79 @@ class TestGraphCodec:
 
 
 # ---------------------------------------------------------------------------
+# A module binds the weights its graph reads
+# ---------------------------------------------------------------------------
+
+#: every zoo model on the target benchmarks/e2e compiles it for
+_E2E_PAIRS = [("resnet-18", "cuda"), ("mobilenet", "arm_cpu"),
+              ("dcgan", "cuda"), ("dqn", "arm_cpu"), ("lstm-lm", "cuda")]
+
+
+class TestBoundParams:
+    @pytest.mark.parametrize("name, target", _E2E_PAIRS,
+                             ids=[name for name, _ in _E2E_PAIRS])
+    def test_zoo_module_binds_only_what_its_graph_reads(self, name, target):
+        graph, params, shapes = get_model(name)
+        module = repro.compile((graph, params, shapes), target=target)
+        read = {node.name for node in module.graph.input_nodes
+                if node.name not in shapes}
+        assert set(module.params) == read
+        if name == "resnet-18":     # 148 with the 105 folded-away originals
+            assert len(module.params) == 43
+        # What was dropped is dead: binding every weight changes no bit.
+        unpruned = dataclasses.replace(module,
+                                       params={**params, **module.params})
+        executor = Executor(module)
+        inputs = _inputs_for(executor)
+        for got, want in zip(executor.run(inputs).outputs,
+                             Executor(unpruned).run(inputs).outputs):
+            np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
 # Artifact export / load round trips (satellite #4)
 # ---------------------------------------------------------------------------
+
+def _rewritten(path, edits, compression=zipfile.ZIP_STORED):
+    """A copy of bundle ``path`` with ``edits[entry](payload)`` applied to
+    the entries it names; the others are copied verbatim."""
+    out = path.with_name("rewritten-" + path.name)
+    with zipfile.ZipFile(path) as src, \
+            zipfile.ZipFile(out, "w", compression) as dst:
+        for entry in src.namelist():
+            payload = src.read(entry)
+            if entry in edits:
+                payload = edits[entry](payload)
+            dst.writestr(entry, payload)
+    return out
+
+
+def _edit_manifest(edit):
+    def rewrite(payload):
+        manifest = json.loads(payload)
+        edit(manifest)
+        return json.dumps(manifest)
+    return rewrite
+
+
+def _arrays(payload):
+    with np.load(io.BytesIO(payload)) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def _npz(arrays, save=np.savez):
+    buffer = io.BytesIO()
+    save(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def _assert_same_params(got, want):
+    assert list(got) == list(want)
+    for name, value in want.items():
+        assert (got[name].dtype, got[name].shape) \
+            == (value.dtype, value.shape), name
+        assert got[name].tobytes() == value.tobytes(), name
+
 
 class TestArtifactRoundTrip:
     @pytest.mark.parametrize("make_target", [cuda, arm_cpu, vdla],
@@ -390,6 +464,47 @@ class TestArtifactRoundTrip:
         assert [r.name for r in loaded.pass_records] == \
             [r.name for r in cnn_module.pass_records]
 
+    def test_params_round_trip_stored(self, cnn_module, tmp_path):
+        path = tmp_path / "params.repro"
+        cnn_module.export(path)
+        with zipfile.ZipFile(path) as bundle:
+            methods = {info.filename: info.compress_type
+                       for info in bundle.infolist()}
+        assert methods == {"MANIFEST.json": zipfile.ZIP_DEFLATED,
+                           "graph.json": zipfile.ZIP_DEFLATED,
+                           "params.npz": zipfile.ZIP_STORED}
+        _assert_same_params(repro.load(path).params, cnn_module.params)
+
+    def test_parent_encoding_still_loads(self, cnn_module, cnn_input,
+                                         tmp_path):
+        # how bundles were written before params were stored: savez_compressed
+        # inside a deflated entry, and no parameter record in the manifest
+        path = tmp_path / "stored.repro"
+        cnn_module.export(path)
+        old = _rewritten(path, {
+            "params.npz": lambda payload: _npz(_arrays(payload),
+                                               np.savez_compressed),
+            "MANIFEST.json": _edit_manifest(lambda m: m.pop("params"))},
+            compression=zipfile.ZIP_DEFLATED)
+        loaded = repro.load(old)
+        _assert_same_params(loaded.params, cnn_module.params)
+        np.testing.assert_array_equal(
+            Executor(loaded)(cnn_input)[0].asnumpy(),
+            Executor(cnn_module)(cnn_input)[0].asnumpy())
+
+    def test_export_streams_params(self, tmp_path):
+        module = repro.compile(resnet18(batch=1, image_size=32, num_classes=10),
+                               target=cuda())
+        largest = max(value.nbytes for value in module.params.values())
+        tracemalloc.start()
+        try:
+            module.export(tmp_path / "resnet18.repro")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # deflating a whole-params buffer peaked at 3.1x the params' total
+        assert peak < 2 * largest + 2 ** 20, (peak, largest)
+
 
 class TestArtifactErrors:
     def test_garbage_file(self, tmp_path):
@@ -406,54 +521,72 @@ class TestArtifactErrors:
             repro.load(path)
 
     def test_newer_schema_rejected_with_upgrade_hint(self, cnn_module, tmp_path):
-        import json
-
         path = tmp_path / "future.repro"
         cnn_module.export(path)
-        rewritten = tmp_path / "future2.repro"
-        with zipfile.ZipFile(path) as src, \
-                zipfile.ZipFile(rewritten, "w") as dst:
-            for entry in src.namelist():
-                payload = src.read(entry)
-                if entry == "MANIFEST.json":
-                    manifest = json.loads(payload)
-                    manifest["schema_version"] = 99
-                    payload = json.dumps(manifest)
-                dst.writestr(entry, payload)
+        rewritten = _rewritten(path, {"MANIFEST.json": _edit_manifest(
+            lambda manifest: manifest.update(schema_version=99))})
         with pytest.raises(ArtifactError, match="v99"):
             repro.load(rewritten)
 
     def test_unknown_target_lists_known(self, cnn_module, tmp_path):
-        import json
-
         path = tmp_path / "target.repro"
         cnn_module.export(path)
-        rewritten = tmp_path / "target2.repro"
-        with zipfile.ZipFile(path) as src, \
-                zipfile.ZipFile(rewritten, "w") as dst:
-            for entry in src.namelist():
-                payload = src.read(entry)
-                if entry == "MANIFEST.json":
-                    manifest = json.loads(payload)
-                    manifest["target"]["name"] = "tpu-v9"
-                    payload = json.dumps(manifest)
-                dst.writestr(entry, payload)
+        rewritten = _rewritten(path, {"MANIFEST.json": _edit_manifest(
+            lambda manifest: manifest["target"].update(name="tpu-v9"))})
         with pytest.raises(ArtifactError, match="known targets"):
             repro.load(rewritten)
 
     def test_corrupt_manifest_json(self, cnn_module, tmp_path):
         path = tmp_path / "corrupt.repro"
         cnn_module.export(path)
-        rewritten = tmp_path / "corrupt2.repro"
-        with zipfile.ZipFile(path) as src, \
-                zipfile.ZipFile(rewritten, "w") as dst:
-            for entry in src.namelist():
-                payload = src.read(entry)
-                if entry == "MANIFEST.json":
-                    payload = b"{ not json"
-                dst.writestr(entry, payload)
+        rewritten = _rewritten(
+            path, {"MANIFEST.json": lambda payload: b"{ not json"})
         with pytest.raises(ArtifactError, match="corrupt"):
             repro.load(rewritten)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda payload: payload[:len(payload) // 2],
+        lambda payload: b"not an npz archive " * 8,
+        lambda payload: _npz({**_arrays(payload),
+                              "fc_weight": np.array([None], dtype=object)}),
+    ], ids=["truncated", "garbage", "object-array"])
+    def test_corrupt_params_entry(self, cnn_module, tmp_path, corrupt):
+        path = tmp_path / "params.repro"
+        cnn_module.export(path)
+        rewritten = _rewritten(path, {"params.npz": corrupt})
+        with pytest.raises(ArtifactError) as exc:
+            repro.load(rewritten)
+        assert str(rewritten) in str(exc.value)
+        assert "'params.npz'" in str(exc.value)
+
+    @pytest.mark.parametrize("edit", [
+        lambda arrays, name: arrays.pop(name),
+        lambda arrays, name: arrays.update({name: arrays[name].reshape(-1)}),
+    ], ids=["dropped", "reshaped"])
+    def test_params_checked_against_manifest(self, cnn_module, tmp_path,
+                                             edit):
+        # a dropped weight used to load and become a required graph input
+        path = tmp_path / "params.repro"
+        cnn_module.export(path)
+        name = next(iter(cnn_module.params))
+
+        def rewrite(payload):
+            arrays = _arrays(payload)
+            edit(arrays, name)
+            return _npz(arrays)
+
+        with pytest.raises(ArtifactError, match=f"parameter '{name}'"):
+            repro.load(_rewritten(path, {"params.npz": rewrite}))
+
+    def test_params_override_checked_against_manifest(self, cnn_module,
+                                                      tmp_path):
+        path = tmp_path / "params.repro"
+        cnn_module.export(path)
+        name = next(iter(cnn_module.params))
+        params = dict(cnn_module.params)
+        params[name] = params[name].astype(np.float64)
+        with pytest.raises(ArtifactError, match=f"parameter '{name}'.*float64"):
+            load_module(path, params=params)
 
 
 # ---------------------------------------------------------------------------

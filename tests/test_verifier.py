@@ -701,9 +701,23 @@ class TestLintInvariants:
         harness.write_text(source)
         assert linter.lint_file(harness) == []
 
+    def test_no_compressed_weights_rule(self, tmp_path):
+        linter = _load_linter()
+        artifact = tmp_path / "runtime" / "artifact.py"
+        artifact.parent.mkdir()
+        artifact.write_text(
+            "import numpy as np\n"
+            "from numpy import savez_compressed\n"
+            "def export(handle, params):\n"
+            "    np.savez(handle, **params)\n"                # stored: fine
+            "    np.savez_compressed(handle, **params)\n"
+            "    savez_compressed(handle, **params)\n")
+        assert [(v.rule, v.line) for v in linter.lint_file(artifact)] \
+            == [("no-compressed-weights", line) for line in (5, 6)]
+
     def test_library_has_a_caller_rule(self, tmp_path):
         linter = _load_linter()
-        assert len(linter.RULES) == 13
+        assert len(linter.RULES) == 14
         assert "library-has-a-caller" in linter.RULES
         root = tmp_path / "pkg"
         files = {
