@@ -10,9 +10,15 @@ SLO-violation curve per (family, load level, policy) cell.
 The scenario is deliberately deadline-hostile for the static policy: every
 request carries a 120 ms deadline while the static batcher's coalescing
 window is 150 ms, so under light load a static engine holds lone requests
-past their deadline where the adaptive batcher — which consults the
-``_BatchCostModel`` and current queue headroom — dispatches immediately.
-Under heavy load both policies fill batches quickly and converge.
+past their deadline where the adaptive batcher — which prices a batch in the
+wall seconds the engine measured per batch size, against the current queue
+headroom — dispatches immediately.  On this runtime a batch of k costs k
+solo runs, so the adaptive engine serves batches of one; under heavy load
+the static engine fills batches quickly and the two converge.
+
+The JSON starts with the end-to-end benchmark's run header (commit, core
+count, numpy, BLAS threads, ``clock: "wall"``); run it with
+``OPENBLAS_NUM_THREADS=1`` to match ``benchmarks/e2e``.
 
 Acceptance gates (enforced here; ``--smoke`` enforces them in CI):
 
@@ -48,7 +54,7 @@ from repro.hardware import cuda
 from repro.runtime import Executor, InferenceEngine
 from repro.runtime.traffic import TraceReplayer, TraceSpec
 
-from common import emit_summary
+from common import emit_summary, run_header
 
 DEVICES = 2
 MAX_QUEUE = 512
@@ -252,8 +258,8 @@ def main(argv=None) -> int:
 
     payload = {
         "suite": "traffic",
+        **run_header("wall"),
         "smoke": args.smoke,
-        "python": platform.python_version(),
         "machine": platform.machine(),
         "devices": DEVICES,
         "deadline_ms": DEADLINE_MS,

@@ -10,8 +10,14 @@ figure reports.
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 from functools import lru_cache
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
+
+import numpy
 
 import repro
 from repro.autotvm import ApplyHistoryBest, TuningOptions
@@ -139,6 +145,24 @@ def emit_summary(suite: str, data: Dict[str, object]) -> None:
     print("BENCH_SUMMARY " + json.dumps(
         {"suite": suite, **eval_cache_rates(), **data},
         sort_keys=True, default=float))
+
+
+def run_header(clock: str) -> Dict[str, object]:
+    """Where a ``BENCH_*.json`` artifact was measured: the fields of the
+    end-to-end benchmark's run header (commit — ``-dirty`` when the tree has
+    uncommitted changes — core count, python, numpy, BLAS threads) and the
+    clock its numbers are on (``"wall"`` or ``"simulated"``)."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=7"],
+            cwd=Path(__file__).parent, text=True, capture_output=True,
+            timeout=10).stdout.strip() or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        commit = "unknown"
+    return {"commit": commit, "nproc": os.cpu_count(),
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+            "clock": clock}
 
 
 def conv_graph(batch, in_channels, height, width, out_channels, kernel, stride,

@@ -13,7 +13,7 @@ three decisions that each live in their own module:
 * **how big a batch is** (:mod:`~repro.runtime.batching`) — up to
   ``max_batch`` requests coalesced along the graph's batch axis within
   ``timeout_ms``, or, with ``max_batch="adaptive"``, the size that maximises
-  estimated goodput under ``p99_target_ms``;
+  goodput under ``p99_target_ms``, priced in the wall seconds it measured;
 * **where it runs** — one worker thread per device; the moment its device
   is free it pulls its next batch straight from the admission queue and
   hands it to the engine's one execution back-end (known here only as
@@ -36,9 +36,9 @@ full batch, not one partial batch per idle device.
 batch-occupancy / SLO statistics; :meth:`InferenceEngine.shutdown` drains by
 default or rejects the backlog with ``drain=False``.
 
-Latency accounting is simulated-consistent: a coalesced batch costs the
-per-batch kernel estimates of the batched workload (what compiling the model
-at that batch size would report), never the sum of per-request times.
+Simulated accounting (``stats()["simulated"]``) is per batch: a coalesced
+batch costs the kernel estimates of a compile at that batch size (made the
+first time the size executes), never the sum of per-request times.
 Functional outputs, however, are computed per request on the native-batch
 kernels so every request's result is bit-identical to a solo execution (the
 NumPy BLAS kernels are not bitwise batch-invariant).
@@ -49,7 +49,7 @@ from __future__ import annotations
 import collections
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from ..compiler.module import CompiledModule
 from .admission import (DeadlineExceeded, InferenceFuture, QueueFull,
                         RequestCancelled, ServingError, _AdmissionQueue,
                         _reject_all, _Request)
-from .batching import _BatchCostModel, _choose_batch_size
+from .batching import _BatchCostModel, _choose_batch_size, _wall_batch_time
 from .ndarray import Device, DeviceLike, device as as_device
 
 __all__ = ["serve", "InferenceEngine", "InferenceFuture", "ServingError",
@@ -135,14 +135,6 @@ class InferenceEngine:
         self.native_batch = specs[0].shape[0] if batchable else 1
         self._cost = _BatchCostModel(module, [s.name for s in specs],
                                      self.native_batch)
-        if self._adaptive:
-            # Adaptive sizing consults the cost model on every batch, under
-            # the admission queue's lock; estimating a batch size is a
-            # one-off compile that would otherwise stall admission (and
-            # expire queued requests) the first time each size comes up.
-            # Pay the whole cost up front, while no request is waiting.
-            for size in range(1, self.max_batch + 1):
-                self._cost.times_for(size * self.native_batch)
 
         # The one execution back-end, chosen once (nothing outside __init__
         # names one): per-device Executors on this process's worker threads,
@@ -174,6 +166,10 @@ class InferenceEngine:
         self._latency_samples = collections.deque(maxlen=_LATENCY_WINDOW)
         #: adaptive batcher decisions: chosen batch-size limit -> count
         self._adaptive_decisions: Dict[int, int] = {}
+        #: executed batch size -> (wall seconds summed, batches), and the
+        #: means the adaptive policy last priced with
+        self._wall_by_size: Dict[int, Tuple[float, int]] = {}
+        self._wall_read: Dict[int, float] = {}
         self._device_busy = [0.0 for _ in self.devices]
         self._started_at = time.monotonic()
         self._stopped_at: Optional[float] = None
@@ -271,11 +267,16 @@ class InferenceEngine:
     # ------------------------------------------------------------------ workers
     def _choose_batch_size(self, headrooms: Sequence[Optional[float]]) -> int:
         """Adaptive sizing: ask :func:`~repro.runtime.batching._choose_batch_size`
-        with the waiting requests' deadline headrooms, and record the
-        decision."""
-        size = _choose_batch_size(self.estimated_batch_time, headrooms,
-                                  self.max_batch, self.p99_target_s)
+        with the waiting requests' deadline headrooms and the wall seconds
+        this engine measured per batch size (1 until it has measured one),
+        and record the decision.  Called under the admission lock."""
         with self._stats_lock:
+            means = self._wall_read = {
+                size: total / count
+                for size, (total, count) in self._wall_by_size.items()}
+            size = _choose_batch_size(_wall_batch_time(means), headrooms,
+                                      self.max_batch, self.p99_target_s) \
+                if means else 1
             self._adaptive_decisions[size] = \
                 self._adaptive_decisions.get(size, 0) + 1
         return size
@@ -380,6 +381,9 @@ class InferenceEngine:
                 violations += 1
             future._resolve(outcome)
         with self._stats_lock:
+            total, count = self._wall_by_size.get(len(batch), (0.0, 0))
+            self._wall_by_size[len(batch)] = (total + done_at - exec_start,
+                                              count + 1)
             self._n_requests += len(batch)
             self._device_busy[index] += batch_time
             self._latency_samples.extend(samples)
@@ -419,6 +423,8 @@ class InferenceEngine:
             busy = list(self._device_busy)
             samples = list(self._latency_samples)
             decisions = dict(sorted(self._adaptive_decisions.items()))
+            wall_read = {size: seconds * 1e3 for size, seconds
+                         in sorted(self._wall_read.items())}
             cancelled = self._n_cancelled
             violations = self._deadline_violations
             end = self._stopped_at or time.monotonic()
@@ -459,6 +465,7 @@ class InferenceEngine:
                 "p99_target_ms": None if self.p99_target_s is None
                 else self.p99_target_s * 1e3,
                 "decisions": decisions,
+                "wall_ms_by_size": wall_read,
             },
             "slo": {
                 "max_queue": self.max_queue,
@@ -536,13 +543,17 @@ def serve(module_or_path: Union[CompiledModule, str], *,
         Dynamic batching knobs: coalesce up to ``max_batch`` requests,
         waiting at most ``timeout_ms`` after the batch's oldest request was
         submitted for it to fill.  ``max_batch="adaptive"`` replaces the
-        fixed limit with a cost-model-driven policy: each batch's size
-        limit is chosen to maximise estimated goodput given the current
-        queue depth and the waiting requests' deadline headroom (capped at
+        fixed limit with a policy that chooses each batch's size limit to
+        maximise estimated goodput given the current queue depth and the
+        waiting requests' deadline headroom (capped at
         ``adaptive_max_batch``), so a lone request under light load
         dispatches immediately instead of idling out the coalescing window.
+        Batches are priced in wall seconds the engine measured per size (an
+        unseen size costs ``size ×`` the cheapest per-request mean), so on
+        back-ends that run a batch request by request it serves batches of
+        one; start-up compiles nothing.
     p99_target_ms / adaptive_max_batch:
-        Adaptive-policy knobs: candidate batch sizes whose estimated
+        Adaptive-policy knobs: candidate batch sizes whose estimated wall
         per-batch latency exceeds ``p99_target_ms`` are never chosen
         (except size one), and ``adaptive_max_batch`` caps the chosen size.
     max_queue:

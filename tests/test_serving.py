@@ -3,6 +3,7 @@ latency accounting, and the admission queue the workers pull from."""
 
 import queue
 import random
+import sys
 import threading
 import time
 
@@ -14,7 +15,10 @@ from repro.frontend import ModelBuilder
 from repro.hardware import cuda
 from repro.runtime import (DeadlineExceeded, Executor, QueueFull,
                            RequestCancelled, ServingError)
+from repro.autotvm import eval_cache_stats
+from repro.runtime import serving
 from repro.runtime.admission import _AdmissionQueue, _Request
+from repro.runtime.batching import _choose_batch_size
 
 
 def _small_cnn():
@@ -1022,6 +1026,107 @@ class TestNonBatchableGraphs:
 # Adaptive batch sizing (tentpole: max_batch="adaptive")
 # ---------------------------------------------------------------------------
 
+def _wall_priced_engine(module, cost, **kwargs):
+    """A one-device adaptive engine whose batch of ``k`` requests takes
+    ``cost(k)`` seconds of wall time on top of the real execution; while
+    ``gate`` is clear a batch parks, and ``entered`` is set when it does."""
+    engine = repro.serve(module, max_batch="adaptive", devices=1, **kwargs)
+    gate = threading.Event()
+    gate.set()
+    entered = threading.Event()
+    original = engine._backend.run_batch
+
+    def run_batch(index, requests):
+        entered.set()
+        gate.wait(30)
+        outcomes = original(index, requests)
+        time.sleep(cost(len(requests)))
+        return outcomes
+
+    engine._backend.run_batch = run_batch
+    return engine, gate, entered
+
+
+def _deep_queue(engine, gate, entered, inputs, urgent=0):
+    """Park one request in execution, queue twelve behind it, release; the
+    i-th request is ``inputs[i % len(inputs)]``.  The first ``urgent`` of
+    the twelve pop first and have 300 ms to their deadline."""
+    gate.clear()
+    entered.clear()
+    futures = []
+    try:
+        for i in range(13):
+            tight = 1 <= i <= urgent
+            futures.append(engine.submit(
+                data=inputs[i % len(inputs)], priority=int(tight),
+                deadline_ms=300.0 if tight else None))
+            if i == 0:
+                assert entered.wait(10)
+        time.sleep(0.05)          # let the backlog settle in the queue
+    finally:
+        gate.set()
+    return futures
+
+
+def _spy_policy(monkeypatch):
+    """Record ``(batch_time, headrooms, chosen size)`` of every call the
+    engine makes to the adaptive policy."""
+    calls = []
+
+    def spy(batch_time, headrooms, max_batch, p99_target_s):
+        size = _choose_batch_size(batch_time, headrooms, max_batch,
+                                  p99_target_s)
+        calls.append((batch_time, list(headrooms), size))
+        return size
+
+    monkeypatch.setattr(serving, "_choose_batch_size", spy)
+    return calls
+
+
+class TestChooseBatchSize:
+    """The adaptive policy as a pure function of its estimates."""
+
+    RNG_DRAWS = 500
+
+    def _solo_times(self):
+        return np.random.default_rng(11).uniform(1e-3, 0.1, self.RNG_DRAWS)
+
+    def test_linear_estimates_choose_one(self):
+        # k requests in k x solo: per-request goodput is flat in k, and a
+        # tie keeps the smaller size however the division rounds.
+        for solo in self._solo_times():
+            for max_batch in range(1, 9):
+                assert _choose_batch_size(lambda k: k * solo, [None] * 8,
+                                          max_batch, None) == 1
+
+    def test_sub_linear_estimates_without_deadlines_choose_max_batch(self):
+        for solo in self._solo_times():
+            for max_batch in range(1, 9):
+                assert _choose_batch_size(lambda k: solo * (1 + k) / 2,
+                                          [None] * 8, max_batch,
+                                          None) == max_batch
+
+    def test_headroom_below_the_estimate_is_never_counted_as_served(self):
+        # Batch of 2 costs 24 ms; the first request has 23 ms left.  Counted
+        # as served it would make 2 the better size (2 / 24 ms > 1 / 22 ms).
+        assert _choose_batch_size(lambda k: 0.020 + 0.002 * k,
+                                  [0.023, None], 2, None) == 1
+        rng = np.random.default_rng(7)
+        for _ in range(self.RNG_DRAWS):
+            times = np.sort(rng.uniform(1e-3, 0.1, 8))
+            headrooms = [None if h > 0.09 else float(h)
+                         for h in rng.uniform(0.0, 0.1, 8)]
+            size = _choose_batch_size(lambda k: times[k - 1], headrooms, 8,
+                                      None)
+
+            def goodput(k):
+                return sum(1 for h in headrooms[:k]
+                           if h is None or h >= times[k - 1]) / times[k - 1]
+
+            assert all(goodput(size) * (1 + 1e-9) >= goodput(k)
+                       for k in range(1, 9))
+
+
 class TestAdaptiveBatching:
     def test_knob_validation(self, module):
         with pytest.raises(ValueError, match="max_batch"):
@@ -1068,29 +1173,92 @@ class TestAdaptiveBatching:
         assert stats["adaptive"]["enabled"] is False
         assert stats["adaptive"]["decisions"] == {}
 
-    def test_deep_queue_coalesces_under_the_target(self, module):
-        # Pile requests behind a gate, then release: the adaptive batcher
-        # sees the whole backlog and its per-size estimates fit comfortably
-        # inside the p99 target, so at least one multi-request batch forms.
-        engine, gate, entered = _gated_engine(module,
-                                              max_batch="adaptive",
-                                              p99_target_ms=10_000.0,
-                                              devices=1)
-        futures = []
+    def test_start_up_compiles_nothing(self):
+        # A conv module of its own, so no other test has estimated its
+        # batch sizes already: a batch-size estimate is a compile, and a
+        # compile misses the feature cache.
+        b = ModelBuilder("startup", seed=0)
+        data = b.input("data", (1, 3, 12, 12))
+        net = b.relu(b.conv2d(data, 6, 3, 1, 1, name="conv0"))
+        graph, params = b.finalize(b.dense(b.flatten(net), 4, "fc"))
+        module = repro.compile((graph, params, {"data": (1, 3, 12, 12)}),
+                               target=cuda())
+        misses = eval_cache_stats()["features"]["misses"]
+        engine = repro.serve(module, devices=2, max_batch="adaptive",
+                             adaptive_max_batch=4)
         try:
-            futures.append(
-                engine.submit(data=np.zeros((1, 3, 16, 16), "float32")))
-            assert entered.wait(10)
-            for _ in range(12):
-                futures.append(
-                    engine.submit(data=np.zeros((1, 3, 16, 16), "float32")))
-            time.sleep(0.05)      # let the backlog settle in the queue
+            assert eval_cache_stats()["features"]["misses"] == misses
+            assert set(engine._cost._cache) == {engine.native_batch}
+            engine.infer_many([{"data": np.zeros((1, 3, 12, 12), "float32")}
+                               for _ in range(8)], timeout=30)
+            assert eval_cache_stats()["features"]["misses"] == misses
+            assert set(engine._cost._cache) == {engine.native_batch}
         finally:
-            gate.set()
+            engine.shutdown()
+
+    def test_batches_of_k_in_k_times_solo_are_served_one_by_one(
+            self, module, requests_and_expected, monkeypatch):
+        # On a back-end whose batch of k takes k x 20 ms of wall time, a deep
+        # queue is served in batches of one, and the policy never counts as
+        # served a request whose headroom (here < 250 ms, below the wall
+        # cost of a batch of 13) is below the wall cost of the size it
+        # prices.
+        step = 0.020
+        calls = _spy_policy(monkeypatch)
+        engine, gate, entered = _wall_priced_engine(
+            module, lambda k: k * step, adaptive_max_batch=16)
+        futures = _deep_queue(engine, gate, entered,
+                              requests_and_expected[0], urgent=3)
         for future in futures:
             future.result(30)
         engine.shutdown()
         stats = engine.stats()
-        assert stats["requests"] == len(futures)
-        assert stats["batches"] < len(futures)
+        assert calls, "the policy was never consulted"
+        for batch_time, headrooms, size in calls:
+            assert size == 1
+            for k in range(1, len(headrooms) + 1):
+                assert all(h is None or h >= k * step or h < batch_time(k)
+                           for h in headrooms[:k])
+        assert set(stats["batch_occupancy"]) == {1}
+        assert set(stats["adaptive"]["decisions"]) == {1}
+        assert stats["adaptive"]["wall_ms_by_size"][1] >= step * 1e3
+
+    def test_wall_estimates_count_every_batch_under_contention(
+            self, module, requests_and_expected):
+        # Four workers on two cores record their batches' wall time while
+        # the policy reads it: no batch may be lost from the estimates.
+        inputs, _ = requests_and_expected
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with repro.serve(module, devices=4, max_batch="adaptive",
+                             adaptive_max_batch=4) as engine:
+                engine.infer_many([{"data": inputs[i % len(inputs)]}
+                                   for i in range(64)], timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in engine._workers)
+        stats = engine.stats()
+        sizes = engine._wall_by_size
+        assert sum(count for _, count in sizes.values()) == stats["batches"]
+        assert sum(size * count for size, (_, count)
+                   in sizes.items()) == stats["requests"] == 64
+
+    def test_deep_queue_coalesces_when_a_batch_is_cheaper(
+            self, module, requests_and_expected):
+        # A back-end whose batch of k takes 20 ms + k x 2 ms: once the
+        # engine has measured one batch of 4, a deep queue coalesces.
+        inputs, expected = requests_and_expected
+        engine, gate, entered = _wall_priced_engine(
+            module, lambda k: 0.020 + 0.002 * k, adaptive_max_batch=4)
+        warm = [_Request({"data": x}) for x in inputs[:4]]
+        engine._run_batch(0, warm)
+        futures = _deep_queue(engine, gate, entered, inputs)
+        served = [r.future for r in warm] + futures
+        for future, want in zip(served, expected[:4] + expected * 2):
+            np.testing.assert_array_equal(future.result(30)[0], want)
+        engine.shutdown()
+        stats = engine.stats()
         assert max(stats["adaptive"]["decisions"]) > 1
+        assert stats["batches"] < len(futures)
+        assert 4 in stats["adaptive"]["wall_ms_by_size"]
