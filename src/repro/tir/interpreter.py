@@ -69,7 +69,40 @@ def numpy_dtype(dtype: str) -> np.dtype:
 
 
 class EvalError(RuntimeError):
-    """Raised when an expression or statement cannot be evaluated."""
+    """Raised when an expression or statement cannot be evaluated, including
+    a load, store or intrinsic slice outside its buffer."""
+
+
+def _out_of_range(name: str, index, shape, env: Dict[Var, object]) -> EvalError:
+    loops = ", ".join(f"{var.name}={value}" for var, value in env.items()
+                      if isinstance(var, Var)) or "none"
+    return EvalError(f"index {index} is out of range of {name} with shape "
+                     f"{tuple(shape)} (loop variables: {loops})")
+
+
+def _element(array: np.ndarray, name: str, exprs: Sequence[Expr],
+             env: Dict[Var, object], buffers: Dict[str, np.ndarray]) -> tuple:
+    """The index tuple of one element access, checked against ``array``:
+    NumPy would wrap a negative index to the far end of the buffer."""
+    idx = tuple(int(evaluate_expr(i, env, buffers)) for i in exprs)
+    if len(idx) != array.ndim or not all(
+            0 <= i < n for i, n in zip(idx, array.shape)):
+        raise _out_of_range(name, idx, array.shape, env)
+    return idx
+
+
+def _region(array: np.ndarray, name: str, offsets: Sequence[Expr],
+            extents: Sequence[int], env: Dict[Var, object],
+            buffers: Dict[str, np.ndarray]) -> tuple:
+    """The slices of one intrinsic operand, checked against ``array``: NumPy
+    would clamp a slice that runs past the buffer."""
+    start = [int(evaluate_expr(i, env, buffers)) for i in offsets]
+    if len(start) != array.ndim or not all(
+            0 <= s and s + d <= n
+            for s, d, n in zip(start, extents, array.shape)):
+        raise _out_of_range(name, [f"{s}:{s + d}" for s, d in zip(start, extents)],
+                            array.shape, env)
+    return tuple(slice(s, s + d) for s, d in zip(start, extents))
 
 
 def evaluate_expr(expr: Expr, env: Dict[Var, object],
@@ -107,16 +140,15 @@ def evaluate_expr(expr: Expr, env: Dict[Var, object],
         array = buffers.get(expr.buffer.name)
         if array is None:
             raise EvalError(f"Buffer {expr.buffer.name} is not bound")
-        idx = tuple(int(evaluate_expr(i, env, buffers)) for i in expr.indices)
-        return array[idx]
+        return array[_element(array, expr.buffer.name, expr.indices, env,
+                              buffers)]
     if isinstance(expr, TensorRead):
         tensor = expr.tensor
         name = getattr(tensor, "name", None)
         array = buffers.get(name)
         if array is None:
             raise EvalError(f"Tensor {name} has no bound array")
-        idx = tuple(int(evaluate_expr(i, env, buffers)) for i in expr.indices)
-        return array[idx]
+        return array[_element(array, name, expr.indices, env, buffers)]
     if isinstance(expr, Reduce):
         # Direct reduction evaluation (used when interpreting un-lowered
         # compute bodies, e.g. tensor intrinsic behaviours).
@@ -178,7 +210,7 @@ class Interpreter:
             if array is None:
                 array = np.zeros(stmt.buffer.shape, dtype=numpy_dtype(stmt.buffer.dtype))
                 buffers[stmt.buffer.name] = array
-            idx = tuple(int(evaluate_expr(i, env, buffers)) for i in stmt.indices)
+            idx = _element(array, stmt.buffer.name, stmt.indices, env, buffers)
             array[idx] = evaluate_expr(stmt.value, env, buffers)
             return
         if isinstance(stmt, Allocate):
@@ -206,25 +238,25 @@ class Interpreter:
         intrin = stmt.intrin
         op: ComputeOp = intrin.op
         out_shape = intrin.output_shape
-        out_offset = [int(evaluate_expr(i, env, buffers)) for i in stmt.output_offset]
         out_array = buffers[stmt.output.name]
+        target = _region(out_array, stmt.output.name, stmt.output_offset,
+                         out_shape, env, buffers)
 
         # Bind the behaviour op's input placeholders to slices of the actual
         # input buffers at the computed offsets.
         local_buffers: Dict[str, np.ndarray] = {}
         for decl_input, buffer, offsets in zip(intrin.inputs, stmt.inputs,
                                                stmt.input_offsets):
-            shape = decl_input.shape_values()
-            start = [int(evaluate_expr(i, env, buffers)) for i in offsets]
-            slices = tuple(slice(s, s + d) for s, d in zip(start, shape))
-            local_buffers[decl_input.name] = buffers[buffer.name][slices]
+            array = buffers[buffer.name]
+            local_buffers[decl_input.name] = array[_region(
+                array, buffer.name, offsets, decl_input.shape_values(), env,
+                buffers)]
 
         result = np.zeros(out_shape, dtype=out_array.dtype)
         axis_vars = [iv.var for iv in op.axis]
         for idx in itertools.product(*map(range, out_shape)):
             result[idx] = evaluate_expr(op.body, dict(zip(axis_vars, idx)),
                                         local_buffers)
-        target = tuple(slice(o, o + d) for o, d in zip(out_offset, out_shape))
         if stmt.reduction_update:
             out_array[target] += result
         else:

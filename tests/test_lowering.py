@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro import te, tir
+from repro.te.expr import FloatImm
+from repro.tir.interpreter import EvalError
 
 
 def _run(schedule, args, *arrays):
@@ -227,3 +229,46 @@ def test_lower_rejects_wrong_argument_count():
     func = tir.lower(s, [A, B])
     with pytest.raises(ValueError):
         tir.run_lowered(func, np.zeros(4, dtype="float32"))
+
+
+# ---------------------------------------------------------------------------
+# The interpreter faults on an access outside its buffer
+# ---------------------------------------------------------------------------
+
+def test_interpreter_rejects_a_store_before_the_buffer():
+    """``A[i - 1]`` at ``i = 0`` would wrap to ``A[3]`` in NumPy."""
+    a = tir.Buffer("A", (4,))
+    i = te.var("i")
+    func = tir.LoweredFunc("shift", [a], tir.For(
+        i, 0, 4, tir.BufferStore(a, [i - 1], FloatImm(1.0))))
+    array = np.zeros(4, dtype="float32")
+    with pytest.raises(EvalError, match=r"\(-1,\).*A with shape \(4,\)"
+                                        r".*loop variables: i=0"):
+        tir.run_lowered(func, array)
+
+
+def test_interpreter_rejects_a_load_past_the_buffer():
+    a = tir.Buffer("A", (4,))
+    b = tir.Buffer("B", (4,))
+    i = te.var("i")
+    func = tir.LoweredFunc("shift", [a, b], tir.For(
+        i, 0, 4, tir.BufferStore(b, [i], tir.BufferLoad(a, [i + 1]))))
+    with pytest.raises(EvalError, match=r"\(4,\).*A with shape \(4,\)"
+                                        r".*loop variables: i=3"):
+        tir.run_lowered(func, np.arange(4, dtype="float32"),
+                        np.zeros(4, dtype="float32"))
+
+
+def test_interpreter_rejects_an_intrinsic_slice_past_the_buffer():
+    """A 4 x 4 GEMM tile written at row 6 of an 8-row output: NumPy would
+    clamp the slice to two rows."""
+    from repro.topi.schedules.vdla import declare_gemm_intrin
+
+    intrin = declare_gemm_intrin(4)
+    a, b, c = (tir.Buffer(name, (8, 8)) for name in "ABC")
+    func = tir.LoweredFunc("gemm", [a, b, c], tir.IntrinsicStmt(
+        "gemm", intrin, [a, b], c, [[0, 0], [0, 0]], [6, 0]))
+    arrays = [np.ones((8, 8), dtype="float32") for _ in range(3)]
+    with pytest.raises(EvalError, match=r"\['6:10', '0:4'\].*C with shape "
+                                        r"\(8, 8\)"):
+        tir.run_lowered(func, *arrays)
