@@ -134,8 +134,8 @@ class EmbeddedCPU(HardwareModel):
         compute_time += effective_int_ops / (cpu.frequency * 2 * max(parallel_eff, 0.25))
 
         # --- memory hierarchy ---------------------------------------------------
-        dram_traffic = features.cache_aware_traffic(cpu.l2_bytes, "global")
-        l2_traffic = features.cache_aware_traffic(cpu.l1_bytes, "global")
+        dram_traffic = features.cache_aware_traffic(cpu.l2_bytes)
+        l2_traffic = features.cache_aware_traffic(cpu.l1_bytes)
         dram_time = dram_traffic / cpu.dram_bandwidth
         l2_time = l2_traffic / cpu.l2_bandwidth
 

@@ -143,7 +143,7 @@ class ServerGPU(HardwareModel):
 
         # --- memory system --------------------------------------------------------
         global_bytes = features.bytes_in_scope("global")
-        cached_traffic = features.cache_aware_traffic(gpu.l2_bytes, "global")
+        cached_traffic = features.cache_aware_traffic(gpu.l2_bytes)
         dram_traffic = min(global_bytes, cached_traffic) if global_bytes else cached_traffic
         # Without cooperative fetching every thread issues its own global
         # loads; coalescing is worse when no vectorize/unroll of the inner dim.

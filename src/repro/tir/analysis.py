@@ -39,45 +39,47 @@ from .stmt import (
 __all__ = ["BufferAccess", "ProgramFeatures", "extract_features", "FEATURE_NAMES"]
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessRegion:
-    """Per-access loop-level touch statistics.
+    """Per-access loop-level touch statistics of one global-buffer access.
 
-    For one buffer access inside a loop nest, ``touched_bytes[i]`` is the
-    number of distinct bytes touched by one iteration of the ``i``-th
-    enclosing loop (deeper loops spanning their full extent), and
-    ``trips_outside[i]`` is how many times that loop body executes in total.
-    These are the paper's "memory access count and reuse ratio of each memory
-    buffer at each loop level" features, and they drive the analytic cache
-    model used by the CPU/GPU simulators.
+    For one access inside a loop nest, ``touched_bytes[i]`` is the number of
+    distinct bytes touched by one iteration of the ``i``-th enclosing loop
+    (deeper loops spanning their full extent), and ``trips_outside[i]`` is
+    how many times that loop body executes in total.  These are the paper's
+    "memory access count and reuse ratio of each memory buffer at each loop
+    level" features, and they drive the analytic cache model used by the
+    CPU/GPU simulators.
+
+    Only accesses to ``global`` buffers are recorded: the one reader,
+    :meth:`ProgramFeatures.cache_aware_traffic`, models a hardware-managed
+    cache in front of off-chip memory, and ``shared`` / ``local`` buffers
+    are on-chip already.  Regions of one loop nest share one
+    ``trips_outside`` tuple, and ``touched_bytes`` repeats one float object
+    across the levels where its value does not change.
     """
 
-    buffer_name: str
-    scope: str
-    dtype: str
-    is_store: bool
+    elem_bytes: int
     touched_bytes: List[float]
-    trips_outside: List[float]
+    trips_outside: Tuple[float, ...]
     total_accesses: float
 
     def cache_traffic(self, cache_bytes: float) -> float:
         """Estimated DRAM traffic for this access given a cache of
         ``cache_bytes``: the outermost loop level whose touched region fits in
         the cache is streamed once per execution of the loops outside it."""
-        if not self.touched_bytes:
-            return self.total_accesses * dtype_bytes(self.dtype)
-        best = self.total_accesses * dtype_bytes(self.dtype)
-        for level in range(len(self.touched_bytes)):
-            if self.touched_bytes[level] <= cache_bytes:
-                best = min(best, self.trips_outside[level] * self.touched_bytes[level])
+        best = self.total_accesses * self.elem_bytes
+        for level, touched in enumerate(self.touched_bytes):
+            if touched <= cache_bytes:
+                best = min(best, self.trips_outside[level] * touched)
                 break
         else:
             # Nothing fits: innermost level still benefits from spatial reuse.
             best = min(best, self.trips_outside[-1] * self.touched_bytes[-1])
-        return max(best, dtype_bytes(self.dtype))
+        return max(best, self.elem_bytes)
 
 
-@dataclass
+@dataclass(slots=True)
 class BufferAccess:
     """Aggregate access statistics for one buffer."""
 
@@ -99,7 +101,7 @@ class BufferAccess:
         return self.total_bytes / self.unique_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class ProgramFeatures:
     """Summary statistics of a lowered loop program."""
 
@@ -111,7 +113,8 @@ class ProgramFeatures:
     scope_bytes: Dict[str, float] = field(default_factory=dict)
     scope_unique_bytes: Dict[str, float] = field(default_factory=dict)
     buffer_access: Dict[str, BufferAccess] = field(default_factory=dict)
-    #: per-access loop-level touch regions (paper Figure 13 features)
+    #: per-access loop-level touch regions of global buffers (paper Figure 13
+    #: features)
     access_regions: List[AccessRegion] = field(default_factory=list)
     #: loop annotation aggregates
     vector_lanes: float = 1.0
@@ -125,6 +128,9 @@ class ProgramFeatures:
     max_loop_depth: int = 0
     allocation_bytes: Dict[str, float] = field(default_factory=dict)
     store_count: float = 0.0
+    #: memo of :meth:`vector`
+    _vector: Optional["np.ndarray"] = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     # -- derived quantities ---------------------------------------------------
     @property
@@ -165,13 +171,16 @@ class ProgramFeatures:
                                                            "wgt_buffer")) -> float:
         return sum(self.allocation_bytes.get(s, 0.0) for s in scopes)
 
-    def cache_aware_traffic(self, cache_bytes: float, scope: str = "global") -> float:
-        """Estimated off-chip traffic for accesses to ``scope`` buffers given a
-        hardware-managed cache of ``cache_bytes`` (CPU L1/L2, GPU L2)."""
-        regions = [r for r in self.access_regions if r.scope == scope]
-        if not regions:
-            return self.bytes_in_scope(scope)
-        return sum(r.cache_traffic(cache_bytes) for r in regions)
+    def cache_aware_traffic(self, cache_bytes: float) -> float:
+        """Estimated off-chip traffic for accesses to global buffers given a
+        hardware-managed cache of ``cache_bytes`` (CPU L1/L2, GPU L2).
+
+        Only global buffers live behind such a cache (``shared`` / ``local``
+        are explicitly managed on-chip memory), so only their accesses carry
+        :class:`AccessRegion` records."""
+        if not self.access_regions:
+            return self.bytes_in_scope("global")
+        return sum(r.cache_traffic(cache_bytes) for r in self.access_regions)
 
     # -- vectorisation for the ML cost model -----------------------------------
     def vector(self) -> "np.ndarray":
@@ -183,11 +192,11 @@ class ProgramFeatures:
         """
         import numpy as np
 
-        vec = self.__dict__.get("_vector")
+        vec = self._vector
         if vec is None:
             vec = np.asarray(self.to_vector(), dtype=np.float64)
             vec.setflags(write=False)
-            self.__dict__["_vector"] = vec
+            self._vector = vec
         return vec
 
     def to_vector(self) -> List[float]:
@@ -278,17 +287,18 @@ class _FeatureExtractor:
 
     def __init__(self) -> None:
         self.features = ProgramFeatures()
-        self._loop_stack: List[For] = []
-        self._thread_tags: List[str] = []
         # Effective (tag-deduplicated) loop stack, maintained in _visit_for.
         self._eff_loops: List[For] = []
         self._eff_extents: List[float] = []     # float extent, 1.0 if symbolic
         self._eff_full: List[Tuple] = []        # (0, extent - 1) interval
         self._eff_level: Dict[object, int] = {} # loop_var -> eff stack index
-        self._eff_added: List[bool] = []        # per _loop_stack entry
+        self._eff_added: List[bool] = []        # per enclosing loop
         self._active_tags: Set[str] = set()
-        self._trip_products: List[float] = [1.0]  # prefix products of extents
+        # Prefix products of the extents: a fresh tuple on every push and the
+        # enclosing one restored on pop, so it also names the nest's state.
+        self._trips: Tuple[float, ...] = (1.0,)
         self._index_cache: Dict[int, Tuple[Expr, List, List]] = {}
+        self._widths_cache: Dict[Tuple[int, int], Tuple[Tuple, List]] = {}
 
     def _index_info(self, expr: Expr) -> Tuple[List, List]:
         """Memoized ``(free vars, compiled bounds program)`` of an index
@@ -305,7 +315,7 @@ class _FeatureExtractor:
     # hardware thread (cooperative fetching pattern) and therefore do not
     # multiply the per-thread trip count.
     def _trip_count(self) -> float:
-        return self._trip_products[-1]
+        return self._trips[-1]
 
     def _effective_access_count(self, indices: List[Expr]) -> float:
         """Number of times this access actually reaches the memory system.
@@ -345,67 +355,66 @@ class _FeatureExtractor:
             all_deeper_independent = all_deeper_independent and independent
         return count
 
-    def _record_region(self, buffer: Buffer, indices: List[Expr],
-                       is_store: bool) -> None:
-        """Record loop-level touch statistics for one buffer access."""
-        loops = self._eff_loops
-        extents = self._eff_extents
-        n_loops = len(loops)
+    def _index_widths(self, index: Expr) -> List[float]:
+        """Per-level extent multiplier of one index in the current loop nest,
+        memoized per (index, nest): the init store, the update store and the
+        accumulator load of a reduction share their index expressions.
 
-        # Per-index extent multiplier at each level.  The bounds of an index
-        # only change at levels that fix one of its free loop vars, so the
-        # compiled program runs once per (index, free loop) instead of per
-        # level.
-        per_index: List[List[float]] = []
+        The bounds of an index only change at levels that fix one of its
+        free loop vars, so the compiled program runs once per (index, free
+        loop) instead of per level."""
+        key = (id(index), id(self._trips))
+        cached = self._widths_cache.get(key)
+        if cached is not None:
+            return cached[1]
+        n_loops = len(self._eff_loops)
+        try:
+            free, program = self._index_info(index)
+        except Exception:
+            return [1.0] * (n_loops + 1)
         eff_level = self._eff_level
         eff_full = self._eff_full
-        for index in indices:
-            try:
-                free, program = self._index_info(index)
-            except Exception:
-                per_index.append([1.0] * (n_loops + 1))
-                continue
-            # Resolve each free var's loop position once per access; bounds
-            # only change at the levels that fix one of those loops.
-            free_pos = [(v, eff_level.get(v)) for v in free]
-            recompute = {pos + 1 for _v, pos in free_pos if pos is not None}
-            vals: List[float] = []
-            current = None
-            for level in range(n_loops + 1):
-                if current is None or level in recompute:
-                    try:
-                        env = {}
-                        for v, pos in free_pos:
-                            if pos is None or pos < level:
-                                env[v] = _ZERO_BOUNDS
-                            else:
-                                env[v] = eff_full[pos]
-                        low, high = eval_bounds(program, env)
-                        current = max(1.0, float(high - low + 1))
-                    except Exception:
-                        current = 1.0
-                vals.append(current)
-            per_index.append(vals)
+        free_pos = [(v, eff_level.get(v)) for v in free]
+        recompute = {pos + 1 for _v, pos in free_pos if pos is not None}
+        vals = []
+        current = None
+        for level in range(n_loops + 1):
+            if current is None or level in recompute:
+                try:
+                    env = {}
+                    for v, pos in free_pos:
+                        if pos is None or pos < level:
+                            env[v] = _ZERO_BOUNDS
+                        else:
+                            env[v] = eff_full[pos]
+                    low, high = eval_bounds(program, env)
+                    current = max(1.0, float(high - low + 1))
+                except Exception:
+                    current = 1.0
+            vals.append(current)
+        self._widths_cache[key] = (self._trips, vals)  # pins the key's ids
+        return vals
 
+    def _record_region(self, buffer: Buffer, indices: List[Expr]) -> None:
+        """Record loop-level touch statistics for one global-buffer access
+        (see :class:`AccessRegion` for why only global ones)."""
+        if buffer.scope != "global":
+            return
+        per_index = [self._index_widths(index) for index in indices]
         elem = dtype_bytes(buffer.dtype)
         size_bytes = float(buffer.size_bytes)
         touched: List[float] = []
-        trips: List[float] = []
-        trip = 1.0
-        for level in range(n_loops + 1):
+        previous = None
+        for level in range(len(self._eff_loops) + 1):
             region = elem
             for vals in per_index:
                 region *= vals[level]
-            touched.append(min(region, size_bytes))
-            trips.append(trip)
-            if level < n_loops:
-                trip *= extents[level]
-
-        total = trips[-1] if trips else 1.0
-        self.features.access_regions.append(AccessRegion(
-            buffer_name=buffer.name, scope=buffer.scope, dtype=buffer.dtype,
-            is_store=is_store, touched_bytes=touched, trips_outside=trips,
-            total_accesses=total))
+            region = min(region, size_bytes)
+            if region != previous:      # else repeat the previous float
+                previous = region
+            touched.append(previous)
+        self.features.access_regions.append(
+            AccessRegion(elem, touched, self._trips, self._trips[-1]))
 
     def _record_access(self, buffer: Buffer, count: float, is_store: bool) -> None:
         access = self.features.buffer_access.setdefault(
@@ -430,7 +439,7 @@ class _FeatureExtractor:
             if isinstance(node, BufferLoad):
                 effective = min(count, self._effective_access_count(node.indices))
                 self._record_access(node.buffer, effective, is_store=False)
-                self._record_region(node.buffer, node.indices, is_store=False)
+                self._record_region(node.buffer, node.indices)
             stack.extend(expr_children(node))
 
     # ------------------------------------------------------------------ walk
@@ -468,7 +477,7 @@ class _FeatureExtractor:
             self.features.store_count += count
             effective = min(count, self._effective_access_count(stmt.indices))
             self._record_access(stmt.buffer, effective, is_store=True)
-            self._record_region(stmt.buffer, stmt.indices, is_store=True)
+            self._record_region(stmt.buffer, stmt.indices)
             self._visit_expr_loads(stmt.value, count)
             for index in stmt.indices:
                 _, iops = _count_ops(index)
@@ -518,6 +527,7 @@ class _FeatureExtractor:
         # Push onto the effective (tag-deduplicated) stack unless an
         # enclosing loop already binds the same thread tag.
         added = not (loop.thread_tag and loop.thread_tag in self._active_tags)
+        outer_trips = self._trips
         if added:
             ext = float(extent)
             if loop.thread_tag:
@@ -526,19 +536,17 @@ class _FeatureExtractor:
             self._eff_extents.append(ext)
             self._eff_full.append((0, max(ext - 1, 0)))
             self._eff_level[loop.loop_var] = len(self._eff_loops) - 1
-            self._trip_products.append(self._trip_products[-1] * ext)
+            self._trips = outer_trips + (outer_trips[-1] * ext,)
         self._eff_added.append(added)
 
-        self._loop_stack.append(loop)
         self.features.max_loop_depth = max(self.features.max_loop_depth,
-                                           len(self._loop_stack))
+                                           len(self._eff_added))
         self.visit(loop.body)
-        self._loop_stack.pop()
+        self._trips = outer_trips
         if self._eff_added.pop():
             self._eff_loops.pop()
             self._eff_extents.pop()
             self._eff_full.pop()
-            self._trip_products.pop()
             self._eff_level.pop(loop.loop_var, None)
             if loop.thread_tag:
                 self._active_tags.discard(loop.thread_tag)

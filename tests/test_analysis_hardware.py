@@ -1,6 +1,7 @@
 """Tests for loop-program feature extraction and the hardware models."""
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -8,6 +9,10 @@ import numpy as np
 import pytest
 
 from repro import te, tir
+from repro.te.expr import eval_bounds
+from repro.tir import analysis as tir_analysis
+from repro.tir.analysis import _ZERO_BOUNDS
+from repro.tir.stmt import dtype_bytes
 from repro.hardware import (
     EmbeddedCPU,
     MobileGPU,
@@ -77,18 +82,21 @@ def test_feature_vector_fixed_length():
 FEATURES_FINGERPRINT = "1b3efa576b03aa0a"
 
 
-def _features_fingerprint() -> str:
+def _template_candidates(channels=4, size=6, units=12):
+    """``(op, target name, target, config, lowered func)`` over every
+    template x target, 8 seeded configs each; the defaults are small
+    shapes."""
     from repro.frontend import ModelBuilder
     from repro.graph.op_timing import is_templated, make_task_for_node
 
-    digest = hashlib.sha256()
     for op in ("conv2d", "depthwise_conv2d", "dense"):
         b = ModelBuilder("fingerprint", seed=0)
         if op == "dense":
-            out = b.dense(b.input("data", (2, 12)), 6, name="op")
+            out = b.dense(b.input("data", (2, units)), units // 2, name="op")
         else:
-            data = b.input("data", (1, 4, 6, 6))
-            out = (b.conv2d(data, 6, 3, 2, 1, name="op") if op == "conv2d"
+            data = b.input("data", (1, channels, size, size))
+            out = (b.conv2d(data, channels * 3 // 2, 3, 2, 1, name="op")
+                   if op == "conv2d"
                    else b.depthwise_conv2d(data, 3, 1, 1, name="op"))
         node = b.finalize(out)[0].find("op")
         for name in ("cuda", "mali", "arm_cpu", "pynq_cpu", "vdla"):
@@ -97,13 +105,19 @@ def _features_fingerprint() -> str:
                 continue
             task = make_task_for_node(node, target)
             for config in task.config_space.sample(8, random.Random(3)):
-                f = tir.extract_features(task.lower(config))
-                digest.update(repr((
-                    op, name, config.index, f.to_vector(), f.flops, f.int_ops,
-                    f.intrinsic_flops, f.store_count,
-                    sorted(f.scope_bytes.items()),
-                    sorted(f.scope_unique_bytes.items()),
-                    sorted(f.allocation_bytes.items()))).encode())
+                yield op, name, target, config, task.lower(config)
+
+
+def _features_fingerprint() -> str:
+    digest = hashlib.sha256()
+    for op, name, _target, config, func in _template_candidates():
+        f = tir.extract_features(func)
+        digest.update(repr((
+            op, name, config.index, f.to_vector(), f.flops, f.int_ops,
+            f.intrinsic_flops, f.store_count,
+            sorted(f.scope_bytes.items()),
+            sorted(f.scope_unique_bytes.items()),
+            sorted(f.allocation_bytes.items()))).encode())
     return digest.hexdigest()[:16]
 
 
@@ -112,6 +126,128 @@ def test_program_features_fingerprint():
     a rewrite of lowering, simplification or feature extraction that is
     meant to compute the same features must keep this hash."""
     assert _features_fingerprint() == FEATURES_FINGERPRINT
+
+
+class _ReferenceRegion:
+    """One access's loop-level touch statistics, any scope, as the per-level
+    reference computes them."""
+
+    def __init__(self, scope, dtype, touched_bytes, trips_outside,
+                 total_accesses):
+        self.scope = scope
+        self.dtype = dtype
+        self.touched_bytes = touched_bytes
+        self.trips_outside = trips_outside
+        self.total_accesses = total_accesses
+
+    def cache_traffic(self, cache_bytes):
+        elem = dtype_bytes(self.dtype)
+        if not self.touched_bytes:
+            return self.total_accesses * elem
+        best = self.total_accesses * elem
+        for level in range(len(self.touched_bytes)):
+            if self.touched_bytes[level] <= cache_bytes:
+                best = min(best,
+                           self.trips_outside[level] * self.touched_bytes[level])
+                break
+        else:
+            best = min(best, self.trips_outside[-1] * self.touched_bytes[-1])
+        return max(best, elem)
+
+
+class _ReferenceFeatures(tir.ProgramFeatures):
+    """Features whose cache model reads the reference regions."""
+
+    __slots__ = ("reference_regions",)
+
+    def __init__(self):
+        super().__init__()
+        self.reference_regions = []
+
+    def cache_aware_traffic(self, cache_bytes):
+        regions = [r for r in self.reference_regions if r.scope == "global"]
+        if not regions:
+            return self.bytes_in_scope("global")
+        return sum(r.cache_traffic(cache_bytes) for r in regions)
+
+
+class _ReferenceExtractor(tir_analysis._FeatureExtractor):
+    """The extractor with the per-level, all-scope region recorder: every
+    access's widths evaluated afresh, one trip list per access."""
+
+    def __init__(self):
+        super().__init__()
+        self.features = _ReferenceFeatures()
+
+    def _record_region(self, buffer, indices):
+        n_loops = len(self._eff_loops)
+        per_index = []
+        for index in indices:
+            try:
+                free, program = self._index_info(index)
+            except Exception:
+                per_index.append([1.0] * (n_loops + 1))
+                continue
+            free_pos = [(v, self._eff_level.get(v)) for v in free]
+            recompute = {pos + 1 for _v, pos in free_pos if pos is not None}
+            vals = []
+            current = None
+            for level in range(n_loops + 1):
+                if current is None or level in recompute:
+                    try:
+                        env = {v: (_ZERO_BOUNDS if pos is None or pos < level
+                                   else self._eff_full[pos])
+                               for v, pos in free_pos}
+                        low, high = eval_bounds(program, env)
+                        current = max(1.0, float(high - low + 1))
+                    except Exception:
+                        current = 1.0
+                vals.append(current)
+            per_index.append(vals)
+        touched = []
+        trips = []
+        trip = 1.0
+        for level in range(n_loops + 1):
+            region = dtype_bytes(buffer.dtype)
+            for vals in per_index:
+                region *= vals[level]
+            touched.append(min(region, float(buffer.size_bytes)))
+            trips.append(trip)
+            if level < n_loops:
+                trip *= self._eff_extents[level]
+        self.features.reference_regions.append(_ReferenceRegion(
+            buffer.scope, buffer.dtype, touched, trips, trips[-1]))
+
+
+def test_cache_traffic_matches_the_per_level_reference(monkeypatch):
+    """Regions of global buffers only, widths memoised per loop nest and
+    shared trip tuples give bitwise the cache traffic and the estimates of
+    the per-level, all-scope reference."""
+    sizes = [1, 4 << 10, 32 << 10, 256 << 10, 512 << 10, 3 << 20, 1e12]
+    checked = 0
+    candidates = itertools.chain(
+        _template_candidates(),
+        _template_candidates(channels=32, size=28, units=256))
+    for _op, _name, target, _config, func in candidates:
+        features = tir.extract_features(func)
+        with monkeypatch.context() as patch:
+            patch.setattr(tir_analysis, "_FeatureExtractor",
+                          _ReferenceExtractor)
+            reference = tir.extract_features(func)
+        assert isinstance(reference, _ReferenceFeatures)
+        params = target.model.params
+        model_sizes = [getattr(params, name) for name in ("l1_bytes",
+                                                          "l2_bytes")
+                       if hasattr(params, name)]
+        for cache_bytes in sizes + model_sizes:
+            assert (features.cache_aware_traffic(cache_bytes)
+                    == reference.cache_aware_traffic(cache_bytes))
+        assert target.model.estimate(features) == \
+            target.model.estimate(reference)
+        assert all(region.elem_bytes in (1, 2, 4, 8)
+                   for region in features.access_regions)
+        checked += 1
+    assert checked == 2 * 14 * 8
 
 
 def test_gpu_model_rewards_parallelism():
