@@ -43,20 +43,19 @@ __all__ = ["BufferAccess", "ProgramFeatures", "extract_features", "FEATURE_NAMES
 class AccessRegion:
     """Per-access loop-level touch statistics of one global-buffer access.
 
-    For one access inside a loop nest, ``touched_bytes[i]`` is the number of
-    distinct bytes touched by one iteration of the ``i``-th enclosing loop
-    (deeper loops spanning their full extent), and ``trips_outside[i]`` is
-    how many times that loop body executes in total.  These are the paper's
-    "memory access count and reuse ratio of each memory buffer at each loop
-    level" features, and they drive the analytic cache model used by the
-    CPU/GPU simulators.
+    For one buffer access inside a loop nest, ``touched_bytes[i]`` is the
+    number of distinct bytes touched by one iteration of the ``i``-th
+    enclosing loop (deeper loops spanning their full extent), and
+    ``trips_outside[i]`` is how many times that loop body executes in total.
+    These are the paper's "memory access count and reuse ratio of each memory
+    buffer at each loop level" features, and they drive the analytic cache
+    model used by the CPU/GPU simulators.
 
     Only accesses to ``global`` buffers are recorded: the one reader,
     :meth:`ProgramFeatures.cache_aware_traffic`, models a hardware-managed
     cache in front of off-chip memory, and ``shared`` / ``local`` buffers
-    are on-chip already.  Regions of one loop nest share one
-    ``trips_outside`` tuple, and ``touched_bytes`` repeats one float object
-    across the levels where its value does not change.
+    are on-chip already.  The regions of one loop nest share their
+    ``trips_outside`` tuple.
     """
 
     elem_bytes: int
@@ -356,13 +355,10 @@ class _FeatureExtractor:
         return count
 
     def _index_widths(self, index: Expr) -> List[float]:
-        """Per-level extent multiplier of one index in the current loop nest,
-        memoized per (index, nest): the init store, the update store and the
-        accumulator load of a reduction share their index expressions.
-
-        The bounds of an index only change at levels that fix one of its
-        free loop vars, so the compiled program runs once per (index, free
-        loop) instead of per level."""
+        """Per-level extent multiplier of one index, memoized per (index,
+        loop nest) — a reduction's init store, update store and accumulator
+        load share index expressions.  Bounds only change at the levels that
+        fix one of the index's free loop vars, so only those re-evaluate."""
         key = (id(index), id(self._trips))
         cached = self._widths_cache.get(key)
         if cached is not None:

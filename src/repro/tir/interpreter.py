@@ -100,8 +100,8 @@ def _region(array: np.ndarray, name: str, offsets: Sequence[Expr],
     if len(start) != array.ndim or not all(
             0 <= s and s + d <= n
             for s, d, n in zip(start, extents, array.shape)):
-        raise _out_of_range(name, [f"{s}:{s + d}" for s, d in zip(start, extents)],
-                            array.shape, env)
+        span = [f"{s}:{s + d}" for s, d in zip(start, extents)]
+        raise _out_of_range(name, span, array.shape, env)
     return tuple(slice(s, s + d) for s, d in zip(start, extents))
 
 
