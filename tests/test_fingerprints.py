@@ -9,17 +9,27 @@ Compile fingerprint: the five ``compile_deploy_zoo`` model/target pairs of
 per compile the kernel names, ``repr(total_time)``, planned bytes, each
 executed pass's name and ``nodes_after``, ``tuned_kernels``,
 ``layout_transforms`` and every kernel's config index.
+
+Weights fingerprint: the parameters ``get_model`` draws for the models of
+the same five pairs, in order; per model the params sorted by name, per
+param its name, ``str(dtype)``, ``repr(shape)`` and raw bytes.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 import repro
 import repro.compiler.driver as driver
+from repro.frontend import get_model
 
 #: sha256 prefix of :func:`_digest` over :data:`COMPILE_PAIRS` x opt 0 - 3
 COMPILE_FINGERPRINT = "7275a3474f785f4b"
+
+#: sha256 prefix of :func:`weights_digest` over the models of
+#: :data:`COMPILE_PAIRS`
+WEIGHTS_FINGERPRINT = "a5c004d83e777c62"
 
 #: the ``compile_deploy_zoo`` pairs (``benchmarks/e2e/spec.py``)
 COMPILE_PAIRS = [("resnet-18", "cuda"), ("mobilenet", "arm_cpu"),
@@ -76,3 +86,39 @@ def test_compile_fingerprint_sees_one_kernel_time(compile_records,
     assert calls
     assert perturbed[position] != compile_records[position]
     assert _digest(perturbed) != COMPILE_FINGERPRINT
+
+
+def weights_digest(models=None):
+    """sha256 prefix over the params of ``models`` (default: the
+    ``get_model`` params of every :data:`COMPILE_PAIRS` model, in order)."""
+    if models is None:
+        models = [get_model(name)[1] for name, _ in COMPILE_PAIRS]
+    digest = hashlib.sha256()
+    for params in models:
+        for name in sorted(params):
+            array = params[name]
+            for field in (name, str(array.dtype), repr(array.shape)):
+                digest.update(field.encode())
+            digest.update(array.tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def zoo_params():
+    return [get_model(name)[1] for name, _ in COMPILE_PAIRS]
+
+
+def test_weights_fingerprint(zoo_params):
+    """The zoo's randomly initialised weights are pinned bitwise: a change
+    to how the frontend draws them must keep this hash."""
+    assert weights_digest(zoo_params) == WEIGHTS_FINGERPRINT
+
+
+def test_weights_fingerprint_sees_one_element(zoo_params):
+    """One element of one weight moved by one ulp moves the fingerprint."""
+    perturbed = [dict(params) for params in zoo_params]
+    name = sorted(perturbed[2])[0]
+    array = perturbed[2][name].copy()
+    array.flat[0] = np.nextafter(array.flat[0], np.float32(np.inf))
+    perturbed[2][name] = array
+    assert weights_digest(perturbed) != WEIGHTS_FINGERPRINT
