@@ -18,6 +18,30 @@ __all__ = ["ModelBuilder"]
 
 IntPair = Union[int, Tuple[int, int]]
 
+#: float64 normals :func:`draw_weight` draws per step (512 KiB of scratch)
+DRAW_CHUNK = 1 << 16
+
+
+def draw_weight(rng: np.random.Generator, shape: Sequence[int], scale: float,
+                dtype: str) -> np.ndarray:
+    """``(rng.standard_normal(shape) * scale).astype(dtype)``, bit for bit,
+    drawn into the result in chunks of :data:`DRAW_CHUNK` values, so a
+    weight costs its own bytes plus one chunk instead of 2 - 3x its bytes.
+
+    ``standard_normal`` consumes the generator's stream one value at a time,
+    so consecutive chunks are the values of one whole-tensor draw; in-place
+    ``*=`` is the same ufunc as ``*``, and assigning float64 into the
+    result rounds as ``astype`` does (signed zeros of ``scale=0.0``
+    included).
+    """
+    out = np.empty(tuple(shape), dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, DRAW_CHUNK):
+        chunk = rng.standard_normal(min(DRAW_CHUNK, flat.size - start))
+        chunk *= scale
+        flat[start:start + chunk.size] = chunk
+    return out
+
 
 class ModelBuilder:
     """Builds graphs layer by layer, creating parameters as it goes."""
@@ -36,8 +60,7 @@ class ModelBuilder:
         return f"{prefix}{count}"
 
     def _param(self, name: str, shape: Sequence[int], scale: float = 0.1) -> Node:
-        array = (self.rng.standard_normal(tuple(shape)) * scale).astype(self.dtype)
-        self.params[name] = array
+        self.params[name] = draw_weight(self.rng, shape, scale, self.dtype)
         node = Node("null", name)
         node.shape = tuple(shape)
         node.dtype = self.dtype

@@ -30,7 +30,7 @@ import numpy as np
 from ..graph.ir import Graph, Node
 from ..graph.ops import OP_REGISTRY
 from ..topi.reference import _pair
-from .builder import ModelBuilder
+from .builder import ModelBuilder, draw_weight
 
 __all__ = ["from_keras", "from_onnx", "KerasConversionError", "ONNXConversionError"]
 
@@ -274,7 +274,7 @@ def from_onnx(model: Mapping[str, object], batch: Optional[int] = None,
         if isinstance(value, np.ndarray):
             array = value.astype(dtype)
         else:
-            array = (rng.standard_normal(tuple(int(d) for d in value)) * 0.1).astype(dtype)
+            array = draw_weight(rng, [int(d) for d in value], 0.1, dtype)
         params[name] = array
         node = Node("null", name)
         node.shape = tuple(array.shape)

@@ -471,6 +471,20 @@ class TestLintInvariants:
         assert set(rules) == {"bare-except", "implicit-daemon",
                               "unbounded-sleep-poll", "legacy-shim"}
         assert rules.count("legacy-shim") == 2
+        # A whole-tensor weight draw in the frontend, outside the helper.
+        frontend = tmp_path / "frontend"
+        frontend.mkdir()
+        helper = ("def draw_weight(rng, shape, scale, dtype):\n"
+                  "    return rng.standard_normal(shape)\n")
+        (frontend / "builder.py").write_text(helper)
+        assert linter.lint_file(frontend / "builder.py") == []
+        planted = frontend / "converters.py"
+        planted.write_text(
+            helper + "def init(rng, shape):\n"
+            "    a = (rng.standard_normal(shape) * 0.1).astype('float32')\n"
+            "    return a + rng.uniform(size=shape) + rng.normal(size=shape)\n")
+        assert [(v.rule, v.line) for v in linter.lint_file(planted)] \
+            == [("one-weight-draw", line) for line in (2, 4, 5, 5)]
 
     def test_one_executor_rule(self, tmp_path):
         linter = _load_linter()
@@ -717,7 +731,7 @@ class TestLintInvariants:
 
     def test_library_has_a_caller_rule(self, tmp_path):
         linter = _load_linter()
-        assert len(linter.RULES) == 14
+        assert len(linter.RULES) == 15
         assert "library-has-a-caller" in linter.RULES
         root = tmp_path / "pkg"
         files = {

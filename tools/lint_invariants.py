@@ -123,6 +123,15 @@ Rules
     as a zip entry), and export was 28 – 30 % of a compile-and-deploy pass.
     ``export_module`` streams ``np.savez`` into a ``ZIP_STORED`` entry.
 
+``one-weight-draw``
+    Restricted to ``src/repro/frontend/``: a generator draw
+    (``standard_normal``, ``normal``, ``uniform``) appears only inside
+    ``builder.py::draw_weight``.  Drawing a weight whole in float64, scaling
+    it and casting it to float32 cost 2 - 3x the weight's bytes (dcgan's
+    build peaked at 2.12x its params under ``tracemalloc``), and the float64
+    temporaries raised glibc's mmap threshold, so the heap kept the memory
+    afterwards; ``draw_weight`` draws the same values in bounded chunks.
+
 ``library-has-a-caller``
     Applied to the package as a whole: every module under ``src/repro`` is
     imported, directly or transitively, from a module that defines one of
@@ -184,6 +193,9 @@ RULES = {
                               "memo autotvm/task.py::_verify_once"),
     "no-compressed-weights": ("no savez_compressed call (weights shrink ~7 % "
                               "under deflate at 11-14 MB/s; store them)"),
+    "one-weight-draw": ("frontend/: standard_normal / normal / uniform only "
+                        "inside builder.py::draw_weight (chunked, no "
+                        "whole-tensor float64 temporary)"),
     "library-has-a-caller": ("every module is imported from a front-door "
                              "module or listed, with its reason, in "
                              "_NO_FRONT_DOOR; no stale entry"),
@@ -215,6 +227,10 @@ _INSTRUMENT_HOOKS = ("run_before_pass", "run_after_pass", "enter_pass_ctx",
 _PLUGIN_NAMES = ("instruments", "extra_passes")
 #: the one scope outside analysis/ that may call ``verify_func``
 _VERIFY_MEMO_SITE = ("autotvm", "task.py", "_verify_once")
+#: generator draws that ``one-weight-draw`` confines to the weight helper
+_WEIGHT_DRAWS = ("standard_normal", "normal", "uniform")
+#: the one scope of frontend/ that may draw from a generator
+_WEIGHT_DRAW_SITE = ("frontend", "builder.py", "draw_weight")
 #: stdlib queue classes (``queue.X(...)`` or imported bare)
 _QUEUE_CLASSES = ("Queue", "SimpleQueue", "LifoQueue", "PriorityQueue")
 #: the modules defining repro.compile / autotune / load / serve / Executor
@@ -376,6 +392,7 @@ class _Linter(ast.NodeVisitor):
         self.is_verify_memo_file = parts[-2:] == _VERIFY_MEMO_SITE[:2]
         self.is_kernels = parts[-2:] == ("topi", "reference.py")
         self.owns_bounds = parts[-2:] == ("te", "expr.py")
+        self.is_weight_draw_file = parts[-2:] == _WEIGHT_DRAW_SITE[:2]
         self.package = parts[-2] if len(parts) > 1 else ""
         self.is_expr_ir = self.package in _EXPR_IR_PACKAGES
         self._for_depth = 0
@@ -566,6 +583,14 @@ class _Linter(ast.NodeVisitor):
             self._report("one-verification-memo", node,
                          "verify_func( outside autotvm/task.py::_verify_once "
                          "— verify through Task.verify, the one memo")
+        if (self.package == "frontend"
+                and any(_calls(node, draw) for draw in _WEIGHT_DRAWS)
+                and not (self.is_weight_draw_file
+                         and _WEIGHT_DRAW_SITE[2] in self._scope)):
+            self._report("one-weight-draw", node,
+                         "generator draw outside builder.py::draw_weight — "
+                         "a whole-tensor float64 draw costs 2-3x the "
+                         "weight; call draw_weight")
         if _calls(node, "savez_compressed"):
             self._report("no-compressed-weights", node,
                          "savez_compressed — weights barely deflate and "
