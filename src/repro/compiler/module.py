@@ -15,6 +15,7 @@ is what lets ``repro.graph`` re-export these classes without a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -25,6 +26,15 @@ if TYPE_CHECKING:  # imports for annotations only — see module docstring
     from ..hardware.target import Target
 
 __all__ = ["CompiledKernel", "CompiledModule", "PassRecord"]
+
+
+@cache
+def _op_registry():
+    """``repro.graph.ops.OP_REGISTRY``, imported on first use (see the
+    module docstring) instead of on every kernel call."""
+    from ..graph.ops import OP_REGISTRY
+
+    return OP_REGISTRY
 
 
 @dataclass
@@ -63,11 +73,10 @@ class CompiledKernel:
         ``tensors`` maps node names to arrays; results are stored back by
         node name.
         """
-        from ..graph.ops import OP_REGISTRY
-
+        registry = _op_registry()
         for node in self.group.nodes:
             inputs = [tensors[p.name] for p in node.inputs]
-            spec = OP_REGISTRY[node.op]
+            spec = registry[node.op]
             tensors[node.name] = spec.compute(*inputs, node.attrs)
 
 

@@ -77,6 +77,8 @@ class Executor:
                                  n.dtype)
                        for n in module.graph.input_nodes
                        if n.name not in module.params]
+        # ``FusedGroup.name`` joins its members' op names on every access
+        self._kernel_names = [kernel.name for kernel in module.kernels]
         # Names to drop after each kernel: every tensor but the parameters,
         # at the last kernel that reads it.  Graph outputs' last use is the
         # horizon — the extra bucket, which no kernel reaches.
@@ -129,12 +131,13 @@ class Executor:
                 tensors[node.name] = self._param_views[node.name]
         total_time = 0.0
         per_kernel: List[Tuple[str, float]] = []
-        for kernel, dead in zip(self.module.kernels, self._dead_after):
+        for kernel, kernel_name, dead in zip(
+                self.module.kernels, self._kernel_names, self._dead_after):
             kernel.run(tensors)
             for name in dead:
                 del tensors[name]
             total_time += kernel.time_seconds
-            per_kernel.append((kernel.name, kernel.time_seconds))
+            per_kernel.append((kernel_name, kernel.time_seconds))
         outputs = [tensors[node.name] for node in self.module.graph.outputs]
         return ExecutionResult(outputs, total_time, per_kernel)
 
