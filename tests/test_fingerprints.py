@@ -55,10 +55,16 @@ def _digest(records):
     return digest.hexdigest()[:16]
 
 
-@pytest.fixture(scope="module")
-def compile_records():
+def zoo_compile_records():
+    """:func:`_compile_record` of every :data:`COMPILE_PAIRS` pair at
+    ``opt_level`` 0 - 3, in order."""
     return [_compile_record(name, target, opt_level)
             for name, target in COMPILE_PAIRS for opt_level in range(4)]
+
+
+@pytest.fixture(scope="module")
+def compile_records():
+    return zoo_compile_records()
 
 
 def test_compile_fingerprint(compile_records):
