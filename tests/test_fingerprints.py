@@ -94,11 +94,14 @@ def test_compile_fingerprint_sees_one_kernel_time(compile_records,
     assert _digest(perturbed) != COMPILE_FINGERPRINT
 
 
-def weights_digest(models=None):
-    """sha256 prefix over the params of ``models`` (default: the
-    ``get_model`` params of every :data:`COMPILE_PAIRS` model, in order)."""
-    if models is None:
-        models = [get_model(name)[1] for name, _ in COMPILE_PAIRS]
+def zoo_weights():
+    """The ``get_model`` params of every :data:`COMPILE_PAIRS` model, in
+    order."""
+    return [get_model(name)[1] for name, _ in COMPILE_PAIRS]
+
+
+def weights_digest(models):
+    """sha256 prefix over a list of param dicts."""
     digest = hashlib.sha256()
     for params in models:
         for name in sorted(params):
@@ -111,7 +114,7 @@ def weights_digest(models=None):
 
 @pytest.fixture(scope="module")
 def zoo_params():
-    return [get_model(name)[1] for name, _ in COMPILE_PAIRS]
+    return zoo_weights()
 
 
 def test_weights_fingerprint(zoo_params):

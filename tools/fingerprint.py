@@ -31,7 +31,8 @@ def main() -> int:
          features.FEATURES_FINGERPRINT),
         ("compile", lambda: zoo._digest(zoo.zoo_compile_records()),
          zoo.COMPILE_FINGERPRINT),
-        ("weights", zoo.weights_digest, zoo.WEIGHTS_FINGERPRINT),
+        ("weights", lambda: zoo.weights_digest(zoo.zoo_weights()),
+         zoo.WEIGHTS_FINGERPRINT),
     ]
     mismatches = 0
     for name, compute, literal in rows:
