@@ -18,7 +18,7 @@ __all__ = ["ModelBuilder"]
 
 IntPair = Union[int, Tuple[int, int]]
 
-#: float64 normals :func:`draw_weight` draws per step (512 KiB of scratch)
+#: float64 normals :func:`draw_weight` draws per step (a 512 KiB temporary)
 DRAW_CHUNK = 1 << 16
 
 
