@@ -3,13 +3,27 @@
 Relative speedup of fused vs non-fused execution for conv+bn+relu,
 depthwise-conv+bn+relu, and RNN/LSTM cells on the server GPU.  The paper
 reports 1.2x-2.0x speedups from removing intermediate-result round trips.
+
+The simulated columns are the figure.  Beside them, the same two modules on
+the wall clock: the median ms of ``Executor.run`` over ``WALL_RUNS``
+alternated runs each, and the ``tracemalloc`` peak bytes of one run.  Fused
+and unfused outputs must be bitwise equal; the wall columns are reported
+whatever they read.
 """
 
+import statistics
+import time
+import tracemalloc
+
+import numpy as np
 import pytest
 
 import repro
 from common import emit_summary, get_target, print_series
 from repro.frontend.builder import ModelBuilder
+
+#: alternated fused / unfused runs per workload on the wall clock
+WALL_RUNS = 21
 
 
 def _workloads():
@@ -51,6 +65,33 @@ def _workloads():
     return specs
 
 
+def _wall_clock(name, modules, shapes):
+    """Median wall ms over ``WALL_RUNS`` alternated runs and the traced peak
+    bytes of one run, per module; asserts their outputs are bitwise equal."""
+    rng = np.random.default_rng(0)
+    inputs = {key: rng.standard_normal(shape).astype("float32")
+              for key, shape in shapes.items()}
+    executors = [repro.Executor(module) for module in modules]
+    fused, unfused = ([out.tobytes() for out in executor.run(inputs).outputs]
+                      for executor in executors)
+    assert fused == unfused, f"{name}: fused output differs from unfused"
+    seconds = [[] for _ in executors]
+    for _ in range(WALL_RUNS):
+        for executor, samples in zip(executors, seconds):
+            start = time.perf_counter()
+            executor.run(inputs)
+            samples.append(time.perf_counter() - start)
+    peaks = []
+    for executor in executors:
+        tracemalloc.start()
+        try:
+            executor.run(inputs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return [statistics.median(samples) * 1e3 for samples in seconds], peaks
+
+
 def _evaluate():
     target = get_target("cuda")
     rows = []
@@ -62,10 +103,16 @@ def _evaluate():
         with repro.PassContext(disabled_passes=["fuse_ops"]):
             unfused = repro.compile(graph, target=target, params=params,
                                     input_shapes=shapes)
+        (wall_fused, wall_unfused), (peak_fused, peak_unfused) = _wall_clock(
+            name, [fused, unfused], shapes)
         rows.append((name, {
             "w/o fusion (ms)": unfused.total_time * 1e3,
             "w/ fusion (ms)": fused.total_time * 1e3,
             "speedup": unfused.total_time / fused.total_time,
+            "wall w/o (ms)": wall_unfused,
+            "wall w/ (ms)": wall_fused,
+            "peak w/o (bytes)": peak_unfused,
+            "peak w/ (bytes)": peak_fused,
         }))
     return rows
 
@@ -75,7 +122,13 @@ def test_fig4_operator_fusion(benchmark):
     print_series("Figure 4: fused vs non-fused relative speedup", rows, unit="see col")
     emit_summary("fig4_fusion", {
         "fusion_speedup": {name: round(entry["speedup"], 3)
-                           for name, entry in rows}})
+                           for name, entry in rows},
+        "wall_ms": {name: {"fused": round(entry["wall w/ (ms)"], 4),
+                           "unfused": round(entry["wall w/o (ms)"], 4)}
+                    for name, entry in rows},
+        "traced_peak_bytes": {name: {"fused": entry["peak w/ (bytes)"],
+                                     "unfused": entry["peak w/o (bytes)"]}
+                              for name, entry in rows}})
     for name, entry in rows:
         benchmark.extra_info[f"{name}_speedup"] = round(entry["speedup"], 2)
         # Fusion must help, and in the paper's 1.2x-2x range (loosely checked).

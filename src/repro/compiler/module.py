@@ -15,8 +15,8 @@ is what lets ``repro.graph`` re-export these classes without a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from functools import cache, partial
+from typing import TYPE_CHECKING, AbstractSet, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,22 +62,97 @@ class CompiledKernel:
     #: flat index of the schedule configuration used for the master operator
     #: (tuned or fallback), recorded for artifact provenance
     config_index: Optional[int] = None
+    #: ``keep`` set -> the group's :meth:`_plan` for it
+    _plans: Dict[AbstractSet[str], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
         return self.group.name
 
-    def run(self, tensors: Dict[str, np.ndarray]) -> None:
-        """Execute the group's operators with NumPy semantics.
+    def run(self, tensors: Dict[str, np.ndarray],
+            keep: AbstractSet[str] = frozenset()) -> None:
+        """Execute the group as one kernel with NumPy semantics.
 
-        ``tensors`` maps node names to arrays; results are stored back by
-        node name.
+        The first member computes a fresh array.  The members after it that
+        have an ``out=`` form overwrite it in place, as its epilogue: per
+        tile inside a tiled operator (``conv2d``), else on the whole output.
+        They stop at a value ``keep`` names or at an operand of another
+        dtype; the rest compute fresh arrays.  Only the group's output and
+        the members in ``keep`` (graph outputs, values other kernels read)
+        enter ``tensors``: fused members never do.
         """
+        plan = self._plans.get(keep) or self._plans.setdefault(
+            keep, self._plan(keep))
+        spec, attrs, names, outputs, members, count = plan
+        inputs = [tensors[name] for name in names]
+        steps = None
+        if count and spec.tiled:    # a tile has its data's dtype
+            steps = [(compute, member_attrs,
+                      [None if read is None else tensors[read] for read in reads])
+                     for compute, member_attrs, reads, _ in members[:count]]
+            if any(x is not None and x.dtype != inputs[0].dtype
+                   for *_, operands in steps for x in operands):
+                steps = None
+        if steps:
+            value = spec.compute(*inputs, attrs,
+                                 epilogue=partial(_epilogue, steps))
+            name, members, count = outputs[count], members[count:], 0
+        else:
+            value = spec.compute(*inputs, attrs)
+            name = outputs[0]
+        for compute, member_attrs, reads, member in members:
+            args = [value if read is None else tensors[read] for read in reads]
+            # numpy's promotion could widen a fresh result: not in place then
+            if count and all(x.dtype == value.dtype for x in args):
+                compute(*args, member_attrs, out=value)
+                count -= 1
+            else:
+                count = 0
+                if name in keep:
+                    tensors[name] = value
+                value = compute(*args, member_attrs)
+            name = member
+        tensors[name] = value
+
+    def _plan(self, keep: AbstractSet[str]) -> tuple:
+        """The first member's spec, attrs and input names; every member's
+        name; per later member its compute, attrs, input names (``None``:
+        the value before it) and name; and how many of those may overwrite
+        the value before them."""
         registry = _op_registry()
-        for node in self.group.nodes:
-            inputs = [tensors[p.name] for p in node.inputs]
-            spec = registry[node.op]
-            tensors[node.name] = spec.compute(*inputs, node.attrs)
+        head, *rest = nodes = self.group.nodes
+        members = [(registry[node.op].compute, node.attrs,
+                    [None if p.name == prev.name else p.name
+                     for p in node.inputs], node.name)
+                   for prev, node in zip(nodes, rest)]
+        count = 0       # a view (flatten, reshape) shares its input's buffer
+        if registry[head.op].pattern != "injective" or registry[head.op].inplace:
+            for prev, node in zip(nodes, rest):
+                if (prev.name in keep or node.shape != prev.shape
+                        or not registry[node.op].inplace):
+                    break
+                count += 1
+        return (registry[head.op], head.attrs, [p.name for p in head.inputs],
+                [node.name for node in nodes], members, count)
+
+
+def _epilogue(steps: list, out: np.ndarray, index: Tuple[slice, ...]) -> None:
+    """Apply ``steps`` — ``(compute, attrs, operands)``, ``None`` for the
+    value itself — in place on ``out[index]``."""
+    tile = out[index]
+    for compute, attrs, operands in steps:
+        compute(*[tile if x is None else _part(x, index, out.shape)
+                  for x in operands], attrs, out=tile)
+
+
+def _part(operand: np.ndarray, index: Tuple[slice, ...],
+          shape: Tuple[int, ...]) -> np.ndarray:
+    """What of ``operand`` meets ``out[index]`` when ``operand`` broadcasts
+    against an ``out`` of ``shape``."""
+    skip = len(shape) - operand.ndim
+    return operand[tuple(slice(None) if operand.shape[axis - skip] == 1 else part
+                         for axis, part in enumerate(index) if axis >= skip)]
 
 
 @dataclass

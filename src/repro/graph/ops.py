@@ -41,14 +41,21 @@ class OpSpec:
     infer_shape: Callable[[ShapeList, Dict], Tuple[int, ...]]
     compute: Callable[..., np.ndarray]
     flops: Callable[[ShapeList, Tuple[int, ...], Dict], float]
+    #: ``compute`` also takes ``out=``, an array of its result's shape and
+    #: dtype, and writes the result there (a fused member applied in place)
+    inplace: bool = False
+    #: ``compute`` also takes ``epilogue=`` and runs it on each tile of its
+    #: output, which has its first input's dtype (``reference.conv2d_nchw``)
+    tiled: bool = False
 
 
 OP_REGISTRY: Dict[str, OpSpec] = {}
 
 
-def register_op(name: str, pattern: str, infer_shape, compute, flops=None) -> OpSpec:
+def register_op(name: str, pattern: str, infer_shape, compute, flops=None,
+                **flags: bool) -> OpSpec:
     spec = OpSpec(name, pattern, infer_shape, compute,
-                  flops or (lambda ins, out, attrs: float(np.prod(out))))
+                  flops or (lambda ins, out, attrs: float(np.prod(out))), **flags)
     OP_REGISTRY[name] = spec
     return spec
 
@@ -147,9 +154,10 @@ def _dense_flops(ins: ShapeList, out: Tuple[int, ...], attrs: Dict) -> float:
 # ---------------------------------------------------------------------------
 
 register_op("conv2d", OpPattern.COMPLEX_OUT_FUSABLE, _conv2d_shape,
-            lambda data, weight, attrs: ref.conv2d_nchw(
-                data, weight, attrs.get("strides", 1), attrs.get("padding", 0)),
-            _conv2d_flops)
+            lambda data, weight, attrs, epilogue=None: ref.conv2d_nchw(
+                data, weight, attrs.get("strides", 1), attrs.get("padding", 0),
+                epilogue),
+            _conv2d_flops, tiled=True)
 
 register_op("depthwise_conv2d", OpPattern.COMPLEX_OUT_FUSABLE, _depthwise_shape,
             lambda data, weight, attrs: ref.depthwise_conv2d_nchw(
@@ -157,20 +165,21 @@ register_op("depthwise_conv2d", OpPattern.COMPLEX_OUT_FUSABLE, _depthwise_shape,
             _depthwise_flops)
 
 register_op("conv2d_transpose", OpPattern.COMPLEX_OUT_FUSABLE, _conv2d_transpose_shape,
-            lambda data, weight, attrs: ref.conv2d_transpose_nchw(
-                data, weight, attrs.get("strides", 1), attrs.get("padding", 0)),
+            lambda data, weight, attrs, epilogue=None: ref.conv2d_transpose_nchw(
+                data, weight, attrs.get("strides", 1), attrs.get("padding", 0),
+                epilogue),
             lambda ins, out, attrs: 2.0 * float(np.prod(out)) * ins[1][0]
-            * ins[1][2] * ins[1][3])
+            * ins[1][2] * ins[1][3], tiled=True)
 
 register_op("dense", OpPattern.COMPLEX_OUT_FUSABLE, _dense_shape,
             lambda data, weight, attrs: ref.dense(data, weight), _dense_flops)
 
 register_op("bias_add", OpPattern.INJECTIVE, _same_shape,
-            lambda data, bias, attrs: ref.bias_add(data, bias)
-            if data.ndim == 4 else data + bias)
+            lambda data, bias, attrs, out=None: ref.bias_add(data, bias, out)
+            if data.ndim == 4 else ref.add(data, bias, out), inplace=True)
 
 register_op("relu", OpPattern.INJECTIVE, _same_shape,
-            lambda data, attrs: ref.relu(data))
+            lambda data, attrs, out=None: ref.relu(data, out), inplace=True)
 
 register_op("leaky_relu", OpPattern.INJECTIVE, _same_shape,
             lambda data, attrs: ref.leaky_relu(data, attrs.get("alpha", 0.2)))
@@ -182,10 +191,11 @@ register_op("tanh", OpPattern.INJECTIVE, _same_shape,
             lambda data, attrs: ref.tanh(data))
 
 register_op("add", OpPattern.INJECTIVE, _same_shape,
-            lambda lhs, rhs, attrs: lhs + rhs)
+            lambda lhs, rhs, attrs, out=None: ref.add(lhs, rhs, out), inplace=True)
 
 register_op("multiply", OpPattern.INJECTIVE, _same_shape,
-            lambda lhs, rhs, attrs: lhs * rhs)
+            lambda lhs, rhs, attrs, out=None: ref.multiply(lhs, rhs, out),
+            inplace=True)
 
 register_op("batch_norm", OpPattern.INJECTIVE, _same_shape,
             lambda data, gamma, beta, mean, var, attrs: ref.batch_norm_inference(

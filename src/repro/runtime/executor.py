@@ -4,8 +4,10 @@
 :class:`~repro.compiler.module.CompiledModule` and a :class:`Device`, then
 call it with the graph inputs — positionally in graph input order, as one
 dict, or as keyword arguments — and get the outputs back.  Every call builds
-its own tensor map, so one executor can serve many threads concurrently; an
-intermediate leaves that map after the last kernel that reads it (the
+its own tensor map, so one executor can serve many threads concurrently.  A
+fused group runs as one kernel: only its output (and a member that is a
+graph output or read by another kernel) enters that map — fused members
+never do; an intermediate leaves it after the last kernel that reads it (the
 liveness ``plan_memory`` plans with); and module parameters are mapped in as
 read-only views: an in-place kernel or a caller mutating a returned tensor
 raises instead of silently corrupting the module's weights across runs.
@@ -58,7 +60,9 @@ class Executor:
 
     ``outputs = executor({"data": x})`` or ``executor(x)`` (positional, in
     graph input order) or ``executor(data=x)``.  Outputs are a list of
-    :class:`NDArray` on the executor's device, one per graph output.
+    :class:`NDArray` on the executor's device, one per graph output.  Each
+    kernel is a fused group: only its output, and a member that is a graph
+    output or another kernel's input, enters the tensor map.
     """
 
     def __init__(self, module: CompiledModule, device: Optional[DeviceLike] = None):
@@ -79,15 +83,24 @@ class Executor:
                        if n.name not in module.params]
         # ``FusedGroup.name`` joins its members' op names on every access
         self._kernel_names = [kernel.name for kernel in module.kernels]
-        # Names to drop after each kernel: every tensor but the parameters,
-        # at the last kernel that reads it.  Graph outputs' last use is the
-        # horizon — the extra bucket, which no kernel reaches.
         step_of = {node.name: step for step, kernel in enumerate(module.kernels)
                    for node in kernel.group.nodes}
+        # A kernel stores its group's output and, named in its `keep` set,
+        # the members that are graph outputs or read by another kernel.
+        outside = {parent.name for node in module.graph.nodes for parent in
+                   node.inputs if step_of.get(parent.name) != step_of[node.name]}
+        outside.update(node.name for node in module.graph.outputs)
+        fused = {node.name for kernel in module.kernels
+                 for node in kernel.group.nodes[:-1]} - outside
+        self._keep = [frozenset(node.name for node in kernel.group.nodes[:-1])
+                      - fused for kernel in module.kernels]
+        # Names to drop after each kernel: every tensor in the map but the
+        # parameters, at the last kernel that reads it.  Graph outputs' last
+        # use is the horizon — the extra bucket, which no kernel reaches.
         self._dead_after: List[List[str]] = [
             [] for _ in range(len(module.kernels) + 1)]
         for name, step in last_use(module.graph, step_of).items():
-            if name not in module.params:
+            if name not in module.params and name not in fused:
                 self._dead_after[step].append(name)
 
     # ------------------------------------------------------------------ inputs
@@ -131,9 +144,10 @@ class Executor:
                 tensors[node.name] = self._param_views[node.name]
         total_time = 0.0
         per_kernel: List[Tuple[str, float]] = []
-        for kernel, kernel_name, dead in zip(
-                self.module.kernels, self._kernel_names, self._dead_after):
-            kernel.run(tensors)
+        for kernel, kernel_name, keep, dead in zip(
+                self.module.kernels, self._kernel_names, self._keep,
+                self._dead_after):
+            kernel.run(tensors, keep)
             for name in dead:
                 del tensors[name]
             total_time += kernel.time_seconds

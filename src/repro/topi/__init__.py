@@ -3,49 +3,27 @@ per-backend schedule templates."""
 
 from . import bitserial, nn, reference, schedules
 from .nn import (
-    add,
-    avg_pool2d,
-    batch_norm_inference,
-    bias_add,
     conv2d_nchw,
-    conv2d_transpose_nchw,
     dense,
     depthwise_conv2d_nchw,
-    flatten,
-    global_avg_pool2d,
-    leaky_relu,
     matmul,
     max_pool2d,
-    multiply,
     pad,
     relu,
-    sigmoid,
     softmax,
-    tanh,
 )
 
 __all__ = [
-    "add",
-    "avg_pool2d",
-    "batch_norm_inference",
-    "bias_add",
     "bitserial",
     "conv2d_nchw",
-    "conv2d_transpose_nchw",
     "dense",
     "depthwise_conv2d_nchw",
-    "flatten",
-    "global_avg_pool2d",
-    "leaky_relu",
     "matmul",
     "max_pool2d",
-    "multiply",
     "nn",
     "pad",
     "reference",
     "relu",
     "schedules",
-    "sigmoid",
     "softmax",
-    "tanh",
 ]

@@ -18,22 +18,11 @@ __all__ = [
     "pad",
     "conv2d_nchw",
     "depthwise_conv2d_nchw",
-    "conv2d_transpose_nchw",
     "dense",
     "matmul",
-    "bias_add",
     "relu",
-    "leaky_relu",
-    "sigmoid",
-    "tanh",
-    "add",
-    "multiply",
-    "batch_norm_inference",
     "softmax",
-    "flatten",
     "max_pool2d",
-    "avg_pool2d",
-    "global_avg_pool2d",
 ]
 
 def pad(data: te.Tensor, pad_before: Sequence[int], pad_after: Sequence[int],
@@ -130,47 +119,6 @@ def depthwise_conv2d_nchw(data: te.Tensor, kernel: te.Tensor, stride: IntPair = 
         name=name)
 
 
-def conv2d_transpose_nchw(data: te.Tensor, kernel: te.Tensor, stride: IntPair = 1,
-                          padding: IntPair = 0,
-                          name: str = "conv2d_transpose") -> te.Tensor:
-    """Transposed convolution (deconvolution) used by the DCGAN generator.
-
-    Declared as a convolution over a zero-dilated, padded input so it stays
-    inside the affine index language understood by the lowering pipeline.
-    """
-    stride_h, stride_w = _pair(stride)
-    pad_h, pad_w = _pair(padding)
-    batch, in_channel, in_h, in_w = data.shape_values()
-    _ic, out_channel, k_h, k_w = kernel.shape_values()
-    out_h = (in_h - 1) * stride_h - 2 * pad_h + k_h
-    out_w = (in_w - 1) * stride_w - 2 * pad_w + k_w
-
-    # Dilate the input with the stride, then run a unit-stride convolution
-    # with a spatially flipped kernel.
-    dil_h = in_h + (in_h - 1) * (stride_h - 1)
-    dil_w = in_w + (in_w - 1) * (stride_w - 1)
-    dilated = te.compute(
-        (batch, in_channel, dil_h, dil_w),
-        lambda n, c, y, x: Select(
-            te.expr.And(te.expr.EQ(y % stride_h, 0), te.expr.EQ(x % stride_w, 0)),
-            data[n, c, y // stride_h, x // stride_w], as_expr(0.0)),
-        name=f"{name}_dilate")
-    border_h = k_h - 1 - pad_h
-    border_w = k_w - 1 - pad_w
-    padded = pad(dilated, (0, 0, border_h, border_w), (0, 0, border_h, border_w),
-                 name=f"{name}_pad")
-
-    rc = te.reduce_axis((0, in_channel), name="rc")
-    ry = te.reduce_axis((0, k_h), name="ry")
-    rx = te.reduce_axis((0, k_w), name="rx")
-    return te.compute(
-        (batch, out_channel, out_h, out_w),
-        lambda n, f, y, x: te.sum(
-            padded[n, rc, y + ry, x + rx] * kernel[rc, f, k_h - 1 - ry, k_w - 1 - rx],
-            axis=[rc, ry, rx]),
-        name=name)
-
-
 def matmul(a: te.Tensor, b: te.Tensor, trans_a: bool = False, trans_b: bool = False,
            name: str = "matmul") -> te.Tensor:
     """General matrix multiplication ``C = op(A) x op(B)``."""
@@ -212,63 +160,11 @@ def dense(data: te.Tensor, weight: te.Tensor, bias: Optional[te.Tensor] = None,
     return out
 
 
-def bias_add(data: te.Tensor, bias: te.Tensor, name: str = "bias_add") -> te.Tensor:
-    """Add a per-channel bias to an NCHW tensor."""
-    shape = data.shape_values()
-    return te.compute(shape, lambda n, c, h, w: data[n, c, h, w] + bias[c], name=name)
-
-
 def relu(data: te.Tensor, name: str = "relu") -> te.Tensor:
     shape = data.shape_values()
     return te.compute(shape,
                       lambda *idx: te.expr.Max(data[tuple(idx)], as_expr(0.0)),
                       name=name)
-
-
-def leaky_relu(data: te.Tensor, alpha: float = 0.2, name: str = "leaky_relu") -> te.Tensor:
-    shape = data.shape_values()
-    return te.compute(
-        shape,
-        lambda *idx: Select(data[tuple(idx)] > 0, data[tuple(idx)],
-                            data[tuple(idx)] * alpha),
-        name=name)
-
-
-def sigmoid(data: te.Tensor, name: str = "sigmoid") -> te.Tensor:
-    shape = data.shape_values()
-    return te.compute(shape,
-                      lambda *idx: te.Call("sigmoid", [data[tuple(idx)]]),
-                      name=name)
-
-
-def tanh(data: te.Tensor, name: str = "tanh") -> te.Tensor:
-    shape = data.shape_values()
-    return te.compute(shape,
-                      lambda *idx: te.Call("tanh", [data[tuple(idx)]]),
-                      name=name)
-
-
-def add(lhs: te.Tensor, rhs: te.Tensor, name: str = "add") -> te.Tensor:
-    shape = lhs.shape_values()
-    return te.compute(shape, lambda *idx: lhs[tuple(idx)] + rhs[tuple(idx)], name=name)
-
-
-def multiply(lhs: te.Tensor, rhs: te.Tensor, name: str = "multiply") -> te.Tensor:
-    shape = lhs.shape_values()
-    return te.compute(shape, lambda *idx: lhs[tuple(idx)] * rhs[tuple(idx)], name=name)
-
-
-def batch_norm_inference(data: te.Tensor, gamma: te.Tensor, beta: te.Tensor,
-                         mean: te.Tensor, variance: te.Tensor,
-                         epsilon: float = 1e-5,
-                         name: str = "batch_norm") -> te.Tensor:
-    """Inference-mode batch normalisation over the channel axis of NCHW data."""
-    shape = data.shape_values()
-    return te.compute(
-        shape,
-        lambda n, c, h, w: (data[n, c, h, w] - mean[c])
-        / te.Call("sqrt", [variance[c] + epsilon]) * gamma[c] + beta[c],
-        name=name)
 
 
 def softmax(data: te.Tensor, name: str = "softmax") -> te.Tensor:
@@ -284,22 +180,6 @@ def softmax(data: te.Tensor, name: str = "softmax") -> te.Tensor:
     return te.compute(
         (batch, dim),
         lambda i, j: te.Call("exp", [data[i, j] - max_elem[i]]) / expsum[i],
-        name=name)
-
-
-def flatten(data: te.Tensor, name: str = "flatten") -> te.Tensor:
-    """Flatten an NCHW tensor to (N, C*H*W)."""
-    shape = data.shape_values()
-    batch = shape[0]
-    inner = 1
-    for dim in shape[1:]:
-        inner *= dim
-    if len(shape) == 2:
-        return te.compute(shape, lambda i, j: data[i, j], name=name)
-    _, channels, height, width = shape
-    return te.compute(
-        (batch, inner),
-        lambda i, j: data[i, j // (height * width), (j // width) % height, j % width],
         name=name)
 
 
@@ -322,37 +202,3 @@ def max_pool2d(data: te.Tensor, pool_size: IntPair = 2, stride: IntPair = 2,
         (batch, channel, out_h, out_w),
         lambda n, c, y, x: te.max(data[n, c, y * s_h + ry, x * s_w + rx], axis=[ry, rx]),
         name=name)
-
-
-def avg_pool2d(data: te.Tensor, pool_size: IntPair = 2, stride: IntPair = 2,
-               padding: IntPair = 0, name: str = "avg_pool2d") -> te.Tensor:
-    k_h, k_w = _pair(pool_size)
-    s_h, s_w = _pair(stride)
-    p_h, p_w = _pair(padding)
-    batch, channel, height, width = data.shape_values()
-    if p_h or p_w:
-        data = pad(data, (0, 0, p_h, p_w), (0, 0, p_h, p_w), name=f"{name}_pad")
-        height += 2 * p_h
-        width += 2 * p_w
-    out_h = (height - k_h) // s_h + 1
-    out_w = (width - k_w) // s_w + 1
-    ry = te.reduce_axis((0, k_h), name="ry")
-    rx = te.reduce_axis((0, k_w), name="rx")
-    total = te.compute(
-        (batch, channel, out_h, out_w),
-        lambda n, c, y, x: te.sum(data[n, c, y * s_h + ry, x * s_w + rx], axis=[ry, rx]),
-        name=f"{name}_sum")
-    return te.compute((batch, channel, out_h, out_w),
-                      lambda n, c, y, x: total[n, c, y, x] / float(k_h * k_w),
-                      name=name)
-
-
-def global_avg_pool2d(data: te.Tensor, name: str = "global_avg_pool2d") -> te.Tensor:
-    batch, channel, height, width = data.shape_values()
-    ry = te.reduce_axis((0, height), name="ry")
-    rx = te.reduce_axis((0, width), name="rx")
-    total = te.compute((batch, channel),
-                       lambda n, c: te.sum(data[n, c, ry, rx], axis=[ry, rx]),
-                       name=f"{name}_sum")
-    return te.compute((batch, channel),
-                      lambda n, c: total[n, c] / float(height * width), name=name)

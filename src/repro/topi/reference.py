@@ -44,12 +44,12 @@ def _pair(value: IntPair) -> Tuple[int, int]:
     return int(value), int(value)
 
 
-def pad_nchw(data: np.ndarray, pad_h: int, pad_w: int, value: float = 0.0) -> np.ndarray:
+def pad_nchw(data: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
     if pad_h == 0 and pad_w == 0:
         return data
     batch, channels, height, width = data.shape
-    padded = np.full((batch, channels, height + 2 * pad_h, width + 2 * pad_w),
-                     value, dtype=data.dtype)
+    padded = np.zeros((batch, channels, height + 2 * pad_h, width + 2 * pad_w),
+                      dtype=data.dtype)
     padded[:, :, pad_h:pad_h + height, pad_w:pad_w + width] = data
     return padded
 
@@ -65,10 +65,26 @@ def _windows(what: str, data: np.ndarray, window: Tuple[int, int],
     return view[:, :, ::stride[0], ::stride[1]]
 
 
+#: the most bytes one conv tile's im2col columns may take (a tile is at least
+#: one output row).  resnet-18 at batch 1 on a 2-core Xeon with one OpenBLAS
+#: thread: 2 MiB runs as fast as whole-image columns, 256 KiB 41% slower,
+#: and 4 MiB leaves a 7.5 MB traced peak against 5.7 MB.  At 1 MiB, the GEMMs
+#: of dcgan's 3-channel output layer get small enough for OpenBLAS to change
+#: kernels, and its outputs move.
+WORKSPACE_BYTES = 1 << 21
+
+
 def conv2d_nchw(data: np.ndarray, kernel: np.ndarray, stride: IntPair = 1,
-                padding: IntPair = 0) -> np.ndarray:
-    """2-D convolution, NCHW/OIHW layouts: im2col, then one GEMM per image
-    (so a batch of N is bit-identical to N single-image runs)."""
+                padding: IntPair = 0, epilogue=None) -> np.ndarray:
+    """2-D convolution, NCHW/OIHW layouts.  Each image is computed in tiles
+    of whole output rows: one im2col of at most ``WORKSPACE_BYTES``, then one
+    GEMM into the output (so a batch of N is bit-identical to N single-image
+    runs).
+
+    ``epilogue(out, index)``, when given, runs on each finished tile
+    ``out[index]`` while it is cache-resident: the executor applies a fused
+    group's element-wise members there in place, so they never enter its
+    tensor map."""
     out_c, k_in, k_h, k_w = kernel.shape
     if data.shape[1] != k_in:
         raise ValueError(f"conv2d_nchw: data {data.shape} has {data.shape[1]} "
@@ -76,17 +92,30 @@ def conv2d_nchw(data: np.ndarray, kernel: np.ndarray, stride: IntPair = 1,
     windows = _windows(f"conv2d_nchw: kernel {kernel.shape}",
                        pad_nchw(data, *_pair(padding)), (k_h, k_w), _pair(stride))
     batch, in_c, out_h, out_w = windows.shape[:4]
-    if k_h == k_w == 1:     # the windows are the (strided) pixels themselves
-        cols = np.ascontiguousarray(windows[..., 0, 0])
-    else:
-        cols = np.empty((batch, in_c, k_h, k_w, out_h, out_w), dtype=data.dtype)
-        np.copyto(cols, windows.transpose(0, 1, 4, 5, 2, 3))
-    cols = cols.reshape(batch, in_c * k_h * k_w, out_h * out_w)
-    weight = kernel.reshape(out_c, -1)
-    out = np.empty((batch, out_c, out_h * out_w), dtype=data.dtype)
+    depth = in_c * k_h * k_w
+    rows = max(1, WORKSPACE_BYTES // (depth * out_w * data.itemsize))
+    rows = -(-out_h // -(-out_h // rows))       # the fewest tiles, evened out
+    workspace = (None if k_h == k_w == 1 else
+                 np.empty(depth * rows * out_w, dtype=data.dtype))
+    weight = kernel.reshape(out_c, depth)
+    out = np.empty((batch, out_c, out_h, out_w), dtype=data.dtype)
+    flat = out.reshape(batch, out_c, out_h * out_w)
     for image in range(batch):
-        np.matmul(weight, cols[image], out=out[image])
-    return out.reshape(batch, out_c, out_h, out_w)
+        for top in range(0, out_h, rows):
+            bottom = min(top + rows, out_h)
+            pixels = windows[image, :, top:bottom]
+            if k_h == k_w == 1:     # the (strided) pixels: a view at stride 1
+                cols = pixels[..., 0, 0].reshape(depth, -1)
+            else:
+                cols = workspace[:depth * (bottom - top) * out_w].reshape(
+                    in_c, k_h, k_w, bottom - top, out_w)
+                np.copyto(cols, pixels.transpose(0, 3, 4, 1, 2))
+                cols = cols.reshape(depth, -1)
+            np.matmul(weight, cols, out=flat[image, :, top * out_w:bottom * out_w])
+            if epilogue is not None:
+                epilogue(out, (slice(image, image + 1), slice(None),
+                               slice(top, bottom)))
+    return out
 
 
 def depthwise_conv2d_nchw(data: np.ndarray, kernel: np.ndarray, stride: IntPair = 1,
@@ -109,7 +138,7 @@ def depthwise_conv2d_nchw(data: np.ndarray, kernel: np.ndarray, stride: IntPair 
 
 
 def conv2d_transpose_nchw(data: np.ndarray, kernel: np.ndarray, stride: IntPair = 1,
-                          padding: IntPair = 0) -> np.ndarray:
+                          padding: IntPair = 0, epilogue=None) -> np.ndarray:
     stride_h, stride_w = _pair(stride)
     pad_h, pad_w = _pair(padding)
     batch, in_c, in_h, in_w = data.shape
@@ -120,8 +149,8 @@ def conv2d_transpose_nchw(data: np.ndarray, kernel: np.ndarray, stride: IntPair 
     dilated[:, :, ::stride_h, ::stride_w] = data
     flipped = kernel[:, :, ::-1, ::-1]           # (in_c, out_c, kh, kw)
     weight = flipped.transpose(1, 0, 2, 3)       # (out_c, in_c, kh, kw)
-    return conv2d_nchw(dilated, weight, stride=1, padding=(k_h - 1 - pad_h,
-                                                            k_w - 1 - pad_w))
+    return conv2d_nchw(dilated, weight, 1, (k_h - 1 - pad_h, k_w - 1 - pad_w),
+                       epilogue)
 
 
 def matmul(a: np.ndarray, b: np.ndarray, trans_a: bool = False,
@@ -139,12 +168,13 @@ def dense(data: np.ndarray, weight: np.ndarray,
     return out
 
 
-def bias_add(data: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    return data + bias.reshape(1, -1, 1, 1)
+def bias_add(data: np.ndarray, bias: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.add(data, bias.reshape(1, -1, 1, 1), out=out)
 
 
-def relu(data: np.ndarray) -> np.ndarray:
-    return np.maximum(data, 0)
+def relu(data: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.maximum(data, 0, out=out)
 
 
 def leaky_relu(data: np.ndarray, alpha: float = 0.2) -> np.ndarray:
@@ -159,12 +189,14 @@ def tanh(data: np.ndarray) -> np.ndarray:
     return np.tanh(data)
 
 
-def add(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return lhs + rhs
+def add(lhs: np.ndarray, rhs: np.ndarray,
+        out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.add(lhs, rhs, out=out)
 
 
-def multiply(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return lhs * rhs
+def multiply(lhs: np.ndarray, rhs: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.multiply(lhs, rhs, out=out)
 
 
 def batch_norm_inference(data: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -173,7 +205,8 @@ def batch_norm_inference(data: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     shape = (1, -1) + (1,) * (data.ndim - 2)
     scale = gamma.reshape(shape) / np.sqrt(variance.reshape(shape) + epsilon)
     shift = beta.reshape(shape) - mean.reshape(shape) * scale
-    return data * scale + shift
+    out = data * scale
+    return np.add(out, shift, out=out if out.dtype == shift.dtype else None)
 
 
 def softmax(data: np.ndarray) -> np.ndarray:
@@ -186,16 +219,36 @@ def flatten(data: np.ndarray) -> np.ndarray:
     return data.reshape(data.shape[0], -1)
 
 
+def _in_bounds(offset: int, stride: int, count: int, size: int
+               ) -> Tuple[slice, slice]:
+    """(input, output) slices of the output positions ``i < count`` whose
+    input position ``i * stride + offset`` lies in ``[0, size)``."""
+    first = max(0, -(offset // stride))
+    last = min(count, (size - 1 - offset) // stride + 1)
+    return (slice(first * stride + offset, (last - 1) * stride + offset + 1, stride),
+            slice(first, last))
+
+
 def max_pool2d(data: np.ndarray, pool_size: IntPair = 2, stride: IntPair = 2,
                padding: IntPair = 0) -> np.ndarray:
-    k_h, k_w = _pair(pool_size)
-    windows = _windows(f"max_pool2d: window {(k_h, k_w)}",
-                       pad_nchw(data, *_pair(padding), value=-np.inf),
-                       (k_h, k_w), _pair(stride))
-    out = windows[..., 0, 0].copy()
+    """Max over each window, one window offset at a time over the output
+    positions where it lands in bounds: the padding is never built."""
+    (k_h, k_w), (s_h, s_w), (p_h, p_w) = _pair(pool_size), _pair(stride), _pair(padding)
+    batch, channels, height, width = data.shape
+    padded = (batch, channels, height + 2 * p_h, width + 2 * p_w)
+    if k_h > padded[2] or k_w > padded[3]:
+        raise ValueError(f"max_pool2d: window {(k_h, k_w)} is larger than the "
+                         f"padded input {padded}")
+    out = np.full((batch, channels, (padded[2] - k_h) // s_h + 1,
+                   (padded[3] - k_w) // s_w + 1),
+                  -np.inf if data.dtype.kind == "f" else np.iinfo(data.dtype).min,
+                  dtype=data.dtype)
     for dy in range(k_h):
+        rows, out_rows = _in_bounds(dy - p_h, s_h, out.shape[2], height)
         for dx in range(k_w):
-            np.maximum(out, windows[..., dy, dx], out=out)
+            cols, out_cols = _in_bounds(dx - p_w, s_w, out.shape[3], width)
+            part = out[:, :, out_rows, out_cols]
+            np.maximum(part, data[:, :, rows, cols], out=part)
     return out
 
 

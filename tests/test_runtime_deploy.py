@@ -18,6 +18,7 @@ from repro.hardware import arm_cpu, create_target, cuda, vdla
 from repro.runtime import (ArtifactError, Device, Executor, NDArray,
                            device, load_module)
 from repro.runtime.artifact import graph_from_json, graph_to_json
+from repro.topi.reference import WORKSPACE_BYTES
 
 
 def _small_cnn():
@@ -184,21 +185,28 @@ _ZOO_SMALL = {
 
 class _SpyKernel:
     """A compiled kernel that records the tensor map it is handed — the map
-    as the previous kernel (and the executor's release after it) left it."""
+    as the previous kernel (and the executor's release after it) left it —
+    and fails if it wrote any array of that map (parameters are read-only
+    views; the test checks them)."""
 
-    def __init__(self, kernel, log):
+    def __init__(self, kernel, log, params):
         self.group, self.name = kernel.group, kernel.name
         self.time_seconds = kernel.time_seconds
-        self._kernel, self._log = kernel, log
+        self._kernel, self._log, self._params = kernel, log, params
 
-    def run(self, tensors):
+    def run(self, tensors, keep=frozenset()):
         self._log.append(dict(tensors))
-        self._kernel.run(tensors)
+        before = [(name, value, value.tobytes())
+                  for name, value in tensors.items() if name not in self._params]
+        self._kernel.run(tensors, keep)
+        for name, value, data in before:
+            assert value.tobytes() == data, f"{self.name} wrote {name}"
 
 
 def _spied(module):
     log = []
-    kernels = [_SpyKernel(kernel, log) for kernel in module.kernels]
+    kernels = [_SpyKernel(kernel, log, module.params)
+               for kernel in module.kernels]
     return dataclasses.replace(module, kernels=kernels), log
 
 
@@ -227,12 +235,15 @@ class TestLiveSet:
                      for step, kernel in enumerate(module.kernels)
                      for node in kernel.group.nodes}
         pinned = set(module.params) | {out.name for out in graph.outputs}
+        fused = {node.name for kernel in module.kernels
+                 for node in kernel.group.nodes[:-1]} - pinned
         consumers = graph.consumers()
         readers = {node.name: [kernel_of[user.name]
                                for user in consumers[id(node)]
                                if user.name in kernel_of]
                    for node in graph.nodes}
         for step, held in enumerate(log):       # the map as kernel `step` starts
+            assert fused.isdisjoint(held), (step, sorted(fused & set(held)))
             for name in set(held) - pinned:
                 assert max(readers[name]) >= step, \
                     f"{name} still held at kernel {step}, last read at " \
@@ -281,6 +292,95 @@ class TestLiveSet:
         assert tapped.shape == (1, 4, 8, 8) and tapped.min() >= 0.0
         assert tap.name in log[-1] and "data" not in log[-1]
 
+    def test_traced_peak_stays_within_the_plan(self):
+        # The plan is the memory that is used: one batch-1 resnet-18 run
+        # allocates no more than the planned intermediates plus one conv
+        # tile's im2col workspace (fused members never get a buffer of
+        # their own, the max-pool builds no padded copy).
+        module = repro.compile("resnet-18", target="cuda")
+        executor = Executor(module)
+        inputs = _inputs_for(executor)
+        executor.run(inputs)
+        tracemalloc.start()
+        try:
+            executor.run(inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= module.memory_plan.planned_bytes + WORKSPACE_BYTES, \
+            (peak, module.memory_plan.planned_bytes)
+
+
+# ---------------------------------------------------------------------------
+# A fused group is one kernel: members apply in place, bits do not move
+# ---------------------------------------------------------------------------
+
+def _unfused(model, target):
+    with repro.PassContext(disabled_passes=["fuse_ops"]):
+        return repro.compile(model, target=target)
+
+
+class TestFusedInPlace:
+    @pytest.mark.parametrize("target", ["cuda", "arm_cpu"])
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_fused_equals_member_by_member(self, name, target):
+        model = get_model(name, batch=1, **_ZOO_SMALL.get(name, {}))
+        fused = repro.compile(model, target=target)
+        assert any(len(kernel.group.nodes) > 1 for kernel in fused.kernels)
+        weights = {key: value.copy() for key, value in fused.params.items()}
+        executor = Executor(fused)
+        inputs = _inputs_for(executor)
+        given = {key: value.copy() for key, value in inputs.items()}
+        got = executor.run(inputs).outputs
+        want = Executor(_unfused(model, target)).run(inputs).outputs
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        for key, value in given.items():        # the caller's arrays
+            assert inputs[key].tobytes() == value.tobytes(), key
+        for key, value in weights.items():
+            assert fused.params[key].tobytes() == value.tobytes(), key
+            assert not executor._param_views[key].flags.writeable
+
+    def test_taps_and_residuals_are_never_written(self):
+        # conv1's group is conv2d -> bias_add -> relu -> add -> relu.  Its
+        # bias_add is also a graph output, so relu may not overwrite it; its
+        # add reads `skip`, which conv1 reads too: read, never written.
+        b = ModelBuilder("taps", seed=0)
+        data = b.input("data", (1, 16, 64, 64))     # two conv tiles an image
+        skip = b.relu(b.conv2d(data, 16, 3, 1, 1, name="conv0"))
+        tap = b.bias_add(b.conv2d(skip, 16, 3, 1, 1, name="conv1"), name="b1")
+        out = b.relu(b.add(b.relu(tap), skip))
+        graph, params = b.finalize([out, tap])
+        model = (graph, params, {"data": (1, 16, 64, 64)})
+        module, log = _spied(repro.compile(model, target="cuda"))
+        assert [[node.op for node in kernel.group.nodes]
+                for kernel in module.kernels] == [
+            ["conv2d", "relu"], ["conv2d", "bias_add", "relu", "add", "relu"]]
+        x = np.random.default_rng(2).standard_normal((1, 16, 64, 64))
+        x = x.astype("float32")
+        got = Executor(module).run({"data": x}).outputs
+        want = Executor(_unfused(model, "cuda")).run({"data": x}).outputs
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert got[1].min() < 0.0               # the tap was not relu'd
+        assert skip.name in log[1]              # read by the fused add
+
+    def test_a_wider_operand_is_not_applied_in_place(self):
+        # float32 data, a float64 bias: numpy widens the fresh sum, so the
+        # fused bias_add must not write it into the float32 conv output.
+        b = ModelBuilder("wide", seed=0)
+        net = b.relu(b.bias_add(b.conv2d(b.input("data", (1, 3, 8, 8)), 4, 3,
+                                         1, 1, name="conv0"), name="b0"))
+        graph, params = b.finalize(net)
+        params = {key: value.astype("float64") if key.startswith("b0")
+                  else value for key, value in params.items()}
+        model = (graph, params, {"data": (1, 3, 8, 8)})
+        x = np.random.default_rng(3).standard_normal((1, 3, 8, 8))
+        x = x.astype("float32")
+        got, = Executor(repro.compile(model, target="cuda")).run(
+            {"data": x}).outputs
+        want, = Executor(_unfused(model, "cuda")).run({"data": x}).outputs
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # Parameter aliasing regression (satellite #1)
@@ -302,7 +402,7 @@ class TestParamProtection:
             name, time_seconds = "clobber", 0.0
 
             @staticmethod
-            def run(tensors):
+            def run(tensors, keep=frozenset()):
                 tensors[param_name] += 1.0
 
         module.kernels.insert(0, _InPlaceKernel())

@@ -171,6 +171,30 @@ def test_reference_output_dtype_is_the_datas():
         assert pool(data.astype("float64"), 3, 2, 1).dtype == np.float64
 
 
+@pytest.mark.parametrize("window", [(3, 3), (1, 1)])
+def test_conv2d_tiles_are_bounded_and_cover_the_output_once(monkeypatch, window):
+    rng = np.random.default_rng(4)
+    data = rng.standard_normal((2, 16, 20, 20)).astype("float32")
+    kernel = rng.standard_normal((8, 16) + window).astype("float32")
+    padding = window[0] // 2
+    whole = ref.conv2d_nchw(data, kernel, 1, padding)
+    monkeypatch.setattr(ref, "WORKSPACE_BYTES", 25_000)
+    seen = np.zeros(whole.shape, dtype=int)
+    tiles = []
+
+    def epilogue(out, index):       # runs once per tile, in place
+        tiles.append(out[index].shape)
+        seen[index] += 1
+        np.maximum(out[index], 0, out=out[index])
+
+    got = ref.conv2d_nchw(data, kernel, 1, padding, epilogue)
+    assert (seen == 1).all() and len(tiles) >= 2 * 2     # 2 images, >1 tile each
+    depth = 16 * window[0] * window[1]
+    for _, channels, rows, width in tiles:
+        assert channels == 8 and depth * rows * width * 4 <= 25_000
+    np.testing.assert_allclose(got, np.maximum(whole, 0), rtol=1e-5, atol=1e-5)
+
+
 def test_reference_shape_errors_name_both_shapes():
     data = np.zeros((1, 3, 4, 4), dtype="float32")
     with pytest.raises(ValueError, match=r"\(1, 3, 4, 4\).*\(8, 5, 3, 3\)"):
