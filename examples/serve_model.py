@@ -4,8 +4,9 @@ Compiles a ResNet-18 variant once, exports it as a self-contained artifact,
 then serves the *reloaded* artifact with ``repro.serve``: concurrent client
 threads fire single requests, and each of two simulated GPUs pulls its next
 batch — requests coalesced along the batch axis — the moment it is free.  Each
-client's output is bit-identical to a solo execution, while the simulated
-throughput benefits from batching and the device pool.
+client's output is bit-identical to a solo execution; the engine reports its
+batches per device and the wall-clock latency split into queue wait and
+execution.
 
 Run:  python examples/serve_model.py
 """
@@ -70,16 +71,18 @@ def main() -> None:
 
     # 5. Structured serving statistics.
     stats = engine.stats()
-    sim = stats["simulated"]
+    wall = stats["wall"]
     print(f"\nBatches: {stats['batches']} "
           f"(occupancy {stats['batch_occupancy']}, "
           f"mean {stats['mean_batch_occupancy']:.2f} requests/batch)")
-    print(f"Simulated throughput: {sim['throughput_rps']:.0f} requests/s "
-          f"(sequential baseline {1.0 / served.total_time:.0f} requests/s)")
-    print(f"Simulated latency: p50 {sim['latency']['p50_ms']:.3f} ms, "
-          f"p99 {sim['latency']['p99_ms']:.3f} ms")
-    for device, busy in sim["busy_seconds_per_device"].items():
-        print(f"  {device}: {busy * 1e3:.3f} ms simulated busy time")
+    for device, batches in stats["batches_per_device"].items():
+        print(f"  {device}: {batches} batches")
+    print(f"Wall throughput: {wall['throughput_rps']:.1f} requests/s over "
+          f"{wall['duration_seconds']:.2f} s")
+    for name in ("latency", "queue_wait", "execution"):
+        print(f"Wall {name.replace('_', ' ')}: "
+              f"p50 {wall[name]['p50_ms']:.1f} ms, "
+              f"p99 {wall[name]['p99_ms']:.1f} ms")
 
 
 if __name__ == "__main__":

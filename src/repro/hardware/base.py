@@ -70,9 +70,8 @@ class HardwareModel:
 
     device_type = "generic"
 
-    def __init__(self, params: Optional[HardwareParams] = None, seed: int = 0):
+    def __init__(self, params: Optional[HardwareParams] = None):
         self.params = params or HardwareParams()
-        self._seed = seed
 
     # -- interface -------------------------------------------------------------
     def estimate(self, features: ProgramFeatures) -> float:

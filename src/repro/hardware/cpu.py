@@ -88,8 +88,8 @@ class EmbeddedCPU(HardwareModel):
 
     device_type = "cpu"
 
-    def __init__(self, params: Optional[CPUParams] = None, seed: int = 0):
-        super().__init__(params or arm_a53_params(), seed)
+    def __init__(self, params: Optional[CPUParams] = None):
+        super().__init__(params or arm_a53_params())
         self.cpu: CPUParams = self.params  # type: ignore[assignment]
 
     # ------------------------------------------------------------------ model

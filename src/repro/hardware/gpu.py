@@ -94,8 +94,8 @@ class ServerGPU(HardwareModel):
 
     device_type = "gpu"
 
-    def __init__(self, params: Optional[GPUParams] = None, seed: int = 0):
-        super().__init__(params or titan_x_params(), seed)
+    def __init__(self, params: Optional[GPUParams] = None):
+        super().__init__(params or titan_x_params())
         self.gpu: GPUParams = self.params  # type: ignore[assignment]
 
     # ------------------------------------------------------------------ model
@@ -172,5 +172,5 @@ class MobileGPU(ServerGPU):
 
     device_type = "mali"
 
-    def __init__(self, params: Optional[GPUParams] = None, seed: int = 0):
-        super().__init__(params or mali_t860_params(), seed)
+    def __init__(self, params: Optional[GPUParams] = None):
+        super().__init__(params or mali_t860_params())

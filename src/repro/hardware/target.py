@@ -75,51 +75,43 @@ class Target:
     def num_cores(self) -> int:
         return int(getattr(self.model.params, "num_cores", 1))
 
-    @property
-    def seed(self) -> int:
-        """Seed the simulated device model was built with, kept in the
-        artifact spec.  Measurement noise does not read it: the measurer
-        seeds each candidate's noise from ``(seed, task, config)``."""
-        return int(getattr(self.model, "_seed", 0))
-
     def spec(self) -> Dict[str, object]:
         """A JSON-serialisable description sufficient to rebuild the target
         (used by the module artifact format)."""
-        return {"name": self.name, "device_type": self.device_type,
-                "seed": self.seed}
+        return {"name": self.name, "device_type": self.device_type}
 
     def __repr__(self) -> str:
         return f"Target({self.name})"
 
 
-def cuda(seed: int = 0) -> Target:
+def cuda() -> Target:
     """Server-class GPU target (simulated NVIDIA Titan X)."""
-    return Target("cuda", "gpu", ServerGPU(titan_x_params(), seed),
+    return Target("cuda", "gpu", ServerGPU(titan_x_params()),
                   keys=("cuda", "gpu"))
 
 
-def mali(seed: int = 0) -> Target:
+def mali() -> Target:
     """Mobile GPU target (simulated ARM Mali-T860MP4)."""
-    return Target("opencl -device=mali", "mali", MobileGPU(mali_t860_params(), seed),
+    return Target("opencl -device=mali", "mali", MobileGPU(mali_t860_params()),
                   keys=("mali", "opencl", "gpu"))
 
 
-def arm_cpu(seed: int = 0) -> Target:
+def arm_cpu() -> Target:
     """Embedded CPU target (simulated quad-core ARM Cortex A53)."""
-    return Target("llvm -device=arm_cpu", "cpu", EmbeddedCPU(arm_a53_params(), seed),
+    return Target("llvm -device=arm_cpu", "cpu", EmbeddedCPU(arm_a53_params()),
                   keys=("arm_cpu", "cpu"))
 
 
-def pynq_cpu(seed: int = 0) -> Target:
+def pynq_cpu() -> Target:
     """Host CPU of the FPGA platform (simulated dual-core ARM Cortex A9)."""
     return Target("llvm -device=arm_cpu -model=pynq", "cpu",
-                  EmbeddedCPU(cortex_a9_params(), seed),
+                  EmbeddedCPU(cortex_a9_params()),
                   keys=("pynq_cpu", "arm_cpu", "cpu"))
 
 
-def vdla(seed: int = 0) -> Target:
+def vdla() -> Target:
     """FPGA-based Vanilla Deep Learning Accelerator target."""
-    return Target("vdla", "vdla", VDLAAccelerator(pynq_vdla_params(), seed),
+    return Target("vdla", "vdla", VDLAAccelerator(pynq_vdla_params()),
                   keys=("vdla", "accel"))
 
 
@@ -152,15 +144,15 @@ def known_targets() -> Tuple[str, ...]:
     return tuple(sorted(set(_FACTORIES) | set(_CANONICAL_NAMES)))
 
 
-def create_target(name: str, seed: int = 0) -> Target:
+def create_target(name: str) -> Target:
     """Create a target from a short name (``cuda``, ``arm_cpu``, ``mali``,
     ``vdla``) or a canonical full name such as ``llvm -device=arm_cpu``."""
     if name in _CANONICAL_NAMES:
-        return _CANONICAL_NAMES[name](seed)
+        return _CANONICAL_NAMES[name]()
     key = name.split()[0].lower()
     if key not in _FACTORIES:
         raise ValueError(f"Unknown target {name!r}; expected one of {sorted(_FACTORIES)}")
-    return _FACTORIES[key](seed)
+    return _FACTORIES[key]()
 
 
 def target_from_spec(spec: Dict[str, object]) -> Target:
@@ -169,13 +161,14 @@ def target_from_spec(spec: Dict[str, object]) -> Target:
     Raises :class:`ValueError` with the known target names when the recorded
     target does not exist in this build, or when the rebuilt device kind
     disagrees with the recorded one (a target mismatch, e.g. an artifact from
-    a build where the name meant different hardware).
+    a build where the name meant different hardware).  Any other key (the
+    ``seed`` older bundles record) is ignored.
     """
     name = spec.get("name")
     if not isinstance(name, str):
         raise ValueError(f"Invalid target spec {spec!r}: missing 'name'")
     try:
-        target = create_target(name, seed=int(spec.get("seed", 0)))
+        target = create_target(name)
     except ValueError:
         raise ValueError(
             f"Target {name!r} is not known to this build; known targets: "

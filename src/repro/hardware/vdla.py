@@ -313,8 +313,8 @@ class VDLAAccelerator(HardwareModel):
 
     device_type = "vdla"
 
-    def __init__(self, params: Optional[VDLAParams] = None, seed: int = 0):
-        super().__init__(params or pynq_vdla_params(), seed)
+    def __init__(self, params: Optional[VDLAParams] = None):
+        super().__init__(params or pynq_vdla_params())
         self.vdla: VDLAParams = self.params  # type: ignore[assignment]
 
     # ------------------------------------------------------------------ pipeline

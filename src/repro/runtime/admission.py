@@ -66,10 +66,9 @@ class InferenceFuture:
         self._claimed = False
         #: engine callback fired once on successful cancellation (stats)
         self._cancel_hook = None
-        #: filled at completion: simulated seconds of the batch that served
-        #: this request, its size in requests, and observed wall latency
-        #: (split into admission-queue wait and batch execution)
-        self.simulated_latency: Optional[float] = None
+        #: filled at completion: the size in requests of the batch that
+        #: served this request, and observed wall latency (split into
+        #: admission-queue wait and batch execution)
         self.batch_size: Optional[int] = None
         self.wall_latency: Optional[float] = None
         self.queue_wait: Optional[float] = None

@@ -36,12 +36,11 @@ full batch, not one partial batch per idle device.
 batch-occupancy / SLO statistics; :meth:`InferenceEngine.shutdown` drains by
 default or rejects the backlog with ``drain=False``.
 
-Simulated accounting (``stats()["simulated"]``) is per batch: a coalesced
-batch costs the kernel estimates of a compile at that batch size (made the
-first time the size executes), never the sum of per-request times.
-Functional outputs, however, are computed per request on the native-batch
-kernels so every request's result is bit-identical to a solo execution (the
-NumPy BLAS kernels are not bitwise batch-invariant).
+A batch is executed request by request on the native-batch kernels, so
+every request's result is bit-identical to a solo execution (the NumPy BLAS
+kernels are not bitwise batch-invariant).  Every latency the engine reports
+is host wall clock; the simulated per-kernel estimate of a request is the
+module's own ``total_time``.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from ..compiler.module import CompiledModule
 from .admission import (DeadlineExceeded, InferenceFuture, QueueFull,
                         RequestCancelled, ServingError, _AdmissionQueue,
                         _reject_all, _Request)
-from .batching import _BatchCostModel, _choose_batch_size, _wall_batch_time
+from .batching import _choose_batch_size, _wall_batch_time
 from .ndarray import Device, DeviceLike, device as as_device
 
 __all__ = ["serve", "InferenceEngine", "InferenceFuture", "ServingError",
@@ -133,8 +132,6 @@ class InferenceEngine:
                     "max_batch=1")
         self.max_batch = max_batch
         self.native_batch = specs[0].shape[0] if batchable else 1
-        self._cost = _BatchCostModel(module, [s.name for s in specs],
-                                     self.native_batch)
 
         # The one execution back-end, chosen once (nothing outside __init__
         # names one): per-device Executors on this process's worker threads,
@@ -161,8 +158,8 @@ class InferenceEngine:
         self._n_cancelled = 0
         self._deadline_violations = 0
         self._occupancy: Dict[int, int] = {}
-        #: (simulated, wall, queue-wait, execution) seconds of the most
-        #: recent _LATENCY_WINDOW resolved requests (see stats())
+        #: (wall, queue-wait, execution) seconds of the most recent
+        #: _LATENCY_WINDOW resolved requests (see stats())
         self._latency_samples = collections.deque(maxlen=_LATENCY_WINDOW)
         #: adaptive batcher decisions: chosen batch-size limit -> count
         self._adaptive_decisions: Dict[int, int] = {}
@@ -170,7 +167,8 @@ class InferenceEngine:
         #: means the adaptive policy last priced with
         self._wall_by_size: Dict[int, Tuple[float, int]] = {}
         self._wall_read: Dict[int, float] = {}
-        self._device_busy = [0.0 for _ in self.devices]
+        #: batches each device's worker pulled, by device index
+        self._device_batches = [0 for _ in self.devices]
         self._started_at = time.monotonic()
         self._stopped_at: Optional[float] = None
 
@@ -297,6 +295,7 @@ class InferenceEngine:
                     continue
                 with self._stats_lock:
                     self._n_batches += 1
+                    self._device_batches[index] += 1
                     self._occupancy[len(batch)] = \
                         self._occupancy.get(len(batch), 0) + 1
                 try:
@@ -352,12 +351,11 @@ class InferenceEngine:
         if not runnable:
             return
         batch = runnable
-        batch_time = self.estimated_batch_time(len(batch))
         exec_start = time.monotonic()
         # One call into the back-end: each entry is the request's output
-        # arrays or its per-request error.  A failure of the whole batch
-        # (an un-estimable size above, a worker process dead beyond its
-        # retries here) raises, and _worker_loop rejects every request in it.
+        # arrays or its per-request error.  A failure of the whole batch (a
+        # worker process dead beyond its retries) raises, and _worker_loop
+        # rejects every request in it.
         outcomes = self._backend.run_batch(
             index, [request.inputs for request in batch])
         samples = []
@@ -368,13 +366,12 @@ class InferenceEngine:
             if isinstance(outcome, Exception):
                 future._reject(outcome)
                 continue
-            future.simulated_latency = batch_time
             future.batch_size = len(batch)
             future.wall_latency = done_at - request.enqueued_at
             future.queue_wait = exec_start - request.enqueued_at
             future.execute_latency = done_at - exec_start
-            samples.append((batch_time, future.wall_latency,
-                            future.queue_wait, future.execute_latency))
+            samples.append((future.wall_latency, future.queue_wait,
+                            future.execute_latency))
             # Finished late: the caller still gets the outputs (the work is
             # done), but the SLO miss is counted.
             if request.expired(done_at):
@@ -385,15 +382,10 @@ class InferenceEngine:
             self._wall_by_size[len(batch)] = (total + done_at - exec_start,
                                               count + 1)
             self._n_requests += len(batch)
-            self._device_busy[index] += batch_time
             self._latency_samples.extend(samples)
             self._deadline_violations += violations
 
     # ------------------------------------------------------------------ stats
-    def estimated_batch_time(self, n_requests: int) -> float:
-        """Simulated seconds of one coalesced batch of ``n_requests``."""
-        return self._cost.times_for(n_requests * self.native_batch)[0]
-
     @staticmethod
     def _percentiles(samples: Sequence[float]) -> Dict[str, float]:
         if not samples:
@@ -406,21 +398,18 @@ class InferenceEngine:
     def stats(self) -> Dict[str, object]:
         """Structured serving statistics.
 
-        ``simulated`` timings come from the per-batch kernel estimates (the
-        engine's simulated clock: each device's busy time is the sum of its
-        batch times; the makespan is the busiest device); ``wall`` timings
-        are host wall-clock observations of this Python process.  Counters
-        (requests, batches, occupancy, sheds, violations) are exact over the
-        engine's lifetime; the four latency summaries (``simulated.latency``
-        and ``wall.latency`` / ``queue_wait`` / ``execution``) cover the
-        most recent ``_LATENCY_WINDOW`` resolved requests, so a long-lived
-        engine's memory and ``stats()`` cost stay bounded.
+        Timings are host wall-clock observations of this Python process.
+        Counters (requests, batches, batches per device, occupancy, sheds,
+        violations) are exact over the engine's lifetime; the three latency
+        summaries (``wall.latency`` / ``queue_wait`` / ``execution``) cover
+        the most recent ``_LATENCY_WINDOW`` resolved requests, so a
+        long-lived engine's memory and ``stats()`` cost stay bounded.
         """
         with self._stats_lock:
             requests = self._n_requests
             batches = self._n_batches
             occupancy = dict(sorted(self._occupancy.items()))
-            busy = list(self._device_busy)
+            per_device = list(self._device_batches)
             samples = list(self._latency_samples)
             decisions = dict(sorted(self._adaptive_decisions.items()))
             wall_read = {size: seconds * 1e3 for size, seconds
@@ -429,28 +418,22 @@ class InferenceEngine:
             violations = self._deadline_violations
             end = self._stopped_at or time.monotonic()
             duration = max(end - self._started_at, 1e-12)
-        sim, wall, queue_waits, exec_latencies = \
-            zip(*samples) if samples else ((), (), (), ())
+        wall, queue_waits, exec_latencies = \
+            zip(*samples) if samples else ((), (), ())
         shed = self._admission.counters()
-        makespan = max(busy) if busy else 0.0
         mean_occupancy = (sum(size * count for size, count in occupancy.items())
                           / batches) if batches else 0.0
         result = {
             "requests": requests,
             "batches": batches,
+            "batches_per_device": {str(dev): count for dev, count
+                                   in zip(self.devices, per_device)},
             "pool": self.pool_kind,
             "devices": [str(dev) for dev in self.devices],
             "max_batch": self.max_batch,
             "native_batch": self.native_batch,
             "batch_occupancy": occupancy,
             "mean_batch_occupancy": mean_occupancy,
-            "simulated": {
-                "busy_seconds_per_device": {str(dev): seconds for dev, seconds
-                                            in zip(self.devices, busy)},
-                "makespan_seconds": makespan,
-                "throughput_rps": requests / makespan if makespan else 0.0,
-                "latency": self._percentiles(sim),
-            },
             "wall": {
                 "duration_seconds": duration,
                 "throughput_rps": requests / duration,

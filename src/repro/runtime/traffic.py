@@ -616,7 +616,6 @@ class TraceReplayer:
             "wall_ms": None,
             "queue_wait_ms": None,
             "execute_ms": None,
-            "sim_ms": None,
             "batch_size": None,
         }
         if error is not None:
@@ -625,6 +624,5 @@ class TraceReplayer:
             record["wall_ms"] = ms(future.wall_latency)
             record["queue_wait_ms"] = ms(future.queue_wait)
             record["execute_ms"] = ms(future.execute_latency)
-            record["sim_ms"] = ms(future.simulated_latency)
             record["batch_size"] = future.batch_size
         return record

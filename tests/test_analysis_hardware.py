@@ -279,7 +279,7 @@ def test_cpu_model_rewards_parallel_and_vectorize():
 
 
 def test_measurement_noise_is_deterministic_and_bounded():
-    cpu = EmbeddedCPU(seed=3)
+    cpu = EmbeddedCPU()
     features = _tiled_matmul_features(size=64)
     first = cpu.measure(features, 3, np.random.default_rng(5))
     second = cpu.measure(features, 3, np.random.default_rng(5))

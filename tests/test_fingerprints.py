@@ -13,15 +13,24 @@ executed pass's name and ``nodes_after``, ``tuned_kernels``,
 Weights fingerprint: the parameters ``get_model`` draws for the models of
 the same five pairs, in order; per model the params sorted by name, per
 param its name, ``str(dtype)``, ``repr(shape)`` and raw bytes.
+
+Verdict fingerprint: the TIR verifier's verdict on 8 configs of every
+resnet-18/cuda tuning task, drawn per task with
+``np.random.default_rng(0).choice(len(space), 8, replace=False)``; per
+config ``(task, index, "ok")`` or ``(task, index, error class, check,
+node)``, the node's tensor name without the ``_<n>`` suffix that the
+process-wide name counter adds (it depends on what ran before).
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 import repro
 import repro.compiler.driver as driver
+from repro.analysis.errors import VerifierError
 from repro.frontend import get_model
 
 #: sha256 prefix of :func:`_digest` over :data:`COMPILE_PAIRS` x opt 0 - 3
@@ -30,6 +39,9 @@ COMPILE_FINGERPRINT = "7275a3474f785f4b"
 #: sha256 prefix of :func:`weights_digest` over the models of
 #: :data:`COMPILE_PAIRS`
 WEIGHTS_FINGERPRINT = "a5c004d83e777c62"
+
+#: sha256 prefix of :func:`_digest` over :func:`verdict_records`
+VERDICT_FINGERPRINT = "78732242e743a881"
 
 #: the ``compile_deploy_zoo`` pairs (``benchmarks/e2e/spec.py``)
 COMPILE_PAIRS = [("resnet-18", "cuda"), ("mobilenet", "arm_cpu"),
@@ -131,3 +143,43 @@ def test_weights_fingerprint_sees_one_element(zoo_params):
     array.flat[0] = np.nextafter(array.flat[0], np.float32(np.inf))
     perturbed[2][name] = array
     assert weights_digest(perturbed) != WEIGHTS_FINGERPRINT
+
+
+def verdict_records():
+    """The verifier's verdict on 8 seeded configs of every resnet-18/cuda
+    task, in task order."""
+    records = []
+    for task in repro.autotvm.extract_tasks("resnet-18", "cuda"):
+        space = len(task.config_space)
+        for index in np.random.default_rng(0).choice(space, 8, replace=False):
+            index = int(index)
+            try:
+                task.verify(index)
+                records.append((task.name, index, "ok"))
+            except VerifierError as exc:
+                node = re.sub(r"_\d+(?=\.|$)", "", exc.node or "")
+                records.append((task.name, index, type(exc).__name__,
+                                exc.check, node))
+    return records
+
+
+@pytest.fixture(scope="module")
+def verdicts():
+    return verdict_records()
+
+
+def test_verdict_fingerprint(verdicts):
+    """The verifier accepts and rejects the same sampled schedules, for the
+    same reason at the same node."""
+    assert any(record[2] == "ok" for record in verdicts)
+    assert any(record[2] != "ok" for record in verdicts)
+    assert _digest(verdicts) == VERDICT_FINGERPRINT
+
+
+def test_verdict_fingerprint_sees_one_node_name(verdicts):
+    """One rejection blamed on another node moves the fingerprint."""
+    position = next(i for i, record in enumerate(verdicts)
+                    if record[2] != "ok")
+    perturbed = list(verdicts)
+    perturbed[position] = perturbed[position][:4] + ("elsewhere",)
+    assert _digest(perturbed) != VERDICT_FINGERPRINT

@@ -67,6 +67,7 @@ OPTION_SURFACE = {
         "engines": REQUIRED, "trace": REQUIRED, "inputs_for": None,
         "time_scale": 1.0, "giveup_ms": None, "result_timeout_s": 120.0,
         "store_outputs": False, "input_pool": 8},
+    create_target: {"name": REQUIRED},
 }
 
 

@@ -703,6 +703,21 @@ class TestTargetHelpers:
         np.testing.assert_array_equal(Executor(loaded)(cnn_input)[0].asnumpy(),
                                       Executor(cnn_module)(cnn_input)[0].asnumpy())
 
+    def test_target_seed_of_an_older_bundle_is_ignored(self, cnn_module,
+                                                       tmp_path, cnn_input):
+        # Bundles written before the target seed was removed record one in
+        # the manifest's target spec; it must load as if it were absent.
+        path = tmp_path / "seeded.repro"
+        cnn_module.export(path)
+        rewritten = _rewritten(path, {"MANIFEST.json": _edit_manifest(
+            lambda manifest: manifest["target"].update(seed=7))})
+        loaded = repro.load(rewritten)
+        assert loaded.total_time == cnn_module.total_time
+        assert loaded.target.spec() == cnn_module.target.spec()
+        assert "seed" not in loaded.target.spec()
+        np.testing.assert_array_equal(Executor(loaded)(cnn_input)[0].asnumpy(),
+                                      Executor(cnn_module)(cnn_input)[0].asnumpy())
+
     def test_create_target_canonical_names(self):
         for factory in (cuda, arm_cpu, vdla):
             target = factory()

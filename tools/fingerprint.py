@@ -3,8 +3,9 @@
 
 Prints each digest beside its committed literal — the ``ProgramFeatures``
 of every template's sampled configs, the compile of the five
-``compile_deploy_zoo`` pairs at ``opt_level`` 0 - 3, and the zoo's initial
-weights — using the recipes of the tests that pin them
+``compile_deploy_zoo`` pairs at ``opt_level`` 0 - 3, the zoo's initial
+weights, and the TIR verifier's verdicts on sampled resnet-18/cuda configs
+— using the recipes of the tests that pin them
 (``tests/test_analysis_hardware.py``, ``tests/test_fingerprints.py``).
 Run from anywhere::
 
@@ -33,6 +34,8 @@ def main() -> int:
          zoo.COMPILE_FINGERPRINT),
         ("weights", lambda: zoo.weights_digest(zoo.zoo_weights()),
          zoo.WEIGHTS_FINGERPRINT),
+        ("verdict", lambda: zoo._digest(zoo.verdict_records()),
+         zoo.VERDICT_FINGERPRINT),
     ]
     mismatches = 0
     for name, compute, literal in rows:
