@@ -20,6 +20,12 @@ resnet-18/cuda tuning task, drawn per task with
 config ``(task, index, "ok")`` or ``(task, index, error class, check,
 node)``, the node's tensor name without the ``_<n>`` suffix that the
 process-wide name counter adds (it depends on what ran before).
+
+Curve fingerprint: the ``curve_sha256`` recipe of ``benchmarks/e2e`` (per
+task its name and its best-so-far curve at 12 significant digits) over one
+seeded ``repro.autotune`` session, given no ``database=``, of a graph with
+two conv2d workloads of different shapes (cuda, 12 trials each, batch 4,
+seed 0).  Tuning one task must not change what the next task explores.
 """
 
 import hashlib
@@ -31,7 +37,8 @@ import pytest
 import repro
 import repro.compiler.driver as driver
 from repro.analysis.errors import VerifierError
-from repro.frontend import get_model
+from repro.autotvm import TuningOptions
+from repro.frontend import ModelBuilder, get_model
 
 #: sha256 prefix of :func:`_digest` over :data:`COMPILE_PAIRS` x opt 0 - 3
 COMPILE_FINGERPRINT = "7275a3474f785f4b"
@@ -42,6 +49,9 @@ WEIGHTS_FINGERPRINT = "a5c004d83e777c62"
 
 #: sha256 prefix of :func:`_digest` over :func:`verdict_records`
 VERDICT_FINGERPRINT = "78732242e743a881"
+
+#: sha256 prefix of :func:`curve_digest` over :func:`curve_session`
+CURVE_FINGERPRINT = "84a1088561889801"
 
 #: the ``compile_deploy_zoo`` pairs (``benchmarks/e2e/spec.py``)
 COMPILE_PAIRS = [("resnet-18", "cuda"), ("mobilenet", "arm_cpu"),
@@ -183,3 +193,48 @@ def test_verdict_fingerprint_sees_one_node_name(verdicts):
     perturbed = list(verdicts)
     perturbed[position] = perturbed[position][:4] + ("elsewhere",)
     assert _digest(perturbed) != VERDICT_FINGERPRINT
+
+
+def _two_conv_model():
+    b = ModelBuilder("curve-pair", seed=0)
+    data = b.input("data", (1, 8, 16, 16))
+    net = b.relu(b.conv2d(data, 16, 3, 1, 1, name="conv0"))
+    net = b.conv2d(net, 32, 3, 2, 1, name="conv1")
+    graph, params = b.finalize(net)
+    return graph, params, {"data": (1, 8, 16, 16)}
+
+
+def curve_session():
+    """One seeded tuning session over two conv2d workloads, no database."""
+    return repro.autotune(_two_conv_model(), target="cuda",
+                          options=TuningOptions(trials=12, batch_size=4,
+                                                seed=0))
+
+
+def curve_digest(results):
+    """The ``curve_sha256`` recipe (``benchmarks/e2e/helpers.py``) over
+    ``(task_name, curve)`` pairs, as a 16-hex-digit prefix."""
+    digest = hashlib.sha256()
+    for task_name, curve in results:
+        digest.update(task_name.encode())
+        digest.update(repr([f"{v:.12e}" for v in curve]).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def curves():
+    return [(r.task_name, list(r.curve)) for r in curve_session()]
+
+
+def test_curve_fingerprint(curves):
+    """A seeded session explores the same candidates in the same order."""
+    assert len(curves) == 2 and all(len(curve) == 12 for _, curve in curves)
+    assert curve_digest(curves) == CURVE_FINGERPRINT
+
+
+def test_curve_fingerprint_sees_one_trial(curves):
+    """The second task's last best-so-far value moved by one part in 1e9
+    moves the fingerprint."""
+    perturbed = [(name, list(curve)) for name, curve in curves]
+    perturbed[1][1][-1] *= 1.0 + 1e-9
+    assert curve_digest(perturbed) != CURVE_FINGERPRINT

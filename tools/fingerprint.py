@@ -4,8 +4,8 @@
 Prints each digest beside its committed literal — the ``ProgramFeatures``
 of every template's sampled configs, the compile of the five
 ``compile_deploy_zoo`` pairs at ``opt_level`` 0 - 3, the zoo's initial
-weights, and the TIR verifier's verdicts on sampled resnet-18/cuda configs
-— using the recipes of the tests that pin them
+weights, the TIR verifier's verdicts on sampled resnet-18/cuda configs,
+and the trial curves of one seeded two-workload tuning session — using the recipes of the tests that pin them
 (``tests/test_analysis_hardware.py``, ``tests/test_fingerprints.py``).
 Run from anywhere::
 
@@ -36,6 +36,9 @@ def main() -> int:
          zoo.WEIGHTS_FINGERPRINT),
         ("verdict", lambda: zoo._digest(zoo.verdict_records()),
          zoo.VERDICT_FINGERPRINT),
+        ("curve", lambda: zoo.curve_digest(
+            (r.task_name, r.curve) for r in zoo.curve_session()),
+         zoo.CURVE_FINGERPRINT),
     ]
     mismatches = 0
     for name, compute, literal in rows:
