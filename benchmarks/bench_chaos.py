@@ -1,10 +1,10 @@
-"""Chaos benchmark: serving and tuning under deterministic fault injection.
+"""Chaos benchmark: serving under deterministic fault injection.
 
-Runs the serving engine and the distributed tuning service through a seeded
-:class:`repro.faults.FaultPlan` (worker SIGKILLs, torn/dropped frames, slow
-RPC replies, transient connection refusals, a service killed mid-run) and
+Runs the serving engine's process pool through a seeded
+:class:`repro.faults.FaultPlan` (worker SIGKILLs, torn pipe frames) and
 enforces the robustness contract as hard gates, writing
-``BENCH_chaos.json`` next to this file:
+``BENCH_chaos.json`` next to this file (it starts with the end-to-end
+benchmark's run header):
 
 * **zero hung futures** — every submitted request resolves or raises a
   *typed* error within the timeout; no caller is ever left blocked;
@@ -14,9 +14,6 @@ enforces the robustness contract as hard gates, writing
 * **bounded shedding** — only requests with deliberately tight deadlines
   (plus the explicitly cancelled ones) may be shed; overall failure rate
   stays under 50% even while workers are being SIGKILLed;
-* **degraded tuning is exact** — a tuning session whose service dies
-  mid-run (while frames are being dropped and replies stalled) completes
-  with a report bit-identical to tuning with no service at all;
 * **no leaks** — no ``/dev/shm`` segment, no stray thread, and no
   installed fault plan survives the run.
 
@@ -29,9 +26,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import platform
 import sys
 import threading
 import time
@@ -40,8 +35,6 @@ from pathlib import Path
 import numpy as np
 
 import repro
-from repro.autotvm import TuningOptions
-from repro.autotvm.service import TuningService, connect
 from repro.faults import FaultPlan, FaultSpec, active_plan
 from repro.frontend import ModelBuilder
 from repro.hardware import cuda
@@ -49,7 +42,7 @@ from repro.runtime import (DeadlineExceeded, Executor, InferenceEngine,
                            QueueFull, RequestCancelled, ServingError)
 from repro.runtime.procpool import leaked_segments
 
-from common import emit_summary
+from common import emit_summary, run_header
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_chaos.json"
 
@@ -67,14 +60,6 @@ def _small_cnn():
     net = b.softmax(b.dense(net, 10, "fc"))
     graph, params = b.finalize(net)
     return graph, params, {"data": (1, 3, 16, 16)}
-
-
-def _tuning_fingerprint(report) -> str:
-    rows = {r.task_name: (r.best_config.index, r.estimate, tuple(r.curve))
-            for r in report}
-    return hashlib.sha256(
-        json.dumps({k: list(map(repr, v)) for k, v in sorted(rows.items())},
-                   sort_keys=True).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -161,115 +146,28 @@ def run_serve_chaos(module, n_requests: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Scenario 2: tuning while the service degrades and then dies
-# ---------------------------------------------------------------------------
-
-def run_tune_chaos(model, trials: int, kill_after_s: float) -> dict:
-    options = dict(trials=trials, seed=0, batch_size=4)
-    local = repro.autotune(model, target=cuda(),
-                           options=TuningOptions(**options))
-    local_fp = _tuning_fingerprint(local)
-
-    service = TuningService().start()
-    # A client with tight timeouts keeps dropped frames cheap; the session
-    # borrows it (TuningOptions accepts a connected ServiceClient).
-    client = connect(service.address, timeout=5.0, rpc_timeout=1.0,
-                     rpc_retries=2, connect_retries=2,
-                     backoff_s=0.02, backoff_max_s=0.1)
-    killer = threading.Timer(kill_after_s, service.stop)
-    plan = FaultPlan(seed=11, faults=[
-        FaultSpec("frame_drop", protocol="RTS1", probability=0.25,
-                  max_count=3),
-        FaultSpec("slow_response", delay_s=0.5, after=2, max_count=2),
-    ])
-    start = time.perf_counter()
-    try:
-        killer.start()
-        with plan:
-            chaos = repro.autotune(model, target=cuda(),
-                                   options=TuningOptions(service=client,
-                                                         **options))
-    finally:
-        killer.cancel()
-        killer.join()
-        service.stop()
-        client_stats = client.client_stats()
-        client.close()
-    elapsed = time.perf_counter() - start
-    chaos_fp = _tuning_fingerprint(chaos)
-    gates = {
-        "completed_despite_faults": True,
-        "bit_identical_to_local": chaos_fp == local_fp,
-        "faults_actually_fired": plan.total_injected() >= 1,
-    }
-    return {
-        "scenario": "tune-chaos",
-        "trials": trials,
-        "service_killed_after_s": kill_after_s,
-        "chaos_elapsed_s": round(elapsed, 2),
-        "local_fingerprint": local_fp[:16],
-        "chaos_fingerprint": chaos_fp[:16],
-        "client": client_stats,
-        "fault_plan": plan.stats(),
-        "gates": gates,
-        "passed": all(gates.values()),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Scenario 3: transient connection refusals on the way to the service
-# ---------------------------------------------------------------------------
-
-def run_reconnect_chaos() -> dict:
-    plan = FaultPlan(seed=3, faults=[FaultSpec("connect_refused",
-                                               max_count=2)])
-    with TuningService() as service:
-        with plan:
-            client = connect(service.address, connect_retries=3,
-                             backoff_s=0.02, backoff_max_s=0.1)
-        server_connections = client.stats()["connections"]
-        client.close()
-    gates = {
-        "refusals_injected": plan.total_injected() == 2,
-        "connected_after_refusals": server_connections >= 1,
-    }
-    return {
-        "scenario": "connect-chaos",
-        "refusals": plan.total_injected(),
-        "server_connections": server_connections,
-        "gates": gates,
-        "passed": all(gates.values()),
-    }
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (fewer requests/trials, same "
+                        help="CI-sized run (fewer requests, same "
                              "gates); writes BENCH_chaos_smoke.json")
     parser.add_argument("--requests", type=int, default=None,
                         help="serving requests (default 48; 16 with --smoke)")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="tuning trials per task (default 10; 6 with "
-                             "--smoke)")
     parser.add_argument("--budget", type=float, default=None,
                         help="fail if the run exceeds this many seconds "
                              "(default 420 with --smoke)")
     parser.add_argument("--output", type=Path, default=None)
     args = parser.parse_args(argv)
     n_requests = args.requests or (16 if args.smoke else 48)
-    trials = args.trials or (6 if args.smoke else 10)
     budget = args.budget or (420.0 if args.smoke else None)
     output = args.output or (DEFAULT_OUTPUT.with_name("BENCH_chaos_smoke.json")
                              if args.smoke else DEFAULT_OUTPUT)
 
     threads_before = {t.name for t in threading.enumerate()}
     suite_start = time.perf_counter()
-    model = _small_cnn()
     print("Compiling the chaos workload ...")
     module = repro.compile(_small_cnn(), target=cuda())
 
@@ -280,17 +178,6 @@ def main(argv=None) -> int:
           f"hung {scenarios[-1]['hung']}, respawns "
           f"{scenarios[-1]['respawns']}, injected "
           f"{scenarios[-1]['fault_plan']['total_injected']}")
-
-    print(f"tune-chaos: {trials} trials/task, dropped RTS1 frames + stalled "
-          f"replies + service killed mid-run ...")
-    scenarios.append(run_tune_chaos(model, trials, kill_after_s=0.75))
-    print(f"  fingerprints {'match' if scenarios[-1]['gates']['bit_identical_to_local'] else 'DIFFER'}, "
-          f"injected {scenarios[-1]['fault_plan']['total_injected']}, "
-          f"rpc_failures {scenarios[-1]['client']['rpc_failures']}")
-
-    print("connect-chaos: transient ECONNREFUSED x2 on a fresh client ...")
-    scenarios.append(run_reconnect_chaos())
-    print(f"  refused {scenarios[-1]['refusals']}x, then connected")
 
     # ----------------------------------------------------------------- audits
     leaked = leaked_segments()
@@ -320,10 +207,9 @@ def main(argv=None) -> int:
     passed = all(s["passed"] for s in scenarios)
     results = {
         "suite": "chaos",
+        **run_header("wall"),
         "smoke": bool(args.smoke),
         "requests": n_requests,
-        "trials": trials,
-        "python": platform.python_version(),
         "scenarios": scenarios,
         "elapsed_s": round(elapsed, 2),
         "passed": passed,
@@ -337,11 +223,9 @@ def main(argv=None) -> int:
               f"{'PASS' if scenario['passed'] else 'FAIL'}{flags}")
     emit_summary("chaos", {
         "requests": n_requests,
-        "trials": trials,
         "serve_resolved": scenarios[0]["resolved"],
         "serve_hung": scenarios[0]["hung"],
         "serve_respawns": scenarios[0]["respawns"],
-        "tune_bit_identical": scenarios[1]["gates"]["bit_identical_to_local"],
         "faults_injected": sum(
             s.get("fault_plan", {}).get("total_injected", 0)
             for s in scenarios),

@@ -2,10 +2,10 @@
 
 The front door is :func:`repro.autotune` (re-exported here as
 :func:`autotune`): extract tasks -> tune each with the ``"random"``,
-``"ga"`` or ``"model"`` tuner over the measurer -> record bests in a
-:class:`TuningDatabase` -> compile under :class:`ApplyHistoryBest`.  The
-shared tuning service lives in :mod:`repro.autotvm.service`, which only a
-session given ``TuningOptions(service=...)`` imports.
+``"ga"`` or ``"model"`` tuner over the measurer -> record bests and the
+trial log in a :class:`TuningDatabase` -> compile under
+:class:`ApplyHistoryBest`.  A later session given that database transfers
+from it (warm start plus a cost model pre-fit on its trial log).
 """
 
 from .apply_history import ApplyHistoryBest

@@ -398,10 +398,11 @@ class GradientBoostedTrees:
     def to_spec(self) -> dict:
         """JSON-able snapshot of the fitted ensemble.
 
-        A model fitted on one host and restored on another via
-        :meth:`from_spec` predicts **bit-identically** (prediction only reads
-        the tree node arrays, the base score and the learning rate) — this is
-        how the tuning service ships its pretrained cost model to clients.
+        A model restored via :meth:`from_spec` predicts **bit-identically**
+        (prediction only reads the tree node arrays, the base score and the
+        learning rate) and refits from a fresh seeded generator — this is
+        how a tuning session hands each task its own copy of a model pre-fit
+        on the database's trial log.
         """
         return {"kind": "gbt", "num_rounds": self.num_rounds,
                 "learning_rate": self.learning_rate,

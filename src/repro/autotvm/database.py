@@ -13,15 +13,20 @@ feature vector of its lowered program, which lets a later session warm-start
 its cost model from history of the *same operator* even when the exact
 workload (and hence the configuration space) differs.
 
+Beside the bests, the database keeps a *trial log*: every measured trial
+(task, target, config index, time, error, features), first row per
+``(task, target, config)``.  A file-backed database appends each row to a
+``<path>.trials`` sidecar, one JSON object per line, and reads it back on
+load.  A later session pre-fits its cost model on these rows (paper
+Section 5.2's transfer learning; see :func:`repro.autotune`).
+
 Concurrency: one JSONL log has exactly one writer.  The first persisting
 write takes an exclusive ``flock`` on a ``<path>.lock`` sidecar, so a second
 process (or a second instance in this process) that tries to write the same
 path fails loudly with :class:`DatabaseWriteConflictError` instead of
 silently interleaving appends.  Appends are flushed and fsynced, and
 :meth:`compact` rewrites through a temp file + atomic rename, so readers
-never observe a torn log.  The sanctioned multi-writer path is the tuning
-service (:mod:`repro.autotvm.service`), which funnels every client through
-the single database its server owns.
+never observe a torn log.  Concurrent sessions use one log each.
 """
 
 from __future__ import annotations
@@ -43,9 +48,8 @@ __all__ = ["TuningLogEntry", "TuningDatabase", "DatabaseWriteConflictError",
 class DatabaseWriteConflictError(RuntimeError):
     """Two writers opened the same tuning log for writing.
 
-    Concurrent sessions must not append to one JSONL path directly — run a
-    :class:`repro.autotvm.service.TuningService` over the file and point the
-    sessions at it instead.
+    Concurrent sessions must not append to one JSONL path: give each its
+    own log, and open a finished one to transfer from it.
     """
 
 
@@ -106,6 +110,10 @@ class TuningDatabase:
         # best entry per (task, target) — kernel_time queries this on every
         # templated node of every compile, so it must stay O(1)
         self._best: Dict[Tuple[str, str], TuningLogEntry] = {}
+        #: the trial log: (task, target, config index) -> ``{"time",
+        #: "error", "features"}``, first measurement per key, in log order;
+        #: features are a sequence of floats or ``None``
+        self.trials: Dict[Tuple[str, str, int], Dict] = {}
         self._lock_fd: Optional[int] = None
         if path and os.path.exists(path):
             self.load(path)
@@ -127,9 +135,9 @@ class TuningDatabase:
             raise DatabaseWriteConflictError(
                 f"Tuning log {self.path!r} already has a writer (lock file "
                 f"{self.path + '.lock'!r} is held). Two sessions appending to "
-                f"one JSONL would corrupt it — run a tuning service over the "
-                f"file (repro.autotvm.service.TuningService) and pass "
-                f"TuningOptions(service=...) to the sessions instead.")
+                f"one JSONL would corrupt it — concurrent sessions use one "
+                f"log each; a later session opens a finished log to "
+                f"transfer from it.")
         os.ftruncate(fd, 0)
         os.write(fd, f"{os.getpid()}\n".encode())
         self._lock_fd = fd
@@ -191,10 +199,46 @@ class TuningDatabase:
         self.add(entry)
         return entry
 
+    def log_trials(self, results) -> int:
+        """Append measured trials (:class:`~repro.autotvm.measure.
+        MeasureResultRecord`\\ s) to the trial log; a ``(task, target,
+        config)`` already logged keeps its first row.  A file-backed
+        database also appends the new rows to ``<path>.trials``.  Returns
+        how many rows were new."""
+        fresh = []
+        for rec in results:
+            task, index = rec.input.task, rec.input.config.index
+            key = (task.name, task.target.name, index)
+            if key in self.trials:
+                continue
+            row = {"time": rec.mean_time, "error": rec.error,
+                   "features": (rec.features.vector()
+                                if rec.features is not None else None)}
+            self.trials[key] = row
+            fresh.append((key, row))
+        if self.path and fresh:
+            self._acquire_write_lock()
+            with open(self.path + ".trials", "a", encoding="utf-8") as handle:
+                for (task, target, index), row in fresh:
+                    features = row["features"]
+                    handle.write(json.dumps({
+                        "task": task, "target": target, "config_index": index,
+                        "time": row["time"], "error": row["error"],
+                        "features": (features.tolist()
+                                     if features is not None else None)
+                    }) + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+        return len(fresh)
+
     def load(self, path: str) -> None:
         """Read a JSONL log, deduping identical ``(task, target, config)``
-        entries (keeping the best time).  Binds this database to ``path`` so
-        later :meth:`add` calls persist there."""
+        entries (keeping the best time), and its ``<path>.trials`` trial log
+        when there is one.  Binds this database to ``path`` so later
+        :meth:`add` calls persist there; a writer lock held on the previous
+        path is released."""
+        if path != self.path:
+            self.close()
         self.path = path
         with open(path, encoding="utf-8") as handle:
             for line in handle:
@@ -208,6 +252,19 @@ class TuningDatabase:
                     self._index(entry)
                 elif entry.features is not None and existing.features is None:
                     existing.features = list(entry.features)
+        trials_path = path + ".trials"
+        if os.path.exists(trials_path):
+            with open(trials_path, encoding="utf-8") as handle:
+                for line in handle:
+                    if not line.strip():
+                        continue
+                    row = json.loads(line)
+                    key = (row["task"], row["target"],
+                           int(row["config_index"]))
+                    self.trials.setdefault(key, {
+                        "time": float(row["time"]),
+                        "error": row.get("error"),
+                        "features": row.get("features")})
 
     def compact(self) -> None:
         """Rewrite the on-disk log with exactly the deduped in-memory entries.

@@ -5,9 +5,7 @@ candidate, run it on a device from the pool, record the time — and
 :class:`Measurer` is that loop: *verify → build (``Task.features_of``) → run
 on the target's hardware model → record*.  One thing varies between its
 uses: how many candidates are in flight at once (``n_parallel`` threads
-mapped over the batch).  The tuning service's
-:class:`~repro.autotvm.service.ServiceDedupMeasurer` may wrap it to skip
-candidates another session already measured.
+mapped over the batch).
 
 Measurement noise is drawn from an RNG derived from ``(seed, task, config
 index)`` — never from shared mutable state — so a record depends only on

@@ -65,18 +65,11 @@ class TuningOptions:
     #: results are bit-identical at any value (the noise RNG is derived per
     #: (seed, task, config))
     n_parallel: int = 4
-    #: warm-start the cost model from prior database entries of the same
-    #: operator (transfer learning across sessions)
+    #: transfer learning across sessions: warm-start the cost model from
+    #: prior database entries of the same operator, and start it from a
+    #: model pre-fit on the database's trial log when that log holds enough
+    #: rows of the operator on this target
     warm_start: bool = True
-    #: shared tuning service to tune against: a ``"host:port"`` address or a
-    #: connected :class:`repro.autotvm.service.ServiceClient`.  ``None`` (the
-    #: default) tunes locally — the current, serviceless behaviour.  With a
-    #: service, measurements any client already made are deduplicated
-    #: globally, session bests are published for cross-session transfer, and
-    #: the service's pretrained cost model (when it has one) cuts cold-start
-    #: trials.  A single session against a fresh service produces the exact
-    #: serviceless report.
-    service: Optional[object] = None
     #: statically verify every candidate's lowered program before measuring
     #: it; illegal schedules (out-of-bounds accesses, parallel hazards) are
     #: rejected as typed errors instead of entering the tuning history.  The

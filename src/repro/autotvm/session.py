@@ -15,8 +15,10 @@ compilation consumes::
     with report.apply_history_best():
         module = repro.compile("resnet-18", target="cuda")
 
-Transfer learning: when a database with history is passed in, the ML cost
-model of each task is warm-started from prior entries of the same operator,
+Transfer learning (Section 5.2): when a database with history is passed in,
+the ML cost model of each task is warm-started from prior entries of the
+same operator, and when the database's trial log holds enough rows of that
+operator on that target, the task starts from a cost model pre-fit on them,
 so new sessions start model-guided instead of random.  With
 ``ensure_no_regression`` (default), each recorded best is validated against
 the compiler's untuned fallback heuristic, so a build inside
@@ -31,8 +33,11 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .apply_history import ApplyHistoryBest
-from .database import TuningDatabase
+from .cost_model import GradientBoostedTrees
+from .database import TuningDatabase, operator_of
 from .measure import Measurer
 from .options import ProgressEvent, TuningOptions
 from .space import ConfigEntity
@@ -45,6 +50,10 @@ logger = logging.getLogger("repro.autotvm")
 
 #: repeated timings per measurement on the simulated device
 _MEASURE_NUMBER = 2
+#: usable history rows per (operator, target) needed before a pre-fit
+_PREFIT_MIN_ROWS = 8
+#: newest usable rows a pre-fit trains on (bounds its cost)
+_PREFIT_MAX_ROWS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +73,7 @@ class TaskTuningResult:
     elapsed: float                  #: wall seconds spent on this task
     warm_samples: int = 0           #: historical samples used for warm start
     floored: bool = False           #: fallback config won; it was recorded instead
-    dedup_hits: int = 0             #: measurements answered by the tuning service
-    pretrained: bool = False        #: started from the service's pretrained model
+    pretrained: bool = False        #: started from a model pre-fit on history
 
     @property
     def task_name(self) -> str:
@@ -87,8 +95,6 @@ class TuningReport:
     target_name: str
     options: TuningOptions
     elapsed: float = 0.0
-    #: tuning-service counters at session end (``None`` when tuned locally)
-    service_stats: Optional[Dict[str, int]] = None
 
     def apply_history_best(self) -> ApplyHistoryBest:
         """Context manager under which ``repro.compile`` uses these configs."""
@@ -175,31 +181,6 @@ def extract_tasks(model, target=None, *, params=None, input_shapes=None
 # The session
 # ---------------------------------------------------------------------------
 
-def _resolve_service(service):
-    """``options.service`` -> ``(client or None, whether we own it)``.
-
-    Accepts ``None``, a ``"host:port"`` address, a running
-    :class:`~repro.autotvm.service.TuningService`, or an already-connected
-    :class:`~repro.autotvm.service.ServiceClient` (which the caller keeps
-    owning).
-    """
-    if service is None:
-        return None, False
-    # Imported lazily: sessions without a service never touch the package.
-    from .service.client import ServiceClient, connect
-    from .service.server import TuningService
-
-    if isinstance(service, str):
-        return connect(service), True
-    if isinstance(service, TuningService):
-        return connect(service.address), True
-    if isinstance(service, ServiceClient):
-        return service, False
-    raise TypeError(
-        f"TuningOptions.service must be None, a 'host:port' address, a "
-        f"TuningService or a ServiceClient, got {type(service).__name__}")
-
-
 def _config_stats(task: Task, config: ConfigEntity
                   ) -> Tuple[float, Optional[List[float]]]:
     """Deterministic hardware-model estimate and feature vector of ``config``
@@ -213,11 +194,53 @@ def _config_stats(task: Task, config: ConfigEntity
         return float("inf"), None
 
 
-def _progress_callback(task_index: int, num_tasks: int,
-                       options: TuningOptions, start: float):
+def _prefit_models(database: TuningDatabase, keys
+                   ) -> Dict[Tuple[str, str], dict]:
+    """Cost models pre-fit on ``database``'s history, as specs, for each
+    ``(operator, target)`` in ``keys`` with enough usable rows.
+
+    The rows are the trial log's measured, feature-bearing trials followed by
+    the recorded bests that carry features.  Throughputs are normalised *per
+    workload* before pooling, so a fast small shape and a slow large shape
+    contribute comparable targets: the model learns what distinguishes good
+    configurations within a shape, which is what transfers across shapes.
+    """
+    groups: Dict[Tuple[str, str], List[Tuple[str, object, float]]] = {
+        key: [] for key in keys}
+    rows = [(task, target, row["features"], row["time"], row["error"])
+            for (task, target, _index), row in database.trials.items()]
+    rows += [(e.task_name, e.target_name, e.features, e.mean_time, None)
+             for e in database]
+    for task, target, features, seconds, error in rows:
+        group = groups.get((operator_of(task), target))
+        if group is None or features is None or error is not None \
+                or seconds <= 0 or not math.isfinite(seconds):
+            continue
+        group.append((task, features, seconds))
+    specs = {}
+    for key, samples in groups.items():
+        samples = samples[-_PREFIT_MAX_ROWS:]
+        dim = len(samples[0][1]) if samples else 0
+        samples = [s for s in samples if len(s[1]) == dim]
+        if len(samples) < _PREFIT_MIN_ROWS:
+            continue
+        top: Dict[str, float] = {}
+        for task, _features, seconds in samples:
+            top[task] = max(top.get(task, 0.0), 1.0 / seconds)
+        x = np.asarray([s[1] for s in samples], dtype=np.float64)
+        y = np.asarray([(1.0 / s[2]) / top[s[0]] for s in samples])
+        specs[key] = GradientBoostedTrees(seed=0).fit(x, y).to_spec()
+        logger.info("pre-fit a cost model for %s/%s on %d rows (%d "
+                    "workloads)", key[0], key[1], len(samples), len(top))
+    return specs
+
+
+def _batch_callback(task_index: int, num_tasks: int, options: TuningOptions,
+                    start: float, database: TuningDatabase):
     total = options.trials
 
     def callback(tuner: Tuner, results) -> None:
+        database.log_trials(results)
         if not options.callbacks:
             return
         event = ProgressEvent(
@@ -236,79 +259,32 @@ def _progress_callback(task_index: int, num_tasks: int,
     return callback
 
 
-def _service_call(what: str, func, default):
-    """Run one optional service RPC, degrading to ``default`` if the
-    service is unreachable.
-
-    The session asked for a service explicitly, so *connecting* stays loud
-    (:func:`_resolve_service` raises); but a service dying mid-run only
-    costs its optional contributions (warm entries, pretrained model,
-    shared bests, counters) — the session finishes on local measurement.
-    """
-    from .service.client import ServiceUnavailable
-    from .service.protocol import ServiceProtocolError
-
-    try:
-        return func()
-    except (ServiceUnavailable, ServiceProtocolError,
-            ConnectionError, OSError) as exc:
-        logger.warning("tuning service call %s failed (%r); continuing "
-                       "without it", what, exc)
-        return default
-
-
 def _tune_one_task(task: Task, node, task_index: int, num_tasks: int,
                    options: TuningOptions, database: TuningDatabase,
-                   client=None) -> TaskTuningResult:
+                   prefit: Optional[dict]) -> TaskTuningResult:
     start = time.perf_counter()
     seed = options.seed + task_index
     tuner = _TUNERS[options.tuner](task, seed=seed)
 
-    # With a tuning service, history flows in from the whole fleet: shared
-    # entries merge with local history for the warm start, and the service's
-    # startup-pretrained cost model (if it has one for this operator/target)
-    # guides even the first batch.  A fresh service contributes neither, so a
-    # solo session stays bit-identical to tuning locally.
-    warm_db = database
-    if client is not None:
-        merged = TuningDatabase()
-        for entry in _service_call(
-                "warm_entries",
-                lambda: client.warm_entries(task.operator, task.target.name),
-                []):
-            merged.add(entry)
-        for entry in database:
-            merged.add(entry)
-        warm_db = merged
-
     warm_samples = 0
-    if options.warm_start and len(warm_db) and hasattr(tuner, "warm_start"):
-        warm_samples = tuner.warm_start(warm_db)
+    if options.warm_start and len(database) and hasattr(tuner, "warm_start"):
+        warm_samples = tuner.warm_start(database)
 
-    # Adopted *after* the warm start on purpose: the service's model is fit
-    # on the fleet's full trial history, so it outranks a model warm-fitted
-    # from the handful of recorded bests.  The warm samples stay in the
-    # tuner's training set and fold into its first refit.
-    pretrained = False
-    if client is not None and hasattr(tuner, "adopt_pretrained"):
-        model = _service_call(
-            "pretrained_model",
-            lambda: client.pretrained_model(task.operator, task.target.name),
-            None)
-        if model is not None:
-            tuner.adopt_pretrained(model)
-            pretrained = True
+    # Adopted *after* the warm start on purpose: the pre-fit model is fit on
+    # the whole trial log, so it outranks a model warm-fitted from the
+    # handful of recorded bests.  The warm samples stay in the tuner's
+    # training set and fold into its first refit.  Each task restores its
+    # own copy, so one task's refits never reach another's model.
+    pretrained = prefit is not None
+    if pretrained:
+        tuner.adopt_pretrained(GradientBoostedTrees.from_spec(prefit))
 
     measurer = Measurer(number=_MEASURE_NUMBER, seed=seed,
                         verify=options.verify, n_parallel=options.n_parallel)
-    if client is not None:
-        from .service.client import ServiceDedupMeasurer
-
-        measurer = ServiceDedupMeasurer(measurer, client)
     best = tuner.tune(n_trial=options.trials, measurer=measurer,
                       batch_size=options.batch_size,
-                      callback=_progress_callback(task_index, num_tasks,
-                                                  options, start),
+                      callback=_batch_callback(task_index, num_tasks,
+                                               options, start, database),
                       early_stopping=options.early_stopping)
     if options.callbacks and \
             len(tuner.records) < min(options.trials, len(task.config_space)):
@@ -341,23 +317,19 @@ def _tune_one_task(task: Task, node, task_index: int, num_tasks: int,
             estimate = fb_time
             floored = True
 
-    entry = database.record(task, config, estimate, features=features)
-    if client is not None:
-        _service_call("record_best", lambda: client.record_best(entry),
-                      False)
-    dedup_hits = getattr(measurer, "dedup_hits", 0)
+    database.record(task, config, estimate, features=features)
     elapsed = time.perf_counter() - start
     logger.info("%s: %d trials in %.1fs, best %.3e s (%d-config space)%s%s",
                 task.name, len(tuner.records), elapsed, estimate,
                 len(task.config_space),
                 f", warm start {warm_samples}" if warm_samples else "",
-                f", {dedup_hits} deduped" if dedup_hits else "")
+                ", pre-fit model" if pretrained else "")
     return TaskTuningResult(task=task, best_config=config,
                             best_time=tuner.best_time, estimate=estimate,
                             curve=tuner.best_history(),
                             trials=len(tuner.records), elapsed=elapsed,
                             warm_samples=warm_samples, floored=floored,
-                            dedup_hits=dedup_hits, pretrained=pretrained)
+                            pretrained=pretrained)
 
 
 def autotune(model, target=None, *, trials: Optional[int] = None,
@@ -382,8 +354,11 @@ def autotune(model, target=None, *, trials: Optional[int] = None,
         Full session configuration (batch size, early stopping, parallelism,
         seed, callbacks, ...).
     database:
-        Existing tuning history to extend; enables transfer-learning warm
-        start of the cost model.  A fresh in-memory database by default.
+        Existing tuning history to extend; enables transfer learning: the
+        warm start from its bests, and a cost model pre-fit on its trial log
+        for each (operator, target) with enough rows.  The rows this session
+        measures join the log for later sessions only.  A fresh in-memory
+        database by default.
     params / input_shapes:
         Override or supplement whatever the model form provided.
 
@@ -397,25 +372,21 @@ def autotune(model, target=None, *, trials: Optional[int] = None,
                          f"{sorted(_TUNERS)}")
     graph, resolved = _normalise_model(model, target, params, input_shapes)
     pairs = _extract_task_nodes(graph, resolved)
-    client, owned_client = _resolve_service(options.service)
     database = database if database is not None else TuningDatabase()
     start = time.perf_counter()
-    logger.info("tuning session: %d tasks x %d trials (tuner=%s, target=%s%s)",
-                len(pairs), options.trials, options.tuner, resolved.name,
-                ", shared service" if client is not None else "")
-    try:
-        results = [_tune_one_task(task, node, i, len(pairs), options,
-                                  database, client=client)
-                   for i, (task, node) in enumerate(pairs)]
-        stats = _service_call("stats", client.stats, None) \
-            if client is not None else None
-    finally:
-        if owned_client and client is not None:
-            client.close()
+    transfer = options.warm_start and \
+        hasattr(_TUNERS[options.tuner], "adopt_pretrained")
+    prefits = (_prefit_models(database, {(task.operator, resolved.name)
+                                         for task, _node in pairs})
+               if transfer else {})
+    logger.info("tuning session: %d tasks x %d trials (tuner=%s, target=%s)",
+                len(pairs), options.trials, options.tuner, resolved.name)
+    results = [_tune_one_task(task, node, i, len(pairs), options, database,
+                              prefits.get((task.operator, resolved.name)))
+               for i, (task, node) in enumerate(pairs)]
     report = TuningReport(results=results, database=database,
                           target_name=resolved.name, options=options,
-                          elapsed=time.perf_counter() - start,
-                          service_stats=stats)
+                          elapsed=time.perf_counter() - start)
     logger.info("tuning session done: %d tasks, %d trials, %.1fs",
                 len(report.results), report.total_trials, report.elapsed)
     return report

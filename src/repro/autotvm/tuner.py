@@ -340,8 +340,8 @@ class ModelBasedTuner(Tuner):
 
     # -- transfer learning -----------------------------------------------------
     def adopt_pretrained(self, cost_model) -> None:
-        """Adopt a cost model pretrained elsewhere (e.g. fitted by the tuning
-        service on its accumulated database) so exploration is model-guided
+        """Adopt a cost model pretrained elsewhere (e.g. pre-fit by the
+        session on the database's trial log) so exploration is model-guided
         from the very first batch.  Later :meth:`update` refits replace it
         once this session has gathered its own measurements."""
         self.cost_model = cost_model

@@ -2,10 +2,9 @@
 
 Distributed-systems code is only as trustworthy as the failures it has
 actually been run through.  This package provides a seeded, declarative way
-to schedule faults against every networked / concurrent path in the system
-— the dynamic-batching serving engine, the shared-memory worker pool, and
-the tuning-service client/server — without any of those subsystems knowing
-more than "consult the active plan here".
+to schedule faults against every concurrent path in the system — the
+dynamic-batching serving engine and the shared-memory worker pool behind
+it — without either knowing more than "consult the active plan here".
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` rules plus a seed.
 Each spec names a fault *kind* (which implies the injection site), an
@@ -27,15 +26,11 @@ kind                site                     effect
 ``socket_reset``    ``framing.send``         connection hard-closed mid-send
 ``worker_kill``     ``procpool.dispatch``    SIGKILL the worker process the
                                              frame was about to reach
-``slow_response``   ``service.handle``       server stalls ``delay_s`` before
-                                             replying (client RPC timeout)
-``connect_refused`` ``service.connect``      transient ``ECONNREFUSED`` on a
-                                             client connection attempt
 ==================  =======================  ================================
 
-Scoping: ``protocol="RPP1"``/``"RTS1"`` restricts frame faults to one wire
-protocol; ``match={...}`` matches arbitrary context fields the site reports
-(e.g. ``{"pool": "repro-serve-pool"}``).  Per-spec injection counts are
+Scoping: ``protocol="RPP1"`` restricts frame faults to one frame magic;
+``match={...}`` matches arbitrary context fields the site reports (e.g.
+``{"pool": "repro-serve-pool"}``).  Per-spec injection counts are
 tracked in :meth:`FaultPlan.stats`, so a chaos benchmark can assert that
 the faults it scheduled actually fired.
 
@@ -68,8 +63,6 @@ FAULT_KINDS: Dict[str, Tuple[str, Dict]] = {
     "frame_truncate": ("framing.send", {"action": "truncate"}),
     "socket_reset": ("framing.send", {"action": "reset"}),
     "worker_kill": ("procpool.dispatch", {"action": "kill"}),
-    "slow_response": ("service.handle", {"action": "delay"}),
-    "connect_refused": ("service.connect", {"action": "refuse"}),
 }
 
 
@@ -97,7 +90,7 @@ class FaultSpec:
     max_count:
         Stop firing after this many injections (``None`` = unbounded).
     protocol:
-        For frame faults: restrict to ``"RPP1"`` or ``"RTS1"``.
+        For frame faults: restrict to one frame magic (``"RPP1"``).
     match:
         Extra context filters; every key must equal the site-reported
         context value for the spec to match.
@@ -186,8 +179,8 @@ class FaultPlan:
 
         plan = FaultPlan(seed=7, faults=[
             FaultSpec("worker_kill", probability=0.2, max_count=2),
-            FaultSpec("frame_truncate", protocol="RTS1", at=[3]),
-            FaultSpec("slow_response", delay_s=0.5, after=1, max_count=1),
+            FaultSpec("frame_truncate", protocol="RPP1", at=[3]),
+            FaultSpec("frame_delay", delay_s=0.5, after=1, max_count=1),
         ])
         with plan:
             ...  # serve / tune; the plan fires deterministically

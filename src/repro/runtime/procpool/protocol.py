@@ -6,9 +6,8 @@ Every message is one raw byte frame on a ``multiprocessing`` pipe
 ``[4s magic "RPP1"][u8 message type][u32 payload length][payload]``
 
 Framing, payload (de)serialisation, truncation handling and fault injection
-all live in the shared :mod:`repro.runtime.framing` codec (the tuning
-service's ``RTS1`` protocol rides the same implementation); this module
-contributes only the ``RPP1`` magic and the message vocabulary.  The
+all live in the :mod:`repro.runtime.framing` codec; this module contributes
+only the ``RPP1`` magic and the message vocabulary.  The
 payload is UTF-8 JSON encoded through the artifact codec, so tuple-valued
 fields survive the trip exactly.  Tensors never appear in a
 frame: they travel through :class:`~.shm.ShmArena` segments and frames

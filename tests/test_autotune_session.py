@@ -1,12 +1,13 @@
 """Tests for the unified tuning session: ``repro.autotune``, its tuner
 names, ``TuningOptions``, the measurement pipeline, ``ApplyHistoryBest``
-history-based compilation, and the tuning database dedupe/persistence
-behaviour."""
+history-based compilation, the tuning database dedupe/persistence
+behaviour, its writer lock and trial log, and transfer from a tuning log."""
 
+import importlib.util
+import json
 import logging
 import math
 import os
-import subprocess
 import sys
 import time
 import types
@@ -19,6 +20,7 @@ import repro
 from repro import autotvm
 from repro.autotvm import (
     ApplyHistoryBest,
+    DatabaseWriteConflictError,
     GATuner,
     Measurer,
     ModelBasedTuner,
@@ -80,16 +82,12 @@ class TestTunerRegistry:
             repro.autotune(conv_graph(), cuda(), tuner="nope",
                            options=TuningOptions(trials=2))
 
-    def test_import_does_not_load_the_tuning_service(self):
-        # Sessions without a service never touch the package; importing the
-        # tuning library must not load its client, server, protocol or zoo.
-        src = Path(__file__).resolve().parents[1] / "src"
-        probe = ("import sys, repro.autotvm; print(sorted(m for m in "
-                 "sys.modules if m.startswith('repro.autotvm.service')))")
-        env = dict(os.environ, PYTHONPATH=str(src))
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+    def test_the_tuning_service_is_gone(self):
+        # Tuning knowledge is shared through a database file; there is no
+        # server package and no session option naming one.
+        assert importlib.util.find_spec("repro.autotvm.service") is None
+        assert "service" not in {f.name for f in
+                                 TuningOptions.__dataclass_fields__.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +250,9 @@ def _broken_input(task, message):
 
 
 class TestMeasurer:
-    # Every candidate is measured locally, on the task target's model; with
-    # the dedup layer the service only answers lookups of earlier trials.
-    @pytest.mark.parametrize("dedup", [False, True],
-                             ids=["local-bare", "local-service-dedup"])
     @pytest.mark.parametrize("n_parallel", [1, 2, 6])
-    def test_backends_bit_identical(self, small_task, n_parallel, dedup):
-        """Thread count and the dedup layer never change a record."""
+    def test_backends_bit_identical(self, small_task, n_parallel):
+        """The thread count never changes a record."""
         def fingerprint(records):
             return [(r.input.config.index, r.mean_time, r.error)
                     for r in records]
@@ -269,17 +263,7 @@ class TestMeasurer:
         assert any(error is None for _, _, error in reference)
 
         measurer = Measurer(number=3, seed=11, n_parallel=n_parallel)
-        if not dedup:
-            assert fingerprint(measurer.measure(inputs)) == reference
-        else:
-            from repro.autotvm.service import (ServiceDedupMeasurer,
-                                               TuningService, connect)
-
-            with TuningService() as service, \
-                    connect(service.address) as client:
-                wrapped = ServiceDedupMeasurer(measurer, client)
-                assert fingerprint(wrapped.measure(inputs)) == reference
-                assert wrapped.dedup_hits == 0
+        assert fingerprint(measurer.measure(inputs)) == reference
         assert measurer.num_measured == len(inputs)
 
     def test_parallel_tuning_matches_serial_tuning(self, small_task):
@@ -428,6 +412,94 @@ class TestTuningDatabase:
         assert entry.features == [1.0, 2.0, 3.0]
         assert entry.operator == "conv2d"
 
+    # -- the writer lock: one writer per log file ------------------------------
+    def test_two_writers_conflict(self, tmp_path):
+        path = str(tmp_path / "db.jsonl")
+        entry = autotvm.TuningLogEntry("conv2d_(a)", "cuda", 0, {}, 1e-5)
+        first = TuningDatabase(path)
+        first.add(entry)
+        second = TuningDatabase(path)
+        with pytest.raises(DatabaseWriteConflictError, match="one log each"):
+            second.add(autotvm.TuningLogEntry("conv2d_(b)", "cuda", 0, {},
+                                              1e-5))
+        first.close()
+        # once the holder releases, the second writer proceeds
+        second.add(autotvm.TuningLogEntry("conv2d_(b)", "cuda", 0, {}, 1e-5))
+        second.close()
+
+    def test_lock_released_on_close_and_reload(self, tmp_path):
+        path = str(tmp_path / "db.jsonl")
+        with TuningDatabase(path) as db:
+            db.add(autotvm.TuningLogEntry("conv2d_(a)", "cuda", 1, {}, 1e-5))
+        reread = TuningDatabase(path)
+        assert len(reread) == 1
+        reread.add(autotvm.TuningLogEntry("conv2d_(a)", "cuda", 2, {}, 2e-5))
+        reread.close()
+
+    def test_compact_is_atomic_and_fsynced(self, tmp_path):
+        path = str(tmp_path / "db.jsonl")
+        db = TuningDatabase(path)
+        for i in range(5):
+            db.add(autotvm.TuningLogEntry("conv2d_(a)", "cuda", 0, {},
+                                          1e-5 / (i + 1)))
+        db.compact()
+        db.close()
+        with open(path, encoding="utf-8") as handle:
+            lines = [line for line in handle if line.strip()]
+        assert len(lines) == 1
+        assert not [p for p in os.listdir(tmp_path)
+                    if p.startswith("db.jsonl.tmp")]
+
+    def test_load_moves_the_lock_to_the_new_path(self, tmp_path):
+        # Rebinding to another log releases the lock on the old one, so the
+        # new path gets a real writer lock of its own.
+        a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+        open(b, "w").close()
+        db = TuningDatabase(a)
+        db.add(autotvm.TuningLogEntry("conv2d_(a)", "cuda", 0, {}, 1e-5))
+        db.load(b)
+        other = TuningDatabase(b)
+        other.add(autotvm.TuningLogEntry("conv2d_(b)", "cuda", 0, {}, 1e-5))
+        with pytest.raises(DatabaseWriteConflictError):
+            db.add(autotvm.TuningLogEntry("conv2d_(c)", "cuda", 0, {}, 1e-5))
+        other.close()
+        TuningDatabase(a).add(                   # a.jsonl's lock is free
+            autotvm.TuningLogEntry("conv2d_(d)", "cuda", 0, {}, 1e-5))
+        db.close()
+
+    # -- the trial log -----------------------------------------------------------
+    def test_trial_log_keeps_the_first_row_and_persists(self, tmp_path,
+                                                        small_task):
+        path = str(tmp_path / "log.jsonl")
+        inputs = [autotvm.MeasureInput(small_task, cfg)
+                  for cfg in small_task.config_space.sample(4)]
+        records = Measurer(number=1, seed=0).measure(inputs)
+        failed = autotvm.MeasureResultRecord(
+            autotvm.MeasureInput(small_task, small_task.config_space.get(9)),
+            float("inf"), None, error="boom")
+        with TuningDatabase(path) as db:
+            db.record(small_task, records[0].input.config, 1.0)
+            assert db.log_trials(records + [failed]) == 5
+            # a second measurement of a logged config keeps the first row
+            later = autotvm.MeasureResultRecord(records[0].input, 1.0)
+            assert db.log_trials([later]) == 0
+            first = db.trials[(small_task.name, "cuda",
+                               records[0].input.config.index)]
+            assert first["time"] == records[0].mean_time
+            # the row holds the memoised read-only vector, not a copy
+            assert first["features"] is records[0].features.vector()
+        reread = TuningDatabase(path)
+        assert len(reread) == 1 and len(reread.trials) == 5
+        assert list(reread.trials) == list(db.trials)
+        for key, row in db.trials.items():
+            back = reread.trials[key]
+            assert back["time"] == row["time"]
+            assert back["error"] == row["error"]
+            if row["features"] is None:
+                assert back["features"] is None
+            else:
+                assert back["features"] == list(row["features"])
+
 
 # ---------------------------------------------------------------------------
 # Transfer learning warm start
@@ -493,6 +565,131 @@ class TestWarmStart:
         assert warm_result.task_name != shape_a.results[0].task_name
         assert warm_result.warm_samples > 0
         assert warm_result.estimate <= cold_result.estimate * (1 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Transfer from a tuning log: the pre-fit cost model
+# ---------------------------------------------------------------------------
+
+def _load_bench_tuning():
+    """``benchmarks/bench_tuning.py`` as a module (it imports ``common``
+    from its own directory)."""
+    bench_dir = Path(__file__).resolve().parents[1] / "benchmarks"
+    sys.path.insert(0, str(bench_dir))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "bench_tuning", bench_dir / "bench_tuning.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench_dir))
+    return module
+
+
+class TestTransferFromALog:
+    OPTS = dict(trials=12, seed=0, batch_size=4)
+
+    @staticmethod
+    def _entries(count, dim, seed=1):
+        rng = np.random.default_rng(seed)
+        return [autotvm.TuningLogEntry(f"conv2d_({i})", "cuda", i, {},
+                                       1e-5 * (1 + i),
+                                       features=list(rng.random(dim)))
+                for i in range(count)]
+
+    def test_prefit_from_database_rows(self):
+        db = TuningDatabase()
+        for entry in self._entries(10, 6):
+            db.add(entry)
+        specs = autotvm.session._prefit_models(
+            db, {("conv2d", "cuda"), ("dense", "cuda"), ("conv2d", "mali")})
+        assert list(specs) == [("conv2d", "cuda")]
+        model = autotvm.GradientBoostedTrees.from_spec(specs["conv2d",
+                                                             "cuda"])
+        rng = np.random.default_rng(2)
+        assert model.predict(rng.random((3, 6))).shape == (3,)
+
+    def test_too_few_rows_skip_the_prefit(self):
+        db = TuningDatabase()
+        for entry in self._entries(7, 2):
+            db.add(entry)
+        assert autotvm.session._prefit_models(db, {("conv2d", "cuda")}) == {}
+
+    def test_empty_file_database_is_bit_identical_to_none(self, tmp_path):
+        def fingerprint(report):
+            return [(r.task_name, r.best_config.index, r.estimate,
+                     tuple(r.curve), r.warm_samples, r.pretrained)
+                    for r in report]
+
+        options = TuningOptions(**self.OPTS)
+        bare = repro.autotune(conv_graph(), target=cuda(), options=options)
+        with TuningDatabase(str(tmp_path / "log.jsonl")) as db:
+            filed = repro.autotune(conv_graph(), target=cuda(),
+                                   options=options, database=db)
+        assert fingerprint(filed) == fingerprint(bare)
+        assert len(db.trials) == bare.total_trials
+
+    def test_transfer_from_a_reopened_file_database(self, tmp_path):
+        # Random history keeps this cheap: a session with a pre-fit model
+        # lowers every candidate its annealer scores.
+        path = str(tmp_path / "history.jsonl")
+        options = TuningOptions(trials=8, seed=0, batch_size=4)
+        with TuningDatabase(path) as history:
+            for co in (16, 24):
+                repro.autotune(conv_graph(co=co), target=cuda(),
+                               tuner="random", options=options,
+                               database=history)
+        with TuningDatabase(path) as reopened:
+            assert len(reopened) == 2 and len(reopened.trials) == 16
+            result, = repro.autotune(conv_graph(co=40), target=cuda(),
+                                     trials=4, options=options,
+                                     database=reopened).results
+        assert result.pretrained
+        assert result.warm_samples > 0
+        # warm_start=False turns both halves of the transfer off
+        with TuningDatabase(path) as reopened:
+            cold, = repro.autotune(
+                conv_graph(co=40), target=cuda(), database=reopened,
+                options=TuningOptions(trials=4, seed=0, batch_size=4,
+                                      warm_start=False)).results
+        assert not cold.pretrained and cold.warm_samples == 0
+
+    def test_trials_sidecar_in_the_service_row_format_prefits(self,
+                                                             tmp_path):
+        # A tuning service of earlier releases wrote ``<path>.trials`` rows
+        # of exactly these keys, in this order; such a database loads as is.
+        path = str(tmp_path / "served.jsonl")
+        open(path, "w").close()
+        task, = autotvm.extract_tasks(conv_graph(co=24), cuda())
+        records = Measurer(number=1, seed=0).measure(
+            [autotvm.MeasureInput(task, cfg)
+             for cfg in task.config_space.sample(10)])
+        with open(path + ".trials", "w", encoding="utf-8") as handle:
+            for rec in records:
+                handle.write(json.dumps({
+                    "task": task.name, "target": "cuda",
+                    "config_index": rec.input.config.index,
+                    "time": rec.mean_time, "error": rec.error,
+                    "features": ([float(v) for v in rec.features.vector()]
+                                 if rec.features is not None else None)})
+                    + "\n")
+        db = TuningDatabase(path)
+        assert len(db.trials) == 10
+        assert autotvm.session._prefit_models(db, {("conv2d", "cuda")})
+        result, = repro.autotune(conv_graph(co=40), target=cuda(),
+                                 options=TuningOptions(trials=4,
+                                                       batch_size=4),
+                                 database=db).results
+        db.close()
+        assert result.pretrained and result.warm_samples == 0
+
+    def test_trials_to_target_of_the_transfer_benchmark(self):
+        trials_to_target = _load_bench_tuning().trials_to_target
+        assert trials_to_target([3.0, 2.0, 1.0], 1.0) == 3
+        assert trials_to_target([3.0, 1.04, 1.0], 1.0) == 2   # within 5%
+        assert trials_to_target([3.0, 2.0], 1.0) is None
+        assert trials_to_target([], 1.0) is None
+        assert trials_to_target([1.0], float("inf")) is None
 
 
 # ---------------------------------------------------------------------------

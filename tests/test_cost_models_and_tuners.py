@@ -1,5 +1,6 @@
 """Tests for the ML cost models, tuners, tuning database and fallback search."""
 
+import json
 import math
 import random
 
@@ -107,6 +108,21 @@ class TestGradientBoostedTrees:
         x, y = self._data()
         model = GradientBoostedTrees(seed=0).fit(x, y)
         assert model.predict(x[0]).shape == (1,)
+
+    def test_spec_roundtrip_predicts_identically(self):
+        rng = np.random.default_rng(0)
+        x, y = rng.random((64, 12)), rng.random(64)
+        model = GradientBoostedTrees(seed=0).fit(x, y)
+        clone = GradientBoostedTrees.from_spec(
+            json.loads(json.dumps(model.to_spec())))
+        np.testing.assert_array_equal(model.predict(x), clone.predict(x))
+        # A restored copy refits like a fresh model of its seed, whatever
+        # the original's generator drew: each tuning task that adopts a
+        # pre-fit model refits the same way.
+        x2, y2 = rng.random((32, 12)), rng.random(32)
+        np.testing.assert_array_equal(
+            clone.fit(x2, y2).predict(x2),
+            GradientBoostedTrees(seed=0).fit(x2, y2).predict(x2))
 
 
 class TestRankCorrelation:

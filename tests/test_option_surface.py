@@ -18,7 +18,6 @@ import pytest
 
 import repro
 from repro.autotvm import GATuner, Measurer, ModelBasedTuner, TuningOptions
-from repro.autotvm.service import ServiceClient, TuningService
 from repro.compiler import Pass
 from repro.graph.ir import Graph, Node
 from repro.graph.op_timing import is_templated
@@ -44,7 +43,7 @@ OPTION_SURFACE = {
     TuningOptions: {
         "trials": 64, "batch_size": 8, "early_stopping": None, "seed": 0,
         "tuner": "model", "n_parallel": 4, "warm_start": True,
-        "service": None, "verify": False, "ensure_no_regression": True,
+        "verify": False, "ensure_no_regression": True,
         "callbacks": ()},
     repro.serve: {
         "module_or_path": REQUIRED, "devices": None, "max_batch": 8,
@@ -58,11 +57,6 @@ OPTION_SURFACE = {
     GATuner: {"task": REQUIRED, "seed": 0},
     ModuleWorkerPool: {
         "module": REQUIRED, "bundle_path": REQUIRED, "devices": REQUIRED},
-    ServiceClient: {
-        "address": REQUIRED, "timeout": 30.0, "rpc_timeout": 30.0,
-        "connect_retries": 3, "rpc_retries": 2, "backoff_s": 0.05,
-        "backoff_max_s": 2.0},
-    TuningService: {"db_path": None, "host": "127.0.0.1", "port": 0},
     TraceReplayer: {
         "engines": REQUIRED, "trace": REQUIRED, "inputs_for": None,
         "time_scale": 1.0, "giveup_ms": None, "result_timeout_s": 120.0,

@@ -245,7 +245,6 @@ _NO_FRONT_DOOR = {
     "analysis/mutate.py": "the verifier's mutation harness (bench_verify.py)",
     "autotvm/treernn.py": "the TreeRNN row of the cost-model ablation "
                           "(bench_ablation_cost_models.py)",
-    "autotvm/service/zoo.py": "the zoo drive of bench_tuning.py",
     "topi/winograd.py": "pre-transformed Winograd conv (Fig. 15, "
                         "bench_fig15_gpu_ops.py)",
     "workloads.py": "Table 2's operator workloads (the per-operator "
