@@ -79,7 +79,8 @@ def run_serve_chaos(module, n_requests: int) -> dict:
     plan = FaultPlan(seed=7, faults=[
         FaultSpec("worker_kill", at=[1, 4], max_count=2,
                   match={"pool": "repro-serve-pool"}),
-        FaultSpec("frame_truncate", protocol="RPP1", after=6, max_count=2),
+        FaultSpec("frame_truncate", match={"protocol": "RPP1"}, after=6,
+                  max_count=2),
     ])
     engine = InferenceEngine(module, devices=2, max_batch=4, timeout_ms=50,
                              max_queue=256, pool="process")

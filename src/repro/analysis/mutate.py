@@ -21,9 +21,10 @@ from typing import Callable, Dict, List, Optional, Type
 
 from ..graph.ir import Graph, Node
 from ..graph.passes import fuse_ops, plan_memory
-from ..te.expr import Add, FloatImm, IntImm, Var
+from ..te.expr import Add, FloatImm, IntImm, Mul, Var
 from ..tir.stmt import (Buffer, BufferLoad, BufferStore, For, ForKind,
-                        LoweredFunc)
+                        IntrinsicStmt, LoweredFunc)
+from ..topi.schedules.vdla import declare_gemm_intrin
 from .errors import (
     DanglingInputError,
     DtypeMismatchError,
@@ -76,6 +77,19 @@ def _seed_tir() -> LoweredFunc:
     body = For(i, 0, 16,
                BufferStore(b, [i], Add(BufferLoad(a, [i]), FloatImm(1.0))))
     return LoweredFunc("elemwise", [a, b], body)
+
+
+def _seed_intrinsic_tir() -> LoweredFunc:
+    """``for i in [0, 2): C[4i:4i+4, :] = gemm4x4(A[4i:4i+4, :], B)`` with
+    ``A``, ``C`` of 8 x 4 and ``B`` of 4 x 4: every tile ends at its
+    buffer's last row or column."""
+    a, b, c = Buffer("A", (8, 4)), Buffer("B", (4, 4)), Buffer("C", (8, 4))
+    i = Var("i")
+    row = Mul(i, IntImm(4))
+    call = IntrinsicStmt("gemm", declare_gemm_intrin(4), [a, b], c,
+                         [[row, IntImm(0)], [IntImm(0), IntImm(0)]],
+                         [row, IntImm(0)])
+    return LoweredFunc("gemm", [a, b, c], For(i, 0, 2, call))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +241,18 @@ def _oob_buffer_access(rng: random.Random) -> None:
     loop = func.body
     loop.extent = IntImm(16 + rng.randrange(1, 8))
     loop._extent_value = None
+    verify_func(func)
+
+
+@_register("shifted_intrinsic_offset", OutOfBoundsError,
+           "a tensor intrinsic's operand tile starts past its buffer's fit")
+def _shifted_intrinsic_offset(rng: random.Random) -> None:
+    func = _seed_intrinsic_tir()
+    call = func.body.body
+    offsets = call.input_offsets + [call.output_offset]
+    operand = rng.choice(offsets)
+    dim = rng.randrange(len(operand))
+    operand[dim] = Add(operand[dim], IntImm(rng.randrange(1, 4)))
     verify_func(func)
 
 

@@ -16,7 +16,9 @@ congruences:
   per-dimension overflow falls back to bounding the flattened row-major
   offset — fused flat loop axes legitimately step across row boundaries
   (``y = f // W``, ``x = f % W``), and after storage flattening only the
-  flat offset determines memory safety;
+  flat offset determines memory safety.  A tensor intrinsic's operands are
+  checked as whole tiles of the shapes its compute op declares, and a tile
+  whose rank is not its buffer's is out of bounds;
 * **parallel-hazard detection** — ``parallel``/``vectorize``-annotated
   loops must carry no cross-iteration dependence: a store whose indices do
   not depend on the loop variable is a write-write race (the classic
@@ -463,7 +465,7 @@ class _TIRVerifier:
         violation = None
         for dim, index in enumerate(indices):
             low, high = self.bounds(index, env, constraints)
-            span = (tile[dim] if tile is not None and dim < len(tile) else 1)
+            span = tile[dim] if tile is not None else 1
             low_int = math.ceil(low)
             high_int = math.floor(high) + span - 1
             if low_int < 0 or high_int > buffer.shape[dim] - 1:
@@ -489,8 +491,8 @@ class _TIRVerifier:
         flat_low, flat_high = self.bounds(flat, env, constraints)
         tile_extra = 0
         if tile is not None:
-            tile_extra = sum((tile[dim] - 1) * strides[dim]
-                             for dim in range(min(len(tile), len(strides))))
+            tile_extra = sum((extent - 1) * dim_stride
+                             for extent, dim_stride in zip(tile, strides))
         if (math.ceil(flat_low) < 0
                 or math.floor(flat_high) + tile_extra > buffer.size - 1):
             dim, low_int, high_int = violation
@@ -564,13 +566,23 @@ class _TIRVerifier:
     def check_intrinsic(self, stmt: IntrinsicStmt, env: Dict[Var, Interval],
                         constraints: Dict[str, Interval],
                         defined: Set[int]) -> None:
-        tiles = _intrin_tiles(stmt)
-        for buffer, offsets, tile in zip(stmt.inputs, stmt.input_offsets,
-                                         tiles[:-1]):
+        tiles = [tuple(t.shape_values()) for t in stmt.intrin.inputs]
+        tiles.append(tuple(stmt.intrin.output_shape))
+        buffers = stmt.inputs + [stmt.output]
+        if len(tiles) != len(buffers):
+            raise self._oob(
+                f"intrinsic {stmt.name!r} declares {len(tiles) - 1} operands "
+                f"but is called with {len(buffers) - 1}", node=stmt.name)
+        operands = zip(buffers, stmt.input_offsets + [stmt.output_offset],
+                       tiles)
+        for position, (buffer, offsets, tile) in enumerate(operands):
+            if len(tile) != len(buffer.shape):
+                raise self._oob(
+                    f"intrinsic {stmt.name!r} applies a tile of shape {tile} "
+                    f"to {buffer.name!r} of shape {tuple(buffer.shape)}",
+                    node=buffer.name)
             self.check_access(buffer, offsets, env, constraints, defined,
-                              is_store=False, tile=tile)
-        self.check_access(stmt.output, stmt.output_offset, env, constraints,
-                          defined, is_store=True, tile=tiles[-1])
+                              is_store=position == len(tiles) - 1, tile=tile)
 
     # ----------------------------------------------------------------- hazards
     def check_hazards(self, loop: For, env: Dict[Var, Interval]) -> None:
@@ -673,26 +685,6 @@ class _TIRVerifier:
             loads.append(_Access(expr.buffer, expr.indices, env, guard_vars))
         for child in expr_children(expr):
             self._collect_loads(child, env, guard_vars, loads)
-
-
-def _intrin_tiles(stmt: IntrinsicStmt) -> List[Optional[Tuple[int, ...]]]:
-    """Per-operand tile shapes of an intrinsic call (inputs then output),
-    ``None`` when the intrinsic does not declare them."""
-    intrin = stmt.intrin
-    tiles: List[Optional[Tuple[int, ...]]] = []
-    declared = getattr(intrin, "inputs", None) or []
-    for position in range(len(stmt.inputs)):
-        if position < len(declared):
-            try:
-                tiles.append(tuple(declared[position].shape_values()))
-                continue
-            except Exception:
-                pass
-        tiles.append(None)
-    output_shape = getattr(intrin, "output_shape", None)
-    tiles.append(tuple(int(s) for s in output_shape)
-                 if output_shape is not None else None)
-    return tiles
 
 
 def verify_func(func: LoweredFunc, *, pass_name: Optional[str] = None) -> None:

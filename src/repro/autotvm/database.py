@@ -115,7 +115,7 @@ class TuningDatabase:
         #: features are a sequence of floats or ``None``
         self.trials: Dict[Tuple[str, str, int], Dict] = {}
         self._lock_fd: Optional[int] = None
-        if path and os.path.exists(path):
+        if path:
             self.load(path)
 
     # ------------------------------------------------------------ writer lock
@@ -233,25 +233,27 @@ class TuningDatabase:
 
     def load(self, path: str) -> None:
         """Read a JSONL log, deduping identical ``(task, target, config)``
-        entries (keeping the best time), and its ``<path>.trials`` trial log
-        when there is one.  Binds this database to ``path`` so later
-        :meth:`add` calls persist there; a writer lock held on the previous
-        path is released."""
+        entries (keeping the best time), and its ``<path>.trials`` trial log;
+        either file may be missing (a session can die before its first
+        best).  Binds this database to ``path`` so later :meth:`add` calls
+        persist there; a writer lock held on the previous path is
+        released."""
         if path != self.path:
             self.close()
         self.path = path
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = TuningLogEntry.from_json(line)
-                existing = self._by_key.get(entry.key)
-                if existing is None or entry.mean_time < existing.mean_time:
-                    self._by_key[entry.key] = entry
-                    self._index(entry)
-                elif entry.features is not None and existing.features is None:
-                    existing.features = list(entry.features)
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as handle:
+                for line in handle:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    entry = TuningLogEntry.from_json(line)
+                    existing = self._by_key.get(entry.key)
+                    if existing is None or entry.mean_time < existing.mean_time:
+                        self._by_key[entry.key] = entry
+                        self._index(entry)
+                    elif entry.features is not None and existing.features is None:
+                        existing.features = list(entry.features)
         trials_path = path + ".trials"
         if os.path.exists(trials_path):
             with open(trials_path, encoding="utf-8") as handle:

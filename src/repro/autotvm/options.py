@@ -65,11 +65,6 @@ class TuningOptions:
     #: results are bit-identical at any value (the noise RNG is derived per
     #: (seed, task, config))
     n_parallel: int = 4
-    #: transfer learning across sessions: warm-start the cost model from
-    #: prior database entries of the same operator, and start it from a
-    #: model pre-fit on the database's trial log when that log holds enough
-    #: rows of the operator on this target
-    warm_start: bool = True
     #: statically verify every candidate's lowered program before measuring
     #: it; illegal schedules (out-of-bounds accesses, parallel hazards) are
     #: rejected as typed errors instead of entering the tuning history.  The

@@ -100,10 +100,6 @@ class TuningReport:
         """Context manager under which ``repro.compile`` uses these configs."""
         return ApplyHistoryBest(self.database)
 
-    def curves(self) -> Dict[str, List[float]]:
-        """Per-task best-so-far trial curves (Figure 12-ready)."""
-        return {r.task_name: list(r.curve) for r in self.results}
-
     @property
     def total_trials(self) -> int:
         return sum(r.trials for r in self.results)
@@ -267,7 +263,7 @@ def _tune_one_task(task: Task, node, task_index: int, num_tasks: int,
     tuner = _TUNERS[options.tuner](task, seed=seed)
 
     warm_samples = 0
-    if options.warm_start and len(database) and hasattr(tuner, "warm_start"):
+    if len(database) and hasattr(tuner, "warm_start"):
         warm_samples = tuner.warm_start(database)
 
     # Adopted *after* the warm start on purpose: the pre-fit model is fit on
@@ -374,11 +370,9 @@ def autotune(model, target=None, *, trials: Optional[int] = None,
     pairs = _extract_task_nodes(graph, resolved)
     database = database if database is not None else TuningDatabase()
     start = time.perf_counter()
-    transfer = options.warm_start and \
-        hasattr(_TUNERS[options.tuner], "adopt_pretrained")
     prefits = (_prefit_models(database, {(task.operator, resolved.name)
                                          for task, _node in pairs})
-               if transfer else {})
+               if hasattr(_TUNERS[options.tuner], "adopt_pretrained") else {})
     logger.info("tuning session: %d tasks x %d trials (tuner=%s, target=%s)",
                 len(pairs), options.trials, options.tuner, resolved.name)
     results = [_tune_one_task(task, node, i, len(pairs), options, database,

@@ -28,11 +28,11 @@ kind                site                     effect
                                              frame was about to reach
 ==================  =======================  ================================
 
-Scoping: ``protocol="RPP1"`` restricts frame faults to one frame magic;
-``match={...}`` matches arbitrary context fields the site reports (e.g.
-``{"pool": "repro-serve-pool"}``).  Per-spec injection counts are
-tracked in :meth:`FaultPlan.stats`, so a chaos benchmark can assert that
-the faults it scheduled actually fired.
+Scoping: ``match={...}`` matches context fields the site reports (e.g.
+``{"pool": "repro-serve-pool"}``, or ``{"protocol": "RPP1"}`` for a frame
+magic).  Per-spec injection counts are tracked in :meth:`FaultPlan.stats`,
+so a chaos benchmark can assert that the faults it scheduled actually
+fired.
 
 Determinism: each spec owns one RNG seeded from ``(plan seed, spec index)``
 and draws exactly one uniform variate per *matching occurrence*, so a fixed
@@ -89,11 +89,9 @@ class FaultSpec:
         Skip the first ``after`` matching occurrences entirely.
     max_count:
         Stop firing after this many injections (``None`` = unbounded).
-    protocol:
-        For frame faults: restrict to one frame magic (``"RPP1"``).
     match:
-        Extra context filters; every key must equal the site-reported
-        context value for the spec to match.
+        Context filters; every key must equal the site-reported context
+        value for the spec to match.
     delay_s / truncate_bytes:
         Action parameters for delay faults and torn frames.
     """
@@ -103,7 +101,6 @@ class FaultSpec:
     at: Optional[Sequence[int]] = None
     after: int = 0
     max_count: Optional[int] = None
-    protocol: Optional[str] = None
     match: Mapping[str, object] = field(default_factory=dict)
     delay_s: float = 0.05
     truncate_bytes: int = 1
@@ -179,7 +176,7 @@ class FaultPlan:
 
         plan = FaultPlan(seed=7, faults=[
             FaultSpec("worker_kill", probability=0.2, max_count=2),
-            FaultSpec("frame_truncate", protocol="RPP1", at=[3]),
+            FaultSpec("frame_truncate", match={"protocol": "RPP1"}, at=[3]),
             FaultSpec("frame_delay", delay_s=0.5, after=1, max_count=1),
         ])
         with plan:
@@ -202,9 +199,6 @@ class FaultPlan:
     @staticmethod
     def _matches(spec: FaultSpec, site: str, context: Mapping) -> bool:
         if spec.site != site:
-            return False
-        if spec.protocol is not None \
-                and context.get("protocol") != spec.protocol:
             return False
         for key, value in spec.match.items():
             if context.get(key) != value:

@@ -112,17 +112,5 @@ class Graph:
                 node.dtype = node.attrs.get("out_dtype", node.inputs[0].dtype
                                             if node.inputs else "float32")
 
-    # ------------------------------------------------------------------ display
-    def summary(self) -> str:
-        lines = [f"Graph with {len(self.nodes)} nodes "
-                 f"({len(self.op_nodes)} operators)"]
-        for node in self.nodes:
-            if node.is_variable:
-                lines.append(f"  input  {node.name}: {node.shape}")
-            else:
-                ins = ", ".join(p.name for p in node.inputs)
-                lines.append(f"  {node.op:<22} {node.name}({ins}) -> {node.shape}")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
         return f"Graph(nodes={len(self.nodes)}, outputs={[o.name for o in self.outputs]})"

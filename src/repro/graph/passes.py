@@ -42,10 +42,6 @@ class FusedGroup:
     def name(self) -> str:
         return "fused_" + "_".join(n.op for n in self.nodes)
 
-    @property
-    def pattern(self) -> str:
-        return OP_REGISTRY[self.master.op].pattern
-
     def __repr__(self) -> str:
         return f"FusedGroup([{', '.join(n.name for n in self.nodes)}], master={self.master.name})"
 

@@ -25,8 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..tir.analysis import ProgramFeatures, extract_features
-from ..tir.stmt import LoweredFunc
+from ..tir.analysis import ProgramFeatures
 
 __all__ = ["HardwareParams", "HardwareModel", "MeasureResult"]
 
@@ -77,9 +76,6 @@ class HardwareModel:
     def estimate(self, features: ProgramFeatures) -> float:
         """Deterministic latency estimate (seconds) for a lowered program."""
         raise NotImplementedError
-
-    def estimate_func(self, func: LoweredFunc) -> float:
-        return self.estimate(extract_features(func))
 
     def estimate_batch(self, features_seq) -> np.ndarray:
         """Latency estimates for a whole batch of candidate programs.

@@ -8,7 +8,7 @@ benchmarks; import them from that module.
 from .artifact import ArtifactError, export_module, graph_from_json, graph_to_json, load_module
 from .executor import ExecutionResult, Executor, InputSpec
 from .ndarray import (DEVICE_TYPES, Device, NDArray, array, cpu,
-                      device, empty, gpu, mali, vdla)
+                      device, empty, gpu)
 from .procpool import (ModuleWorkerPool, PoolShutdownError, ProcPoolError,
                        ShmArena, WorkerCrash, WorkerError, leaked_segments)
 from .framing import ProtocolError, TruncatedFrameError
@@ -51,7 +51,5 @@ __all__ = [
     "leaked_segments",
     "load",
     "load_module",
-    "mali",
     "serve",
-    "vdla",
 ]

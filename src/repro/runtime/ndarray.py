@@ -12,7 +12,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 __all__ = ["Device", "NDArray", "array", "device", "empty",
-           "cpu", "gpu", "mali", "vdla", "DEVICE_TYPES"]
+           "cpu", "gpu", "DEVICE_TYPES"]
 
 #: device types understood by the simulated back-ends
 DEVICE_TYPES = ("cpu", "gpu", "mali", "vdla")
@@ -79,14 +79,6 @@ def cpu(device_id: int = 0) -> Device:
 
 def gpu(device_id: int = 0) -> Device:
     return Device("gpu", device_id)
-
-
-def mali(device_id: int = 0) -> Device:
-    return Device("mali", device_id)
-
-
-def vdla(device_id: int = 0) -> Device:
-    return Device("vdla", device_id)
 
 
 class NDArray:

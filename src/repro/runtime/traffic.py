@@ -16,8 +16,8 @@ traffic a first-class, reproducible artifact:
   not a side effect of the run.
 * :class:`TraceReplayer` drives one or more
   :class:`~repro.runtime.serving.InferenceEngine` instances through a trace
-  in (optionally time-scaled) real time, submitting each request at its
-  arrival instant with its ``deadline_ms``/``priority``, and records the
+  in real time, submitting each request at its arrival instant with its
+  ``deadline_ms``/``priority``, and records the
   admission outcome of every request — ``served`` / ``shed`` / ``expired``
   / ``cancelled`` / ``failed`` / ``hung`` — together with the engine's
   queue-wait vs batch-execution latency split.  :meth:`TraceReplayer.replay`
@@ -61,6 +61,9 @@ TRACE_FAMILIES = ("poisson", "diurnal", "burst")
 OUTCOMES = ("served", "shed", "expired", "cancelled", "failed", "hung")
 #: arrival-window width of :meth:`ReplayReport.windowed_goodput`, seconds
 _GOODPUT_WINDOW_S = 0.5
+#: random inputs per model stream that a replay without ``inputs_for``
+#: cycles through
+_INPUT_POOL = 8
 
 
 class TraceError(ValueError):
@@ -340,11 +343,9 @@ class ReplayReport:
     """
 
     def __init__(self, trace: Trace, records: List[Dict[str, object]],
-                 time_scale: float,
                  outputs: Optional[Dict[int, List[np.ndarray]]] = None):
         self.trace = trace
         self.records = records
-        self.time_scale = time_scale
         self.outputs = outputs
 
     def counts(self) -> Dict[str, int]:
@@ -366,8 +367,8 @@ class ReplayReport:
 
     @property
     def goodput_rps(self) -> float:
-        """Deadline-met completions per second of (scaled) replay horizon."""
-        horizon = self.trace.duration_s * self.time_scale
+        """Deadline-met completions per second of the trace's duration."""
+        horizon = self.trace.duration_s
         return self.served_ok / horizon if horizon > 0 else 0.0
 
     @property
@@ -392,11 +393,10 @@ class ReplayReport:
             offered[window] += 1
             if record["outcome"] == "served" and record["deadline_met"]:
                 ok[window] += 1
-        scaled = window_s * self.time_scale
         return [{"window_start_s": index * window_s,
                  "offered": offered[index],
                  "served_ok": ok[index],
-                 "goodput_rps": ok[index] / scaled}
+                 "goodput_rps": ok[index] / window_s}
                 for index in range(n_windows)]
 
     def latency_split_ms(self) -> Dict[str, float]:
@@ -439,15 +439,12 @@ class TraceReplayer:
         The trace to replay.
     inputs_for:
         ``callable(TraceRequest) -> inputs dict``.  Defaults to a
-        deterministic per-model pool of ``input_pool`` random inputs derived
-        from the trace seed, cycled by request index — so two replays of the
-        same trace submit byte-identical payloads.
-    time_scale:
-        Multiplier on trace time (0.5 replays twice as fast).  Deadlines are
-        scaled by the same factor so the load/SLO ratio is preserved.
+        deterministic per-model pool of ``_INPUT_POOL`` random inputs
+        derived from the trace seed, cycled by request index — so two
+        replays of the same trace submit byte-identical payloads.
     giveup_ms:
         Client patience: when set, the collector cancels any request still
-        unresolved this long (scaled) after submission — the ``cancelled``
+        unresolved this long after submission — the ``cancelled``
         outcome path.  ``None`` (default) never cancels.
     result_timeout_s:
         Hard per-future bound; a future still pending after this is counted
@@ -461,22 +458,15 @@ class TraceReplayer:
                                       Mapping[str, InferenceEngine]],
                  trace: Trace, *,
                  inputs_for: Optional[Callable[[TraceRequest], Dict]] = None,
-                 time_scale: float = 1.0,
                  giveup_ms: Optional[float] = None,
                  result_timeout_s: float = 120.0,
-                 store_outputs: bool = False, input_pool: int = 8):
-        if time_scale <= 0:
-            raise TraceError(f"time_scale must be > 0, got {time_scale}")
+                 store_outputs: bool = False):
         if giveup_ms is not None and giveup_ms <= 0:
             raise TraceError(f"giveup_ms must be > 0, got {giveup_ms}")
-        if input_pool < 1:
-            raise TraceError(f"input_pool must be >= 1, got {input_pool}")
         self.trace = trace
-        self.time_scale = time_scale
         self.giveup_ms = giveup_ms
         self.result_timeout_s = result_timeout_s
         self.store_outputs = store_outputs
-        self._input_pool = input_pool
         self._inputs_for = inputs_for
         if isinstance(engines, InferenceEngine):
             self._engines: Dict[str, InferenceEngine] = {}
@@ -506,7 +496,7 @@ class TraceReplayer:
             engine = self.engine_for(request.model)
             specs = engine._reference.input_specs
             pool = []
-            for slot in range(self._input_pool):
+            for slot in range(_INPUT_POOL):
                 digest = hashlib.sha256(
                     f"{self.trace.spec.seed}:{request.model}:{slot}".encode())
                 rng = np.random.default_rng(
@@ -519,9 +509,8 @@ class TraceReplayer:
 
     # ------------------------------------------------------------------ replay
     def replay(self) -> ReplayReport:
-        """Submit every request at its (scaled) arrival instant, then
-        collect and classify every outcome."""
-        scale = self.time_scale
+        """Submit every request at its arrival instant, then collect and
+        classify every outcome."""
         pending: List[Tuple[TraceRequest, object, float]] = []
         records: Dict[int, Dict[str, object]] = {}
         outputs: Optional[Dict[int, List[np.ndarray]]] = (
@@ -529,17 +518,14 @@ class TraceReplayer:
 
         start = time.monotonic()
         for request in self.trace:
-            target = start + request.arrival_s * scale
+            target = start + request.arrival_s
             delay = target - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
             engine = self.engine_for(request.model)
-            deadline_ms = request.deadline_ms
-            if deadline_ms is not None:
-                deadline_ms = deadline_ms * scale
             try:
                 future = engine.submit(self._inputs(request),
-                                       deadline_ms=deadline_ms,
+                                       deadline_ms=request.deadline_ms,
                                        priority=request.priority)
             except QueueFull:
                 records[request.index] = self._record(request, "shed")
@@ -551,7 +537,7 @@ class TraceReplayer:
             pending.append((request, future, time.monotonic()))
 
         giveup_s = None if self.giveup_ms is None \
-            else self.giveup_ms * scale / 1000.0
+            else self.giveup_ms / 1000.0
         hard_deadline = time.monotonic() + self.result_timeout_s
         for request, future, submitted_at in pending:
             if giveup_s is not None and not future.done():
@@ -588,7 +574,7 @@ class TraceReplayer:
             record = self._record(request, "served", future=future)
             deadline_s = None
             if request.deadline_ms is not None:
-                deadline_s = request.deadline_ms * scale / 1000.0
+                deadline_s = request.deadline_ms / 1000.0
             record["deadline_met"] = (deadline_s is None
                                       or (future.wall_latency is not None
                                           and future.wall_latency <= deadline_s))
@@ -597,7 +583,7 @@ class TraceReplayer:
                 outputs[request.index] = result
 
         ordered = [records[request.index] for request in self.trace]
-        return ReplayReport(self.trace, ordered, scale, outputs)
+        return ReplayReport(self.trace, ordered, outputs)
 
     @staticmethod
     def _record(request: TraceRequest, outcome: str, future=None,

@@ -321,14 +321,12 @@ MATH_INTRINSICS: Dict[str, Callable[..., float]] = {
 
 
 class Call(Expr):
-    """Call to a math intrinsic or a hardware intrinsic."""
+    """Call to a math intrinsic (:data:`MATH_INTRINSICS`)."""
 
-    def __init__(self, name: str, args: Sequence[Expr], dtype: str = "float32",
-                 call_type: str = "intrinsic"):
+    def __init__(self, name: str, args: Sequence[Expr], dtype: str = "float32"):
         self.name = name
         self.args = [as_expr(a) for a in args]
         self.dtype = dtype
-        self.call_type = call_type
 
     def __repr__(self) -> str:
         args = ", ".join(repr(a) for a in self.args)
@@ -349,11 +347,11 @@ class Cast(Expr):
 class Reduce(Expr):
     """Commutative reduction over one or more reduction axes.
 
-    ``combiner`` is one of ``"sum"``, ``"max"``, ``"min"``.  ``axis`` holds
+    ``combiner`` is ``"sum"`` or ``"max"``.  ``axis`` holds
     the :class:`~repro.te.tensor.IterVar` objects being reduced.
     """
 
-    IDENTITY = {"sum": 0.0, "max": float("-inf"), "min": float("inf")}
+    IDENTITY = {"sum": 0.0, "max": float("-inf")}
 
     def __init__(self, combiner: str, source: Expr, axis: Sequence[object],
                  init: Optional[Expr] = None):
@@ -368,9 +366,7 @@ class Reduce(Expr):
     def combine(self, acc: float, value: float) -> float:
         if self.combiner == "sum":
             return acc + value
-        if self.combiner == "max":
-            return max(acc, value)
-        return min(acc, value)
+        return max(acc, value)
 
     @property
     def identity(self) -> float:
@@ -520,7 +516,7 @@ class ExprMutator:
             args = [self.visit(a) for a in expr.args]
             if all(n is o for n, o in zip(args, expr.args)):
                 return expr
-            return Call(expr.name, args, expr.dtype, expr.call_type)
+            return Call(expr.name, args, expr.dtype)
         if isinstance(expr, Cast):
             v = self.visit(expr.value)
             return expr if v is expr.value else Cast(v, expr.dtype)

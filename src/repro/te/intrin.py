@@ -1,31 +1,22 @@
 """Tensor intrinsic declarations (Section 4.3: Tensorization).
 
-A :class:`TensorIntrin` pairs a behavioural description — expressed in the
-same tensor expression language used for operators — with a lowering rule
-that emits hardware intrinsic calls.  The ``tensorize`` schedule primitive
-matches a sub-computation against the declared behaviour and replaces the
-matched loop nest with the intrinsic's lowered form.
+A :class:`TensorIntrin` is a behavioural description of a hardware tensor
+instruction, expressed in the same tensor expression language used for
+operators.  That compute op is the intrinsic's only meaning: the interpreter
+executes it, the feature extractor counts it and the verifier checks each
+operand tile it declares.  The ``tensorize`` schedule primitive replaces a
+loop nest with one call of the intrinsic; it does not check that the nest
+computes what the behaviour declares.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List
 
-from .expr import Call, Expr, IntImm, simplify
-from .tensor import ComputeOp, IterVar, Tensor
+from .expr import simplify
+from .tensor import ComputeOp, Tensor
 
-__all__ = ["TensorIntrin", "decl_tensor_intrin", "hardware_intrin"]
-
-
-def hardware_intrin(name: str, *args: object, dtype: str = "handle") -> Call:
-    """Build a call expression to a named hardware intrinsic.
-
-    Mirrors ``t.hardware_intrin("gemm8x8", ww_ptr, xx_ptr, zz_ptr)`` from the
-    paper's tensor-intrinsic declaration example.
-    """
-    from .expr import as_expr
-
-    return Call(name, [as_expr(a) for a in args], dtype=dtype, call_type="hardware")
+__all__ = ["TensorIntrin", "decl_tensor_intrin"]
 
 
 class TensorIntrin:
@@ -34,22 +25,17 @@ class TensorIntrin:
     Parameters
     ----------
     op:
-        The :class:`ComputeOp` describing the intrinsic's behaviour.
-    lower_rule:
-        Callable ``(inputs, outputs) -> (compute, reset, update)`` returning
-        intrinsic call expressions, or a single call expression.  ``reset``
-        and ``update`` may be ``None`` when the intrinsic has no split
-        reduction form.
+        The :class:`ComputeOp` describing the intrinsic's behaviour.  Each
+        input placeholder is one operand tile, of the rank of the buffer the
+        intrinsic reads it from; the output is the tile it writes.
     name:
         Human readable name used in lowered code and cost features.
     """
 
-    def __init__(self, op: ComputeOp, lower_rule: Callable, name: str = ""):
+    def __init__(self, op: ComputeOp, name: str = ""):
         self.op = op
-        self.lower_rule = lower_rule
         self.name = name or op.name
         self.inputs = op.input_tensors()
-        self.output = op.output(0)
 
     @property
     def output_shape(self) -> List[int]:
@@ -66,27 +52,17 @@ class TensorIntrin:
         # one multiply and one add per reduction element
         return count * 2
 
-    def lower(self) -> Dict[str, Optional[Call]]:
-        """Run the lowering rule and normalise its result."""
-        result = self.lower_rule(list(self.inputs), [self.output])
-        if isinstance(result, Call):
-            return {"compute": result, "reset": None, "update": None}
-        if isinstance(result, (tuple, list)):
-            parts = list(result) + [None] * (3 - len(result))
-            return {"compute": parts[0], "reset": parts[1], "update": parts[2]}
-        raise TypeError("Tensor intrinsic lowering rule must return a Call or tuple")
-
     def __repr__(self) -> str:
         shape = "x".join(str(s) for s in self.output_shape)
         return f"TensorIntrin({self.name}, out={shape})"
 
 
-def decl_tensor_intrin(op_or_tensor: object, lower_rule: Callable,
-                       name: str = "") -> TensorIntrin:
+def decl_tensor_intrin(op_or_tensor: object, name: str = "") -> TensorIntrin:
     """Declare a tensor intrinsic from a behaviour description.
 
-    Matches the paper's ``t.decl_tensor_intrin(y.op, gemm_intrin_lower)`` API.
-    Accepts either the :class:`ComputeOp` or its output :class:`Tensor`.
+    The paper's ``t.decl_tensor_intrin(y.op, gemm_intrin_lower)`` without the
+    lowering rule.  Accepts either the :class:`ComputeOp` or its output
+    :class:`Tensor`.
     """
     if isinstance(op_or_tensor, Tensor):
         op = op_or_tensor.op
@@ -94,4 +70,4 @@ def decl_tensor_intrin(op_or_tensor: object, lower_rule: Callable,
         op = op_or_tensor
     if not isinstance(op, ComputeOp):
         raise TypeError("decl_tensor_intrin expects a ComputeOp behaviour description")
-    return TensorIntrin(op, lower_rule, name=name)
+    return TensorIntrin(op, name=name)

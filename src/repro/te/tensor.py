@@ -41,7 +41,6 @@ __all__ = [
     "var",
     "sum",
     "max",
-    "min",
     "thread_axis",
 ]
 
@@ -326,9 +325,3 @@ def max(expr: ExprLike, axis: Union[IterVar, Sequence[IterVar]]) -> Reduce:  # n
     """Max reduction over one or more reduction axes."""
     axes = axis if isinstance(axis, (list, tuple)) else [axis]
     return Reduce("max", as_expr(expr), list(axes))
-
-
-def min(expr: ExprLike, axis: Union[IterVar, Sequence[IterVar]]) -> Reduce:  # noqa: A001
-    """Min reduction over one or more reduction axes."""
-    axes = axis if isinstance(axis, (list, tuple)) else [axis]
-    return Reduce("min", as_expr(expr), list(axes))

@@ -95,7 +95,12 @@ def _region(array: np.ndarray, name: str, offsets: Sequence[Expr],
             extents: Sequence[int], env: Dict[Var, object],
             buffers: Dict[str, np.ndarray]) -> tuple:
     """The slices of one intrinsic operand, checked against ``array``: NumPy
-    would clamp a slice that runs past the buffer."""
+    would clamp a slice that runs past the buffer, and slice only the
+    leading dimensions of a tile of lower rank."""
+    if len(extents) != array.ndim:
+        raise EvalError(f"intrinsic tile {tuple(extents)} has rank "
+                        f"{len(extents)} but {name} has shape "
+                        f"{tuple(array.shape)}")
     start = [int(evaluate_expr(i, env, buffers)) for i in offsets]
     if len(start) != array.ndim or not all(
             0 <= s and s + d <= n
@@ -236,6 +241,10 @@ class Interpreter:
                         buffers: Dict[str, np.ndarray]) -> None:
         """Execute a tensorized region using the intrinsic's declared behaviour."""
         intrin = stmt.intrin
+        if len(intrin.inputs) != len(stmt.inputs):
+            raise EvalError(f"intrinsic {stmt.name} declares "
+                            f"{len(intrin.inputs)} operands but is called "
+                            f"with {len(stmt.inputs)}")
         op: ComputeOp = intrin.op
         out_shape = intrin.output_shape
         out_array = buffers[stmt.output.name]

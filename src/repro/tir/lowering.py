@@ -19,7 +19,6 @@ from ..te.expr import (
     ExprMutator,
     IntImm,
     Max,
-    Min,
     Reduce,
     TensorRead,
     Var,
@@ -313,10 +312,8 @@ class _Lowerer:
                 current = BufferLoad(binding.buffer, axis_indices)
                 if body_expr.combiner == "sum":
                     value: Expr = current + source
-                elif body_expr.combiner == "max":
-                    value = Max(current, source)
                 else:
-                    value = Min(current, source)
+                    value = Max(current, source)
             else:
                 value = self._convert_expr(body_expr, value_map)
             store: Stmt = BufferStore(binding.buffer, axis_indices, value)

@@ -15,6 +15,7 @@ import itertools
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..te.expr import Call, Expr, ExprLike, IntImm, Var, as_expr, simplify
+from ..te.intrin import TensorIntrin
 
 __all__ = [
     "Buffer",
@@ -34,7 +35,6 @@ __all__ = [
     "IntrinsicStmt",
     "LoweredFunc",
     "seq",
-    "format_stmt",
 ]
 
 
@@ -258,12 +258,12 @@ class DepPop(Stmt):
 class IntrinsicStmt(Stmt):
     """A tensorized region replaced by a hardware intrinsic call.
 
-    Carries enough information for both the functional interpreter (which
-    executes ``behaviour``) and the hardware models (which account for the
-    intrinsic's cost) to handle the call.
+    ``intrin``'s compute op is what the call means: the functional
+    interpreter executes it, the verifier bounds-checks its operand tiles at
+    the offsets given here, and the hardware models count its cost.
     """
 
-    def __init__(self, name: str, intrin: object, inputs: Sequence[Buffer],
+    def __init__(self, name: str, intrin: TensorIntrin, inputs: Sequence[Buffer],
                  output: Buffer, input_offsets: Sequence[Sequence[ExprLike]],
                  output_offset: Sequence[ExprLike], reduction_update: bool = False,
                  pipeline_stage: str = "ex"):
@@ -316,27 +316,3 @@ def stmt_children(stmt: Stmt) -> List[Stmt]:
     if isinstance(stmt, (Allocate, AttrStmt)):
         return [stmt.body]
     return []
-
-
-def format_stmt(stmt: Stmt, indent: int = 0) -> str:
-    """Pretty-print a statement tree for debugging and documentation."""
-    pad = "  " * indent
-    if isinstance(stmt, SeqStmt):
-        return "\n".join(format_stmt(s, indent) for s in stmt.stmts)
-    if isinstance(stmt, For):
-        tag = f" // {self_tag}" if (self_tag := stmt.thread_tag) else ""
-        head = (f"{pad}for {stmt.loop_var} in range({stmt.min}, "
-                f"{stmt.min} + {stmt.extent}) [{stmt.kind}]{tag}:")
-        return head + "\n" + format_stmt(stmt.body, indent + 1)
-    if isinstance(stmt, IfThenElse):
-        text = f"{pad}if {stmt.condition}:\n" + format_stmt(stmt.then_body, indent + 1)
-        if stmt.else_body is not None:
-            text += f"\n{pad}else:\n" + format_stmt(stmt.else_body, indent + 1)
-        return text
-    if isinstance(stmt, Allocate):
-        return (f"{pad}allocate {stmt.buffer.name}"
-                f"[{'x'.join(str(s) for s in stmt.buffer.shape)}] "
-                f"@{stmt.buffer.scope}\n" + format_stmt(stmt.body, indent))
-    if isinstance(stmt, AttrStmt):
-        return f"{pad}// attr {stmt.key} = {stmt.value}\n" + format_stmt(stmt.body, indent)
-    return f"{pad}{stmt!r}"

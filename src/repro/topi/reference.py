@@ -32,7 +32,6 @@ __all__ = [
     "global_avg_pool2d",
     "pad_nchw",
     "bitserial_conv2d_nchw",
-    "winograd_conv2d_nchw",
 ]
 
 IntPair = Union[int, Tuple[int, int]]
@@ -301,76 +300,3 @@ def bitserial_conv2d_nchw(data: np.ndarray, kernel: np.ndarray,
             scaled = partial * float(1 << (a_bit + w_bit))
             acc = scaled if acc is None else acc + scaled
     return acc.astype(np.int32)
-
-
-# ---------------------------------------------------------------------------
-# Winograd F(2x2, 3x3) convolution with pre-transformed weights (Figure 15)
-# ---------------------------------------------------------------------------
-
-_WINOGRAD_B = np.array([
-    [1, 0, 0, 0],
-    [0, 1, -1, 1],
-    [-1, 1, 1, 0],
-    [0, 0, 0, -1],
-], dtype=np.float64)
-
-_WINOGRAD_G = np.array([
-    [1, 0, 0],
-    [0.5, 0.5, 0.5],
-    [0.5, -0.5, 0.5],
-    [0, 0, 1],
-], dtype=np.float64)
-
-_WINOGRAD_A = np.array([
-    [1, 0],
-    [1, 1],
-    [1, -1],
-    [0, -1],
-], dtype=np.float64)
-
-
-def winograd_transform_weights(kernel: np.ndarray) -> np.ndarray:
-    """Pre-transform OIHW 3x3 weights to the 4x4 Winograd domain."""
-    out_c, in_c, k_h, k_w = kernel.shape
-    if (k_h, k_w) != (3, 3):
-        raise ValueError("Winograd F(2x2,3x3) requires 3x3 kernels")
-    transformed = np.einsum("ea,ocab,fb->ocef", _WINOGRAD_G, kernel.astype(np.float64),
-                            _WINOGRAD_G)
-    return transformed
-
-
-def winograd_conv2d_nchw(data: np.ndarray, kernel: np.ndarray,
-                         padding: IntPair = 1,
-                         pre_transformed: Optional[np.ndarray] = None) -> np.ndarray:
-    """Winograd F(2x2,3x3) convolution, unit stride."""
-    pad_h, pad_w = _pair(padding)
-    padded = pad_nchw(data.astype(np.float64), pad_h, pad_w)
-    batch, in_c, in_h, in_w = padded.shape
-    out_c = kernel.shape[0]
-    out_h, out_w = in_h - 2, in_w - 2
-    tiles_h = (out_h + 1) // 2
-    tiles_w = (out_w + 1) // 2
-    pad_out_h, pad_out_w = tiles_h * 2, tiles_w * 2
-    if pad_out_h + 2 > in_h or pad_out_w + 2 > in_w:
-        padded = np.pad(padded, ((0, 0), (0, 0),
-                                 (0, pad_out_h + 2 - in_h),
-                                 (0, pad_out_w + 2 - in_w)))
-    weights = (pre_transformed if pre_transformed is not None
-               else winograd_transform_weights(kernel))
-
-    # Gather 4x4 input tiles with stride 2.
-    tiles = np.empty((batch, in_c, tiles_h, tiles_w, 4, 4), dtype=np.float64)
-    for ty in range(tiles_h):
-        for tx in range(tiles_w):
-            tiles[:, :, ty, tx] = padded[:, :, ty * 2:ty * 2 + 4, tx * 2:tx * 2 + 4]
-    # V = B^T d B, M = U * V (elementwise over the 4x4 domain, contracted over
-    # input channels), Y = A^T M A.  Batch index is written ``n`` to avoid
-    # clashing with the transform indices.
-    v = np.einsum("ae,ncyxab,bf->ncyxef", _WINOGRAD_B, tiles, _WINOGRAD_B)
-    m = np.einsum("ocef,ncyxef->noyxef", weights, v)
-    y = np.einsum("ei,noyxef,fj->noyxij", _WINOGRAD_A, m, _WINOGRAD_A)
-    out = np.zeros((batch, out_c, pad_out_h, pad_out_w), dtype=np.float64)
-    for ty in range(tiles_h):
-        for tx in range(tiles_w):
-            out[:, :, ty * 2:ty * 2 + 2, tx * 2:tx * 2 + 2] = y[:, :, ty, tx]
-    return out[:, :, :out_h, :out_w].astype(data.dtype)

@@ -108,22 +108,22 @@ def dense_cpu_template(cfg: ConfigSpace, data: te.Tensor, weight: te.Tensor,
 
 def _declare_bitserial_gemv_intrin(length: int) -> te.TensorIntrin:
     """Declare the ARM bit-serial matrix-vector micro-kernel as a tensor
-    intrinsic: an AND + popcount reduction over ``length`` packed elements."""
-    w = te.placeholder((length,), dtype="int32", name="w_bits")
-    x = te.placeholder((length,), dtype="int32", name="x_bits")
+    intrinsic: a popcount reduction over ``length`` packed words.
+
+    The operands are the tiles of the packed conv's ``(N, AB, C_words, H, W)``
+    data and ``(F, WB, C_words, KH, KW)`` weights that one call reads, and
+    the output is one element of the ``(N, F, H, W)`` result; the body is
+    the conv's own, ``popcount(x * w)``, read in the conv's order.
+    """
+    x = te.placeholder((1, 1, length, 1, 1), dtype="int32", name="x_bits")
+    w = te.placeholder((1, 1, length, 1, 1), dtype="int32", name="w_bits")
     k = te.reduce_axis((0, length), name="k")
-    y = te.compute((1,), lambda _i: te.sum(w[k] * x[k], axis=k), name="bitserial_dot")
-
-    def lower_rule(inputs, outputs):
-        ww = inputs[0]
-        xx = inputs[1]
-        zz = outputs[0]
-        compute = te.hardware_intrin("arm_bitserial_gemv", ww.name, xx.name, zz.name)
-        reset = te.hardware_intrin("fill_zero", zz.name)
-        update = te.hardware_intrin("arm_bitserial_gemv_update", ww.name, xx.name, zz.name)
-        return compute, reset, update
-
-    return te.decl_tensor_intrin(y.op, lower_rule, name="arm_bitserial_gemv")
+    y = te.compute(
+        (1, 1, 1, 1),
+        lambda *_: te.sum(te.Call("popcount", [x[0, 0, k, 0, 0] * w[0, 0, k, 0, 0]],
+                                  dtype="int32"), axis=k),
+        name="bitserial_dot", dtype="int32")
+    return te.decl_tensor_intrin(y.op, name="arm_bitserial_gemv")
 
 
 def bitserial_conv2d_cpu_template(cfg: ConfigSpace, data: te.Tensor, kernel: te.Tensor,

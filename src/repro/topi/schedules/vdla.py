@@ -28,16 +28,7 @@ def declare_gemm_intrin(size: int = 16) -> te.TensorIntrin:
     c = te.compute((size, size),
                    lambda i, j: te.sum(a[i, k] * b[k, j], axis=k),
                    name="gemm_tile")
-
-    def lower_rule(inputs, outputs):
-        aa, bb = inputs
-        cc = outputs[0]
-        compute = te.hardware_intrin("vdla_gemm", aa.name, bb.name, cc.name)
-        reset = te.hardware_intrin("vdla_fill_zero", cc.name)
-        update = te.hardware_intrin("vdla_gemm_update", aa.name, bb.name, cc.name)
-        return compute, reset, update
-
-    return te.decl_tensor_intrin(c.op, lower_rule, name=f"vdla_gemm{size}x{size}")
+    return te.decl_tensor_intrin(c.op, name=f"vdla_gemm{size}x{size}")
 
 
 def conv2d_as_gemm_workload(batch: int, in_channels: int, height: int, width: int,

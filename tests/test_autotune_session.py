@@ -500,6 +500,19 @@ class TestTuningDatabase:
             else:
                 assert back["features"] == list(row["features"])
 
+    def test_a_trial_log_without_bests_is_read_back(self, tmp_path):
+        # A session that died before its first best leaves only the trial
+        # log beside a path with no bests file.
+        path = str(tmp_path / "log.jsonl")
+        with open(path + ".trials", "w", encoding="utf-8") as handle:
+            handle.write(json.dumps({
+                "task": "conv2d_(a)", "target": "cuda", "config_index": 3,
+                "time": 1e-5, "error": None, "features": [1.0, 2.0]}) + "\n")
+        with TuningDatabase(path) as db:
+            assert len(db) == 0 and not os.path.exists(path)
+            assert db.trials == {("conv2d_(a)", "cuda", 3): {
+                "time": 1e-5, "error": None, "features": [1.0, 2.0]}}
+
 
 # ---------------------------------------------------------------------------
 # Transfer learning warm start
@@ -646,12 +659,9 @@ class TestTransferFromALog:
                                      database=reopened).results
         assert result.pretrained
         assert result.warm_samples > 0
-        # warm_start=False turns both halves of the transfer off
-        with TuningDatabase(path) as reopened:
-            cold, = repro.autotune(
-                conv_graph(co=40), target=cuda(), database=reopened,
-                options=TuningOptions(trials=4, seed=0, batch_size=4,
-                                      warm_start=False)).results
+        # without the database neither half of the transfer happens
+        cold, = repro.autotune(conv_graph(co=40), target=cuda(), trials=4,
+                               options=options).results
         assert not cold.pretrained and cold.warm_samples == 0
 
     def test_trials_sidecar_in_the_service_row_format_prefits(self,

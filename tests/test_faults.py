@@ -122,7 +122,8 @@ class TestFaultPlan:
                          False, False, False]
 
     def test_scoping_by_protocol_and_match(self):
-        plan = FaultPlan([FaultSpec("frame_drop", protocol="XYZ1")])
+        plan = FaultPlan([FaultSpec("frame_drop",
+                                    match={"protocol": "XYZ1"})])
         with plan:
             assert inject("framing.send", **self.CTX) is None
             assert inject("framing.send", **dict(self.CTX,

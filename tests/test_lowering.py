@@ -5,12 +5,20 @@ verifying that schedule primitives preserve the program's semantics
 (the paper's core requirement for schedule transformations).
 """
 
+import random
+
 import numpy as np
 import pytest
 
 from repro import te, tir
+from repro.analysis.errors import OutOfBoundsError
+from repro.analysis.tir_verify import verify_func
+from repro.autotvm.space import ConfigSpace
 from repro.te.expr import FloatImm
 from repro.tir.interpreter import EvalError
+from repro.topi.bitserial import bitserial_conv2d_packed
+from repro.topi.schedules.cpu import bitserial_conv2d_cpu_template
+from repro.topi.schedules.vdla import declare_gemm_intrin, gemm_vdla_template
 
 
 def _run(schedule, args, *arrays):
@@ -207,6 +215,67 @@ def test_tensorize_gemm_intrinsic():
     np.testing.assert_allclose(c, a @ b, rtol=1e-4)
 
 
+def _vdla_gemm(cfg):
+    # a 2 KiB accumulator holds a 32 x 16 block: two column blocks, so the
+    # vthread knob has a loop to split
+    return gemm_vdla_template(cfg, 32, 32, 16, acc_buffer_bytes=2048)
+
+
+def _bitserial_conv(cfg):
+    # 64 input channels pack into two words: the intrinsic's tile is 2 long
+    data, weight, out = bitserial_conv2d_packed(1, 64, 4, 4, 4, 3, 1, 1)
+    return bitserial_conv2d_cpu_template(cfg, data, weight, out)
+
+
+@pytest.mark.parametrize("template", [_vdla_gemm, _bitserial_conv],
+                         ids=["vdla_gemm", "bitserial_conv2d"])
+def test_tensorized_programs_verify_and_match_the_plain_lowering(template):
+    """Section 4.3's two tensorized programs under sampled configs: the
+    interpreter, which runs each intrinsic's declared behaviour, matches the
+    untensorized lowering of the same compute, and the verifier accepts
+    the program.  ``tensorize`` itself checks no body match; this does."""
+    space = ConfigSpace()
+    template(space)
+    rng = np.random.default_rng(0)
+    for cfg in space.sample(3, random.Random(0)):
+        schedule, tensors = template(cfg)
+        func = tir.lower(schedule, tensors)
+        assert tir.count_statements(func.body).get("IntrinsicStmt", 0) > 0
+        plain = tir.lower(te.create_schedule(tensors[-1].op), tensors)
+        *inputs, output = tensors
+        # small enough that no product overflows the operands' dtype
+        arrays = [rng.integers(0, int(np.sqrt(np.iinfo(t.dtype).max)),
+                               size=t.shape_values(), dtype=t.dtype)
+                  for t in inputs]
+        got = np.zeros(output.shape_values(), dtype=output.dtype)
+        want = np.zeros_like(got)
+        tir.run_lowered(func, *arrays, got)
+        tir.run_lowered(plain, *arrays, want)
+        np.testing.assert_array_equal(got, want, err_msg=repr(cfg))
+        verify_func(func)
+
+
+def test_an_intrinsic_tile_of_the_wrong_rank_is_rejected():
+    """A 1-D dot product applied to the bit-serial conv's 5-D operands:
+    NumPy would slice only their first dimension."""
+    length = 2
+    w = te.placeholder((length,), dtype="int32", name="w_bits")
+    x = te.placeholder((length,), dtype="int32", name="x_bits")
+    k = te.reduce_axis((0, length), name="k")
+    dot = te.compute((1,), lambda _i: te.sum(w[k] * x[k], axis=k),
+                     name="dot", dtype="int32")
+    data, weight, out = bitserial_conv2d_packed(1, 64, 4, 4, 4, 3, 1, 1)
+    s = te.create_schedule(out.op)
+    s[out].tensorize(s[out].op.reduce_axis[-1], te.decl_tensor_intrin(dot))
+    func = tir.lower(s, [data, weight, out])
+    with pytest.raises(OutOfBoundsError, match=r"tile of shape \(2,\)"):
+        verify_func(func)
+    arrays = [np.zeros(t.shape_values(), dtype="int32")
+              for t in (data, weight, out)]
+    with pytest.raises(EvalError, match=r"has rank 1 but"):
+        tir.run_lowered(func, *arrays)
+
+
 def test_virtual_thread_lowering_preserves_semantics():
     A = te.placeholder((8, 8), name="A")
     B = te.compute((8, 8), lambda i, j: A[i, j] + 5.0, name="B")
@@ -272,3 +341,14 @@ def test_interpreter_rejects_an_intrinsic_slice_past_the_buffer():
     with pytest.raises(EvalError, match=r"\['6:10', '0:4'\].*C with shape "
                                         r"\(8, 8\)"):
         tir.run_lowered(func, *arrays)
+
+
+def test_an_intrinsic_called_with_too_few_operands_is_rejected():
+    a, c = tir.Buffer("A", (4, 4)), tir.Buffer("C", (4, 4))
+    func = tir.LoweredFunc("gemm", [a, c], tir.IntrinsicStmt(
+        "gemm", declare_gemm_intrin(4), [a], c, [[0, 0]], [0, 0]))
+    with pytest.raises(OutOfBoundsError, match="declares 2 operands"):
+        verify_func(func)
+    with pytest.raises(EvalError, match="declares 2 operands"):
+        tir.run_lowered(func, np.ones((4, 4), "float32"),
+                        np.zeros((4, 4), "float32"))

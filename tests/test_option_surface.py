@@ -42,7 +42,7 @@ OPTION_SURFACE = {
         "input_shapes": None},
     TuningOptions: {
         "trials": 64, "batch_size": 8, "early_stopping": None, "seed": 0,
-        "tuner": "model", "n_parallel": 4, "warm_start": True,
+        "tuner": "model", "n_parallel": 4,
         "verify": False, "ensure_no_regression": True,
         "callbacks": ()},
     repro.serve: {
@@ -59,8 +59,8 @@ OPTION_SURFACE = {
         "module": REQUIRED, "bundle_path": REQUIRED, "devices": REQUIRED},
     TraceReplayer: {
         "engines": REQUIRED, "trace": REQUIRED, "inputs_for": None,
-        "time_scale": 1.0, "giveup_ms": None, "result_timeout_s": 120.0,
-        "store_outputs": False, "input_pool": 8},
+        "giveup_ms": None, "result_timeout_s": 120.0,
+        "store_outputs": False},
     create_target: {"name": REQUIRED},
 }
 

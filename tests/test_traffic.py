@@ -197,12 +197,8 @@ class TestReplay:
                           seed=1).generate()
         engine = repro.serve(module, max_batch=1)
         try:
-            with pytest.raises(TraceError, match="time_scale"):
-                TraceReplayer(engine, trace, time_scale=0.0)
             with pytest.raises(TraceError, match="giveup_ms"):
                 TraceReplayer(engine, trace, giveup_ms=0.0)
-            with pytest.raises(TraceError, match="input_pool"):
-                TraceReplayer(engine, trace, input_pool=0)
         finally:
             engine.shutdown()
 

@@ -731,7 +731,7 @@ class TestLintInvariants:
 
     def test_library_has_a_caller_rule(self, tmp_path):
         linter = _load_linter()
-        assert len(linter.RULES) == 15
+        assert len(linter.RULES) == 16
         assert "library-has-a-caller" in linter.RULES
         root = tmp_path / "pkg"
         files = {
@@ -763,6 +763,37 @@ class TestLintInvariants:
         missing = linter.lint_callers(root, front_doors=("door.py",),
                                       allowed={})
         assert missing[0].path == root / "door.py"
+
+    def test_export_without_a_caller_is_flagged(self, tmp_path):
+        linter = _load_linter()
+        assert "export-has-a-caller" in linter.RULES
+        root = tmp_path / "pkg"
+        (root / "sub").mkdir(parents=True)
+        files = {
+            "__init__.py": ("from .sub import shown, hidden\n"
+                            "__all__ = ['shown', 'hidden', 'sub']\n"),
+            "sub/__init__.py": ("from .impl import shown, hidden, recursive\n"
+                                "__all__ = ['shown', 'hidden', 'recursive']\n"),
+            "sub/impl.py": ("__all__ = ['shown', 'hidden', 'recursive',\n"
+                            "           'helper']\n"
+                            "def shown(): return helper()\n"
+                            "def hidden(): pass\n"
+                            "def recursive(n): return recursive(n - 1)\n"
+                            "def helper(): pass\n"),
+        }
+        for name, source in files.items():
+            (root / name).write_text(source)
+        caller = tmp_path / "bench.py"
+        caller.write_text("import pkg.sub\nprint(pkg.shown())\n")
+        violations = linter.lint_exports(root, [root, caller])
+        # 'sub' is reached through an import path, 'shown' as an attribute
+        # and 'helper' from another definition; 'hidden' only through
+        # re-exports and 'recursive' only from its own body
+        assert sorted((v.path.relative_to(root).as_posix(),
+                       v.message.split("'")[1]) for v in violations) == [
+            ("__init__.py", "hidden"),
+            ("sub/__init__.py", "hidden"), ("sub/__init__.py", "recursive"),
+            ("sub/impl.py", "hidden"), ("sub/impl.py", "recursive")]
 
     def test_exiting_poll_loop_not_flagged(self, tmp_path):
         linter = _load_linter()

@@ -70,8 +70,7 @@ Rules
     over a channel *and* a window extent (the old 3-deep im2col fill: 4,608
     GIL-holding iterations for a 512-channel 3x3 layer) is what made one
     inference 2x slower than its GEMMs.  Two levels cover a loop over the
-    window offsets or the Winograd tile grid; anything deeper belongs in one
-    strided NumPy call.
+    window offsets; anything deeper belongs in one strided NumPy call.
 
 ``one-interval-arithmetic``
     ``te/expr.py`` is the single owner of interval arithmetic (``BOUNDS_OF``,
@@ -145,6 +144,20 @@ Rules
     door now reaches, fails too.  A module nothing reaches is dead code or
     one benchmark's library, and the list says which.
 
+``export-has-a-caller``
+    Applied to the package as a whole, inside modules: every name in a
+    literal ``__all__`` under ``src/repro`` is referenced somewhere in
+    ``src/``, ``benchmarks/``, ``examples/``, ``tests/`` or ``tools/``
+    outside its own top-level definition and the relative imports of a
+    package ``__init__.py`` (re-exports).  A reference is a name, an
+    attribute or an imported name or module path spelled the same; the
+    linter does not resolve what an attribute belongs to, so a collision
+    (``np.max`` for an exported ``max``) passes.  Tests count as callers: a
+    name only tests call is what they check (``run_lowered`` is the oracle
+    the lowering tests compare against, ``load_trace`` the read half of the
+    trace format's round trip), and the rule is after names nothing runs at
+    all.
+
 Exit status is 0 when clean, 1 when any violation is found.
 """
 
@@ -199,6 +212,9 @@ RULES = {
     "library-has-a-caller": ("every module is imported from a front-door "
                              "module or listed, with its reason, in "
                              "_NO_FRONT_DOOR; no stale entry"),
+    "export-has-a-caller": ("every name in an __all__ is referenced outside "
+                            "its own definition and package re-exports "
+                            "(tests count)"),
 }
 
 #: files (by trailing path parts) allowed to call ``._execute(``
@@ -237,6 +253,8 @@ _QUEUE_CLASSES = ("Queue", "SimpleQueue", "LifoQueue", "PriorityQueue")
 _FRONT_DOORS = ("compiler/driver.py", "autotvm/session.py",
                 "runtime/artifact.py", "runtime/serving.py",
                 "runtime/executor.py")
+#: repository trees whose code counts as a caller of an exported name
+_CALLER_TREES = ("src", "benchmarks", "examples", "tests", "tools")
 #: modules no front door imports -> who needs them ("x/" covers a package)
 _NO_FRONT_DOOR = {
     "baselines/": "vendor-library and framework comparison points "
@@ -727,16 +745,84 @@ def lint_callers(root: Path, front_doors=_FRONT_DOORS,
     return violations
 
 
+def _exports(tree: ast.Module) -> List[ast.Constant]:
+    """The string entries of a module's literal ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets) \
+                and isinstance(node.value, (ast.List, ast.Tuple)):
+            return [e for e in node.value.elts
+                    if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+    return []
+
+
+def _references(tree: ast.Module, reexports: bool) -> Set[str]:
+    """Names ``tree`` refers to, each outside a top-level definition of the
+    same name; ``reexports`` drops the relative imports of a package
+    ``__init__.py``."""
+    found: Set[str] = set()
+    stack = [(node, None) for node in tree.body]
+    while stack:
+        node, owner = stack.pop()
+        if owner is None and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        names: List[str] = []
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names
+                     for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom) \
+                and not (reexports and node.level):
+            names = [alias.name for alias in node.names]
+            names += node.module.split(".") if node.module else []
+        found.update(name for name in names if name != owner)
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def lint_exports(root: Path, callers: Iterable[Path]) -> List[Violation]:
+    """Rule ``export-has-a-caller`` over the package rooted at ``root``,
+    with every ``*.py`` under ``callers`` (files or trees) as callers."""
+    referenced: Set[str] = set()
+    for tree_root in callers:
+        paths = sorted(tree_root.rglob("*.py")) if tree_root.is_dir() \
+            else [tree_root]
+        for path in paths:
+            reexports = path.name == "__init__.py" and root in path.parents
+            referenced |= _references(
+                ast.parse(path.read_text(encoding="utf-8"),
+                          filename=str(path)), reexports)
+    violations: List[Violation] = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for entry in _exports(tree):
+            if entry.value not in referenced:
+                violations.append(Violation(
+                    "export-has-a-caller", path, entry.lineno,
+                    f"{entry.value!r} is exported but nothing refers to it "
+                    f"outside its definition and re-exports — delete it"))
+    return violations
+
+
 def lint_tree(roots: Iterable[Path]) -> List[Violation]:
     violations: List[Violation] = []
     for root in roots:
         paths = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for path in paths:
             violations.extend(lint_file(path))
-        # the whole-package rule runs on a top-level package only
+        # the whole-package rules run on a top-level package only
         if (root / "__init__.py").is_file() \
                 and not (root.parent / "__init__.py").is_file():
             violations.extend(lint_callers(root))
+            repo = root.parent.parent
+            violations.extend(lint_exports(
+                root, [repo / tree for tree in _CALLER_TREES
+                       if (repo / tree).is_dir()]))
     return violations
 
 
