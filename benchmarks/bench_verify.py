@@ -5,9 +5,13 @@ records the two numbers the layer must hold to stay on by default, writing
 ``BENCH_verify.json`` next to this file:
 
 * **Zero false positives** — every zoo model compiles verify-clean at every
-  optimization level on the CPU target; a single
+  optimization level on the CPU and the GPU target; a single
   :class:`~repro.analysis.errors.VerifierError` on known-good IR fails the
   run.
+* **Sampled verdicts** — the share of sampled resnet-18/cuda tuning
+  candidates the verifier rejects, and the best estimate among the
+  accepted ones, beside the same numbers measured before fused GPU tiles
+  that cross a row got sound regions.
 * **Bounded overhead** — zoo-aggregate compile time with ``verify=True``
   must stay within 15% of verify-off (warm caches, median of repeats).
 * **Full mutation coverage** — every seeded IR-mutation class is caught
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
+import random
 import statistics
 import sys
 import time
@@ -34,8 +38,10 @@ from pathlib import Path
 import repro
 from repro.analysis import VerifierError
 from repro.analysis.mutate import run_all
+from repro.analysis.tir_verify import verify_func
+from repro.autotvm import extract_tasks
 
-from common import emit_summary
+from common import emit_summary, run_header
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_verify.json"
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -45,27 +51,66 @@ OPT_LEVELS = (0, 1, 2, 3)
 #: the gate: verify-on may cost at most this factor over verify-off,
 #: aggregated across the zoo sweep
 MAX_OVERHEAD = 1.15
-TARGET = "arm_cpu"
+#: the zoo sweep's targets; the overhead run times the first
+TARGETS = ("arm_cpu", "cuda")
+#: candidates sampled per resnet-18/cuda task for the verdict census
+SAMPLES_PER_TASK = 15
+#: the census at the commit before fused GPU tiles that cross a row got
+#: sound regions (``tir/lowering.py::_tile_of``), same recipe
+VERDICTS_BEFORE = {"sampled": 195, "rejected": 26, "rejected_share": 0.1333,
+                   "best_accepted_us": 1222.004, "best_any_us": 1142.975}
 
 
 def bench_zoo_clean() -> dict:
     """Compile every zoo model at every opt level with verification on."""
     cells = []
     failures = []
-    for model in ZOO_MODELS:
-        for level in OPT_LEVELS:
-            cell = {"model": model, "opt_level": level}
+    for target in TARGETS:
+        for model in ZOO_MODELS:
+            for level in OPT_LEVELS:
+                cell = {"target": target, "model": model, "opt_level": level}
+                try:
+                    module = repro.compile(model, target=target,
+                                           opt_level=level, verify=True)
+                    cell["kernels"] = len(module.kernels)
+                    cell["clean"] = True
+                except VerifierError as exc:
+                    cell["clean"] = False
+                    cell["error"] = f"{type(exc).__name__}: {exc}"
+                    failures.append(f"{model}/{target}@opt{level}: "
+                                    f"{cell['error']}")
+                cells.append(cell)
+    return {"targets": list(TARGETS), "cells": cells,
+            "false_positives": failures}
+
+
+def bench_sampled_verdicts() -> dict:
+    """Verdicts on :data:`SAMPLES_PER_TASK` candidates of each resnet-18
+    tuning task on cuda (``random.Random(1)`` per task), and the sum over
+    tasks of the best hardware-model estimate, among the accepted
+    candidates and among all."""
+    sampled = rejected = 0
+    best_accepted = best_any = 0.0
+    for task in extract_tasks("resnet-18", "cuda"):
+        accepted, scored = [], []
+        for config in task.config_space.sample(SAMPLES_PER_TASK,
+                                               random.Random(1)):
+            sampled += 1
+            estimate = float(task.target.model.estimate(
+                task.features_of(config.index)))
+            scored.append(estimate)
             try:
-                module = repro.compile(model, target=TARGET,
-                                       opt_level=level, verify=True)
-                cell["kernels"] = len(module.kernels)
-                cell["clean"] = True
-            except VerifierError as exc:
-                cell["clean"] = False
-                cell["error"] = f"{type(exc).__name__}: {exc}"
-                failures.append(f"{model}@opt{level}: {cell['error']}")
-            cells.append(cell)
-    return {"target": TARGET, "cells": cells, "false_positives": failures}
+                verify_func(task.lower(config))
+                accepted.append(estimate)
+            except VerifierError:
+                rejected += 1
+        best_accepted += min(accepted, default=float("inf"))
+        best_any += min(scored)
+    return {"after": {"sampled": sampled, "rejected": rejected,
+                      "rejected_share": round(rejected / sampled, 4),
+                      "best_accepted_us": round(best_accepted * 1e6, 3),
+                      "best_any_us": round(best_any * 1e6, 3)},
+            "before": VERDICTS_BEFORE}
 
 
 def bench_overhead(repeats: int) -> dict:
@@ -77,10 +122,10 @@ def bench_overhead(repeats: int) -> dict:
             offs, ons = [], []
             for _ in range(repeats):
                 started = time.perf_counter()
-                repro.compile(model, target=TARGET, opt_level=level)
+                repro.compile(model, target=TARGETS[0], opt_level=level)
                 offs.append(time.perf_counter() - started)
                 started = time.perf_counter()
-                repro.compile(model, target=TARGET, opt_level=level,
+                repro.compile(model, target=TARGETS[0], opt_level=level,
                               verify=True)
                 ons.append(time.perf_counter() - started)
             off = statistics.median(offs)
@@ -91,7 +136,7 @@ def bench_overhead(repeats: int) -> dict:
                          "off_ms": round(off * 1e3, 2),
                          "on_ms": round(on * 1e3, 2),
                          "ratio": round(on / off, 3)})
-    return {"repeats": repeats, "rows": rows,
+    return {"target": TARGETS[0], "repeats": repeats, "rows": rows,
             "total_off_ms": round(total_off * 1e3, 1),
             "total_on_ms": round(total_on * 1e3, 1),
             "aggregate_ratio": round(total_on / total_off, 4),
@@ -126,9 +171,14 @@ def bench_lint() -> dict:
 
 def run_suite(repeats: int, seeds) -> dict:
     print(f"[verify] zoo sweep: {len(ZOO_MODELS)} models x "
-          f"{len(OPT_LEVELS)} opt levels on {TARGET}")
+          f"{len(OPT_LEVELS)} opt levels on {', '.join(TARGETS)}")
     zoo = bench_zoo_clean()  # also warms every cache for the overhead run
     print(f"[verify] false positives: {len(zoo['false_positives'])}")
+    verdicts = bench_sampled_verdicts()
+    print(f"[verify] sampled resnet-18/cuda candidates rejected: "
+          f"{verdicts['after']['rejected']} / {verdicts['after']['sampled']} "
+          f"(before: {VERDICTS_BEFORE['rejected']} / "
+          f"{VERDICTS_BEFORE['sampled']})")
     overhead = bench_overhead(repeats)
     print(f"[verify] aggregate verify-on overhead: "
           f"{overhead['aggregate_ratio']:.3f}x "
@@ -138,8 +188,9 @@ def run_suite(repeats: int, seeds) -> dict:
           f"caught {mutations['caught_fraction']:.0%}")
     lint = bench_lint()
     print(f"[verify] lint violations: {len(lint['violations'])}")
-    return {"python": platform.python_version(), "zoo": zoo,
-            "overhead": overhead, "mutations": mutations, "lint": lint}
+    return {**run_header("wall"), "seeds": list(seeds), "zoo": zoo,
+            "sampled_verdicts": verdicts, "overhead": overhead,
+            "mutations": mutations, "lint": lint}
 
 
 def check_acceptance(results: dict) -> list:

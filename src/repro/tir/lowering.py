@@ -15,14 +15,20 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..te.expr import (
+    Add,
     Expr,
     ExprMutator,
+    FloorDiv,
     IntImm,
     Max,
+    Mod,
+    Mul,
     Reduce,
+    Sub,
     TensorRead,
     Var,
     as_expr,
+    collect_vars,
     compile_bounds,
     eval_bounds,
     expr_children,
@@ -100,9 +106,18 @@ class _Lowerer:
         # Per attached stage: planned (root_extents, root_offsets) computed in
         # a pre-pass so compact buffers exist before consumer bodies are built.
         self._planned_regions: Dict[int, Tuple[Dict[int, int], Dict[int, Expr]]] = {}
+        # Per attached stage: root axes (uids) whose region may run past the
+        # tensor's end, so the fill guards them (see ``_row_wrap``).
+        self._overhang: Dict[int, List[int]] = {}
         # Extents of loop vars bound to hardware thread indices; used to relax
         # thread dimensions when sizing cooperatively-filled shared buffers.
         self._thread_ranges: Dict[Var, Tuple[int, int]] = {}
+        # Ranges of every planned stage's loop vars, which region offsets
+        # of the stages attached inside them are written in.
+        self._loop_ranges: Dict[Var, Tuple[int, int]] = {}
+        # Set once a fused tile wraps a row: only then can a region run
+        # past its tensor's end (see ``_tile_of``).
+        self._wrapped = False
 
     # ------------------------------------------------------------------ setup
     def run(self) -> LoweredFunc:
@@ -143,6 +158,7 @@ class _Lowerer:
                     value_map[axis.var] = simplify(offset + value_map[axis.var])
         leaf_ranges = {iv.var: (0, dom_map[iv.uid] - 1)
                        for iv in stage.leaf_iter_vars}
+        self._loop_ranges.update(leaf_ranges)
         for ivar in stage.leaf_iter_vars:
             bound = stage.bound_thread(ivar)
             if bound is not None and bound.thread_tag.startswith("threadIdx"):
@@ -150,14 +166,16 @@ class _Lowerer:
         for ivar in stage.leaf_iter_vars:
             for producer_stage in self.attachments.get((id(op), ivar.uid), []):
                 inner_vars = self._vars_inside(stage, ivar)
-                region = self._required_region(producer_stage, stage, inner_vars,
-                                               leaf_ranges, value_map)
+                region, overhang = self._required_region(
+                    producer_stage, stage, inner_vars, leaf_ranges, value_map)
                 self._ensure_binding(producer_stage, region)
                 extents = {iv.uid: extent
                            for iv, (_, extent) in zip(producer_stage.op.axis, region)}
                 offsets = {iv.uid: offset
                            for iv, (offset, _) in zip(producer_stage.op.axis, region)}
                 self._planned_regions[id(producer_stage.op)] = (extents, offsets)
+                self._overhang[id(producer_stage.op)] = [
+                    producer_stage.op.axis[dim].uid for dim in overhang]
                 self._plan_stage(producer_stage, extents, offsets)
 
     def _unique(self, name: str) -> str:
@@ -289,6 +307,9 @@ class _Lowerer:
                 offset = root_offsets.get(axis.uid)
                 if offset is not None:
                     value_map[axis.var] = simplify(offset + value_map[axis.var])
+        # ``_convert_expr`` maps the axis to its global coordinate.
+        guards.extend(axis.var < axis.extent_value() for axis in op.axis
+                      if axis.uid in self._overhang.get(id(op), ()))
 
         is_reduction = isinstance(body_expr, Reduce)
         reduce_uids = {iv.uid for iv in op.reduce_axis}
@@ -404,9 +425,11 @@ class _Lowerer:
     def _required_region(self, producer: Stage, consumer: Stage,
                          inner_vars: List[Var],
                          leaf_ranges: Dict[Var, Tuple[int, int]],
-                         value_map: Dict[Var, Expr]) -> List[Tuple[Expr, int]]:
+                         value_map: Dict[Var, Expr]
+                         ) -> Tuple[List[Tuple[Expr, int]], List[int]]:
         """Compute, per output dimension of ``producer``, the (offset, extent)
-        region required by ``consumer`` iterations below the attachment point."""
+        region required by ``consumer`` iterations below the attachment point,
+        and the dimensions whose region may run past the tensor's end."""
         producer_tensor = producer.op.output(0)
         reads = _collect_reads(consumer.op.body, producer_tensor)
         if not reads:
@@ -416,6 +439,7 @@ class _Lowerer:
         ndim = len(producer_tensor.shape)
         offsets: List[Expr] = []
         extents: List[int] = []
+        overhang: List[int] = []
         inner_set = set(inner_vars)
         # A shared-scope producer is cooperatively filled by the whole thread
         # block: the region must cover every thread's slice, so thread-bound
@@ -434,6 +458,7 @@ class _Lowerer:
         zero_map = {v: 0 for v in inner_set}
         zero_map.update({v: 0 for v in relax_ranges})
         for dim in range(ndim):
+            full = producer_tensor.shape_values()[dim]
             dim_offset: Optional[Expr] = None
             dim_extent = 1
             for read in reads:
@@ -451,14 +476,33 @@ class _Lowerer:
                 low, high = eval_bounds(program, ranges)
                 extent = int(high - low + 1)
                 offset = simplify(substitute(index_expr, zero_map))
+                tile = _tile_of(index_expr, {v: r for v, r in ranges.items()
+                                             if v in zero_map})
+                if tile is not None and tile[2]:
+                    self._wrapped = True
+                    offset, extent = simplify(tile[0]), tile[1]
+                    if extent >= full:
+                        offset = as_expr(0)
                 if dim_offset is None:
                     dim_offset = offset
                 dim_extent = max(dim_extent, extent)
-            full = producer_tensor.shape_values()[dim]
-            dim_extent = min(dim_extent, full)
             offsets.append(dim_offset if dim_offset is not None else as_expr(0))
-            extents.append(dim_extent)
-        return list(zip(offsets, extents))
+            extents.append(min(dim_extent, full))
+        if self._wrapped:
+            overhang = [dim for dim, (offset, extent, full)
+                        in enumerate(zip(offsets, extents,
+                                         producer_tensor.shape_values()))
+                        if extent < full
+                        and self._may_pass_end(offset, extent, full)]
+        return list(zip(offsets, extents)), overhang
+
+    def _may_pass_end(self, offset: Expr, extent: int, full: int) -> bool:
+        """Whether ``[offset, offset + extent)`` can reach past ``full``
+        for some value of the loops ``offset`` is written in."""
+        free, program = compile_bounds(offset)
+        if any(var not in self._loop_ranges for var in free):
+            return True
+        return eval_bounds(program, self._loop_ranges)[1] + extent > full
 
     # ----------------------------------------------------------- tensorization
     def _make_intrinsic(self, stage: Stage, leaf_idx: int,
@@ -536,6 +580,71 @@ class _ReadConverter(ExprMutator):
             return BufferLoad(binding.buffer,
                               [simplify(i) for i in binding.rebase(indices)])
         return TensorRead(tensor, indices)
+
+
+def _step(expr: Expr) -> int:
+    """A positive ``g`` that divides every value of the affine ``expr`` for
+    any integer values of its variables (1 for a non-affine one)."""
+    if isinstance(expr, IntImm):
+        return abs(expr.value)
+    if isinstance(expr, (Add, Sub)):
+        return math.gcd(_step(expr.a), _step(expr.b))
+    if isinstance(expr, Mul) and isinstance(expr.b, IntImm):
+        return _step(expr.a) * abs(expr.b.value)
+    return 1
+
+
+def _tile_of(expr: Expr, spans: Dict[Var, Tuple[int, int]]
+             ) -> Optional[Tuple[Expr, int, bool]]:
+    """``(start, extent, wrapped)``: every value ``expr`` takes while the
+    variables in ``spans`` sweep their ranges lies in ``[start, start +
+    extent)``, for any value of the others, which ``start`` is written in.
+    None for an index this does not model (anything but ``+``, ``-``, ``*``,
+    ``//`` and ``%`` by constants over a spanned variable).
+
+    ``wrapped`` says a ``//`` or ``%`` over a fused loop can see its tile of
+    consecutive positions cross a row's end (a multiple of the divisor).
+    Such a tile wraps to the next row's start, so its column region is the
+    whole row, and it may touch one row more than its length alone needs
+    (TVM's bound inference relaxes a misaligned fuse the same way).
+    """
+    if isinstance(expr, Var):
+        if expr in spans:
+            low, high = spans[expr]
+            return as_expr(low), high - low + 1, False
+        return expr, 1, False
+    if isinstance(expr, IntImm):
+        return expr, 1, False
+    if not isinstance(expr, (Add, Sub, Mul, FloorDiv, Mod)):
+        return None if any(v in spans for v in collect_vars(expr)) \
+            else (expr, 1, False)
+    a = _tile_of(expr.a, spans)
+    b = _tile_of(expr.b, spans)
+    if a is None or b is None:
+        return None
+    (start_a, ext_a, wrap_a), (start_b, ext_b, wrap_b) = a, b
+    wrapped = wrap_a or wrap_b
+    if isinstance(expr, Add):
+        return start_a + start_b, ext_a + ext_b - 1, wrapped
+    if isinstance(expr, Sub):
+        return start_a - (start_b + (ext_b - 1)), ext_a + ext_b - 1, wrapped
+    if isinstance(expr, Mul) and isinstance(expr.a, IntImm):
+        (start_a, ext_a), (start_b, ext_b) = (start_b, ext_b), (start_a, ext_a)
+    if ext_b != 1 or not isinstance(start_b, IntImm) or start_b.value <= 0:
+        return None
+    k = start_b.value
+    if isinstance(expr, Mul):
+        return start_a * k, (ext_a - 1) * k + 1, wrapped
+    if ext_a == 1:
+        return type(expr)(start_a, start_b), 1, wrapped
+    align = math.gcd(k, _step(simplify(start_a)))
+    if isinstance(expr, FloorDiv):
+        rows = (k - align + ext_a - 1) // k + 1
+        return (start_a // k, rows,
+                wrapped or rows > (ext_a - 1) // k + 1)
+    if ext_a <= align or align == k:
+        return start_a % k, min(ext_a, k), wrapped
+    return as_expr(0), k, True
 
 
 def _collect_reads(expr: Expr, tensor: Optional[Tensor] = None) -> List[TensorRead]:

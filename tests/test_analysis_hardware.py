@@ -79,7 +79,7 @@ def test_feature_vector_fixed_length():
 #: sha256 prefix of :func:`_features_fingerprint` — the ``ProgramFeatures``
 #: the hardware models and the GBT are told a program has, over every
 #: template's sampled configs on small shapes
-FEATURES_FINGERPRINT = "1b3efa576b03aa0a"
+FEATURES_FINGERPRINT = "f9bd37e437e0f46f"
 
 
 def _template_candidates(channels=4, size=6, units=12):

@@ -41,14 +41,14 @@ from repro.autotvm import TuningOptions
 from repro.frontend import ModelBuilder, get_model
 
 #: sha256 prefix of :func:`_digest` over :data:`COMPILE_PAIRS` x opt 0 - 3
-COMPILE_FINGERPRINT = "7275a3474f785f4b"
+COMPILE_FINGERPRINT = "646dcbe3809829db"
 
 #: sha256 prefix of :func:`weights_digest` over the models of
 #: :data:`COMPILE_PAIRS`
 WEIGHTS_FINGERPRINT = "a5c004d83e777c62"
 
 #: sha256 prefix of :func:`_digest` over :func:`verdict_records`
-VERDICT_FINGERPRINT = "78732242e743a881"
+VERDICT_FINGERPRINT = "c068deedb119945f"
 
 #: sha256 prefix of :func:`curve_digest` over :func:`curve_session`
 CURVE_FINGERPRINT = "84a1088561889801"
