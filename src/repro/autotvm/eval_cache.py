@@ -10,9 +10,19 @@ share the bounded feature LRU in this module through
 whether a candidate's program is legal: :meth:`repro.autotvm.Task.verify`
 (the measurer with ``verify=True``) and ``compile(verify=True)`` store the
 static verifier's verdict beside the features, under the same identity, so a
-program is verified once whichever path asks first.  Lowered programs are not
-cached: every consumer wants the features or the verdict, and a loop program
-is far bulkier than either.
+program is verified once whichever path asks first.
+
+Lowering is cached per *structure class* in :data:`LOWERED_CACHE`, keyed by
+the task's identity and the config's pre-key
+(:meth:`~repro.autotvm.space.ConfigEntity.structure`).  A bucket holds up to
+eight recorded lowerings (:class:`~repro.tir.replay.Replay`); a config whose
+split factors meet one of their path conditions is re-emitted from it with
+no instantiation and no lowering (see :meth:`~repro.autotvm.Task.lower` for
+which configs are recorded).  A per-config
+key never hit (0 hits in 28,107 lookups when one was tried): a tuner asks
+for each config once, and the features cache already answers repeats.  A
+recorded class keeps plain tuples, not tree nodes, so 64 buckets stay a few
+megabytes.
 
 The cache evicts one least-recently-used entry at a time, so a long tuning
 session keeps its working set hot.  An entry keeps what its readers use: a
@@ -33,7 +43,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Hashable
 
-__all__ = ["LRUCache", "FEATURE_CACHE", "clear_eval_caches",
+__all__ = ["LRUCache", "FEATURE_CACHE", "LOWERED_CACHE", "clear_eval_caches",
            "eval_cache_stats"]
 
 _MISSING = object()
@@ -58,6 +68,24 @@ class LRUCache:
             self._data.move_to_end(key)
             self.hits += 1
             return value
+
+    def peek(self, key: Hashable, default=None):
+        """:meth:`get` without counting a hit or a miss: for a cache whose
+        caller decides what a hit is (:meth:`tally`)."""
+        with self._lock:
+            value = self._data.get(key, _MISSING)
+            if value is _MISSING:
+                return default
+            self._data.move_to_end(key)
+            return value
+
+    def tally(self, hit: bool) -> None:
+        """Count one hit or one miss."""
+        with self._lock:
+            if hit:
+                self.hits += 1
+            else:
+                self.misses += 1
 
     def put(self, key: Hashable, value: object) -> None:
         if self.maxsize <= 0:
@@ -98,12 +126,19 @@ class LRUCache:
 #: the verifier's verdict per config that was verified
 FEATURE_CACHE = LRUCache(50_000)
 
+#: recorded lowerings (:class:`~repro.tir.replay.Replay`) per task and
+#: structure pre-key; a hit is a config lowered by replay, a miss one
+#: lowered in full
+LOWERED_CACHE = LRUCache(64)
+
 
 def clear_eval_caches() -> None:
     """Drop all shared lowering/featurisation state (tests, benchmarks)."""
     FEATURE_CACHE.clear()
+    LOWERED_CACHE.clear()
 
 
 def eval_cache_stats() -> Dict[str, Dict[str, int]]:
-    """Hit/miss/size counters of the shared cache (observability hook)."""
-    return {"features": FEATURE_CACHE.stats()}
+    """Hit/miss/size counters of the shared caches (observability hook)."""
+    return {"features": FEATURE_CACHE.stats(),
+            "lowered": LOWERED_CACHE.stats()}

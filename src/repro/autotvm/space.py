@@ -88,6 +88,8 @@ class ConfigSpace:
 
     def __init__(self) -> None:
         self._candidates: Dict[str, List[object]] = {}
+        #: the extent each split knob divides
+        self._split_extents: Dict[str, int] = {}
         self._radix: Optional[Tuple[List[str], List[int], List[int], int]] = None
 
     # -- definition API ---------------------------------------------------------
@@ -102,6 +104,7 @@ class ConfigSpace:
             if not entities:
                 entities = [SplitEntity([int(extent)] + [1] * (num_outputs - 1))]
             self._candidates[name] = entities
+            self._split_extents[name] = int(extent)
             self._radix = None
         return self[name]
 
@@ -211,6 +214,7 @@ class ConfigEntity(ConfigSpace):
     def __init__(self, space: ConfigSpace, index: int, choices: Dict[str, object]):
         super().__init__()
         self._candidates = space._candidates
+        self._split_extents = space._split_extents
         self.space = space
         self.index = index
         self._choices = choices
@@ -226,6 +230,46 @@ class ConfigEntity(ConfigSpace):
         if name in self._choices:
             return self._choices[name]
         return self._candidates[name][0]
+
+    def structure(self) -> Tuple[Tuple, List[int]]:
+        """``(pre-key, factors)`` of this config's lowering.
+
+        ``factors`` are the sizes of every split knob, in knob order.  The
+        pre-key holds what decides most of a lowered tree's shape and is
+        cheap to read: every other knob's value, which applied factors are
+        1 and which splits divide the extent they split.
+        """
+        knobs: List[object] = []
+        factors: List[int] = []
+        ones: List[bool] = []
+        divides: List[bool] = []
+        for name in self._candidates:
+            entity = self[name]
+            if isinstance(entity, SplitEntity):
+                factors.extend(entity.size)
+                # a split applies every size but the outermost
+                ones.extend(size == 1 for size in entity.size[1:])
+                extent = self._split_extents.get(name, 0)
+                for size in reversed(entity.size[1:]):
+                    divides.append(extent % size == 0)
+                    extent = -(-extent // size)
+            else:
+                knobs.append(entity.val)
+        return (tuple(knobs), tuple(ones), tuple(divides)), factors
+
+    def traced(self, factors: Sequence[int]) -> "ConfigEntity":
+        """This config with its split sizes replaced, in :meth:`structure`'s
+        order, by ``factors`` (a recording's traced integers)."""
+        choices = dict(self._choices)
+        position = 0
+        for name in self._candidates:
+            entity = self[name]
+            if isinstance(entity, SplitEntity):
+                traced = SplitEntity.__new__(SplitEntity)
+                traced.size = list(factors[position:position + len(entity.size)])
+                position += len(entity.size)
+                choices[name] = traced
+        return ConfigEntity(self.space, self.index, choices)
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {}

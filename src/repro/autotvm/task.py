@@ -14,10 +14,15 @@ import numpy as np
 
 from .. import te, tir
 from ..hardware.target import Target
-from .eval_cache import FEATURE_CACHE
+from ..te.trace import Trace, Untraceable
+from ..tir.replay import Replay
+from .eval_cache import FEATURE_CACHE, LOWERED_CACHE
 from .space import ConfigEntity, ConfigSpace
 
 __all__ = ["Task"]
+
+#: most structure classes kept per (task, pre-key) bucket
+_CLASSES_PER_BUCKET = 8
 
 
 class _FailureMarker:
@@ -131,9 +136,45 @@ class Task:
         return self.template(config, *self.args)
 
     def lower(self, config: ConfigEntity) -> tir.LoweredFunc:
-        """Instantiate and lower one configuration (uncached)."""
+        """Lower one configuration, once per structure class.
+
+        Configs of the same task and pre-key (:meth:`ConfigEntity.structure`)
+        share a bucket.  The first config to reach a bucket is lowered
+        plainly: about half the buckets a search opens are never visited
+        again.  A later config that meets the path condition of one of the
+        bucket's recorded lowerings (:class:`~repro.tir.replay.Replay`) is
+        re-emitted from it, with no instantiation and no lowering; one that
+        meets none is instantiated and lowered in full with traced split
+        factors (:mod:`repro.te.trace`), and that recording joins the
+        bucket.  Every call returns a fresh tree.
+        """
+        name = f"{self.name}_c{config.index}"
+        prekey, factors = config.structure()
+        key = self._cache_prefix + (prekey,)
+        bucket = LOWERED_CACHE.peek(key)
+        for replay in bucket or ():
+            values = replay.values(factors)
+            if values is not None:
+                LOWERED_CACHE.tally(hit=True)
+                return replay.build(values, name)
+        LOWERED_CACHE.tally(hit=False)
+        if bucket is not None:
+            try:
+                with Trace(factors) as trace:
+                    schedule, tensors = self.instantiate(
+                        config.traced(trace.inputs))
+                    replay = Replay(tir.lower(schedule, tensors, name=name),
+                                    trace)
+            except Untraceable:
+                pass
+            else:
+                LOWERED_CACHE.put(
+                    key, (replay,) + bucket[:_CLASSES_PER_BUCKET - 1])
+                return replay.build(replay.values(factors), name)
+        else:
+            LOWERED_CACHE.put(key, ())
         schedule, tensors = self.instantiate(config)
-        return tir.lower(schedule, tensors, name=f"{self.name}_c{config.index}")
+        return tir.lower(schedule, tensors, name=name)
 
     # ---------------------------------------------------- memoized fast path
     def _cache_key(self, index: int) -> Tuple[str, str, str, int]:

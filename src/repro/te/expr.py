@@ -19,6 +19,8 @@ import threading
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from .trace import SymInt, larger, recording, smaller
+
 __all__ = [
     "Expr",
     "Var",
@@ -162,7 +164,8 @@ class IntImm(Expr):
     """Integer immediate."""
 
     def __init__(self, value: int, dtype: str = "int32"):
-        self.value = int(value)
+        # a recorded lowering's value keeps its tape entry (te/trace.py)
+        self.value = value if type(value) is SymInt else int(value)
         self.dtype = dtype
 
     def __repr__(self) -> str:
@@ -420,7 +423,8 @@ def const(value: Union[int, float, bool], dtype: Optional[str] = None) -> Expr:
     if isinstance(value, bool):
         return IntImm(int(value), dtype or "bool")
     if isinstance(value, int):
-        if (dtype is None or dtype == "int32") and -64 <= value <= 1024:
+        if (dtype is None or dtype == "int32") and type(value) is int \
+                and -64 <= value <= 1024:
             imm = _SMALL_INTS.get(value)
             if imm is None:
                 imm = IntImm(value, "int32")
@@ -741,9 +745,32 @@ def _bounds_sub(a, b):
     return (a[0] - b[1], a[1] - b[0])
 
 
-def _bounds_mul(a, b):
-    candidates = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+def _hull(candidates):
     return (min(candidates), max(candidates))
+
+
+def _traced_hull(candidates):
+    low = high = candidates[0]
+    for candidate in candidates[1:]:
+        low = smaller(low, candidate)
+        high = larger(high, candidate)
+    return (low, high)
+
+
+def _traced_bounds_mul(a, b):
+    # An index scales a loop's interval by a constant: a point interval of
+    # known sign orders the products without comparing them.
+    if a[0] is a[1]:
+        a, b = b, a
+    if b[0] is b[1]:
+        if b[0] >= 0:
+            return (a[0] * b[0], a[1] * b[0])
+        return (a[1] * b[0], a[0] * b[0])
+    return _bounds_mul(a, b, _traced_hull)
+
+
+def _bounds_mul(a, b, hull=_hull):
+    return hull((a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]))
 
 
 def _magnitude(a):
@@ -761,13 +788,12 @@ def _bounds_div(a, b):
     return (min(candidates), max(candidates))
 
 
-def _bounds_floordiv(a, b):
+def _bounds_floordiv(a, b, hull=_hull):
     if b[0] <= 0 <= b[1]:
         return _magnitude(a)
     floor = math.floor
-    candidates = (floor(a[0] / b[0]), floor(a[0] / b[1]),
-                  floor(a[1] / b[0]), floor(a[1] / b[1]))
-    return (min(candidates), max(candidates))
+    return hull((floor(a[0] / b[0]), floor(a[0] / b[1]),
+                 floor(a[1] / b[0]), floor(a[1] / b[1])))
 
 
 def _bounds_mod(a, b):
@@ -783,12 +809,12 @@ def _bounds_mod(a, b):
     return (min(b[0] + 1, 0), max(b[1] - 1, 0))
 
 
-def _bounds_min(a, b):
-    return (min(a[0], b[0]), min(a[1], b[1]))
+def _bounds_min(a, b, low=min):
+    return (low(a[0], b[0]), low(a[1], b[1]))
 
 
-def _bounds_max(a, b):
-    return (max(a[0], b[0]), max(a[1], b[1]))
+def _bounds_max(a, b, high=max):
+    return (high(a[0], b[0]), high(a[1], b[1]))
 
 
 #: transfer function of every binary node the analysis bounds precisely
@@ -796,6 +822,18 @@ BOUNDS_OF: Dict[type, Callable] = {
     Add: _bounds_add, Sub: _bounds_sub, Mul: _bounds_mul, Div: _bounds_div,
     FloorDiv: _bounds_floordiv, Mod: _bounds_mod, Min: _bounds_min,
     Max: _bounds_max,
+}
+
+
+#: :data:`BOUNDS_OF` for a recorded lowering (:mod:`repro.te.trace`): an
+#: interval's ends chosen by ``min`` / ``max`` stay tape entries instead of
+#: becoming recorded comparisons
+_TRACED_BOUNDS_OF: Dict[type, Callable] = {
+    **BOUNDS_OF,
+    Mul: _traced_bounds_mul,
+    FloorDiv: lambda a, b: _bounds_floordiv(a, b, _traced_hull),
+    Min: lambda a, b: _bounds_min(a, b, smaller),
+    Max: lambda a, b: _bounds_max(a, b, larger),
 }
 
 
@@ -824,7 +862,7 @@ _B_VAR, _B_CONST, _B_BINOP, _B_UNION = range(4)
 
 
 def _emit_bounds(node: Expr, program: List[Tuple[int, object]],
-                 seen: Dict[int, Var]) -> None:
+                 seen: Dict[int, Var], table: Dict[type, Callable]) -> None:
     """Append the postorder bounds program of ``node`` to ``program`` and
     its vars to ``seen``."""
     if isinstance(node, Var):
@@ -834,14 +872,14 @@ def _emit_bounds(node: Expr, program: List[Tuple[int, object]],
     if isinstance(node, (IntImm, FloatImm)):
         program.append((_B_CONST, (node.value, node.value)))
         return
-    handler = BOUNDS_OF.get(type(node))
+    handler = table.get(type(node))
     if handler is not None:
-        _emit_bounds(node.a, program, seen)
-        _emit_bounds(node.b, program, seen)
+        _emit_bounds(node.a, program, seen, table)
+        _emit_bounds(node.b, program, seen, table)
         program.append((_B_BINOP, handler))
         return
     if isinstance(node, Cast):
-        _emit_bounds(node.value, program, seen)
+        _emit_bounds(node.value, program, seen, table)
         return
     if isinstance(node, Select):
         # either arm may be taken; the condition only contributes vars
@@ -853,7 +891,7 @@ def _emit_bounds(node: Expr, program: List[Tuple[int, object]],
             program.append((_B_CONST, (0, 0)))
             return
     for child in children:
-        _emit_bounds(child, program, seen)
+        _emit_bounds(child, program, seen, table)
     if isinstance(node, Reduce):
         for iv in node.axis:
             seen.setdefault(id(iv.var), iv.var)
@@ -871,7 +909,8 @@ def compile_bounds(expr: Expr) -> Tuple[List[Var], List[Tuple[int, object]]]:
     """
     program: List[Tuple[int, object]] = []
     seen: Dict[int, Var] = {}
-    _emit_bounds(expr, program, seen)
+    _emit_bounds(expr, program, seen,
+                 _TRACED_BOUNDS_OF if recording() else BOUNDS_OF)
     return list(seen.values()), program
 
 

@@ -11,7 +11,6 @@ while changing the loop structure that lowering will generate.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .expr import (
@@ -26,6 +25,7 @@ from .expr import (
     simplify,
 )
 from .intrin import TensorIntrin
+from .trace import SymInt
 from .tensor import ComputeOp, IterVar, IterVarType, Operation, PlaceholderOp, Tensor
 
 __all__ = [
@@ -123,11 +123,12 @@ class Stage:
         if factor is None and nparts is None:
             raise ValueError("split requires either factor or nparts")
         if factor is None:
-            factor = max(1, math.ceil(extent / nparts))
-        factor = int(factor)
+            factor = max(1, -(-extent // nparts))
+        if type(factor) is not SymInt:
+            factor = int(factor)
         if factor <= 0:
             raise ValueError("split factor must be positive")
-        outer_extent = math.ceil(extent / factor)
+        outer_extent = -(-extent // factor)
         outer = IterVar(Range.from_extent(outer_extent), f"{ivar.name}.outer", ivar.iter_type)
         inner = IterVar(Range.from_extent(factor), f"{ivar.name}.inner", ivar.iter_type)
         relation = SplitRelation(ivar, outer, inner, factor)

@@ -11,7 +11,6 @@ tensorized loop nests with hardware intrinsic calls.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..te.expr import (
@@ -37,6 +36,7 @@ from ..te.expr import (
     substitute,
 )
 from ..te.schedule import FuseRelation, Schedule, SplitRelation, Stage
+from ..te.trace import gcd, larger, smaller
 from ..te.tensor import ComputeOp, IterVar, IterVarType, PlaceholderOp, Tensor
 from .stmt import (
     Allocate,
@@ -255,8 +255,8 @@ class _Lowerer:
         for relation in stage.relations:
             if isinstance(relation, SplitRelation):
                 parent = dom[relation.parent.uid]
-                dom[relation.outer.uid] = max(1, math.ceil(parent / relation.factor))
-                dom[relation.inner.uid] = min(relation.factor, parent)
+                dom[relation.outer.uid] = larger(1, -(-parent // relation.factor))
+                dom[relation.inner.uid] = smaller(relation.factor, parent)
             elif isinstance(relation, FuseRelation):
                 dom[relation.fused.uid] = dom[relation.outer.uid] * dom[relation.inner.uid]
         return dom
@@ -474,7 +474,9 @@ class _Lowerer:
                     else:
                         ranges[var] = (0, 0)
                 low, high = eval_bounds(program, ranges)
-                extent = int(high - low + 1)
+                extent = high - low + 1
+                if not isinstance(extent, int):
+                    extent = int(extent)
                 offset = simplify(substitute(index_expr, zero_map))
                 tile = _tile_of(index_expr, {v: r for v, r in ranges.items()
                                              if v in zero_map})
@@ -485,9 +487,9 @@ class _Lowerer:
                         offset = as_expr(0)
                 if dim_offset is None:
                     dim_offset = offset
-                dim_extent = max(dim_extent, extent)
+                dim_extent = larger(dim_extent, extent)
             offsets.append(dim_offset if dim_offset is not None else as_expr(0))
-            extents.append(min(dim_extent, full))
+            extents.append(smaller(dim_extent, full))
         if self._wrapped:
             overhang = [dim for dim, (offset, extent, full)
                         in enumerate(zip(offsets, extents,
@@ -588,7 +590,7 @@ def _step(expr: Expr) -> int:
     if isinstance(expr, IntImm):
         return abs(expr.value)
     if isinstance(expr, (Add, Sub)):
-        return math.gcd(_step(expr.a), _step(expr.b))
+        return gcd(_step(expr.a), _step(expr.b))
     if isinstance(expr, Mul) and isinstance(expr.b, IntImm):
         return _step(expr.a) * abs(expr.b.value)
     return 1
@@ -637,13 +639,13 @@ def _tile_of(expr: Expr, spans: Dict[Var, Tuple[int, int]]
         return start_a * k, (ext_a - 1) * k + 1, wrapped
     if ext_a == 1:
         return type(expr)(start_a, start_b), 1, wrapped
-    align = math.gcd(k, _step(simplify(start_a)))
+    align = gcd(k, _step(simplify(start_a)))
     if isinstance(expr, FloorDiv):
         rows = (k - align + ext_a - 1) // k + 1
         return (start_a // k, rows,
                 wrapped or rows > (ext_a - 1) // k + 1)
     if ext_a <= align or align == k:
-        return start_a % k, min(ext_a, k), wrapped
+        return start_a % k, smaller(ext_a, k), wrapped
     return as_expr(0), k, True
 
 

@@ -16,6 +16,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from ..te.expr import Call, Expr, ExprLike, IntImm, Var, as_expr, simplify
 from ..te.intrin import TensorIntrin
+from ..te.trace import SymInt
 
 __all__ = [
     "Buffer",
@@ -46,7 +47,7 @@ class Buffer:
     def __init__(self, name: str, shape: Sequence[int], dtype: str = "float32",
                  scope: str = "global"):
         self.name = name
-        self.shape = tuple(int(s) for s in shape)
+        self.shape = tuple(s if type(s) is SymInt else int(s) for s in shape)
         self.dtype = dtype
         self.scope = scope
         self.uid = next(Buffer._counter)

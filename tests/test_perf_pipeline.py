@@ -28,7 +28,7 @@ from repro.autotvm import (
     clear_eval_caches,
     eval_cache_stats,
 )
-from repro.autotvm.eval_cache import LRUCache
+from repro.autotvm.eval_cache import LOWERED_CACHE, LRUCache
 from repro.frontend import get_model
 from repro.graph import clear_timing_cache
 from repro.graph.ir import Graph, Node
@@ -601,6 +601,9 @@ class TestCandidateEvaluationFreesWhatItBuilds:
             for task, indices in samples:
                 for index in indices:
                     task.features_of(index).vector()
+            # the recorded lowerings are a cache of their own, bounded per
+            # class (tests/test_replay.py)
+            LOWERED_CACHE.clear()
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
