@@ -249,7 +249,7 @@ class ConfigEntity(ConfigSpace):
                 factors.extend(entity.size)
                 # a split applies every size but the outermost
                 ones.extend(size == 1 for size in entity.size[1:])
-                extent = self._split_extents.get(name, 0)
+                extent = self._split_extents[name]
                 for size in reversed(entity.size[1:]):
                     divides.append(extent % size == 0)
                     extent = -(-extent // size)

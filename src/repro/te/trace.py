@@ -322,17 +322,22 @@ class Tape:
         self._checks = checks
         self._outputs = outputs
 
-    def evaluate(self, factors: Sequence[int]) -> Optional[List[int]]:
-        """The output integers for ``factors``, or None if ``factors`` break
-        the path condition."""
+    def _run(self, factors: Sequence[int]) -> List[int]:
         functions = _FUNCTIONS
         values = list(self._initial)
         values[:self._inputs] = factors
+        for index, op, a, b in self._program:
+            values[index] = functions[op](values[a], values[b])
+        return values
+
+    def evaluate(self, factors: Sequence[int]) -> Optional[List[int]]:
+        """The output integers for ``factors``, or None if ``factors`` break
+        the path condition."""
         try:
-            for index, op, a, b in self._program:
-                values[index] = functions[op](values[a], values[b])
+            values = self._run(factors)
         except ArithmeticError:
             return None     # a divisor the recording saw nonzero is zero
+        functions = _FUNCTIONS
         for op, a, b, outcome in self._checks:
             if functions[op](values[a], values[b]) != outcome:
                 return None
@@ -340,14 +345,10 @@ class Tape:
 
     def broken_checks(self, factors: Sequence[int]) -> List[int]:
         """Positions of the recorded conditions ``factors`` break."""
-        functions = _FUNCTIONS
-        values = list(self._initial)
-        values[:self._inputs] = factors
-        for index, op, a, b in self._program:
-            values[index] = functions[op](values[a], values[b])
+        values = self._run(factors)
         return [position for position, (op, a, b, outcome)
                 in enumerate(self._checks)
-                if functions[op](values[a], values[b]) != outcome]
+                if _FUNCTIONS[op](values[a], values[b]) != outcome]
 
     def without_check(self, position: int) -> "Tape":
         """This tape with one recorded condition dropped (a perturbation for
@@ -355,7 +356,3 @@ class Tape:
         checks = self._checks[:position] + self._checks[position + 1:]
         return Tape(self._inputs, self._initial, self._program, checks,
                     self._outputs)
-
-    @property
-    def conditions(self) -> int:
-        return len(self._checks)

@@ -108,8 +108,9 @@ class Replay:
 
 
 # ------------------------------------------------------------------ the steps
-# A step is a tuple ``(kind, fields...)``; positions name earlier steps'
-# objects, and a traced integer is the tape output ``~field`` (negative).
+# A step is a tuple ``(kind, fields...)`` whose positions name earlier
+# steps' objects; a traced buffer dimension is ``~output`` (negative), the
+# index of its tape output.
 
 (_VAR, _INT, _TRACED_INT, _FLOAT, _STRING, _LITERAL, _BINOP, _NOT, _SELECT,
  _CALL, _CAST, _BUFFER, _LOAD, _STORE, _FOR, _IF, _SEQ, _ALLOCATE, _ATTR,
