@@ -217,6 +217,7 @@ class Trace:
         self._memo: Dict[Tuple, SymInt] = {}
         self._consts: Dict[int, int] = {}
         self.conditions: Dict[Tuple, bool] = {}
+        self._width = len(factors)
         self.inputs = [self._push((_INPUT, index, None), int(value))
                        for index, value in enumerate(factors)]
 
@@ -288,7 +289,7 @@ class Trace:
                 fn, a, b = self.ops[slot]
                 if fn is not _INPUT and fn is not _CONST:
                     needed.update((a, b))
-        order = sorted(needed | set(range(len(self.inputs))))
+        order = sorted(needed | set(range(self._width)))
         where = {slot: index for index, slot in enumerate(order)}
         initial: List[Optional[int]] = []
         program: List[Tuple[int, Callable, int, int]] = []
@@ -302,7 +303,7 @@ class Trace:
                     program.append((index, _OPCODE[fn], where[a], where[b]))
         checks = [(_OPCODE[fn], where[a], where[b], outcome)
                   for (fn, a, b), outcome in self.conditions.items()]
-        return Tape(len(self.inputs), initial, program, checks,
+        return Tape(self._width, initial, program, checks,
                     [where[slot] for slot in outputs])
 
 
