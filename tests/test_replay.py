@@ -28,7 +28,8 @@ TARGETS = ("cuda", "mali", "arm_cpu", "pynq_cpu", "vdla")
 
 
 def _tasks():
-    """``(label, task)`` of every template x target on small shapes."""
+    """``(label, task)`` of every template x target on small shapes, and a
+    conv with 28-wide rows on cuda and arm_cpu."""
     for op in ("conv2d", "depthwise_conv2d", "dense"):
         b = ModelBuilder("replay", seed=0)
         if op == "dense":
@@ -42,6 +43,14 @@ def _tasks():
             target = create_target(name)
             if is_templated(node, target):
                 yield f"{op}/{name}", make_task_for_node(node, target)
+    # 28-wide rows and 32 channels: fused GPU tiles that wrap, cooperative
+    # fills whose thread count does not divide their region, and CPU
+    # channel tiles on either side of the template's unroll limit
+    b = ModelBuilder("replay", seed=0)
+    out = b.conv2d(b.input("data", (1, 16, 28, 28)), 32, 1, 1, 0, name="op")
+    node = b.finalize(out)[0].find("op")
+    for name in ("cuda", "arm_cpu"):
+        yield f"conv2d_28/{name}", make_task_for_node(node, create_target(name))
 
 
 def _name(name):
@@ -154,15 +163,16 @@ def test_replay_is_the_lowering_of_every_template_and_target():
     labels = []
     for label, task in _tasks():
         labels.append(label)
-        for config in _sample(task, 16, seed=3):
+        count = 64 if label.startswith("conv2d_28/") else 16
+        for config in _sample(task, count, seed=3):
             bucket = _bucket(task, config)
             matched = any(r.values(config.structure()[1]) is not None
                           for r in bucket)
             replayed += matched
             condition_broken += bool(bucket) and not matched
             assert not _differs(task, config), f"{label} {config}"
-    assert len(labels) == 14
-    assert replayed >= 100 and condition_broken >= 8
+    assert len(labels) == 16
+    assert replayed >= 180 and condition_broken >= 24
     stats = eval_cache_stats()["lowered"]
     assert stats["hits"] == replayed
     clear_eval_caches()
@@ -240,4 +250,27 @@ def test_a_recorded_class_keeps_plain_data_only():
     classes = sum(len(bucket) for bucket in LOWERED_CACHE._data.values())
     assert classes >= 24
     assert retained / classes < RETAINED_BYTES_PER_CLASS
+    clear_eval_caches()
+
+
+def test_a_template_the_tape_cannot_follow_is_lowered_plainly():
+    """A template that turns a split factor into a plain ``int`` leaves the
+    tape: its configs are lowered without a recording, and still right."""
+    from repro import te
+    from repro.autotvm import Task
+
+    def template(cfg, n):
+        A = te.placeholder((n,), name="A")
+        B = te.compute((n,), lambda i: A[i] * 2.0, name="B")
+        s = te.create_schedule(B.op)
+        tile = cfg.define_split("tile", n, num_outputs=2)
+        s[B].split(B.op.axis[0], factor=int(tile.size[1]))
+        return s, [A, B]
+
+    clear_eval_caches()
+    task = Task("untraced", template, (12,), create_target("arm_cpu"))
+    for config in list(task.config_space) * 2:
+        assert not _differs(task, config)
+    assert eval_cache_stats()["lowered"]["hits"] == 0
+    assert not any(LOWERED_CACHE._data.values())
     clear_eval_caches()
