@@ -25,6 +25,17 @@ __all__ = ["Task"]
 _CLASSES_PER_BUCKET = 8
 
 
+def _covering(bucket: Optional[Tuple[Replay, ...]], factors: List[int]
+              ) -> Tuple[Optional[Replay], Optional[List[int]]]:
+    """The recorded class of ``bucket`` whose path condition ``factors``
+    meet, and its integers for them (``(None, None)`` if none)."""
+    for replay in bucket or ():
+        values = replay.values(factors)
+        if values is not None:
+            return replay, values
+    return None, None
+
+
 class _FailureMarker:
     """Cached record of a lowering/featurisation/verification failure.
 
@@ -118,33 +129,55 @@ class Task:
         factors (:mod:`repro.te.trace`), and that recording joins the
         bucket.  Every call returns a fresh tree.
         """
+        return self._lower(config, build=True)[0]
+
+    def _lower(self, config: ConfigEntity, build: bool
+               ) -> Tuple[Optional[tir.LoweredFunc], Optional[Replay],
+                          Optional[List[int]]]:
+        """:meth:`lower` as ``(tree, class, values)``: a config of a
+        recorded class also gets the class and its integers, and no tree
+        unless ``build``."""
         name = f"{self.name}_c{config.index}"
         prekey, factors = config.structure()
         key = self._cache_prefix + (prekey,)
         bucket = LOWERED_CACHE.peek(key)
-        for replay in bucket or ():
-            values = replay.values(factors)
-            if values is not None:
-                LOWERED_CACHE.tally(hit=True)
-                return replay.build(values, name)
-        LOWERED_CACHE.tally(hit=False)
-        if bucket is not None:
+        replay, values = _covering(bucket, factors)
+        LOWERED_CACHE.tally(hit=replay is not None)
+        if replay is None and bucket is not None:
             try:
                 with Trace(factors) as trace:
                     schedule, tensors = self.instantiate(
                         config.traced(trace.inputs))
-                    replay = Replay(tir.lower(schedule, tensors, name=name),
-                                    trace)
+                    func = tir.lower(schedule, tensors, name=name)
+                replay = Replay(func, trace)
             except Untraceable:
-                pass
+                replay = None
             else:
                 LOWERED_CACHE.put(
                     key, (replay,) + bucket[:_CLASSES_PER_BUCKET - 1])
-                return replay.build(replay.values(factors), name)
-        else:
+                values = replay.values(factors)
+        elif bucket is None:
             LOWERED_CACHE.put(key, ())
+        if replay is not None:
+            return (replay.build(values, name) if build else None, replay,
+                    values)
         schedule, tensors = self.instantiate(config)
-        return tir.lower(schedule, tensors, name=name)
+        return tir.lower(schedule, tensors, name=name), None, None
+
+    def _features(self, config: ConfigEntity,
+                  func: tir.LoweredFunc) -> object:
+        """The features of ``config``, lowered to ``func`` — from the plan
+        of its recorded class if one covers it — or the marker of their
+        failure."""
+        prekey, factors = config.structure()
+        replay, values = _covering(
+            LOWERED_CACHE.peek(self._cache_prefix + (prekey,)), factors)
+        try:
+            if replay is not None:
+                return replay.features(values)
+            return tir.extract_features(func)
+        except Exception as exc:
+            return _FailureMarker.of(exc)
 
     # ---------------------------------------------------- memoized fast path
     def _cache_key(self, index: int) -> Tuple[str, str, str, int]:
@@ -156,14 +189,17 @@ class Task:
         This is the entry point of the candidate-evaluation fast path: the
         tuner's cost model, the measurer, the compiler's fallback-config
         search and kernel-time estimation all read the same shared cache, so
-        one lowering+featurisation serves every consumer.
+        one featurisation serves every consumer.  A config of a recorded
+        structure class is featurised from the class's plan, with no tree.
         """
         key = self._cache_key(index)
         cached = FEATURE_CACHE.get(key)
         if cached is None:
             try:
-                cached = tir.extract_features(
-                    self.lower(self.config_space.get(index)))
+                func, replay, values = self._lower(
+                    self.config_space.get(index), build=False)
+                cached = (replay.features(values) if replay is not None
+                          else tir.extract_features(func))
             except Exception as exc:
                 cached = _FailureMarker.of(exc)
             FEATURE_CACHE.put(key, cached)
@@ -177,23 +213,28 @@ class Task:
 
         The one memo of "is this candidate's program legal?": the verdict —
         verified, or the failure to replay — lives in the shared evaluation
-        cache beside the candidate's features, under the same identity.
-        Raises the typed :class:`~repro.analysis.errors.TIRVerifierError` of
-        an illegal schedule.
+        cache beside the candidate's features, under the same identity.  The
+        features, if not cached yet, come from the same lowering.  Raises
+        the typed :class:`~repro.analysis.errors.TIRVerifierError` of an
+        illegal schedule.
         """
         # Imported per call: repro.analysis imports the compiler, which
         # imports this package.
         from ..analysis.tir_verify import verify_func
 
-        key = self._cache_key(index) + ("verified",)
-        verdict = FEATURE_CACHE.get(key)
+        key = self._cache_key(index)
+        verdict = FEATURE_CACHE.get(key + ("verified",))
         if verdict is None:
             try:
-                verify_func(self.lower(self.config_space.get(index)))
+                config = self.config_space.get(index)
+                func = self.lower(config)
+                if key not in FEATURE_CACHE:
+                    FEATURE_CACHE.put(key, self._features(config, func))
+                verify_func(func)
                 verdict = True
             except Exception as exc:
                 verdict = _FailureMarker.of(exc)
-            FEATURE_CACHE.put(key, verdict)
+            FEATURE_CACHE.put(key + ("verified",), verdict)
         if isinstance(verdict, _FailureMarker):
             raise verdict.replay()
 

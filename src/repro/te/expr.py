@@ -64,6 +64,7 @@ __all__ = [
     "compile_bounds",
     "eval_bounds",
     "expr_bounds",
+    "rekey_bounds",
 ]
 
 ExprLike = Union["Expr", int, float, bool]
@@ -920,15 +921,15 @@ def eval_bounds(program: List[Tuple[int, object]],
     a free variable without a range is a ``KeyError`` naming it."""
     stack: List[Tuple] = []
     push = stack.append
+    pop = stack.pop
     for code, payload in program:
         if code == _B_VAR:
             push(var_ranges[payload])
+        elif code == _B_BINOP:
+            b = pop()
+            stack[-1] = payload(stack[-1], b)
         elif code == _B_CONST:
             push(payload)
-        elif code == _B_BINOP:
-            b = stack.pop()
-            a = stack.pop()
-            push(payload(a, b))
         else:  # _B_UNION
             parts = stack[-payload:]
             del stack[-payload:]
@@ -938,6 +939,25 @@ def eval_bounds(program: List[Tuple[int, object]],
                 high = max(high, part[1])
             push((low, high))
     return stack[-1]
+
+
+def rekey_bounds(program: List[Tuple[int, object]], var_key: Callable,
+                 const_key: Callable) -> Tuple[Tuple[int, object], ...]:
+    """``program`` reading its ranges by other keys, for :func:`eval_bounds`
+    against any indexable of intervals: each variable ``v`` by
+    ``var_key(v)`` (``None`` fixes it at 0), and each constant ``c`` that
+    ``const_key(c)`` keys (not ``None``) by that key."""
+    out = []
+    for code, payload in program:
+        if code == _B_VAR:
+            key = var_key(payload)
+            out.append((_B_CONST, (0, 0)) if key is None else (_B_VAR, key))
+        elif code == _B_CONST:
+            key = const_key(payload[0])
+            out.append((code, payload) if key is None else (_B_VAR, key))
+        else:
+            out.append((code, payload))
+    return tuple(out)
 
 
 def expr_bounds(expr: Expr, var_ranges: Dict[Var, Tuple]) -> Tuple:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["SymInt", "Trace", "Tape", "Untraceable", "recording", "smaller",
@@ -292,7 +293,7 @@ class Trace:
         order = sorted(needed | set(range(self._width)))
         where = {slot: index for index, slot in enumerate(order)}
         initial: List[Optional[int]] = []
-        program: List[Tuple[int, Callable, int, int]] = []
+        program: List[int] = []
         for index, slot in enumerate(order):
             fn, a, b = self.ops[slot]
             if fn is _CONST:
@@ -300,36 +301,46 @@ class Trace:
             else:
                 initial.append(None)
                 if fn is not _INPUT:
-                    program.append((index, _OPCODE[fn], where[a], where[b]))
-        checks = [(_OPCODE[fn], where[a], where[b], outcome)
-                  for (fn, a, b), outcome in self.conditions.items()]
+                    program += (index, _OPCODE[fn], where[a], where[b])
+        checks: List[int] = []
+        for (fn, a, b), outcome in self.conditions.items():
+            checks += (_OPCODE[fn], where[a], where[b], outcome)
         return Tape(self._width, initial, program, checks,
                     [where[slot] for slot in outputs])
 
 
 class Tape:
     """A recorded lowering's integers as a program over the factors, and the
-    path condition under which that program is the lowering's."""
+    path condition under which that program is the lowering's.
+
+    The program's steps ``(slot, function, slot a, slot b)`` and the
+    conditions ``(function, slot a, slot b, outcome)`` are kept flat, four
+    machine integers each: a recorded class lives as long as the cache
+    keeps it."""
 
     __slots__ = ("_inputs", "_initial", "_program", "_checks", "_outputs")
 
     def __init__(self, inputs: int, initial: List[Optional[int]],
-                 program: List[Tuple[int, int, int, int]],
-                 checks: List[Tuple[int, int, int, bool]],
+                 program: Sequence[int], checks: Sequence[int],
                  outputs: List[int]):
         self._inputs = inputs
         self._initial = initial
-        self._program = program
-        self._checks = checks
+        self._program = array("i", program)
+        self._checks = array("i", checks)
         self._outputs = outputs
 
     def _run(self, factors: Sequence[int]) -> List[int]:
         functions = _FUNCTIONS
         values = list(self._initial)
         values[:self._inputs] = factors
-        for index, op, a, b in self._program:
+        steps = iter(self._program)
+        for index, op, a, b in zip(steps, steps, steps, steps):
             values[index] = functions[op](values[a], values[b])
         return values
+
+    def _conditions(self):
+        checks = iter(self._checks)
+        return zip(checks, checks, checks, checks)
 
     def evaluate(self, factors: Sequence[int]) -> Optional[List[int]]:
         """The output integers for ``factors``, or None if ``factors`` break
@@ -339,7 +350,7 @@ class Tape:
         except ArithmeticError:
             return None     # a divisor the recording saw nonzero is zero
         functions = _FUNCTIONS
-        for op, a, b, outcome in self._checks:
+        for op, a, b, outcome in self._conditions():
             if functions[op](values[a], values[b]) != outcome:
                 return None
         return [values[index] for index in self._outputs]
@@ -348,12 +359,12 @@ class Tape:
         """Positions of the recorded conditions ``factors`` break."""
         values = self._run(factors)
         return [position for position, (op, a, b, outcome)
-                in enumerate(self._checks)
+                in enumerate(self._conditions())
                 if _FUNCTIONS[op](values[a], values[b]) != outcome]
 
     def without_check(self, position: int) -> "Tape":
         """This tape with one recorded condition dropped (a perturbation for
         tests: replay must then be caught disagreeing with a lowering)."""
-        checks = self._checks[:position] + self._checks[position + 1:]
+        checks = self._checks[:4 * position] + self._checks[4 * position + 4:]
         return Tape(self._inputs, self._initial, self._program, checks,
                     self._outputs)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..te.expr import (BinaryOp, Call, Expr, compile_bounds, eval_bounds,
-                       expr_children)
+                       expr_children, rekey_bounds)
+from ..te.trace import SymInt, Untraceable
 from .stmt import (
     Allocate,
     AttrStmt,
@@ -36,7 +37,8 @@ from .stmt import (
     dtype_bytes,
 )
 
-__all__ = ["BufferAccess", "ProgramFeatures", "extract_features", "FEATURE_NAMES"]
+__all__ = ["BufferAccess", "FeaturePlan", "ProgramFeatures", "extract_features",
+           "FEATURE_NAMES"]
 
 
 @dataclass(slots=True)
@@ -272,52 +274,259 @@ def _count_ops(expr: Expr) -> Tuple[int, int]:
 #: shared "fixed at zero" interval for bound queries
 _ZERO_BOUNDS = (0, 0)
 
+#: the features a plan sums over its statements, each term a count times
+#: a loop nest's trip count
+_SUMS = ("flops", "int_ops", "intrinsic_calls", "intrinsic_flops",
+         "barrier_count", "dep_token_count", "store_count")
+#: loop kinds whose iterations keep a loaded value in registers
+_REGISTER_KINDS = (ForKind.UNROLLED, ForKind.VECTORIZED)
+#: loop kinds with a feature of their own (any other counts as serial)
+_ANNOTATED = (ForKind.VECTORIZED, ForKind.UNROLLED, ForKind.PARALLEL,
+              ForKind.VTHREAD)
 
-class _FeatureExtractor:
-    """Single-pass statement walker.
 
-    The walker maintains the *effective* loop stack incrementally — the
-    enclosing loops with re-bound thread tags deduplicated (outermost binding
-    wins) and their extents pre-evaluated — instead of re-deriving it for
-    every buffer access, and compiles each index expression's bounds program
-    once.
-    The features produced are bit-identical to a naive per-access recompute.
+def _flat(records: List[Tuple]) -> Tuple:
+    return tuple(field for record in records for field in record)
+
+
+def _records(flat: Tuple, width: int):
+    """The ``width``-field records of a :func:`_flat` tuple, in order."""
+    fields = iter(flat)
+    return zip(*[fields] * width)
+
+
+def _width(program: Tuple, ranges: Tuple) -> float:
+    """How many values an index takes over ``ranges`` (at least 1.0, and
+    1.0 if its bounds cannot be evaluated)."""
+    try:
+        low, high = eval_bounds(program, ranges)
+        return max(1.0, float(high - low + 1))
+    except Exception:
+        return 1.0
+
+
+class FeaturePlan:
+    """The features of a loop program as arithmetic on its integers.
+
+    Compiling walks the tree once and keeps what its integers do not
+    decide: the effective loop nest (a loop re-binding a thread tag an
+    enclosing loop binds runs on the same hardware thread and is dropped),
+    each access's buffer and the loops that multiply its count, the bounds
+    program of each global-buffer index, every statement's op counts, and
+    the allocations.  Every integer is a position in ``values`` — the tape
+    outputs of a recorded lowering (:class:`~repro.tir.replay.Replay`),
+    whose slots ``outputs`` maps to positions — or in the plan's own
+    constants, so one plan featurises every config of a structure class.
+    :meth:`evaluate` does the float operations a walk of the tree built from
+    ``values`` does, in its order: the features are bit-identical.
     """
 
-    def __init__(self) -> None:
-        self.features = ProgramFeatures()
-        # Effective (tag-deduplicated) loop stack, maintained in _visit_for.
-        self._eff_loops: List[For] = []
-        self._eff_extents: List[float] = []     # float extent, 1.0 if symbolic
-        self._eff_full: List[Tuple] = []        # (0, extent - 1) interval
-        self._eff_level: Dict[object, int] = {} # loop_var -> eff stack index
-        self._eff_added: List[bool] = []        # per enclosing loop
-        self._active_tags: Set[str] = set()
-        # Prefix products of the extents: a fresh tuple on every push and the
-        # enclosing one restored on pop, so it also names the nest's state.
-        self._trips: Tuple[float, ...] = (1.0,)
-        self._index_cache: Dict[int, Tuple[Expr, List, List]] = {}
-        self._widths_cache: Dict[Tuple[int, int], Tuple[Tuple, List]] = {}
+    __slots__ = ("_consts", "_depth", "_loops", "_buffers", "_allocations",
+                 "_accesses", "_widths", "_regions", "_sums")
 
-    def _index_info(self, expr: Expr) -> Tuple[List, List]:
-        """Memoized ``(free vars, compiled bounds program)`` of an index
-        expression (the expr is pinned in the value to keep ids stable)."""
-        cached = self._index_cache.get(id(expr))
+    def __init__(self, tree, outputs: Optional[Dict[int, int]] = None):
+        compiler = _PlanCompiler(outputs or {})
+        if isinstance(tree, LoweredFunc):
+            compiler.allocations.extend(compiler.buffer(alloc)
+                                        for alloc in tree.allocations)
+            tree = tree.body
+        compiler.stmt(tree)
+        self._consts = list(compiler.consts)
+        self._depth = compiler.depth
+        # records kept flat: a recorded class keeps its plan for as long
+        # as the cache keeps the class
+        self._loops = _flat(compiler.loops)
+        self._buffers = tuple(compiler.buffers)
+        self._allocations = tuple(compiler.allocations)
+        self._accesses = _flat(compiler.accesses)
+        self._widths = _flat(compiler.widths)
+        self._regions = _flat(compiler.regions)
+        self._sums = tuple((name, _flat(terms))
+                           for name, terms in compiler.sums.items() if terms)
+
+    def evaluate(self, values: Sequence[int] = ()) -> ProgramFeatures:
+        """The :class:`ProgramFeatures` of the program with ``values``."""
+        v = [*values, *self._consts]
+        f = ProgramFeatures(max_loop_depth=self._depth)
+        threads = f.thread_extents
+        # Per nest (0 is outside every loop): the prefix products of the
+        # effective extents, shared by the nest's regions, and each loop's
+        # full ``(0, extent - 1)`` interval.
+        trips = [(1.0,)]
+        fulls = [()]
+        carried = []            # per effective loop: max(extent, 1.0)
+        for kind, ref, tag, outer in _records(self._loops, 4):
+            extent = v[ref]
+            if kind == ForKind.VECTORIZED:
+                f.vector_lanes = max(f.vector_lanes, float(extent))
+            elif kind == ForKind.UNROLLED:
+                f.unroll_product *= float(extent)
+            elif kind == ForKind.PARALLEL:
+                f.parallel_extent *= float(extent)
+            elif kind == ForKind.THREAD_BINDING:
+                threads[tag] = threads.get(tag, 1.0) * float(extent)
+            elif kind == ForKind.VTHREAD:
+                f.vthread_extent *= float(extent)
+            elif kind == ForKind.SERIAL:
+                f.serial_trip_count *= float(max(extent, 1))
+            if outer is not None:
+                extent = float(extent)
+                outer_trips = trips[outer]
+                trips.append(outer_trips + (outer_trips[-1] * extent,))
+                fulls.append(fulls[outer] + ((0, max(extent - 1, 0)),))
+                carried.append(max(extent, 1.0))
+        counts = [nest[-1] for nest in trips]
+        for name, terms in self._sums:
+            total = 0.0
+            for nest, factor in _records(terms, 2):
+                total += factor * counts[nest]
+            setattr(f, name, total)
+
+        buffers = self._buffers
+        sizes = []
+        for _name, _scope, _dtype, elem, dims in buffers:
+            sizes.append(math.prod([v[dim] for dim in dims]) * elem)
+        allocation = f.allocation_bytes
+        for buf in self._allocations:
+            scope = buffers[buf][1]
+            allocation[scope] = allocation.get(scope, 0.0) + sizes[buf]
+
+        by_name = f.buffer_access
+        scope_bytes = f.scope_bytes
+        scope_unique = f.scope_unique_bytes
+        for nest, buf, is_store, multiplier in _records(self._accesses, 4):
+            count = counts[nest]
+            if type(multiplier) is tuple:     # the loops that multiply it
+                effective = 1.0
+                for loop in multiplier:
+                    effective *= carried[loop]
+                count = min(count, effective)
+            elif multiplier is not None:      # a tensor intrinsic's operand
+                count = count * multiplier
+            name, scope, dtype, elem, _dims = buffers[buf]
+            size = float(sizes[buf])
+            access = by_name.get(name)
+            if access is None:
+                access = by_name[name] = BufferAccess(name, scope, dtype,
+                                                      unique_bytes=size)
+            if is_store:
+                access.store_count += count
+            else:
+                access.load_count += count
+            scope_bytes[scope] = scope_bytes.get(scope, 0.0) + count * elem
+            scope_unique[scope] = max(scope_unique.get(scope, 0.0), size)
+
+        # Per-level extent multiplier of each global index: bounds change
+        # only at the levels that fix one of its loops, so each run of
+        # levels evaluates once.
+        widths = []
+        for program, tail, segments, nest, last in _records(self._widths, 5):
+            full = fulls[nest]
+            # traced constants, at the end of the ranges (keys ~0, ~1, ...)
+            constants = tuple([(v[ref], v[ref]) for ref in tail])
+            vals: List[float] = []
+            level = 0
+            for length in segments:
+                if last is None or level + length <= len(full):
+                    current = _width(program, (_ZERO_BOUNDS,) * level
+                                     + full[level:] + constants)
+                else:
+                    current = last
+                vals += [current] * length
+                level += length
+            widths.append(vals)
+        regions = f.access_regions
+        for nest, buf, jobs in _records(self._regions, 3):
+            per_index = [widths[job] for job in jobs]
+            elem = buffers[buf][3]
+            size = float(sizes[buf])
+            touched: List[float] = []
+            previous = None
+            for level in range(len(trips[nest])):
+                region = elem
+                for vals in per_index:
+                    region *= vals[level]
+                region = min(region, size)
+                if region != previous:      # else repeat the previous float
+                    previous = region
+                touched.append(previous)
+            regions.append(AccessRegion(elem, touched, trips[nest],
+                                        counts[nest]))
+        return f
+
+
+class _PlanCompiler:
+    """One walk of a tree, writing the parts of a :class:`FeaturePlan`."""
+
+    def __init__(self, outputs: Dict[int, int]):
+        self.outputs = outputs
+        self.consts: Dict[int, int] = {}        # constant -> position
+        self.depth = 0
+        # (kind, extent, tag, enclosing nest) per loop; no nest (None) for a
+        # loop re-binding an enclosing thread tag
+        self.loops: List[Tuple] = []
+        self.buffers: List[Tuple] = []
+        self.allocations: List[int] = []
+        self.accesses: List[Tuple] = []
+        self.widths: List[Tuple] = []
+        self.regions: List[Tuple] = []
+        self.sums: Dict[str, List[Tuple[int, float]]] = {n: [] for n in _SUMS}
+        # the walk's state: the current nest, and its effective loops as
+        # (loop, var, kind) with each var's level
+        self._nest = 0
+        self._effective = 0
+        self._stack: List[Tuple[int, Expr, str]] = []
+        self._level: Dict[Expr, int] = {}
+        self._tags: Set[str] = set()
+        self._nesting = 0
+        self._buffer_ids: Dict[int, int] = {}
+        self._bounds: Dict[int, Tuple] = {}
+        self._programs: Dict[Tuple, Tuple] = {}
+        self._shared: Dict[Tuple, Tuple] = {}
+        self._width_ids: Dict[Tuple[int, int], int] = {}
+
+    def ref(self, value: int) -> int:
+        """The position of an integer in ``values + constants``."""
+        if type(value) is SymInt:
+            position = self.outputs.get(value.slot)
+            if position is None:
+                raise Untraceable("an integer the recording does not output")
+            return position
+        position = self.consts.get(value)
+        if position is None:
+            position = self.consts[value] = len(self.outputs) + len(self.consts)
+        return position
+
+    def buffer(self, buffer: Buffer) -> int:
+        buf = self._buffer_ids.get(id(buffer))
+        if buf is None:
+            buf = self._buffer_ids[id(buffer)] = len(self.buffers)
+            self.buffers.append((buffer.name, buffer.scope, buffer.dtype,
+                                 dtype_bytes(buffer.dtype),
+                                 self.share(tuple(self.ref(dim)
+                                                  for dim in buffer.shape))))
+        return buf
+
+    def add(self, name: str, factor: float) -> None:
+        if factor:                      # a zero term leaves the sum as it is
+            self.sums[name].append((self._nest, factor))
+
+    def bounds(self, index: Expr) -> Tuple[Optional[List], Optional[List]]:
+        """Memoized ``compile_bounds(index)``, ``(None, None)`` if it
+        raises."""
+        cached = self._bounds.get(id(index))
         if cached is None:
-            free, program = compile_bounds(expr)
-            cached = (expr, free, program)
-            self._index_cache[id(expr)] = cached
-        return cached[1], cached[2]
+            try:
+                cached = compile_bounds(index)
+            except Exception:
+                cached = (None, None)
+            self._bounds[id(index)] = cached
+        return cached
 
-    # Effective iteration multiplier for the current loop nest.  Loops bound
-    # to a thread tag already active in an enclosing loop re-use the same
-    # hardware thread (cooperative fetching pattern) and therefore do not
-    # multiply the per-thread trip count.
-    def _trip_count(self) -> float:
-        return self._trips[-1]
-
-    def _effective_access_count(self, indices: List[Expr]) -> float:
-        """Number of times this access actually reaches the memory system.
+    def access(self, buffer: Buffer, indices: List[Expr],
+               is_store: bool) -> None:
+        """One access: how often it reaches the memory system, and the
+        region a global one touches per loop level.
 
         The raw trip count of the enclosing loop nest overstates traffic
         because real code generators perform loop-invariant code motion and
@@ -329,234 +538,167 @@ class _FeatureExtractor:
           the access above it), or
         * the loop is unrolled or vectorized (the register allocator keeps
           the value live across its iterations).
-
-        Thread-bound loops re-using an already bound tag are skipped exactly
-        as in :meth:`_trip_count`.
         """
-        index_vars = set()
+        index_vars: Set[Expr] = set()
+        multiplier: Optional[Tuple[int, ...]] = None
         for index in indices:
-            try:
-                index_vars.update(self._index_info(index)[0])
-            except Exception:
-                return self._trip_count()
-
-        count = 1.0
-        all_deeper_independent = True
-        for pos in range(len(self._eff_loops) - 1, -1, -1):
-            loop = self._eff_loops[pos]
-            extent = self._eff_extents[pos]
-            independent = loop.loop_var not in index_vars
-            registers_carry = loop.kind in (ForKind.UNROLLED, ForKind.VECTORIZED)
-            if independent and (all_deeper_independent or registers_carry):
-                pass  # hoisted or kept in registers: does not multiply traffic
-            else:
-                count *= max(extent, 1.0)
-            all_deeper_independent = all_deeper_independent and independent
-        return count
-
-    def _index_widths(self, index: Expr) -> List[float]:
-        """Per-level extent multiplier of one index, memoized per (index,
-        loop nest) — a reduction's init store, update store and accumulator
-        load share index expressions.  Bounds only change at the levels that
-        fix one of the index's free loop vars, so only those re-evaluate."""
-        key = (id(index), id(self._trips))
-        cached = self._widths_cache.get(key)
-        if cached is not None:
-            return cached[1]
-        n_loops = len(self._eff_loops)
-        try:
-            free, program = self._index_info(index)
-        except Exception:
-            return [1.0] * (n_loops + 1)
-        eff_level = self._eff_level
-        eff_full = self._eff_full
-        free_pos = [(v, eff_level.get(v)) for v in free]
-        recompute = {pos + 1 for _v, pos in free_pos if pos is not None}
-        vals = []
-        current = None
-        for level in range(n_loops + 1):
-            if current is None or level in recompute:
-                try:
-                    env = {}
-                    for v, pos in free_pos:
-                        if pos is None or pos < level:
-                            env[v] = _ZERO_BOUNDS
-                        else:
-                            env[v] = eff_full[pos]
-                    low, high = eval_bounds(program, env)
-                    current = max(1.0, float(high - low + 1))
-                except Exception:
-                    current = 1.0
-            vals.append(current)
-        self._widths_cache[key] = (self._trips, vals)  # pins the key's ids
-        return vals
-
-    def _record_region(self, buffer: Buffer, indices: List[Expr]) -> None:
-        """Record loop-level touch statistics for one global-buffer access
-        (see :class:`AccessRegion` for why only global ones)."""
-        if buffer.scope != "global":
-            return
-        per_index = [self._index_widths(index) for index in indices]
-        elem = dtype_bytes(buffer.dtype)
-        size_bytes = float(buffer.size_bytes)
-        touched: List[float] = []
-        previous = None
-        for level in range(len(self._eff_loops) + 1):
-            region = elem
-            for vals in per_index:
-                region *= vals[level]
-            region = min(region, size_bytes)
-            if region != previous:      # else repeat the previous float
-                previous = region
-            touched.append(previous)
-        self.features.access_regions.append(
-            AccessRegion(elem, touched, self._trips, self._trips[-1]))
-
-    def _record_access(self, buffer: Buffer, count: float, is_store: bool) -> None:
-        access = self.features.buffer_access.setdefault(
-            buffer.name,
-            BufferAccess(buffer.name, buffer.scope, buffer.dtype,
-                         unique_bytes=float(buffer.size_bytes)))
-        if is_store:
-            access.store_count += count
+            free = self.bounds(index)[0]
+            if free is None:
+                break
+            index_vars.update(free)
         else:
-            access.load_count += count
-        bytes_moved = count * dtype_bytes(buffer.dtype)
-        self.features.scope_bytes[buffer.scope] = (
-            self.features.scope_bytes.get(buffer.scope, 0.0) + bytes_moved)
-        self.features.scope_unique_bytes[buffer.scope] = max(
-            self.features.scope_unique_bytes.get(buffer.scope, 0.0),
-            float(buffer.size_bytes))
+            loops = []
+            deeper_independent = True
+            for loop, var, kind in reversed(self._stack):
+                independent = var not in index_vars
+                if not (independent and (deeper_independent
+                                         or kind in _REGISTER_KINDS)):
+                    loops.append(loop)
+                deeper_independent = deeper_independent and independent
+            multiplier = self.share(tuple(loops))
+        buf = self.buffer(buffer)
+        self.accesses.append((self._nest, buf, is_store, multiplier))
+        if buffer.scope == "global":    # see AccessRegion for why
+            self.regions.append((self._nest, buf, tuple(
+                self.width(index) for index in indices)))
 
-    def _visit_expr_loads(self, expr: Expr, count: float) -> None:
-        stack = [expr]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, BufferLoad):
-                effective = min(count, self._effective_access_count(node.indices))
-                self._record_access(node.buffer, effective, is_store=False)
-                self._record_region(node.buffer, node.indices)
-            stack.extend(expr_children(node))
+    def width(self, index: Expr) -> int:
+        """The plan's per-level width job of ``index`` in this nest: its
+        program and the lengths of the segments of levels over which its
+        bounds do not change."""
+        key = (id(index), self._nest)
+        job = self._width_ids.get(key)
+        if job is None:
+            free, program = self.bounds(index)
+            tail: Tuple[int, ...] = ()
+            starts = {0}
+            if program is not None:
+                levels = tuple(self._level.get(var) for var in free)
+                starts.update(level + 1 for level in levels
+                              if level is not None)
+                program, tail = self.rekeyed(index, program, levels)
+            # the last run, past every loop the index reads, reads no value
+            # unless the index has a traced constant: its width is known now
+            last = (1.0 if program is None else None if tail else _width(
+                program, (_ZERO_BOUNDS,) * len(self._stack)))
+            bounds = sorted(starts) + [len(self._stack) + 1]
+            self.widths.append((program, tail, self.share(tuple(
+                end - start for start, end in zip(bounds, bounds[1:]))),
+                self._nest, last))
+            job = self._width_ids[key] = len(self.widths) - 1
+        return job
+
+    def rekeyed(self, index: Expr, program: List,
+                levels: Tuple) -> Tuple[Tuple, Tuple[int, ...]]:
+        """``index``'s bounds program over loop levels, and the positions
+        of its traced constants (``~0, ~1, ...`` in the program)."""
+        key = (id(index), levels)
+        cached = self._programs.get(key)
+        if cached is None:
+            tail: List[int] = []
+
+            def constant_key(value):
+                if type(value) is not SymInt:
+                    return None
+                tail.append(self.ref(value))
+                return ~(len(tail) - 1)
+
+            program = tuple(self.share(step, step if type(step[1]) is not tuple
+                                       else (step, type(step[1][0])))
+                            for step in rekey_bounds(program, self._level.get,
+                                                     constant_key))
+            cached = self._programs[key] = (
+                self.share(program, tuple(map(id, program))),
+                self.share(tuple(reversed(tail))))
+        return cached
+
+    def share(self, value: Tuple, key: Optional[Tuple] = None) -> Tuple:
+        """``value``, or the equal tuple the plan already holds (``key``,
+        if given, tells equal ones apart: ``1`` and ``1.0`` are equal)."""
+        return self._shared.setdefault((key or value,), value)
 
     # ------------------------------------------------------------------ walk
-    def visit(self, stmt: Stmt) -> None:
+    def stmt(self, stmt: Stmt) -> None:
         if isinstance(stmt, SeqStmt):
             for sub in stmt.stmts:
-                self.visit(sub)
-            return
-        if isinstance(stmt, For):
-            self._visit_for(stmt)
-            return
-        if isinstance(stmt, IfThenElse):
-            self.visit(stmt.then_body)
+                self.stmt(sub)
+        elif isinstance(stmt, For):
+            self.loop(stmt)
+        elif isinstance(stmt, IfThenElse):
+            self.stmt(stmt.then_body)
             if stmt.else_body is not None:
-                self.visit(stmt.else_body)
-            return
-        if isinstance(stmt, (Allocate, AttrStmt)):
+                self.stmt(stmt.else_body)
+        elif isinstance(stmt, (Allocate, AttrStmt)):
             if isinstance(stmt, Allocate):
-                scope = stmt.buffer.scope
-                self.features.allocation_bytes[scope] = (
-                    self.features.allocation_bytes.get(scope, 0.0)
-                    + stmt.buffer.size_bytes)
-            self.visit(stmt.body)
-            return
-        if isinstance(stmt, Barrier):
-            self.features.barrier_count += self._trip_count()
-            return
-        if isinstance(stmt, (DepPush, DepPop)):
-            self.features.dep_token_count += self._trip_count()
-            return
-        if isinstance(stmt, Evaluate):
-            return
-        if isinstance(stmt, BufferStore):
-            count = self._trip_count()
-            self.features.store_count += count
-            effective = min(count, self._effective_access_count(stmt.indices))
-            self._record_access(stmt.buffer, effective, is_store=True)
-            self._record_region(stmt.buffer, stmt.indices)
-            self._visit_expr_loads(stmt.value, count)
+                self.allocations.append(self.buffer(stmt.buffer))
+            self.stmt(stmt.body)
+        elif isinstance(stmt, Barrier):
+            self.add("barrier_count", 1)
+        elif isinstance(stmt, (DepPush, DepPop)):
+            self.add("dep_token_count", 1)
+        elif isinstance(stmt, Evaluate):
+            pass
+        elif isinstance(stmt, BufferStore):
+            self.add("store_count", 1)
+            self.access(stmt.buffer, stmt.indices, True)
+            stack = [stmt.value]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, BufferLoad):
+                    self.access(node.buffer, node.indices, False)
+                stack.extend(expr_children(node))
             for index in stmt.indices:
-                _, iops = _count_ops(index)
-                self.features.int_ops += iops * count
+                self.add("int_ops", _count_ops(index)[1])
             flops, iops = _count_ops(stmt.value)
-            self.features.flops += flops * count
-            self.features.int_ops += iops * count
-            return
-        if isinstance(stmt, IntrinsicStmt):
-            count = self._trip_count()
-            self.features.intrinsic_calls += count
-            self.features.intrinsic_flops += count * stmt.intrin.flop
-            # Intrinsic reads its inputs and writes its output once per call.
-            out_shape = stmt.intrin.output_shape
-            out_elems = 1
-            for dim in out_shape:
-                out_elems *= dim
-            self._record_access(stmt.output, count * out_elems, is_store=True)
+            self.add("flops", flops)
+            self.add("int_ops", iops)
+        elif isinstance(stmt, IntrinsicStmt):
+            self.add("intrinsic_calls", 1)
+            self.add("intrinsic_flops", stmt.intrin.flop)
+            # reads its inputs and writes its output once per call
+            self.accesses.append((self._nest, self.buffer(stmt.output),
+                                  True, math.prod(stmt.intrin.output_shape)))
             for decl_input, buffer in zip(stmt.intrin.inputs, stmt.inputs):
-                elems = 1
-                for dim in decl_input.shape_values():
-                    elems *= dim
-                self._record_access(buffer, count * elems, is_store=False)
-            return
-        raise TypeError(f"Unhandled statement in feature extraction: {stmt!r}")
-
-    def _visit_for(self, loop: For) -> None:
-        try:
-            extent = loop.extent_value()
-        except ValueError:
-            extent = 1
-        if loop.kind == ForKind.VECTORIZED:
-            self.features.vector_lanes = max(self.features.vector_lanes, float(extent))
-        elif loop.kind == ForKind.UNROLLED:
-            self.features.unroll_product *= float(extent)
-        elif loop.kind == ForKind.PARALLEL:
-            self.features.parallel_extent *= float(extent)
-        elif loop.kind == ForKind.THREAD_BINDING and loop.thread_tag:
-            if loop.thread_tag not in self._active_tags:
-                current = self.features.thread_extents.get(loop.thread_tag, 1.0)
-                self.features.thread_extents[loop.thread_tag] = current * float(extent)
-        elif loop.kind == ForKind.VTHREAD:
-            self.features.vthread_extent *= float(extent)
+                self.accesses.append((self._nest, self.buffer(buffer), False,
+                                      math.prod(decl_input.shape_values())))
         else:
-            self.features.serial_trip_count *= float(max(extent, 1))
+            raise TypeError(
+                f"Unhandled statement in feature extraction: {stmt!r}")
 
-        # Push onto the effective (tag-deduplicated) stack unless an
-        # enclosing loop already binds the same thread tag.
-        added = not (loop.thread_tag and loop.thread_tag in self._active_tags)
-        outer_trips = self._trips
-        if added:
-            ext = float(extent)
-            if loop.thread_tag:
-                self._active_tags.add(loop.thread_tag)
-            self._eff_loops.append(loop)
-            self._eff_extents.append(ext)
-            self._eff_full.append((0, max(ext - 1, 0)))
-            self._eff_level[loop.loop_var] = len(self._eff_loops) - 1
-            self._trips = outer_trips + (outer_trips[-1] * ext,)
-        self._eff_added.append(added)
-
-        self.features.max_loop_depth = max(self.features.max_loop_depth,
-                                           len(self._eff_added))
-        self.visit(loop.body)
-        self._trips = outer_trips
-        if self._eff_added.pop():
-            self._eff_loops.pop()
-            self._eff_extents.pop()
-            self._eff_full.pop()
-            self._eff_level.pop(loop.loop_var, None)
-            if loop.thread_tag:
-                self._active_tags.discard(loop.thread_tag)
+    def loop(self, loop: For) -> None:
+        try:
+            extent = self.ref(loop.extent_value())
+        except ValueError:
+            extent = self.ref(1)
+        kind, tag = loop.kind, loop.thread_tag
+        rebound = bool(tag) and tag in self._tags
+        if kind == ForKind.THREAD_BINDING and tag:
+            if rebound:
+                kind = None     # the enclosing binding counts it
+        elif kind not in _ANNOTATED:
+            kind = ForKind.SERIAL
+        self.loops.append((kind, extent, tag, None if rebound else self._nest))
+        self._nesting += 1
+        self.depth = max(self.depth, self._nesting)
+        outer = self._nest
+        if not rebound:
+            if tag:
+                self._tags.add(tag)
+            self._level[loop.loop_var] = len(self._stack)
+            self._stack.append((self._effective, loop.loop_var, loop.kind))
+            self._effective += 1
+            self._nest = self._effective
+        self.stmt(loop.body)
+        self._nesting -= 1
+        if not rebound:
+            self._stack.pop()
+            self._level.pop(loop.loop_var, None)
+            self._nest = outer
+            if tag:
+                self._tags.discard(tag)
 
 
 def extract_features(func_or_stmt) -> ProgramFeatures:
-    """Extract :class:`ProgramFeatures` from a lowered function or statement."""
-    extractor = _FeatureExtractor()
-    if isinstance(func_or_stmt, LoweredFunc):
-        for alloc in func_or_stmt.allocations:
-            extractor.features.allocation_bytes[alloc.scope] = (
-                extractor.features.allocation_bytes.get(alloc.scope, 0.0)
-                + alloc.size_bytes)
-        extractor.visit(func_or_stmt.body)
-    else:
-        extractor.visit(func_or_stmt)
-    return extractor.features
+    """Extract :class:`ProgramFeatures` from a lowered function or statement
+    (its :class:`FeaturePlan`, evaluated once)."""
+    return FeaturePlan(func_or_stmt).evaluate()

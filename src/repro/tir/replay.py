@@ -8,11 +8,13 @@ another config of the same template, :meth:`Replay.values` runs the tape on
 that config's factors and returns None unless every recorded comparison
 comes out the same.  If it does, the lowering would take exactly the
 recorded steps, so :meth:`Replay.build` re-emits the tree with that
-config's integers: every node, variable and buffer fresh.
+config's integers, every node, variable and buffer fresh, and
+:meth:`Replay.features` gives that tree's features without building it, from
+the class's :class:`~repro.tir.analysis.FeaturePlan`.
 
-The program holds strings and integers (and the tensor intrinsic a
-tensorized tree calls), so a cached class costs the collector next to
-nothing: the recorded tree itself is not kept.
+The program and the plan hold strings and integers (and the tensor
+intrinsic a tensorized tree calls), so a cached class costs the collector
+next to nothing: the recorded tree itself is not kept.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from ..te.expr import (
     Var,
 )
 from ..te.trace import SymInt, Tape, Trace, Untraceable
+from .analysis import FeaturePlan, ProgramFeatures
 from .stmt import (
     Allocate,
     AttrStmt,
@@ -77,7 +80,7 @@ class Replay:
     """A recorded lowering, re-emitted for any config meeting its path
     condition."""
 
-    __slots__ = ("tape", "_size", "_program", "_args", "_body",
+    __slots__ = ("tape", "plan", "_size", "_program", "_args", "_body",
                  "_allocations")
 
     def __init__(self, func: LoweredFunc, trace: Trace):
@@ -87,6 +90,7 @@ class Replay:
         self._allocations = tuple(recorder.buffer(b)
                                   for b in func.allocations)
         self.tape: Tape = trace.tape(recorder.outputs)
+        self.plan = FeaturePlan(func, recorder.positions)
         self._size = len(recorder.program)
         self._program = tuple(recorder.program)
 
@@ -94,6 +98,11 @@ class Replay:
         """The recorded tree's integers for ``factors``, or None if the
         config's lowering would take another path."""
         return self.tape.evaluate(factors)
+
+    def features(self, values: List[int]) -> ProgramFeatures:
+        """The features of the tree :meth:`build` emits for ``values``,
+        with no tree built."""
+        return self.plan.evaluate(values)
 
     def build(self, values: List[int], name: str) -> LoweredFunc:
         """A fresh lowered function named ``name``: the recorded tree with
@@ -160,17 +169,17 @@ class _Recorder:
     def __init__(self) -> None:
         self.program: List[Tuple] = []
         self.outputs: List[int] = []               # tape slots, in order
+        self.positions: Dict[int, int] = {}        # tape slot -> output
         self._memo: Dict[int, int] = {}
-        self._outputs: Dict[int, int] = {}
 
     def _step(self, *step) -> int:
         self.program.append(step)
         return len(self.program) - 1
 
     def _output(self, slot: int) -> int:
-        index = self._outputs.get(slot)
+        index = self.positions.get(slot)
         if index is None:
-            index = self._outputs[slot] = len(self.outputs)
+            index = self.positions[slot] = len(self.outputs)
             self.outputs.append(slot)
         return index
 

@@ -1,5 +1,6 @@
 """Tests for loop-program feature extraction and the hardware models."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -9,10 +10,9 @@ import numpy as np
 import pytest
 
 from repro import te, tir
-from repro.te.expr import eval_bounds
-from repro.tir import analysis as tir_analysis
-from repro.tir.analysis import _ZERO_BOUNDS
-from repro.tir.stmt import dtype_bytes
+from repro.te.expr import compile_bounds, eval_bounds, expr_children
+from repro.tir.stmt import (Allocate, AttrStmt, BufferLoad, BufferStore, For, IfThenElse,
+                            SeqStmt, dtype_bytes)
 from repro.hardware import (
     EmbeddedCPU,
     MobileGPU,
@@ -83,7 +83,7 @@ FEATURES_FINGERPRINT = "f9bd37e437e0f46f"
 
 
 def _template_candidates(channels=4, size=6, units=12):
-    """``(op, target name, target, config, lowered func)`` over every
+    """``(op, target name, task, config, lowered func)`` over every
     template x target, 8 seeded configs each; the defaults are small
     shapes."""
     from repro.frontend import ModelBuilder
@@ -105,13 +105,24 @@ def _template_candidates(channels=4, size=6, units=12):
                 continue
             task = make_task_for_node(node, target)
             for config in task.config_space.sample(8, random.Random(3)):
-                yield op, name, target, config, task.lower(config)
+                yield op, name, task, config, task.lower(config)
 
 
-def _features_fingerprint() -> str:
+def _features_fingerprint(planned: bool = False) -> str:
+    """The digest of the sampled configs' features: of each lowered tree,
+    or (``planned``) ``Task.features_of`` once all the task's configs have
+    been lowered — a config of a recorded structure class is featurised from
+    the class's plan, with no tree."""
+    from repro.autotvm import clear_eval_caches
+
+    clear_eval_caches()
     digest = hashlib.sha256()
-    for op, name, _target, config, func in _template_candidates():
-        f = tir.extract_features(func)
+    candidates = itertools.chain.from_iterable(
+        list(group) for _task, group in itertools.groupby(
+            _template_candidates(), key=lambda candidate: candidate[2]))
+    for op, name, task, config, func in candidates:
+        f = (task.features_of(config.index) if planned
+             else tir.extract_features(func))
         digest.update(repr((
             op, name, config.index, f.to_vector(), f.flops, f.int_ops,
             f.intrinsic_flops, f.store_count,
@@ -124,8 +135,10 @@ def _features_fingerprint() -> str:
 def test_program_features_fingerprint():
     """The features of a fixed config set per (template, target) are pinned:
     a rewrite of lowering, simplification or feature extraction that is
-    meant to compute the same features must keep this hash."""
+    meant to compute the same features must keep this hash, along both
+    paths."""
     assert _features_fingerprint() == FEATURES_FINGERPRINT
+    assert _features_fingerprint(planned=True) == FEATURES_FINGERPRINT
 
 
 class _ReferenceRegion:
@@ -171,38 +184,71 @@ class _ReferenceFeatures(tir.ProgramFeatures):
         return sum(r.cache_traffic(cache_bytes) for r in regions)
 
 
-class _ReferenceExtractor(tir_analysis._FeatureExtractor):
-    """The extractor with the per-level, all-scope region recorder: every
-    access's widths evaluated afresh, one trip list per access."""
+class _ReferenceRegions:
+    """The per-level, all-scope region recorder, as a walk of the tree of its
+    own: every access's widths evaluated afresh at every level, one trip list
+    per access."""
 
     def __init__(self):
-        super().__init__()
-        self.features = _ReferenceFeatures()
+        self.regions = []
+        self._loops = []            # effective (tag-deduplicated) loops
+        self._tags = set()
 
-    def _record_region(self, buffer, indices):
-        n_loops = len(self._eff_loops)
+    def visit(self, stmt):
+        if isinstance(stmt, SeqStmt):
+            for sub in stmt.stmts:
+                self.visit(sub)
+        elif isinstance(stmt, For):
+            try:
+                extent = stmt.extent_value()
+            except ValueError:
+                extent = 1
+            tag = stmt.thread_tag
+            added = not (tag and tag in self._tags)
+            if added:
+                self._tags.add(tag)
+                self._loops.append((stmt.loop_var, float(extent)))
+            self.visit(stmt.body)
+            if added:
+                self._loops.pop()
+                self._tags.discard(tag)
+        elif isinstance(stmt, IfThenElse):
+            self.visit(stmt.then_body)
+            if stmt.else_body is not None:
+                self.visit(stmt.else_body)
+        elif isinstance(stmt, (Allocate, AttrStmt)):
+            self.visit(stmt.body)
+        elif isinstance(stmt, BufferStore):
+            self._record(stmt.buffer, stmt.indices)
+            stack = [stmt.value]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, BufferLoad):
+                    self._record(node.buffer, node.indices)
+                stack.extend(expr_children(node))
+
+    def _record(self, buffer, indices):
+        n_loops = len(self._loops)
+        level_of = {id(var): pos for pos, (var, _) in enumerate(self._loops)}
         per_index = []
         for index in indices:
             try:
-                free, program = self._index_info(index)
+                free, program = compile_bounds(index)
             except Exception:
                 per_index.append([1.0] * (n_loops + 1))
                 continue
-            free_pos = [(v, self._eff_level.get(v)) for v in free]
-            recompute = {pos + 1 for _v, pos in free_pos if pos is not None}
             vals = []
-            current = None
             for level in range(n_loops + 1):
-                if current is None or level in recompute:
-                    try:
-                        env = {v: (_ZERO_BOUNDS if pos is None or pos < level
-                                   else self._eff_full[pos])
-                               for v, pos in free_pos}
-                        low, high = eval_bounds(program, env)
-                        current = max(1.0, float(high - low + 1))
-                    except Exception:
-                        current = 1.0
-                vals.append(current)
+                env = {}
+                for var in free:
+                    pos = level_of.get(id(var))
+                    env[var] = ((0, 0) if pos is None or pos < level
+                                else (0, max(self._loops[pos][1] - 1, 0)))
+                try:
+                    low, high = eval_bounds(program, env)
+                    vals.append(max(1.0, float(high - low + 1)))
+                except Exception:
+                    vals.append(1.0)
             per_index.append(vals)
         touched = []
         trips = []
@@ -214,27 +260,37 @@ class _ReferenceExtractor(tir_analysis._FeatureExtractor):
             touched.append(min(region, float(buffer.size_bytes)))
             trips.append(trip)
             if level < n_loops:
-                trip *= self._eff_extents[level]
-        self.features.reference_regions.append(_ReferenceRegion(
+                trip *= self._loops[level][1]
+        self.regions.append(_ReferenceRegion(
             buffer.scope, buffer.dtype, touched, trips, trips[-1]))
 
 
-def test_cache_traffic_matches_the_per_level_reference(monkeypatch):
-    """Regions of global buffers only, widths memoised per loop nest and
-    shared trip tuples give bitwise the cache traffic and the estimates of
-    the per-level, all-scope reference."""
+def _reference_features(func):
+    """``func``'s features, with the regions the reference records."""
+    features = tir.extract_features(func)
+    reference = _ReferenceFeatures()
+    for f in dataclasses.fields(features):
+        if f.compare:
+            setattr(reference, f.name, getattr(features, f.name))
+    walk = _ReferenceRegions()
+    walk.visit(func.body)
+    reference.reference_regions = walk.regions
+    return reference
+
+
+def test_cache_traffic_matches_the_per_level_reference():
+    """Regions of global buffers only, widths evaluated once per segment of
+    levels and shared trip tuples give bitwise the cache traffic and the
+    estimates of the per-level, all-scope reference walk."""
     sizes = [1, 4 << 10, 32 << 10, 256 << 10, 512 << 10, 3 << 20, 1e12]
     checked = 0
     candidates = itertools.chain(
         _template_candidates(),
         _template_candidates(channels=32, size=28, units=256))
-    for _op, _name, target, _config, func in candidates:
+    for _op, _name, task, _config, func in candidates:
+        target = task.target
         features = tir.extract_features(func)
-        with monkeypatch.context() as patch:
-            patch.setattr(tir_analysis, "_FeatureExtractor",
-                          _ReferenceExtractor)
-            reference = tir.extract_features(func)
-        assert isinstance(reference, _ReferenceFeatures)
+        reference = _reference_features(func)
         params = target.model.params
         model_sizes = [getattr(params, name) for name in ("l1_bytes",
                                                           "l2_bytes")

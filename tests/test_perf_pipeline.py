@@ -120,6 +120,28 @@ class TestTaskEvalCache:
         assert direct.to_vector() == cached.to_vector()
         assert direct.total_flops == cached.total_flops
 
+    def test_a_measured_config_is_lowered_once(self, monkeypatch):
+        """The measurer verifies a config, then reads its features: one
+        lowering serves both (``Task._lower`` is where ``Task.lower`` and
+        ``Task.features_of`` lower)."""
+        clear_eval_caches()
+        task = _zoo_conv_task("resnet-18", "cuda")
+        configs = task.config_space.sample(16, random.Random(0))
+        lowered = []
+        real = autotvm.Task._lower
+
+        def counted(self, config, build):
+            lowered.append(config.index)
+            return real(self, config, build)
+
+        monkeypatch.setattr(autotvm.Task, "_lower", counted)
+        results = Measurer(number=1, seed=0).measure(
+            [MeasureInput(task, config) for config in configs])
+        assert len(results) == len(configs)
+        assert sorted(lowered) == sorted(c.index for c in configs)
+        assert len(FEATURE_CACHE) == 2 * len(configs)   # features, verdict
+        clear_eval_caches()
+
     def test_second_read_is_a_hit(self, small_task):
         small_task.features_of(5)
         before = eval_cache_stats()["features"]["hits"]

@@ -9,6 +9,8 @@ every template and target; and a recording that forgot one condition must
 be caught by that comparison.
 """
 
+import copy
+import dataclasses
 import gc
 import random
 import re
@@ -211,6 +213,78 @@ def test_a_recording_that_forgets_a_condition_is_caught():
             task.lower(config)
     assert tried >= 30
     assert caught >= 20
+
+
+def _named(features):
+    """``features`` with buffer names without the name counter's suffix: a
+    replayed config keeps the names of its class's recording."""
+    named = copy.copy(features)
+    named.buffer_access = {
+        _name(name): dataclasses.replace(access, buffer_name=_name(name))
+        for name, access in features.buffer_access.items()}
+    return named
+
+
+def _fresh_features(task, config):
+    schedule, tensors = task.instantiate(config)
+    return _named(tir.extract_features(tir.lower(schedule, tensors)))
+
+
+def test_the_plan_computes_what_the_tree_walk_computes():
+    """A config of a recorded class is featurised from the class's plan,
+    with no tree: its features equal those of a fresh lowering's tree, as
+    whole ``ProgramFeatures`` (regions, buffer accesses, thread extents and
+    allocations included), on every template and target."""
+    clear_eval_caches()
+    planned = 0
+    for label, task in _tasks():
+        count = 64 if label.startswith("conv2d_28/") else 16
+        for config in _sample(task, count, seed=3):
+            factors = config.structure()[1]
+            planned += any(r.values(factors) is not None
+                           for r in _bucket(task, config))
+            assert (_named(task.features_of(config.index))
+                    == _fresh_features(task, config)), f"{label} {config}"
+    assert planned >= 180
+    clear_eval_caches()
+
+
+def test_a_plan_that_reads_a_shifted_slot_is_caught():
+    """Perturbation: point one loop extent of a class's plan at the next
+    tape output.  For a config of the class whose two outputs differ, the
+    plan then computes other features than the config's tree has, and the
+    comparison above says so."""
+    clear_eval_caches()
+    caught = tried = 0
+    for label, task in _tasks():
+        if not label.startswith(("conv2d/cuda", "depthwise_conv2d/")):
+            continue
+        for config in _sample(task, 32, seed=3):
+            task.lower(config)
+            factors = config.structure()[1]
+            for replay in _bucket(task, config):
+                values = replay.values(factors)
+                if values is None:
+                    continue
+                want = _fresh_features(task, config)
+                # (kind, extent, tag, enclosing nest) per loop, kept flat
+                loops = replay.plan._loops
+                for position in range(1, len(loops), 4):
+                    ref, outer = loops[position], loops[position + 2]
+                    shifted = (ref + 1) % len(values)
+                    if (outer is None or ref >= len(values)
+                            or values[shifted] == values[ref]):
+                        continue
+                    plan = copy.copy(replay.plan)
+                    plan._loops = (loops[:position] + (shifted,)
+                                   + loops[position + 1:])
+                    tried += 1
+                    caught += _named(plan.evaluate(values)) != want
+                assert _named(replay.features(values)) == want
+                break
+    assert tried >= 1000
+    assert caught == tried
+    clear_eval_caches()
 
 
 #: retained bytes per recorded class, over the classes of 96 seeded configs

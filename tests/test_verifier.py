@@ -785,6 +785,36 @@ class TestLintInvariants:
         harness.write_text(source)
         assert linter.lint_file(harness) == []
 
+    def test_one_feature_extractor_rule(self, tmp_path):
+        linter = _load_linter()
+        source = (
+            "from .. import tir\n"
+            "from ..tir import extract_features\n"
+            "class Task:\n"
+            "    def features_of(self, index):\n"
+            "        return tir.extract_features(self.lower(index))\n"  # the memo
+            "def _features(task, config):\n"
+            "    return tir.extract_features(task.lower(config))\n"
+            "class Tuner:\n"
+            "    def score(self, func):\n"                 # a second memo
+            "        return extract_features(func)\n")
+        memo = tmp_path / "autotvm" / "task.py"
+        memo.parent.mkdir()
+        memo.write_text(source)
+        assert [(v.rule, v.line) for v in linter.lint_file(memo)] \
+            == [("one-feature-extractor", line) for line in (7, 10)]
+        # anywhere else outside tir/ every call is one; the VDLA model reads
+        # a whole lowered function, and tir/ defines the extractor
+        tuner = tmp_path / "graph" / "op_timing.py"
+        tuner.parent.mkdir()
+        tuner.write_text(source)
+        assert [v.line for v in linter.lint_file(tuner)] == [5, 7, 10]
+        for allowed in (("hardware", "vdla.py"), ("tir", "replay.py")):
+            path = tmp_path.joinpath(*allowed)
+            path.parent.mkdir()
+            path.write_text(source)
+            assert linter.lint_file(path) == []
+
     def test_no_compressed_weights_rule(self, tmp_path):
         linter = _load_linter()
         artifact = tmp_path / "runtime" / "artifact.py"
@@ -801,7 +831,7 @@ class TestLintInvariants:
 
     def test_library_has_a_caller_rule(self, tmp_path):
         linter = _load_linter()
-        assert len(linter.RULES) == 16
+        assert len(linter.RULES) == 17
         assert "library-has-a-caller" in linter.RULES
         root = tmp_path / "pkg"
         files = {

@@ -2,7 +2,8 @@
 """Recompute the committed determinism fingerprints (ROADMAP item 10).
 
 Prints each digest beside its committed literal — the ``ProgramFeatures``
-of every template's sampled configs, the compile of the five
+of every template's sampled configs (of each lowered tree, and again
+through ``Task.features_of``, from the structure classes' plans), the compile of the five
 ``compile_deploy_zoo`` pairs at ``opt_level`` 0 - 3, the zoo's initial
 weights, the TIR verifier's verdicts on sampled resnet-18/cuda configs,
 and the trial curves of one seeded two-workload tuning session — using the recipes of the tests that pin them
@@ -30,6 +31,9 @@ def main() -> int:
     rows = [
         ("features", features._features_fingerprint,
          features.FEATURES_FINGERPRINT),
+        ("features (plan)",
+         lambda: features._features_fingerprint(planned=True),
+         features.FEATURES_FINGERPRINT),
         ("compile", lambda: zoo._digest(zoo.zoo_compile_records()),
          zoo.COMPILE_FINGERPRINT),
         ("weights", lambda: zoo.weights_digest(zoo.zoo_weights()),
@@ -45,7 +49,7 @@ def main() -> int:
         digest = compute()
         verdict = "ok" if digest == literal else "MISMATCH"
         mismatches += digest != literal
-        print(f"{name:<9} {digest}  committed {literal}  {verdict}")
+        print(f"{name:<15} {digest}  committed {literal}  {verdict}")
     return 1 if mismatches else 0
 
 

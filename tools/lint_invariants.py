@@ -115,6 +115,15 @@ Rules
     while tuning was verified again at compile, and the measurer re-raised
     one live exception object whose traceback grew with every replay.
 
+``one-feature-extractor``
+    Outside ``tir/``, ``extract_features(`` is called only by ``Task`` in
+    ``autotvm/task.py`` (the shared features memo) and by the VDLA model in
+    ``hardware/vdla.py`` (which reads a whole lowered function).  A
+    candidate's features are memoised once, beside its verdict, and a config
+    of a recorded structure class is featurised from the class's plan with
+    no tree: a second featurisation memo elsewhere would walk a fresh tree
+    for every candidate again.
+
 ``no-compressed-weights``
     No ``savez_compressed`` call anywhere in ``src/repro``.  Float32 weights
     shrink about 7 % under deflate, and deflate ran at 11 – 14 MB/s: the
@@ -204,6 +213,8 @@ RULES = {
                         "keyword or parameter"),
     "one-verification-memo": ("verify_func( only inside analysis/ and the "
                               "memo autotvm/task.py::Task.verify"),
+    "one-feature-extractor": ("extract_features( outside tir/ only in "
+                              "autotvm/task.py::Task and hardware/vdla.py"),
     "no-compressed-weights": ("no savez_compressed call (weights shrink ~7 % "
                               "under deflate at 11-14 MB/s; store them)"),
     "one-weight-draw": ("frontend/: standard_normal / normal / uniform only "
@@ -244,6 +255,10 @@ _PLUGIN_NAMES = ("instruments", "extra_passes")
 #: the one scope outside analysis/ that may call ``verify_func``: file, then
 #: enclosing class and method
 _VERIFY_MEMO_SITE = ("autotvm", "task.py", "Task", "verify")
+#: the scopes outside tir/ that may call ``extract_features``: file, then
+#: enclosing class (``None``: anywhere in the file)
+_FEATURE_EXTRACTOR_SITES = ((("autotvm", "task.py"), "Task"),
+                            (("hardware", "vdla.py"), None))
 #: generator draws that ``one-weight-draw`` confines to the weight helper
 _WEIGHT_DRAWS = ("standard_normal", "normal", "uniform")
 #: the one scope of frontend/ that may draw from a generator
@@ -408,6 +423,9 @@ class _Linter(ast.NodeVisitor):
         self.is_compile_path = any(part in _COMPILE_PACKAGES for part in parts)
         self.is_pipeline = any(part in _PIPELINE_PACKAGES for part in parts)
         self.is_verify_memo_file = parts[-2:] == _VERIFY_MEMO_SITE[:2]
+        self.feature_extractor_scope = next(
+            (scope for site, scope in _FEATURE_EXTRACTOR_SITES
+             if parts[-2:] == site), False)
         self.is_kernels = parts[-2:] == ("topi", "reference.py")
         self.owns_bounds = parts[-2:] == ("te", "expr.py")
         self.is_weight_draw_file = parts[-2:] == _WEIGHT_DRAW_SITE[:2]
@@ -601,6 +619,13 @@ class _Linter(ast.NodeVisitor):
             self._report("one-verification-memo", node,
                          "verify_func( outside autotvm/task.py::Task.verify "
                          "— verify through Task.verify, the one memo")
+        if (self.package != "tir" and _calls(node, "extract_features")
+                and self.feature_extractor_scope is not None
+                and self.feature_extractor_scope not in self._scope[:1]):
+            self._report("one-feature-extractor", node,
+                         "extract_features( outside tir/, autotvm/task.py::"
+                         "Task and hardware/vdla.py — featurise a candidate "
+                         "through Task.features_of, the one memo")
         if (self.package == "frontend"
                 and any(_calls(node, draw) for draw in _WEIGHT_DRAWS)
                 and not (self.is_weight_draw_file
