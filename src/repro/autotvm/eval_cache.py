@@ -16,20 +16,23 @@ Lowering is cached per *structure class* in :data:`LOWERED_CACHE`, keyed by
 the task's identity and the config's pre-key
 (:meth:`~repro.autotvm.space.ConfigEntity.structure`).  A bucket holds up to
 eight recorded lowerings (:class:`~repro.tir.replay.Replay`); a config whose
-split factors meet one of their path conditions is re-emitted from it with
-no instantiation and no lowering (see :meth:`~repro.autotvm.Task.lower` for
-which configs are recorded).  A per-config
-key never hit (0 hits in 28,107 lookups when one was tried): a tuner asks
-for each config once, and the features cache already answers repeats.  A
-recorded class keeps plain tuples, not tree nodes, so 64 buckets stay a few
-megabytes.
+split factors meet one of their path conditions is featurised from the
+class's plan (:class:`~repro.tir.analysis.FeaturePlan`) with no tree at all,
+and re-emitted from the recording with no instantiation and no lowering
+when a tree is asked for (see :meth:`~repro.autotvm.Task.lower` for which
+configs are recorded).  A per-config key never hit (0 hits in 28,107
+lookups when one was tried): a tuner asks for each config once, and the
+features cache already answers repeats.  A recorded class keeps plain
+tuples and flat integer arrays, not tree nodes (≈ 27 KB with its plan), so
+64 buckets stay a few megabytes.
 
 The cache evicts one least-recently-used entry at a time, so a long tuning
 session keeps its working set hot.  An entry keeps what its readers use: a
-seed-0 ``tune_session`` round of ``benchmarks/e2e`` leaves 5,303 entries
-retaining 26.6 MB by ``tracemalloc`` (≈ 5.0 KB each; the access regions of
-global buffers only, see :class:`~repro.tir.analysis.AccessRegion`), so the
-50,000-entry cap bounds the cache at ≈ 250 MB.  Failures are cached too: a
+seed-0 ``tune_session`` round of ``benchmarks/e2e`` leaves 5,339 features
+entries and 247 verdicts retaining 25.9 MB by ``tracemalloc`` (≈ 4.9 KB a
+features entry; the access regions of global buffers only, see
+:class:`~repro.tir.analysis.AccessRegion`), so the 50,000-entry cap bounds
+the cache at ≈ 250 MB.  Failures are cached too: a
 config whose schedule cannot be lowered raises an equivalent exception on
 every evaluation instead of re-running the failing lowering.
 

@@ -325,7 +325,7 @@ class FeaturePlan:
                  "_accesses", "_widths", "_regions", "_sums")
 
     def __init__(self, tree, outputs: Optional[Dict[int, int]] = None):
-        compiler = _PlanCompiler(outputs or {})
+        compiler = _PlanCompiler(outputs)
         if isinstance(tree, LoweredFunc):
             compiler.allocations.extend(compiler.buffer(alloc)
                                         for alloc in tree.allocations)
@@ -458,8 +458,8 @@ class FeaturePlan:
 class _PlanCompiler:
     """One walk of a tree, writing the parts of a :class:`FeaturePlan`."""
 
-    def __init__(self, outputs: Dict[int, int]):
-        self.outputs = outputs
+    def __init__(self, outputs: Optional[Dict[int, int]]):
+        self.outputs = outputs or {}
         self.consts: Dict[int, int] = {}        # constant -> position
         self.depth = 0
         # (kind, extent, tag, enclosing nest) per loop; no nest (None) for a
@@ -472,17 +472,20 @@ class _PlanCompiler:
         self.regions: List[Tuple] = []
         self.sums: Dict[str, List[Tuple[int, float]]] = {n: [] for n in _SUMS}
         # the walk's state: the current nest, and its effective loops as
-        # (loop, var, kind) with each var's level
+        # (loop, id of its var, kind) with each var's level
         self._nest = 0
         self._effective = 0
-        self._stack: List[Tuple[int, Expr, str]] = []
-        self._level: Dict[Expr, int] = {}
+        self._stack: List[Tuple[int, int, str]] = []
+        self._level: Dict[int, int] = {}       # by id(var): Expr hashes slowly
         self._tags: Set[str] = set()
         self._nesting = 0
         self._buffer_ids: Dict[int, int] = {}
         self._bounds: Dict[int, Tuple] = {}
         self._programs: Dict[Tuple, Tuple] = {}
-        self._shared: Dict[Tuple, Tuple] = {}
+        # a recorded class's plan (one with outputs) lives as long as the
+        # class: it shares its equal tuples
+        self._shared: Optional[Dict[Tuple, Tuple]] = (
+            None if outputs is None else {})
         self._width_ids: Dict[Tuple[int, int], int] = {}
 
     def ref(self, value: int) -> int:
@@ -539,18 +542,18 @@ class _PlanCompiler:
         * the loop is unrolled or vectorized (the register allocator keeps
           the value live across its iterations).
         """
-        index_vars: Set[Expr] = set()
+        index_vars: Set[int] = set()
         multiplier: Optional[Tuple[int, ...]] = None
         for index in indices:
             free = self.bounds(index)[0]
             if free is None:
                 break
-            index_vars.update(free)
+            index_vars.update(map(id, free))
         else:
             loops = []
             deeper_independent = True
             for loop, var, kind in reversed(self._stack):
-                independent = var not in index_vars
+                independent = var not in index_vars    # an id
                 if not (independent and (deeper_independent
                                          or kind in _REGISTER_KINDS)):
                     loops.append(loop)
@@ -573,7 +576,7 @@ class _PlanCompiler:
             tail: Tuple[int, ...] = ()
             starts = {0}
             if program is not None:
-                levels = tuple(self._level.get(var) for var in free)
+                levels = tuple([self._level.get(id(var)) for var in free])
                 starts.update(level + 1 for level in levels
                               if level is not None)
                 program, tail = self.rekeyed(index, program, levels)
@@ -603,18 +606,24 @@ class _PlanCompiler:
                 tail.append(self.ref(value))
                 return ~(len(tail) - 1)
 
-            program = tuple(self.share(step, step if type(step[1]) is not tuple
-                                       else (step, type(step[1][0])))
-                            for step in rekey_bounds(program, self._level.get,
-                                                     constant_key))
-            cached = self._programs[key] = (
-                self.share(program, tuple(map(id, program))),
-                self.share(tuple(reversed(tail))))
+            program = rekey_bounds(program,
+                                   lambda var: self._level.get(id(var)),
+                                   constant_key)
+            if self._shared is not None:
+                program = tuple(self.share(step, step if type(step[1])
+                                           is not tuple
+                                           else (step, type(step[1][0])))
+                                for step in program)
+                program = self.share(program, tuple(map(id, program)))
+            cached = self._programs[key] = (program,
+                                            self.share(tuple(reversed(tail))))
         return cached
 
     def share(self, value: Tuple, key: Optional[Tuple] = None) -> Tuple:
         """``value``, or the equal tuple the plan already holds (``key``,
         if given, tells equal ones apart: ``1`` and ``1.0`` are equal)."""
+        if self._shared is None:
+            return value
         return self._shared.setdefault((key or value,), value)
 
     # ------------------------------------------------------------------ walk
@@ -684,15 +693,16 @@ class _PlanCompiler:
         if not rebound:
             if tag:
                 self._tags.add(tag)
-            self._level[loop.loop_var] = len(self._stack)
-            self._stack.append((self._effective, loop.loop_var, loop.kind))
+            self._level[id(loop.loop_var)] = len(self._stack)
+            self._stack.append((self._effective, id(loop.loop_var),
+                                loop.kind))
             self._effective += 1
             self._nest = self._effective
         self.stmt(loop.body)
         self._nesting -= 1
         if not rebound:
             self._stack.pop()
-            self._level.pop(loop.loop_var, None)
+            self._level.pop(id(loop.loop_var), None)
             self._nest = outer
             if tag:
                 self._tags.discard(tag)
