@@ -27,6 +27,9 @@ import numpy as np
 
 __all__ = ["RegressionTree", "GradientBoostedTrees", "rank_correlation"]
 
+#: ``a.sum()`` of a 1-D array without the method's Python wrapper
+_sum = np.add.reduce
+
 
 class RegressionTree:
     """A CART-style regression tree fitted to (features, residuals).
@@ -43,7 +46,7 @@ class RegressionTree:
         self.min_samples_leaf = min_samples_leaf
         self.max_thresholds = max_thresholds
         self.tree_: Optional[dict] = None
-        self._flat: Optional[Tuple[np.ndarray, ...]] = None
+        self._flat: Optional[Tuple] = None     # see _flatten
         self._quantile_fractions = np.linspace(0.1, 0.9, max_thresholds)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RegressionTree":
@@ -52,27 +55,27 @@ class RegressionTree:
         return self
 
     def _build(self, x: np.ndarray, y: np.ndarray, depth: int) -> dict:
-        # y.sum()/n and the explicit squared-deviation sum reproduce
+        # _sum(y)/n and the explicit squared-deviation sum reproduce
         # np.mean/np.var bit-for-bit (same pairwise reduction, same divide)
         # without their per-call wrapper overhead.
         n = len(y)
-        mean = y.sum() / n if n else 0.0
+        mean = _sum(y) / n if n else 0.0
         node = {"value": float(mean) if n else 0.0}
         if depth >= self.max_depth or n < 2 * self.min_samples_leaf:
             return node
         deviation = y - mean
-        sq_deviation = deviation * deviation
-        if float(sq_deviation.sum() / n) < 1e-12:
+        if float(_sum(deviation * deviation) / n) < 1e-12:
             return node
         best = self._best_split(x, y)
         if best is None:
             return node
         feature, threshold, mask = best
+        right = ~mask
         node.update({
             "feature": feature,
             "threshold": threshold,
             "left": self._build(x[mask], y[mask], depth + 1),
-            "right": self._build(x[~mask], y[~mask], depth + 1),
+            "right": self._build(x[right], y[right], depth + 1),
         })
         return node
 
@@ -80,189 +83,161 @@ class RegressionTree:
     def _best_split(self, x: np.ndarray, y: np.ndarray):
         """Sorted cumulative-sum split finder.
 
-        For each feature the per-threshold left/right sums of ``y`` and
-        ``y**2`` come from one sort + cumsum instead of a boolean-mask rescan
-        per threshold.  Because the cumulative sums round differently than
-        a per-side ``np.sum`` over a boolean mask, the handful of candidates
-        whose approximate gain is within a tolerance of the best are
-        re-evaluated with that exact arithmetic — so the selected split (and
-        the fitted tree) is bit-identical to the per-threshold rescan, at the
-        cumsum scan's speed.
+        Every column is sorted once, and each candidate's left sum of ``y``
+        comes from a cumulative sum.  A feature with at most
+        ``max_thresholds`` distinct values splits at the midpoint of each
+        boundary between runs of its sorted column, where the left count is
+        the boundary's row (so a node of at most that many rows needs no
+        distinct values at all); one with more takes quantile thresholds of
+        its distinct values, counted against the column.  The cumulative
+        sums round differently than a per-side ``np.sum`` over a boolean
+        mask, so every candidate whose approximate gain is within a
+        tolerance of the best is re-evaluated with that exact arithmetic,
+        once per distinct partition — so the selected split (and the fitted
+        tree) is bit-identical to the per-threshold rescan.
         """
         n_samples, n_features = x.shape
-        base_error = float(np.sum((y - y.mean()) ** 2))
         min_leaf = self.min_samples_leaf
-        max_t = self.max_thresholds
-        fractions = self._quantile_fractions
-        # One bulk sort/cumsum pass over every feature column.
-        orders = np.argsort(x, axis=0, kind="stable")
-        sorted_cols = np.take_along_axis(x, orders, axis=0)
-        ys = y[orders]
-        cum = np.cumsum(ys, axis=0)
-        cum_sq = np.cumsum(ys * ys, axis=0)
-        keep = np.empty_like(sorted_cols, dtype=bool)
-        keep[0, :] = True
-        np.not_equal(sorted_cols[1:], sorted_cols[:-1], out=keep[1:])
-        n_unique = keep.sum(axis=0)
-        total, total_sq = cum[-1], cum_sq[-1]
+        # _sum(a) / len(a) is a.mean() bit for bit, without its wrapper.
+        deviation = y - _sum(y) / n_samples
+        base_error = float(_sum(deviation * deviation))
+        orders = x.argsort(axis=0, kind="stable")
+        sorted_cols = x[orders, np.arange(n_features)]
+        cum = y[orders].cumsum(axis=0)
+        total = cum[-1]
+        offset = total * total / n_samples
+        # Row k - 1 is the boundary after the k-th sorted row.
+        lower, upper = sorted_cols[:-1], sorted_cols[1:]
+        boundary = lower != upper
+        quantile_ids = ()
+        if n_samples > self.max_thresholds:
+            quantile_ids = np.nonzero(boundary.sum(axis=0)
+                                      >= self.max_thresholds)[0]
+        if len(quantile_ids):
+            # Each such feature's distinct values: the first row of every
+            # run of its sorted column.
+            columns = sorted_cols[:, quantile_ids].T
+            keep = np.empty(columns.shape, dtype=bool)
+            keep[:, 0] = True
+            keep[:, 1:] = boundary[:, quantile_ids].T
+            boundary[:, quantile_ids] = False
+            counts = keep.sum(axis=1)[:, None]
+            starts = np.zeros_like(counts)
+            np.cumsum(counts[:-1, 0], out=starts[1:, 0])
+            uvals = columns[keep]
+            # np.quantile's linear interpolation, replicated.
+            virtual = self._quantile_fractions * (counts - 1)
+            below = np.floor(virtual).astype(np.int64)
+            gamma = virtual - below
+            a = uvals[starts + below]
+            b = uvals[starts + np.minimum(below + 1, counts - 1)]
+            diff = b - a
+            q_cand = np.where(gamma >= 0.5, b - diff * (1 - gamma),
+                              a + diff * gamma)
+            q_left = (columns[:, None, :] <= q_cand[:, :, None]).sum(axis=2)
+            q_valid = (q_left >= min_leaf) & (n_samples - q_left >= min_leaf)
+            q_left = np.where(q_valid, q_left, 1)
+            left_sum = cum[q_left - 1, quantile_ids[:, None]]
+            rest = total[quantile_ids][:, None] - left_sum
+            q_gain = (left_sum * left_sum / q_left
+                      + rest * rest / np.where(q_valid, n_samples - q_left, 1)
+                      - offset[quantile_ids][:, None])
 
-        # Flat per-feature unique values and their first-occurrence rows:
-        # uvals[offsets[f] + j] is the j-th unique of feature f, and
-        # u_starts[offsets[f] + j] is where its run starts in sorted order.
-        keep_t = keep.T
-        uvals = sorted_cols.T[keep_t]
-        u_starts = np.nonzero(keep_t)[1]
-        offsets = np.zeros(n_features, dtype=np.int64)
-        np.cumsum(n_unique[:-1], out=offsets[1:])
+        # Midpoint candidates.  A midpoint that rounds onto the next run
+        # splits elsewhere than its boundary, so it skips the approximation.
+        cand = (lower + upper) / 2.0
+        rounded = boundary & (cand >= upper)
+        valid = boundary & ~rounded
+        valid[:max(min_leaf - 1, 0)] = False
+        valid[max(n_samples - min_leaf, 0):] = False
+        n_left = np.arange(1, n_samples, dtype=np.float64)[:, None]
+        left_sum = cum[:-1]
+        rest = total - left_sum
+        gain = (left_sum * left_sum / n_left
+                + rest * rest / (n_samples - n_left) - offset)
 
-        def run_start(feature_offsets, unique_index, counts):
-            """Row where the ``unique_index``-th run starts (n for one-past)."""
-            clipped = np.minimum(unique_index, counts)
-            past_end = unique_index >= counts
-            idx = feature_offsets + np.where(past_end, 0, clipped)
-            return np.where(past_end, n_samples, u_starts[idx])
-
-        def candidate_block(feature_ids, cand, below, above, counts):
-            """(valid, approx_gain, n_left) for a (features x candidates)
-            block; ``below``/``above`` index each candidate's bracketing
-            uniques so the left-count comes from run starts instead of a
-            per-feature searchsorted."""
-            offs = offsets[feature_ids][:, None]
-            a = uvals[offs + below]
-            b = uvals[offs + above]
-            # Rows with column <= candidate.  The candidate normally lies
-            # strictly between its bracketing uniques, but interpolation may
-            # round it onto either endpoint — adjust the run index to keep
-            # searchsorted(side="right") semantics.
-            next_unique = below + 1 + (cand >= b).astype(np.int64) \
-                - (cand < a).astype(np.int64)
-            n_left = run_start(offs, next_unique, counts[:, None])
-            n_right = n_samples - n_left
-            valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-            safe_left = np.where(n_left > 0, n_left, 1)
-            left_sum = cum[safe_left - 1, feature_ids[:, None]]
-            left_sq = cum_sq[safe_left - 1, feature_ids[:, None]]
-            left_sum = np.where(n_left > 0, left_sum, 0.0)
-            left_sq = np.where(n_left > 0, left_sq, 0.0)
-            err = ((left_sq - left_sum ** 2 / np.where(valid, n_left, 1))
-                   + ((total_sq[feature_ids][:, None] - left_sq)
-                      - (total[feature_ids][:, None] - left_sum) ** 2
-                      / np.where(valid, n_right, 1)))
-            return valid, base_error - err, n_left
-
-        shortlists = []     # (feature_ids, candidates, valid, approx_gain)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            quantile_ids = np.nonzero(n_unique > max_t)[0]
-            if len(quantile_ids):
-                counts = n_unique[quantile_ids]
-                virtual = fractions[None, :] * (counts[:, None] - 1)
-                below = np.floor(virtual).astype(np.int64)
-                above = np.minimum(below + 1, counts[:, None] - 1)
-                gamma = virtual - below
-                offs = offsets[quantile_ids][:, None]
-                a = uvals[offs + below]
-                b = uvals[offs + above]
-                diff = b - a
-                cand = np.where(gamma >= 0.5,
-                                b - diff * (1 - gamma), a + diff * gamma)
-                shortlists.append((quantile_ids, cand)
-                                  + candidate_block(quantile_ids, cand,
-                                                    below, above, counts)[:2])
-            midpoint_ids = np.nonzero((n_unique >= 2) & (n_unique <= max_t))[0]
-            if len(midpoint_ids):
-                counts = n_unique[midpoint_ids]
-                width = int(counts.max()) - 1
-                j = np.arange(width)[None, :]
-                in_range = j < (counts[:, None] - 1)
-                below = np.where(in_range, j, 0)
-                above = below + np.where(in_range, 1, 0)
-                offs = offsets[midpoint_ids][:, None]
-                cand = (uvals[offs + below] + uvals[offs + above]) / 2.0
-                valid, gain, _n_left = candidate_block(midpoint_ids, cand,
-                                                       below, above, counts)
-                shortlists.append((midpoint_ids, cand,
-                                   valid & in_range, gain))
-
-        if not shortlists:
-            return None
-
-        # Decide the winner exactly.  The cumulative-sum errors round
-        # differently than per-side sums, so every candidate whose
-        # approximate gain is within tolerance of the best is re-evaluated
-        # with the exact per-side arithmetic, in (feature, candidate) order.
-        tol = float(np.max(np.abs(total_sq))) * 1e-8 + base_error * 1e-8 + 1e-8
-        approx_best = max(float(gain[valid].max()) if valid.any() else -np.inf
-                          for _ids, _cand, valid, gain in shortlists)
+        # Shortlist every candidate within tolerance of the best approximate
+        # gain, in (feature, candidate) order.
+        tol = float(np.dot(y, y)) * 1e-8 + base_error * 1e-8 + 1e-8
+        approx_best = float(gain[valid].max()) if valid.any() else -np.inf
+        if len(quantile_ids) and q_valid.any():
+            approx_best = max(approx_best, float(q_gain[q_valid].max()))
         cutoff = max(approx_best - 2 * tol, 1e-9 - tol)
-        entries = []
-        for feature_ids, cand, valid, gain in shortlists:
-            for row, col in zip(*np.nonzero(valid & (gain > cutoff))):
-                entries.append((int(feature_ids[row]), int(col),
-                                float(cand[row, col])))
-        entries.sort()
+        features, rows = np.nonzero((rounded | (valid & (gain > cutoff))).T)
+        thresholds = cand[rows, features]
+        if len(quantile_ids):
+            rows, cols = np.nonzero(q_valid & (q_gain > cutoff))
+            features = np.concatenate([features, quantile_ids[rows]])
+            thresholds = np.concatenate([thresholds, q_cand[rows, cols]])
+            order = features.argsort(kind="stable")
+            features, thresholds = features[order], thresholds[order]
+
+        # Decide the winner exactly.  Candidates that cut the same partition
+        # have the same exact gain, so only the first of them can win.
+        masks = x.T[features] <= thresholds[:, None]
+        seen = set()
         best_gain = 1e-9
         best = None
-        for feature, _col, threshold in entries:
-            column = x[:, feature]
-            mask = column <= threshold
-            left, right = y[mask], y[~mask]
-            if len(left) < min_leaf or len(right) < min_leaf:
+        for feature, threshold, mask in zip(features.tolist(),
+                                            thresholds.tolist(), masks):
+            key = mask.tobytes()
+            if key in seen:
                 continue
-            error = float(np.sum((left - left.mean()) ** 2)
-                          + np.sum((right - right.mean()) ** 2))
-            gain = base_error - error
+            seen.add(key)
+            left, right = y[mask], y[~mask]
+            n_left = len(left)
+            if n_left < min_leaf or n_samples - n_left < min_leaf:
+                continue
+            left = left - _sum(left) / n_left
+            right = right - _sum(right) / (n_samples - n_left)
+            gain = base_error - float(_sum(left * left)
+                                      + _sum(right * right))
             if gain > best_gain:
                 best_gain = gain
-                best = (feature, float(threshold), mask)
+                best = (feature, threshold, mask)
         return best
 
     # -- prediction ---------------------------------------------------------------
     @staticmethod
-    def _flatten(tree: dict) -> Tuple[np.ndarray, ...]:
-        """Flatten the dict tree into (feature, threshold, left, right, value)
-        arrays; leaves carry feature ``-1``."""
+    def _flatten(tree: dict) -> Tuple:
+        """Flatten the dict tree, in preorder, into (feature, threshold,
+        right, value) arrays and its depth.  A node's left child is the
+        next node; a leaf tests feature 0 against NaN, which sends every
+        row to its right child: the leaf itself."""
         feature: List[int] = []
         threshold: List[float] = []
-        left: List[int] = []
         right: List[int] = []
         value: List[float] = []
 
         def add(node: dict) -> int:
+            """Append ``node``'s subtree; return its depth."""
             slot = len(feature)
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
+            feature.append(node.get("feature", 0))
+            threshold.append(node.get("threshold", math.nan))
+            right.append(slot)
             value.append(node["value"])
-            if "feature" in node:
-                feature[slot] = node["feature"]
-                threshold[slot] = node["threshold"]
-                left[slot] = add(node["left"])
-                right[slot] = add(node["right"])
-            return slot
+            if "feature" not in node:
+                return 0
+            depth = add(node["left"])
+            right[slot] = len(feature)
+            return 1 + max(depth, add(node["right"]))
 
-        add(tree)
+        depth = add(tree)
         return (np.asarray(feature, dtype=np.int64),
                 np.asarray(threshold, dtype=np.float64),
-                np.asarray(left, dtype=np.int64),
                 np.asarray(right, dtype=np.int64),
-                np.asarray(value, dtype=np.float64))
+                np.asarray(value, dtype=np.float64), depth)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self._flat is None:
             return np.zeros(len(x))
-        feature, threshold, left, right, value = self._flat
+        feature, threshold, right, value, depth = self._flat
         x = np.asarray(x)
+        rows = np.arange(len(x))
         node = np.zeros(len(x), dtype=np.int64)
-        while True:
-            feat = feature[node]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            rows = np.nonzero(internal)[0]
-            feats = feat[rows]
-            go_left = x[rows, feats] <= threshold[node[rows]]
-            node[rows] = np.where(go_left, left[node[rows]], right[node[rows]])
+        for _ in range(depth):
+            go_left = x[rows, feature[node]] <= threshold[node]
+            node = np.where(go_left, node + 1, right[node])
         return value[node]
 
     # -- serialization ------------------------------------------------------------
@@ -331,27 +306,14 @@ class GradientBoostedTrees:
         self._stacked = None
         if not self.trees or any(t._flat is None for t in self.trees):
             return
-        roots: List[int] = []
-        feats: List[np.ndarray] = []
-        ths: List[np.ndarray] = []
-        lefts: List[np.ndarray] = []
-        rights: List[np.ndarray] = []
-        values: List[np.ndarray] = []
-        offset = 0
-        for tree in self.trees:
-            feature, threshold, left, right, value = tree._flat
-            roots.append(offset)
-            feats.append(feature)
-            ths.append(threshold)
-            lefts.append(np.where(left >= 0, left + offset, left))
-            rights.append(np.where(right >= 0, right + offset, right))
-            values.append(value)
-            offset += len(feature)
-        self._stacked = (np.asarray(roots, dtype=np.int64),
-                         np.concatenate(feats), np.concatenate(ths),
-                         np.concatenate(lefts), np.concatenate(rights),
-                         np.concatenate(values),
-                         max(t.max_depth for t in self.trees))
+        features, thresholds, rights, values, depths = zip(
+            *(tree._flat for tree in self.trees))
+        roots = np.cumsum([0] + [len(feature) for feature in features[:-1]])
+        self._stacked = (roots, np.concatenate(features),
+                         np.concatenate(thresholds),
+                         np.concatenate([right + root for right, root
+                                         in zip(rights, roots)]),
+                         np.concatenate(values), max(depths))
 
     def _negative_gradient(self, y: np.ndarray, pred: np.ndarray) -> np.ndarray:
         """Vectorized pairwise rank gradient (squared error: ``y - pred``).
@@ -433,25 +395,21 @@ class GradientBoostedTrees:
             for tree in self.trees:
                 pred += self.learning_rate * tree.predict(x)
             return pred
-        roots, feature, threshold, left, right, value, depth = stacked
-        n = len(x)
-        node = np.broadcast_to(roots, (n, len(roots))).copy()
-        for _ in range(depth + 1):
-            feat = feature[node]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            vals = np.take_along_axis(x, np.where(internal, feat, 0), axis=1)
-            go_left = vals <= threshold[node]
-            node = np.where(internal,
-                            np.where(go_left, left[node], right[node]), node)
+        roots, feature, threshold, right, value, depth = stacked
+        n, width = x.shape
+        flat = np.ascontiguousarray(x).ravel()
+        row_starts = np.arange(0, n * width, width)[:, None]
+        node = np.broadcast_to(roots, (n, len(roots)))
+        for _ in range(depth):
+            go_left = flat[row_starts + feature[node]] <= threshold[node]
+            node = np.where(go_left, node + 1, right[node])
         # Accumulate tree by tree, as the per-tree loop above does (float
-        # addition is not associative, and the explorer compares scores).
-        leaf = value[node]
-        pred = np.full(n, self.base_score)
-        for t in range(leaf.shape[1]):
-            pred += self.learning_rate * leaf[:, t]
-        return pred
+        # addition is not associative, and the explorer compares scores):
+        # cumsum adds along the tree axis in order.
+        terms = np.empty((n, len(roots) + 1))
+        terms[:, 0] = self.base_score
+        np.multiply(value[node], self.learning_rate, out=terms[:, 1:])
+        return terms.cumsum(axis=1)[:, -1]
 
 
 def rank_correlation(predicted: Sequence[float], actual: Sequence[float]) -> float:

@@ -7,9 +7,9 @@ compares:
 * :class:`GATuner` — blackbox genetic algorithm (no cost model).
 * :class:`ModelBasedTuner` — the paper's approach: an ML cost model
   (gradient-boosted trees with a rank objective by default) guides a parallel
-  simulated-annealing explorer; the model is re-fitted periodically from the
-  measurements collected so far, and exploration state persists across model
-  updates.
+  simulated-annealing explorer; the model is re-fitted on the measurements
+  collected so far when the next batch reads it, and exploration state
+  persists across model updates.
 """
 
 from __future__ import annotations
@@ -263,6 +263,11 @@ class ModelBasedTuner(Tuner):
     candidates to measure on the device.  :meth:`warm_start` seeds the
     training set from a tuning database, so history of the same operator
     (this workload or a related shape) transfers into a new session.
+
+    :meth:`update` only queues a batch's rows; the model is refit when the
+    next batch reads it, on the same rows and the same random stream as a
+    refit after every batch would use, so the last batch of a session
+    fits nothing.
     """
 
     def __init__(self, task: Task, cost_model: Optional[object] = None,
@@ -275,7 +280,8 @@ class ModelBasedTuner(Tuner):
         self._train_features: List[np.ndarray] = []
         self._train_throughput: List[float] = []
         self._feature_cache: Dict[int, np.ndarray] = {}
-        self._trained = False
+        self._trained = False       # the next batch is model-guided
+        self._refit = False         # rows were queued since the last fit
 
     # -- featurisation ------------------------------------------------------------
     def _features_of(self, index: int) -> np.ndarray:
@@ -307,6 +313,12 @@ class ModelBasedTuner(Tuner):
         space = self.task.config_space
         if not self._trained:
             return self._random_unvisited(batch_size)
+        if self._refit:
+            x = np.stack(self._train_features)
+            y = np.asarray(self._train_throughput)
+            # Normalise throughput so the rank objective is well conditioned.
+            self.cost_model.fit(x, y / y.max())
+            self._refit = False
         measured = sorted((r for r in self.records if r.valid),
                           key=lambda r: r.mean_time)
         seeds = [r.config_index for r in measured[:4]]
@@ -327,25 +339,21 @@ class ModelBasedTuner(Tuner):
             self._feature_cache[inp.config.index] = features
             self._train_features.append(features)
             self._train_throughput.append(1.0 / max(res.mean_time, 1e-12))
-        self._maybe_fit()
+        self._queue_fit()
 
-    def _maybe_fit(self) -> None:
+    def _queue_fit(self) -> None:
         if len(self._train_features) >= 8:
-            x = np.stack(self._train_features)
-            y = np.asarray(self._train_throughput)
-            # Normalise throughput so the rank objective is well conditioned.
-            y = y / y.max()
-            self.cost_model.fit(x, y)
-            self._trained = True
+            self._trained = self._refit = True
 
     # -- transfer learning -----------------------------------------------------
     def adopt_pretrained(self, cost_model) -> None:
         """Adopt a cost model pretrained elsewhere (e.g. pre-fit by the
         session on the database's trial log) so exploration is model-guided
-        from the very first batch.  Later :meth:`update` refits replace it
-        once this session has gathered its own measurements."""
+        from the very first batch.  The refit that :meth:`update` queues
+        replaces it once this session has gathered its own measurements."""
         self.cost_model = cost_model
         self._trained = True
+        self._refit = False
 
     def warm_start(self, database) -> int:
         """Seed the cost model from prior measurements of the same operator.
@@ -354,8 +362,8 @@ class ModelBasedTuner(Tuner):
         configuration space; entries for *other* workloads of the same
         operator family contribute their stored feature vectors (recorded by
         earlier sessions).  Returns the number of samples added; if enough
-        history exists the model is fitted immediately, so the very first
-        batch is already model-guided instead of random.
+        history exists the very first batch is already model-guided instead
+        of random (its fit runs when that batch reads the model).
         """
         if database is None:
             return 0
@@ -392,7 +400,7 @@ class ModelBasedTuner(Tuner):
         if added:
             logger.info("%s: warm start with %d historical samples",
                         self.task.name, added)
-            self._maybe_fit()
+            self._queue_fit()
         return added
 
 

@@ -65,6 +65,7 @@ __all__ = [
     "eval_bounds",
     "expr_bounds",
     "rekey_bounds",
+    "keeps_points",
 ]
 
 ExprLike = Union["Expr", int, float, bool]
@@ -958,6 +959,34 @@ def rekey_bounds(program: List[Tuple[int, object]], var_key: Callable,
         else:
             out.append((code, payload))
     return tuple(out)
+
+
+#: transfer functions that map two point intervals to a point
+_POINT_KEEPING = (_bounds_add, _bounds_sub, _bounds_mul, _bounds_min,
+                  _bounds_max)
+
+
+def keeps_points(program: Tuple[Tuple[int, object], ...]) -> bool:
+    """Whether a :func:`rekey_bounds` program gives a point interval when
+    each variable it reads is at 0 and each constant it keys is a point.
+
+    It must take no union of intervals and no true division, and divide
+    (floor or modulus) only by a literal above 0 or by a keyed constant: a
+    traced split factor or extent, which is at least 1."""
+    divisors: List[bool] = []       # per stack entry: a divisor that is safe
+    for code, payload in program:
+        if code == _B_BINOP:
+            safe = divisors.pop()
+            if not (payload in _POINT_KEEPING or safe and payload in (
+                    _bounds_floordiv, _bounds_mod)):
+                return False
+            divisors[-1] = False
+        elif code == _B_UNION:
+            return False
+        else:
+            divisors.append(payload < 0 if code == _B_VAR
+                            else payload[0] > 0)
+    return True
 
 
 def expr_bounds(expr: Expr, var_ranges: Dict[Var, Tuple]) -> Tuple:

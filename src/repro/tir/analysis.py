@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..te.expr import (BinaryOp, Call, Expr, compile_bounds, eval_bounds,
-                       expr_children, rekey_bounds)
+                       expr_children, keeps_points, rekey_bounds)
 from ..te.trace import SymInt, Untraceable
 from .stmt import (
     Allocate,
@@ -204,6 +204,22 @@ class ProgramFeatures:
         def log1(x: float) -> float:
             return math.log(max(x, 0.0) + 1.0)
 
+        # One pass over the regions for both cache sizes, and each buffer's
+        # total bytes read once; builtin sum() adds the same terms in the
+        # same order as before (and compensates them alike on Python 3.12).
+        traffic_32k = traffic_256k = self.bytes_in_scope("global")
+        if self.access_regions:
+            small, large = [], []
+            for region in self.access_regions:
+                small.append(region.cache_traffic(32 * 1024))
+                large.append(region.cache_traffic(256 * 1024))
+            traffic_32k, traffic_256k = sum(small), sum(large)
+        accesses = []
+        for access in self.buffer_access.values():
+            total = access.total_bytes
+            unique = access.unique_bytes
+            accesses.append((total, unique,
+                             total / unique if unique > 0 else 0.0))
         vec = [
             log1(self.flops),
             log1(self.intrinsic_flops),
@@ -227,16 +243,14 @@ class ProgramFeatures:
             log1(self.arithmetic_intensity),
             log1(self.working_set_bytes()),
             log1(self.store_count),
-            log1(sum(a.reuse_ratio for a in self.buffer_access.values())),
-            log1(self.cache_aware_traffic(32 * 1024)),
-            log1(self.cache_aware_traffic(256 * 1024)),
+            log1(sum(reuse for _total, _unique, reuse in accesses)),
+            log1(traffic_32k),
+            log1(traffic_256k),
         ]
         # Per-buffer reuse features for up to 6 buffers (sorted by traffic).
-        accesses = sorted(self.buffer_access.values(),
-                          key=lambda a: -a.total_bytes)[:6]
-        for access in accesses:
-            vec.extend([log1(access.total_bytes), log1(access.unique_bytes),
-                        log1(access.reuse_ratio)])
+        accesses.sort(key=lambda a: -a[0])
+        for total, unique, reuse in accesses[:6]:
+            vec.extend([log1(total), log1(unique), log1(reuse)])
         while len(vec) < 24 + 6 * 3:
             vec.append(0.0)
         return vec
@@ -580,10 +594,12 @@ class _PlanCompiler:
                 starts.update(level + 1 for level in levels
                               if level is not None)
                 program, tail = self.rekeyed(index, program, levels)
-            # the last run, past every loop the index reads, reads no value
-            # unless the index has a traced constant: its width is known now
-            last = (1.0 if program is None else None if tail else _width(
-                program, (_ZERO_BOUNDS,) * len(self._stack)))
+            # The last run, past every loop the index reads, fixes them all
+            # at 0, and a traced constant is a point: its width is known now,
+            # unless the program can widen points.
+            last = (1.0 if program is None or keeps_points(program)
+                    else None if tail else _width(
+                        program, (_ZERO_BOUNDS,) * len(self._stack)))
             bounds = sorted(starts) + [len(self._stack) + 1]
             self.widths.append((program, tail, self.share(tuple(
                 end - start for start, end in zip(bounds, bounds[1:]))),

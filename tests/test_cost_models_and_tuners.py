@@ -11,6 +11,7 @@ from repro import te, tir
 from repro.autotvm import (
     GATuner,
     GradientBoostedTrees,
+    MeasureInput,
     Measurer,
     ModelBasedTuner,
     RandomTuner,
@@ -234,6 +235,47 @@ class TestTuners:
         model_tuner = ModelBasedTuner(task, seed=3)
         model_tuner.tune(n_trial=40, batch_size=8)
         assert model_tuner.best_time <= random_tuner.best_time * 1.25
+
+    def test_model_is_fit_only_when_a_batch_reads_it(self, monkeypatch):
+        # Two batches of 8: the second reads a model fit on the first; the
+        # rows of the second are never read, so they are never fit.
+        fits = []
+        real_fit = GradientBoostedTrees.fit
+
+        def counting_fit(model, x, y):
+            fits.append(len(x))
+            return real_fit(model, x, y)
+
+        monkeypatch.setattr(GradientBoostedTrees, "fit", counting_fit)
+        tuner = ModelBasedTuner(_make_task(size=32), seed=0)
+        tuner.tune(n_trial=16, batch_size=8)
+        assert sum(r.valid for r in tuner.records[:8]) == 8
+        assert fits == [8]
+
+    def test_adopted_model_scores_the_first_batch_unrefit(self, monkeypatch):
+        # The warm rows queue a fit; adopting a pre-fit model drops it, so
+        # the first batch is scored by the adopted model and nothing fits.
+        task = _make_task(size=32)
+        db = TuningDatabase()
+        measurer = Measurer(number=1, seed=0)
+        for cfg in task.config_space.sample(10):
+            record, = measurer.measure([MeasureInput(task, cfg)])
+            if record.valid:
+                db.record(task, cfg, record.mean_time)
+        rows = np.stack([task.feature_vector(i) for i in range(16)])
+        pretrained = GradientBoostedTrees(seed=5).fit(
+            rows, np.linspace(0.1, 1.0, len(rows)))
+        fits, scored = [], []
+        real_predict = pretrained.predict
+        monkeypatch.setattr(GradientBoostedTrees, "fit",
+                            lambda model, x, y: fits.append(model))
+        monkeypatch.setattr(pretrained, "predict",
+                            lambda x: scored.append(len(x)) or real_predict(x))
+        tuner = ModelBasedTuner(task, seed=0)
+        assert tuner.warm_start(db) >= 8
+        tuner.adopt_pretrained(pretrained)
+        assert len(tuner.next_batch(8)) == 8
+        assert fits == [] and scored
 
     def test_measurer_counts_measurements(self):
         task = _make_cpu_task(size=16)

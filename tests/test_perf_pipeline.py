@@ -381,6 +381,19 @@ def _negative_gradient_reference(model, y, pred):
     return grad
 
 
+def _tuning_rows(rng, n, width=len(FEATURE_NAMES)):
+    """``n`` feature rows shaped like a tuner's: each column a log of one
+    of a few powers of two, every fifth column a copy of the one before."""
+    x = np.empty((n, width))
+    for column in range(width):
+        if column % 5 == 4:
+            x[:, column] = x[:, column - 1]
+            continue
+        levels = np.log1p(2.0 ** rng.integers(0, 24, size=rng.integers(1, 6)))
+        x[:, column] = rng.choice(levels, size=n)
+    return x
+
+
 def _swap_in_oracles(patch):
     """Fit and predict through the oracles: per-threshold splits, per-row
     tree walks, per-pair gradients, and no stacked ensemble (so
@@ -414,6 +427,43 @@ class TestVectorizedCostModels:
                 actual = (slow.predict(queries), slow.predict(x[0]))
             assert np.array_equal(expected[0], actual[0])
             assert np.array_equal(expected[1], actual[1])
+
+    def test_gbt_bit_identical_to_reference_in_the_tuning_regime(
+            self, monkeypatch):
+        # What a tuner fits: 4 - 34 rows of 42 log-scaled features with few
+        # distinct values (some columns constant, some equal to another),
+        # normalised throughputs, 40 rounds of the rank loss.  Most nodes
+        # have at most max_thresholds rows here.
+        rng = np.random.default_rng(45)
+        for trial, n in enumerate((4, 5, 7, 8, 11, 16, 24, 34)):
+            x = _tuning_rows(rng, n)
+            y = rng.uniform(0.05, 1.0, size=n)
+            y[rng.integers(0, n, size=n // 4)] = y[0]
+            y = y / y.max()
+            queries = _tuning_rows(rng, 16)
+            fast = GradientBoostedTrees(seed=trial).fit(x, y)
+            expected = fast.predict(np.concatenate([x, queries]))
+            with monkeypatch.context() as patch:
+                _swap_in_oracles(patch)
+                slow = GradientBoostedTrees(seed=trial).fit(x, y)
+                actual = slow.predict(np.concatenate([x, queries]))
+            assert [t.tree_ for t in fast.trees] == [t.tree_
+                                                     for t in slow.trees]
+            assert np.array_equal(expected, actual)
+
+    def test_small_node_splits_identical_to_reference(self):
+        rng = np.random.default_rng(300)
+        tree = RegressionTree()
+        for _ in range(300):
+            n = int(rng.integers(4, 9))
+            x = _tuning_rows(rng, n)
+            y = np.round(rng.normal(size=n), 1)
+            fast = tree._best_split(x, y)
+            slow = _best_split_reference(tree, x, y)
+            assert (fast is None) == (slow is None)
+            if fast is not None:
+                assert fast[:2] == slow[:2]
+                assert np.array_equal(fast[2], slow[2])
 
     def test_tree_predict_matches_reference_walk(self):
         rng = np.random.default_rng(5)

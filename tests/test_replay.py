@@ -22,7 +22,9 @@ from repro.autotvm.eval_cache import LOWERED_CACHE
 from repro.frontend import ModelBuilder
 from repro.graph.op_timing import is_templated, make_task_for_node
 from repro.hardware.target import create_target
-from repro.te.expr import BinaryOp, Call, Cast, FloatImm, IntImm, Not, Select, StringImm, Var
+from repro.te.expr import (_B_VAR, BinaryOp, Call, Cast, FloatImm, IntImm, Not, Select,
+                           StringImm, Var)
+from repro.tir import analysis
 from repro.tir.stmt import (AttrStmt, Buffer, BufferLoad, BufferStore, For, IfThenElse,
                             IntrinsicStmt, SeqStmt)
 
@@ -246,6 +248,38 @@ def test_the_plan_computes_what_the_tree_walk_computes():
             assert (_named(task.features_of(config.index))
                     == _fresh_features(task, config)), f"{label} {config}"
     assert planned >= 180
+    clear_eval_caches()
+
+
+def test_the_last_run_of_an_index_asks_no_bounds(monkeypatch):
+    """Past every loop an index reads, each of them is at 0 and each traced
+    constant is a point, so the plan decides that run's width (1.0) when it
+    is compiled: evaluating a replayed cuda conv class asks ``eval_bounds``
+    for the other runs only.  A last-run call is one where every loop the
+    program reads is the shared zero interval."""
+    clear_eval_caches()
+    task = dict(_tasks())["conv2d_28/cuda"]
+    replayed = []
+    for config in _sample(task, 32, seed=3):
+        task.lower(config)
+        factors = config.structure()[1]
+        replayed += [(replay, replay.values(factors))
+                     for replay in _bucket(task, config)
+                     if replay.values(factors) is not None]
+    assert replayed
+    replay, values = replayed[0]
+    last_runs = []
+    real = analysis.eval_bounds
+
+    def spy(program, ranges):
+        last_runs.append(all(ranges[key] is analysis._ZERO_BOUNDS
+                             for code, key in program
+                             if code == _B_VAR and key >= 0))
+        return real(program, ranges)
+
+    monkeypatch.setattr(analysis, "eval_bounds", spy)
+    replay.features(values)
+    assert last_runs and not any(last_runs)
     clear_eval_caches()
 
 
