@@ -1,11 +1,18 @@
-"""Trace-replay traffic benchmark: goodput/SLO curves, static vs adaptive.
+"""Open-loop traffic benchmark: goodput/SLO curves, static vs adaptive.
 
-Replays the three seeded trace families from ``repro.runtime.traffic``
-(Poisson, diurnal, burst) against ``InferenceEngine`` at several offered-load
-levels, once with the static batcher (``max_batch=8`` with a fixed coalescing
-window) and once with adaptive batch sizing (``max_batch="adaptive"``), and
-writes ``BENCH_traffic.json`` next to this file with a goodput and
-SLO-violation curve per (family, load level, policy) cell.
+Sends the three seeded arrival families of ``arrivals.py`` (Poisson,
+diurnal, burst) to ``InferenceEngine`` at several offered-load levels
+through the end-to-end benchmark's open-loop driver
+(``e2e/openloop.py::run_open_loop``), once with the static batcher
+(``max_batch=8`` with a fixed coalescing window) and once with adaptive
+batch sizing (``max_batch="adaptive"``), and writes ``BENCH_traffic.json``
+next to this file with a goodput and SLO-violation curve per (family, load
+level, policy) cell.
+
+Every latency here is on the due clock: a request is timed from the moment
+its schedule said it was due, so a stalled engine or a late generator is
+charged to every request it delayed.  A request meets its SLO when it is
+served within ``DEADLINE_MS`` of its due time.
 
 The scenario is deliberately deadline-hostile for the static policy: every
 request carries a 120 ms deadline while the static batcher's coalescing
@@ -32,8 +39,8 @@ Acceptance gates (enforced here; ``--smoke`` enforces them in CI):
 
 Usage::
 
-    python benchmarks/bench_traffic.py            # full run (5 s traces)
-    python benchmarks/bench_traffic.py --smoke    # CI-sized (2 s traces)
+    python benchmarks/bench_traffic.py            # full run (5 s schedules)
+    python benchmarks/bench_traffic.py --smoke    # CI-sized (2 s schedules)
 """
 
 from __future__ import annotations
@@ -41,10 +48,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import platform
 import sys
 import time
 from pathlib import Path
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -52,9 +61,13 @@ import repro
 from repro.frontend import ModelBuilder
 from repro.hardware import cuda
 from repro.runtime import Executor, InferenceEngine
-from repro.runtime.traffic import TraceReplayer, TraceSpec
 
+from arrivals import FAMILIES, arrivals
 from common import emit_summary, run_header
+
+# Appended, not prepended: e2e/trace.py must not shadow the stdlib ``trace``.
+sys.path.append(str(Path(__file__).resolve().parent / "e2e"))
+from openloop import Sent, run_open_loop  # noqa: E402
 
 DEVICES = 2
 MAX_QUEUE = 512
@@ -63,12 +76,24 @@ STATIC_WINDOW_MS = 150.0
 MAX_BATCH = 8
 LOAD_LEVELS_RPS = (25.0, 100.0, 400.0)
 INPUT_POOL = 8
-TRACE_SEED = 20260808
+SEED = 20260808
+#: a request still unresolved this long after the schedule ended is hung
+HUNG_AFTER_S = 120.0
+#: arrival-window width of the goodput curve, seconds
+GOODPUT_WINDOW_S = 0.5
+
+#: request outcomes, in reporting order
+OUTCOMES = ("served", "shed", "expired", "failed", "hung")
+#: the outcome of a request by the class of the error ``run_open_loop``
+#: recorded for it (a ``TimeoutError`` is a future unresolved at give-up)
+_OUTCOME_OF_ERROR = {"QueueFull": "shed", "DeadlineExceeded": "expired",
+                     "TimeoutError": "hung"}
+
 
 #: per-cell goodput slack (rps) tolerated for host scheduling jitter — the
-#: two policies replay the same wall-clock trace on a shared host, so a tie
-#: can wobble by a few requests either way; the summed-goodput gate below is
-#: strict, so adaptive must still win overall.
+#: two policies replay the same wall-clock schedule on a shared host, so a
+#: tie can wobble by a few requests either way; the summed-goodput gate below
+#: is strict, so adaptive must still win overall.
 def _jitter_slack_rps(static_goodput: float) -> float:
     return max(3.0, 0.05 * static_goodput)
 
@@ -93,15 +118,65 @@ def _input_pool(seed: int):
     return pool
 
 
-def _trace_spec(family: str, rate_rps: float, duration_s: float) -> TraceSpec:
-    extra = {}
-    if family == "diurnal":
-        extra = {"diurnal_period_s": duration_s, "diurnal_amplitude": 0.8}
-    elif family == "burst":
-        extra = {"burst_every_s": 1.0, "burst_duration_s": 0.25,
-                 "burst_factor": 4.0}
-    return TraceSpec(family=family, rate_rps=rate_rps, duration_s=duration_s,
-                     seed=TRACE_SEED, deadline_ms=DEADLINE_MS, **extra)
+def _outcome(request: Sent) -> str:
+    if request.error is None:
+        return "served"
+    return _OUTCOME_OF_ERROR.get(request.error.split(":", 1)[0], "failed")
+
+
+def _stats_ms(seconds: Sequence[float], prefix: str) -> Dict[str, float]:
+    """Mean, p50 and p99 of ``seconds`` in milliseconds (0.0 when empty)."""
+    ms = np.asarray(seconds, dtype=float) * 1e3
+    if not len(ms):
+        return {f"{prefix}_{stat}_ms": 0.0 for stat in ("mean", "p50", "p99")}
+    return {f"{prefix}_mean_ms": float(ms.mean()),
+            f"{prefix}_p50_ms": float(np.percentile(ms, 50)),
+            f"{prefix}_p99_ms": float(np.percentile(ms, 99))}
+
+
+def summarise(sent: List[Sent], offsets: Sequence[float],
+              duration_s: float) -> Dict[str, object]:
+    """Outcome counts, goodput, SLO-violation rate, the goodput curve and the
+    latency split of one cell, from ``run_open_loop``'s records.
+
+    A request is good when it is served within ``DEADLINE_MS`` of its due
+    time.  The split says where a served request's due-clock latency went:
+    ``late`` from its due time to the engine's enqueue (the generator's
+    lateness plus the submit call), then the engine's ``queue_wait`` and
+    ``execute``.
+    """
+    outcomes = [_outcome(request) for request in sent]
+    served = [request for request, outcome in zip(sent, outcomes)
+              if outcome == "served"]
+    good = {request.index for request in served
+            if request.latency <= DEADLINE_MS / 1e3}
+
+    n_windows = max(1, math.ceil(duration_s / GOODPUT_WINDOW_S))
+    offered, ok = [0] * n_windows, [0] * n_windows
+    for request in sent:
+        window = min(int(offsets[request.index] / GOODPUT_WINDOW_S),
+                     n_windows - 1)
+        offered[window] += 1
+        ok[window] += request.index in good
+    return {
+        "outcomes": {outcome: outcomes.count(outcome)
+                     for outcome in OUTCOMES},
+        "served_ok": len(good),
+        "served_late": len(served) - len(good),
+        "goodput_rps": len(good) / duration_s,
+        "violation_rate": 1.0 - len(good) / len(sent) if sent else 0.0,
+        "latency_ms": _stats_ms([r.latency for r in served], "due"),
+        "latency_split_ms": {
+            **_stats_ms([r.submitted - r.due for r in served], "late"),
+            **_stats_ms([r.future.queue_wait for r in served], "queue_wait"),
+            **_stats_ms([r.future.execute_latency for r in served],
+                        "execute")},
+        "goodput_curve": [{"window_start_s": index * GOODPUT_WINDOW_S,
+                           "offered": offered[index],
+                           "served_ok": ok[index],
+                           "goodput_rps": ok[index] / GOODPUT_WINDOW_S}
+                          for index in range(n_windows)],
+    }
 
 
 def _make_engine(module, policy: str) -> InferenceEngine:
@@ -115,61 +190,50 @@ def _make_engine(module, policy: str) -> InferenceEngine:
                            timeout_ms=STATIC_WINDOW_MS, max_queue=MAX_QUEUE)
 
 
+def _same_outputs(outputs, reference) -> bool:
+    return len(outputs) == len(reference) and all(
+        (np.asarray(got) == want).all()
+        for got, want in zip(outputs, reference))
+
+
 def run_cell(module, reference, pool, family: str, rate_rps: float,
              duration_s: float, policy: str) -> dict:
-    """Replay one (family, load, policy) cell and return its row."""
-    trace = _trace_spec(family, rate_rps, duration_s).generate()
+    """Send one (family, load, policy) cell open-loop and return its row."""
+    offsets = arrivals(family, rate_rps, duration_s, SEED)
     engine = _make_engine(module, policy)
     try:
-        replayer = TraceReplayer(
-            engine, trace, store_outputs=True,
-            inputs_for=lambda request: pool[request.index % INPUT_POOL])
         wall_start = time.monotonic()
-        report = replayer.replay()
+        result = run_open_loop(
+            lambda index: engine.submit(pool[index % INPUT_POOL],
+                                        deadline_ms=DEADLINE_MS),
+            offsets, HUNG_AFTER_S)
         wall_s = time.monotonic() - wall_start
         stats = engine.stats()
     finally:
         engine.shutdown()
 
-    bit_identical = True
-    for record in report.records:
-        if record["outcome"] != "served":
-            continue
-        outs = report.outputs[record["index"]]
-        ref = reference[record["index"] % INPUT_POOL]
-        if len(outs) != len(ref) or not all(
-                (np.asarray(a) == np.asarray(b)).all()
-                for a, b in zip(outs, ref)):
-            bit_identical = False
-            break
-
-    counts = report.counts()
+    bit_identical = all(
+        _same_outputs(request.outputs, reference[request.index % INPUT_POOL])
+        for request in result.succeeded)
     return {
         "family": family,
         "offered_rps_target": rate_rps,
-        "offered_rps": report.trace.offered_rps(),
+        "offered_rps": len(offsets) / duration_s,
         "policy": policy,
-        "requests": len(trace),
-        "trace_sha256": hashlib.sha256(
-            trace.to_jsonl().encode()).hexdigest(),
-        "outcomes": counts,
-        "served_ok": report.served_ok,
-        "served_late": report.served_late,
-        "goodput_rps": report.goodput_rps,
-        "violation_rate": report.violation_rate,
-        "latency_split_ms": report.latency_split_ms(),
-        "goodput_curve": report.windowed_goodput(),
+        "requests": len(offsets),
+        "arrivals_sha256": hashlib.sha256(
+            repr(offsets).encode()).hexdigest(),
+        **summarise(result.sent, offsets, duration_s),
         "adaptive_decisions": stats["adaptive"]["decisions"],
-        "hung": counts["hung"],
         "bit_identical_outputs": bit_identical,
-        "replay_wall_s": wall_s,
+        "wall_s": wall_s,
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (shorter traces), same gates")
+                        help="CI-sized run (shorter schedules), same gates")
     parser.add_argument("--budget", type=float, default=420.0,
                         help="soft wall-clock budget in seconds (recorded)")
     parser.add_argument("--output", type=Path, default=None,
@@ -184,13 +248,13 @@ def main(argv=None) -> int:
 
     t_start = time.monotonic()
     module = repro.compile(_small_cnn(), target=cuda())
-    pool = _input_pool(TRACE_SEED)
+    pool = _input_pool(SEED)
     solo = Executor(module)
     reference = [[np.asarray(o) for o in solo.run(inputs).outputs]
                  for inputs in pool]
 
     rows = []
-    for family in ("poisson", "diurnal", "burst"):
+    for family in FAMILIES:
         for rate in LOAD_LEVELS_RPS:
             for policy in ("static", "adaptive"):
                 row = run_cell(module, reference, pool, family, rate,
@@ -206,7 +270,7 @@ def main(argv=None) -> int:
     static_total = adaptive_total = 0.0
     hung_total = 0
     bit_identical_all = True
-    for family in ("poisson", "diurnal", "burst"):
+    for family in FAMILIES:
         for rate in LOAD_LEVELS_RPS:
             static = next(r for r in rows if r["family"] == family
                           and r["offered_rps_target"] == rate
@@ -226,7 +290,8 @@ def main(argv=None) -> int:
             })
             static_total += static["goodput_rps"]
             adaptive_total += adaptive["goodput_rps"]
-            hung_total += static["hung"] + adaptive["hung"]
+            hung_total += (static["outcomes"]["hung"]
+                           + adaptive["outcomes"]["hung"])
             bit_identical_all = (bit_identical_all
                                  and static["bit_identical_outputs"]
                                  and adaptive["bit_identical_outputs"])
@@ -266,8 +331,9 @@ def main(argv=None) -> int:
         "static_window_ms": STATIC_WINDOW_MS,
         "max_batch": MAX_BATCH,
         "load_levels_rps": list(LOAD_LEVELS_RPS),
-        "trace_duration_s": duration_s,
-        "trace_seed": TRACE_SEED,
+        "latency_clock": "due",
+        "duration_s": duration_s,
+        "seed": SEED,
         "rows": rows,
         "acceptance": acceptance,
         "elapsed_s": elapsed,

@@ -1,8 +1,8 @@
 """Deployable runtime: NDArray/devices, executors, artifacts, serving and
 its process worker pool.
 
-Trace generation and replay (:mod:`repro.runtime.traffic`) drive the serving
-benchmarks; import them from that module.
+Request traffic is driven from outside the package: the benchmarks send it
+to the serving engine open-loop (``benchmarks/e2e/openloop.py``).
 """
 
 from .artifact import ArtifactError, export_module, graph_from_json, graph_to_json, load_module

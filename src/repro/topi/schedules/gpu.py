@@ -12,6 +12,7 @@ from typing import List, Tuple
 
 from ... import te
 from ...autotvm.space import ConfigSpace
+from ...te.trace import larger, smaller
 
 __all__ = [
     "schedule_matmul_gpu",
@@ -86,8 +87,9 @@ def matmul_gpu_template(cfg: ConfigSpace, A: te.Tensor, B: te.Tensor, C: te.Tens
             s[shared_stage].compute_at(s[CL], ko)
             ax0, ax1 = s[shared_stage].op.axis
             fused = s[shared_stage].fuse(ax0, ax1)
-            tthread = min(tile_y.size[1] * tile_x.size[1], 512)
-            outer, inner = s[shared_stage].split(fused, factor=max(tthread, 1))
+            tthread = smaller(tile_y.size[1] * tile_x.size[1], 512)
+            outer, inner = s[shared_stage].split(fused,
+                                                 factor=larger(tthread, 1))
             s[shared_stage].bind(inner, te.thread_axis("threadIdx.x"))
     return s, [A, B, C]
 
@@ -172,7 +174,7 @@ def conv2d_gpu_template(cfg: ConfigSpace, data: te.Tensor, kernel: te.Tensor,
     if use_shared.val:
         readers = [OL]
         sources = [kernel] if pad_tensor is None else [pad_tensor, kernel]
-        threads = max(tile_f.size[1] * tile_yx.size[1], 1)
+        threads = larger(tile_f.size[1] * tile_yx.size[1], 1)
         for source in sources:
             cache = s.cache_read(source, "shared", readers)
             s[cache].compute_at(s[OL], rco)
@@ -180,7 +182,7 @@ def conv2d_gpu_template(cfg: ConfigSpace, data: te.Tensor, kernel: te.Tensor,
             fused = axes[0]
             for axis in axes[1:]:
                 fused = s[cache].fuse(fused, axis)
-            outer, inner = s[cache].split(fused, factor=min(threads, 256))
+            outer, inner = s[cache].split(fused, factor=smaller(threads, 256))
             s[cache].bind(inner, te.thread_axis("threadIdx.x"))
     return s, [data, kernel, conv]
 

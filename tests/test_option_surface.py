@@ -24,7 +24,6 @@ from repro.graph.op_timing import is_templated
 from repro.hardware.target import create_target
 from repro.runtime import Executor, InferenceEngine
 from repro.runtime.procpool import ModuleWorkerPool
-from repro.runtime.traffic import TraceReplayer
 
 REQUIRED = inspect.Parameter.empty
 
@@ -56,10 +55,6 @@ OPTION_SURFACE = {
     GATuner: {"task": REQUIRED, "seed": 0},
     ModuleWorkerPool: {
         "module": REQUIRED, "bundle_path": REQUIRED, "devices": REQUIRED},
-    TraceReplayer: {
-        "engines": REQUIRED, "trace": REQUIRED, "inputs_for": None,
-        "giveup_ms": None, "result_timeout_s": 120.0,
-        "store_outputs": False},
     create_target: {"name": REQUIRED},
 }
 

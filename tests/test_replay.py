@@ -183,6 +183,27 @@ def test_replay_is_the_lowering_of_every_template_and_target():
     assert eval_cache_stats()["lowered"]["size"] == 0
 
 
+def test_a_fill_thread_count_either_side_of_its_cap_shares_a_class():
+    """The cuda conv template caps its cooperative fills at 256 threads with
+    a value choice on the tape (``te.trace.smaller``), not a recorded
+    comparison: two configs of one bucket whose ``tile_f[1] * tile_yx[1]``
+    is 64 and 448 share one recorded class, and each replay is its plain
+    lowering."""
+    clear_eval_caches()
+    task = dict(_tasks())["conv2d_28/cuda"]
+    below, above = (task.config_space.get(index) for index in (26, 89))
+    threads = [config["tile_f"].size[1] * config["tile_yx"].size[1]
+               for config in (below, above)]
+    assert threads[0] < 256 < threads[1]
+    assert below.structure()[0] == above.structure()[0]
+    task.lower(below)                   # opens the bucket
+    assert not _differs(task, below)    # records the class
+    assert not _differs(task, above)    # replays it
+    assert len(_bucket(task, above)) == 1
+    assert eval_cache_stats()["lowered"]["hits"] == 1
+    clear_eval_caches()
+
+
 def test_a_recording_that_forgets_a_condition_is_caught():
     """Perturbation: for a config whose bucket holds a class whose path
     condition it breaks, drop from that class the few recorded comparisons

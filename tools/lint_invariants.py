@@ -163,9 +163,9 @@ Rules
     linter does not resolve what an attribute belongs to, so a collision
     (``np.max`` for an exported ``max``) passes.  Tests count as callers: a
     name only tests call is what they check (``run_lowered`` is the oracle
-    the lowering tests compare against, ``load_trace`` the read half of the
-    trace format's round trip), and the rule is after names nothing runs at
-    all.
+    the lowering tests compare against, ``expr_bounds`` the interval
+    analysis the property tests check against enumeration), and the rule is
+    after names nothing runs at all.
 
 Exit status is 0 when clean, 1 when any violation is found.
 """
@@ -275,7 +275,6 @@ _CALLER_TREES = ("src", "benchmarks", "examples", "tests", "tools")
 _NO_FRONT_DOOR = {
     "baselines/": "vendor-library and framework comparison points "
                   "(Figs. 14-19)",
-    "runtime/traffic.py": "trace generation and replay (bench_traffic.py)",
     "analysis/mutate.py": "the verifier's mutation harness (bench_verify.py)",
     "autotvm/treernn.py": "the TreeRNN row of the cost-model ablation "
                           "(bench_ablation_cost_models.py)",
