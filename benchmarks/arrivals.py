@@ -44,6 +44,12 @@ def _rate_at(family: str, rate_rps: float, duration_s: float,
 def arrivals(family: str, rate_rps: float, duration_s: float,
              seed: int) -> List[float]:
     """Ascending arrival offsets in seconds, each in ``[0, duration_s)``."""
+    if family not in _PEAK_FACTOR:
+        raise ValueError(f"unknown family {family!r}; one of {FAMILIES}")
+    if not rate_rps > 0:
+        raise ValueError(f"rate_rps must be > 0, got {rate_rps}")
+    if not duration_s > 0:
+        raise ValueError(f"duration_s must be > 0, got {duration_s}")
     peak = rate_rps * _PEAK_FACTOR[family]
     rng = random.Random(f"{seed}:{family}:{rate_rps}:{duration_s}")
     offsets: List[float] = []
