@@ -19,7 +19,8 @@ import numpy as np
 from ..autotvm.apply_history import ApplyHistoryBest
 from ..autotvm.database import TuningDatabase
 from ..graph.ir import Graph
-from ..graph.op_timing import TimeEstimate, kernel_time
+from ..graph.op_timing import (TimeEstimate, fallback_configs, is_templated,
+                               kernel_time)
 from ..graph.passes import MemoryPlan, fuse_ops as _fuse_ops_raw
 from ..hardware.target import Target, create_target
 from .module import CompiledKernel, CompiledModule
@@ -114,11 +115,14 @@ def _generate_kernels(state: CompileState,
     groups = state.groups
     if groups is None:  # fusion disabled: one kernel per operator
         groups = _fuse_ops_raw(state.graph, enabled=False)
+    targets = [(heterogeneous_targets or {}).get(group.master.op, state.target)
+               for group in groups]
+    if tuning_db is None:   # history counts each lookup: kernels ask alone
+        fallback_configs((group.master, node_target)
+                         for group, node_target in zip(groups, targets)
+                         if is_templated(group.master, node_target))
     kernels: List[CompiledKernel] = []
-    for group in groups:
-        node_target = state.target
-        if heterogeneous_targets and group.master.op in heterogeneous_targets:
-            node_target = heterogeneous_targets[group.master.op]
+    for group, node_target in zip(groups, targets):
         master, total = fused_kernel_time(
             group.master,
             [node for node in group.nodes if node is not group.master],

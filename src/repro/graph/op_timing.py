@@ -8,13 +8,18 @@ otherwise — and asking the target's hardware model for its latency.  Light
 (injective / reduction) operators are estimated from their memory traffic.
 
 Results are memoised per (workload, target) since networks reuse layer shapes.
+A compile runs its fallback searches first, side by side where it can fork
+(:func:`fallback_configs`); each is seeded, so where it runs changes nothing.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +39,8 @@ from .ops import OP_REGISTRY
 
 __all__ = ["workload_key", "is_templated", "kernel_time", "TimeEstimate",
            "make_task_for_node", "task_name_for_node", "fallback_search",
-           "fallback_config_for_node", "clear_timing_cache", "KERNEL_TIME_CACHE"]
+           "fallback_config_for_node", "fallback_configs", "clear_timing_cache",
+           "KERNEL_TIME_CACHE"]
 
 KERNEL_TIME_CACHE: Dict[Tuple, "TimeEstimate"] = {}
 
@@ -306,21 +312,70 @@ def fallback_config_for_node(node: Node, target: Target
 
     This is exactly what an untuned build uses for the node, which is what
     lets the tuning session guarantee its recorded configs never regress a
-    compilation (see ``TuningOptions.ensure_no_regression``).
+    compilation (see ``TuningOptions.ensure_no_regression``).  A miss
+    searches in this process; a compile fills the memo beforehand.
     """
-    import zlib
-
     key = workload_key(node, target)
-    if key in _FALLBACK_CACHE:
-        return _FALLBACK_CACHE[key]
+    if key not in _FALLBACK_CACHE:
+        fallback_configs([(node, target)])
+    return _FALLBACK_CACHE[key]
+
+
+def _search(job: Tuple[Tuple, Node, Target]) -> Tuple[float, Optional[int]]:
+    """The fallback search of one ``(key, node, target)``, wherever it runs."""
+    key, node, target = job
     task = make_task_for_node(node, target)
     if task is None:
         raise ValueError(f"Node {node.name!r} ({node.op}) has no schedule template")
     # ``(False,)``: the seed every recorded search was drawn with
     seed = zlib.crc32(repr(key + (False,)).encode())
-    result = fallback_search(task, target, seed=seed)
-    _FALLBACK_CACHE[key] = result
-    return result
+    return fallback_search(task, target, seed=seed)
+
+
+def fallback_configs(pairs: Iterable[Tuple[Node, Target]]) -> None:
+    """Memoise the fallback search of each ``(node, target)`` workload not
+    memoised yet.  With two or more pending, two or more usable cores, no
+    other thread alive (a fork copies their held locks) and a non-daemon
+    caller, the searches run on a fork pool of one worker per core, else one
+    after another here; the results are the same.  The pool is joined before
+    this returns: a search's exception is raised here, and what a dead
+    worker left undone runs here."""
+    pending = {}
+    for node, target in pairs:
+        key = workload_key(node, target)
+        if key not in _FALLBACK_CACHE:
+            pending.setdefault(key, (key, node, target))
+    jobs = list(pending.values())
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    if workers >= 2 and threading.active_count() == 1:
+        import multiprocessing
+
+        if not multiprocessing.current_process().daemon:
+            _search_on_pool(jobs, workers)
+    for job in jobs:
+        if job[0] not in _FALLBACK_CACHE:
+            _FALLBACK_CACHE[job[0]] = _search(job)
+
+
+def _search_on_pool(jobs: List[Tuple[Tuple, Node, Target]],
+                    workers: int) -> None:
+    """Memoise what a fork pool's workers return for ``jobs``."""
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    # every search verifies its pick: import the verifier once, not per worker
+    from ..analysis import tir_verify  # noqa: F401
+
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_search, job) for job in jobs]
+        for (key, _, _), future in zip(jobs, futures):
+            _FALLBACK_CACHE[key] = future.result()
+    except BrokenProcessPool:
+        pass    # a worker died: the caller searches what is still missing
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 #: hill-climb seeds kept per round of :func:`fallback_search`

@@ -1,5 +1,7 @@
-"""Shared fixtures: the reference model of the serving admission queue, and
-a pass spliced into the compile pipeline."""
+"""Shared fixtures: the reference model of the serving admission queue, a
+pass spliced into the compile pipeline, and a compile kept in-process."""
+
+import threading
 
 import pytest
 
@@ -122,3 +124,16 @@ def splice_pass(monkeypatch):
                             + (Pass(fn.__name__, fn),) + DEFAULT_PIPELINE[cut:])
 
     return splice
+
+
+@pytest.fixture
+def in_process_search():
+    """Park a second thread for one test, so a compile runs its fallback
+    searches in this process: ``graph/op_timing.py::fallback_configs``
+    forks its pool only from a process's one thread."""
+    release = threading.Event()
+    parked = threading.Thread(target=release.wait, daemon=True)
+    parked.start()
+    yield
+    release.set()
+    parked.join()

@@ -245,7 +245,9 @@ class TestCompileVerify:
         executed = [r.name for r in module.pass_records]
         assert checked == [None] + executed + ["codegen"]
 
-    def test_clear_timing_cache_forgets_verified_programs(self, monkeypatch):
+    def test_clear_timing_cache_forgets_verified_programs(
+            self, monkeypatch, in_process_search):
+        # in-process: the counting spy sees only this process's verdicts
         from repro.analysis import tir_verify
         from repro.graph import clear_timing_cache
 
@@ -829,9 +831,32 @@ class TestLintInvariants:
         assert [(v.rule, v.line) for v in linter.lint_file(artifact)] \
             == [("no-compressed-weights", line) for line in (5, 6)]
 
+    def test_one_fork_site_rule(self, tmp_path):
+        linter = _load_linter()
+        forks = (
+            "import multiprocessing, os\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from os import fork\n"
+            "def run(jobs):\n"
+            "    context = multiprocessing.get_context('fork')\n"
+            "    other = multiprocessing.get_context(method='fork')\n"
+            "    spawned = multiprocessing.get_context('spawn')\n"   # fine
+            "    os.fork()\n"
+            "    import concurrent.futures as cf\n"
+            "    return cf.ProcessPoolExecutor(2, mp_context=context)\n")
+        (tmp_path / "graph").mkdir()
+        site = tmp_path / "graph" / "op_timing.py"
+        site.write_text(forks)
+        assert linter.lint_file(site) == []
+        (tmp_path / "runtime" / "procpool").mkdir(parents=True)
+        planted = tmp_path / "runtime" / "procpool" / "pool.py"
+        planted.write_text(forks)
+        assert [(v.rule, v.line) for v in linter.lint_file(planted)] \
+            == [("one-fork-site", line) for line in (2, 3, 5, 6, 8, 10)]
+
     def test_library_has_a_caller_rule(self, tmp_path):
         linter = _load_linter()
-        assert len(linter.RULES) == 17
+        assert len(linter.RULES) == 18
         assert "library-has-a-caller" in linter.RULES
         root = tmp_path / "pkg"
         files = {

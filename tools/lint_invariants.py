@@ -167,6 +167,16 @@ Rules
     analysis the property tests check against enumeration), and the rule is
     after names nothing runs at all.
 
+``one-fork-site``
+    ``get_context("fork")``, ``os.fork`` and ``ProcessPoolExecutor`` appear
+    only in ``graph/op_timing.py``, whose ``fallback_configs`` runs a cold
+    compile's fallback searches on a fork pool, and only when the caller is
+    the process's one thread.  Forking a process with other threads alive
+    copies whatever lock they hold at that instant into a child that can
+    never release it; one guarded site is auditable, a second one is how
+    that hang gets in.  The serving process pool (``runtime/procpool``)
+    spawns its workers and needs none of the three.
+
 Exit status is 0 when clean, 1 when any violation is found.
 """
 
@@ -226,6 +236,8 @@ RULES = {
     "export-has-a-caller": ("every name in an __all__ is referenced outside "
                             "its own definition and package re-exports "
                             "(tests count)"),
+    "one-fork-site": ("get_context('fork') / os.fork / ProcessPoolExecutor "
+                      "only in graph/op_timing.py"),
 }
 
 #: files (by trailing path parts) allowed to call ``._execute(``
@@ -263,6 +275,8 @@ _FEATURE_EXTRACTOR_SITES = ((("autotvm", "task.py"), "Task"),
 _WEIGHT_DRAWS = ("standard_normal", "normal", "uniform")
 #: the one scope of frontend/ that may draw from a generator
 _WEIGHT_DRAW_SITE = ("frontend", "builder.py", "draw_weight")
+#: the one file that may fork: its trailing path parts
+_FORK_SITE = ("graph", "op_timing.py")
 #: stdlib queue classes (``queue.X(...)`` or imported bare)
 _QUEUE_CLASSES = ("Queue", "SimpleQueue", "LifoQueue", "PriorityQueue")
 #: the modules defining repro.compile / autotune / load / serve / Executor
@@ -358,6 +372,13 @@ def _calls(call: ast.Call, name: str) -> bool:
     return isinstance(fn, ast.Name) and fn.id == name
 
 
+def _is_fork_context(call: ast.Call) -> bool:
+    """``get_context("fork")`` / ``<x>.get_context(method="fork")``."""
+    return _calls(call, "get_context") and any(
+        isinstance(arg, ast.Constant) and arg.value == "fork"
+        for arg in call.args + [kw.value for kw in call.keywords])
+
+
 def _is_unpickle(call: ast.Call) -> bool:
     """``pickle.load(...)`` / ``pickle.loads(...)``."""
     fn = call.func
@@ -428,6 +449,7 @@ class _Linter(ast.NodeVisitor):
         self.is_kernels = parts[-2:] == ("topi", "reference.py")
         self.owns_bounds = parts[-2:] == ("te", "expr.py")
         self.is_weight_draw_file = parts[-2:] == _WEIGHT_DRAW_SITE[:2]
+        self.is_fork_site = parts[-2:] == _FORK_SITE
         self.package = parts[-2] if len(parts) > 1 else ""
         self.is_expr_ir = self.package in _EXPR_IR_PACKAGES
         self._for_depth = 0
@@ -481,6 +503,13 @@ class _Linter(ast.NodeVisitor):
                          f"the engine reaches execution through its one "
                          f"_backend")
 
+    def _check_fork(self, node: ast.AST, what: str) -> None:
+        if not self.is_fork_site:
+            self._report("one-fork-site", node,
+                         f"{what} outside graph/op_timing.py — a fork of a "
+                         f"threaded process copies held locks; fork only "
+                         f"through fallback_configs' guarded pool")
+
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             self._check_backend_names(node, alias.name.split("."))
@@ -492,6 +521,10 @@ class _Linter(ast.NodeVisitor):
         if node.module == "gc":
             for alias in node.names:
                 self._check_gc_switch(node, alias.name)
+        for alias in node.names:
+            if alias.name == "ProcessPoolExecutor" or (
+                    node.module == "os" and alias.name == "fork"):
+                self._check_fork(node, alias.name)
         if self.package not in _BOUNDS_CLIENTS:
             return
         # the repro package the import reaches: ``from ..te.expr`` and
@@ -532,6 +565,10 @@ class _Linter(ast.NodeVisitor):
         self._check_plugin_name(node, node.attr)
         if isinstance(node.value, ast.Name) and node.value.id == "gc":
             self._check_gc_switch(node, node.attr)
+        if node.attr == "ProcessPoolExecutor" or (
+                node.attr == "fork" and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            self._check_fork(node, node.attr)
         if (self.is_engine and isinstance(node.value, ast.Attribute)
                 and node.value.attr == "_backend"
                 and node.attr not in _BACKEND_CONTRACT):
@@ -550,6 +587,8 @@ class _Linter(ast.NodeVisitor):
 
     def visit_Name(self, node: ast.Name) -> None:
         self._check_backend_names(node, [node.id])
+        if node.id == "ProcessPoolExecutor":
+            self._check_fork(node, node.id)
         if node.id == "DeprecationWarning":
             self._report("legacy-shim", node,
                          "DeprecationWarning — remove the old path instead "
@@ -638,6 +677,8 @@ class _Linter(ast.NodeVisitor):
                          "savez_compressed — weights barely deflate and "
                          "deflate runs at 11-14 MB/s; np.savez into a "
                          "ZIP_STORED entry")
+        if _is_fork_context(node):
+            self._check_fork(node, 'get_context("fork")')
         if _is_unpickle(node):
             self._report("legacy-shim", node,
                          "pickle.load — artifacts load through repro.load")

@@ -7,7 +7,9 @@ option set, from cold caches, and checks that every templated kernel
 lowered program :meth:`repro.autotvm.Task.verify` accepts.  Per (model,
 target) it prints the templated kernels, how many TIR verdicts the compile
 asked for, how many of them were rejections, and the wall time they cost
-beside the compile's.  Run from anywhere::
+beside the compile's.  The compiles run their fallback searches in this
+process (a parked thread keeps them off the fork pool), so every verdict is
+counted here.  Run from anywhere::
 
     python tools/verify_census.py
 
@@ -20,6 +22,7 @@ positive shows nowhere else.
 from __future__ import annotations
 
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -60,12 +63,17 @@ def census(model: str, target_name: str) -> dict:
     clear_timing_cache()
     spy = _VerdictSpy()
     tir_verify.verify_func = spy
+    release = threading.Event()
+    parked = threading.Thread(target=release.wait, daemon=True)
+    parked.start()
     try:
         started = time.perf_counter()
         module = repro.compile(model, target=target_name)
         compile_s = time.perf_counter() - started
     finally:
         tir_verify.verify_func = spy.real
+        release.set()
+        parked.join()
     target = create_target(target_name)
     templated, unverified = 0, []
     for kernel in module.kernels:
