@@ -136,13 +136,14 @@ class TuningReport:
 # Task extraction
 # ---------------------------------------------------------------------------
 
-def _normalise_model(model, target, params, input_shapes):
-    """Resolve compile-parity model forms to (graph-with-shapes, target)."""
+def _normalise_model(model, target, input_shapes):
+    """Resolve compile-parity model forms to (graph-with-shapes, target).
+    Tuning reads shapes only, so no param is read (and no weight drawn)."""
     # Imported lazily: the compiler package imports repro.autotvm at load
     # time, so the session must not import it back at module level.
-    from ..compiler.driver import _resolve_model, _resolve_target
+    from ..compiler.driver import _resolve_graph, _resolve_target
 
-    graph, _params, shapes = _resolve_model(model, params, input_shapes)
+    graph, _params, shapes = _resolve_graph(model, input_shapes)
     resolved = _resolve_target(target)
     if shapes:
         graph.infer_shapes(shapes)
@@ -169,7 +170,7 @@ def extract_tasks(model, target=None, *, params=None, input_shapes=None
 
     Accepts the same model forms as :func:`repro.compile` / :func:`autotune`.
     """
-    graph, resolved = _normalise_model(model, target, params, input_shapes)
+    graph, resolved = _normalise_model(model, target, input_shapes)
     return [task for task, _node in _extract_task_nodes(graph, resolved)]
 
 
@@ -356,7 +357,9 @@ def autotune(model, target=None, *, trials: Optional[int] = None,
         measures join the log for later sessions only.  A fresh in-memory
         database by default.
     params / input_shapes:
-        Override or supplement whatever the model form provided.
+        Override or supplement whatever the model form provided.  Tuning
+        reads shapes only: no param, given or the model's own, is read, so
+        no weight of a zoo model is drawn.
 
     Returns the :class:`TuningReport`; compile under
     ``report.apply_history_best()`` to use the tuned configurations.
@@ -366,7 +369,7 @@ def autotune(model, target=None, *, trials: Optional[int] = None,
     if options.tuner not in _TUNERS:    # fail loudly before any work
         raise ValueError(f"Unknown tuner {options.tuner!r}; valid tuners: "
                          f"{sorted(_TUNERS)}")
-    graph, resolved = _normalise_model(model, target, params, input_shapes)
+    graph, resolved = _normalise_model(model, target, input_shapes)
     pairs = _extract_task_nodes(graph, resolved)
     database = database if database is not None else TuningDatabase()
     start = time.perf_counter()

@@ -12,7 +12,7 @@ pass's wall time and node counts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,25 +69,25 @@ def _resolve_target(target: Union[Target, str, None]) -> Target:
     raise TypeError(f"target must be a Target or a target name, got {target!r}")
 
 
-def _resolve_model(model: ModelLike,
-                   params: Optional[Dict[str, np.ndarray]],
+def _resolve_graph(model: ModelLike,
                    input_shapes: Optional[Dict[str, Tuple[int, ...]]]
-                   ) -> Tuple[Graph, Dict[str, np.ndarray], Dict[str, Tuple[int, ...]]]:
-    """Normalise the accepted model forms to ``(graph, params, shapes)``."""
+                   ) -> Tuple[Graph, Mapping[str, np.ndarray],
+                              Dict[str, Tuple[int, ...]]]:
+    """Normalise the accepted model forms to ``(graph, the model's own
+    params, shapes)``, reading no param."""
+    model_params: Mapping[str, np.ndarray] = {}
     model_shapes: Dict[str, Tuple[int, ...]] = {}
     if isinstance(model, str):
         from ..frontend.models import get_model
 
         graph, model_params, model_shapes = get_model(model)
-        params = model_params if params is None else params
     elif isinstance(model, Graph):
         graph = model
     elif isinstance(model, (tuple, list)) and len(model) in (2, 3):
-        graph = model[0]
+        graph, model_params = model[0], model[1]
         if not isinstance(graph, Graph):
             raise TypeError(f"Expected a Graph first in {type(model).__name__} "
                             f"model, got {type(graph).__name__}")
-        params = dict(model[1]) if params is None else params
         if len(model) == 3:
             model_shapes = dict(model[2])
     else:
@@ -102,7 +102,22 @@ def _resolve_model(model: ModelLike,
             shapes.setdefault(node.name, tuple(node.shape))
     if input_shapes:
         shapes.update({name: tuple(shape) for name, shape in input_shapes.items()})
-    return graph, dict(params or {}), shapes
+    return graph, model_params, shapes
+
+
+def _resolve_model(model: ModelLike,
+                   params: Optional[Dict[str, np.ndarray]],
+                   input_shapes: Optional[Dict[str, Tuple[int, ...]]]
+                   ) -> Tuple[Graph, Dict[str, np.ndarray], Dict[str, Tuple[int, ...]]]:
+    """:func:`_resolve_graph`, with the model's params that the graph's input
+    nodes read (a lazily drawn weight nothing reads stays undrawn) and
+    ``params`` on top of them."""
+    graph, model_params, shapes = _resolve_graph(model, input_shapes)
+    read = {node.name for node in graph.input_nodes}
+    resolved = {name: model_params[name] for name in model_params
+                if name in read}
+    resolved.update(params or {})
+    return graph, resolved, shapes
 
 
 def _generate_kernels(state: CompileState,
@@ -168,7 +183,9 @@ def compile(model: ModelLike, target: Union[Target, str, None] = None, *,
         A :class:`~repro.hardware.target.Target` or a short name
         (``"cuda"``, ``"arm_cpu"``, ``"mali"``, ``"vdla"``).
     params / input_shapes:
-        Override or supplement whatever the model form provided.
+        Override or supplement whatever the model form provided.  Of a
+        model's own params, only those the graph reads are read (a zoo
+        model's weights are drawn then, not when it is built).
     opt_level:
         Shortcut overriding the active :class:`PassContext`'s level; prefer
         configuring a ``PassContext`` for anything beyond that.

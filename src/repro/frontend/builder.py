@@ -8,13 +8,14 @@ initialised weights — for the evaluation workloads.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import threading
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..graph.ir import Graph, Node
 
-__all__ = ["ModelBuilder"]
+__all__ = ["ModelBuilder", "LazyParams"]
 
 IntPair = Union[int, Tuple[int, int]]
 
@@ -43,14 +44,74 @@ def draw_weight(rng: np.random.Generator, shape: Sequence[int], scale: float,
     return out
 
 
+class LazyParams(Mapping[str, np.ndarray]):
+    """A model's params, each random weight drawn when it is first read.
+
+    Weights are declared in build order and drawn from one generator in that
+    order: the first read of a weight draws every weight declared before it,
+    so each gets the values an eager build would have given it, whichever
+    is read first.  Reads that draw hold a lock.  Tuning and a compile of a
+    graph cut read only the weights they use, and draw no more than that.
+    """
+
+    def __init__(self, rng: np.random.Generator, dtype: str):
+        self._rng = rng
+        self._dtype = dtype
+        #: name -> its index in ``_recipes`` (the last declaration wins), or
+        #: -1 for a value given whole; in declaration order
+        self._slot: Dict[str, int] = {}
+        self._recipes: List[Tuple[str, Tuple[int, ...], float, float]] = []
+        self._values: Dict[str, np.ndarray] = {}
+        self._drawn = 0
+        self._lock = threading.Lock()
+
+    def declare(self, name: str, shape: Sequence[int], scale: float,
+                offset: float = 0.0) -> None:
+        """Add ``name``, to be drawn as ``draw_weight(.., shape, scale) +=
+        offset``."""
+        self._values.pop(name, None)
+        self._slot[name] = len(self._recipes)
+        self._recipes.append((name, tuple(shape), scale, offset))
+
+    def bind(self, name: str, value: np.ndarray) -> None:
+        """Add ``name`` with a value that is not drawn."""
+        self._slot[name] = -1
+        self._values[name] = value
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        value = self._values.get(name)
+        if value is not None:
+            return value
+        end = self._slot[name] + 1
+        with self._lock:
+            while self._drawn < end:
+                owner, shape, scale, offset = self._recipes[self._drawn]
+                array = draw_weight(self._rng, shape, scale, self._dtype)
+                if offset:
+                    array += offset
+                if self._slot[owner] == self._drawn:
+                    self._values[owner] = array
+                self._drawn += 1
+        return self._values[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._slot
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._slot)
+
+    def __len__(self) -> int:
+        return len(self._slot)
+
+
 class ModelBuilder:
-    """Builds graphs layer by layer, creating parameters as it goes."""
+    """Builds graphs layer by layer, declaring parameters as it goes."""
 
     def __init__(self, name: str = "model", seed: int = 0, dtype: str = "float32"):
         self.name = name
         self.dtype = dtype
-        self.params: Dict[str, np.ndarray] = {}
         self.rng = np.random.default_rng(seed)
+        self.params = LazyParams(self.rng, dtype)
         self._counter: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ helpers
@@ -59,8 +120,9 @@ class ModelBuilder:
         self._counter[prefix] = count + 1
         return f"{prefix}{count}"
 
-    def _param(self, name: str, shape: Sequence[int], scale: float = 0.1) -> Node:
-        self.params[name] = draw_weight(self.rng, shape, scale, self.dtype)
+    def _param(self, name: str, shape: Sequence[int], scale: float = 0.1,
+               offset: float = 0.0) -> Node:
+        self.params.declare(name, shape, scale, offset)
         node = Node("null", name)
         node.shape = tuple(shape)
         node.dtype = self.dtype
@@ -129,12 +191,10 @@ class ModelBuilder:
     def batch_norm(self, data: Node, name: Optional[str] = None) -> Node:
         name = name or self._unique("bn")
         channels = data.shape[1]
-        gamma = self._param(f"{name}_gamma", (channels,), scale=0.0)
-        self.params[f"{name}_gamma"] += 1.0
+        gamma = self._param(f"{name}_gamma", (channels,), scale=0.0, offset=1.0)
         beta = self._param(f"{name}_beta", (channels,), scale=0.01)
         mean = self._param(f"{name}_mean", (channels,), scale=0.01)
-        var = self._param(f"{name}_var", (channels,), scale=0.0)
-        self.params[f"{name}_var"] += 1.0
+        var = self._param(f"{name}_var", (channels,), scale=0.0, offset=1.0)
         return self._op("batch_norm", [data, gamma, beta, mean, var], {}, name)
 
     def relu(self, data: Node) -> Node:
@@ -210,7 +270,7 @@ class ModelBuilder:
         if weight_name not in self.params:
             selector = np.zeros((hidden_size, 4 * hidden_size), dtype=self.dtype)
             selector[:, index * hidden_size:(index + 1) * hidden_size] = np.eye(hidden_size)
-            self.params[weight_name] = selector
+            self.params.bind(weight_name, selector)
         node = Node("null", weight_name)
         node.shape = (hidden_size, 4 * hidden_size)
         node.dtype = self.dtype
@@ -218,8 +278,8 @@ class ModelBuilder:
 
     # ------------------------------------------------------------------ finish
     def finalize(self, outputs: Union[Node, Sequence[Node]]
-                 ) -> Tuple[Graph, Dict[str, np.ndarray]]:
+                 ) -> Tuple[Graph, LazyParams]:
+        """``(graph, params)``; no weight is drawn until it is read."""
         if isinstance(outputs, Node):
             outputs = [outputs]
-        graph = Graph(list(outputs))
-        return graph, dict(self.params)
+        return Graph(list(outputs)), self.params

@@ -18,7 +18,8 @@ Keras ``Sequential`` model or an ONNX graph carries:
 
 Both return ``(graph, params)`` where ``graph`` is a
 :class:`~repro.graph.ir.Graph` and ``params`` maps parameter names to NumPy
-arrays, ready for :func:`repro.compile`.
+arrays (a :class:`~repro.frontend.builder.LazyParams`: a random weight is
+drawn when first read), ready for :func:`repro.compile`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from ..graph.ir import Graph, Node
 from ..graph.ops import OP_REGISTRY
 from ..topi.reference import _pair
-from .builder import ModelBuilder, draw_weight
+from .builder import LazyParams, ModelBuilder
 
 __all__ = ["from_keras", "from_onnx", "KerasConversionError", "ONNXConversionError"]
 
@@ -64,7 +65,7 @@ def _keras_padding(layer: LayerSpec, kernel: Tuple[int, int]) -> int:
 def from_keras(model: Union[Sequence[LayerSpec], Mapping[str, object]],
                input_shape: Optional[Sequence[int]] = None,
                batch: int = 1, dtype: str = "float32",
-               seed: int = 0) -> Tuple[Graph, Dict[str, np.ndarray]]:
+               seed: int = 0) -> Tuple[Graph, LazyParams]:
     """Convert a Keras-``Sequential``-style description into a graph.
 
     Parameters
@@ -228,7 +229,7 @@ _ONNX_OP_MAP = {
 
 def from_onnx(model: Mapping[str, object], batch: Optional[int] = None,
               dtype: str = "float32",
-              seed: int = 0) -> Tuple[Graph, Dict[str, np.ndarray]]:
+              seed: int = 0) -> Tuple[Graph, LazyParams]:
     """Convert an ONNX-style graph description into a computational graph.
 
     ``model`` mirrors the structure of an ONNX ``GraphProto``::
@@ -244,9 +245,9 @@ def from_onnx(model: Mapping[str, object], batch: Optional[int] = None,
           "outputs": ["out"],
         }
 
-    Initializers given as shapes are materialised with random values (the
-    paper's evaluation uses random weights as well — only performance is
-    measured).  Returns ``(graph, params)``.
+    Initializers given as shapes get random values, drawn when first read
+    (the paper's evaluation uses random weights as well — only performance
+    is measured).  Returns ``(graph, params)``.
     """
     inputs: Mapping[str, Sequence[int]] = model.get("inputs", {})  # type: ignore[assignment]
     initializers: Mapping[str, object] = model.get("initializers", {})  # type: ignore[assignment]
@@ -257,8 +258,7 @@ def from_onnx(model: Mapping[str, object], batch: Optional[int] = None,
     if not nodes:
         raise ONNXConversionError("ONNX model description has no nodes")
 
-    rng = np.random.default_rng(seed)
-    params: Dict[str, np.ndarray] = {}
+    params = LazyParams(np.random.default_rng(seed), dtype)
     values: Dict[str, Node] = {}
 
     for name, shape in inputs.items():
@@ -270,19 +270,21 @@ def from_onnx(model: Mapping[str, object], batch: Optional[int] = None,
         node.dtype = dtype
         values[name] = node
 
+    param_shapes: Dict[str, Tuple[int, ...]] = {}
     for name, value in initializers.items():
         if isinstance(value, np.ndarray):
-            array = value.astype(dtype)
+            params.bind(name, value.astype(dtype))
+            param_shapes[name] = value.shape
         else:
-            array = draw_weight(rng, [int(d) for d in value], 0.1, dtype)
-        params[name] = array
+            param_shapes[name] = tuple(int(d) for d in value)
+            params.declare(name, param_shapes[name], 0.1)
         node = Node("null", name)
-        node.shape = tuple(array.shape)
+        node.shape = param_shapes[name]
         node.dtype = dtype
         values[name] = node
 
     for position, onnx_node in enumerate(nodes):
-        _convert_onnx_node(onnx_node, position, values, params, dtype)
+        _convert_onnx_node(onnx_node, position, values, dtype)
 
     missing = [name for name in output_names if name not in values]
     if missing:
@@ -290,8 +292,7 @@ def from_onnx(model: Mapping[str, object], batch: Optional[int] = None,
     outputs = [values[name] for name in output_names] or [values[nodes[-1]["outputs"][0]]]  # type: ignore[index]
     graph = Graph(outputs)
     input_shapes = {name: tuple(shape) for name, shape in inputs.items()}
-    graph.infer_shapes({**input_shapes,
-                        **{k: tuple(v.shape) for k, v in params.items()}})
+    graph.infer_shapes({**input_shapes, **param_shapes})
     return graph, params
 
 
@@ -320,8 +321,7 @@ def _onnx_attr_translate(op_type: str, attrs: Mapping[str, object]) -> Dict[str,
 
 
 def _convert_onnx_node(onnx_node: Mapping[str, object], position: int,
-                       values: Dict[str, Node], params: Dict[str, np.ndarray],
-                       dtype: str) -> None:
+                       values: Dict[str, Node], dtype: str) -> None:
     op_type = str(onnx_node.get("op_type", ""))
     if op_type not in _ONNX_OP_MAP:
         raise ONNXConversionError(

@@ -9,7 +9,8 @@ otherwise — and asking the target's hardware model for its latency.  Light
 
 Results are memoised per (workload, target) since networks reuse layer shapes.
 A compile runs its fallback searches first, side by side where it can fork
-(:func:`fallback_configs`); each is seeded, so where it runs changes nothing.
+and they are worth it (:func:`fallback_configs`); each is seeded, so where
+it runs changes nothing.
 """
 
 from __future__ import annotations
@@ -332,12 +333,19 @@ def _search(job: Tuple[Tuple, Node, Target]) -> Tuple[float, Optional[int]]:
     return fallback_search(task, target, seed=seed)
 
 
+#: operators whose fallback searches are worth forking for: a dense search
+#: costs about what a fork pool does (lstm-lm/cuda's three took 0.10 - 0.17 s
+#: in-process and 0.13 - 0.19 s on a pool, on 2 cores)
+_FORK_WORTHY_OPS = ("conv2d", "depthwise_conv2d", "conv2d_transpose")
+
+
 def fallback_configs(pairs: Iterable[Tuple[Node, Target]]) -> None:
     """Memoise the fallback search of each ``(node, target)`` workload not
-    memoised yet.  With two or more pending, two or more usable cores, no
-    other thread alive (a fork copies their held locks) and a non-daemon
-    caller, the searches run on a fork pool of one worker per core, else one
-    after another here; the results are the same.  The pool is joined before
+    memoised yet.  With two or more convolution-family searches pending, two
+    or more usable cores, a fork start method, no other thread alive (a
+    fork copies their held locks) and a non-daemon caller, all pending
+    searches run on a fork pool of one worker per core, else one after
+    another here; the results are the same.  The pool is joined before
     this returns: a search's exception is raised here, and what a dead
     worker left undone runs here."""
     pending = {}
@@ -346,11 +354,14 @@ def fallback_configs(pairs: Iterable[Tuple[Node, Target]]) -> None:
         if key not in _FALLBACK_CACHE:
             pending.setdefault(key, (key, node, target))
     jobs = list(pending.values())
-    workers = min(len(os.sched_getaffinity(0)), len(jobs))
-    if workers >= 2 and threading.active_count() == 1:
+    if (sum(node.op in _FORK_WORTHY_OPS for _, node, _ in jobs) >= 2
+            and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
         import multiprocessing
 
-        if not multiprocessing.current_process().daemon:
+        workers = min(len(os.sched_getaffinity(0)), len(jobs))
+        if (workers >= 2 and not multiprocessing.current_process().daemon
+                and "fork" in multiprocessing.get_all_start_methods()):
             _search_on_pool(jobs, workers)
     for job in jobs:
         if job[0] not in _FALLBACK_CACHE:

@@ -216,6 +216,24 @@ class TestCompileFrontDoor:
             assert module.total_time > 0, name
             assert module.pass_records, name
 
+    @pytest.mark.parametrize("form", ["name", "tuple"])
+    def test_params_supplement_the_models_own(self, form):
+        """``params=`` overrides the named weight and keeps the others bound:
+        replacing them all left dqn's other 7 weights as runtime inputs."""
+        model = "dqn" if form == "name" else get_model("dqn")
+        own = get_model("dqn")[1]
+        zeros = np.zeros_like(own["fc2_weight"])
+        module = repro.compile(model, target="cuda",
+                               params={"fc2_weight": zeros})
+        assert sorted(module.params) == sorted(own)
+        assert module.params["fc2_weight"] is zeros
+        assert module.params["fc1_weight"].tobytes() \
+            == own["fc1_weight"].tobytes()
+        executor = repro.Executor(module)
+        assert [spec.name for spec in executor.input_specs] == ["data"]
+        out = executor(np.ones((1, 4, 84, 84), "float32"))[0]
+        assert not out.asnumpy().any()  # fc2 is the last layer
+
     def test_heterogeneous_targets_accept_names(self):
         graph, params, shapes = get_model("resnet-18", batch=1, image_size=32,
                                           num_classes=10)

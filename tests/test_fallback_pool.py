@@ -16,11 +16,11 @@ from repro.graph import clear_timing_cache, op_timing
 PAIRS = [("dqn", "arm_cpu"), ("lstm-lm", "cuda")]
 
 
-def _cold_compiles():
+def _cold_compiles(pairs=PAIRS):
     """Per pair: ``total_time`` and each kernel's config and provenance."""
     clear_timing_cache()
     digest = []
-    for model, target in PAIRS:
+    for model, target in pairs:
         module = repro.compile(model, target=target)
         digest.append((model, target, module.total_time,
                        [(k.config_index, k.tuned) for k in module.kernels]))
@@ -29,12 +29,13 @@ def _cold_compiles():
 
 @pytest.fixture
 def pool_runs(monkeypatch):
-    """Worker counts of the pools the compiles start (none on one core)."""
+    """Per pool the compiles start (none on one core): its worker count
+    and the operators of its searches."""
     runs = []
     real = op_timing._search_on_pool
 
     def spy(jobs, workers):
-        runs.append(workers)
+        runs.append((workers, sorted(node.op for _key, node, _ in jobs)))
         return real(jobs, workers)
 
     monkeypatch.setattr(op_timing, "_search_on_pool", spy)
@@ -45,7 +46,7 @@ def pool_runs(monkeypatch):
 def _expect_pool(runs):
     if len(os.sched_getaffinity(0)) >= 2:
         assert threading.active_count() == 1
-        assert runs and all(workers >= 2 for workers in runs)
+        assert runs and all(workers >= 2 for workers, _ops in runs)
     else:
         assert runs == []
 
@@ -63,6 +64,30 @@ class TestFallbackPool:
         _expect_pool(pool_runs)
         assert multiprocessing.active_children() == []
         assert pooled == in_process     # total_time by ==: bitwise
+
+    def test_only_convolution_searches_fork(self, pool_runs, in_process):
+        """lstm-lm/cuda's three dense searches stay in-process; dqn/arm_cpu's
+        three convolutions fork, its two dense searches ride along."""
+        assert _cold_compiles(PAIRS[1:]) == in_process[1:]
+        assert pool_runs == []
+        assert _cold_compiles(PAIRS[:1]) == in_process[:1]
+        _expect_pool(pool_runs)
+        assert [ops for _workers, ops in pool_runs] \
+            in ([], [["conv2d"] * 3 + ["dense"] * 2])
+
+    @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+    def test_no_pool_where_the_platform_cannot_fork(self, pool_runs,
+                                                    in_process, monkeypatch,
+                                                    missing):
+        """No ``os.sched_getaffinity`` (macOS) or no ``fork`` start method
+        (Windows): every search runs in-process, to the same kernels."""
+        if missing == "fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                                lambda: ["spawn"])
+        else:
+            monkeypatch.delattr(os, missing, raising=False)
+        assert _cold_compiles() == in_process
+        assert pool_runs == []
 
     def test_a_search_error_is_raised_and_joins_the_pool(self, pool_runs,
                                                          monkeypatch):

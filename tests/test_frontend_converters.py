@@ -1,7 +1,11 @@
 """Tests for the Keras- and ONNX-style frontend importers and the weight
 draw they share with the model builder."""
 
+import random
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +18,9 @@ from repro.frontend import (
     from_onnx,
     get_model,
 )
+from repro.frontend import ModelBuilder, builder
 from repro.frontend.builder import DRAW_CHUNK, draw_weight
+from repro.graph.ir import Graph
 from repro.hardware import arm_cpu, cuda
 
 
@@ -308,14 +314,109 @@ class TestDrawWeight:
         assert chunked.standard_normal() == whole.standard_normal()
 
     def test_a_weight_costs_its_bytes(self):
-        """Building dcgan allocates at most 1.1x the bytes of the params it
-        returns (``tracemalloc`` peak).  Drawing each weight whole in
-        float64, scaling it and casting it read 2.12x; chunked, 1.03x."""
+        """Building dcgan and drawing all its weights allocates at most 1.1x
+        the bytes of those weights (``tracemalloc`` peak).  Drawing each
+        weight whole in float64, scaling it and casting it read 2.12x;
+        chunked, 1.03x."""
         tracemalloc.start()
         try:
             _graph, params, _shapes = get_model("dcgan")
+            weights = sum(array.nbytes for array in params.values())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        weights = sum(array.nbytes for array in params.values())
         assert peak <= 1.1 * weights, (peak, weights)
+
+
+def _small_model():
+    """Every kind of param a builder makes: drawn weights, batch-norm gamma
+    and var (a scale-0 draw, then ``+= 1``) and bound LSTM gate selectors."""
+    b = ModelBuilder("small", seed=11)
+    net = b.conv_bn_relu(b.input("data", (1, 3, 8, 8)), 4, 3, padding=1)
+    net = b.dense(b.flatten(net), 8)
+    hidden, _cell = b.lstm_cell(net, b.input("h", (1, 4)), b.input("c", (1, 4)),
+                                4)
+    return b.finalize(b.bias_add(hidden))
+
+
+def _bytes(params, names):
+    return {name: params[name].tobytes() for name in names}
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Every ``draw_weight`` call's shape, in call order."""
+    calls = []
+    real = builder.draw_weight
+
+    def counting(rng, shape, scale, dtype):
+        calls.append(tuple(shape))
+        return real(rng, shape, scale, dtype)
+
+    monkeypatch.setattr(builder, "draw_weight", counting)
+    return calls
+
+
+class TestLazyParams:
+    @pytest.mark.parametrize("make", [_small_model, lambda: get_model("dqn")])
+    def test_any_read_order_gives_the_same_bits(self, make):
+        """In declaration order, reversed, shuffled, or from more threads
+        than cores at once: every weight is the same, bit for bit."""
+        names = list(make()[1])
+        want = _bytes(make()[1], names)
+        assert _bytes(make()[1], names[::-1]) == want
+        orders = [names[::-1]] + [random.Random(seed).sample(names, len(names))
+                                  for seed in range(5)]
+        assert _bytes(make()[1], orders[1]) == want
+
+        params = make()[1]
+        start = threading.Barrier(len(orders))
+
+        def read(order):
+            start.wait(timeout=30)
+            return _bytes(params, order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(orders)) as pool:
+                futures = [pool.submit(read, order) for order in orders]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * len(orders)
+
+    def test_a_batch_norm_reads_one_and_zero(self):
+        params = _small_model()[1]
+        for name in ("bn0_gamma", "bn0_var"):
+            assert np.array_equal(params[name], np.ones(4, "float32"))
+        assert params["lstm0_gate0_sel"].sum() == 4     # bound, not drawn
+
+    def test_a_read_draws_what_was_declared_before_it_once(self, draws):
+        _graph, params = _small_model()
+        assert draws == [] and "conv0_weight" in params and draws == []
+        params["bn0_mean"]          # conv0_weight, bn0_gamma, beta, mean
+        assert draws == [(4, 3, 3, 3), (4,), (4,), (4,)]
+        params["conv0_weight"]
+        params["bn0_mean"]
+        assert len(draws) == 4
+        dict(params)
+        assert len(draws) == len(params) - 4    # the four selectors are bound
+
+    def test_tuning_draws_no_weight(self, draws):
+        tasks = repro.autotvm.extract_tasks("dqn", "arm_cpu")
+        report = repro.autotune("dqn", target="arm_cpu", trials=2,
+                                params={"conv1_weight": np.zeros(
+                                    (32, 4, 8, 8), "float32")})
+        assert len(tasks) == len(report.results) > 0
+        assert draws == []
+
+    def test_a_cut_graph_draws_only_its_weights(self, draws):
+        graph, params, shapes = get_model("resnet-18")
+        graph.infer_shapes(shapes)
+        cut = Graph([graph.find("bn7")])
+        weights = [node for node in cut.input_nodes if node.name != "data"]
+        assert draws == []
+        repro.compile((cut, params, shapes), target="cuda")
+        assert sorted(draws) == sorted(node.shape for node in weights)
+        assert len(draws) < len(params)

@@ -553,6 +553,18 @@ class TestLintInvariants:
             "    return a + rng.uniform(size=shape) + rng.normal(size=shape)\n")
         assert [(v.rule, v.line) for v in linter.lint_file(planted)] \
             == [("one-weight-draw", line) for line in (2, 4, 5, 5)]
+        # draw_weight( itself only from the lazy mapping, never eagerly
+        (frontend / "builder.py").write_text(
+            helper + "class LazyParams:\n"
+            "    def __getitem__(self, name):\n"
+            "        return draw_weight(self.rng, (2,), 0.1, 'float32')\n"
+            "class ModelBuilder:\n"
+            "    def _param(self, name, shape):\n"
+            "        self.params[name] = draw_weight(self.rng, shape, 0.1, "
+            "'float32')\n")
+        assert [(v.rule, v.line)
+                for v in linter.lint_file(frontend / "builder.py")] \
+            == [("one-weight-draw", 8)]
 
     def test_one_executor_rule(self, tmp_path):
         linter = _load_linter()
