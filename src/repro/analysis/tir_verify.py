@@ -3,8 +3,9 @@
 :func:`verify_func` certifies a lowered :class:`~repro.tir.stmt.LoweredFunc`
 on the interval arithmetic of :mod:`repro.te.expr` (``BOUNDS_OF`` — the
 same transfer functions lowering sizes buffers with and feature extraction
-measures touched bytes with), refined here by linearisation and div/mod
-congruences:
+measures touched bytes with), refined here by linearisation and guard
+conditions, and met with the tile model lowering sizes compacted buffers
+with (:func:`~repro.te.expr.tile_of`):
 
 * **def-before-use** — every loop variable appearing in an index, extent or
   condition is bound by an enclosing loop, and every buffer accessed is a
@@ -12,13 +13,16 @@ congruences:
 * **static out-of-bounds detection** — per-dimension interval analysis of
   every load/store index, refined by the guard conditions the lowering
   emits for imperfect splits (``IfThenElse``) and by padding ``Select``
-  conditions, so guarded accesses are *not* false positives.  A
-  per-dimension overflow falls back to bounding the flattened row-major
-  offset — fused flat loop axes legitimately step across row boundaries
-  (``y = f // W``, ``x = f % W``), and after storage flattening only the
-  flat offset determines memory safety.  A tensor intrinsic's operands are
-  checked as whole tiles of the shapes its compute op declares, and a tile
-  whose rank is not its buffer's is out of bounds;
+  conditions, so guarded accesses are *not* false positives.  Each index's
+  interval is met with its tile: the variables of a subtracted term (a
+  compacted buffer's rebase offset) stay symbolic so the tile's start
+  cancels against it, every other variable spans its loop, and a ``%``
+  keeps its numerator's residue class.  Accesses are checked per
+  dimension, as the interpreter checks them: a fused index that steps past
+  a row's end is out of bounds even where its flat offset is not.  A
+  tensor intrinsic's operands are checked as whole tiles of the shapes its
+  compute op declares, and a tile whose rank is not its buffer's is out of
+  bounds;
 * **parallel-hazard detection** — ``parallel``/``vectorize``-annotated
   loops must carry no cross-iteration dependence: a store whose indices do
   not depend on the loop variable is a write-write race (the classic
@@ -44,7 +48,6 @@ from ..te.expr import (
     EQ,
     Expr,
     FloatImm,
-    FloorDiv,
     GE,
     GT,
     IntImm,
@@ -57,7 +60,8 @@ from ..te.expr import (
     Var,
     collect_vars,
     expr_children,
-    scale_bounds,
+    simplify,
+    tile_of,
 )
 from ..tir.stmt import (
     Allocate,
@@ -87,9 +91,14 @@ _HAZARD_KINDS = (ForKind.PARALLEL, ForKind.VECTORIZED)
 Interval = Tuple[float, float]
 
 
-def _safe_floor(value: float) -> float:
-    """``math.floor`` that passes infinities through."""
-    return value if math.isinf(value) else math.floor(value)
+def _meet(interval: Interval, other: Optional[Interval]) -> Interval:
+    """``interval`` narrowed by ``other``; both bound every value the
+    expression takes, so an empty meet only comes of a contradictory guard,
+    and then ``interval`` stands."""
+    if other is None:
+        return interval
+    low, high = max(interval[0], other[0]), min(interval[1], other[1])
+    return interval if low > high else (low, high)
 
 
 class _Access:
@@ -171,12 +180,7 @@ class _TIRVerifier:
         """Interval of ``expr`` under loop ranges ``env``, refined by the
         guard ``constraints``, via the linear normal form."""
         terms: Dict[str, List] = {}
-        const = self._linearize(expr, constraints, terms, 1.0)
-        const += self._recombine(terms, constraints)
-        low = high = const
-        pair_low, pair_high = self._pair_bounds(terms, env, constraints)
-        low += pair_low
-        high += pair_high
+        low = high = self._linearize(expr, constraints, terms, 1.0)
         for coeff, atom in terms.values():
             atom_low, atom_high = self._atom_bounds(atom, env, constraints)
             if coeff == 0:
@@ -192,161 +196,40 @@ class _TIRVerifier:
                 low, high = clipped
         return (low, high)
 
-    def _congruence(self, expr: Expr, modulus: float
-                    ) -> Optional[Tuple[int, int]]:
-        """Prove ``expr ≡ r (mod g)`` from its linear form, where ``g`` is
-        the gcd of the modulus and every term coefficient.  Returns
-        ``(g, r)`` with ``0 <= r < g``, or ``None`` when the form has
-        non-integer parts.  ``g == modulus`` means ``expr % modulus`` is the
-        exact constant ``r``."""
-        if modulus <= 0 or not float(modulus).is_integer():
+    def tile_bounds(self, expr: Expr, env: Dict[Var, Interval],
+                    constraints: Dict[str, Interval]) -> Optional[Interval]:
+        """Interval of ``expr`` on the lowering's model,
+        :func:`~repro.te.expr.tile_of`: the variables of subtracted terms (a
+        compacted buffer's rebase offset) stay symbolic, so the tile's start
+        cancels them, and every other variable spans its loop.  None when
+        no variable spans or the index is not one the model covers."""
+        held: Set[Var] = set()
+        self._subtracted_vars(expr, 1.0, held)
+        spans: Dict[Var, Tuple[int, int]] = {}
+        for var in self.free_vars(expr):
+            if var not in held:
+                low, high = env.get(var, _UNBOUNDED)
+                if math.isinf(low) or math.isinf(high):
+                    return None
+                spans[var] = (int(low), int(high))
+        tile = tile_of(expr, spans) if spans else None
+        if tile is None:
             return None
-        terms: Dict[str, List] = {}
-        const = self._linearize(expr, {}, terms, 1.0)
-        if not float(const).is_integer():
-            return None
-        g = int(modulus)
-        for coeff, _atom in terms.values():
-            if not float(coeff).is_integer():
-                return None
-            g = math.gcd(g, int(abs(coeff)))
-        return g, int(const) % g if g else 0
+        low, high = self.bounds(simplify(tile.start), env, constraints)
+        return (low, high + tile.last)
 
-    def _residue(self, expr: Expr, modulus: float) -> Optional[float]:
-        """``expr % modulus`` as an exact constant when the linear form of
-        ``expr`` proves it, else ``None``."""
-        congruence = self._congruence(expr, modulus)
-        if congruence is None or congruence[0] != int(modulus):
-            return None
-        return float(congruence[1])
-
-    def _recombine(self, terms: Dict[str, List],
-                   constraints: Dict[str, Interval]) -> float:
-        """Apply the exact identity ``t*K*(a//K) + t*(a%K) == t*a`` to the
-        linear form: matched quotient/remainder atoms over the same numerator
-        are replaced by the numerator itself, re-linearized.  This recovers
-        the correlation between the row and column indices of a flattened
-        fused loop axis (``y = f // W``, ``x = f % W``), which a flat-offset
-        bound needs to be tight.  Returns the constant part contributed by
-        the re-linearized numerators."""
-        div_atoms: Dict[Tuple[str, float], List[List]] = {}
-        mod_atoms: Dict[Tuple[str, float], List[List]] = {}
-        for entry in list(terms.values()):
-            atom = entry[1]
-            if (isinstance(atom, (FloorDiv, Mod))
-                    and isinstance(atom.b, (IntImm, FloatImm))
-                    and atom.b.value > 0):
-                key = (repr(atom.a), atom.b.value)
-                group = div_atoms if isinstance(atom, FloorDiv) else mod_atoms
-                group.setdefault(key, []).append(entry)
-        const = 0.0
-        for key, div_entries in div_atoms.items():
-            mod_entries = mod_atoms.get(key)
-            if not mod_entries:
-                continue
-            modulus = key[1]
-            for div_entry in div_entries:
-                for mod_entry in mod_entries:
-                    quotient_share = div_entry[0] / modulus
-                    if quotient_share == 0 or mod_entry[0] == 0:
-                        continue
-                    if (quotient_share > 0) != (mod_entry[0] > 0):
-                        continue
-                    transfer = math.copysign(
-                        min(abs(quotient_share), abs(mod_entry[0])),
-                        quotient_share)
-                    div_entry[0] -= transfer * modulus
-                    mod_entry[0] -= transfer
-                    const += self._linearize(mod_entry[1].a, constraints,
-                                             terms, transfer)
-        return const
-
-    def _pair_bounds(self, terms: Dict[str, List],
-                     env: Dict[Var, Interval],
-                     constraints: Dict[str, Interval]) -> Interval:
-        """Consume matched ``+a//K / -b//K`` (and ``%K``) term pairs from the
-        linear form, bounding each pair through the *difference* of its
-        numerators instead of the difference of its own intervals.
-
-        The compacted-buffer indices the lowering emits have exactly this
-        shape — ``(base + inner) // K - base // K`` — whose numerator
-        difference cancels linearly to the small ``inner`` range, while the
-        naive interval difference spans the whole buffer.
-        """
-        groups: Dict[Tuple[type, float], List[List]] = {}
-        for entry in terms.values():
-            atom = entry[1]
-            if (isinstance(atom, (FloorDiv, Mod))
-                    and isinstance(atom.b, (IntImm, FloatImm))
-                    and atom.b.value > 0):
-                groups.setdefault((type(atom), atom.b.value), []).append(entry)
-        # First match pos/neg pairs within each (kind, K) group and pool the
-        # transferred weight per *numerator pair*, so a ``//K`` pair and a
-        # ``%K`` pair over the same (a, b) are bounded jointly below.
-        pairs: Dict[Tuple[str, str, float], Dict] = {}
-        for (kind, modulus), entries in groups.items():
-            positive = [e for e in entries if e[0] > 0]
-            negative = [e for e in entries if e[0] < 0]
-            for pos in positive:
-                for neg in negative:
-                    transfer = min(pos[0], -neg[0])
-                    if transfer <= 0:
-                        continue
-                    key = (repr(pos[1].a), repr(neg[1].a), modulus)
-                    rec = pairs.setdefault(
-                        key, {"a": pos[1].a, "b": neg[1].a,
-                              "div": 0.0, "mod": 0.0})
-                    rec["div" if kind is FloorDiv else "mod"] += transfer
-                    pos[0] -= transfer
-                    neg[0] += transfer
-        low = high = 0.0
-        add = BOUNDS_OF[Add]
-        for (_ra, _rb, modulus), rec in pairs.items():
-            delta = Sub(rec["a"], rec["b"])
-            delta_low, delta_high = self.bounds(delta, env, constraints)
-            residue = self._residue(delta, modulus)
-            if delta_low == 0 and delta_high == 0:
-                residue = 0  # numerators provably equal pointwise
-            # Partial congruences refine the residue windows: b ≡ rb
-            # (mod gb) pins b % K inside [rb, K - gb + rb], likewise for a.
-            gb, rb = self._congruence(rec["b"], modulus) or (1, 0)
-            ga, ra = self._congruence(rec["a"], modulus) or (1, 0)
-            # Q bounds the quotient difference, via the pointwise identity
-            # q = a//K - b//K == (b%K + delta) // K.
-            if residue == 0:
-                quot = (delta_low / modulus, delta_high / modulus)
-            else:
-                quot = (_safe_floor((rb + delta_low) / modulus),
-                        _safe_floor((modulus - gb + rb + delta_high)
-                                    / modulus))
-            # M bounds the mod difference a%K - b%K == delta - K*q.
-            if residue is not None:
-                # delta == K*m + residue pointwise, so the mod difference
-                # is residue or residue - K exactly
-                moddiff = ((residue - modulus, residue)
-                           if residue else (0.0, 0.0))
-            elif quot[0] == quot[1] and not math.isinf(quot[0]):
-                # the quotient difference is a known constant, so the mod
-                # difference is exactly delta - K*q
-                moddiff = (delta_low - modulus * quot[0],
-                           delta_high - modulus * quot[0])
-            else:
-                moddiff = (max(delta_low - modulus * quot[1],
-                               ra - (modulus - gb + rb)),
-                           min(delta_high - modulus * quot[0],
-                               modulus - ga + ra - rb))
-            tq, tm = rec["div"], rec["mod"]
-            # The pair contributes V = tq*q + tm*m with m == delta - K*q
-            # pointwise.  Two sound bounds, intersected: the direct form
-            # tq*Q + tm*M, and the substituted form tm*D + (tq - tm*K)*Q,
-            # which is *exact* when tq == tm*K (flattened row/col indices
-            # of a compacted tile recombine to the plain fused offset).
-            direct = add(scale_bounds(quot, tq), scale_bounds(moddiff, tm))
-            subst = add(scale_bounds((delta_low, delta_high), tm),
-                        scale_bounds(quot, tq - tm * modulus))
-            low += max(direct[0], subst[0])
-            high += min(direct[1], subst[1])
-        return (low, high)
+    def _subtracted_vars(self, expr: Expr, sign: float,
+                         held: Set[Var]) -> None:
+        """Add to ``held`` the variables of the terms the affine skeleton
+        of ``expr`` subtracts."""
+        if isinstance(expr, (Add, Sub)):
+            self._subtracted_vars(expr.a, sign, held)
+            self._subtracted_vars(
+                expr.b, -sign if isinstance(expr, Sub) else sign, held)
+        elif isinstance(expr, Mul) and isinstance(expr.b, (IntImm, FloatImm)):
+            self._subtracted_vars(expr.a, sign * expr.b.value, held)
+        elif sign < 0:
+            held.update(self.free_vars(expr))
 
     def _atom_bounds(self, expr: Expr, env: Dict[Var, Interval],
                      constraints: Dict[str, Interval]) -> Interval:
@@ -370,26 +253,15 @@ class _TIRVerifier:
             interval = (min(t[0], f[0]), max(t[1], f[1]))
         elif isinstance(expr, Cast):
             interval = self.bounds(expr.value, env, constraints)
-        elif (isinstance(expr, Mod)
-              and isinstance(expr.b, (IntImm, FloatImm))
-              and (congruence := self._congruence(expr.a, expr.b.value))
-              is not None):
-            # the numerator is ≡ r (mod g) for g dividing the modulus, so
-            # the mod stays in that congruence class: tile offsets that step
-            # by a fixed factor never reach the last g-1 slots
-            modulus = expr.b.value
-            g, r = congruence
-            interval = (r, modulus - g + r) if g else (0, modulus - 1)
-            numerator = self.bounds(expr.a, env, constraints)
-            if not (math.isinf(numerator[0]) or math.isinf(numerator[1])):
-                structural = BOUNDS_OF[Mod](numerator, (modulus, modulus))
-                interval = (max(interval[0], structural[0]),
-                            min(interval[1], structural[1]))
         else:
             handler = BOUNDS_OF.get(type(expr))
             if handler is not None:
                 interval = handler(self.bounds(expr.a, env, constraints),
                                    self.bounds(expr.b, env, constraints))
+                if isinstance(expr, Mod):
+                    # a ``%`` keeps its numerator's residue class
+                    interval = _meet(interval, self.tile_bounds(
+                        expr, env, constraints))
             else:
                 children = expr_children(expr)
                 if not children:
@@ -462,47 +334,20 @@ class _TIRVerifier:
             raise self._oob(
                 f"{kind} {buffer.name!r} uses {len(indices)} indices for a "
                 f"{len(buffer.shape)}-dimensional buffer", node=buffer.name)
-        violation = None
         for dim, index in enumerate(indices):
-            low, high = self.bounds(index, env, constraints)
             span = tile[dim] if tile is not None else 1
+            low, high = self.bounds(index, env, constraints)
+            if low < 0 or high + span > buffer.shape[dim]:
+                # the tile only narrows, so it is met where bounds fall short
+                low, high = _meet((low, high), self.tile_bounds(
+                    index, env, constraints))
             low_int = math.ceil(low)
             high_int = math.floor(high) + span - 1
             if low_int < 0 or high_int > buffer.shape[dim] - 1:
-                violation = (dim, low_int, high_int)
-                break
-        if violation is None:
-            return
-        # A per-dimension overflow may still be a legal access: fused flat
-        # loop axes tile the row-major address space, so an index pair like
-        # (f // W, f % W + i) can step past a row end while staying inside
-        # the allocation.  Verify the flattened offset instead — this is the
-        # semantics storage flattening gives the buffer.
-        strides = []
-        stride = 1
-        for extent in reversed(buffer.shape):
-            strides.append(stride)
-            stride *= extent
-        strides.reverse()
-        flat: Optional[Expr] = None
-        for index, dim_stride in zip(indices, strides):
-            term = index if dim_stride == 1 else Mul(index, IntImm(dim_stride))
-            flat = term if flat is None else Add(flat, term)
-        flat_low, flat_high = self.bounds(flat, env, constraints)
-        tile_extra = 0
-        if tile is not None:
-            tile_extra = sum((extent - 1) * dim_stride
-                             for extent, dim_stride in zip(tile, strides))
-        if (math.ceil(flat_low) < 0
-                or math.floor(flat_high) + tile_extra > buffer.size - 1):
-            dim, low_int, high_int = violation
-            raise self._oob(
-                f"{kind} {buffer.name!r} dimension {dim} spans "
-                f"[{low_int}, {high_int}] but the extent is "
-                f"{buffer.shape[dim]}, and the flattened offset "
-                f"[{math.ceil(flat_low)}, {math.floor(flat_high) + tile_extra}]"
-                f" escapes the allocation of {buffer.size} elements",
-                node=buffer.name)
+                raise self._oob(
+                    f"{kind} {buffer.name!r} dimension {dim} spans "
+                    f"[{low_int}, {high_int}] but the extent is "
+                    f"{buffer.shape[dim]}", node=buffer.name)
 
     def check_expr(self, expr: Expr, env: Dict[Var, Interval],
                    constraints: Dict[str, Interval], defined: Set[int]) -> None:

@@ -17,9 +17,10 @@ import math
 import operator
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
-from .trace import SymInt, larger, recording, smaller
+from .trace import SymInt, gcd, larger, recording, smaller
 
 __all__ = [
     "Expr",
@@ -60,12 +61,13 @@ __all__ = [
     "collect_vars",
     "BOUNDS_OF",
     "VALUE_OF",
-    "scale_bounds",
     "compile_bounds",
     "eval_bounds",
     "expr_bounds",
     "rekey_bounds",
     "keeps_points",
+    "Tile",
+    "tile_of",
 ]
 
 ExprLike = Union["Expr", int, float, bool]
@@ -852,14 +854,6 @@ VALUE_OF: Dict[type, Callable] = {
 }
 
 
-def scale_bounds(interval, coeff):
-    """Scale an interval by a constant (0 * inf == 0 here)."""
-    if coeff == 0:
-        return (0.0, 0.0)
-    lo, hi = interval[0] * coeff, interval[1] * coeff
-    return (lo, hi) if coeff > 0 else (hi, lo)
-
-
 _B_VAR, _B_CONST, _B_BINOP, _B_UNION = range(4)
 
 
@@ -993,3 +987,104 @@ def expr_bounds(expr: Expr, var_ranges: Dict[Var, Tuple]) -> Tuple:
     """Conservative ``(low, high)`` interval of ``expr``, given the interval
     of each of its free variables."""
     return eval_bounds(compile_bounds(expr)[1], var_ranges)
+
+
+# ---------------------------------------------------------------------------
+# Index tiles — the one model of the values an index takes while some loops
+# sweep their ranges (§4's bound inference).  Lowering sizes a compacted
+# buffer with it, and the TIR verifier bounds each access with it.
+# ---------------------------------------------------------------------------
+
+class Tile(NamedTuple):
+    """Every value an index takes while the spanned variables sweep their
+    ranges lies in ``[start, start + extent)`` and is congruent to
+    ``start`` modulo ``step`` (0: the value is ``start``), for any value of
+    the other variables, which ``start`` is written in.
+
+    ``wrapped`` says a ``//`` or ``%`` over a fused loop can see its tile of
+    consecutive positions cross a row's end (a multiple of the divisor).
+    Such a tile wraps to the next row's start, so its column region is the
+    whole row, and it may touch one row more than its length alone needs
+    (TVM's bound inference relaxes a misaligned fuse the same way).
+    """
+
+    start: Expr
+    extent: int
+    step: int
+    wrapped: bool
+
+    @property
+    def last(self) -> int:
+        """The largest offset from ``start`` a value can take."""
+        if not self.step:
+            return 0
+        return (self.extent - 1) // self.step * self.step
+
+
+def _step(expr: Expr) -> int:
+    """A ``g >= 0`` that divides every value of the affine ``expr`` for any
+    integer values of its variables (1 for a non-affine one)."""
+    if isinstance(expr, IntImm):
+        return abs(expr.value)
+    if isinstance(expr, (Add, Sub)):
+        return gcd(_step(expr.a), _step(expr.b))
+    if isinstance(expr, Mul) and isinstance(expr.b, IntImm):
+        return _step(expr.a) * abs(expr.b.value)
+    return 1
+
+
+def tile_of(expr: Expr, spans: Dict[Var, Tuple[int, int]]) -> Optional[Tile]:
+    """The :class:`Tile` of ``expr`` while each variable in ``spans`` sweeps
+    its closed range, or None for an index this does not model (anything
+    but ``+``, ``-``, ``*``, ``//`` and ``%`` by constants over a spanned
+    variable).
+
+    A ``%`` keeps the residue class of its numerator: ``(a * 4) % 56`` steps
+    by 4 and never reaches the last three slots of its row.
+    """
+    if isinstance(expr, Var):
+        if expr in spans:
+            low, high = spans[expr]
+            return Tile(as_expr(low), high - low + 1, 1, False)
+        return Tile(expr, 1, 0, False)
+    if isinstance(expr, IntImm):
+        return Tile(expr, 1, 0, False)
+    if not isinstance(expr, (Add, Sub, Mul, FloorDiv, Mod)):
+        return None if any(v in spans for v in collect_vars(expr)) \
+            else Tile(expr, 1, 0, False)
+    a = tile_of(expr.a, spans)
+    b = tile_of(expr.b, spans)
+    if a is None or b is None:
+        return None
+    wrapped = a.wrapped or b.wrapped
+    if isinstance(expr, Add):
+        return Tile(a.start + b.start, a.extent + b.extent - 1,
+                    gcd(a.step, b.step), wrapped)
+    if isinstance(expr, Sub):
+        # the start moves down by b's extent: the residue holds only where
+        # that distance is a multiple of the step
+        return Tile(a.start - (b.start + (b.extent - 1)),
+                    a.extent + b.extent - 1,
+                    gcd(gcd(a.step, b.step), b.extent - 1), wrapped)
+    if isinstance(expr, Mul) and isinstance(expr.a, IntImm):
+        a, b = b, a
+    if b.extent != 1 or not isinstance(b.start, IntImm):
+        return None
+    k = b.start.value
+    if k <= 0:      # a's top end scales to the start
+        return Tile((a.start + (a.extent - 1)) * k, (a.extent - 1) * -k + 1,
+                    a.step * -k, wrapped) if isinstance(expr, Mul) else None
+    if isinstance(expr, Mul):
+        return Tile(a.start * k, (a.extent - 1) * k + 1, a.step * k, wrapped)
+    if a.extent == 1:
+        return Tile(type(expr)(a.start, b.start), 1, 0, wrapped)
+    align = gcd(k, _step(simplify(a.start)))
+    if isinstance(expr, FloorDiv):
+        rows = (k - align + a.extent - 1) // k + 1
+        return Tile(a.start // k, rows, 1,
+                    wrapped or rows > (a.extent - 1) // k + 1)
+    if a.extent <= align or align == k:
+        return Tile(a.start % k, smaller(a.extent, k), gcd(a.step, k), wrapped)
+    # the start is a multiple of ``align`` and every value is a multiple of
+    # the step away from it
+    return Tile(as_expr(0), k, gcd(a.step, align), True)

@@ -11,32 +11,26 @@ tensorized loop nests with hardware intrinsic calls.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..te.expr import (
-    Add,
     Expr,
     ExprMutator,
-    FloorDiv,
-    IntImm,
     Max,
-    Mod,
-    Mul,
     Reduce,
-    Sub,
     TensorRead,
     Var,
     as_expr,
-    collect_vars,
     compile_bounds,
     eval_bounds,
     expr_children,
     simplify,
     simplify_scope,
     substitute,
+    tile_of,
 )
 from ..te.schedule import FuseRelation, Schedule, SplitRelation, Stage
-from ..te.trace import gcd, larger, smaller
+from ..te.trace import larger, smaller
 from ..te.tensor import ComputeOp, IterVar, IterVarType, PlaceholderOp, Tensor
 from .stmt import (
     Allocate,
@@ -107,7 +101,7 @@ class _Lowerer:
         # a pre-pass so compact buffers exist before consumer bodies are built.
         self._planned_regions: Dict[int, Tuple[Dict[int, int], Dict[int, Expr]]] = {}
         # Per attached stage: root axes (uids) whose region may run past the
-        # tensor's end, so the fill guards them (see ``_row_wrap``).
+        # tensor's end, so the fill guards them (see ``_may_pass_end``).
         self._overhang: Dict[int, List[int]] = {}
         # Extents of loop vars bound to hardware thread indices; used to relax
         # thread dimensions when sizing cooperatively-filled shared buffers.
@@ -116,7 +110,7 @@ class _Lowerer:
         # of the stages attached inside them are written in.
         self._loop_ranges: Dict[Var, Tuple[int, int]] = {}
         # Set once a fused tile wraps a row: only then can a region run
-        # past its tensor's end (see ``_tile_of``).
+        # past its tensor's end (see ``te.expr.Tile``).
         self._wrapped = False
 
     # ------------------------------------------------------------------ setup
@@ -478,11 +472,11 @@ class _Lowerer:
                 if not isinstance(extent, int):
                     extent = int(extent)
                 offset = simplify(substitute(index_expr, zero_map))
-                tile = _tile_of(index_expr, {v: r for v, r in ranges.items()
-                                             if v in zero_map})
-                if tile is not None and tile[2]:
+                tile = tile_of(index_expr, {v: r for v, r in ranges.items()
+                                            if v in zero_map})
+                if tile is not None and tile.wrapped:
                     self._wrapped = True
-                    offset, extent = simplify(tile[0]), tile[1]
+                    offset, extent = simplify(tile.start), tile.extent
                     if extent >= full:
                         offset = as_expr(0)
                 if dim_offset is None:
@@ -582,71 +576,6 @@ class _ReadConverter(ExprMutator):
             return BufferLoad(binding.buffer,
                               [simplify(i) for i in binding.rebase(indices)])
         return TensorRead(tensor, indices)
-
-
-def _step(expr: Expr) -> int:
-    """A positive ``g`` that divides every value of the affine ``expr`` for
-    any integer values of its variables (1 for a non-affine one)."""
-    if isinstance(expr, IntImm):
-        return abs(expr.value)
-    if isinstance(expr, (Add, Sub)):
-        return gcd(_step(expr.a), _step(expr.b))
-    if isinstance(expr, Mul) and isinstance(expr.b, IntImm):
-        return _step(expr.a) * abs(expr.b.value)
-    return 1
-
-
-def _tile_of(expr: Expr, spans: Dict[Var, Tuple[int, int]]
-             ) -> Optional[Tuple[Expr, int, bool]]:
-    """``(start, extent, wrapped)``: every value ``expr`` takes while the
-    variables in ``spans`` sweep their ranges lies in ``[start, start +
-    extent)``, for any value of the others, which ``start`` is written in.
-    None for an index this does not model (anything but ``+``, ``-``, ``*``,
-    ``//`` and ``%`` by constants over a spanned variable).
-
-    ``wrapped`` says a ``//`` or ``%`` over a fused loop can see its tile of
-    consecutive positions cross a row's end (a multiple of the divisor).
-    Such a tile wraps to the next row's start, so its column region is the
-    whole row, and it may touch one row more than its length alone needs
-    (TVM's bound inference relaxes a misaligned fuse the same way).
-    """
-    if isinstance(expr, Var):
-        if expr in spans:
-            low, high = spans[expr]
-            return as_expr(low), high - low + 1, False
-        return expr, 1, False
-    if isinstance(expr, IntImm):
-        return expr, 1, False
-    if not isinstance(expr, (Add, Sub, Mul, FloorDiv, Mod)):
-        return None if any(v in spans for v in collect_vars(expr)) \
-            else (expr, 1, False)
-    a = _tile_of(expr.a, spans)
-    b = _tile_of(expr.b, spans)
-    if a is None or b is None:
-        return None
-    (start_a, ext_a, wrap_a), (start_b, ext_b, wrap_b) = a, b
-    wrapped = wrap_a or wrap_b
-    if isinstance(expr, Add):
-        return start_a + start_b, ext_a + ext_b - 1, wrapped
-    if isinstance(expr, Sub):
-        return start_a - (start_b + (ext_b - 1)), ext_a + ext_b - 1, wrapped
-    if isinstance(expr, Mul) and isinstance(expr.a, IntImm):
-        (start_a, ext_a), (start_b, ext_b) = (start_b, ext_b), (start_a, ext_a)
-    if ext_b != 1 or not isinstance(start_b, IntImm) or start_b.value <= 0:
-        return None
-    k = start_b.value
-    if isinstance(expr, Mul):
-        return start_a * k, (ext_a - 1) * k + 1, wrapped
-    if ext_a == 1:
-        return type(expr)(start_a, start_b), 1, wrapped
-    align = gcd(k, _step(simplify(start_a)))
-    if isinstance(expr, FloorDiv):
-        rows = (k - align + ext_a - 1) // k + 1
-        return (start_a // k, rows,
-                wrapped or rows > (ext_a - 1) // k + 1)
-    if ext_a <= align or align == k:
-        return start_a % k, smaller(ext_a, k), wrapped
-    return as_expr(0), k, True
 
 
 def _collect_reads(expr: Expr, tensor: Optional[Tensor] = None) -> List[TensorRead]:

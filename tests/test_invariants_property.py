@@ -202,8 +202,9 @@ _grid_ranges = st.lists(st.tuples(st.integers(min_value=-6, max_value=6),
                         min_size=3, max_size=3)
 
 
-def _enumerate(expr, ranges):
-    """``(per-var intervals, every value expr takes without faulting)``."""
+def _enumerate(expr, ranges, guard=None):
+    """``(per-var intervals, every value expr takes without faulting where
+    guard holds)``."""
     import itertools
 
     from repro.tir.interpreter import evaluate_expr
@@ -213,8 +214,10 @@ def _enumerate(expr, ranges):
     values = []
     for point in itertools.product(*(range(low, high + 1)
                                      for low, high in intervals.values())):
+        env = dict(zip(_BOUND_VARS, point))
         try:
-            values.append(evaluate_expr(expr, dict(zip(_BOUND_VARS, point))))
+            if guard is None or evaluate_expr(guard, env):
+                values.append(evaluate_expr(expr, env))
         except ZeroDivisionError:
             pass
     return intervals, values
@@ -293,35 +296,48 @@ def test_expr_bounds_are_exact_on_single_use_affine_indices(expr, ranges,
 
 @st.composite
 def _lowered_index_shapes(draw):
-    """``(index, refines plain bounds)`` over the shapes lowering emits
-    around fused axes and compacted buffers: ``f // W``, ``f % W + i``,
-    ``idx - offset`` and ``(base + inner) // K - base // K``."""
+    """``(index, guard or None)`` over the shapes lowering emits around
+    fused axes and compacted buffers: ``f // W``, ``f % W + i``, ``idx -
+    offset``, ``(base + inner) // K - base // K`` and its ``%`` twin, a
+    strided ``(a * c) % K``, and a guarded quotient less the fill offset
+    (an imperfect split's guard keeps ``(base + inner) // K + k`` whole)."""
     i, j, k = _BOUND_VARS
     base = draw(_single_use_affine(variables=[i]))
     inner = draw(_single_use_affine(variables=[j, k]))
     width = draw(st.integers(min_value=1, max_value=9))
+    stride = draw(st.integers(min_value=1, max_value=6))
+    limit = draw(st.integers(min_value=-4, max_value=8))
+    guarded = (base + inner) // width + k
     return draw(st.sampled_from([
-        ((base + inner) // width, True),
-        ((base + inner) % width + i, True),
-        ((base + inner) - base, True),
-        # bounded through the numerator difference alone, which forgets each
-        # quotient's own range: sound, but on ~1 in 6 sampled grids wider
-        # than the plain interval difference (mostly when ``i`` is pinned)
-        ((base + inner) // width - base // width, False),
+        ((base + inner) // width, None),
+        ((base + inner) % width + i, None),
+        ((base + inner) - base, None),
+        ((base + inner) // width - base // width, None),
+        ((base + inner) % width - base % width, None),
+        ((inner * stride) % width + i, None),
+        ((guarded * stride + j) - (base // width) * stride, guarded < limit),
     ]))
 
 
 @given(shape=_lowered_index_shapes(), ranges=_grid_ranges)
 @settings(max_examples=200, deadline=None)
 def test_verifier_bounds_sit_between_ground_truth_and_plain_bounds(shape, ranges):
-    from repro.analysis.tir_verify import _TIRVerifier
+    # The bound an access check takes: the guard-refined linear interval
+    # met with the index's tile.  Every value where the guard holds lies
+    # inside it, and a meet of refinements is never wider than the plain
+    # interval.
+    from repro.analysis.tir_verify import _TIRVerifier, _meet
     from repro.te.expr import expr_bounds
 
-    expr, refines_plain = shape
-    intervals, values = _enumerate(expr, ranges)
+    expr, guard = shape
+    intervals, values = _enumerate(expr, ranges, guard)
+    if not values:
+        return                  # the guard holds nowhere on this grid
     verifier = _TIRVerifier(tir.LoweredFunc("oracle", [], tir.SeqStmt([])))
-    low, high = verifier.bounds(expr, intervals, {})
+    constraints = ({} if guard is None
+                   else verifier._refine(guard, intervals, {}))
+    low, high = _meet(verifier.bounds(expr, intervals, constraints),
+                      verifier.tile_bounds(expr, intervals, constraints))
     assert low <= min(values) and max(values) <= high, (expr, intervals)
-    if refines_plain:
-        plain_low, plain_high = expr_bounds(expr, intervals)
-        assert plain_low <= low and high <= plain_high, (expr, intervals)
+    plain_low, plain_high = expr_bounds(expr, intervals)
+    assert plain_low <= low and high <= plain_high, (expr, intervals)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import te
+from repro import te, tir
 from repro.analysis import (
     DtypeMismatchError,
     DuplicateNodeNameError,
@@ -37,6 +37,7 @@ from repro.graph.op_timing import fallback_search, make_task_for_node
 from repro.graph.passes import fuse_ops, plan_memory
 from repro.hardware import cuda
 from repro.te.expr import Add, FloatImm, IntImm, Var
+from repro.tir.interpreter import EvalError
 from repro.tir.stmt import (Buffer, BufferLoad, BufferStore, For, ForKind,
                             LoweredFunc)
 
@@ -143,6 +144,50 @@ class TestTIRVerifier:
         with pytest.raises(ParallelHazardError) as err:
             verify_func(LoweredFunc("reduce", [a, out], body))
         assert err.value.check == "parallel_hazard"
+
+    def test_a_read_past_a_row_end_is_rejected_per_dimension(self):
+        """Every flat offset of ``A[f // 58, f % 58 + 1]`` lies inside the
+        allocation, but at ``f = 57`` the read is column 58 of a 58-wide
+        row: the verifier checks each dimension, as the interpreter does."""
+        from test_fingerprints import row_crossing_read
+
+        func = row_crossing_read()
+        with pytest.raises(OutOfBoundsError,
+                           match=r"dimension 1 spans \[1, 58\]"):
+            verify_func(func)
+        with pytest.raises(EvalError, match=r"\(0, 58\).*A with shape "
+                                            r"\(4, 58\)"):
+            tir.run_lowered(func, np.zeros((4, 58), "float32"),
+                            np.zeros(231, "float32"))
+
+    def test_a_cooperative_shared_fill_verifies_and_runs_exact(self):
+        """Config 351 of a 12 x 12 3 x 3 cuda conv reads row
+        ``((O + T) * 8) // 12 + i2 + ry - (O * 8) // 12`` of its
+        cooperatively filled ``conv2d_pad.shared``, where an imperfect
+        split's guard keeps ``((O + T) * 8) // 12 + i2`` whole.  On the
+        lowering's tile model the read stays inside the buffer's 4 rows
+        (the subtracted ``(O * 8) // 12`` once left it bounded at
+        [-11, 13]), and the program computes the reference conv in the
+        checked interpreter."""
+        from repro.frontend.builder import ModelBuilder
+        from repro.topi import reference as ref
+
+        b = ModelBuilder("witness", seed=0)
+        out = b.conv2d(b.input("data", (1, 1, 12, 12)), 2, 3, 1, 1,
+                       name="op")
+        node = b.finalize(out)[0].find("op")
+        task = make_task_for_node(node, cuda())
+        func = task.lower(task.config_space.get(351))
+        verify_func(func)
+        rng = np.random.default_rng(0)
+        arrays = [rng.standard_normal(p.shape).astype("float32")
+                  for p in node.inputs]
+        got = np.zeros(node.shape, dtype="float32")
+        tir.run_lowered(func, *arrays, got)
+        np.testing.assert_allclose(
+            got, ref.conv2d_nchw(*arrays, node.attrs["strides"],
+                                 node.attrs["padding"]),
+            rtol=1e-4, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -696,12 +741,16 @@ class TestLintInvariants:
             "def _iv_add(a, b): return a\n"
             "def _compile_bounds(expr): return [], []\n"
             "def eval_bounds(program, env): return (0, 0)\n"
-            "def _atom_bounds(expr): return (0, 0)\n")   # not a twin
+            "def _atom_bounds(expr): return (0, 0)\n"    # not a twin
+            "def _tile_of(expr, spans): return None\n"
+            "def _congruence(expr, modulus): return None\n"
+            "def tile_bounds(expr): return None\n")      # calls, not a twin
         verifier = tmp_path / "analysis" / "tir_verify.py"
         verifier.parent.mkdir()
         verifier.write_text(source)
         assert [(v.rule, v.line) for v in linter.lint_file(verifier)] \
-            == [("one-interval-arithmetic", line) for line in (1, 2, 4, 6, 7, 8)]
+            == [("one-interval-arithmetic", line)
+                for line in (1, 2, 4, 6, 7, 8, 10, 11)]
         owner = tmp_path / "te" / "expr.py"
         owner.parent.mkdir()
         owner.write_text(source)

@@ -74,12 +74,16 @@ Rules
 
 ``one-interval-arithmetic``
     ``te/expr.py`` is the single owner of interval arithmetic (``BOUNDS_OF``,
-    ``compile_bounds``, ``eval_bounds``): no function named ``_bounds_*``,
-    ``_iv_*``, ``*compile_bounds`` or ``*eval_bounds`` is defined anywhere
-    else, and no module directly under ``tir/`` or ``analysis/`` imports an
-    underscore name from another package.  A hand-replicated transfer
-    function can only be tested against its twin, and lowering, feature
-    extraction and the verifier must agree on what an index's bounds are.
+    ``compile_bounds``, ``eval_bounds``) and of the index tile model
+    (``tile_of``): no function named ``_bounds_*``, ``_iv_*``,
+    ``*compile_bounds``, ``*eval_bounds``, ``*tile_of`` or ``*congruence``
+    is defined anywhere else, and no module directly under ``tir/`` or
+    ``analysis/`` imports an underscore name from another package.  A
+    hand-replicated transfer function can only be tested against its twin,
+    and lowering, feature extraction and the verifier must agree on what an
+    index's bounds are: the verifier once kept its own div/mod congruences
+    and quotient-pair rules beside the lowering's tiles, and the two
+    disagreed both ways.
 
 ``no-recursive-closure``
     Restricted to ``src/repro/te`` and ``src/repro/tir``: a ``def`` nested in
@@ -216,7 +220,8 @@ RULES = {
     "no-deep-kernel-loops": ("topi/reference.py: no `for` nest deeper than "
                              "2 (no Python loop over channel x window)"),
     "one-interval-arithmetic": ("no _bounds_* / _iv_* / *compile_bounds / "
-                                "*eval_bounds function outside te/expr.py; "
+                                "*eval_bounds / *tile_of / *congruence "
+                                "function outside te/expr.py; "
                                 "tir/ and analysis/ import no underscore "
                                 "name from another package"),
     "no-recursive-closure": ("te/, tir/: no nested def that refers to its "
@@ -308,9 +313,11 @@ _NO_FRONT_DOOR = {
 
 
 def _names_interval_arithmetic(name: str) -> bool:
-    """A function name that spells a bounds transfer function or evaluator."""
+    """A function name that spells a bounds transfer function or evaluator,
+    or an index tile / congruence model."""
     return (name.startswith(("_bounds_", "_iv_"))
-            or name.endswith(("compile_bounds", "eval_bounds")))
+            or name.endswith(("compile_bounds", "eval_bounds", "tile_of",
+                              "congruence")))
 
 
 def _names_backend(name: str) -> bool:
@@ -488,7 +495,8 @@ class _Linter(ast.NodeVisitor):
             self._report("one-interval-arithmetic", node,
                          f"`{node.name}` — interval arithmetic lives in "
                          f"te/expr.py (BOUNDS_OF / compile_bounds / "
-                         f"eval_bounds); call it, do not replicate it")
+                         f"eval_bounds / tile_of); call it, do not "
+                         f"replicate it")
         if self.is_expr_ir and self._function_depth and any(
                 isinstance(inner, ast.Name) and inner.id == node.name
                 for inner in ast.walk(node)):
