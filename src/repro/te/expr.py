@@ -1036,8 +1036,8 @@ def _step(expr: Expr) -> int:
 def tile_of(expr: Expr, spans: Dict[Var, Tuple[int, int]]) -> Optional[Tile]:
     """The :class:`Tile` of ``expr`` while each variable in ``spans`` sweeps
     its closed range, or None for an index this does not model (anything
-    but ``+``, ``-``, ``*``, ``//`` and ``%`` by constants over a spanned
-    variable).
+    but ``+``, ``-``, and ``*``, ``//`` and ``%`` by positive constants over
+    a spanned variable).
 
     A ``%`` keeps the residue class of its numerator: ``(a * 4) % 56`` steps
     by 4 and never reaches the last three slots of its row.
@@ -1068,12 +1068,10 @@ def tile_of(expr: Expr, spans: Dict[Var, Tuple[int, int]]) -> Optional[Tile]:
                     gcd(gcd(a.step, b.step), b.extent - 1), wrapped)
     if isinstance(expr, Mul) and isinstance(expr.a, IntImm):
         a, b = b, a
-    if b.extent != 1 or not isinstance(b.start, IntImm):
+    if b.extent != 1 or not isinstance(b.start, IntImm) \
+            or b.start.value <= 0:
         return None
     k = b.start.value
-    if k <= 0:      # a's top end scales to the start
-        return Tile((a.start + (a.extent - 1)) * k, (a.extent - 1) * -k + 1,
-                    a.step * -k, wrapped) if isinstance(expr, Mul) else None
     if isinstance(expr, Mul):
         return Tile(a.start * k, (a.extent - 1) * k + 1, a.step * k, wrapped)
     if a.extent == 1:

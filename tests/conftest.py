@@ -1,5 +1,6 @@
 """Shared fixtures: the reference model of the serving admission queue, a
-pass spliced into the compile pipeline, and a compile kept in-process."""
+pass spliced into the compile pipeline, a compile kept in-process and a
+hand-built program that reads past a row end."""
 
 import threading
 
@@ -137,3 +138,25 @@ def in_process_search():
     yield
     release.set()
     parked.join()
+
+
+def row_crossing_read():
+    """``B[f] = A[f // 58, f % 58 + 1]`` over a ``(4, 58)`` ``A``: every
+    flat offset ``f + 1`` lies inside ``A``'s 232 elements, but at ``f = 57``
+    the read is column 58 of a 58-wide row."""
+    from repro.te.expr import Add, FloorDiv, IntImm, Mod, Var
+    from repro.tir.stmt import (Buffer, BufferLoad, BufferStore, For,
+                                LoweredFunc)
+
+    a, b = Buffer("A", (4, 58)), Buffer("B", (231,))
+    f = Var("f")
+    read = BufferLoad(a, [FloorDiv(f, IntImm(58)),
+                          Add(Mod(f, IntImm(58)), IntImm(1))])
+    return LoweredFunc("row_crossing", [a, b],
+                       For(f, 0, 231, BufferStore(b, [f], read)))
+
+
+@pytest.fixture(scope="module")
+def row_crossing():
+    """The :func:`row_crossing_read` program."""
+    return row_crossing_read()

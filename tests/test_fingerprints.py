@@ -21,7 +21,7 @@ config ``(task, index, "ok")`` or ``(task, index, error class, check,
 node)``, the node's tensor name without the ``_<n>`` suffix that the
 process-wide name counter adds (it depends on what ran before).  The
 sample verifies clean, so one hand-built program that reads past a row end
-(:func:`row_crossing_read`) closes the records with a rejection.
+(``conftest.row_crossing_read``) closes the records with a rejection.
 
 Curve fingerprint: the ``curve_sha256`` recipe of ``benchmarks/e2e`` (per
 task its name and its best-so-far curve at 12 significant digits) over one
@@ -42,8 +42,6 @@ from repro.analysis import verify_func
 from repro.analysis.errors import VerifierError
 from repro.autotvm import TuningOptions
 from repro.frontend import ModelBuilder, get_model
-from repro.te.expr import Add, FloorDiv, IntImm, Mod, Var
-from repro.tir.stmt import Buffer, BufferLoad, BufferStore, For, LoweredFunc
 
 #: sha256 prefix of :func:`_digest` over :data:`COMPILE_PAIRS` x opt 0 - 3
 COMPILE_FINGERPRINT = "646dcbe3809829db"
@@ -160,18 +158,6 @@ def test_weights_fingerprint_sees_one_element(zoo_params):
     assert weights_digest(perturbed) != WEIGHTS_FINGERPRINT
 
 
-def row_crossing_read():
-    """``B[f] = A[f // 58, f % 58 + 1]`` over a ``(4, 58)`` ``A``: every
-    flat offset ``f + 1`` lies inside ``A``'s 232 elements, but at ``f = 57``
-    the read is column 58 of a 58-wide row."""
-    a, b = Buffer("A", (4, 58)), Buffer("B", (231,))
-    f = Var("f")
-    read = BufferLoad(a, [FloorDiv(f, IntImm(58)),
-                          Add(Mod(f, IntImm(58)), IntImm(1))])
-    return LoweredFunc("row_crossing", [a, b],
-                       For(f, 0, 231, BufferStore(b, [f], read)))
-
-
 def _verdict(name, index, verify):
     try:
         verify()
@@ -181,23 +167,23 @@ def _verdict(name, index, verify):
     return (name, index, "ok")
 
 
-def verdict_records():
+def verdict_records(row_crossing):
     """The verifier's verdict on 8 seeded configs of every resnet-18/cuda
-    task, in task order, then on :func:`row_crossing_read`."""
+    task, in task order, then on the ``row_crossing`` program."""
     records = []
     for task in repro.autotvm.extract_tasks("resnet-18", "cuda"):
         space = len(task.config_space)
         for index in np.random.default_rng(0).choice(space, 8, replace=False):
             records.append(_verdict(task.name, int(index),
                                     lambda: task.verify(int(index))))
-    func = row_crossing_read()
-    records.append(_verdict(func.name, 0, lambda: verify_func(func)))
+    records.append(_verdict(row_crossing.name, 0,
+                            lambda: verify_func(row_crossing)))
     return records
 
 
 @pytest.fixture(scope="module")
-def verdicts():
-    return verdict_records()
+def verdicts(row_crossing):
+    return verdict_records(row_crossing)
 
 
 def test_verdict_fingerprint(verdicts):

@@ -299,15 +299,19 @@ def _lowered_index_shapes(draw):
     """``(index, guard or None)`` over the shapes lowering emits around
     fused axes and compacted buffers: ``f // W``, ``f % W + i``, ``idx -
     offset``, ``(base + inner) // K - base // K`` and its ``%`` twin, a
-    strided ``(a * c) % K``, and a guarded quotient less the fill offset
-    (an imperfect split's guard keeps ``(base + inner) // K + k`` whole)."""
+    strided ``(a * c) % K``, the same negatively scaled (plus a variable,
+    and plus a constant under a ``%``), and a guarded quotient less the fill offset (an imperfect
+    split's guard keeps ``(base + inner) // K + k`` whole)."""
     i, j, k = _BOUND_VARS
     base = draw(_single_use_affine(variables=[i]))
     inner = draw(_single_use_affine(variables=[j, k]))
     width = draw(st.integers(min_value=1, max_value=9))
     stride = draw(st.integers(min_value=1, max_value=6))
     limit = draw(st.integers(min_value=-4, max_value=8))
+    scale = draw(st.integers(min_value=1, max_value=4))
+    lift = draw(st.integers(min_value=0, max_value=9))
     guarded = (base + inner) // width + k
+    negated = ((j * stride) % width) * -scale
     return draw(st.sampled_from([
         ((base + inner) // width, None),
         ((base + inner) % width + i, None),
@@ -315,8 +319,34 @@ def _lowered_index_shapes(draw):
         ((base + inner) // width - base // width, None),
         ((base + inner) % width - base % width, None),
         ((inner * stride) % width + i, None),
+        (negated + i, None),
+        ((negated + lift) % width, None),
         ((guarded * stride + j) - (base // width) * stride, guarded < limit),
     ]))
+
+
+@given(shape=_lowered_index_shapes(), ranges=_grid_ranges)
+@settings(max_examples=200, deadline=None)
+def test_a_tile_holds_every_value_of_each_sub_index(shape, ranges):
+    # The region model both the lowering and the verifier read: with every
+    # variable spanning its range, each value of each sub-index lies in
+    # [start, start + last] and is congruent to start modulo the step.
+    from repro.te.expr import expr_children, simplify, tile_of
+    from repro.tir.interpreter import evaluate_expr
+
+    pending = [shape[0]]
+    while pending:
+        expr = pending.pop()
+        pending.extend(expr_children(expr))
+        intervals, values = _enumerate(expr, ranges)
+        tile = tile_of(expr, intervals)
+        if tile is None:
+            continue
+        start = evaluate_expr(simplify(tile.start), {})
+        for value in values:
+            assert start <= value <= start + tile.last, (expr, intervals)
+            assert (value - start) % tile.step == 0 if tile.step \
+                else value == start, (expr, intervals)
 
 
 @given(shape=_lowered_index_shapes(), ranges=_grid_ranges)

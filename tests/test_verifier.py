@@ -36,7 +36,7 @@ from repro.graph.ir import Graph, Node
 from repro.graph.op_timing import fallback_search, make_task_for_node
 from repro.graph.passes import fuse_ops, plan_memory
 from repro.hardware import cuda
-from repro.te.expr import Add, FloatImm, IntImm, Var
+from repro.te.expr import Add, FloatImm, IntImm, Mod, Mul, Var
 from repro.tir.interpreter import EvalError
 from repro.tir.stmt import (Buffer, BufferLoad, BufferStore, For, ForKind,
                             LoweredFunc)
@@ -145,20 +145,37 @@ class TestTIRVerifier:
             verify_func(LoweredFunc("reduce", [a, out], body))
         assert err.value.check == "parallel_hazard"
 
-    def test_a_read_past_a_row_end_is_rejected_per_dimension(self):
+    def test_a_read_past_a_row_end_is_rejected_per_dimension(
+            self, row_crossing):
         """Every flat offset of ``A[f // 58, f % 58 + 1]`` lies inside the
         allocation, but at ``f = 57`` the read is column 58 of a 58-wide
         row: the verifier checks each dimension, as the interpreter does."""
-        from test_fingerprints import row_crossing_read
-
-        func = row_crossing_read()
         with pytest.raises(OutOfBoundsError,
                            match=r"dimension 1 spans \[1, 58\]"):
-            verify_func(func)
+            verify_func(row_crossing)
         with pytest.raises(EvalError, match=r"\(0, 58\).*A with shape "
                                             r"\(4, 58\)"):
-            tir.run_lowered(func, np.zeros((4, 58), "float32"),
+            tir.run_lowered(row_crossing, np.zeros((4, 58), "float32"),
                             np.zeros(231, "float32"))
+
+    def test_a_negated_strided_residue_is_not_given_a_tile(self):
+        """``(j * 2) % 4`` over ``j`` in [0, 3] takes 0 and 2; negated and
+        moved up by 3 it takes 3 and 1, so ``A[((j*2 % 4) * -1 + 3) % 4]``
+        reads past a 3-element ``A`` at ``j = 0``.  Scaling the residue
+        tile of ``(j * 2) % 4`` (start 0, extent 4, step 2) by -1 from the
+        top of its extent put the read at {0, 2} and let it through."""
+        a, b = Buffer("A", (3,)), Buffer("B", (4,))
+        j = Var("j")
+        index = Mod(Add(Mul(Mod(Mul(j, IntImm(2)), IntImm(4)), IntImm(-1)),
+                        IntImm(3)), IntImm(4))
+        func = LoweredFunc("negated_residue", [a, b],
+                           For(j, 0, 4, BufferStore(b, [j],
+                                                    BufferLoad(a, [index]))))
+        with pytest.raises(OutOfBoundsError, match=r"dimension 0 spans"):
+            verify_func(func)
+        with pytest.raises(EvalError, match=r"A with shape \(3,\)"):
+            tir.run_lowered(func, np.zeros(3, "float32"),
+                            np.zeros(4, "float32"))
 
     def test_a_cooperative_shared_fill_verifies_and_runs_exact(self):
         """Config 351 of a 12 x 12 3 x 3 cuda conv reads row

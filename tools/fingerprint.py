@@ -23,6 +23,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")]
 
+import conftest  # noqa: E402
 import test_analysis_hardware as features  # noqa: E402
 import test_fingerprints as zoo  # noqa: E402
 
@@ -38,7 +39,8 @@ def main() -> int:
          zoo.COMPILE_FINGERPRINT),
         ("weights", lambda: zoo.weights_digest(zoo.zoo_weights()),
          zoo.WEIGHTS_FINGERPRINT),
-        ("verdict", lambda: zoo._digest(zoo.verdict_records()),
+        ("verdict", lambda: zoo._digest(
+            zoo.verdict_records(conftest.row_crossing_read())),
          zoo.VERDICT_FINGERPRINT),
         ("curve", lambda: zoo.curve_digest(
             (r.task_name, r.curve) for r in zoo.curve_session()),
