@@ -118,8 +118,9 @@ class _TIRVerifier:
     def __init__(self, func: LoweredFunc, pass_name: Optional[str] = None):
         self.func = func
         self.pass_name = pass_name
-        # id -> (expr, free vars): the expr reference keeps ids stable
-        self._free_cache: Dict[int, Tuple[Expr, Tuple[Var, ...]]] = {}
+        # id -> (expr, free vars, spans -> its tile's simplified start and
+        # last offset): the expr reference keeps ids stable
+        self._expr_cache: Dict[int, Tuple[Expr, Tuple[Var, ...], Dict]] = {}
 
     # ------------------------------------------------------------------ errors
     def _oob(self, message: str, node: str) -> OutOfBoundsError:
@@ -132,10 +133,10 @@ class _TIRVerifier:
 
     # ------------------------------------------------------------- intervals
     def free_vars(self, expr: Expr) -> Tuple[Var, ...]:
-        cached = self._free_cache.get(id(expr))
+        cached = self._expr_cache.get(id(expr))
         if cached is None or cached[0] is not expr:
-            cached = (expr, tuple(collect_vars(expr)))
-            self._free_cache[id(expr)] = cached
+            cached = (expr, tuple(collect_vars(expr)), {})
+            self._expr_cache[id(expr)] = cached
         return cached[1]
 
     def _linearize(self, expr: Expr, constraints: Dict[str, Interval],
@@ -212,11 +213,17 @@ class _TIRVerifier:
                 if math.isinf(low) or math.isinf(high):
                     return None
                 spans[var] = (int(low), int(high))
-        tile = tile_of(expr, spans) if spans else None
-        if tile is None:
+        tiles = self._expr_cache[id(expr)][2]   # filled by free_vars above
+        key = tuple(spans.values())
+        if key not in tiles:
+            tile = tile_of(expr, spans) if spans else None
+            tiles[key] = None if tile is None else (simplify(tile.start),
+                                                    tile.last)
+        if tiles[key] is None:
             return None
-        low, high = self.bounds(simplify(tile.start), env, constraints)
-        return (low, high + tile.last)
+        start, last = tiles[key]
+        low, high = self.bounds(start, env, constraints)
+        return (low, high + last)
 
     def _subtracted_vars(self, expr: Expr, sign: float,
                          held: Set[Var]) -> None:

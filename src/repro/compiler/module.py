@@ -126,7 +126,7 @@ class CompiledKernel:
                     [None if p.name == prev.name else p.name
                      for p in node.inputs], node.name)
                    for prev, node in zip(nodes, rest)]
-        count = 0       # a view (flatten, reshape) shares its input's buffer
+        count = 0       # a view (flatten, reshape, slice) shares its input's buffer
         if registry[head.op].pattern != "injective" or registry[head.op].inplace:
             for prev, node in zip(nodes, rest):
                 if (prev.name in keep or node.shape != prev.shape

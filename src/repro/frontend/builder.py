@@ -123,10 +123,7 @@ class ModelBuilder:
     def _param(self, name: str, shape: Sequence[int], scale: float = 0.1,
                offset: float = 0.0) -> Node:
         self.params.declare(name, shape, scale, offset)
-        node = Node("null", name)
-        node.shape = tuple(shape)
-        node.dtype = self.dtype
-        return node
+        return self.input(name, shape)
 
     def _op(self, op: str, inputs: List[Node], attrs: Optional[Dict] = None,
             name: Optional[str] = None) -> Node:
@@ -249,32 +246,20 @@ class ModelBuilder:
     def lstm_cell(self, data: Node, hidden_prev: Node, cell_prev: Node,
                   hidden_size: int, name: Optional[str] = None
                   ) -> Tuple[Node, Node]:
-        """One LSTM cell step built from dense + element-wise ops."""
+        """One LSTM cell step built from dense, slice and element-wise ops."""
         name = name or self._unique("lstm")
         gates_x = self.dense(data, 4 * hidden_size, f"{name}_x")
         gates_h = self.dense(hidden_prev, 4 * hidden_size, f"{name}_h")
         gates = self.add(gates_x, gates_h)
-        i_gate = self.sigmoid(self._slice_gate(gates, hidden_size, 0, name))
-        f_gate = self.sigmoid(self._slice_gate(gates, hidden_size, 1, name))
-        g_gate = self.tanh(self._slice_gate(gates, hidden_size, 2, name))
-        o_gate = self.sigmoid(self._slice_gate(gates, hidden_size, 3, name))
-        cell = self.add(self.multiply(f_gate, cell_prev), self.multiply(i_gate, g_gate))
+        i_gate, f_gate, g_gate, o_gate = (
+            self._op("strided_slice", [gates], {"axis": 1, "begin": k * hidden_size,
+                                                "end": (k + 1) * hidden_size},
+                     f"{name}_gate{k}") for k in range(4))
+        i_gate, f_gate, o_gate = map(self.sigmoid, (i_gate, f_gate, o_gate))
+        cell = self.add(self.multiply(f_gate, cell_prev),
+                        self.multiply(i_gate, self.tanh(g_gate)))
         hidden = self.multiply(o_gate, self.tanh(cell))
         return hidden, cell
-
-    def _slice_gate(self, gates: Node, hidden_size: int, index: int,
-                    name: str) -> Node:
-        """Project one gate out of the fused 4H gate activation (modelled as a
-        dense projection so it stays within the registered operator set)."""
-        weight_name = f"{name}_gate{index}_sel"
-        if weight_name not in self.params:
-            selector = np.zeros((hidden_size, 4 * hidden_size), dtype=self.dtype)
-            selector[:, index * hidden_size:(index + 1) * hidden_size] = np.eye(hidden_size)
-            self.params.bind(weight_name, selector)
-        node = Node("null", weight_name)
-        node.shape = (hidden_size, 4 * hidden_size)
-        node.dtype = self.dtype
-        return self._op("dense", [gates, node], {}, f"{name}_gate{index}")
 
     # ------------------------------------------------------------------ finish
     def finalize(self, outputs: Union[Node, Sequence[Node]]

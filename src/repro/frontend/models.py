@@ -89,27 +89,19 @@ def lstm_language_model(batch: int = 1, hidden_size: int = 128, seq_len: int = 4
                         dtype: str = "float32") -> ModelResult:
     """The LSTM language model workload (unrolled for ``seq_len`` steps)."""
     b = ModelBuilder("lstm_lm", seed=3, dtype=dtype)
-    inputs = {}
-    embedded = []
+    shape = (batch, hidden_size)
+    inputs = {f"x{t}": shape for t in range(seq_len)}
+    inputs.update({f"{state}0_l{l}": shape for l in range(num_layers)
+                   for state in "hc"})
+    hidden = [b.input(f"h0_l{l}", shape) for l in range(num_layers)]
+    cell = [b.input(f"c0_l{l}", shape) for l in range(num_layers)]
     for t in range(seq_len):
-        node = b.input(f"x{t}", (batch, hidden_size))
-        inputs[f"x{t}"] = (batch, hidden_size)
-        embedded.append(node)
-    hidden = [b.input(f"h0_l{l}", (batch, hidden_size)) for l in range(num_layers)]
-    cell = [b.input(f"c0_l{l}", (batch, hidden_size)) for l in range(num_layers)]
-    for l in range(num_layers):
-        inputs[f"h0_l{l}"] = (batch, hidden_size)
-        inputs[f"c0_l{l}"] = (batch, hidden_size)
-
-    out = None
-    for t in range(seq_len):
-        layer_input = embedded[t]
+        layer_input = b.input(f"x{t}", shape)
         for l in range(num_layers):
             hidden[l], cell[l] = b.lstm_cell(layer_input, hidden[l], cell[l],
                                              hidden_size, name=f"lstm_t{t}_l{l}")
             layer_input = hidden[l]
-        out = layer_input
-    logits = b.dense(out, vocab_size, "decoder")
+    logits = b.dense(layer_input, vocab_size, "decoder")
     prob = b.softmax(logits)
     graph, params = b.finalize(prob)
     return graph, params, inputs

@@ -334,8 +334,8 @@ def _search(job: Tuple[Tuple, Node, Target]) -> Tuple[float, Optional[int]]:
 
 
 #: operators whose fallback searches are worth forking for: a dense search
-#: costs about what a fork pool does (lstm-lm/cuda's three took 0.10 - 0.17 s
-#: in-process and 0.13 - 0.19 s on a pool, on 2 cores)
+#: costs about what a fork pool does (lstm-lm/cuda's two took 0.05 - 0.09 s
+#: in-process and 0.07 - 0.11 s on a pool, on 2 cores)
 _FORK_WORTHY_OPS = ("conv2d", "depthwise_conv2d", "conv2d_transpose")
 
 

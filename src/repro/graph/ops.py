@@ -119,6 +119,16 @@ def _reshape_shape(ins: ShapeList, attrs: Dict) -> Tuple[int, ...]:
     return tuple(attrs["newshape"])
 
 
+def _strided_slice_shape(ins: ShapeList, attrs: Dict) -> Tuple[int, ...]:
+    out = list(ins[0])
+    axis, begin, end = attrs["axis"], attrs["begin"], attrs["end"]
+    if not (0 <= axis < len(out) and 0 <= begin < end <= out[axis]):
+        raise ValueError(f"strided_slice [{begin}, {end}) on axis {axis} is "
+                         f"outside shape {tuple(out)}")
+    out[axis] = end - begin
+    return tuple(out)
+
+
 def _concat_shape(ins: ShapeList, attrs: Dict) -> Tuple[int, ...]:
     axis = int(attrs.get("axis", 1))
     out = list(ins[0])
@@ -209,6 +219,10 @@ register_op("flatten", OpPattern.INJECTIVE, _flatten_shape,
 
 register_op("reshape", OpPattern.INJECTIVE, _reshape_shape,
             lambda data, attrs: data.reshape(attrs["newshape"]))
+
+register_op("strided_slice", OpPattern.INJECTIVE, _strided_slice_shape,
+            lambda data, attrs: data[(slice(None),) * attrs["axis"]
+                                     + (slice(attrs["begin"], attrs["end"]),)])
 
 register_op("concatenate", OpPattern.INJECTIVE, _concat_shape,
             lambda *args: np.concatenate(args[:-1], axis=int(args[-1].get("axis", 1))))

@@ -66,7 +66,7 @@ class TestFallbackPool:
         assert pooled == in_process     # total_time by ==: bitwise
 
     def test_only_convolution_searches_fork(self, pool_runs, in_process):
-        """lstm-lm/cuda's three dense searches stay in-process; dqn/arm_cpu's
+        """lstm-lm/cuda's two dense searches stay in-process; dqn/arm_cpu's
         three convolutions fork, its two dense searches ride along."""
         assert _cold_compiles(PAIRS[1:]) == in_process[1:]
         assert pool_runs == []

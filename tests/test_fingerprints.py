@@ -44,11 +44,11 @@ from repro.autotvm import TuningOptions
 from repro.frontend import ModelBuilder, get_model
 
 #: sha256 prefix of :func:`_digest` over :data:`COMPILE_PAIRS` x opt 0 - 3
-COMPILE_FINGERPRINT = "646dcbe3809829db"
+COMPILE_FINGERPRINT = "c6fafedbccb17d4c"
 
 #: sha256 prefix of :func:`weights_digest` over the models of
 #: :data:`COMPILE_PAIRS`
-WEIGHTS_FINGERPRINT = "a5c004d83e777c62"
+WEIGHTS_FINGERPRINT = "f0d522867abd8963"
 
 #: sha256 prefix of :func:`_digest` over :func:`verdict_records`
 VERDICT_FINGERPRINT = "18da01239c2c4ac8"

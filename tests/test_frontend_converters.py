@@ -329,8 +329,8 @@ class TestDrawWeight:
 
 
 def _small_model():
-    """Every kind of param a builder makes: drawn weights, batch-norm gamma
-    and var (a scale-0 draw, then ``+= 1``) and bound LSTM gate selectors."""
+    """Every kind of param a builder makes: drawn weights and batch-norm
+    gamma and var (a scale-0 draw, then ``+= 1``)."""
     b = ModelBuilder("small", seed=11)
     net = b.conv_bn_relu(b.input("data", (1, 3, 8, 8)), 4, 3, padding=1)
     net = b.dense(b.flatten(net), 8)
@@ -388,12 +388,14 @@ class TestLazyParams:
 
     def test_a_batch_norm_reads_one_and_zero(self):
         params = _small_model()[1]
+        params.bind("table", np.arange(4, dtype="float32"))  # as from_onnx
         for name in ("bn0_gamma", "bn0_var"):
             assert np.array_equal(params[name], np.ones(4, "float32"))
-        assert params["lstm0_gate0_sel"].sum() == 4     # bound, not drawn
+        assert params["table"].sum() == 6       # bound, not drawn
 
     def test_a_read_draws_what_was_declared_before_it_once(self, draws):
         _graph, params = _small_model()
+        params.bind("table", np.arange(4, dtype="float32"))  # as from_onnx
         assert draws == [] and "conv0_weight" in params and draws == []
         params["bn0_mean"]          # conv0_weight, bn0_gamma, beta, mean
         assert draws == [(4, 3, 3, 3), (4,), (4,), (4,)]
@@ -401,7 +403,7 @@ class TestLazyParams:
         params["bn0_mean"]
         assert len(draws) == 4
         dict(params)
-        assert len(draws) == len(params) - 4    # the four selectors are bound
+        assert len(draws) == len(params) - 1    # the table is bound
 
     def test_tuning_draws_no_weight(self, draws):
         tasks = repro.autotvm.extract_tasks("dqn", "arm_cpu")

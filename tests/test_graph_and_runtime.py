@@ -5,11 +5,15 @@ import pytest
 
 import repro
 from repro import runtime
+from repro.analysis.errors import ShapeMismatchError
+from repro.analysis.graph_verify import verify_graph
 from repro.autotvm import extract_tasks
 from repro.baselines import TFLiteSim, TensorFlowSim, VendorLibrary, CUDNN_PROFILE
 from repro.frontend import ModelBuilder, dqn, get_model, lstm_language_model, mobilenet, resnet18
 from repro.graph import (
     OP_REGISTRY,
+    Graph,
+    Node,
     OpPattern,
     fold_constants,
     fuse_ops,
@@ -207,3 +211,89 @@ def test_register_custom_operator():
     assert "negate_test" in OP_REGISTRY
     spec = OP_REGISTRY["negate_test"]
     np.testing.assert_allclose(spec.compute(np.ones(3), {}), -np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# LSTM gates are injective slices
+# ---------------------------------------------------------------------------
+
+#: a small lstm-lm: 2 steps x 2 layers x 4 gates of 64
+_SMALL_LSTM = dict(hidden_size=64, seq_len=2)
+
+
+def _selector_lstm():
+    """The small lstm-lm with each gate a ``dense`` against a bound one-hot
+    selector instead of a ``strided_slice``."""
+    graph, params, shapes = get_model("lstm-lm", **_SMALL_LSTM)
+    for node in graph.op_nodes:
+        if node.op == "strided_slice":
+            (gates,) = node.inputs
+            begin, end = node.attrs["begin"], node.attrs["end"]
+            selector = np.zeros((end - begin, gates.shape[1]), "float32")
+            selector[:, begin:end] = np.eye(end - begin, dtype="float32")
+            weight = Node("null", f"{node.name}_sel")
+            weight.shape, weight.dtype = selector.shape, "float32"
+            params.bind(weight.name, selector)
+            node.op, node.inputs, node.attrs = "dense", [gates, weight], {}
+    graph.refresh()
+    return graph, params, shapes
+
+
+def _inputs(executor, seed):
+    rng = np.random.default_rng(seed)
+    return {spec.name: rng.standard_normal(spec.shape).astype(spec.dtype)
+            for spec in executor.input_specs}
+
+
+class TestStridedSlice:
+    @pytest.mark.parametrize("kwargs", [{"opt_level": 0}, {}],
+                             ids=["opt0", "default"])
+    def test_gates_are_bitwise_the_selector_dense(self, kwargs):
+        module = repro.compile(get_model("lstm-lm", **_SMALL_LSTM),
+                               target="cuda", **kwargs)
+        oracle = repro.compile(_selector_lstm(), target="cuda", **kwargs)
+        ops = [node.op for kernel in module.kernels for node in kernel.group.nodes]
+        assert ops.count("strided_slice") == 16 and "strided_slice" not in \
+            [node.op for kernel in oracle.kernels for node in kernel.group.nodes]
+        executor = repro.Executor(module)
+        inputs = _inputs(executor, 5)
+        got = executor.run(inputs).outputs
+        want = repro.Executor(oracle).run(inputs).outputs
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("attrs", [
+        {"axis": 1, "begin": 4, "end": 9}, {"axis": 1, "begin": -1, "end": 2},
+        {"axis": 1, "begin": 3, "end": 3}, {"axis": 2, "begin": 0, "end": 1}])
+    def test_a_range_outside_the_axis_is_rejected(self, attrs):
+        data = Node("null", "data")
+        node = Node("strided_slice", "gate", [data],
+                    {"axis": 1, "begin": 0, "end": 4})
+        graph = Graph([node])
+        graph.infer_shapes({"data": (1, 8)})
+        assert node.shape == (1, 4)
+        verify_graph(graph)
+        node.attrs = attrs
+        with pytest.raises(ValueError, match="outside shape"):
+            graph.infer_shapes({"data": (1, 8)})
+        with pytest.raises(ShapeMismatchError, match="outside shape"):
+            verify_graph(graph)
+
+    def test_export_load_round_trip_is_bit_identical(self, tmp_path):
+        module = repro.compile(get_model("lstm-lm", **_SMALL_LSTM),
+                               target="cuda")
+        path = tmp_path / "lstm.repro"
+        module.export(path)
+        loaded = repro.load(path)
+        assert loaded.total_time == module.total_time
+        assert [node.attrs for node in loaded.graph.op_nodes] == \
+            [node.attrs for node in module.graph.op_nodes]
+        executor = repro.Executor(module)
+        inputs = _inputs(executor, 9)
+        got = repro.Executor(loaded).run(inputs).outputs
+        want = executor.run(inputs).outputs
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_lstm_tasks_are_its_two_projections(self):
+        tasks = extract_tasks("lstm-lm", "cuda")
+        assert [task.args for task in tasks] == \
+            [(1, 128, 512, "float32"), (1, 128, 10000, "float32")]
